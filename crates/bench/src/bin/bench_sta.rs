@@ -5,7 +5,9 @@
 //! three per-iteration timing costs of the placement loop — full analysis,
 //! incremental analysis at several moved-cell fractions, and the backward
 //! gradient sweep — all through the scratch-buffer (`*_into`) entry points
-//! the flow actually uses, and reports the incremental-vs-full speedup.
+//! the flow actually uses, and reports the incremental-vs-full speedup and the
+//! heap allocations per steady-state analysis (counting global allocator;
+//! `bench_baseline` compares it exactly, and it must be 0).
 //!
 //! Usage: `cargo run --release -p dtp-bench --bin bench_sta [-- num_cells]`
 //! (default 4000; output lands in the current directory).
@@ -18,6 +20,41 @@ use dtp_sta::{AnalysisScratch, Timer};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
+
+mod alloc_counter {
+    //! Counting wrapper around the system allocator: `allocs()` reads the
+    //! total number of `alloc`/`realloc` calls process-wide.
+    #![allow(unsafe_code)]
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+    pub struct Counting;
+
+    // SAFETY: defers to `System` for every operation; only adds a counter.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            System.alloc(l)
+        }
+        unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+            System.dealloc(p, l)
+        }
+        unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            System.realloc(p, l, n)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTER: Counting = Counting;
+
+    pub fn allocs() -> u64 {
+        ALLOCS.load(Ordering::Relaxed)
+    }
+}
 
 /// Times `f` with a warmup and enough repetitions to fill ~0.5 s, returning
 /// mean nanoseconds per call.
@@ -103,6 +140,38 @@ fn main() {
         sweep.push((frac, n_moved, inc_ns, analyze_ns / inc_ns));
     }
 
+    // Heap allocations per analysis once every pool is warm: one cycle is a
+    // smoothed analysis + gradients, an exact analysis and an incremental
+    // one, all through the same scratch.
+    const ALLOC_CYCLES: u64 = 8;
+    let mut prev = timer.analyze_into(&design.netlist, &forest, &mut scratch);
+    let moved = [movable[0]];
+    let mut cycle = || {
+        let s = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
+        timer.gradients_into(&design.netlist, &s, &forest, 0.04, 0.0004, &mut scratch, &mut grads);
+        scratch.recycle(s);
+        let next = timer.analyze_incremental_into(
+            &design.netlist,
+            &forest,
+            &prev,
+            &moved,
+            true,
+            &mut scratch,
+        );
+        scratch.recycle(std::mem::replace(&mut prev, next));
+        let a = timer.analyze_into(&design.netlist, &forest, &mut scratch);
+        scratch.recycle(black_box(a));
+    };
+    // Warm-up: the pool has never held two analyses at once.
+    cycle();
+    let before = alloc_counter::allocs();
+    for _ in 0..ALLOC_CYCLES {
+        cycle();
+    }
+    let allocs_per_analysis =
+        (alloc_counter::allocs() - before) as f64 / (3 * ALLOC_CYCLES) as f64;
+    assert_eq!(allocs_per_analysis, 0.0, "the steady-state timing hot path must not allocate");
+
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"design_cells\": {nl_cells},");
@@ -112,6 +181,7 @@ fn main() {
     let _ = writeln!(json, "  \"analyze_ns\": {analyze_ns:.0},");
     let _ = writeln!(json, "  \"analyze_smoothed_ns\": {smoothed_ns:.0},");
     let _ = writeln!(json, "  \"gradients_ns\": {gradients_ns:.0},");
+    let _ = writeln!(json, "  \"allocs_per_analysis\": {allocs_per_analysis:.1},");
     let _ = writeln!(json, "  \"incremental\": [");
     for (i, (frac, n_moved, ns, speedup)) in sweep.iter().enumerate() {
         let comma = if i + 1 < sweep.len() { "," } else { "" };
@@ -129,6 +199,7 @@ fn main() {
     println!("analyze (full, exact):    {:>12.0} ns", analyze_ns);
     println!("analyze (full, smoothed): {:>12.0} ns", smoothed_ns);
     println!("gradients:                {:>12.0} ns", gradients_ns);
+    println!("allocations per steady-state analysis: {allocs_per_analysis:.1}");
     for (frac, n_moved, ns, speedup) in &sweep {
         println!(
             "incremental {:>5.1}% ({n_moved:>4} cells): {ns:>12.0} ns  ({speedup:.2}x vs full)",

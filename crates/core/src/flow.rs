@@ -1390,11 +1390,12 @@ fn run_flow_fine(
         if trace_timing && traced_wns.is_nan() {
             if let Some(f) = forest.as_ref() {
                 let sp = obs.start(Phase::TraceSta);
-                let analysis = timer.analyze(&work.netlist, f);
+                let analysis = timer.analyze_into(&work.netlist, f, &mut scratch);
                 obs.stop(Phase::TraceSta, sp);
                 obs.add(Counter::TraceAnalyses, 1);
                 traced_wns = analysis.wns();
                 traced_tns = analysis.tns();
+                scratch.recycle(analysis);
             }
         }
         // Exact HPWL is only computed on traced iterations; telemetry reuses
@@ -1460,10 +1461,11 @@ fn run_flow_fine(
     obs.stop(Phase::SteinerBuild, sp);
     obs.add(Counter::ForestBuilds, 1);
     let sp = obs.start(Phase::FinalSta);
-    let gp_analysis = timer.analyze(&work.netlist, &gp_forest);
+    let gp_analysis = timer.analyze_into(&work.netlist, &gp_forest, &mut scratch);
     obs.stop(Phase::FinalSta, sp);
     let gp_hpwl = wl_model.hpwl(&sx, &sy);
     let (gp_wns, gp_tns) = (gp_analysis.wns(), gp_analysis.tns());
+    scratch.recycle(gp_analysis);
 
     // --- legalization + detailed placement -------------------------------------
     let mut lx = sx;
@@ -1491,7 +1493,7 @@ fn run_flow_fine(
     obs.stop(Phase::SteinerBuild, sp);
     obs.add(Counter::ForestBuilds, 1);
     let sp = obs.start(Phase::FinalSta);
-    let final_analysis = timer.analyze(&work.netlist, &final_forest);
+    let final_analysis = timer.analyze_into(&work.netlist, &final_forest, &mut scratch);
     obs.stop(Phase::FinalSta, sp);
     let congestion = {
         let g = config.route_grid.max(2);

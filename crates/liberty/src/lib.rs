@@ -10,6 +10,9 @@
 //! - [`TimingArc`], [`LibCell`], [`Library`]: the NLDM library model,
 //!   including setup/hold constraint arcs for registers and per-pin input
 //!   capacitances (the sink loads of the Elmore model).
+//! - [`ArcTables`]: the tables of a list of arcs flattened into one
+//!   contiguous arena, evaluated bit-identically to [`TimingArc::eval`] —
+//!   what the timing sweeps query.
 //! - [`parse`]: a Liberty-subset parser (group syntax, `values(...)` tables),
 //!   and [`write()`]: a writer that round-trips with the parser.
 //! - [`synth`]: a synthetic PDK generated from the canonical standard-cell
@@ -38,6 +41,7 @@ mod error;
 mod library;
 mod lut;
 mod parser;
+mod tables;
 mod writer;
 
 pub mod synth;
@@ -48,4 +52,5 @@ pub use error::LibertyError;
 pub use library::Library;
 pub use lut::{Lut1, Lut2};
 pub use parser::parse;
+pub use tables::ArcTables;
 pub use writer::write;

@@ -11,22 +11,72 @@
 use crate::error::LibertyError;
 use serde::{Deserialize, Serialize};
 
+/// Axes up to this long are located by a branch-free linear count (NLDM
+/// tables have 5–8 samples per axis); longer ones by binary partition.
+const LINEAR_LOCATE_MAX: usize = 8;
+
 /// Locates `q` on `axis`, returning the index `i` of the cell `[a_i, a_{i+1}]`
 /// used for interpolation/extrapolation (clamped to valid cells) and the
 /// unclamped fractional coordinate within it.
+///
+/// Total in `q`: a NaN query compares below every sample, lands in cell 0
+/// and yields a NaN fraction, so NaN in gives NaN out instead of a panic.
+#[inline]
 fn locate(axis: &[f64], q: f64) -> (usize, f64) {
     let n = axis.len();
     if n == 1 {
         return (0, 0.0);
     }
     // Highest i with axis[i] <= q, clamped into [0, n-2].
-    let mut i = match axis.binary_search_by(|a| a.partial_cmp(&q).expect("non-NaN axis")) {
-        Ok(i) => i,
-        Err(i) => i.saturating_sub(1),
+    let below = if n <= LINEAR_LOCATE_MAX {
+        axis.iter().map(|&a| usize::from(a <= q)).sum()
+    } else {
+        axis.partition_point(|&a| a <= q)
     };
-    i = i.min(n - 2);
+    let i = below.saturating_sub(1).min(n - 2);
     let t = (q - axis[i]) / (axis[i + 1] - axis[i]);
     (i, t)
+}
+
+/// Bilinear value and partial derivatives `(v, ∂v/∂x, ∂v/∂y)` of the
+/// row-major table `v` over `xs × ys` at `(x, y)` — the one interpolation
+/// kernel behind both [`Lut2::value_grad`] and the flat
+/// [`ArcTables`](crate::ArcTables) arena, so the two agree bit for bit.
+#[inline]
+pub(crate) fn bilinear(xs: &[f64], ys: &[f64], v: &[f64], x: f64, y: f64) -> (f64, f64, f64) {
+    let nx = xs.len();
+    let ny = ys.len();
+    if nx == 1 && ny == 1 {
+        return (v[0], 0.0, 0.0);
+    }
+    if nx == 1 {
+        let (j, ty) = locate(ys, y);
+        let (v0, v1) = (v[j], v[j + 1]);
+        let dy = ys[j + 1] - ys[j];
+        return (v0 + ty * (v1 - v0), 0.0, (v1 - v0) / dy);
+    }
+    if ny == 1 {
+        let (i, tx) = locate(xs, x);
+        let (v0, v1) = (v[i], v[i + 1]);
+        let dx = xs[i + 1] - xs[i];
+        return (v0 + tx * (v1 - v0), (v1 - v0) / dx, 0.0);
+    }
+    let (i, tx) = locate(xs, x);
+    let (j, ty) = locate(ys, y);
+    let v00 = v[i * ny + j];
+    let v01 = v[i * ny + j + 1];
+    let v10 = v[(i + 1) * ny + j];
+    let v11 = v[(i + 1) * ny + j + 1];
+    let dxw = xs[i + 1] - xs[i];
+    let dyw = ys[j + 1] - ys[j];
+    // 1-D interpolations along y at rows i and i+1 ...
+    let a = v00 + ty * (v01 - v00);
+    let b = v10 + ty * (v11 - v10);
+    // ... then along x.
+    let val = a + tx * (b - a);
+    let dvdx = (b - a) / dxw;
+    let dvdy = ((v01 - v00) * (1.0 - tx) + (v11 - v10) * tx) / dyw;
+    (val, dvdx, dvdy)
 }
 
 fn check_axis(axis: &[f64], what: &str) -> Result<(), LibertyError> {
@@ -203,40 +253,9 @@ impl Lut2 {
     /// This is the "three 1-D interpolations" scheme of the paper's Fig. 6:
     /// two interpolations along `y` at the bracketing rows, then one along
     /// `x`; the gradient falls out of the same expressions.
+    #[inline]
     pub fn value_grad(&self, x: f64, y: f64) -> (f64, f64, f64) {
-        let nx = self.x.len();
-        let ny = self.y.len();
-        if nx == 1 && ny == 1 {
-            return (self.v[0], 0.0, 0.0);
-        }
-        if nx == 1 {
-            let (j, ty) = locate(&self.y, y);
-            let (v0, v1) = (self.v[j], self.v[j + 1]);
-            let dy = self.y[j + 1] - self.y[j];
-            return (v0 + ty * (v1 - v0), 0.0, (v1 - v0) / dy);
-        }
-        if ny == 1 {
-            let (i, tx) = locate(&self.x, x);
-            let (v0, v1) = (self.v[i], self.v[i + 1]);
-            let dx = self.x[i + 1] - self.x[i];
-            return (v0 + tx * (v1 - v0), (v1 - v0) / dx, 0.0);
-        }
-        let (i, tx) = locate(&self.x, x);
-        let (j, ty) = locate(&self.y, y);
-        let v00 = self.v[i * ny + j];
-        let v01 = self.v[i * ny + j + 1];
-        let v10 = self.v[(i + 1) * ny + j];
-        let v11 = self.v[(i + 1) * ny + j + 1];
-        let dxw = self.x[i + 1] - self.x[i];
-        let dyw = self.y[j + 1] - self.y[j];
-        // 1-D interpolations along y at rows i and i+1 ...
-        let a = v00 + ty * (v01 - v00);
-        let b = v10 + ty * (v11 - v10);
-        // ... then along x.
-        let v = a + tx * (b - a);
-        let dvdx = (b - a) / dxw;
-        let dvdy = ((v01 - v00) * (1.0 - tx) + (v11 - v10) * tx) / dyw;
-        (v, dvdx, dvdy)
+        bilinear(&self.x, &self.y, &self.v, x, y)
     }
 }
 
@@ -311,6 +330,33 @@ mod tests {
         let col = Lut2::new(vec![0.0, 1.0], vec![1.0], vec![3.0, 5.0]).unwrap();
         let (v, gx, gy) = col.value_grad(0.5, 99.0);
         assert_eq!((v, gx, gy), (4.0, 2.0, 0.0));
+    }
+
+    #[test]
+    fn nan_query_is_nan_not_a_panic() {
+        let l1 = Lut1::new(vec![0.0, 10.0, 20.0], vec![0.0, 100.0, 150.0]).unwrap();
+        let (v, _) = l1.value_grad(f64::NAN);
+        assert!(v.is_nan());
+        let (v, gx, gy) = grid().value_grad(f64::NAN, 1.0);
+        assert!(v.is_nan() && gx.is_finite() && gy.is_nan());
+        assert!(grid().value(1.0, f64::NAN).is_nan());
+        // Degenerate single-row/column tables take the 1-D branches.
+        let row = Lut2::new(vec![1.0], vec![0.0, 1.0], vec![3.0, 5.0]).unwrap();
+        assert!(row.value(0.0, f64::NAN).is_nan());
+        // Infinite queries extrapolate instead of panicking, too.
+        assert_eq!(l1.value(f64::INFINITY), f64::INFINITY);
+    }
+
+    #[test]
+    fn long_axes_locate_like_short_ones() {
+        // 12 samples take the binary-partition branch of `locate`; a linear
+        // truth makes every cell (and both extrapolation sides) checkable.
+        let x: Vec<f64> = (0..12).map(|i| i as f64 * 1.5).collect();
+        let l = Lut1::new(x.clone(), x.iter().map(|&a| 4.0 * a - 1.0).collect()).unwrap();
+        for q in [-3.0, 0.0, 0.7, 1.5, 8.2, 16.5, 16.6, 40.0] {
+            assert!((l.value(q) - (4.0 * q - 1.0)).abs() < 1e-9, "q = {q}");
+        }
+        assert!(l.value(f64::NAN).is_nan());
     }
 
     /// Central finite difference of a scalar function.

@@ -7,7 +7,7 @@
 //! passes never do string lookups.
 
 use crate::error::StaError;
-use dtp_liberty::{Library, TimingArc};
+use dtp_liberty::{ArcTables, Library, TimingArc};
 use dtp_netlist::{ClassId, Netlist, PinId};
 
 /// Per-class resolved binding data.
@@ -49,6 +49,9 @@ impl ClassBinding {
 pub struct Binding {
     pub(crate) classes: Vec<ClassBinding>,
     pub(crate) arcs: Vec<TimingArc>,
+    /// The tables of `arcs` in one contiguous arena, same indices — what the
+    /// timing sweeps evaluate.
+    pub(crate) tables: ArcTables,
     /// Wire resistance per micron (from the library technology extension).
     pub wire_res_per_um: f64,
     /// Wire capacitance per micron.
@@ -129,6 +132,7 @@ impl Binding {
         }
         Ok(Binding {
             classes,
+            tables: ArcTables::new(&arcs),
             arcs,
             wire_res_per_um: lib.wire_res_per_um,
             wire_cap_per_um: lib.wire_cap_per_um,

@@ -13,6 +13,14 @@
 //! `LDelay(u)·∇Beta(u)`, the adjoint of `Beta(u) = Beta(fa) + Res·LDelay(u)`).
 //! This implementation uses the mathematically consistent forms and validates
 //! them against finite differences in the test suite.
+//!
+//! Two implementations live here. [`ElmoreNet`] owns its per-node vectors and
+//! allocates them per call: it is the readable reference, used by tests,
+//! `figure4` and the wire-model experiments. The timing engine runs the
+//! slice kernels [`forward_into`] / [`backward_into`] over one persistent
+//! struct-of-arrays [`ElmoreArena`] shared by every net (each net owns a
+//! fixed node range), which perform the same arithmetic in the same order
+//! and are tested bit-for-bit against the reference.
 
 use dtp_rsmt::SteinerTree;
 
@@ -66,16 +74,6 @@ impl ElmoreSeeds {
         }
     }
 
-    /// Re-zeros the seeds in place, resizing to `n` nodes if the tree
-    /// topology changed — lets gradient sweeps reuse one seed buffer per net
-    /// across iterations instead of reallocating.
-    pub fn reset(&mut self, n: usize) {
-        for buf in [&mut self.grad_delay, &mut self.grad_impulse_sq, &mut self.grad_beta] {
-            buf.clear();
-            buf.resize(n, 0.0);
-        }
-        self.grad_root_load = 0.0;
-    }
 }
 
 impl ElmoreNet {
@@ -200,29 +198,14 @@ impl ElmoreNet {
     /// degenerates (near-zero wire).
     #[inline]
     pub fn delay_d2m_at(&self, node: usize) -> f64 {
-        let m1 = self.delay[node];
-        let m2 = 2.0 * self.beta[node];
-        if m2 > 1e-12 {
-            std::f64::consts::LN_2 * m1 * m1 / m2.sqrt()
-        } else {
-            m1
-        }
+        d2m_delay(self.delay[node], self.beta[node])
     }
 
     /// Partial derivatives of [`ElmoreNet::delay_d2m_at`] with respect to
     /// `(Delay, Beta)` at `node`, for seeding the backward pass.
     #[inline]
     pub fn d2m_partials(&self, node: usize) -> (f64, f64) {
-        let m1 = self.delay[node];
-        let m2 = 2.0 * self.beta[node];
-        if m2 > 1e-12 {
-            let d_dm1 = 2.0 * std::f64::consts::LN_2 * m1 / m2.sqrt();
-            // ∂/∂Beta = ∂/∂m2 · 2 = −ln2·m1²·m2^(−3/2)
-            let d_dbeta = -std::f64::consts::LN_2 * m1 * m1 * m2.powf(-1.5);
-            (d_dm1, d_dbeta)
-        } else {
-            (1.0, 0.0)
-        }
+        d2m_partials(self.delay[node], self.beta[node])
     }
 
     /// Runs the backward passes (Eq. 8, lower half of Fig. 5) and the chain
@@ -315,6 +298,359 @@ impl ElmoreNet {
             gy[p] -= sy * g_len;
         }
         (gx, gy)
+    }
+}
+
+/// D2M delay `ln 2 · m1² / √m2` from the Elmore moments `m1 = Delay`,
+/// `m2 = 2·Beta`; Elmore when the second moment degenerates.
+#[inline]
+pub(crate) fn d2m_delay(delay: f64, beta: f64) -> f64 {
+    let m1 = delay;
+    let m2 = 2.0 * beta;
+    if m2 > 1e-12 {
+        std::f64::consts::LN_2 * m1 * m1 / m2.sqrt()
+    } else {
+        m1
+    }
+}
+
+/// Partial derivatives of [`d2m_delay`] with respect to `(Delay, Beta)`.
+#[inline]
+pub(crate) fn d2m_partials(delay: f64, beta: f64) -> (f64, f64) {
+    let m1 = delay;
+    let m2 = 2.0 * beta;
+    if m2 > 1e-12 {
+        let d_dm1 = 2.0 * std::f64::consts::LN_2 * m1 / m2.sqrt();
+        // ∂/∂Beta = ∂/∂m2 · 2 = −ln2·m1²·m2^(−3/2)
+        let d_dbeta = -std::f64::consts::LN_2 * m1 * m1 * m2.powf(-1.5);
+        (d_dm1, d_dbeta)
+    } else {
+        (1.0, 0.0)
+    }
+}
+
+/// "No arena node": the pin has no net or sits on an (ideal) clock net.
+pub(crate) const NO_NODE: u32 = u32::MAX;
+
+/// The forward Elmore state of every net of a design, struct-of-arrays over
+/// one node index space: net `n` owns the nodes
+/// `node_off[n]..node_off[n + 1]` of each array (a capacity fixed when the
+/// timer is built), of which the first `tree.num_nodes()` are live. Field
+/// meanings are those of [`ElmoreNet`]; `impulse_sq` is the raw, unclamped
+/// `2·Beta − Delay²`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ElmoreArena {
+    pub cap: Vec<f64>,
+    pub res: Vec<f64>,
+    pub load: Vec<f64>,
+    pub delay: Vec<f64>,
+    pub ldelay: Vec<f64>,
+    pub beta: Vec<f64>,
+    pub impulse_sq: Vec<f64>,
+}
+
+/// Exclusive view of a node range of an [`ElmoreArena`].
+pub(crate) struct NodesMut<'a> {
+    cap: &'a mut [f64],
+    res: &'a mut [f64],
+    load: &'a mut [f64],
+    delay: &'a mut [f64],
+    ldelay: &'a mut [f64],
+    beta: &'a mut [f64],
+    impulse_sq: &'a mut [f64],
+}
+
+impl NodesMut<'_> {
+    /// Reborrows the sub-range `lo..hi` of this view.
+    pub fn range(&mut self, lo: usize, hi: usize) -> NodesMut<'_> {
+        NodesMut {
+            cap: &mut self.cap[lo..hi],
+            res: &mut self.res[lo..hi],
+            load: &mut self.load[lo..hi],
+            delay: &mut self.delay[lo..hi],
+            ldelay: &mut self.ldelay[lo..hi],
+            beta: &mut self.beta[lo..hi],
+            impulse_sq: &mut self.impulse_sq[lo..hi],
+        }
+    }
+
+    /// Zeroes the range (the state of a net without a tree).
+    pub fn clear(&mut self) {
+        for a in [
+            &mut *self.cap,
+            &mut *self.res,
+            &mut *self.load,
+            &mut *self.delay,
+            &mut *self.ldelay,
+            &mut *self.beta,
+            &mut *self.impulse_sq,
+        ] {
+            a.fill(0.0);
+        }
+    }
+}
+
+impl ElmoreArena {
+    fn arrays_mut(&mut self) -> [&mut Vec<f64>; 7] {
+        [
+            &mut self.cap,
+            &mut self.res,
+            &mut self.load,
+            &mut self.delay,
+            &mut self.ldelay,
+            &mut self.beta,
+            &mut self.impulse_sq,
+        ]
+    }
+
+    /// Sets the node count. Contents are unspecified afterwards: every
+    /// forward pass writes all live nodes of every net before they are read.
+    pub fn set_len(&mut self, nodes: usize) {
+        for a in self.arrays_mut() {
+            if a.len() != nodes {
+                a.clear();
+                a.resize(nodes, 0.0);
+            }
+        }
+    }
+
+    /// Makes `self` a copy of `src` (seven `memcpy`s into kept capacity).
+    pub fn copy_from(&mut self, src: &ElmoreArena) {
+        let src = [&src.cap, &src.res, &src.load, &src.delay, &src.ldelay, &src.beta, &src.impulse_sq];
+        for (d, s) in self.arrays_mut().into_iter().zip(src) {
+            d.clear();
+            d.extend_from_slice(s);
+        }
+    }
+
+    /// Downstream capacitance at `node` — the load a driver sees at its
+    /// net's root — or 0 for [`NO_NODE`].
+    #[inline]
+    pub fn load_at(&self, node: u32) -> f64 {
+        if node == NO_NODE { 0.0 } else { self.load[node as usize] }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.cap.len()
+    }
+
+    /// Exclusive view of all nodes.
+    pub fn nodes_mut(&mut self) -> NodesMut<'_> {
+        NodesMut {
+            cap: &mut self.cap,
+            res: &mut self.res,
+            load: &mut self.load,
+            delay: &mut self.delay,
+            ldelay: &mut self.ldelay,
+            beta: &mut self.beta,
+            impulse_sq: &mut self.impulse_sq,
+        }
+    }
+
+    /// Runs `f(chunk index, view of nodes bounds[i]..bounds[i + 1])` for
+    /// every chunk over the worker pool (inline when there is one chunk).
+    /// `bounds` must start at 0, be non-decreasing and end at `self.len()`.
+    pub fn par_chunks_mut_at(
+        &mut self,
+        bounds: &[u32],
+        f: impl Fn(usize, NodesMut<'_>) + Sync,
+    ) {
+        use rayon::prelude::*;
+        self.cap
+            .par_chunks_mut_at(bounds)
+            .zip(self.res.par_chunks_mut_at(bounds))
+            .zip(self.load.par_chunks_mut_at(bounds))
+            .zip(self.delay.par_chunks_mut_at(bounds))
+            .zip(self.ldelay.par_chunks_mut_at(bounds))
+            .zip(self.beta.par_chunks_mut_at(bounds))
+            .zip(self.impulse_sq.par_chunks_mut_at(bounds))
+            .enumerate()
+            .for_each(|(ci, ((((((cap, res), load), delay), ldelay), beta), impulse_sq))| {
+                f(ci, NodesMut { cap, res, load, delay, ldelay, beta, impulse_sq });
+            });
+    }
+}
+
+/// [`ElmoreNet::forward`] into a net's arena range: same passes, same
+/// arithmetic, no allocation. Writes the first `tree.num_nodes()` nodes of
+/// `s` and leaves the spare capacity untouched.
+///
+/// # Panics
+///
+/// Panics if `pin_caps.len() != tree.num_pins()` or the tree has more nodes
+/// than `s`.
+pub(crate) fn forward_into(tree: &SteinerTree, pin_caps: &[f64], r: f64, c: f64, s: NodesMut<'_>) {
+    assert_eq!(pin_caps.len(), tree.num_pins());
+    let n = tree.num_nodes();
+    assert!(n <= s.cap.len(), "tree of {n} nodes outgrew its arena range of {}", s.cap.len());
+    let order = tree.preorder();
+    let (cap, res, load) = (&mut s.cap[..n], &mut s.res[..n], &mut s.load[..n]);
+    let (delay, ldelay, beta) = (&mut s.delay[..n], &mut s.ldelay[..n], &mut s.beta[..n]);
+    let impulse_sq = &mut s.impulse_sq[..n];
+
+    cap.fill(0.0);
+    cap[1..pin_caps.len()].copy_from_slice(&pin_caps[1..]);
+    for i in 0..n {
+        match tree.parent_of(i) {
+            Some(p) => {
+                let len = tree.edge_length(i);
+                res[i] = r * len;
+                let half = 0.5 * c * len;
+                cap[i] += half;
+                cap[p] += half;
+            }
+            None => res[i] = 0.0,
+        }
+    }
+    // Pass 1 (bottom-up): Load.
+    load.copy_from_slice(cap);
+    for &u in order.iter().rev() {
+        let u = u as usize;
+        if let Some(p) = tree.parent_of(u) {
+            load[p] += load[u];
+        }
+    }
+    // Pass 2 (top-down): Delay.
+    for &u in order {
+        let u = u as usize;
+        delay[u] = match tree.parent_of(u) {
+            Some(p) => delay[p] + res[u] * load[u],
+            None => 0.0,
+        };
+    }
+    // Pass 3 (bottom-up): LDelay.
+    for i in 0..n {
+        ldelay[i] = cap[i] * delay[i];
+    }
+    for &u in order.iter().rev() {
+        let u = u as usize;
+        if let Some(p) = tree.parent_of(u) {
+            ldelay[p] += ldelay[u];
+        }
+    }
+    // Pass 4 (top-down): Beta.
+    for &u in order {
+        let u = u as usize;
+        beta[u] = match tree.parent_of(u) {
+            Some(p) => beta[p] + res[u] * ldelay[u],
+            None => 0.0,
+        };
+    }
+    for i in 0..n {
+        impulse_sq[i] = 2.0 * beta[i] - delay[i] * delay[i];
+    }
+}
+
+/// Per-node adjoint scratch of [`backward_into`]: `∇Beta`, `∇LDelay`,
+/// `∇Delay`, `∇Load` and the node position gradient `(x, y)`.
+pub(crate) type NodeAdjoints = [f64; 6];
+
+/// [`ElmoreNet::backward`] + [`SteinerTree::scatter_gradient`] over arena
+/// ranges: same passes, same arithmetic, no allocation.
+///
+/// `el` is the arena the forward pass filled and `lo` the net's first node
+/// in it; the three seed slices are indexed like the arena. `adj` is
+/// scratch of at least `tree.num_nodes()` entries; the per-pin position
+/// gradient `(∂x, ∂y)` lands in `pin_grad` (`tree.num_pins()` long).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backward_into(
+    tree: &SteinerTree,
+    el: &ElmoreArena,
+    lo: usize,
+    seed_delay: &[f64],
+    seed_impulse_sq: &[f64],
+    seed_beta: &[f64],
+    seed_root_load: f64,
+    r: f64,
+    c: f64,
+    adj: &mut [NodeAdjoints],
+    pin_grad: &mut [[f64; 2]],
+) {
+    const G_BETA: usize = 0;
+    const G_LDELAY: usize = 1;
+    const G_DELAY: usize = 2;
+    const G_LOAD: usize = 3;
+    const GX: usize = 4;
+    const GY: usize = 5;
+    let n = tree.num_nodes();
+    let order = tree.preorder();
+    let hi = lo + n;
+    let (cap, res, load) = (&el.cap[lo..hi], &el.res[lo..hi], &el.load[lo..hi]);
+    let (delay, ldelay, impulse_sq) = (&el.delay[lo..hi], &el.ldelay[lo..hi], &el.impulse_sq[lo..hi]);
+    let (seed_delay, seed_impulse_sq, seed_beta) =
+        (&seed_delay[lo..hi], &seed_impulse_sq[lo..hi], &seed_beta[lo..hi]);
+    let adj = &mut adj[..n];
+    // Impulse clamping: a node whose raw impulse² went negative has a dead
+    // gradient through the impulse path.
+    let g_imp = |i: usize| if impulse_sq[i] > 0.0 { seed_impulse_sq[i] } else { 0.0 };
+
+    // Reverse pass 1 (bottom-up): ∇Beta (Eq. 8a) plus direct Beta seeds.
+    for i in 0..n {
+        adj[i][G_BETA] = 2.0 * g_imp(i) + seed_beta[i];
+    }
+    for &u in order.iter().rev() {
+        let u = u as usize;
+        if let Some(p) = tree.parent_of(u) {
+            adj[p][G_BETA] += adj[u][G_BETA];
+        }
+    }
+    // Reverse pass 2 (top-down): ∇LDelay (Eq. 8b).
+    for i in 0..n {
+        adj[i][G_LDELAY] = res[i] * adj[i][G_BETA];
+    }
+    for &u in order {
+        let u = u as usize;
+        if let Some(p) = tree.parent_of(u) {
+            adj[u][G_LDELAY] += adj[p][G_LDELAY];
+        }
+    }
+    // Reverse pass 3 (bottom-up): ∇Delay (Eq. 8c, corrected sign).
+    for i in 0..n {
+        adj[i][G_DELAY] = seed_delay[i] - 2.0 * delay[i] * g_imp(i) + cap[i] * adj[i][G_LDELAY];
+    }
+    for &u in order.iter().rev() {
+        let u = u as usize;
+        if let Some(p) = tree.parent_of(u) {
+            adj[p][G_DELAY] += adj[u][G_DELAY];
+        }
+    }
+    // Reverse pass 4 (top-down): ∇Load (Eq. 8d), seeded at the root by the
+    // driving cell's arcs.
+    for &u in order {
+        let u = u as usize;
+        adj[u][G_LOAD] = match tree.parent_of(u) {
+            Some(p) => res[u] * adj[u][G_DELAY] + adj[p][G_LOAD],
+            None => seed_root_load,
+        };
+    }
+    // Local adjoints ∇Cap (Eq. 8e) and ∇Res (Eq. 8f corrected), chained to
+    // edge lengths and node positions.
+    let g_cap = |a: &[NodeAdjoints], i: usize| a[i][G_LOAD] + delay[i] * a[i][G_LDELAY];
+    let g_res = |a: &[NodeAdjoints], i: usize| load[i] * a[i][G_DELAY] + ldelay[i] * a[i][G_BETA];
+    for a in adj.iter_mut() {
+        a[GX] = 0.0;
+        a[GY] = 0.0;
+    }
+    for u in 0..n {
+        let Some(p) = tree.parent_of(u) else { continue };
+        let g_len = r * g_res(adj, u) + 0.5 * c * (g_cap(adj, u) + g_cap(adj, p));
+        let a = tree.node_pos(u);
+        let b = tree.node_pos(p);
+        let sx = (a.x - b.x).signum_or_zero();
+        let sy = (a.y - b.y).signum_or_zero();
+        adj[u][GX] += sx * g_len;
+        adj[p][GX] -= sx * g_len;
+        adj[u][GY] += sy * g_len;
+        adj[p][GY] -= sy * g_len;
+    }
+    // Steiner-point gradients ride back to the pins owning each coordinate.
+    let pin_grad = &mut pin_grad[..tree.num_pins()];
+    pin_grad.fill([0.0; 2]);
+    let (x_src, y_src) = (tree.x_sources(), tree.y_sources());
+    for i in 0..n {
+        pin_grad[x_src[i] as usize][0] += adj[i][GX];
+        pin_grad[y_src[i] as usize][1] += adj[i][GY];
     }
 }
 
@@ -472,6 +808,101 @@ mod tests {
         let e = ElmoreNet::forward(&tree, &[0.0, 1.0], R, C);
         let (gx, gy) = e.backward(&tree, &ElmoreSeeds::zeros(tree.num_nodes()));
         assert!(gx.iter().chain(gy.iter()).all(|&g| g == 0.0));
+    }
+
+    proptest::proptest! {
+        /// The arena kernels equal the allocating reference bit for bit:
+        /// forward state, and backward + scatter, with Elmore seeds only
+        /// (`beta_seed = 0`) and with the direct Beta seeds the D2M wire
+        /// model adds. The net sits in the middle of a NaN-filled arena, so
+        /// a read of anything the forward pass did not write would show.
+        #[test]
+        fn arena_kernels_equal_reference(
+            xy in proptest::collection::vec((-40.0..40.0f64, -40.0..40.0f64), 1..14),
+            snap in 0usize..3,
+            beta_seed in 0.0..2.0f64,
+            root_seed in -1.0..1.0f64,
+        ) {
+            // Snapping some runs to a coarse grid produces aligned and
+            // coincident pins (zero-length edges, clamped impulses).
+            let q = [0.0, 1.0, 8.0][snap];
+            let pins: Vec<Point> = xy
+                .iter()
+                .map(|&(x, y)| if q > 0.0 { Point::new((x / q).round() * q, (y / q).round() * q) } else { Point::new(x, y) })
+                .collect();
+            let tree = SteinerTree::build(&pins);
+            let (n, n_pins) = (tree.num_nodes(), tree.num_pins());
+            let caps: Vec<f64> = (0..n_pins).map(|i| 0.5 + 0.25 * (i % 5) as f64).collect();
+            let reference = ElmoreNet::forward(&tree, &caps, R, C);
+
+            let (lo, total) = (3, n + 7);
+            let mut arena = ElmoreArena::default();
+            arena.set_len(total);
+            for a in arena.arrays_mut() {
+                a.fill(f64::NAN);
+            }
+            forward_into(&tree, &caps, R, C, arena.nodes_mut().range(lo, lo + n + 2));
+            let pairs = [
+                (&arena.cap, &reference.cap),
+                (&arena.res, &reference.res),
+                (&arena.load, &reference.load),
+                (&arena.delay, &reference.delay),
+                (&arena.ldelay, &reference.ldelay),
+                (&arena.beta, &reference.beta),
+                (&arena.impulse_sq, &reference.impulse_sq_raw),
+            ];
+            for (got, want) in pairs {
+                for i in 0..n {
+                    proptest::prop_assert_eq!(got[lo + i].to_bits(), want[i].to_bits());
+                }
+                proptest::prop_assert!(got[..lo].iter().chain(&got[lo + n..]).all(|v| v.is_nan()));
+            }
+
+            let mut seeds = ElmoreSeeds::zeros(n);
+            for i in 1..n_pins {
+                seeds.grad_delay[i] = 1.0 - 0.3 * i as f64;
+                seeds.grad_impulse_sq[i] = 0.01 * (i % 3) as f64;
+                seeds.grad_beta[i] = beta_seed * 0.001 * i as f64;
+            }
+            seeds.grad_root_load = root_seed;
+            let (gx, gy) = reference.backward(&tree, &seeds);
+            let want = tree.scatter_gradient(&gx, &gy);
+
+            let at = |v: &[f64]| {
+                let mut a = vec![f64::NAN; total];
+                a[lo..lo + n].copy_from_slice(v);
+                a
+            };
+            let mut adj = vec![[f64::NAN; 6]; n + 1];
+            let mut got = vec![[f64::NAN; 2]; n_pins];
+            backward_into(
+                &tree,
+                &arena,
+                lo,
+                &at(&seeds.grad_delay),
+                &at(&seeds.grad_impulse_sq),
+                &at(&seeds.grad_beta),
+                seeds.grad_root_load,
+                R,
+                C,
+                &mut adj,
+                &mut got,
+            );
+            for (g, w) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(g[0].to_bits(), w.0.to_bits());
+                proptest::prop_assert_eq!(g[1].to_bits(), w.1.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outgrew its arena range")]
+    fn forward_into_rejects_a_short_range() {
+        let pins = [Point::new(0.0, 0.0), Point::new(4.0, 3.0), Point::new(4.0, -3.0)];
+        let tree = SteinerTree::build(&pins);
+        let mut arena = ElmoreArena::default();
+        arena.set_len(tree.num_nodes() - 1);
+        forward_into(&tree, &[0.0, 1.0, 1.0], R, C, arena.nodes_mut());
     }
 
     #[test]

@@ -18,23 +18,46 @@
 //!   [`Timer::analyze_incremental_into`], [`Timer::gradients_into`]) draw
 //!   every buffer from a caller-owned [`AnalysisScratch`]. Retiring an
 //!   [`Analysis`] back into the scratch with [`AnalysisScratch::recycle`]
-//!   double-buffers the pin-length vectors: after warm-up the timing hot
-//!   path performs no full-vector allocation or clone per iteration.
+//!   double-buffers its vectors: after warm-up the timing hot path performs
+//!   no heap allocation at all.
 //!
-//! Per-pin arc aggregation uses fixed-capacity stack buffers (spilling to
-//! the heap only for cells with more than [`MAX_INLINE_ARCS`] fan-in arcs),
-//! and the levelized graph, per-class delay arcs and per-net pin
-//! capacitances are all stored CSR-flat (offsets + one data array) so the
-//! sweeps touch contiguous memory.
+//! # Layout
+//!
+//! Everything the sweeps index is flat and addressed by integers fixed when
+//! the timer is built:
+//!
+//! - **Slots.** The levelized pins in level order, one 20-byte record each
+//!   (pin, Elmore node, net driver, net, role): a level is a contiguous slot
+//!   range and the sweep never touches the netlist.
+//! - **Arc CSR.** Per slot, the delay arcs ending at that pin as parallel
+//!   `from pin` / `arc index` arrays, already filtered to fan-ins that take
+//!   part in propagation. Arc indices address the binding's contiguous
+//!   [`ArcTables`](dtp_liberty::ArcTables) arena.
+//! - **Elmore arena.** One struct-of-arrays node space for all nets; net `n`
+//!   owns a node range sized for the largest tree its degree can produce, so
+//!   topology rebuilds never re-index and the incremental path is a `memcpy`
+//!   plus in-place recomputation of the dirty nets.
+//! - **Arc tape.** A smoothed (γ > 0) forward sweep records each arc's
+//!   [`ArcEval`] at its CSR position; the backward sweep reads the tape
+//!   instead of evaluating the LUTs again. Exact analyses carry no tape.
+//!
+//! Levels and net chunks shorter than [`LEVEL_GRAIN`] / [`NET_GRAIN`] run
+//! inline on the calling thread; longer ones are split into fixed-size
+//! chunks over the worker pool. Per-pin and per-net results do not depend on
+//! the chunking and every cross-item accumulation is serial in a fixed
+//! order, so results are bit-identical at any pool width.
 
 use crate::binding::Binding;
-use crate::elmore::{ElmoreNet, ElmoreSeeds};
+use crate::elmore::{
+    backward_into, d2m_delay, d2m_partials, forward_into, ElmoreArena, NodeAdjoints, NodesMut,
+    NO_NODE,
+};
 use crate::error::StaError;
 use crate::graph::{PinRole, TimingGraph};
 use crate::smoothing::{
     lse_max, lse_max_weights_into, lse_min_weights_into, smooth_neg, smooth_neg_grad,
 };
-use dtp_liberty::{ArcEval, Library};
+use dtp_liberty::ArcEval;
 use dtp_netlist::{CellId, Design, NetId, Netlist, PinId};
 use dtp_rsmt::SteinerForest;
 use rayon::prelude::*;
@@ -84,6 +107,34 @@ impl Default for TimerConfig {
 /// more arcs fall back to a heap buffer (no common library cell comes close).
 pub const MAX_INLINE_ARCS: usize = 16;
 
+/// Pins per level-sweep task. A level of at most this many pins is one task
+/// and runs inline, writing arrival times in place; a condvar dispatch costs
+/// more than evaluating a few hundred pins.
+const LEVEL_GRAIN: usize = 256;
+
+/// Nets per Elmore task (forward and backward).
+const NET_GRAIN: usize = 256;
+
+/// "No constraint arc" in the per-endpoint setup/hold arc lists.
+const NO_ARC: u32 = u32::MAX;
+
+const ZERO_EVAL: ArcEval = ArcEval {
+    delay: 0.0,
+    d_delay_d_slew: 0.0,
+    d_delay_d_load: 0.0,
+    slew: 0.0,
+    d_slew_d_slew: 0.0,
+    d_slew_d_load: 0.0,
+};
+
+/// Largest tree (in nodes) any Steiner backend builds for a net of `degree`
+/// pins: one- and two-pin nets have no Steiner point; beyond that the Prim
+/// heuristic may insert one corner per edge (`degree − 1` of them), which
+/// bounds the exact and table constructions (`degree − 2`) too.
+fn node_capacity(degree: usize) -> usize {
+    if degree <= 2 { degree } else { 2 * degree - 1 }
+}
+
 /// Fixed-capacity stack buffer for per-pin arc aggregation in the level
 /// sweeps. Spills to the heap only past `N` elements, so the common case
 /// performs no allocation inside the rayon-parallel pin evaluations.
@@ -116,11 +167,6 @@ impl<const N: usize> F64Buf<N> {
     }
 
     #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0 && self.heap.is_empty()
-    }
-
-    #[inline]
     fn as_slice(&self) -> &[f64] {
         if self.heap.is_empty() { &self.stack[..self.len] } else { &self.heap }
     }
@@ -144,6 +190,24 @@ impl<const N: usize> F64Buf<N> {
     }
 }
 
+/// One levelized pin, as the sweeps see it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    /// Pin index.
+    pub pin: u32,
+    /// The pin's node in the Elmore arena (the root of its net for output
+    /// pins), or [`NO_NODE`].
+    pub node: u32,
+    /// Sink pins: the driver pin of the net. Unused otherwise.
+    pub driver: u32,
+    /// Net index (meaningful iff `node != NO_NODE`).
+    pub net: u32,
+    /// Role in the timing graph.
+    pub role: PinRole,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 20);
+
 /// The differentiable STA engine bound to one design + library.
 #[derive(Clone, Debug)]
 pub struct Timer {
@@ -151,13 +215,46 @@ pub struct Timer {
     graph: TimingGraph,
     config: TimerConfig,
     clock_period: f64,
-    /// Per-pin index of the pin within its net's pin list (tree node index).
-    pin_node_in_net: Vec<u32>,
     /// CSR data: pin capacitances in net pin order, grouped by net (clock
     /// nets contribute an empty range).
     net_pin_caps: Vec<f64>,
+    /// The pin behind every `net_pin_caps` entry.
+    net_cap_pins: Vec<u32>,
     /// CSR offsets into `net_pin_caps`, one per net plus a trailing end.
     net_cap_offsets: Vec<u32>,
+    /// Elmore arena node range per net (`node_off[n]..node_off[n + 1]`),
+    /// shared (`Arc`) with every produced [`Analysis`].
+    node_off: Arc<[u32]>,
+    /// `node_off` / `net_cap_offsets` sampled every [`NET_GRAIN`] nets: the
+    /// chunk boundaries of the parallel Elmore passes.
+    chunk_node_bounds: Vec<u32>,
+    chunk_pin_bounds: Vec<u32>,
+    /// Largest per-net node capacity (sizes the backward adjoint scratch).
+    max_net_nodes: usize,
+    /// Levelized pins in level order.
+    slots: Vec<Slot>,
+    /// Slot range per level (`level_off[l]..level_off[l + 1]`).
+    level_off: Vec<u32>,
+    /// Slot of each pin (`u32::MAX` for pins outside the propagation).
+    pin_slot: Vec<u32>,
+    /// Arc range per slot (`arc_off[s]..arc_off[s + 1]`).
+    arc_off: Vec<u32>,
+    /// Source pin of each arc (the clock pin's arcs of a register launch
+    /// keep their slot's own pin here; it is never read).
+    arc_from: Vec<u32>,
+    /// Index of each arc in the binding's arc arena.
+    arc_idx: Vec<u32>,
+    /// For levels longer than [`LEVEL_GRAIN`]: arc offsets (relative to the
+    /// level's first arc) at every chunk boundary, flattened;
+    /// `level_chunk_off[l]..level_chunk_off[l + 1]` is level `l`'s range.
+    level_chunk_bounds: Vec<u32>,
+    level_chunk_off: Vec<u32>,
+    /// Slots of the register launch pins, in pin order.
+    launch_slots: Vec<u32>,
+    /// Setup / hold arc per endpoint (parallel to `endpoints`), or
+    /// [`NO_ARC`].
+    endpoint_setup: Vec<u32>,
+    endpoint_hold: Vec<u32>,
     /// Resolved SDC arrival offset per pin (PI pins only, else 0).
     input_delay: Vec<f64>,
     /// Resolved SDC required margin per pin (PO pins only, else 0).
@@ -181,14 +278,43 @@ pub struct Analysis {
     /// Hold slack per pin (`f64::INFINITY` where unconstrained), ps.
     pub hold_slack: Vec<f64>,
     /// Required arrival time per pin (late/setup view), propagated backward
-    /// from the endpoints; `f64::INFINITY` on cones that reach no endpoint.
+    /// from the endpoints; `f64::INFINITY` on cones that reach no endpoint,
+    /// and everywhere in analyses that skip the required-time sweep
+    /// (smoothed analyses and [`Timer::analyze_no_rat_into`]).
     pub rat: Vec<f64>,
     /// γ used for max-smoothing in this analysis; 0 means exact (hard max).
     pub gamma: f64,
-    /// Per-net Elmore state, shared (`Arc`) so incremental analyses reuse
-    /// clean nets without copying.
-    elmore: Vec<Option<Arc<ElmoreNet>>>,
+    /// Elmore state of all nets.
+    elmore: ElmoreArena,
+    /// Forward arc evaluations in arc-CSR order (smoothed analyses only).
+    tape: Vec<ArcEval>,
+    node_off: Arc<[u32]>,
     endpoints: Arc<[PinId]>,
+}
+
+/// Borrowed Elmore state of one net of an [`Analysis`].
+#[derive(Clone, Copy, Debug)]
+pub struct ElmoreView<'a> {
+    arena: &'a ElmoreArena,
+    lo: usize,
+}
+
+impl ElmoreView<'_> {
+    /// Total capacitive load seen by the driver (Eq. 7a at the root), fF.
+    pub fn root_load(&self) -> f64 {
+        self.arena.load[self.lo]
+    }
+
+    /// Elmore delay from the driver to tree node `node` (Eq. 7b), ps. Pin
+    /// nodes come first, in net pin order.
+    pub fn delay_at(&self, node: usize) -> f64 {
+        self.arena.delay[self.lo + node]
+    }
+
+    /// Squared impulse at tree node `node` (Eq. 7e), clamped at 0.
+    pub fn impulse_sq_at(&self, node: usize) -> f64 {
+        self.arena.impulse_sq[self.lo + node].max(0.0)
+    }
 }
 
 impl Analysis {
@@ -249,7 +375,8 @@ impl Analysis {
     }
 
     /// Slack of an arbitrary pin (`RAT − AT`); `f64::INFINITY` for pins whose
-    /// fan-out cone reaches no endpoint.
+    /// fan-out cone reaches no endpoint, and for every non-endpoint pin of an
+    /// analysis without required times (see [`Analysis::rat`]).
     pub fn pin_slack(&self, pin: PinId) -> f64 {
         let i = pin.index();
         if self.rat[i].is_finite() {
@@ -259,9 +386,17 @@ impl Analysis {
         }
     }
 
-    /// The Elmore state of a net (None for clock nets).
-    pub fn elmore(&self, net: NetId) -> Option<&ElmoreNet> {
-        self.elmore[net.index()].as_deref()
+    /// The Elmore state of a net (None for clock and pinless nets).
+    pub fn elmore(&self, net: NetId) -> Option<ElmoreView<'_>> {
+        let lo = self.node_off[net.index()] as usize;
+        let hi = self.node_off[net.index() + 1] as usize;
+        (lo < hi).then_some(ElmoreView { arena: &self.elmore, lo })
+    }
+
+    /// Load driven by the pin whose arena node is `node` (0 without one).
+    #[inline]
+    pub(crate) fn load_at(&self, node: u32) -> f64 {
+        self.elmore.load_at(node)
     }
 }
 
@@ -272,43 +407,47 @@ impl Analysis {
 /// the same design. Feed retired analyses back with
 /// [`AnalysisScratch::recycle`] so their vectors return to the pool; the
 /// ping-pong between the live [`Analysis`] and the pool is what makes the
-/// incremental path allocation-free after the first iteration.
+/// hot path allocation-free after the first iterations.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
     /// Pool of retired pin-length `f64` buffers (at / slew / slack / rat …).
     pool_f64: Vec<Vec<f64>>,
-    /// Pool of retired per-net Elmore vectors.
-    pool_elmore: Vec<Vec<Option<Arc<ElmoreNet>>>>,
-    /// Per-level sweep results (`None` for pins skipped as clean).
-    level_results: Vec<Option<(usize, f64, f64, f64)>>,
+    /// Pool of retired Elmore arenas.
+    pool_elmore: Vec<ElmoreArena>,
+    /// Pool of retired arc tapes.
+    pool_tape: Vec<Vec<ArcEval>>,
+    /// `(at, at_early, slew)` of one dispatched level, in slot order.
+    level_stage: Vec<[f64; 3]>,
     /// Per-net dirty flags for the incremental path.
     net_dirty: Vec<bool>,
     /// Per-pin dirty flags for the incremental frontier sweep.
     pin_dirty: Vec<bool>,
     /// Indices of dirty nets this iteration.
     dirty_nets: Vec<usize>,
-    /// Parallel Elmore rebuild results for dirty nets.
-    rebuilt: Vec<(usize, Option<Arc<ElmoreNet>>)>,
     /// ∂f/∂AT per pin (gradient sweep).
     g_at: Vec<f64>,
     /// ∂f/∂slew per pin (gradient sweep).
     g_slew: Vec<f64>,
-    /// Per-net Elmore gradient seeds, reused across gradient calls.
-    seeds: Vec<Option<ElmoreSeeds>>,
+    /// Elmore gradient seeds per arena node: ∂f/∂Delay, ∂f/∂Impulse²,
+    /// ∂f/∂Beta.
+    seed_delay: Vec<f64>,
+    seed_impulse_sq: Vec<f64>,
+    seed_beta: Vec<f64>,
+    /// ∂f/∂Load(root) per net.
+    seed_root_load: Vec<f64>,
+    /// Elmore backward adjoints: one `max_net_nodes` block per net chunk.
+    adjoints: Vec<NodeAdjoints>,
+    /// Per-pin position gradients in net-pin CSR order.
+    net_pin_grads: Vec<[f64; 2]>,
     /// Endpoint slacks (gradient objective evaluation).
     endpoint_slacks: Vec<f64>,
     /// LSE-min weights over endpoint slacks.
     endpoint_weights: Vec<f64>,
-    /// Fan-in pins + arc evaluations of one combinational output.
-    arc_inputs: Vec<(PinId, ArcEval)>,
-    /// Arc evaluations of one register launch pin.
-    arc_evals: Vec<ArcEval>,
-    /// Per-net position gradients from the parallel Elmore backward pass.
-    net_grads: Vec<Option<NetGrad>>,
 }
 
-/// One net's scattered position gradient: net index + per-pin (∂x, ∂y).
-type NetGrad = (usize, Vec<(f64, f64)>);
+fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve(n.saturating_sub(v.len()));
+}
 
 impl AnalysisScratch {
     /// An empty scratch; buffers grow on first use and are reused after.
@@ -316,51 +455,41 @@ impl AnalysisScratch {
         AnalysisScratch::default()
     }
 
-    /// Pre-sizes the pools and per-entity buffers for a design with
-    /// `num_pins` pins and `num_nets` nets, so the warm-up allocations of the
-    /// first analyses happen once at flow start instead of inside the
-    /// iteration loop. Six pin-length `f64` buffers plus one Elmore vector
-    /// cover a full [`Analysis`]; the pools hold two of each because the
-    /// incremental flow keeps the previous analysis alive while building the
-    /// next one. The incremental bookkeeping vectors are grown to their
-    /// steady-state lengths directly.
+    /// Pre-sizes the pin- and net-length buffers for a design with
+    /// `num_pins` pins and `num_nets` nets, so their warm-up allocations
+    /// happen once at flow start instead of inside the iteration loop. Six
+    /// pin-length `f64` buffers cover a full [`Analysis`]; the pool holds two
+    /// sets because the incremental flow keeps the previous analysis alive
+    /// while building the next one. The node- and arc-length buffers (Elmore
+    /// arenas, arc tapes, gradient seeds) are sized by the timer on first
+    /// use and recycled from then on.
     pub fn presize(&mut self, num_pins: usize, num_nets: usize) {
         while self.pool_f64.len() < 12 {
             self.pool_f64.push(Vec::new());
         }
         for v in self.pool_f64.iter_mut() {
-            if v.capacity() < num_pins {
-                v.reserve(num_pins - v.capacity());
-            }
+            reserve_total(v, num_pins);
         }
-        while self.pool_elmore.len() < 2 {
-            self.pool_elmore.push(Vec::new());
-        }
-        for v in self.pool_elmore.iter_mut() {
-            if v.capacity() < num_nets {
-                v.reserve(num_nets - v.capacity());
-            }
-        }
-        self.level_results.reserve(num_pins.saturating_sub(self.level_results.capacity()));
-        self.net_dirty.reserve(num_nets.saturating_sub(self.net_dirty.capacity()));
-        self.pin_dirty.reserve(num_pins.saturating_sub(self.pin_dirty.capacity()));
-        self.dirty_nets.reserve(num_nets.saturating_sub(self.dirty_nets.capacity()));
-        self.rebuilt.reserve(num_nets.saturating_sub(self.rebuilt.capacity()));
-        self.g_at.reserve(num_pins.saturating_sub(self.g_at.capacity()));
-        self.g_slew.reserve(num_pins.saturating_sub(self.g_slew.capacity()));
-        self.seeds.reserve(num_nets.saturating_sub(self.seeds.capacity()));
-        self.net_grads.reserve(num_nets.saturating_sub(self.net_grads.capacity()));
+        reserve_total(&mut self.net_dirty, num_nets);
+        reserve_total(&mut self.pin_dirty, num_pins);
+        reserve_total(&mut self.dirty_nets, num_nets);
+        reserve_total(&mut self.g_at, num_pins);
+        reserve_total(&mut self.g_slew, num_pins);
+        reserve_total(&mut self.seed_root_load, num_nets);
+        reserve_total(&mut self.net_pin_grads, num_pins);
     }
 
     /// Retires an [`Analysis`], returning its vectors to the pool so the
     /// next `*_into` call reuses them instead of allocating.
     pub fn recycle(&mut self, analysis: Analysis) {
-        let Analysis { at, at_early, slew, slack, hold_slack, rat, mut elmore, .. } = analysis;
+        let Analysis { at, at_early, slew, slack, hold_slack, rat, elmore, tape, .. } = analysis;
         for v in [at, at_early, slew, slack, hold_slack, rat] {
             self.pool_f64.push(v);
         }
-        elmore.clear();
         self.pool_elmore.push(elmore);
+        if tape.capacity() > 0 {
+            self.pool_tape.push(tape);
+        }
     }
 
     /// A pooled buffer of `n` copies of `fill`.
@@ -377,13 +506,6 @@ impl AnalysisScratch {
         let mut b = self.pool_f64.pop().unwrap_or_default();
         b.clear();
         b.extend_from_slice(src);
-        b
-    }
-
-    /// A pooled (empty) per-net Elmore vector.
-    fn take_elmore(&mut self) -> Vec<Option<Arc<ElmoreNet>>> {
-        let mut b = self.pool_elmore.pop().unwrap_or_default();
-        b.clear();
         b
     }
 }
@@ -410,7 +532,7 @@ impl Timer {
     /// # Errors
     ///
     /// Returns [`StaError`] for unbound classes/pins or combinational cycles.
-    pub fn new(design: &Design, lib: &Library) -> Result<Timer, StaError> {
+    pub fn new(design: &Design, lib: &dtp_liberty::Library) -> Result<Timer, StaError> {
         Timer::with_config(design, lib, TimerConfig::default())
     }
 
@@ -421,47 +543,148 @@ impl Timer {
     /// Same as [`Timer::new`].
     pub fn with_config(
         design: &Design,
-        lib: &Library,
+        lib: &dtp_liberty::Library,
         config: TimerConfig,
     ) -> Result<Timer, StaError> {
         let nl = &design.netlist;
         let binding = Binding::resolve(nl, lib)?;
         let graph = TimingGraph::build(nl, &binding)?;
+        let (n_pins, n_nets) = (nl.num_pins(), nl.num_nets());
 
-        let mut pin_node_in_net = vec![0u32; nl.num_pins()];
-        for net in nl.net_ids() {
-            for (i, &p) in nl.net(net).pins().iter().enumerate() {
-                pin_node_in_net[p.index()] = i as u32;
-            }
-        }
-        // CSR per-net pin capacitances; clock nets own an empty range (the
-        // ideal clock network is never analyzed).
-        let mut net_cap_offsets = Vec::with_capacity(nl.num_nets() + 1);
+        // Per-net CSR (pin capacitances + the pins behind them) and Elmore
+        // arena node ranges; clock nets own empty ranges (the ideal clock
+        // network is never analyzed). The same net-order pass fills in each
+        // pin's slot record, so the level-order pass below copies one flat
+        // record per pin instead of chasing `Pin` → `Net` → its pin list.
+        let mut by_pin: Vec<Slot> = nl
+            .pin_ids()
+            .map(|p| {
+                let pin = p.index() as u32;
+                Slot { pin, node: NO_NODE, driver: pin, net: 0, role: graph.role(p) }
+            })
+            .collect();
+        let mut net_cap_offsets = Vec::with_capacity(n_nets + 1);
+        let mut node_off = Vec::with_capacity(n_nets + 1);
         let mut net_pin_caps = Vec::new();
+        let mut net_cap_pins = Vec::new();
+        let mut max_net_nodes = 0usize;
+        let mut nodes = 0usize;
         net_cap_offsets.push(0u32);
+        node_off.push(0u32);
         for net in nl.net_ids() {
-            if !nl.net(net).is_clock() {
-                for &p in nl.net(net).pins() {
+            let pins = nl.net(net).pins();
+            let is_signal = !nl.net(net).is_clock();
+            for (i, &p) in pins.iter().enumerate() {
+                let slot = &mut by_pin[p.index()];
+                slot.net = net.index() as u32;
+                if matches!(
+                    slot.role,
+                    PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput
+                ) {
+                    slot.driver = pins[0].index() as u32;
+                }
+                if is_signal {
+                    slot.node = (nodes + i) as u32;
                     net_pin_caps.push(binding.pin_cap(nl, p));
+                    net_cap_pins.push(p.index() as u32);
                 }
             }
+            if is_signal {
+                let cap = node_capacity(pins.len());
+                max_net_nodes = max_net_nodes.max(cap);
+                nodes += cap;
+            }
             net_cap_offsets.push(net_pin_caps.len() as u32);
+            node_off.push(u32::try_from(nodes).expect("fewer than 2^32 Elmore nodes"));
         }
+        let n_chunks = n_nets.div_ceil(NET_GRAIN).max(1);
+        let sample = |off: &[u32]| -> Vec<u32> {
+            (0..=n_chunks).map(|c| off[(c * NET_GRAIN).min(n_nets)]).collect()
+        };
+        let (chunk_node_bounds, chunk_pin_bounds) = (sample(&node_off), sample(&net_cap_offsets));
 
-        let mut input_delay = vec![0.0; nl.num_pins()];
-        let mut output_margin = vec![0.0; nl.num_pins()];
+        // Slots + arc CSR in level order.
+        let n_slots: usize = graph.levels().map(<[PinId]>::len).sum();
+        let mut slots = Vec::with_capacity(n_slots);
+        let mut level_off = Vec::with_capacity(graph.depth() + 1);
+        let mut pin_slot = vec![u32::MAX; n_pins];
+        let mut arc_off = Vec::with_capacity(n_slots + 1);
+        let (mut arc_from, mut arc_idx) = (Vec::new(), Vec::new());
+        level_off.push(0u32);
+        arc_off.push(0u32);
+        for level in graph.levels() {
+            for &p in level {
+                let slot = by_pin[p.index()];
+                let role = slot.role;
+                if matches!(role, PinRole::CombOutput | PinRole::RegisterOutput) {
+                    let pin = nl.pin(p);
+                    let cell = nl.cell(pin.cell());
+                    let cb = &binding.classes[cell.class().index()];
+                    for &(a, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
+                        let from = cell.pins()[from_cp as usize];
+                        // A launch pin's arcs start at the (ideal) clock pin;
+                        // a combinational output ignores fan-ins that do not
+                        // propagate.
+                        if role == PinRole::CombOutput
+                            && matches!(graph.role(from), PinRole::Unconnected | PinRole::Clock)
+                        {
+                            continue;
+                        }
+                        arc_from.push(if role == PinRole::CombOutput {
+                            from.index() as u32
+                        } else {
+                            p.index() as u32
+                        });
+                        arc_idx.push(a);
+                    }
+                }
+                pin_slot[p.index()] = slots.len() as u32;
+                slots.push(slot);
+                arc_off.push(arc_from.len() as u32);
+            }
+            level_off.push(slots.len() as u32);
+        }
+        let mut level_chunk_bounds = Vec::new();
+        let mut level_chunk_off = Vec::with_capacity(level_off.len());
+        level_chunk_off.push(0u32);
+        for w in level_off.windows(2) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            if hi - lo > LEVEL_GRAIN {
+                level_chunk_bounds.extend(
+                    (lo..hi).step_by(LEVEL_GRAIN).chain([hi]).map(|s| arc_off[s] - arc_off[lo]),
+                );
+            }
+            level_chunk_off.push(level_chunk_bounds.len() as u32);
+        }
+        let launch_slots = nl
+            .pin_ids()
+            .filter(|&p| graph.role(p) == PinRole::RegisterOutput)
+            .map(|p| pin_slot[p.index()])
+            .collect();
+
+        let mut input_delay = vec![0.0; n_pins];
+        let mut output_margin = vec![0.0; n_pins];
         for p in nl.pin_ids() {
             match graph.role(p) {
                 PinRole::PrimaryInput => {
-                    let name = nl.cell(nl.pin(p).cell()).name().to_owned();
-                    input_delay[p.index()] = design.constraints.input_delay(&name);
+                    let name = nl.cell(nl.pin(p).cell()).name();
+                    input_delay[p.index()] = design.constraints.input_delay(name);
                 }
                 PinRole::PrimaryOutput => {
-                    let name = nl.cell(nl.pin(p).cell()).name().to_owned();
-                    output_margin[p.index()] = design.constraints.output_delay(&name);
+                    let name = nl.cell(nl.pin(p).cell()).name();
+                    output_margin[p.index()] = design.constraints.output_delay(name);
                 }
                 _ => {}
             }
+        }
+
+        let (mut endpoint_setup, mut endpoint_hold) = (Vec::new(), Vec::new());
+        for &p in graph.endpoints() {
+            let pin = nl.pin(p);
+            let cb = &binding.classes[nl.cell(pin.cell()).class().index()];
+            let cp = pin.class_pin().index();
+            endpoint_setup.push(cb.setup_arc[cp].map_or(NO_ARC, |a| a as u32));
+            endpoint_hold.push(cb.hold_arc[cp].map_or(NO_ARC, |a| a as u32));
         }
 
         let endpoints: Arc<[PinId]> = graph.endpoints().into();
@@ -470,9 +693,24 @@ impl Timer {
             graph,
             config,
             clock_period: design.constraints.clock_period,
-            pin_node_in_net,
             net_pin_caps,
+            net_cap_pins,
             net_cap_offsets,
+            node_off: node_off.into(),
+            chunk_node_bounds,
+            chunk_pin_bounds,
+            max_net_nodes,
+            slots,
+            level_off,
+            pin_slot,
+            arc_off,
+            arc_from,
+            arc_idx,
+            level_chunk_bounds,
+            level_chunk_off,
+            launch_slots,
+            endpoint_setup,
+            endpoint_hold,
             input_delay,
             output_margin,
             endpoints,
@@ -507,20 +745,53 @@ impl Timer {
         &self.net_pin_caps[lo..hi]
     }
 
+    /// Wire delay from the driver to arena node `node` under the configured
+    /// wire model.
+    #[inline]
+    fn wire_delay(&self, elmore: &ElmoreArena, node: usize) -> f64 {
+        match self.config.wire_model {
+            WireModel::Elmore => elmore.delay[node],
+            WireModel::D2m => d2m_delay(elmore.delay[node], elmore.beta[node]),
+        }
+    }
+
+    /// Arc range of slot `s` in `arc_from` / `arc_idx` / the tape.
+    #[inline]
+    fn arcs(&self, s: usize) -> std::ops::Range<usize> {
+        self.arc_off[s] as usize..self.arc_off[s + 1] as usize
+    }
+
+    /// The slot of `pin`, or `None` for pins outside the propagation.
+    #[inline]
+    pub(crate) fn slot_of(&self, pin: PinId) -> Option<&Slot> {
+        self.slots.get(self.pin_slot[pin.index()] as usize)
+    }
+
+    /// The propagating fan-in arcs of `pin` as `(source pin, arc index)`
+    /// pairs (empty unless `pin` is a levelized cell output).
+    pub(crate) fn fanin_arcs(&self, pin: PinId) -> impl Iterator<Item = (PinId, usize)> + '_ {
+        let s = self.pin_slot[pin.index()] as usize;
+        let range = if s < self.slots.len() { self.arcs(s) } else { 0..0 };
+        range.map(|k| (PinId::new(self.arc_from[k] as usize), self.arc_idx[k] as usize))
+    }
+
+    /// Number of nets the timer was built for.
+    fn num_nets(&self) -> usize {
+        self.node_off.len() - 1
+    }
+
     /// Exact analysis: true max/min aggregation; use for reporting WNS/TNS.
     ///
     /// `nl` must be the same netlist (topology) the timer was built from;
     /// only its connectivity is read — pin positions are baked into `forest`.
     pub fn analyze(&self, nl: &Netlist, forest: &SteinerForest) -> Analysis {
-        let mut scratch = AnalysisScratch::new();
-        self.run_forward_into(nl, forest, 0.0, true, &mut scratch)
+        self.analyze_into(nl, forest, &mut AnalysisScratch::new())
     }
 
     /// Smoothed analysis: LSE aggregation at the configured γ; feed this to
     /// [`Timer::gradients`].
     pub fn analyze_smoothed(&self, nl: &Netlist, forest: &SteinerForest) -> Analysis {
-        let mut scratch = AnalysisScratch::new();
-        self.run_forward_into(nl, forest, self.config.gamma, true, &mut scratch)
+        self.analyze_smoothed_into(nl, forest, &mut AnalysisScratch::new())
     }
 
     /// [`Timer::analyze`] drawing every buffer from `scratch` — the
@@ -535,13 +806,18 @@ impl Timer {
     }
 
     /// [`Timer::analyze_smoothed`] drawing every buffer from `scratch`.
+    ///
+    /// The result feeds [`Timer::gradients_into`], which never reads
+    /// required times, so the backward RAT sweep is skipped: as with
+    /// [`Timer::analyze_no_rat_into`], every RAT is `f64::INFINITY` and
+    /// [`Analysis::pin_slack`] is only meaningful at endpoints.
     pub fn analyze_smoothed_into(
         &self,
         nl: &Netlist,
         forest: &SteinerForest,
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
-        self.run_forward_into(nl, forest, self.config.gamma, true, scratch)
+        self.run_forward_into(nl, forest, self.config.gamma, false, scratch)
     }
 
     /// Exact forward analysis that *skips* the backward RAT sweep — the
@@ -560,13 +836,50 @@ impl Timer {
         self.run_forward_into(nl, forest, 0.0, false, scratch)
     }
 
+    /// Elmore forward of net `ni` into its arena range `s`; a net the forest
+    /// has no tree for gets the all-zero state.
+    #[inline]
+    fn elmore_net(&self, forest: &SteinerForest, ni: usize, mut s: NodesMut<'_>) {
+        match forest.tree(NetId::new(ni)) {
+            Some(tree) => forward_into(
+                tree,
+                self.net_caps(ni),
+                self.binding.wire_res_per_um,
+                self.binding.wire_cap_per_um,
+                s,
+            ),
+            None => s.clear(),
+        }
+    }
+
+    /// Elmore forward (stage 2 of Fig. 3) over the nets selected by `pick`,
+    /// in [`NET_GRAIN`]-net chunks over the pool.
+    fn elmore_forward(
+        &self,
+        forest: &SteinerForest,
+        elmore: &mut ElmoreArena,
+        pick: impl Fn(usize) -> bool + Sync,
+    ) {
+        let n_nets = self.num_nets();
+        elmore.par_chunks_mut_at(&self.chunk_node_bounds, |ci, mut chunk| {
+            let base = self.chunk_node_bounds[ci] as usize;
+            for ni in ci * NET_GRAIN..((ci + 1) * NET_GRAIN).min(n_nets) {
+                if pick(ni) {
+                    let lo = self.node_off[ni] as usize - base;
+                    let hi = self.node_off[ni + 1] as usize - base;
+                    self.elmore_net(forest, ni, chunk.range(lo, hi));
+                }
+            }
+        });
+    }
+
     /// Full forward analysis (stages 2–4 of Fig. 3): Elmore over all nets,
-    /// then a rayon-parallel level-synchronous sweep. The netlist is
-    /// implicit in the forest (pin positions were baked into the trees), but
-    /// arc lookups still need the structural netlist; the caller guarantees
-    /// it matches the one used at construction. `with_rat = false` leaves
-    /// every RAT at `f64::INFINITY` (consumers that never read per-pin
-    /// slacks, like path extraction, skip the backward sweep entirely).
+    /// then the level-synchronous sweep. The netlist is implicit in the
+    /// forest (pin positions were baked into the trees) and in the slot /
+    /// arc tables built with the timer; the caller guarantees both match the
+    /// netlist used at construction. `with_rat = false` leaves every RAT at
+    /// `f64::INFINITY` (consumers that never read per-pin slacks — gradients,
+    /// path extraction — skip the backward sweep entirely).
     fn run_forward_into(
         &self,
         nl: &Netlist,
@@ -575,52 +888,43 @@ impl Timer {
         with_rat: bool,
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
-        let nl_pins = self.pin_node_in_net.len();
+        let nl_pins = self.pin_slot.len();
+        assert_eq!(nl.num_pins(), nl_pins, "netlist differs from the timer's");
+        assert_eq!(forest.len(), self.num_nets(), "forest differs from the timer's netlist");
 
-        // Elmore forward over all nets (stage 2), rayon-parallel.
-        let mut elmore = scratch.take_elmore();
-        (0..forest.len())
-            .into_par_iter()
-            .map(|ni| {
-                forest.tree(NetId::new(ni)).map(|tree| {
-                    Arc::new(ElmoreNet::forward(
-                        tree,
-                        self.net_caps(ni),
-                        self.binding.wire_res_per_um,
-                        self.binding.wire_cap_per_um,
-                    ))
-                })
-            })
-            .collect_into_vec(&mut elmore);
+        let mut elmore = scratch.pool_elmore.pop().unwrap_or_default();
+        elmore.set_len(*self.node_off.last().expect("node_off has a trailing end") as usize);
+        self.elmore_forward(forest, &mut elmore, |_| true);
+
+        let mut tape = Vec::new();
+        if gamma > 0.0 {
+            tape = scratch.pool_tape.pop().unwrap_or_default();
+            if tape.len() != self.arc_idx.len() {
+                tape.clear();
+                tape.resize(self.arc_idx.len(), ZERO_EVAL);
+            }
+        }
 
         let mut at = scratch.take_filled(nl_pins, 0.0);
         let mut at_early = scratch.take_filled(nl_pins, 0.0);
         let mut slew = scratch.take_filled(nl_pins, self.config.input_slew);
-
-        // This borrow-free closure set mirrors the GPU kernels: every level is
-        // a batch whose pins read only lower levels.
-        for level in self.graph.levels() {
-            level
-                .par_iter()
-                .map(|&p| {
-                    let (a, ae, s) = self.eval_pin(nl, p, &elmore, &at, &at_early, &slew, gamma);
-                    Some((p.index(), a, ae, s))
-                })
-                .collect_into_vec(&mut scratch.level_results);
-            for r in scratch.level_results.iter().flatten() {
-                let &(i, a, ae, s) = r;
-                at[i] = a;
-                at_early[i] = ae;
-                slew[i] = s;
-            }
-        }
+        self.sweep_levels(
+            &elmore,
+            &mut at,
+            &mut at_early,
+            &mut slew,
+            gamma,
+            &mut tape,
+            None,
+            &mut scratch.level_stage,
+        );
 
         let mut slack = scratch.take_filled(nl_pins, f64::INFINITY);
         let mut hold_slack = scratch.take_filled(nl_pins, f64::INFINITY);
-        self.compute_slacks_into(nl, &at, &at_early, &slew, &mut slack, &mut hold_slack);
+        self.compute_slacks_into(&at, &at_early, &slew, &mut slack, &mut hold_slack);
         let mut rat = scratch.take_filled(nl_pins, f64::INFINITY);
         if with_rat {
-            self.compute_rat_into(nl, &elmore, &at, &slew, &slack, &mut rat);
+            self.compute_rat_into(&elmore, &at, &slew, &slack, &mut rat);
         }
 
         Analysis {
@@ -632,7 +936,192 @@ impl Timer {
             rat,
             gamma,
             elmore,
+            tape,
+            node_off: self.node_off.clone(),
             endpoints: self.endpoints.clone(),
+        }
+    }
+
+    /// The level-synchronous forward sweep (stage 3 of Fig. 3) — every level
+    /// is a batch whose pins read only lower levels, mirroring the GPU
+    /// kernels. With `dirty`, the incremental frontier sweep: a pin is
+    /// re-evaluated iff it is flagged or any of its fan-ins is (flags are
+    /// propagated level by level, which is safe because a pin's predecessors
+    /// all sit on strictly lower levels); every other pin keeps the value
+    /// already in `at` / `at_early` / `slew` / `tape`.
+    ///
+    /// `tape` is either empty (exact analysis, nothing recorded) or the
+    /// full arc tape.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_levels(
+        &self,
+        elmore: &ElmoreArena,
+        at: &mut [f64],
+        at_early: &mut [f64],
+        slew: &mut [f64],
+        gamma: f64,
+        tape: &mut [ArcEval],
+        mut dirty: Option<&mut [bool]>,
+        stage: &mut Vec<[f64; 3]>,
+    ) {
+        let record = !tape.is_empty();
+        for l in 0..self.level_off.len() - 1 {
+            let (lo, hi) = (self.level_off[l] as usize, self.level_off[l + 1] as usize);
+            if let Some(dirty) = dirty.as_deref_mut() {
+                self.mark_dirty(lo..hi, dirty);
+            }
+            let dirty = dirty.as_deref();
+            let skip = |s: usize| dirty.is_some_and(|d| !d[self.slots[s].pin as usize]);
+            if hi - lo <= LEVEL_GRAIN {
+                for s in lo..hi {
+                    if skip(s) {
+                        continue;
+                    }
+                    let arcs = if record { &mut tape[self.arcs(s)] } else { &mut [][..] };
+                    let [a, ae, sw] = self.eval_slot(s, elmore, at, at_early, slew, gamma, arcs);
+                    let i = self.slots[s].pin as usize;
+                    at[i] = a;
+                    at_early[i] = ae;
+                    slew[i] = sw;
+                }
+                continue;
+            }
+            // Dispatched level: tasks cannot scatter into the pin-indexed
+            // arrays, so they fill a slot-ordered stage that is scattered
+            // serially below.
+            stage.clear();
+            stage.resize(hi - lo, [0.0; 3]);
+            let (at_r, at_early_r, slew_r) = (&*at, &*at_early, &*slew);
+            let eval_chunk = |ci: usize, out: &mut [[f64; 3]], arcs: &mut [ArcEval]| {
+                let s0 = lo + ci * LEVEL_GRAIN;
+                let arc0 = self.arc_off[s0] as usize;
+                for (k, o) in out.iter_mut().enumerate() {
+                    let s = s0 + k;
+                    if skip(s) {
+                        continue;
+                    }
+                    let r = self.arcs(s);
+                    let arcs = if record { &mut arcs[r.start - arc0..r.end - arc0] } else { &mut [][..] };
+                    *o = self.eval_slot(s, elmore, at_r, at_early_r, slew_r, gamma, arcs);
+                }
+            };
+            if record {
+                let bounds = &self.level_chunk_bounds
+                    [self.level_chunk_off[l] as usize..self.level_chunk_off[l + 1] as usize];
+                let level_tape = &mut tape[self.arc_off[lo] as usize..self.arc_off[hi] as usize];
+                stage
+                    .par_chunks_mut(LEVEL_GRAIN)
+                    .zip(level_tape.par_chunks_mut_at(bounds))
+                    .enumerate()
+                    .for_each(|(ci, (out, arcs))| eval_chunk(ci, out, arcs));
+            } else {
+                stage
+                    .par_chunks_mut(LEVEL_GRAIN)
+                    .enumerate()
+                    .for_each(|(ci, out)| eval_chunk(ci, out, &mut []));
+            }
+            for (k, &[a, ae, sw]) in stage.iter().enumerate() {
+                if skip(lo + k) {
+                    continue;
+                }
+                let i = self.slots[lo + k].pin as usize;
+                at[i] = a;
+                at_early[i] = ae;
+                slew[i] = sw;
+            }
+        }
+    }
+
+    /// Flags every pin of `slots` that has a flagged fan-in.
+    fn mark_dirty(&self, slots: std::ops::Range<usize>, dirty: &mut [bool]) {
+        for s in slots {
+            let sl = &self.slots[s];
+            if dirty[sl.pin as usize] {
+                continue;
+            }
+            let pred_dirty = match sl.role {
+                PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
+                    dirty[sl.driver as usize]
+                }
+                PinRole::CombOutput => {
+                    self.arc_from[self.arcs(s)].iter().any(|&from| dirty[from as usize])
+                }
+                _ => false,
+            };
+            if pred_dirty {
+                dirty[sl.pin as usize] = true;
+            }
+        }
+    }
+
+    /// Forward evaluation of slot `s` given completed lower levels:
+    /// `[at, at_early, slew]`. Records the slot's arc evaluations into
+    /// `tape` (the slot's own arc range) unless it is empty.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn eval_slot(
+        &self,
+        s: usize,
+        elmore: &ElmoreArena,
+        at: &[f64],
+        at_early: &[f64],
+        slew: &[f64],
+        gamma: f64,
+        tape: &mut [ArcEval],
+    ) -> [f64; 3] {
+        let sl = &self.slots[s];
+        let cfg = &self.config;
+        match sl.role {
+            PinRole::PrimaryInput => {
+                let d = self.input_delay[sl.pin as usize];
+                [d, d, cfg.input_slew]
+            }
+            PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
+                // Net arc from the driver (Eq. 9).
+                if sl.node == NO_NODE {
+                    return [0.0, 0.0, cfg.input_slew];
+                }
+                let (node, driver) = (sl.node as usize, sl.driver as usize);
+                let d = self.wire_delay(elmore, node);
+                let s_in = slew[driver];
+                let s = (s_in * s_in + elmore.impulse_sq[node].max(0.0)).sqrt().max(1e-3);
+                [at[driver] + d, at_early[driver] + d, s]
+            }
+            PinRole::RegisterOutput | PinRole::CombOutput => {
+                // Cell arcs (Eq. 11); a register launches through its
+                // CK → Q arc at the ideal clock edge.
+                let launch = sl.role == PinRole::RegisterOutput;
+                let arcs = self.arcs(s);
+                if arcs.is_empty() {
+                    return if launch {
+                        [cfg.clock_arrival, cfg.clock_arrival, cfg.input_slew]
+                    } else {
+                        [0.0, 0.0, cfg.input_slew]
+                    };
+                }
+                let load = elmore.load_at(sl.node);
+                let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
+                let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
+                let mut ae = f64::INFINITY;
+                for (j, k) in arcs.enumerate() {
+                    let (slew_in, at_in, at_early_in) = if launch {
+                        (cfg.clock_slew, cfg.clock_arrival, cfg.clock_arrival)
+                    } else {
+                        let from = self.arc_from[k] as usize;
+                        (slew[from], at[from], at_early[from])
+                    };
+                    let e = self.binding.tables.eval(self.arc_idx[k] as usize, slew_in, load);
+                    if let Some(t) = tape.get_mut(j) {
+                        *t = e;
+                    }
+                    a_vals.push(at_in + e.delay);
+                    ae = ae.min(at_early_in + e.delay);
+                    s_vals.push(e.slew);
+                }
+                let (a, sw) = aggregate(a_vals.as_slice(), s_vals.as_slice(), gamma);
+                [a, ae, sw]
+            }
+            PinRole::Clock | PinRole::Unconnected => [0.0, 0.0, cfg.input_slew],
         }
     }
 
@@ -640,25 +1129,25 @@ impl Timer {
     /// `slack`/`hold_slack` arrive pre-filled with `f64::INFINITY`.
     fn compute_slacks_into(
         &self,
-        nl: &Netlist,
         at: &[f64],
         at_early: &[f64],
         slew: &[f64],
         slack: &mut [f64],
         hold_slack: &mut [f64],
     ) {
-        for &p in self.graph.endpoints() {
+        let constraint = |arc: u32, data_slew: f64| {
+            if arc == NO_ARC {
+                0.0
+            } else {
+                self.binding.arc(arc as usize).constraint_value(data_slew)
+            }
+        };
+        for (k, &p) in self.endpoints.iter().enumerate() {
             let i = p.index();
             match self.graph.role(p) {
                 PinRole::RegisterData => {
-                    let pin = nl.pin(p);
-                    let cb = &self.binding.classes[nl.cell(pin.cell()).class().index()];
-                    let setup = cb.setup_arc[pin.class_pin().index()]
-                        .map(|a| self.binding.arc(a).constraint_value(slew[i]))
-                        .unwrap_or(0.0);
-                    let hold = cb.hold_arc[pin.class_pin().index()]
-                        .map(|a| self.binding.arc(a).constraint_value(slew[i]))
-                        .unwrap_or(0.0);
+                    let setup = constraint(self.endpoint_setup[k], slew[i]);
+                    let hold = constraint(self.endpoint_hold[k], slew[i]);
                     let rat = self.config.clock_arrival + self.clock_period - setup;
                     slack[i] = rat - at[i];
                     hold_slack[i] = at_early[i] - (self.config.clock_arrival + hold);
@@ -678,61 +1167,41 @@ impl Timer {
     /// `f64::INFINITY`.
     fn compute_rat_into(
         &self,
-        nl: &Netlist,
-        elmore: &[Option<Arc<ElmoreNet>>],
+        elmore: &ElmoreArena,
         at: &[f64],
         slew: &[f64],
         slack: &[f64],
         rat: &mut [f64],
     ) {
-        for &p in self.graph.endpoints() {
+        for &p in self.endpoints.iter() {
             rat[p.index()] = at[p.index()] + slack[p.index()];
         }
-        for level in self.graph.levels().rev() {
-            for &p in level {
-                let i = p.index();
+        for l in (0..self.level_off.len() - 1).rev() {
+            for s in self.level_off[l] as usize..self.level_off[l + 1] as usize {
+                let sl = &self.slots[s];
+                let i = sl.pin as usize;
                 if !rat[i].is_finite() {
                     continue;
                 }
-                match self.graph.role(p) {
+                match sl.role {
                     PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
-                        let net = nl.pin(p).net().expect("active sinks are connected");
-                        if let Some(e) = elmore[net.index()].as_ref() {
-                            let driver = nl.net(net).pins()[0];
-                            let node = self.pin_node_in_net[i] as usize;
-                            let d = match self.config.wire_model {
-                                WireModel::Elmore => e.delay_at(node),
-                                WireModel::D2m => e.delay_d2m_at(node),
-                            };
-                            let cand = rat[i] - d;
-                            if cand < rat[driver.index()] {
-                                rat[driver.index()] = cand;
-                            }
+                        if sl.node == NO_NODE {
+                            continue;
+                        }
+                        let cand = rat[i] - self.wire_delay(elmore, sl.node as usize);
+                        let driver = sl.driver as usize;
+                        if cand < rat[driver] {
+                            rat[driver] = cand;
                         }
                     }
                     PinRole::CombOutput => {
-                        let pin = nl.pin(p);
-                        let cell = nl.cell(pin.cell());
-                        let cb = &self.binding.classes[cell.class().index()];
-                        let load = pin
-                            .net()
-                            .and_then(|n| elmore[n.index()].as_ref())
-                            .map_or(0.0, |e| e.root_load());
-                        for &(arc_idx, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
-                            let from = cell.pins()[from_cp as usize];
-                            if matches!(
-                                self.graph.role(from),
-                                PinRole::Unconnected | PinRole::Clock
-                            ) {
-                                continue;
-                            }
-                            let ev = self
-                                .binding
-                                .arc(arc_idx as usize)
-                                .eval(slew[from.index()], load);
-                            let cand = rat[i] - ev.delay;
-                            if cand < rat[from.index()] {
-                                rat[from.index()] = cand;
+                        let load = elmore.load_at(sl.node);
+                        for k in self.arcs(s) {
+                            let from = self.arc_from[k] as usize;
+                            let arc = self.arc_idx[k] as usize;
+                            let cand = rat[i] - self.binding.tables.delay(arc, slew[from], load);
+                            if cand < rat[from] {
+                                rat[from] = cand;
                             }
                         }
                     }
@@ -762,7 +1231,8 @@ impl Timer {
     /// `prev`'s RATs over: WNS/TNS/slacks stay exact, but
     /// [`Analysis::pin_slack`] on non-endpoint pins reflects the *previous*
     /// state — the right trade for trial-move loops that only compare
-    /// WNS/TNS.
+    /// WNS/TNS. A smoothed `prev` has no RATs and the result has none either,
+    /// whatever `recompute_rat` says.
     ///
     /// # Panics
     ///
@@ -784,8 +1254,7 @@ impl Timer {
     ///
     /// After consuming the result, hand the *previous* analysis back via
     /// [`AnalysisScratch::recycle`]; the two analyses then ping-pong through
-    /// the pool and the steady-state loop performs no full-vector
-    /// allocation.
+    /// the pool and the steady-state loop performs no allocation.
     ///
     /// # Panics
     ///
@@ -800,8 +1269,10 @@ impl Timer {
         recompute_rat: bool,
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
-        let nl_pins = self.pin_node_in_net.len();
+        let nl_pins = self.pin_slot.len();
         assert_eq!(prev.at.len(), nl_pins, "analysis from a different netlist");
+        assert_eq!(prev.elmore.len(), *self.node_off.last().expect("trailing end") as usize);
+        assert_eq!(forest.len(), self.num_nets(), "forest differs from the timer's netlist");
         let gamma = prev.gamma;
 
         // 1. Dirty nets: every non-clock net touching a moved cell.
@@ -820,27 +1291,19 @@ impl Timer {
             }
         }
 
-        // 2. Elmore: share (Arc) every clean net, recompute the dirty ones in
-        //    parallel.
-        let mut elmore = scratch.take_elmore();
-        elmore.extend(prev.elmore.iter().cloned());
-        scratch
-            .dirty_nets
-            .par_iter()
-            .map(|&ni| {
-                let e = forest.tree(NetId::new(ni)).map(|tree| {
-                    Arc::new(ElmoreNet::forward(
-                        tree,
-                        self.net_caps(ni),
-                        self.binding.wire_res_per_um,
-                        self.binding.wire_cap_per_um,
-                    ))
-                });
-                (ni, e)
-            })
-            .collect_into_vec(&mut scratch.rebuilt);
-        for (ni, e) in scratch.rebuilt.drain(..) {
-            elmore[ni] = e;
+        // 2. Elmore: copy the previous arena, recompute the dirty nets in
+        //    place (a handful inline, many over the pool).
+        let mut elmore = scratch.pool_elmore.pop().unwrap_or_default();
+        elmore.copy_from(&prev.elmore);
+        if scratch.dirty_nets.len() <= NET_GRAIN {
+            let mut nodes = elmore.nodes_mut();
+            for &ni in &scratch.dirty_nets {
+                let (lo, hi) = (self.node_off[ni] as usize, self.node_off[ni + 1] as usize);
+                self.elmore_net(forest, ni, nodes.range(lo, hi));
+            }
+        } else {
+            let net_dirty = &scratch.net_dirty;
+            self.elmore_forward(forest, &mut elmore, |ni| net_dirty[ni]);
         }
 
         // 3. Seed dirty pins: drivers (their load changed) and sinks (their
@@ -848,71 +1311,40 @@ impl Timer {
         scratch.pin_dirty.clear();
         scratch.pin_dirty.resize(nl_pins, false);
         for &ni in &scratch.dirty_nets {
-            for &p in nl.net(NetId::new(ni)).pins() {
-                scratch.pin_dirty[p.index()] = true;
+            let pins = self.net_cap_offsets[ni] as usize..self.net_cap_offsets[ni + 1] as usize;
+            for &p in &self.net_cap_pins[pins] {
+                scratch.pin_dirty[p as usize] = true;
             }
         }
 
-        // 4. Forward frontier sweep: re-evaluate a pin iff it is seeded or
-        //    any of its fan-ins is dirty; otherwise keep the value copied
-        //    from `prev`. Dirtiness is marked in place, which is safe because
-        //    a pin's predecessors all sit on strictly lower levels.
+        // 4. Forward frontier sweep over copies of the previous state.
+        let mut tape = Vec::new();
+        if gamma > 0.0 {
+            assert_eq!(prev.tape.len(), self.arc_idx.len(), "smoothed analysis without its tape");
+            tape = scratch.pool_tape.pop().unwrap_or_default();
+            tape.clear();
+            tape.extend_from_slice(&prev.tape);
+        }
         let mut at = scratch.take_copied(&prev.at);
         let mut at_early = scratch.take_copied(&prev.at_early);
         let mut slew = scratch.take_copied(&prev.slew);
-        for level in self.graph.levels() {
-            for &p in level {
-                let i = p.index();
-                if scratch.pin_dirty[i] {
-                    continue;
-                }
-                let pred_dirty = match self.graph.role(p) {
-                    PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
-                        let net = nl.pin(p).net().expect("active sinks are connected");
-                        scratch.pin_dirty[nl.net(net).pins()[0].index()]
-                    }
-                    PinRole::CombOutput => {
-                        let pin = nl.pin(p);
-                        let cell = nl.cell(pin.cell());
-                        let cb = &self.binding.classes[cell.class().index()];
-                        cb.delay_arcs(pin.class_pin().index())
-                            .iter()
-                            .any(|&(_, from_cp)| {
-                                scratch.pin_dirty[cell.pins()[from_cp as usize].index()]
-                            })
-                    }
-                    _ => false,
-                };
-                if pred_dirty {
-                    scratch.pin_dirty[i] = true;
-                }
-            }
-            let dirty = &scratch.pin_dirty;
-            level
-                .par_iter()
-                .map(|&p| {
-                    let i = p.index();
-                    if !dirty[i] {
-                        return None;
-                    }
-                    let (a, ae, s) = self.eval_pin(nl, p, &elmore, &at, &at_early, &slew, gamma);
-                    Some((i, a, ae, s))
-                })
-                .collect_into_vec(&mut scratch.level_results);
-            for r in scratch.level_results.iter().flatten() {
-                let &(i, a, ae, s) = r;
-                at[i] = a;
-                at_early[i] = ae;
-                slew[i] = s;
-            }
-        }
+        self.sweep_levels(
+            &elmore,
+            &mut at,
+            &mut at_early,
+            &mut slew,
+            gamma,
+            &mut tape,
+            Some(&mut scratch.pin_dirty),
+            &mut scratch.level_stage,
+        );
 
         let mut slack = scratch.take_filled(nl_pins, f64::INFINITY);
         let mut hold_slack = scratch.take_filled(nl_pins, f64::INFINITY);
-        self.compute_slacks_into(nl, &at, &at_early, &slew, &mut slack, &mut hold_slack);
-        let rat = if recompute_rat {
+        self.compute_slacks_into(&at, &at_early, &slew, &mut slack, &mut hold_slack);
+        let rat = if recompute_rat && gamma == 0.0 {
             let mut rat = scratch.take_filled(nl_pins, f64::INFINITY);
-            self.compute_rat_into(nl, &elmore, &at, &slew, &slack, &mut rat);
+            self.compute_rat_into(&elmore, &at, &slew, &slack, &mut rat);
             rat
         } else {
             scratch.take_copied(&prev.rat)
@@ -926,108 +1358,9 @@ impl Timer {
             rat,
             gamma,
             elmore,
+            tape,
+            node_off: self.node_off.clone(),
             endpoints: self.endpoints.clone(),
-        }
-    }
-
-    /// Forward evaluation of one pin given completed lower levels.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_pin(
-        &self,
-        nl: &Netlist,
-        p: PinId,
-        elmore: &[Option<Arc<ElmoreNet>>],
-        at: &[f64],
-        at_early: &[f64],
-        slew: &[f64],
-        gamma: f64,
-    ) -> (f64, f64, f64) {
-        match self.graph.role(p) {
-            PinRole::PrimaryInput => {
-                let d = self.input_delay[p.index()];
-                (d, d, self.config.input_slew)
-            }
-            PinRole::RegisterOutput => {
-                // Launch: CK → Q arc at the ideal clock edge (Eq. 11 with the
-                // clock pin as the only input).
-                let pin = nl.pin(p);
-                let cell = nl.cell(pin.cell());
-                let cb = &self.binding.classes[cell.class().index()];
-                let load = pin
-                    .net()
-                    .and_then(|n| elmore[n.index()].as_ref())
-                    .map_or(0.0, |e| e.root_load());
-                let arcs = cb.delay_arcs(pin.class_pin().index());
-                if arcs.is_empty() {
-                    return (
-                        self.config.clock_arrival,
-                        self.config.clock_arrival,
-                        self.config.input_slew,
-                    );
-                }
-                let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-                let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-                for &(arc_idx, _) in arcs {
-                    let e = self
-                        .binding
-                        .arc(arc_idx as usize)
-                        .eval(self.config.clock_slew, load);
-                    a_vals.push(self.config.clock_arrival + e.delay);
-                    s_vals.push(e.slew);
-                }
-                let (a, s) = aggregate(a_vals.as_slice(), s_vals.as_slice(), gamma);
-                let ae = a_vals.as_slice().iter().cloned().fold(f64::INFINITY, f64::min);
-                (a, ae, s)
-            }
-            PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
-                // Net arc from the driver (Eq. 9).
-                let net = nl.pin(p).net().expect("active sink pins are connected");
-                let Some(e) = elmore[net.index()].as_ref() else {
-                    return (0.0, 0.0, self.config.input_slew);
-                };
-                let driver = nl.net(net).pins()[0];
-                let node = self.pin_node_in_net[p.index()] as usize;
-                let d = match self.config.wire_model {
-                    WireModel::Elmore => e.delay_at(node),
-                    WireModel::D2m => e.delay_d2m_at(node),
-                };
-                let s_in = slew[driver.index()];
-                let s = (s_in * s_in + e.impulse_sq_at(node)).sqrt().max(1e-3);
-                (at[driver.index()] + d, at_early[driver.index()] + d, s)
-            }
-            PinRole::CombOutput => {
-                // Cell arcs (Eq. 11).
-                let pin = nl.pin(p);
-                let cell = nl.cell(pin.cell());
-                let cb = &self.binding.classes[cell.class().index()];
-                let load = pin
-                    .net()
-                    .and_then(|n| elmore[n.index()].as_ref())
-                    .map_or(0.0, |e| e.root_load());
-                let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-                let mut ae_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-                let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-                for &(arc_idx, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
-                    let from = cell.pins()[from_cp as usize];
-                    if matches!(self.graph.role(from), PinRole::Unconnected | PinRole::Clock) {
-                        continue;
-                    }
-                    let e = self
-                        .binding
-                        .arc(arc_idx as usize)
-                        .eval(slew[from.index()], load);
-                    a_vals.push(at[from.index()] + e.delay);
-                    ae_vals.push(at_early[from.index()] + e.delay);
-                    s_vals.push(e.slew);
-                }
-                if a_vals.is_empty() {
-                    return (0.0, 0.0, self.config.input_slew);
-                }
-                let (a, s) = aggregate(a_vals.as_slice(), s_vals.as_slice(), gamma);
-                let ae = ae_vals.as_slice().iter().cloned().fold(f64::INFINITY, f64::min);
-                (a, ae, s)
-            }
-            PinRole::Clock | PinRole::Unconnected => (0.0, 0.0, self.config.input_slew),
         }
     }
 
@@ -1061,9 +1394,10 @@ impl Timer {
 
     /// [`Timer::gradients`] writing into a caller-owned result and drawing
     /// all intermediate buffers (adjoints, Elmore seeds, softmax weights)
-    /// from `scratch` — the incremental-aware gradient entry point: reuse
-    /// one `scratch`/`out` pair across iterations and nothing pin- or
-    /// net-sized is reallocated.
+    /// from `scratch`: reuse one `scratch`/`out` pair across iterations and
+    /// nothing is reallocated. The arc sensitivities come from the tape the
+    /// smoothed forward sweep recorded; only an exact `analysis` (no tape)
+    /// has its arcs evaluated again.
     ///
     /// # Panics
     ///
@@ -1081,24 +1415,35 @@ impl Timer {
         out: &mut PositionGradients,
     ) {
         let n_pins = analysis.at.len();
-        assert_eq!(forest.len(), analysis.elmore.len(), "forest/analysis mismatch");
+        let n_nodes = analysis.elmore.len();
+        assert_eq!(n_pins, self.pin_slot.len(), "analysis from a different netlist");
+        assert_eq!(forest.len(), analysis.node_off.len() - 1, "forest/analysis mismatch");
         let gamma = if analysis.gamma > 0.0 { analysis.gamma } else { self.config.gamma };
 
         let AnalysisScratch {
             g_at,
             g_slew,
-            seeds,
+            seed_delay,
+            seed_impulse_sq,
+            seed_beta,
+            seed_root_load,
+            adjoints,
+            net_pin_grads,
             endpoint_slacks,
             endpoint_weights,
-            arc_inputs,
-            arc_evals,
-            net_grads,
             ..
         } = scratch;
-        g_at.clear();
-        g_at.resize(n_pins, 0.0);
-        g_slew.clear();
-        g_slew.resize(n_pins, 0.0);
+        for (buf, n) in [
+            (&mut *g_at, n_pins),
+            (g_slew, n_pins),
+            (seed_delay, n_nodes),
+            (seed_impulse_sq, n_nodes),
+            (seed_beta, n_nodes),
+            (seed_root_load, forest.len()),
+        ] {
+            buf.clear();
+            buf.resize(n, 0.0);
+        }
 
         // --- endpoint seeds ---------------------------------------------------
         endpoint_slacks.clear();
@@ -1120,73 +1465,55 @@ impl Timer {
                 g_at[i] += -dslack;
                 // Register setup margin depends on the data slew:
                 // slack = … − setup(slew) − at.
-                if self.graph.role(p) == PinRole::RegisterData {
-                    let pin = nl.pin(p);
-                    let cb = &self.binding.classes[nl.cell(pin.cell()).class().index()];
-                    if let Some(arc_idx) = cb.setup_arc[pin.class_pin().index()] {
-                        if let Some(t) = &self.binding.arc(arc_idx).constraint {
-                            let dsetup = t.value_grad(analysis.slew[i]).1;
-                            g_slew[i] += dslack * (-dsetup);
-                        }
+                if self.endpoint_setup[k] != NO_ARC {
+                    let arc = self.binding.arc(self.endpoint_setup[k] as usize);
+                    if let Some(t) = &arc.constraint {
+                        let dsetup = t.value_grad(analysis.slew[i]).1;
+                        g_slew[i] += dslack * (-dsetup);
                     }
                 }
             }
         }
 
         // --- reverse level sweep (Eqs. 10, 12) --------------------------------
-        if seeds.len() != forest.len() {
-            seeds.clear();
-            seeds.resize_with(forest.len(), || None);
-        }
-        for (ni, slot) in seeds.iter_mut().enumerate() {
-            match forest.tree(NetId::new(ni)) {
-                Some(t) => match slot {
-                    Some(sd) => sd.reset(t.num_nodes()),
-                    slot => *slot = Some(ElmoreSeeds::zeros(t.num_nodes())),
-                },
-                None => *slot = None,
-            }
-        }
-
-        for level in self.graph.levels().rev() {
-            for &p in level {
-                let i = p.index();
+        let el = &analysis.elmore;
+        for l in (0..self.level_off.len() - 1).rev() {
+            for s in self.level_off[l] as usize..self.level_off[l + 1] as usize {
+                let sl = &self.slots[s];
+                let i = sl.pin as usize;
                 if g_at[i] == 0.0 && g_slew[i] == 0.0 {
                     continue;
                 }
-                match self.graph.role(p) {
+                match sl.role {
                     PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
                         // Net arc backward (Eq. 10).
-                        let net = nl.pin(p).net().expect("active sinks are connected");
-                        let Some(e) = analysis.elmore[net.index()].as_ref() else { continue };
-                        let driver = nl.net(net).pins()[0];
-                        let node = self.pin_node_in_net[i] as usize;
-                        g_at[driver.index()] += g_at[i];
+                        if sl.node == NO_NODE {
+                            continue;
+                        }
+                        let (node, driver) = (sl.node as usize, sl.driver as usize);
+                        g_at[driver] += g_at[i];
                         let s_v = analysis.slew[i];
-                        let s_u = analysis.slew[driver.index()];
-                        if s_v > 0.0 && e.impulse_sq_at(node) > 0.0 {
-                            g_slew[driver.index()] += (s_u / s_v) * g_slew[i];
+                        let s_u = analysis.slew[driver];
+                        if s_v > 0.0 && el.impulse_sq[node] > 0.0 {
+                            g_slew[driver] += (s_u / s_v) * g_slew[i];
                         } else {
                             // Degenerate slew merge: all gradient to the driver.
-                            g_slew[driver.index()] += g_slew[i];
+                            g_slew[driver] += g_slew[i];
                         }
-                        let sd = seeds[net.index()].as_mut().expect("seeded with the tree");
                         match self.config.wire_model {
-                            WireModel::Elmore => sd.grad_delay[node] += g_at[i],
+                            WireModel::Elmore => seed_delay[node] += g_at[i],
                             WireModel::D2m => {
-                                let (d_dm1, d_dbeta) = e.d2m_partials(node);
-                                sd.grad_delay[node] += g_at[i] * d_dm1;
-                                sd.grad_beta[node] += g_at[i] * d_dbeta;
+                                let (d_dm1, d_dbeta) = d2m_partials(el.delay[node], el.beta[node]);
+                                seed_delay[node] += g_at[i] * d_dm1;
+                                seed_beta[node] += g_at[i] * d_dbeta;
                             }
                         }
                         if s_v > 0.0 {
-                            sd.grad_impulse_sq[node] += g_slew[i] / (2.0 * s_v);
+                            seed_impulse_sq[node] += g_slew[i] / (2.0 * s_v);
                         }
                     }
                     PinRole::CombOutput => {
-                        self.backprop_cell_output(
-                            nl, p, analysis, gamma, g_at, g_slew, seeds, arc_inputs,
-                        );
+                        self.backprop_cell_output(s, analysis, gamma, g_at, g_slew, seed_root_load);
                     }
                     _ => {}
                 }
@@ -1194,31 +1521,19 @@ impl Timer {
         }
         // Register launch pins: AT(Q) depends on the Q net's load (Eq. 12e
         // applied to the CK→Q arc).
-        for p in nl.pin_ids() {
-            if self.graph.role(p) != PinRole::RegisterOutput {
+        for &s in &self.launch_slots {
+            let sl = &self.slots[s as usize];
+            let i = sl.pin as usize;
+            let arcs = self.arcs(s as usize);
+            if (g_at[i] == 0.0 && g_slew[i] == 0.0) || sl.node == NO_NODE || arcs.is_empty() {
                 continue;
             }
-            let i = p.index();
-            if g_at[i] == 0.0 && g_slew[i] == 0.0 {
-                continue;
-            }
-            let pin = nl.pin(p);
-            let cell = nl.cell(pin.cell());
-            let cb = &self.binding.classes[cell.class().index()];
-            let Some(net) = pin.net() else { continue };
-            let Some(e) = analysis.elmore[net.index()].as_ref() else { continue };
-            let load = e.root_load();
-            let arcs = cb.delay_arcs(pin.class_pin().index());
-            if arcs.is_empty() {
-                continue;
-            }
+            let load = el.load[sl.node as usize];
             // Weights over the (usually single) CK→Q arcs.
-            arc_evals.clear();
             let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
             let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-            for &(a, _) in arcs {
-                let ev = self.binding.arc(a as usize).eval(self.config.clock_slew, load);
-                arc_evals.push(ev);
+            for k in arcs.clone() {
+                let ev = self.arc_eval(analysis, k, self.config.clock_slew, load);
                 a_vals.push(self.config.clock_arrival + ev.delay);
                 s_vals.push(ev.slew);
             }
@@ -1227,47 +1542,70 @@ impl Timer {
             weights_into(a_vals.as_slice(), gamma, &mut wa);
             weights_into(s_vals.as_slice(), gamma, &mut ws);
             let mut g_load = 0.0;
-            for (k, ev) in arc_evals.iter().enumerate() {
-                g_load += ev.d_delay_d_load * wa.as_slice()[k] * g_at[i];
-                g_load += ev.d_slew_d_load * ws.as_slice()[k] * g_slew[i];
+            for (j, k) in arcs.enumerate() {
+                let ev = self.arc_eval(analysis, k, self.config.clock_slew, load);
+                g_load += ev.d_delay_d_load * wa.as_slice()[j] * g_at[i];
+                g_load += ev.d_slew_d_load * ws.as_slice()[j] * g_slew[i];
             }
-            seeds[net.index()]
-                .as_mut()
-                .expect("register output nets are signal nets")
-                .grad_root_load += g_load;
+            seed_root_load[sl.net as usize] += g_load;
         }
 
-        // --- Elmore backward per net (Eq. 8), rayon-parallel -------------------
-        let seeds: &[Option<ElmoreSeeds>] = seeds;
-        (0..forest.len())
-            .into_par_iter()
-            .map(|ni| {
-                let tree = forest.tree(NetId::new(ni))?;
-                let e = analysis.elmore[ni].as_ref()?;
-                let sd = seeds[ni].as_ref()?;
-                let nonzero = sd.grad_root_load != 0.0
-                    || sd.grad_delay.iter().any(|&g| g != 0.0)
-                    || sd.grad_beta.iter().any(|&g| g != 0.0)
-                    || sd.grad_impulse_sq.iter().any(|&g| g != 0.0);
-                if !nonzero {
-                    return None;
+        // --- Elmore backward per net (Eq. 8), chunk-parallel --------------------
+        net_pin_grads.clear();
+        net_pin_grads.resize(self.net_cap_pins.len(), [0.0; 2]);
+        let n_chunks = self.chunk_pin_bounds.len() - 1;
+        let block = self.max_net_nodes.max(1);
+        if adjoints.len() != n_chunks * block {
+            adjoints.clear();
+            adjoints.resize(n_chunks * block, [0.0; 6]);
+        }
+        let (seed_delay, seed_impulse_sq, seed_beta) = (&*seed_delay, &*seed_impulse_sq, &*seed_beta);
+        let seed_root_load = &*seed_root_load;
+        let n_nets = forest.len();
+        net_pin_grads
+            .par_chunks_mut_at(&self.chunk_pin_bounds)
+            .zip(adjoints.par_chunks_mut(block))
+            .enumerate()
+            .for_each(|(ci, (pin_grads, adj))| {
+                let pin_base = self.chunk_pin_bounds[ci] as usize;
+                let nets = ci * NET_GRAIN..((ci + 1) * NET_GRAIN).min(n_nets);
+                for (ni, &root_seed) in nets.clone().zip(&seed_root_load[nets]) {
+                    let Some(tree) = forest.tree(NetId::new(ni)) else { continue };
+                    let lo = self.node_off[ni] as usize;
+                    let hi = lo + tree.num_nodes();
+                    assert!(hi <= self.node_off[ni + 1] as usize, "tree outgrew its arena range");
+                    let seeded = root_seed != 0.0
+                        || seed_delay[lo..hi].iter().any(|&g| g != 0.0)
+                        || seed_beta[lo..hi].iter().any(|&g| g != 0.0)
+                        || seed_impulse_sq[lo..hi].iter().any(|&g| g != 0.0);
+                    if !seeded {
+                        continue;
+                    }
+                    let pins = self.net_cap_offsets[ni] as usize - pin_base
+                        ..self.net_cap_offsets[ni + 1] as usize - pin_base;
+                    backward_into(
+                        tree,
+                        el,
+                        lo,
+                        seed_delay,
+                        seed_impulse_sq,
+                        seed_beta,
+                        root_seed,
+                        self.binding.wire_res_per_um,
+                        self.binding.wire_cap_per_um,
+                        adj,
+                        &mut pin_grads[pins],
+                    );
                 }
-                let (gx, gy) = e.backward(tree, sd);
-                Some((ni, tree.scatter_gradient(&gx, &gy)))
-            })
-            .collect_into_vec(net_grads);
+            });
 
         for buf in [&mut out.pin_grad_x, &mut out.pin_grad_y] {
             buf.clear();
             buf.resize(n_pins, 0.0);
         }
-        for item in net_grads.iter().flatten() {
-            let (ni, per_pin) = item;
-            let pins = nl.net(NetId::new(*ni)).pins();
-            for (k, &(gx, gy)) in per_pin.iter().enumerate() {
-                out.pin_grad_x[pins[k].index()] += gx;
-                out.pin_grad_y[pins[k].index()] += gy;
-            }
+        for (&p, g) in self.net_cap_pins.iter().zip(net_pin_grads.iter()) {
+            out.pin_grad_x[p as usize] += g[0];
+            out.pin_grad_y[p as usize] += g[1];
         }
 
         for buf in [&mut out.cell_grad_x, &mut out.cell_grad_y] {
@@ -1282,48 +1620,43 @@ impl Timer {
         out.objective = objective;
     }
 
-    /// Eq. (12): distributes a combinational output pin's gradient to its
-    /// fan-in pins and to the load of its own net. `inputs` is a reusable
-    /// staging buffer for the fan-in arc evaluations.
-    #[allow(clippy::too_many_arguments)]
+    /// The forward evaluation of arc `k` (arc-CSR position): read off the
+    /// tape of a smoothed analysis, evaluated at `(slew_in, load)` for an
+    /// exact one.
+    #[inline]
+    fn arc_eval(&self, analysis: &Analysis, k: usize, slew_in: f64, load: f64) -> ArcEval {
+        match analysis.tape.get(k) {
+            Some(&ev) => ev,
+            None => self.binding.tables.eval(self.arc_idx[k] as usize, slew_in, load),
+        }
+    }
+
+    /// Eq. (12): distributes the gradient of the combinational output pin in
+    /// slot `s` to its fan-in pins and to the load of its own net.
     fn backprop_cell_output(
         &self,
-        nl: &Netlist,
-        p: PinId,
+        s: usize,
         analysis: &Analysis,
         gamma: f64,
         g_at: &mut [f64],
         g_slew: &mut [f64],
-        seeds: &mut [Option<ElmoreSeeds>],
-        inputs: &mut Vec<(PinId, ArcEval)>,
+        seed_root_load: &mut [f64],
     ) {
-        let i = p.index();
-        let pin = nl.pin(p);
-        let cell = nl.cell(pin.cell());
-        let cb = &self.binding.classes[cell.class().index()];
-        let net = pin.net();
-        let load = net
-            .and_then(|n| analysis.elmore[n.index()].as_ref())
-            .map_or(0.0, |e| e.root_load());
-        inputs.clear();
-        for &(arc_idx, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
-            let from = cell.pins()[from_cp as usize];
-            if matches!(self.graph.role(from), PinRole::Unconnected | PinRole::Clock) {
-                continue;
-            }
-            let ev = self
-                .binding
-                .arc(arc_idx as usize)
-                .eval(analysis.slew[from.index()], load);
-            inputs.push((from, ev));
-        }
-        if inputs.is_empty() {
+        let sl = &self.slots[s];
+        let i = sl.pin as usize;
+        let arcs = self.arcs(s);
+        if arcs.is_empty() {
             return;
         }
+        let load = analysis.load_at(sl.node);
+        let eval = |k: usize| {
+            self.arc_eval(analysis, k, analysis.slew[self.arc_from[k] as usize], load)
+        };
         let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
         let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-        for (from, ev) in inputs.iter() {
-            a_vals.push(analysis.at[from.index()] + ev.delay);
+        for k in arcs.clone() {
+            let ev = eval(k);
+            a_vals.push(analysis.at[self.arc_from[k] as usize] + ev.delay);
             s_vals.push(ev.slew);
         }
         let mut wa = F64Buf::<MAX_INLINE_ARCS>::new();
@@ -1331,19 +1664,17 @@ impl Timer {
         weights_into(a_vals.as_slice(), gamma, &mut wa);
         weights_into(s_vals.as_slice(), gamma, &mut ws);
         let mut g_load = 0.0;
-        for (k, (from, ev)) in inputs.iter().enumerate() {
-            let g_delay_k = wa.as_slice()[k] * g_at[i]; // Eq. 12b
-            let g_slew_k = ws.as_slice()[k] * g_slew[i]; // Eq. 12c
-            g_at[from.index()] += wa.as_slice()[k] * g_at[i]; // Eq. 12a
-            g_slew[from.index()] +=
-                ev.d_delay_d_slew * g_delay_k + ev.d_slew_d_slew * g_slew_k; // Eq. 12d
-            g_load += ev.d_delay_d_load * g_delay_k + ev.d_slew_d_load * g_slew_k;
-            // Eq. 12e
+        for (j, k) in arcs.enumerate() {
+            let ev = eval(k);
+            let from = self.arc_from[k] as usize;
+            let g_delay_k = wa.as_slice()[j] * g_at[i]; // Eq. 12b
+            let g_slew_k = ws.as_slice()[j] * g_slew[i]; // Eq. 12c
+            g_at[from] += wa.as_slice()[j] * g_at[i]; // Eq. 12a
+            g_slew[from] += ev.d_delay_d_slew * g_delay_k + ev.d_slew_d_slew * g_slew_k; // Eq. 12d
+            g_load += ev.d_delay_d_load * g_delay_k + ev.d_slew_d_load * g_slew_k; // Eq. 12e
         }
-        if let Some(n) = net {
-            if let Some(sd) = seeds[n.index()].as_mut() {
-                sd.grad_root_load += g_load;
-            }
+        if sl.node != NO_NODE {
+            seed_root_load[sl.net as usize] += g_load;
         }
     }
 }
@@ -1374,5 +1705,115 @@ fn aggregate(a_vals: &[f64], s_vals: &[f64], gamma: f64) -> (f64, f64) {
             a_vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
             s_vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtp_liberty::synth::synthetic_pdk;
+    use dtp_netlist::generate::{generate, GeneratorConfig};
+    use dtp_rsmt::build_forest;
+    use rayon::{with_pool, Pool};
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tape_gradients_equal_reevaluated_gradients() {
+        let design = generate(&GeneratorConfig::named("tape", 900)).unwrap();
+        let timer = Timer::new(&design, &synthetic_pdk()).unwrap();
+        let forest = build_forest(&design.netlist);
+        let nl = &design.netlist;
+        let taped = timer.analyze_smoothed(nl, &forest);
+        assert_eq!(taped.tape.len(), timer.arc_idx.len());
+        assert!(!taped.tape.is_empty());
+        // The tape holds exactly what an evaluation at the analysis' own
+        // slews and loads returns …
+        for s in 0..timer.slots.len() {
+            let sl = &timer.slots[s];
+            let load = taped.load_at(sl.node);
+            for k in timer.arcs(s) {
+                let slew_in = if sl.role == PinRole::RegisterOutput {
+                    timer.config.clock_slew
+                } else {
+                    taped.slew[timer.arc_from[k] as usize]
+                };
+                let want = timer.binding.arc(timer.arc_idx[k] as usize).eval(slew_in, load);
+                assert_eq!(taped.tape[k], want, "arc {k}");
+            }
+        }
+        // … so dropping it (the exact-analysis path: arcs evaluated again)
+        // changes nothing.
+        let mut untaped = taped.clone();
+        untaped.tape = Vec::new();
+        let a = timer.gradients(nl, &taped, &forest, 0.04, 0.0004);
+        let b = timer.gradients(nl, &untaped, &forest, 0.04, 0.0004);
+        assert_eq!(bits(&a.pin_grad_x), bits(&b.pin_grad_x));
+        assert_eq!(bits(&a.pin_grad_y), bits(&b.pin_grad_y));
+        assert_eq!(bits(&a.cell_grad_x), bits(&b.cell_grad_x));
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert!(a.pin_grad_x.iter().any(|&g| g != 0.0));
+    }
+
+    #[test]
+    fn pool_width_does_not_change_a_bit() {
+        let mut cfg = GeneratorConfig::named("widths", 5000);
+        cfg.depth = 24;
+        let design = generate(&cfg).unwrap();
+        let timer = Timer::new(&design, &synthetic_pdk()).unwrap();
+        let forest = build_forest(&design.netlist);
+        let nl = &design.netlist;
+        // The design must exercise both sides of both grains.
+        let widths: Vec<u32> = timer.level_off.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(widths.iter().any(|&w| w as usize > LEVEL_GRAIN), "no dispatched level");
+        assert!(widths.iter().any(|&w| (1..=LEVEL_GRAIN as u32).contains(&w)), "no inline level");
+        assert!(timer.num_nets() > 2 * NET_GRAIN);
+
+        let run = |threads: usize| {
+            with_pool(&Pool::new(threads), || {
+                let mut scratch = AnalysisScratch::new();
+                let exact = timer.analyze_into(nl, &forest, &mut scratch);
+                let smoothed = timer.analyze_smoothed_into(nl, &forest, &mut scratch);
+                let mut g = PositionGradients::default();
+                timer.gradients_into(nl, &smoothed, &forest, 0.04, 0.0004, &mut scratch, &mut g);
+                (exact, smoothed, g)
+            })
+        };
+        let (e1, s1, g1) = run(1);
+        for threads in [2, 4] {
+            let (e, s, g) = run(threads);
+            for (a, b) in [(&e1, &e), (&s1, &s)] {
+                assert_eq!(bits(&a.at), bits(&b.at), "{threads} threads");
+                assert_eq!(bits(&a.at_early), bits(&b.at_early));
+                assert_eq!(bits(&a.slew), bits(&b.slew));
+                assert_eq!(bits(&a.slack), bits(&b.slack));
+                assert_eq!(bits(&a.rat), bits(&b.rat));
+            }
+            assert_eq!(s1.tape, s.tape);
+            assert_eq!(bits(&g1.pin_grad_x), bits(&g.pin_grad_x), "{threads} threads");
+            assert_eq!(bits(&g1.pin_grad_y), bits(&g.pin_grad_y));
+            assert_eq!(g1.objective.to_bits(), g.objective.to_bits());
+        }
+        // Smoothed analyses carry no required times; exact ones do.
+        assert!(s1.rat.iter().all(|r| r.is_infinite()));
+        assert!(e1.rat.iter().any(|r| r.is_finite()));
+        assert!(e1.tape.is_empty());
+    }
+
+    #[test]
+    fn node_capacity_covers_every_backend() {
+        use dtp_netlist::Point;
+        use dtp_rsmt::{build_tree_with, TableConfig};
+        // Staircases make the Prim heuristic insert a corner on every edge.
+        for degree in 1..40usize {
+            let pins: Vec<Point> =
+                (0..degree).map(|i| Point::new(i as f64 * 3.0, (i * i % 17) as f64 + i as f64)).collect();
+            for cfg in [TableConfig::disabled(), TableConfig::default()] {
+                let n = build_tree_with(&pins, cfg).num_nodes();
+                assert!(n <= node_capacity(degree), "degree {degree}: {n} nodes");
+            }
+        }
     }
 }

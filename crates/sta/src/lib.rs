@@ -29,9 +29,15 @@
 //! [`Timer::analyze_incremental_into`], [`Timer::gradients_into`]) draw all
 //! buffers from a caller-owned [`AnalysisScratch`]; recycling retired
 //! analyses ([`AnalysisScratch::recycle`]) makes the steady-state timing
-//! iteration allocation-free. Internally the levelized graph, the per-class
-//! delay arcs and the per-net pin capacitances are stored in flat CSR form
-//! (offsets + one contiguous data array) rather than nested `Vec`s.
+//! iteration allocation-free. Internally everything the sweeps touch is a
+//! flat array addressed by indices fixed when the [`Timer`] is built: the
+//! levelized pins and their delay arcs (CSR), one struct-of-arrays Elmore
+//! arena in which every net owns a fixed node range, the library's NLDM
+//! tables in one contiguous arena ([`dtp_liberty::ArcTables`]), and — for
+//! smoothed analyses — a tape of the forward arc evaluations that the
+//! backward sweep reads instead of evaluating the tables again. The
+//! allocating [`ElmoreNet`] is the reference those kernels are tested
+//! against, not part of any analysis.
 //!
 //! # Top-K critical-path extraction
 //!
@@ -80,7 +86,8 @@ mod smoothing;
 pub use binding::Binding;
 pub use elmore::{ElmoreNet, ElmoreSeeds};
 pub use engine::{
-    Analysis, AnalysisScratch, PositionGradients, Timer, TimerConfig, WireModel, MAX_INLINE_ARCS,
+    Analysis, AnalysisScratch, ElmoreView, PositionGradients, Timer, TimerConfig, WireModel,
+    MAX_INLINE_ARCS,
 };
 pub use error::StaError;
 pub use graph::{PinRole, TimingGraph};

@@ -189,45 +189,25 @@ impl PathSet {
 /// ties by smaller [`PinId`] so the trace is deterministic under any
 /// parallel schedule. Launch pins (primary inputs, register outputs) and
 /// excluded pins (clock, unconnected) end the trace.
-pub(crate) fn worst_fanin(
-    timer: &Timer,
-    nl: &Netlist,
-    analysis: &Analysis,
-    cur: PinId,
-) -> Option<PinId> {
-    let graph = timer.graph();
-    match graph.role(cur) {
-        PinRole::PrimaryInput | PinRole::RegisterOutput => None,
+pub(crate) fn worst_fanin(timer: &Timer, analysis: &Analysis, cur: PinId) -> Option<PinId> {
+    let slot = timer.slot_of(cur)?;
+    match slot.role {
         PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
-            let net = nl.pin(cur).net()?;
-            Some(nl.net(net).pins()[0])
+            Some(PinId::new(slot.driver as usize))
         }
         PinRole::CombOutput => {
-            let pin = nl.pin(cur);
-            let cell = nl.cell(pin.cell());
-            let cb = &timer.binding().classes[cell.class().index()];
-            let load = pin
-                .net()
-                .and_then(|n| analysis.elmore(n))
-                .map_or(0.0, |e| e.root_load());
+            let load = analysis.load_at(slot.node);
             let mut best: Option<(f64, PinId)> = None;
-            for &(arc_idx, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
-                let from = cell.pins()[from_cp as usize];
-                if matches!(graph.role(from), PinRole::Unconnected | PinRole::Clock) {
-                    continue;
-                }
-                let ev = timer
-                    .binding()
-                    .arc(arc_idx as usize)
-                    .eval(analysis.slew[from.index()], load);
-                let a = analysis.at[from.index()] + ev.delay;
+            for (from, arc) in timer.fanin_arcs(cur) {
+                let delay = timer.binding().tables.delay(arc, analysis.slew[from.index()], load);
+                let a = analysis.at[from.index()] + delay;
                 if best.is_none_or(|(b, bp)| a > b || (a == b && from < bp)) {
                     best = Some((a, from));
                 }
             }
             best.map(|(_, from)| from)
         }
-        PinRole::Clock | PinRole::Unconnected => None,
+        _ => None,
     }
 }
 
@@ -311,7 +291,7 @@ impl Timer {
                     out.pin_crit[i] = crit;
                     out.crit_pins.push(cur);
                 }
-                match worst_fanin(self, nl, analysis, cur) {
+                match worst_fanin(self, analysis, cur) {
                     Some(next) => cur = next,
                     None => break,
                 }

@@ -193,7 +193,7 @@ fn trace_path(timer: &Timer, nl: &Netlist, analysis: &Analysis, endpoint: PinId)
         if guard > nl.num_pins() {
             break; // defensive: malformed graphs cannot loop forever
         }
-        match worst_fanin(timer, nl, analysis, cur) {
+        match worst_fanin(timer, analysis, cur) {
             Some(from) => cur = from,
             None => break,
         }

@@ -158,6 +158,84 @@ fn tables_forest_incremental_matches_full() {
     assert_analyses_equal(&incr, &full);
 }
 
+#[test]
+fn topology_rebuild_that_changes_node_counts_matches_full() {
+    // Each net owns a fixed node range of the Elmore arena, sized for the
+    // largest tree its degree allows. Rebuilding dirty nets with a new
+    // topology changes how many of those nodes are live; both directions
+    // (growing and shrinking) must leave the incremental analysis equal to a
+    // fresh one, exact and smoothed, bit for bit.
+    let mut design = generate(&GeneratorConfig::named("inc_topo", 300)).expect("generator");
+    let lib = synthetic_pdk();
+    let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut forest = build_forest(&design.netlist);
+    let mut exact = timer.analyze(&design.netlist, &forest);
+    let mut smoothed = timer.analyze_smoothed(&design.netlist, &forest);
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let movable: Vec<CellId> = design.netlist.movable_cells().collect();
+    let (mut grew, mut shrank) = (0usize, 0usize);
+    for round in 0..6 {
+        let mut moved = Vec::new();
+        let mut dirty = Vec::new();
+        for _ in 0..40 {
+            let c = movable[rng.gen_range(0..movable.len())];
+            let pos = design.netlist.cell(c).pos();
+            // Odd rounds align cells on a coarse grid (Steiner points vanish),
+            // even rounds scatter them again (they come back).
+            let to = if round % 2 == 1 {
+                Point::new((pos.x / 8.0).round() * 8.0, (pos.y / 8.0).round() * 8.0)
+            } else {
+                Point::new(pos.x + rng.gen_range(-9.0..9.0), pos.y + rng.gen_range(-9.0..9.0))
+            };
+            design.netlist.set_cell_pos(c, to);
+            moved.push(c);
+            for &pin in design.netlist.cell(c).pins() {
+                if let Some(nid) = design.netlist.pin(pin).net() {
+                    if forest.tree(nid).is_some() && !dirty.contains(&nid) {
+                        dirty.push(nid);
+                    }
+                }
+            }
+        }
+        let before: Vec<usize> =
+            dirty.iter().map(|&n| forest.tree(n).unwrap().num_nodes()).collect();
+        forest.rebuild_nets(&design.netlist, &dirty);
+        for (&n, &b) in dirty.iter().zip(&before) {
+            let a = forest.tree(n).unwrap().num_nodes();
+            grew += usize::from(a > b);
+            shrank += usize::from(a < b);
+        }
+
+        exact = timer.analyze_incremental(&design.netlist, &forest, &exact, &moved, true);
+        smoothed = timer.analyze_incremental(&design.netlist, &forest, &smoothed, &moved, false);
+        let full_exact = timer.analyze(&design.netlist, &forest);
+        let full_smoothed = timer.analyze_smoothed(&design.netlist, &forest);
+        for (incr, full) in [(&exact, &full_exact), (&smoothed, &full_smoothed)] {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&incr.at), bits(&full.at), "round {round}");
+            assert_eq!(bits(&incr.at_early), bits(&full.at_early), "round {round}");
+            assert_eq!(bits(&incr.slew), bits(&full.slew), "round {round}");
+            assert_eq!(bits(&incr.slack), bits(&full.slack), "round {round}");
+            assert_eq!(bits(&incr.rat), bits(&full.rat), "round {round}");
+            for &n in &dirty {
+                let (a, b) = (incr.elmore(n).unwrap(), full.elmore(n).unwrap());
+                assert_eq!(a.root_load().to_bits(), b.root_load().to_bits());
+                for node in 0..design.netlist.net(n).degree() {
+                    assert_eq!(a.delay_at(node).to_bits(), b.delay_at(node).to_bits());
+                    assert_eq!(a.impulse_sq_at(node).to_bits(), b.impulse_sq_at(node).to_bits());
+                }
+            }
+        }
+        // Gradients read the tape the incremental path patched in place.
+        let g_incr = timer.gradients(&design.netlist, &smoothed, &forest, 0.04, 0.0004);
+        let g_full = timer.gradients(&design.netlist, &full_smoothed, &forest, 0.04, 0.0004);
+        assert_eq!(g_incr.pin_grad_x, g_full.pin_grad_x, "round {round}");
+        assert_eq!(g_incr.pin_grad_y, g_full.pin_grad_y, "round {round}");
+    }
+    assert!(grew > 0 && shrank > 0, "node counts must move both ways: +{grew} −{shrank}");
+}
+
 mod drift_properties {
     use super::*;
     use dtp_sta::AnalysisScratch;
