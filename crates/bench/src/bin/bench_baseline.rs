@@ -5,7 +5,8 @@
 //! exactly, so every leaf is classified by its key name and judged under
 //! the matching rule:
 //!
-//! * **exact** — `schema`, `*_valid`, keys containing `allocs`: these are
+//! * **exact** — `schema`, `*_valid`, keys containing `allocs`, and the
+//!   topology-table content counts `classes` / `powvs`: these are
 //!   correctness claims, not measurements; any change is a regression.
 //! * **percentage** (`*_pct`) — absolute tolerance of 15 points, wide
 //!   enough for scheduler noise on a sub-second flow, tight enough to
@@ -59,7 +60,12 @@ enum Rule {
 }
 
 fn classify(key: &str) -> Rule {
-    if key == "schema" || key.ends_with("_valid") || key.contains("allocs") {
+    if key == "schema"
+        || key.ends_with("_valid")
+        || key.contains("allocs")
+        || key == "classes"
+        || key == "powvs"
+    {
         return Rule::Exact;
     }
     if CONTEXT_KEYS.contains(&key) {

@@ -400,9 +400,10 @@ fn cmd_place(args: &[String]) -> CliResult {
     );
     if r.rsmt.trees > 0 {
         obs::info!(
-            "steiner forest ({}): {}",
+            "steiner forest ({}): {}; {}",
             if config.rsmt_tables { "topology tables" } else { "legacy" },
-            r.rsmt
+            r.rsmt,
+            dtp_rsmt::table_stats()
         );
     }
     if profile {

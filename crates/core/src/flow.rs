@@ -242,6 +242,12 @@ struct IncrementalState {
     geo_nets: Vec<NetId>,
     topo_nets: Vec<NetId>,
     touched: Vec<usize>,
+    /// Movable cells, and per movable cell (CSR) the nets with a tree its
+    /// pins sit on, in pin order — what the per-iteration classification
+    /// walks instead of the netlist. Laid out at the forest build.
+    movable: Vec<u32>,
+    cell_net_off: Vec<u32>,
+    cell_nets: Vec<u32>,
 }
 
 impl IncrementalState {
@@ -259,19 +265,36 @@ impl IncrementalState {
             geo_nets: Vec::new(),
             topo_nets: Vec::new(),
             touched: Vec::new(),
+            movable: Vec::new(),
+            cell_net_off: Vec::new(),
+            cell_nets: Vec::new(),
         }
     }
 
     /// Re-seeds the bookkeeping after a full forest build: budgets from the
-    /// fresh trees, zero drift, reference positions = current positions.
+    /// fresh trees, zero drift, reference positions = current positions, and
+    /// the movable-cell → tree-net table.
     fn reset_after_build(
         &mut self,
+        nl: &dtp_netlist::Netlist,
         forest: &SteinerForest,
         xs: &[f64],
         ys: &[f64],
         topo_frac: f64,
     ) {
         let n = forest.len();
+        self.movable.clear();
+        self.cell_net_off.clear();
+        self.cell_nets.clear();
+        self.cell_net_off.push(0);
+        for c in nl.movable_cells() {
+            self.movable.push(c.index() as u32);
+            // Clock nets have no tree: never built, never timed.
+            let nets = nl.cell(c).pins().iter().filter_map(|&p| nl.pin(p).net());
+            let tree_nets = nets.filter(|&net| forest.tree(net).is_some());
+            self.cell_nets.extend(tree_nets.map(|net| net.index() as u32));
+            self.cell_net_off.push(self.cell_nets.len() as u32);
+        }
         self.net_drift.clear();
         self.net_drift.resize(n, 0.0);
         self.net_disp.clear();
@@ -310,22 +333,18 @@ impl IncrementalState {
         let dirty_threshold = config.dirty_threshold;
         let topo_frac = config.topo_dirty_frac;
         self.touched.clear();
-        for c in nl.movable_cells() {
-            let i = c.index();
+        for (&c, nets) in self.movable.iter().zip(self.cell_net_off.windows(2)) {
+            let i = c as usize;
             let d = (xs[i] - self.last_x[i]).abs() + (ys[i] - self.last_y[i]).abs();
             if d <= dirty_threshold {
                 continue;
             }
             if !self.cell_moved[i] {
                 self.cell_moved[i] = true;
-                self.moved_cells.push(c);
+                self.moved_cells.push(CellId::new(i));
             }
-            for &p in nl.cell(c).pins() {
-                let Some(net) = nl.pin(p).net() else { continue };
-                let ni = net.index();
-                if forest.tree(net).is_none() {
-                    continue; // clock net: never built, never timed
-                }
+            for &net in &self.cell_nets[nets[0] as usize..nets[1] as usize] {
+                let ni = net as usize;
                 if self.net_disp[ni] == 0.0 {
                     self.touched.push(ni);
                 }
@@ -1034,7 +1053,8 @@ fn run_flow_fine(
                     None => {
                         let sp = obs.start(Phase::SteinerBuild);
                         let f = build_forest_with(&work.netlist, table_cfg);
-                        inc.reset_after_build(&f, &vx, &vy, config.topo_dirty_frac);
+                        let frac = config.topo_dirty_frac;
+                        inc.reset_after_build(&work.netlist, &f, &vx, &vy, frac);
                         forest = Some(f);
                         obs.stop(Phase::SteinerBuild, sp);
                         obs.add(Counter::ForestBuilds, 1);
@@ -1463,6 +1483,7 @@ fn run_flow_fine(
     let sp = obs.start(Phase::FinalSta);
     let gp_analysis = timer.analyze_into(&work.netlist, &gp_forest, &mut scratch);
     obs.stop(Phase::FinalSta, sp);
+    drop(gp_forest);
     let gp_hpwl = wl_model.hpwl(&sx, &sy);
     let (gp_wns, gp_tns) = (gp_analysis.wns(), gp_analysis.tns());
     scratch.recycle(gp_analysis);
@@ -1515,6 +1536,11 @@ fn run_flow_fine(
     obs.gauge(Gauge::RsmtPrim, rsmt.prim as f64);
     obs.gauge(Gauge::RsmtSeqHits, rsmt.seq_hits as f64);
     obs.gauge(Gauge::RsmtSeqRebuilds, rsmt.seq_rebuilds as f64);
+    // Process-wide table registry counters, so read them even when this flow
+    // kept no in-loop forest.
+    let tables = dtp_rsmt::table_stats();
+    obs.gauge(Gauge::RsmtClassesGenerated, tables.classes_generated as f64);
+    obs.gauge(Gauge::RsmtClassGenMs, tables.gen_ns as f64 / 1e6);
     obs.gauge(Gauge::PoolDispatches, rayon::dispatch_count() as f64);
     obs.gauge(Gauge::PoolThreads, rayon::current_num_threads() as f64);
     obs.flush();

@@ -112,6 +112,11 @@ pub enum Gauge {
     RsmtSeqHits,
     /// Sequence-cache misses (topology reconstructions).
     RsmtSeqRebuilds,
+    /// Topology-table classes the process generated (lazily, on first visit).
+    RsmtClassesGenerated,
+    /// Milliseconds spent generating them, summed over threads (wall-clock:
+    /// not deterministic, which is why it is a gauge and never in the trace).
+    RsmtClassGenMs,
     /// Parallel regions dispatched to the worker pool (process-wide).
     PoolDispatches,
     /// Worker-pool width (threads participating in a parallel region).
@@ -122,7 +127,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 12;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -133,6 +138,8 @@ impl Gauge {
         Gauge::RsmtPrim,
         Gauge::RsmtSeqHits,
         Gauge::RsmtSeqRebuilds,
+        Gauge::RsmtClassesGenerated,
+        Gauge::RsmtClassGenMs,
         Gauge::PoolDispatches,
         Gauge::PoolThreads,
         Gauge::LegalizeBands,
@@ -154,6 +161,8 @@ impl Gauge {
             Gauge::RsmtPrim => "rsmt_prim",
             Gauge::RsmtSeqHits => "rsmt_seq_hits",
             Gauge::RsmtSeqRebuilds => "rsmt_seq_rebuilds",
+            Gauge::RsmtClassesGenerated => "rsmt_classes_generated",
+            Gauge::RsmtClassGenMs => "rsmt_class_gen_ms",
             Gauge::PoolDispatches => "pool_dispatches",
             Gauge::PoolThreads => "pool_threads",
             Gauge::LegalizeBands => "legalize_bands",

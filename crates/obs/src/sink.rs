@@ -215,7 +215,8 @@ impl Report {
         }
     }
 
-    /// Renders the human-readable phase table printed under `--profile`.
+    /// Renders the human-readable phase table printed under `--profile`
+    /// (active phases, then the nonzero counters and gauges).
     pub fn table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "phase breakdown ({:.3}s instrumented):", self.total_seconds);
@@ -246,6 +247,13 @@ impl Report {
             let _ = writeln!(out, "counters:");
             for (name, n) in nonzero {
                 let _ = writeln!(out, "  {name:<18} {n}");
+            }
+        }
+        let set: Vec<&(&str, f64)> = self.gauges.iter().filter(|(_, v)| *v != 0.0).collect();
+        if !set.is_empty() {
+            let _ = writeln!(out, "gauges:");
+            for (name, v) in set {
+                let _ = writeln!(out, "  {name:<22} {v}");
             }
         }
         out
@@ -430,5 +438,7 @@ mod tests {
         assert!(table.contains("wirelength_grad"));
         assert!(!table.contains("legalize"), "zero-call phase listed:\n{table}");
         assert!(table.contains("sta_incremental"));
+        assert!(table.contains("fft_backend"), "nonzero gauge missing:\n{table}");
+        assert!(!table.contains("rsmt_class_gen_ms"), "zero gauge listed:\n{table}");
     }
 }

@@ -16,7 +16,7 @@
 use crate::grid::{CongestionSummary, RouteGrid};
 use crate::DEFAULT_PIN_WEIGHT;
 use dtp_netlist::{Design, NetId, Netlist, Point, Rect};
-use dtp_rsmt::{SteinerForest, SteinerTree};
+use dtp_rsmt::{SteinerForest, TreeView};
 use rayon::prelude::*;
 
 /// One cached demand contribution: `(flat bin, horizontal, vertical)`.
@@ -115,7 +115,7 @@ impl RudyMap {
     }
 
     /// Rasterizes one tree into stamps (no state change).
-    fn rasterize_tree(&self, tree: &SteinerTree, out: &mut Vec<Stamp>) {
+    fn rasterize_tree(&self, tree: TreeView<'_>, out: &mut Vec<Stamp>) {
         for (c, p) in tree.edges() {
             let a = tree.node_pos(c);
             let b = tree.node_pos(p);

@@ -1,14 +1,25 @@
 //! Batched Steiner-tree construction and maintenance for a whole netlist.
+//!
+//! The forest is one flat arena: six node arrays over a single node index
+//! space in which net `n` owns the fixed range `node_off[n]..node_off[n + 1]`
+//! (its [`node_capacity`]), plus a per-tree-pin gather table
+//! (`cell`, `dx`, `dy`) so a sweep computes a pin position from one cell
+//! record. Maintenance sweeps mutate the ranges of the requested nets in
+//! place; nothing is moved, boxed or reallocated after the build.
 
+use crate::hanan::build_hanan4;
 use crate::mst::PrimScratch;
 use crate::tables::{
-    canonicalize, class_entry, pack_seq, powv_cost, untransform_point, ClassEntry, TableConfig,
-    MAX_TABLE_DEGREE, MIN_TABLE_DEGREE,
+    canonicalize, class_entry, pack_seq, powv_cost, untransform_point, ClassEntry,
+    TableConfig, MAX_TABLE_DEGREE, MIN_TABLE_DEGREE,
 };
-use crate::tree::{AdjScratch, SteinerTree};
-use dtp_netlist::{NetId, Netlist, Point};
+use crate::tree::{
+    grow, node_capacity, AdjScratch, Nodes, NodesMut, SteinerTree, TreeMut, TreeView,
+};
+use dtp_netlist::{CellId, NetId, Netlist, Point};
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Which construction produced a net's current tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,7 +40,7 @@ enum Backend {
 /// canonical topology class and the selected candidate, so a geometry-only
 /// move that preserves the orders skips topology search and reconstruction
 /// entirely (the tree just re-embeds its L-shapes via `update_pins`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct NetCache {
     /// Packed raw position sequence (y-ranks in x-order); `u64::MAX` = stale.
     seq_key: u64,
@@ -45,8 +56,8 @@ struct NetCache {
     /// Index of the selected POWV within `entry` (`u32::MAX` when the Prim
     /// tree won).
     powv_idx: u32,
-    /// The canonical class entry (shared, lazily generated).
-    entry: Option<Arc<ClassEntry>>,
+    /// The canonical class entry (registry-owned, lazily generated).
+    entry: Option<&'static ClassEntry>,
 }
 
 impl Default for NetCache {
@@ -64,19 +75,15 @@ impl Default for NetCache {
 }
 
 impl NetCache {
-    /// Marks the cache unusable for topology reuse (non-table backends).
-    fn invalidate(&mut self, backend: Backend) {
-        self.seq_key = u64::MAX;
-        self.xo_key = u64::MAX;
-        self.yo_key = u64::MAX;
-        self.entry = None;
-        self.backend = backend;
-        self.powv_idx = u32::MAX;
+    /// The cache of a tree whose topology can never be reused (non-table
+    /// backends).
+    fn untabled(backend: Backend) -> NetCache {
+        NetCache { backend, ..NetCache::default() }
     }
 }
 
 /// Per-worker scratch buffers for one maintenance lane.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Lane {
     pins: Vec<Point>,
     prim: PrimScratch,
@@ -85,25 +92,25 @@ struct Lane {
     edges: Vec<(usize, usize)>,
 }
 
-/// One dirty net in flight: its tree and cache are moved out of the forest
-/// for the duration of the sweep so worker lanes can mutate them without
-/// aliasing the forest's slots.
-#[derive(Clone, Debug)]
-struct Job {
-    net: u32,
-    seq_hit: bool,
-    tree: SteinerTree,
-    cache: NetCache,
+impl Lane {
+    /// Sizes every buffer for nets of up to `degree` pins, so which lane ends
+    /// up rebuilding the largest net never decides whether a sweep allocates.
+    fn reserve(&mut self, degree: usize) {
+        grow(&mut self.pins, degree);
+        self.prim.reserve(degree);
+        self.adj.reserve(node_capacity(degree));
+        grow(&mut self.steiner, MAX_TABLE_DEGREE);
+        grow(&mut self.edges, 2 * MAX_TABLE_DEGREE);
+    }
 }
 
-/// Reusable buffers for the batched forest-maintenance sweeps
-/// ([`SteinerForest::update_nets_into`] / [`SteinerForest::rebuild_nets_into`]).
-/// Holds the in-flight job list plus one scratch lane per worker thread;
-/// steady-state sweeps allocate nothing.
-#[derive(Clone, Debug, Default)]
+/// Reusable buffers for the forest-maintenance sweeps
+/// ([`SteinerForest::update_nets_into`] / [`SteinerForest::rebuild_nets_into`]):
+/// one scratch lane per worker thread, claimed by whichever sweep task runs
+/// there. Steady-state sweeps allocate nothing.
+#[derive(Debug, Default)]
 pub struct ForestScratch {
-    jobs: Vec<Job>,
-    lanes: Vec<Lane>,
+    lanes: Vec<Mutex<Lane>>,
 }
 
 impl ForestScratch {
@@ -112,17 +119,31 @@ impl ForestScratch {
         ForestScratch::default()
     }
 
-    /// Pre-sizes the job spine for a design with `num_nets` nets and
-    /// materializes one worker lane per thread of the current pool, so the
-    /// first maintenance sweeps start from a warm scratch instead of growing
-    /// these buffers inside the iteration loop.
-    pub fn presize(&mut self, num_nets: usize) {
-        if self.jobs.capacity() < num_nets {
-            self.jobs.reserve(num_nets - self.jobs.capacity());
+    /// Materializes one worker lane per thread of the current pool. Lane
+    /// buffers are sized by the forest's largest net (at the first sweep),
+    /// not by the design size, so `_num_nets` sizes nothing any more.
+    pub fn presize(&mut self, _num_nets: usize) {
+        self.ensure_lanes(rayon::current_num_threads(), 0);
+    }
+
+    /// At least `lanes` lanes, each sized for nets of up to `degree` pins.
+    fn ensure_lanes(&mut self, lanes: usize, degree: usize) {
+        while self.lanes.len() < lanes.max(1) {
+            self.lanes.push(Mutex::default());
         }
-        let lanes = rayon::current_num_threads().max(1);
-        while self.lanes.len() < lanes {
-            self.lanes.push(Lane::default());
+        for lane in &mut self.lanes {
+            lane.get_mut().expect("a sweep panicked holding this lane").reserve(degree);
+        }
+    }
+
+    /// Runs `f` on a lane no other task holds. At most one task runs per pool
+    /// thread and the sweeps keep a lane per thread, so the search succeeds;
+    /// a task that finds none (a scratch never sized for this pool) works on
+    /// a throw-away lane rather than wait.
+    fn with_lane<R>(&self, f: impl FnOnce(&mut Lane) -> R) -> R {
+        match self.lanes.iter().find_map(|l| l.try_lock().ok()) {
+            Some(mut lane) => f(&mut lane),
+            None => f(&mut Lane::default()),
         }
     }
 }
@@ -165,6 +186,19 @@ const PAR_MIN_REBUILD_NETS: usize = 32;
 /// touching a large fraction of the design.
 const PAR_MIN_UPDATE_NETS: usize = 1024;
 
+/// Nets per parallel sweep task. The node ranges of consecutive nets are
+/// contiguous, so a task owns one slice of every arena array.
+const NET_CHUNK: usize = 256;
+
+/// What a sweep does to each requested net.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    /// Re-embed coordinates, topology unchanged.
+    Geometry,
+    /// Rebuild the topology (sequence cache permitting).
+    Topology,
+}
+
 /// Steiner trees for every non-clock net of a netlist, indexed by net.
 ///
 /// Clock nets are skipped (the flow treats the clock network as ideal;
@@ -172,38 +206,137 @@ const PAR_MIN_UPDATE_NETS: usize = 1024;
 /// dominate runtime while contributing nothing to data-path timing).
 #[derive(Clone, Debug)]
 pub struct SteinerForest {
-    trees: Vec<Option<SteinerTree>>,
+    nodes: Nodes,
+    /// Arena node range per net (`nets + 1` entries); empty for nets without
+    /// a tree.
+    node_off: Vec<u32>,
+    /// `node_off` sampled every [`NET_CHUNK`] nets: the parallel sweeps' node
+    /// chunk boundaries.
+    chunk_node_bounds: Vec<u32>,
+    /// Live node count per net (≤ the length of its range).
+    n_nodes: Vec<u32>,
+    /// Gather-table range per net (`nets + 1` entries). Its length is the
+    /// tree's pin count; an empty range means the net has no tree.
+    pin_off: Vec<u32>,
+    /// Per tree pin, in net pin order: owning cell and offset from the cell's
+    /// position (`pin position = cell position + (dx, dy)`).
+    pin_cell: Vec<u32>,
+    pin_dx: Vec<f64>,
+    pin_dy: Vec<f64>,
     cache: Vec<NetCache>,
+    /// Nets requested by the sweep in flight (all `false` between sweeps).
+    pending: Vec<bool>,
+    /// Pin count of the largest tree (what the sweeps size their lanes for).
+    max_degree: usize,
     cfg: TableConfig,
     seq_hits: u64,
     seq_rebuilds: u64,
-    /// Scratch backing the serial convenience methods, so `update_nets` /
-    /// `rebuild_nets` are allocation-free in steady state too.
-    scratch: ForestScratch,
+}
+
+/// The read-only side of a sweep: where each net's pins and nodes are.
+struct Gather<'a> {
+    nl: &'a Netlist,
+    cfg: TableConfig,
+    node_off: &'a [u32],
+    chunk_node_bounds: &'a [u32],
+    pin_off: &'a [u32],
+    pin_cell: &'a [u32],
+    pin_dx: &'a [f64],
+    pin_dy: &'a [f64],
+}
+
+/// The per-net state a sweep mutates, whole or one chunk of it.
+struct NetsMut<'a> {
+    nodes: NodesMut<'a>,
+    n_nodes: &'a mut [u32],
+    cache: &'a mut [NetCache],
+    pending: &'a mut [bool],
+}
+
+impl Gather<'_> {
+    /// Positions of the tree pins of net `ni`, in net pin order.
+    #[inline]
+    fn pins(&self, ni: usize) -> impl Iterator<Item = Point> + '_ {
+        let r = self.pin_off[ni] as usize..self.pin_off[ni + 1] as usize;
+        (self.pin_cell[r.clone()].iter().zip(&self.pin_dx[r.clone()]).zip(&self.pin_dy[r])).map(
+            |((&c, &dx), &dy)| self.nl.cell(CellId::new(c as usize)).pos() + Point::new(dx, dy),
+        )
+    }
+
+    /// One net's maintenance step on the tree storage `tree`; returns whether
+    /// a topology sweep was served by the sequence cache.
+    #[inline]
+    fn visit(
+        &self,
+        sweep: Sweep,
+        ni: usize,
+        mut tree: TreeMut<'_>,
+        cache: &mut NetCache,
+        lane: &mut Lane,
+    ) -> bool {
+        match sweep {
+            Sweep::Geometry => {
+                for (i, p) in self.pins(ni).enumerate() {
+                    tree.set_pin_pos(i, p);
+                }
+                tree.ride_branches((self.pin_off[ni + 1] - self.pin_off[ni]) as usize);
+                false
+            }
+            Sweep::Topology => {
+                lane.pins.clear();
+                lane.pins.extend(self.pins(ni));
+                rebuild_tree(&self.cfg, cache, lane, &mut tree)
+            }
+        }
+    }
+
+    /// Visits the pending nets among `first..first + nets.pending.len()`
+    /// (`nets` holds exactly their state; flags are cleared on the way) and
+    /// returns the number of sequence-cache hits.
+    fn visit_pending(&self, sweep: Sweep, first: usize, nets: NetsMut<'_>, lane: &mut Lane) -> u64 {
+        let NetsMut { mut nodes, n_nodes, cache, pending } = nets;
+        let base = self.node_off[first] as usize;
+        let mut hits = 0;
+        for (k, flag) in pending.iter_mut().enumerate() {
+            if std::mem::take(flag) {
+                let ni = first + k;
+                let lo = self.node_off[ni] as usize - base;
+                let hi = self.node_off[ni + 1] as usize - base;
+                let tree = nodes.tree(lo, hi, &mut n_nodes[k]);
+                hits += u64::from(self.visit(sweep, ni, tree, &mut cache[k], lane));
+            }
+        }
+        hits
+    }
 }
 
 impl SteinerForest {
     /// The tree of `net`, or `None` for clock nets.
-    pub fn tree(&self, net: NetId) -> Option<&SteinerTree> {
-        self.trees[net.index()].as_ref()
+    #[inline]
+    pub fn tree(&self, net: NetId) -> Option<TreeView<'_>> {
+        let ni = net.index();
+        let n_pins = (self.pin_off[ni + 1] - self.pin_off[ni]) as usize;
+        if n_pins == 0 {
+            return None;
+        }
+        Some(self.nodes.view(self.node_off[ni] as usize, self.n_nodes[ni] as usize, n_pins))
     }
 
     /// Number of net slots (equals the netlist's net count).
     pub fn len(&self) -> usize {
-        self.trees.len()
+        self.n_nodes.len()
     }
 
     /// Whether the forest is empty.
     pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
+        self.n_nodes.is_empty()
     }
 
     /// Total wirelength across all trees.
     pub fn total_wirelength(&self) -> f64 {
-        self.trees
-            .iter()
-            .flatten()
-            .map(SteinerTree::wirelength)
+        (0..self.len())
+            .filter_map(|ni| self.tree(NetId::new(ni)))
+            .map(TreeView::wirelength)
             .sum()
     }
 
@@ -244,154 +377,170 @@ impl SteinerForest {
     /// form is [`SteinerForest::update_nets_into`], which produces
     /// bit-for-bit identical trees.
     pub fn update_nets(&mut self, nl: &Netlist, nets: &[NetId]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.sweep(nl, nets, &mut scratch, false, false);
-        self.scratch = scratch;
+        self.sweep(nl, nets, &mut ForestScratch::new(), Sweep::Geometry, false);
     }
 
     /// Rebuilds a single net's tree (new topology) from the netlist's
-    /// current pin positions. No-op for clock nets (their slot stays `None`).
+    /// current pin positions. No-op for clock nets (they have no tree).
     pub fn rebuild_net(&mut self, nl: &Netlist, net: NetId) {
         self.rebuild_nets(nl, std::slice::from_ref(&net));
     }
 
     /// Rebuilds the trees of `nets` from the netlist's current pin
-    /// positions. Serial; the parallel form is
+    /// positions. Serial, on a scratch of its own; the parallel form is
     /// [`SteinerForest::rebuild_nets_into`], which produces bit-for-bit
     /// identical trees.
     pub fn rebuild_nets(&mut self, nl: &Netlist, nets: &[NetId]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.sweep(nl, nets, &mut scratch, true, false);
-        self.scratch = scratch;
+        self.sweep(nl, nets, &mut ForestScratch::new(), Sweep::Topology, false);
     }
 
     /// Parallel geometry sweep: updates the trees of `nets` from the
-    /// netlist's current pin positions (no topology rebuild) over the
-    /// persistent worker pool, chunk-ordered so the result is bit-for-bit
-    /// identical to the serial [`SteinerForest::update_nets`]. Steady-state
-    /// allocation-free: all buffers live in `scratch`.
+    /// netlist's current pin positions (no topology rebuild) in place, over
+    /// the persistent worker pool. A tree is a function of its own pins
+    /// only, so the result is bit-for-bit identical to the serial
+    /// [`SteinerForest::update_nets`]. Allocates nothing.
     pub fn update_nets_into(&mut self, nl: &Netlist, nets: &[NetId], scratch: &mut ForestScratch) {
-        self.sweep(nl, nets, scratch, false, true);
+        self.sweep(nl, nets, scratch, Sweep::Geometry, true);
     }
 
-    /// Parallel topology sweep: rebuilds the trees of `nets` over the
-    /// persistent worker pool — the topology-dirty path of the incremental
-    /// timing pipeline. With tables enabled, a net whose pin x/y orders are
-    /// unchanged and whose cached candidate still wins skips reconstruction
-    /// entirely (sequence-cache hit: coordinates are re-embedded in place).
-    /// Bit-for-bit identical to the serial [`SteinerForest::rebuild_nets`].
+    /// Parallel topology sweep: rebuilds the trees of `nets` in place over
+    /// the persistent worker pool — the topology-dirty path of the
+    /// incremental timing pipeline. With tables enabled, a net whose pin x/y
+    /// orders are unchanged and whose cached candidate still wins skips
+    /// reconstruction entirely (sequence-cache hit: coordinates are
+    /// re-embedded). Bit-for-bit identical to the serial
+    /// [`SteinerForest::rebuild_nets`]; allocation-free once the lanes are
+    /// warm and the visited topology classes exist.
     pub fn rebuild_nets_into(&mut self, nl: &Netlist, nets: &[NetId], scratch: &mut ForestScratch) {
-        self.sweep(nl, nets, scratch, true, true);
+        self.sweep(nl, nets, scratch, Sweep::Topology, true);
     }
 
-    /// Shared sweep driver: moves each dirty net's tree + cache into the job
-    /// list, processes the jobs (inline, or chunked over the pool), and
-    /// moves the results back. Per-job work is identical either way, so the
-    /// parallel path is deterministic and equal to the serial one.
+    /// Re-reads pin positions from the netlist and updates every tree without
+    /// rebuilding topology (the cheap between-rebuild path of §3.6): the
+    /// geometry sweep over all nets.
+    pub fn update_positions(&mut self, nl: &Netlist) {
+        self.flag_all_trees();
+        self.sweep_pending(nl, &ForestScratch::new(), Sweep::Geometry);
+    }
+
+    fn flag_all_trees(&mut self) {
+        for (flag, pins) in self.pending.iter_mut().zip(self.pin_off.windows(2)) {
+            *flag = pins[1] > pins[0];
+        }
+    }
+
+    /// The one sweep driver. Requested nets are flagged (a net listed twice
+    /// is visited once; nets without a tree are skipped); short lists and
+    /// `parallel = false` visit them in list order on the calling thread,
+    /// longer ones go through [`SteinerForest::sweep_pending`]. A visit
+    /// touches only its own net's arena range and cache, so both forms leave
+    /// identical forests.
     fn sweep(
         &mut self,
         nl: &Netlist,
         nets: &[NetId],
         scratch: &mut ForestScratch,
-        rebuild: bool,
+        sweep: Sweep,
         parallel: bool,
     ) {
-        scratch.jobs.clear();
+        let mut requested = 0usize;
         for &net in nets {
-            let i = net.index();
-            if let Some(tree) = self.trees[i].take() {
-                scratch.jobs.push(Job {
-                    net: i as u32,
-                    seq_hit: false,
-                    tree,
-                    cache: std::mem::take(&mut self.cache[i]),
-                });
+            let ni = net.index();
+            if self.pin_off[ni + 1] > self.pin_off[ni] && !self.pending[ni] {
+                self.pending[ni] = true;
+                requested += 1;
             }
         }
-        if scratch.jobs.is_empty() {
-            return;
-        }
+        let min_par = match sweep {
+            Sweep::Topology => PAR_MIN_REBUILD_NETS,
+            Sweep::Geometry => PAR_MIN_UPDATE_NETS,
+        };
         let threads = rayon::current_num_threads();
-        let cfg = self.cfg;
-        let min_par = if rebuild { PAR_MIN_REBUILD_NETS } else { PAR_MIN_UPDATE_NETS };
-        if !parallel || threads <= 1 || scratch.jobs.len() < min_par {
-            if scratch.lanes.is_empty() {
-                scratch.lanes.push(Lane::default());
-            }
-            let lane = &mut scratch.lanes[0];
-            for job in scratch.jobs.iter_mut() {
-                process_job(nl, &cfg, job, lane, rebuild);
-            }
+        let hits = if parallel && threads > 1 && requested >= min_par {
+            scratch.ensure_lanes(threads, self.max_degree);
+            self.sweep_pending(nl, scratch, sweep)
         } else {
-            let chunk = scratch.jobs.len().div_ceil(threads);
-            let lanes_needed = scratch.jobs.len().div_ceil(chunk);
-            while scratch.lanes.len() < lanes_needed {
-                scratch.lanes.push(Lane::default());
-            }
-            scratch
-                .jobs
-                .par_chunks_mut(chunk)
-                .zip(scratch.lanes[..lanes_needed].par_chunks_mut(1))
-                .for_each(|(jobs, lane)| {
-                    let lane = &mut lane[0];
-                    for job in jobs {
-                        process_job(nl, &cfg, job, lane, rebuild);
-                    }
-                });
-        }
-        for job in scratch.jobs.drain(..) {
-            if rebuild {
-                if job.seq_hit {
-                    self.seq_hits += 1;
-                } else {
-                    self.seq_rebuilds += 1;
+            // A geometry visit never touches its lane.
+            let mut unused = Lane::default();
+            let lane = match sweep {
+                Sweep::Geometry => &mut unused,
+                Sweep::Topology => {
+                    scratch.ensure_lanes(1, self.max_degree);
+                    scratch.lanes[0].get_mut().expect("a sweep panicked holding this lane")
+                }
+            };
+            let (gather, NetsMut { mut nodes, n_nodes, cache, pending }) = self.split(nl);
+            let mut hits = 0;
+            for &net in nets {
+                let ni = net.index();
+                if std::mem::take(&mut pending[ni]) {
+                    let (lo, hi) = (gather.node_off[ni] as usize, gather.node_off[ni + 1] as usize);
+                    let tree = nodes.tree(lo, hi, &mut n_nodes[ni]);
+                    hits += u64::from(gather.visit(sweep, ni, tree, &mut cache[ni], lane));
                 }
             }
-            self.trees[job.net as usize] = Some(job.tree);
-            self.cache[job.net as usize] = job.cache;
+            hits
+        };
+        if sweep == Sweep::Topology {
+            self.seq_hits += hits;
+            self.seq_rebuilds += requested as u64 - hits;
         }
     }
 
-    /// Re-reads pin positions from the netlist and updates every tree without
-    /// rebuilding topology (the cheap between-rebuild path of §3.6).
-    pub fn update_positions(&mut self, nl: &Netlist) {
-        let jobs: Vec<(usize, Vec<Point>)> = nl
-            .net_ids()
-            .filter(|&n| self.trees[n.index()].is_some())
-            .map(|n| {
-                let pins: Vec<Point> = nl
-                    .net(n)
-                    .pins()
-                    .iter()
-                    .map(|&p| nl.pin_position(p))
-                    .collect();
-                (n.index(), pins)
-            })
-            .collect();
-        // Distribute the per-tree updates; trees are disjoint.
-        let mut slots: Vec<(usize, &mut Option<SteinerTree>)> =
-            self.trees.iter_mut().enumerate().collect();
-        slots.par_iter_mut().for_each(|(i, slot)| {
-            if let Some(tree) = slot.as_mut() {
-                if let Ok(j) = jobs.binary_search_by_key(i, |(k, _)| *k) {
-                    tree.update_pins(&jobs[j].1);
+    /// Visits every pending net: [`NET_CHUNK`]-net tasks over the pool, each
+    /// owning its chunk's slice of every arena array and working on a lane
+    /// claimed from `scratch`. Returns the number of sequence-cache hits.
+    fn sweep_pending(&mut self, nl: &Netlist, scratch: &ForestScratch, sweep: Sweep) -> u64 {
+        let hits = AtomicU64::new(0);
+        let (gather, NetsMut { nodes, n_nodes, cache, pending }) = self.split(nl);
+        let bounds = gather.chunk_node_bounds;
+        (nodes.x.par_chunks_mut_at(bounds))
+            .zip(nodes.y.par_chunks_mut_at(bounds))
+            .zip(nodes.parent.par_chunks_mut_at(bounds))
+            .zip(nodes.order.par_chunks_mut_at(bounds))
+            .zip(nodes.x_src.par_chunks_mut_at(bounds))
+            .zip(nodes.y_src.par_chunks_mut_at(bounds))
+            .zip(n_nodes.par_chunks_mut(NET_CHUNK))
+            .zip(cache.par_chunks_mut(NET_CHUNK))
+            .zip(pending.par_chunks_mut(NET_CHUNK))
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                let (((arrays, n_nodes), cache), pending) = chunk;
+                let (((((x, y), parent), order), x_src), y_src) = arrays;
+                if !pending.contains(&true) {
+                    return;
                 }
-            }
-        });
+                let nodes = NodesMut { x, y, parent, order, x_src, y_src };
+                let nets = NetsMut { nodes, n_nodes, cache, pending };
+                let h = scratch
+                    .with_lane(|lane| gather.visit_pending(sweep, ci * NET_CHUNK, nets, lane));
+                // Per-chunk counts add up to the same total in any order.
+                hits.fetch_add(h, Ordering::Relaxed);
+            });
+        hits.into_inner()
     }
-}
 
-/// Runs one net's maintenance step on a worker lane: gather pins, then
-/// either re-embed coordinates (geometry sweep) or rebuild the topology.
-fn process_job(nl: &Netlist, cfg: &TableConfig, job: &mut Job, lane: &mut Lane, rebuild: bool) {
-    let net = NetId::new(job.net as usize);
-    lane.pins.clear();
-    lane.pins
-        .extend(nl.net(net).pins().iter().map(|&p| nl.pin_position(p)));
-    if rebuild {
-        job.seq_hit = rebuild_tree(cfg, &mut job.cache, lane, &mut job.tree);
-    } else {
-        job.tree.update_pins(&lane.pins);
+    /// Splits the forest into the read-only gather side and the state a
+    /// sweep mutates.
+    fn split<'a>(&'a mut self, nl: &'a Netlist) -> (Gather<'a>, NetsMut<'a>) {
+        assert_eq!(nl.num_nets(), self.len(), "netlist differs from the forest's");
+        let gather = Gather {
+            nl,
+            cfg: self.cfg,
+            node_off: &self.node_off,
+            chunk_node_bounds: &self.chunk_node_bounds,
+            pin_off: &self.pin_off,
+            pin_cell: &self.pin_cell,
+            pin_dx: &self.pin_dx,
+            pin_dy: &self.pin_dy,
+        };
+        let nets = NetsMut {
+            nodes: self.nodes.as_mut(),
+            n_nodes: &mut self.n_nodes,
+            cache: &mut self.cache,
+            pending: &mut self.pending,
+        };
+        (gather, nets)
     }
 }
 
@@ -402,31 +551,26 @@ fn rebuild_tree(
     cfg: &TableConfig,
     cache: &mut NetCache,
     lane: &mut Lane,
-    tree: &mut SteinerTree,
+    tree: &mut TreeMut<'_>,
 ) -> bool {
     let n = lane.pins.len();
-    if !cfg.enabled {
-        // Legacy path, bit-for-bit the pre-table behaviour: a fresh
-        // allocating build (exact Hanan at degree ≤ 4, Prim above).
-        *tree = SteinerTree::build(&lane.pins);
-        cache.invalidate(if n <= 4 { Backend::Exact } else { Backend::Prim });
-        return false;
-    }
     if n < MIN_TABLE_DEGREE {
-        match n {
-            1 => tree.rebuild_from_parts(&lane.pins, &[], &[], &mut lane.adj),
-            2 => tree.rebuild_from_parts(&lane.pins, &[], &[(0, 1)], &mut lane.adj),
-            _ => {
-                crate::hanan::median3_parts(&lane.pins, &mut lane.steiner, &mut lane.edges);
-                tree.rebuild_from_parts(&lane.pins, &lane.steiner, &lane.edges, &mut lane.adj);
-            }
-        }
-        cache.invalidate(Backend::Exact);
+        // Exact closed forms, the same with tables on or off.
+        tree.build_small(&lane.pins);
+        *cache = NetCache::untabled(Backend::Exact);
         return false;
     }
-    if n > cfg.degree_cap() {
+    if !cfg.enabled && n == 4 {
+        // Legacy exact Hanan enumeration: it allocates, so it builds an
+        // owned tree that is copied in (tables-off forests are built a
+        // couple of times per flow and never maintained in the loop).
+        tree.copy_from(build_hanan4(&lane.pins).view());
+        *cache = NetCache::untabled(Backend::Exact);
+        return false;
+    }
+    if !cfg.enabled || n > cfg.degree_cap() {
         crate::mst::prim_steiner_into(&lane.pins, &mut lane.prim, &mut lane.adj, tree);
-        cache.invalidate(Backend::Prim);
+        *cache = NetCache::untabled(Backend::Prim);
         return false;
     }
 
@@ -474,7 +618,7 @@ fn rebuild_tree(
         cache.seq_key = seq_key;
     }
     let t = cache.transform;
-    let entry = Arc::clone(cache.entry.as_ref().expect("entry just ensured"));
+    let entry = cache.entry.expect("entry just ensured");
     debug_assert_eq!(entry.n, n, "class entry degree matches the net");
 
     // Raw coordinate gaps along each axis, then mapped into the canonical
@@ -577,12 +721,12 @@ fn rebuild_tree(
 /// [`SteinerTree::build`]. Intended for tests, benches, and one-off nets;
 /// forest maintenance paths reuse scratch buffers instead.
 pub fn build_tree_with(pins: &[Point], cfg: TableConfig) -> SteinerTree {
-    let mut lane = Lane::default();
-    lane.pins.extend_from_slice(pins);
-    let mut cache = NetCache::default();
-    let mut tree = SteinerTree::empty();
-    rebuild_tree(&cfg, &mut cache, &mut lane, &mut tree);
-    tree
+    assert!(!pins.is_empty(), "a net must have at least one pin");
+    SteinerTree::build_in(pins.len(), node_capacity(pins.len()), |mut tree| {
+        let mut lane = Lane::default();
+        lane.pins.extend_from_slice(pins);
+        rebuild_tree(&cfg, &mut NetCache::default(), &mut lane, &mut tree);
+    })
 }
 
 /// Builds Steiner trees for all non-clock nets in parallel (rayon), the
@@ -594,47 +738,59 @@ pub fn build_forest(nl: &Netlist) -> SteinerForest {
 }
 
 /// Builds Steiner trees for all non-clock nets in parallel under the given
-/// topology-table configuration.
+/// topology-table configuration: one serial pass lays the arena out (node
+/// and pin ranges, gather table), then a topology sweep over every net fills
+/// it in place.
 pub fn build_forest_with(nl: &Netlist, cfg: TableConfig) -> SteinerForest {
-    let nets: Vec<NetId> = nl.net_ids().collect();
-    let built: Vec<Option<(SteinerTree, NetCache)>> = nets
-        .par_iter()
-        .map(|&n| {
-            let net = nl.net(n);
-            if net.is_clock() || net.degree() == 0 {
-                return None;
-            }
-            let mut lane = Lane::default();
-            lane.pins
-                .extend(net.pins().iter().map(|&p| nl.pin_position(p)));
-            let mut cache = NetCache::default();
-            let mut tree = SteinerTree::empty();
-            rebuild_tree(&cfg, &mut cache, &mut lane, &mut tree);
-            Some((tree, cache))
-        })
-        .collect();
-    let mut trees = Vec::with_capacity(built.len());
-    let mut cache = Vec::with_capacity(built.len());
-    for b in built {
-        match b {
-            Some((t, c)) => {
-                trees.push(Some(t));
-                cache.push(c);
-            }
-            None => {
-                trees.push(None);
-                cache.push(NetCache::default());
+    let n_nets = nl.num_nets();
+    let to_u32 = |n: usize| u32::try_from(n).expect("fewer than 2^32 forest nodes and pins");
+    let mut node_off = Vec::with_capacity(n_nets + 1);
+    let mut pin_off = Vec::with_capacity(n_nets + 1);
+    let n_pins = nl.num_pins();
+    let mut pin_cell = Vec::with_capacity(n_pins);
+    let (mut pin_dx, mut pin_dy) = (Vec::with_capacity(n_pins), Vec::with_capacity(n_pins));
+    let (mut nodes, mut max_degree) = (0usize, 0usize);
+    node_off.push(0);
+    pin_off.push(0);
+    for net in nl.net_ids().map(|n| nl.net(n)) {
+        if !net.is_clock() {
+            nodes += node_capacity(net.degree());
+            max_degree = max_degree.max(net.degree());
+            for &p in net.pins() {
+                let offset = nl.pin_spec(p).offset;
+                pin_cell.push(to_u32(nl.pin(p).cell().index()));
+                pin_dx.push(offset.x);
+                pin_dy.push(offset.y);
             }
         }
+        node_off.push(to_u32(nodes));
+        pin_off.push(to_u32(pin_cell.len()));
     }
-    SteinerForest {
-        trees,
-        cache,
+    let mut chunk_node_bounds: Vec<u32> = node_off.iter().step_by(NET_CHUNK).copied().collect();
+    if !n_nets.is_multiple_of(NET_CHUNK) {
+        chunk_node_bounds.push(to_u32(nodes));
+    }
+    let mut forest = SteinerForest {
+        nodes: Nodes::zeroed(nodes),
+        node_off,
+        chunk_node_bounds,
+        n_nodes: vec![0; n_nets],
+        pin_off,
+        pin_cell,
+        pin_dx,
+        pin_dy,
+        cache: vec![NetCache::default(); n_nets],
+        pending: vec![false; n_nets],
+        max_degree,
         cfg,
         seq_hits: 0,
         seq_rebuilds: 0,
-        scratch: ForestScratch::default(),
-    }
+    };
+    let mut scratch = ForestScratch::new();
+    scratch.ensure_lanes(rayon::current_num_threads(), max_degree);
+    forest.flag_all_trees();
+    forest.sweep_pending(nl, &scratch, Sweep::Topology);
+    forest
 }
 
 #[cfg(test)]
@@ -657,6 +813,26 @@ mod tests {
             }
         }
         assert!(forest.total_wirelength() > 0.0);
+    }
+
+    #[test]
+    fn node_capacity_covers_every_backend() {
+        // Staircases make the Prim heuristic insert a corner on every edge;
+        // a tree past its capacity would panic inside the construction.
+        for degree in 1..40usize {
+            let pins: Vec<Point> = (0..degree)
+                .map(|i| Point::new(i as f64 * 3.0, (i * i % 17) as f64 + i as f64))
+                .collect();
+            for cfg in [TableConfig::disabled(), TableConfig::default()] {
+                let n = build_tree_with(&pins, cfg).num_nodes();
+                assert!(n <= node_capacity(degree), "degree {degree}: {n} nodes");
+            }
+        }
+        let worst = build_tree_with(
+            &(0..7).map(|i| Point::new(i as f64, (i * i) as f64)).collect::<Vec<_>>(),
+            TableConfig::disabled(),
+        );
+        assert_eq!(worst.num_nodes(), node_capacity(7), "the bound is attained");
     }
 
     #[test]

@@ -9,19 +9,6 @@
 use crate::tree::SteinerTree;
 use dtp_netlist::Point;
 
-/// Builds the exact RSMT for 3 or 4 pins.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if called with another degree.
-pub(crate) fn build_exact_small(pins: &[Point]) -> SteinerTree {
-    debug_assert!(pins.len() == 3 || pins.len() == 4);
-    match pins.len() {
-        3 => build_median3(pins),
-        _ => build_hanan4(pins),
-    }
-}
-
 /// Index of the pin holding the median coordinate among exactly 3 values.
 fn median_index(vals: [f64; 3]) -> usize {
     let mut idx = [0usize, 1, 2];
@@ -29,40 +16,27 @@ fn median_index(vals: [f64; 3]) -> usize {
     idx[1]
 }
 
-fn build_median3(pins: &[Point]) -> SteinerTree {
-    let mut steiner = Vec::new();
-    let mut edges = Vec::new();
-    median3_parts(pins, &mut steiner, &mut edges);
-    SteinerTree::from_parts(pins, steiner, edges)
+/// Where the exact degree-3 construction branches: at the coordinate-wise
+/// median point.
+pub(crate) enum Median3 {
+    /// The median point coincides with this pin (the first such pin), which
+    /// connects to the other two directly — no Steiner point needed.
+    Pin(usize),
+    /// A Steiner point at the median, with the pins owning its x and its y.
+    Steiner(Point, u32, u32),
 }
 
-/// Writes the exact degree-3 construction (median point) into caller-owned
-/// part buffers — the allocation-free form shared with the in-place forest
-/// rebuild path.
-pub(crate) fn median3_parts(
-    pins: &[Point],
-    steiner: &mut Vec<(Point, u32, u32)>,
-    edges: &mut Vec<(usize, usize)>,
-) {
-    steiner.clear();
-    edges.clear();
+/// The exact degree-3 construction: a star around the median point.
+pub(crate) fn median3(pins: &[Point]) -> Median3 {
     let xs = [pins[0].x, pins[1].x, pins[2].x];
     let ys = [pins[0].y, pins[1].y, pins[2].y];
     let mi = median_index(xs);
     let mj = median_index(ys);
     let m = Point::new(xs[mi], ys[mj]);
-    // If the median point coincides with a pin, connect through that pin
-    // directly (no Steiner point needed).
-    if let Some(k) = pins.iter().position(|&p| p == m) {
-        for i in 0..3 {
-            if i != k {
-                edges.push((k, i));
-            }
-        }
-        return;
+    match pins.iter().position(|&p| p == m) {
+        Some(k) => Median3::Pin(k),
+        None => Median3::Steiner(m, mi as u32, mj as u32),
     }
-    steiner.push((m, mi as u32, mj as u32));
-    edges.extend([(0, 3), (1, 3), (2, 3)]);
 }
 
 /// Minimum-spanning-tree length and edges over a small point set
@@ -99,7 +73,9 @@ fn mst(points: &[Point]) -> (f64, Vec<(usize, usize)>) {
     (total, edges)
 }
 
-fn build_hanan4(pins: &[Point]) -> SteinerTree {
+/// Builds the exact RSMT for 4 pins.
+pub(crate) fn build_hanan4(pins: &[Point]) -> SteinerTree {
+    debug_assert_eq!(pins.len(), 4);
     // Candidate Hanan points with their coordinate sources, excluding points
     // that coincide with pins (those add nothing over the plain MST).
     let mut candidates: Vec<(Point, u32, u32)> = Vec::with_capacity(16);
@@ -180,7 +156,7 @@ fn build_hanan4(pins: &[Point]) -> SteinerTree {
         }
     }
 
-    SteinerTree::from_parts(pins, best_pts, best_edges)
+    SteinerTree::from_parts(pins, &best_pts, &best_edges)
 }
 
 #[cfg(test)]
@@ -190,7 +166,7 @@ mod tests {
     #[test]
     fn median3_is_optimal() {
         let pins = [Point::new(0.0, 0.0), Point::new(4.0, 3.0), Point::new(4.0, -3.0)];
-        let t = build_exact_small(&pins);
+        let t = SteinerTree::build(&pins);
         assert_eq!(t.wirelength(), 10.0);
         assert_eq!(t.num_nodes(), 4);
     }
@@ -198,7 +174,7 @@ mod tests {
     #[test]
     fn median3_collinear_needs_no_steiner() {
         let pins = [Point::new(0.0, 0.0), Point::new(2.0, 0.0), Point::new(5.0, 0.0)];
-        let t = build_exact_small(&pins);
+        let t = SteinerTree::build(&pins);
         assert_eq!(t.num_nodes(), 3);
         assert_eq!(t.wirelength(), 5.0);
     }
@@ -207,7 +183,7 @@ mod tests {
     fn median3_at_pin_location() {
         // Median point equals pin 1.
         let pins = [Point::new(0.0, 0.0), Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
-        let t = build_exact_small(&pins);
+        let t = SteinerTree::build(&pins);
         assert_eq!(t.num_nodes(), 3);
         assert_eq!(t.wirelength(), 4.0);
     }
@@ -223,7 +199,7 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(-1.0, 0.0),
         ];
-        let t = build_exact_small(&pins);
+        let t = SteinerTree::build(&pins);
         assert_eq!(t.wirelength(), 4.0);
         assert_eq!(t.num_nodes(), 5);
     }
@@ -237,14 +213,14 @@ mod tests {
             Point::new(0.0, 1.0),
             Point::new(4.0, 1.0),
         ];
-        let t = build_exact_small(&pins);
+        let t = SteinerTree::build(&pins);
         assert!((t.wirelength() - 6.0).abs() < 1e-12, "wl = {}", t.wirelength());
     }
 
     #[test]
     fn four_coincident_pins() {
         let p = Point::new(2.0, 2.0);
-        let t = build_exact_small(&[p, p, p, p]);
+        let t = SteinerTree::build(&[p, p, p, p]);
         assert_eq!(t.wirelength(), 0.0);
     }
 
@@ -258,7 +234,7 @@ mod tests {
             Point::new(5.0, 2.0),
             Point::new(1.0, 4.0),
         ];
-        let t = build_exact_small(&pins);
+        let t = SteinerTree::build(&pins);
         let bbox = dtp_netlist::Rect::bounding(pins.iter().copied()).unwrap();
         assert!(t.wirelength() >= bbox.half_perimeter() - 1e-12);
     }

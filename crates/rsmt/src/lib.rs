@@ -24,8 +24,9 @@
 //!   are routed back to real pins by [`SteinerTree::scatter_gradient`].
 //! - [`build_forest`] / [`build_forest_with`]: rayon-parallel tree
 //!   construction for all nets of a netlist (the paper's multi-threaded
-//!   FLUTE calls), plus allocation-free parallel maintenance sweeps
-//!   ([`SteinerForest::update_nets_into`],
+//!   FLUTE calls) into one flat arena — every consumer reads a net's tree
+//!   through the borrowed [`TreeView`] — plus allocation-free in-place
+//!   parallel maintenance sweeps ([`SteinerForest::update_nets_into`],
 //!   [`SteinerForest::rebuild_nets_into`]) backed by a caller-owned
 //!   [`ForestScratch`].
 //!
@@ -53,5 +54,5 @@ mod tree;
 pub use forest::{
     build_forest, build_forest_with, build_tree_with, ForestScratch, ForestStats, SteinerForest,
 };
-pub use tables::{prewarm, TableConfig, MAX_TABLE_DEGREE};
-pub use tree::SteinerTree;
+pub use tables::{prewarm, table_stats, TableConfig, TableStats, MAX_TABLE_DEGREE};
+pub use tree::{node_capacity, SteinerTree, TreeView};

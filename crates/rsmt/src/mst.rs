@@ -8,7 +8,7 @@
 //! that coincide are merged, which recovers part of the Steiner sharing a
 //! real RSMT would exploit.
 
-use crate::tree::{AdjScratch, SteinerTree};
+use crate::tree::{grow, node_capacity, AdjScratch, SteinerTree, TreeMut};
 use dtp_netlist::Point;
 
 /// Reusable buffers for the Prim construction (and its MST-length scan).
@@ -21,10 +21,21 @@ pub(crate) struct PrimScratch {
     edges: Vec<(usize, usize)>,
 }
 
+impl PrimScratch {
+    /// Sizes every buffer for nets of up to `degree` pins.
+    pub fn reserve(&mut self, degree: usize) {
+        grow(&mut self.in_tree, degree);
+        grow(&mut self.best, degree);
+        grow(&mut self.mst_edges, degree);
+        grow(&mut self.steiner, degree);
+        grow(&mut self.edges, 2 * degree);
+    }
+}
+
 pub(crate) fn build_prim_steiner(pins: &[Point]) -> SteinerTree {
-    let mut tree = SteinerTree::empty();
-    prim_steiner_into(pins, &mut PrimScratch::default(), &mut AdjScratch::default(), &mut tree);
-    tree
+    SteinerTree::build_in(pins.len(), node_capacity(pins.len()), |mut tree| {
+        prim_steiner_into(pins, &mut PrimScratch::default(), &mut AdjScratch::default(), &mut tree)
+    })
 }
 
 /// Total rectilinear MST length over `pins` (Prim, O(n²), no construction).
@@ -72,7 +83,7 @@ pub(crate) fn prim_steiner_into(
     pins: &[Point],
     scratch: &mut PrimScratch,
     adj: &mut AdjScratch,
-    tree: &mut SteinerTree,
+    tree: &mut TreeMut<'_>,
 ) {
     let n = pins.len();
     debug_assert!(n >= 5);

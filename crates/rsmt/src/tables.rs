@@ -23,12 +23,17 @@
 //!   additionally clamps the result against a plain Prim tree so the emitted
 //!   tree is never worse than the degree ≥ 5 fallback heuristic;
 //! - classes are generated **lazily** on first lookup and memoized in a
-//!   process-global registry, so flows only pay for the classes their nets
-//!   actually visit ([`prewarm`] exists for benchmarks that want the full
-//!   table up front).
+//!   process-global append-only registry, so flows only pay for the classes
+//!   their nets actually visit ([`prewarm`] exists for benchmarks that want
+//!   the full table up front). Generation runs outside the registry lock —
+//!   it is a pure function of the key, so two threads racing for one class
+//!   at worst discard a duplicate — and [`table_stats`] reports how many
+//!   classes a process generated and how long that took.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{OnceLock, RwLock};
+use std::time::Instant;
 
 /// Largest net degree served by the topology tables; larger nets always use
 /// the Prim heuristic.
@@ -156,41 +161,101 @@ pub(crate) fn powv_cost(p: &Powv, gx: &[f64], gy: &[f64], n: usize) -> f64 {
     c
 }
 
-type ClassMap = HashMap<u64, Arc<ClassEntry>>;
+type ClassMap = HashMap<u64, &'static ClassEntry>;
 
 /// Per-degree class registries (index = degree − [`MIN_TABLE_DEGREE`]).
+/// Append-only: entries are leaked into `'static` storage on insertion and
+/// never removed, so lookups hand out plain references.
 fn registry() -> &'static [RwLock<ClassMap>; MAX_TABLE_DEGREE - MIN_TABLE_DEGREE + 1] {
     static REG: OnceLock<[RwLock<ClassMap>; MAX_TABLE_DEGREE - MIN_TABLE_DEGREE + 1]> =
         OnceLock::new();
     REG.get_or_init(|| std::array::from_fn(|_| RwLock::new(HashMap::new())))
 }
 
-/// Fetches (generating and memoizing on first use) the class entry of the
-/// **canonical** sequence with packed key `canon_key`.
-pub(crate) fn class_entry(n: usize, canon_key: u64) -> Arc<ClassEntry> {
-    let map = &registry()[n - MIN_TABLE_DEGREE];
-    if let Some(e) = map.read().expect("table registry poisoned").get(&canon_key) {
-        return Arc::clone(e);
+/// Classes inserted into the registry / nanoseconds spent generating classes
+/// (discarded race duplicates included), process-wide. Pure statistics: they
+/// publish no other data, hence `Relaxed`.
+static CLASSES_GENERATED: AtomicU64 = AtomicU64::new(0);
+static CLASS_GEN_NS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide topology-table generation counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TableStats {
+    /// Classes generated and memoized so far (deterministic for a
+    /// deterministic sequence of lookups).
+    pub classes_generated: u64,
+    /// Wall-clock nanoseconds spent generating them, summed over threads.
+    pub gen_ns: u64,
+}
+
+impl std::fmt::Display for TableStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} topology classes generated in {:.1} ms",
+            self.classes_generated,
+            self.gen_ns as f64 / 1e6
+        )
     }
-    let mut w = map.write().expect("table registry poisoned");
-    // Double-check: another thread may have generated it while we waited.
-    if let Some(e) = w.get(&canon_key) {
-        return Arc::clone(e);
+}
+
+/// Reads the process-wide class-generation counters.
+pub fn table_stats() -> TableStats {
+    TableStats {
+        classes_generated: CLASSES_GENERATED.load(Ordering::Relaxed),
+        gen_ns: CLASS_GEN_NS.load(Ordering::Relaxed),
     }
+}
+
+/// The memoized entry of `canon_key`, if some thread already generated it.
+fn lookup_class(n: usize, canon_key: u64) -> Option<&'static ClassEntry> {
+    registry()[n - MIN_TABLE_DEGREE]
+        .read()
+        .expect("table registry poisoned")
+        .get(&canon_key)
+        .copied()
+}
+
+/// Generates the class of `canon_key` (no lock held; timed into
+/// [`table_stats`]).
+fn generate_keyed(n: usize, canon_key: u64) -> Box<ClassEntry> {
+    let t0 = Instant::now();
     let mut seq = [0u8; MAX_TABLE_DEGREE];
     for (i, s) in seq.iter_mut().enumerate().take(n) {
         *s = ((canon_key >> (4 * i)) & 0xf) as u8;
     }
-    let entry = Arc::new(generate_class(n, &seq[..n]));
-    w.insert(canon_key, Arc::clone(&entry));
+    let entry = Box::new(generate_class(n, &seq[..n]));
+    CLASS_GEN_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     entry
 }
 
+/// Memoizes `entry` unless another thread got there first, in which case the
+/// duplicate is dropped and the registered entry returned.
+fn insert_class(n: usize, canon_key: u64, entry: Box<ClassEntry>) -> &'static ClassEntry {
+    let mut w = registry()[n - MIN_TABLE_DEGREE].write().expect("table registry poisoned");
+    w.entry(canon_key).or_insert_with(|| {
+        CLASSES_GENERATED.fetch_add(1, Ordering::Relaxed);
+        Box::leak(entry)
+    })
+}
+
+/// Fetches (generating and memoizing on first use) the class entry of the
+/// **canonical** sequence with packed key `canon_key`. The write lock is
+/// taken only to insert: generation itself runs unlocked, so concurrent
+/// lookups of other classes of the same degree never wait for it.
+pub(crate) fn class_entry(n: usize, canon_key: u64) -> &'static ClassEntry {
+    match lookup_class(n, canon_key) {
+        Some(e) => e,
+        None => insert_class(n, canon_key, generate_keyed(n, canon_key)),
+    }
+}
+
 /// Eagerly generates every canonical class up to `max_degree` (clamped to
-/// [`MAX_TABLE_DEGREE`]) and returns `(classes, total POWVs)` across the
-/// registry. Intended for benchmarks; flows rely on lazy generation.
+/// [`MAX_TABLE_DEGREE`]) and returns their `(classes, total POWVs)`.
+/// Intended for benchmarks; flows rely on lazy generation.
 pub fn prewarm(max_degree: usize) -> (usize, usize) {
-    for n in MIN_TABLE_DEGREE..=max_degree.min(MAX_TABLE_DEGREE) {
+    let max_degree = max_degree.min(MAX_TABLE_DEGREE);
+    for n in MIN_TABLE_DEGREE..=max_degree {
         let mut perm: Vec<u8> = (0..n as u8).collect();
         permute(&mut perm, 0, &mut |seq| {
             let (key, _) = canonicalize(seq);
@@ -199,7 +264,7 @@ pub fn prewarm(max_degree: usize) -> (usize, usize) {
     }
     let mut classes = 0;
     let mut powvs = 0;
-    for map in registry() {
+    for map in registry().iter().take((max_degree + 1).saturating_sub(MIN_TABLE_DEGREE)) {
         let m = map.read().expect("table registry poisoned");
         classes += m.len();
         powvs += m.values().map(|e| e.powvs.len()).sum::<usize>();
@@ -384,9 +449,22 @@ const PROFILES: u64 = 4;
 /// Bounded near-optimal POWV generation for degrees 5–9: for each of a few
 /// deterministic gap-weight profiles, run iterated 1-Steiner over the Hanan
 /// grid (greedy MST-cost improvement), prune low-degree Steiner points, and
-/// keep the non-dominated cost vectors.
+/// keep the non-dominated cost vectors. Each round runs Prim once and prices
+/// every Hanan candidate by O(k) insertion into that tree.
 fn generate_greedy(n: usize, seq: &[u8]) -> Vec<Powv> {
+    generate_greedy_with(n, seq, |pts, tree, z| mst_cost_with(pts, tree, z))
+}
+
+/// [`generate_greedy`] over a pluggable candidate pricing
+/// `cand_cost(round's points, their Prim tree, candidate) → MST cost of
+/// points ∪ {candidate}` (the tests plug in a from-scratch Prim as oracle).
+fn generate_greedy_with(
+    n: usize,
+    seq: &[u8],
+    cand_cost: impl Fn(&mut Vec<(i64, i64)>, &PrimTree, (i64, i64)) -> i64,
+) -> Vec<Powv> {
     let mut set: Vec<Powv> = Vec::new();
+    let mut tree = PrimTree::default();
     for profile in 0..PROFILES {
         // Integer prefix-sum coordinates under the profile's gap weights
         // (profile 0 is the unit grid).
@@ -408,16 +486,14 @@ fn generate_greedy(n: usize, seq: &[u8]) -> Vec<Powv> {
         // Iterated 1-Steiner: add the best-improving Hanan point until no
         // candidate reduces the MST cost (or the n − 2 Steiner cap is hit).
         while chosen.len() < n - 2 {
-            let base = mst_cost(&pts);
+            let base = mst_cost(&pts, &mut tree);
             let mut best: Option<((u8, u8), i64)> = None;
             for a in 0..n as u8 {
                 for b in 0..n as u8 {
                     if seq[a as usize] == b || chosen.contains(&(a, b)) {
                         continue;
                     }
-                    pts.push((xc[a as usize], yc[b as usize]));
-                    let c = mst_cost(&pts);
-                    pts.pop();
+                    let c = cand_cost(&mut pts, &tree, (xc[a as usize], yc[b as usize]));
                     if c < base && best.is_none_or(|(_, bc)| c < bc) {
                         best = Some(((a, b), c));
                     }
@@ -427,7 +503,8 @@ fn generate_greedy(n: usize, seq: &[u8]) -> Vec<Powv> {
             chosen.push(cand);
             pts.push((xc[cand.0 as usize], yc[cand.1 as usize]));
         }
-        let mut edges = mst_edges(&pts);
+        mst_cost(&pts, &mut tree);
+        let mut edges = tree.edges();
         prune_low_degree(n, &mut chosen, &mut edges);
         let (cx, cy) = edge_counts(n, seq, &chosen, &edges);
         push_powv(set.as_mut(), Powv { cx, cy, steiner: chosen, edges }, n);
@@ -476,53 +553,51 @@ fn prune_low_degree(n_pins: usize, steiner: &mut Vec<(u8, u8)>, edges: &mut Vec<
     }
 }
 
-/// MST cost over integer points (Prim, O(k²), deterministic tie-breaks).
-fn mst_cost(pts: &[(i64, i64)]) -> i64 {
-    let k = pts.len();
-    let mut in_tree = [false; 2 * MAX_TABLE_DEGREE];
-    let mut best = [i64::MAX; 2 * MAX_TABLE_DEGREE];
-    let dist =
-        |a: (i64, i64), b: (i64, i64)| -> i64 { (a.0 - b.0).abs() + (a.1 - b.1).abs() };
-    in_tree[0] = true;
-    for j in 1..k {
-        best[j] = dist(pts[0], pts[j]);
-    }
-    let mut total = 0i64;
-    for _ in 1..k {
-        let mut u = usize::MAX;
-        let mut ud = i64::MAX;
-        for (j, (&it, &b)) in in_tree.iter().zip(best.iter()).enumerate().take(k) {
-            if !it && b < ud {
-                ud = b;
-                u = j;
-            }
-        }
-        in_tree[u] = true;
-        total += ud;
-        for j in 0..k {
-            if !in_tree[j] {
-                let d = dist(pts[u], pts[j]);
-                if d < best[j] {
-                    best[j] = d;
-                }
-            }
-        }
-    }
-    total
+#[inline]
+fn l1(a: (i64, i64), b: (i64, i64)) -> i64 {
+    (a.0 - b.0).abs() + (a.1 - b.1).abs()
 }
 
-/// MST edges over integer points (same Prim order as [`mst_cost`]).
-fn mst_edges(pts: &[(i64, i64)]) -> Vec<(u8, u8)> {
+/// The Prim tree found by [`mst_cost`], edges in insertion order: `child[i]`
+/// joined through `parent[i]` at cost `weight[i]`. Point 0 is the root and a
+/// parent always precedes its children, so the reverse order is bottom-up.
+struct PrimTree {
+    parent: [u8; 2 * MAX_TABLE_DEGREE],
+    child: [u8; 2 * MAX_TABLE_DEGREE],
+    weight: [i64; 2 * MAX_TABLE_DEGREE],
+    len: usize,
+}
+
+impl Default for PrimTree {
+    fn default() -> Self {
+        PrimTree {
+            parent: [0; 2 * MAX_TABLE_DEGREE],
+            child: [0; 2 * MAX_TABLE_DEGREE],
+            weight: [0; 2 * MAX_TABLE_DEGREE],
+            len: 0,
+        }
+    }
+}
+
+impl PrimTree {
+    /// The tree's edges `(parent, child)`, in insertion order.
+    fn edges(&self) -> Vec<(u8, u8)> {
+        self.parent.iter().copied().zip(self.child).take(self.len).collect()
+    }
+}
+
+/// MST cost over integer points (Prim, O(k²), deterministic tie-breaks);
+/// records the tree in `tree`.
+fn mst_cost(pts: &[(i64, i64)], tree: &mut PrimTree) -> i64 {
     let k = pts.len();
     let mut in_tree = [false; 2 * MAX_TABLE_DEGREE];
     let mut best = [(i64::MAX, 0u8); 2 * MAX_TABLE_DEGREE];
-    let dist =
-        |a: (i64, i64), b: (i64, i64)| -> i64 { (a.0 - b.0).abs() + (a.1 - b.1).abs() };
     in_tree[0] = true;
     for j in 1..k {
-        best[j] = (dist(pts[0], pts[j]), 0);
+        best[j] = (l1(pts[0], pts[j]), 0);
     }
-    let mut edges = Vec::with_capacity(k - 1);
+    let mut total = 0i64;
+    tree.len = 0;
     for _ in 1..k {
         let mut u = usize::MAX;
         let mut ud = i64::MAX;
@@ -533,17 +608,40 @@ fn mst_edges(pts: &[(i64, i64)]) -> Vec<(u8, u8)> {
             }
         }
         in_tree[u] = true;
-        edges.push((best[u].1, u as u8));
+        total += ud;
+        (tree.parent[tree.len], tree.child[tree.len], tree.weight[tree.len]) =
+            (best[u].1, u as u8, ud);
+        tree.len += 1;
         for j in 0..k {
             if !in_tree[j] {
-                let d = dist(pts[u], pts[j]);
+                let d = l1(pts[u], pts[j]);
                 if d < best[j].0 {
                     best[j] = (d, u as u8);
                 }
             }
         }
     }
-    edges
+    total
+}
+
+/// MST cost of `pts ∪ {z}` given the MST `tree` of `pts`, by O(k) vertex
+/// insertion (Chin & Houck 1978). Sweeping the tree edges bottom-up, `t[v]`
+/// is the cheapest edge able to connect `z` to what hangs at `v`; of that
+/// edge and the tree edge above `v`, the cheaper one stays in the new MST and
+/// the dearer one is offered to the parent. The cost of an MST is unique, so
+/// this equals [`mst_cost`] of the extended point set.
+fn mst_cost_with(pts: &[(i64, i64)], tree: &PrimTree, z: (i64, i64)) -> i64 {
+    let mut t = [0i64; 2 * MAX_TABLE_DEGREE];
+    for (tv, &p) in t.iter_mut().zip(pts) {
+        *tv = l1(p, z);
+    }
+    let mut total = 0i64;
+    for i in (0..tree.len).rev() {
+        let (c, p, w) = (tree.child[i] as usize, tree.parent[i] as usize, tree.weight[i]);
+        total += t[c].min(w);
+        t[p] = t[p].min(t[c].max(w));
+    }
+    total + t[0]
 }
 
 #[cfg(test)]
@@ -591,7 +689,7 @@ mod tests {
         super::permute(&mut perm, 0, &mut |seq| {
             let pins: Vec<Point> =
                 (0..4).map(|i| Point::new(i as f64, seq[i] as f64)).collect();
-            let exact = crate::hanan::build_exact_small(&pins).wirelength();
+            let exact = crate::SteinerTree::build(&pins).wirelength();
             let (key, _) = canonicalize(seq);
             let e = class_entry(4, key);
             let gx = [1.0; MAX_TABLE_DEGREE - 1];
@@ -619,6 +717,86 @@ mod tests {
                 assert!(e.powvs.len() <= 32, "POWV set exploded: {}", e.powvs.len());
             }
         }
+    }
+
+    /// The generator this module shipped before candidates were priced by
+    /// insertion: a from-scratch Prim per Hanan candidate.
+    fn generate_greedy_reference(n: usize, seq: &[u8]) -> Vec<Powv> {
+        generate_greedy_with(n, seq, |pts, _, z| {
+            pts.push(z);
+            let c = mst_cost(pts, &mut PrimTree::default());
+            pts.pop();
+            c
+        })
+    }
+
+    fn assert_same_powvs(n: usize, seq: &[u8]) {
+        let (new, old) = (generate_greedy(n, seq), generate_greedy_reference(n, seq));
+        assert_eq!(new.len(), old.len(), "seq {seq:?}: POWV count");
+        for (a, b) in new.iter().zip(&old) {
+            assert!(
+                a.cx == b.cx && a.cy == b.cy && a.steiner == b.steiner && a.edges == b.edges,
+                "seq {seq:?}: {a:?} != {b:?}"
+            );
+        }
+    }
+
+    // Two tests, so the (debug-build-slow) oracle runs on two threads.
+    #[test]
+    fn insertion_pricing_reproduces_every_class_of_degree_5_to_8() {
+        for n in 5..=8usize {
+            let mut keys = std::collections::BTreeSet::new();
+            let mut perm: Vec<u8> = (0..n as u8).collect();
+            permute(&mut perm, 0, &mut |seq| {
+                keys.insert(canonicalize(seq).0);
+            });
+            for &key in &keys {
+                let seq: Vec<u8> = (0..n).map(|i| ((key >> (4 * i)) & 0xf) as u8).collect();
+                assert_same_powvs(n, &seq);
+            }
+        }
+    }
+
+    #[test]
+    fn insertion_pricing_reproduces_sampled_classes_of_degree_9() {
+        // Every 64th permutation: 5 670 sequences.
+        let mut perm: Vec<u8> = (0..9).collect();
+        let mut count = 0usize;
+        permute(&mut perm, 0, &mut |seq| {
+            if count.is_multiple_of(64) {
+                assert_same_powvs(9, seq);
+            }
+            count += 1;
+        });
+        assert!(count / 64 >= 5000);
+    }
+
+    #[test]
+    fn racing_generators_agree_on_one_entry() {
+        // Both threads miss, both generate, both insert: the barriers force
+        // exactly the interleaving `class_entry` allows. (No other test
+        // touches this degree-9 class; if one ever does, the lookups hit and
+        // the assertions below still hold.)
+        let seq = [3u8, 7, 1, 8, 0, 5, 2, 6, 4];
+        let (key, _) = canonicalize(&seq);
+        let barrier = std::sync::Barrier::new(2);
+        let run = || {
+            let miss = lookup_class(9, key);
+            barrier.wait();
+            let boxed = generate_keyed(9, key);
+            barrier.wait();
+            (miss.is_none(), insert_class(9, key, boxed))
+        };
+        let ((miss_a, a), (miss_b, b)) = std::thread::scope(|s| {
+            let h = s.spawn(run);
+            let a = run();
+            (a, h.join().expect("racing thread panicked"))
+        });
+        assert_eq!(miss_a, miss_b);
+        assert!(std::ptr::eq(a, b), "the race registered two entries");
+        assert!(std::ptr::eq(a, class_entry(9, key)));
+        assert_eq!(pack_seq(&a.seq[..9]), key);
+        assert!(!a.powvs.is_empty());
     }
 
     #[test]

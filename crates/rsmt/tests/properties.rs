@@ -226,8 +226,12 @@ fn assert_forests_identical(a: &dtp_rsmt::SteinerForest, b: &dtp_rsmt::SteinerFo
 mod maintenance {
     use super::assert_forests_identical;
     use dtp_netlist::generate::{generate, GeneratorConfig};
-    use dtp_netlist::NetId;
-    use dtp_rsmt::{build_forest, build_forest_with, ForestScratch, TableConfig};
+    use dtp_netlist::{NetId, Netlist, Point};
+    use dtp_rsmt::{
+        build_forest, build_forest_with, build_tree_with, ForestScratch, SteinerForest,
+        SteinerTree, TableConfig,
+    };
+    use proptest::prelude::*;
 
     /// Deterministic splitmix64 for position jitter.
     fn mix(x: u64) -> u64 {
@@ -332,5 +336,123 @@ mod maintenance {
         assert_forests_identical(&a, &b, "legacy vs disabled");
         let s = a.stats();
         assert_eq!(s.table, 0, "legacy build must not use tables");
+    }
+
+    fn pin_positions(nl: &Netlist, net: NetId) -> Vec<Point> {
+        nl.net(net).pins().iter().map(|&p| nl.pin_position(p)).collect()
+    }
+
+    /// Every tree of the arena forest equals its owned reference bit for bit
+    /// (coordinates, parents, pre-order, coordinate sources).
+    fn assert_matches_references(
+        forest: &SteinerForest,
+        refs: &[Option<SteinerTree>],
+        ctx: &str,
+    ) -> Result<(), proptest::TestCaseError> {
+        for (i, want) in refs.iter().enumerate() {
+            let got = forest.tree(NetId::new(i));
+            let (Some(got), Some(want)) = (got, want.as_ref()) else {
+                prop_assert!(got.is_none() && want.is_none(), "{ctx}: net {i} tree presence");
+                continue;
+            };
+            let want = want.view();
+            prop_assert_eq!(got.num_pins(), want.num_pins(), "{ctx}: net {i} pins");
+            prop_assert_eq!(got.num_nodes(), want.num_nodes(), "{ctx}: net {i} nodes");
+            for k in 0..got.num_nodes() {
+                let (a, b) = (got.node_pos(k), want.node_pos(k));
+                prop_assert_eq!(
+                    (a.x.to_bits(), a.y.to_bits()),
+                    (b.x.to_bits(), b.y.to_bits()),
+                    "{ctx}: net {i} node {k}"
+                );
+                prop_assert_eq!(got.parent_of(k), want.parent_of(k), "{ctx}: net {i} parent {k}");
+            }
+            prop_assert_eq!(got.preorder(), want.preorder(), "{ctx}: net {i} pre-order");
+            prop_assert_eq!(got.x_sources(), want.x_sources(), "{ctx}: net {i} x sources");
+            prop_assert_eq!(got.y_sources(), want.y_sources(), "{ctx}: net {i} y sources");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn arena_forest_equals_per_net_references(
+            seed in 0u64..1_000_000,
+            // (rebuild?, net stride, stride offset, jitter scale selector)
+            ops in proptest::collection::vec((0u8..2, 1usize..4, 0usize..3, 0usize..3), 1..5),
+        ) {
+            // Random build → update → rebuild sequences over net subsets, at
+            // drifts from "orders mostly kept" to "every topology changes":
+            // the in-place parallel sweeps, the serial forms and per-net
+            // owned trees (`build_tree_with` / `update_pins`) must agree bit
+            // for bit, whatever the pool width. Every sequence ends with a
+            // large-drift rebuild of all nets, which changes node counts
+            // inside the fixed arena ranges.
+            let mut ops = ops;
+            ops.push((1, 1, 0, 2));
+            for cfg in [TableConfig::default(), TableConfig::disabled()] {
+                for width in [1usize, 2, 4] {
+                    let ctx = format!("tables={} width={width}", cfg.enabled);
+                    let mut d = generate(&GeneratorConfig::named("arena", 1400)).unwrap();
+                    let movable: Vec<bool> =
+                        d.netlist.cell_ids().map(|c| !d.netlist.cell(c).is_fixed()).collect();
+                    let (mut xs, mut ys) = d.netlist.positions();
+                    let pool = rayon::Pool::new(width);
+                    let outcome: Result<(), proptest::TestCaseError> = rayon::with_pool(&pool, || {
+                        let mut par = build_forest_with(&d.netlist, cfg);
+                        let mut serial = par.clone();
+                        let mut scratch = ForestScratch::new();
+                        let mut refs: Vec<Option<SteinerTree>> = d
+                            .netlist
+                            .net_ids()
+                            .map(|n| {
+                                let pins = pin_positions(&d.netlist, n);
+                                par.tree(n).map(|_| build_tree_with(&pins, cfg))
+                            })
+                            .collect();
+                        assert_matches_references(&par, &refs, &format!("{ctx} build"))?;
+                        let mut resized = 0usize;
+                        for (round, &(rebuild, stride, offset, scale)) in ops.iter().enumerate() {
+                            let scale = [0.6, 5.0, 45.0][scale];
+                            jitter(&mut xs, &mut ys, &movable, seed + round as u64, scale);
+                            d.netlist.set_positions(&xs, &ys);
+                            let nets: Vec<NetId> = d
+                                .netlist
+                                .net_ids()
+                                .filter(|n| refs[n.index()].is_some())
+                                .filter(|n| n.index() % stride == offset % stride)
+                                .collect();
+                            if rebuild == 1 {
+                                par.rebuild_nets_into(&d.netlist, &nets, &mut scratch);
+                                serial.rebuild_nets(&d.netlist, &nets);
+                            } else {
+                                par.update_nets_into(&d.netlist, &nets, &mut scratch);
+                                serial.update_nets(&d.netlist, &nets);
+                            }
+                            for &n in &nets {
+                                let pins = pin_positions(&d.netlist, n);
+                                let tree = refs[n.index()].as_mut().expect("net has a tree");
+                                if rebuild == 1 {
+                                    let fresh = build_tree_with(&pins, cfg);
+                                    resized += usize::from(fresh.num_nodes() != tree.num_nodes());
+                                    *tree = fresh;
+                                } else {
+                                    tree.update_pins(&pins);
+                                }
+                            }
+                            let op = format!("{ctx} op {round}");
+                            assert_matches_references(&par, &refs, &format!("{op} parallel"))?;
+                            assert_matches_references(&serial, &refs, &format!("{op} serial"))?;
+                        }
+                        prop_assert_eq!(par.stats(), serial.stats(), "{ctx}: counters diverged");
+                        prop_assert!(resized > 0, "{ctx}: no rebuild changed a node count");
+                        Ok(())
+                    });
+                    outcome?;
+                }
+            }
+        }
     }
 }

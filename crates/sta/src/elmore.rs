@@ -22,7 +22,7 @@
 //! fixed node range), which perform the same arithmetic in the same order
 //! and are tested bit-for-bit against the reference.
 
-use dtp_rsmt::SteinerTree;
+use dtp_rsmt::{SteinerTree, TreeView};
 
 /// Per-net Elmore state: the forward quantities of Eq. (7), indexed by tree
 /// node (pins first, Steiner points after).
@@ -480,7 +480,7 @@ impl ElmoreArena {
 ///
 /// Panics if `pin_caps.len() != tree.num_pins()` or the tree has more nodes
 /// than `s`.
-pub(crate) fn forward_into(tree: &SteinerTree, pin_caps: &[f64], r: f64, c: f64, s: NodesMut<'_>) {
+pub(crate) fn forward_into(tree: TreeView<'_>, pin_caps: &[f64], r: f64, c: f64, s: NodesMut<'_>) {
     assert_eq!(pin_caps.len(), tree.num_pins());
     let n = tree.num_nodes();
     assert!(n <= s.cap.len(), "tree of {n} nodes outgrew its arena range of {}", s.cap.len());
@@ -555,7 +555,7 @@ pub(crate) type NodeAdjoints = [f64; 6];
 /// gradient `(∂x, ∂y)` lands in `pin_grad` (`tree.num_pins()` long).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_into(
-    tree: &SteinerTree,
+    tree: TreeView<'_>,
     el: &ElmoreArena,
     lo: usize,
     seed_delay: &[f64],
@@ -841,7 +841,7 @@ mod tests {
             for a in arena.arrays_mut() {
                 a.fill(f64::NAN);
             }
-            forward_into(&tree, &caps, R, C, arena.nodes_mut().range(lo, lo + n + 2));
+            forward_into(tree.view(), &caps, R, C, arena.nodes_mut().range(lo, lo + n + 2));
             let pairs = [
                 (&arena.cap, &reference.cap),
                 (&arena.res, &reference.res),
@@ -876,7 +876,7 @@ mod tests {
             let mut adj = vec![[f64::NAN; 6]; n + 1];
             let mut got = vec![[f64::NAN; 2]; n_pins];
             backward_into(
-                &tree,
+                tree.view(),
                 &arena,
                 lo,
                 &at(&seeds.grad_delay),
@@ -902,7 +902,7 @@ mod tests {
         let tree = SteinerTree::build(&pins);
         let mut arena = ElmoreArena::default();
         arena.set_len(tree.num_nodes() - 1);
-        forward_into(&tree, &[0.0, 1.0, 1.0], R, C, arena.nodes_mut());
+        forward_into(tree.view(), &[0.0, 1.0, 1.0], R, C, arena.nodes_mut());
     }
 
     #[test]

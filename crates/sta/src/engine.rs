@@ -59,7 +59,7 @@ use crate::smoothing::{
 };
 use dtp_liberty::ArcEval;
 use dtp_netlist::{CellId, Design, NetId, Netlist, PinId};
-use dtp_rsmt::SteinerForest;
+use dtp_rsmt::{node_capacity, SteinerForest};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -126,14 +126,6 @@ const ZERO_EVAL: ArcEval = ArcEval {
     d_slew_d_slew: 0.0,
     d_slew_d_load: 0.0,
 };
-
-/// Largest tree (in nodes) any Steiner backend builds for a net of `degree`
-/// pins: one- and two-pin nets have no Steiner point; beyond that the Prim
-/// heuristic may insert one corner per edge (`degree − 1` of them), which
-/// bounds the exact and table constructions (`degree − 2`) too.
-fn node_capacity(degree: usize) -> usize {
-    if degree <= 2 { degree } else { 2 * degree - 1 }
-}
 
 /// Fixed-capacity stack buffer for per-pin arc aggregation in the level
 /// sweeps. Spills to the heap only past `N` elements, so the common case
@@ -1800,20 +1792,5 @@ mod tests {
         assert!(s1.rat.iter().all(|r| r.is_infinite()));
         assert!(e1.rat.iter().any(|r| r.is_finite()));
         assert!(e1.tape.is_empty());
-    }
-
-    #[test]
-    fn node_capacity_covers_every_backend() {
-        use dtp_netlist::Point;
-        use dtp_rsmt::{build_tree_with, TableConfig};
-        // Staircases make the Prim heuristic insert a corner on every edge.
-        for degree in 1..40usize {
-            let pins: Vec<Point> =
-                (0..degree).map(|i| Point::new(i as f64 * 3.0, (i * i % 17) as f64 + i as f64)).collect();
-            for cfg in [TableConfig::disabled(), TableConfig::default()] {
-                let n = build_tree_with(&pins, cfg).num_nodes();
-                assert!(n <= node_capacity(degree), "degree {degree}: {n} nodes");
-            }
-        }
     }
 }
