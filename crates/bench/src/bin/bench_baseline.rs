@@ -5,9 +5,12 @@
 //! exactly, so every leaf is classified by its key name and judged under
 //! the matching rule:
 //!
-//! * **exact** — `schema`, `*_valid`, keys containing `allocs`, and the
-//!   topology-table content counts `classes` / `powvs`: these are
-//!   correctness claims, not measurements; any change is a regression.
+//! * **exact** — `schema`, `*_valid` (e.g. `flow_parity_valid`: the FFT
+//!   and dense density backends drive the flow to the same HPWL within
+//!   1 %), keys containing `allocs` (steady-state allocation counts), the
+//!   topology-table content counts `classes` / `powvs`, and `transforms_*`
+//!   (2-D transforms per density evaluation): these are correctness claims,
+//!   not measurements; any change is a regression.
 //! * **percentage** (`*_pct`) — absolute tolerance of 15 points, wide
 //!   enough for scheduler noise on a sub-second flow, tight enough to
 //!   catch a real observability-overhead regression.
@@ -65,6 +68,7 @@ fn classify(key: &str) -> Rule {
         || key.contains("allocs")
         || key == "classes"
         || key == "powvs"
+        || key.starts_with("transforms_")
     {
         return Rule::Exact;
     }

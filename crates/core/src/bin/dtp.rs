@@ -326,6 +326,13 @@ fn cmd_place(args: &[String]) -> CliResult {
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
+    // The density field is interpolated between bin centers: an axis needs
+    // at least two of them.
+    if config.bins < 2 {
+        return Err(
+            format!("option `--bins` needs a value of at least 2, got {}", config.bins).into()
+        );
+    }
     // The FFT Poisson backend needs a power-of-two grid; round a custom
     // `--bins` up rather than silently dropping to the dense solver.
     if config.density_fft && !config.bins.is_power_of_two() {

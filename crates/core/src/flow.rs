@@ -109,6 +109,8 @@ pub enum FlowError {
     Sta(StaError),
     /// Netlist-level failure.
     Netlist(NetlistError),
+    /// The configuration asks for something no flow can run.
+    Config(String),
 }
 
 impl fmt::Display for FlowError {
@@ -116,6 +118,7 @@ impl fmt::Display for FlowError {
         match self {
             FlowError::Sta(e) => write!(f, "timing engine error: {e}"),
             FlowError::Netlist(e) => write!(f, "netlist error: {e}"),
+            FlowError::Config(what) => write!(f, "invalid flow configuration: {what}"),
         }
     }
 }
@@ -125,6 +128,7 @@ impl std::error::Error for FlowError {
         match self {
             FlowError::Sta(e) => Some(e),
             FlowError::Netlist(e) => Some(e),
+            FlowError::Config(_) => None,
         }
     }
 }
@@ -512,6 +516,12 @@ fn run_flow_inner(
     config: &FlowConfig,
     obs: &mut Observer,
 ) -> Result<FlowResult, FlowError> {
+    if !dtp_place::GRID_AXIS_BINS.contains(&config.bins) {
+        return Err(FlowError::Config(format!(
+            "bins = {}: the density grid needs 2..=65535 bins per axis",
+            config.bins
+        )));
+    }
     emit_trace_header(design, mode, config, obs);
     if config.multilevel && config.levels >= 2 && config.cluster_ratio > 1.0 {
         run_flow_multilevel(design, lib, mode, config, obs)
@@ -1542,6 +1552,7 @@ fn run_flow_fine(
     obs.gauge(Gauge::RsmtClassesGenerated, tables.classes_generated as f64);
     obs.gauge(Gauge::RsmtClassGenMs, tables.gen_ns as f64 / 1e6);
     obs.gauge(Gauge::PoolDispatches, rayon::dispatch_count() as f64);
+    obs.gauge(Gauge::PoolInlineRegions, rayon::inline_count() as f64);
     obs.gauge(Gauge::PoolThreads, rayon::current_num_threads() as f64);
     obs.flush();
     let timing_runtime = obs.sta_seconds() - sta_seconds_at_entry;

@@ -209,6 +209,24 @@ fn cli_log_level_warn_leaves_stdout_machine_clean() {
 }
 
 #[test]
+fn cli_rejects_a_density_grid_it_cannot_sample() {
+    // `--bins 0` and `--bins 1` used to abort mid-loop with a `f64::clamp`
+    // panic out of the field sampler; they are malformed flags.
+    let (dir, prefix) = write_cli_fixture("bins");
+    for bins in ["0", "1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
+            .args(["place", prefix.to_str().unwrap(), "--mode", "wirelength", "--bins", bins])
+            .output()
+            .expect("dtp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--bins {bins}: {stderr}");
+        assert!(stderr.contains("--bins"), "--bins {bins}: error does not name the flag: {stderr}");
+        assert!(!stderr.contains("panicked"), "--bins {bins} panicked: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_profile_metrics_and_trace_outputs() {
     let (dir, prefix) = write_cli_fixture("sinks");
     let metrics = dir.join("metrics.json");

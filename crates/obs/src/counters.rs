@@ -119,6 +119,9 @@ pub enum Gauge {
     RsmtClassGenMs,
     /// Parallel regions dispatched to the worker pool (process-wide).
     PoolDispatches,
+    /// Parallel regions that ran inline on the calling thread instead
+    /// (process-wide): single-task regions, nested regions, 1-thread pools.
+    PoolInlineRegions,
     /// Worker-pool width (threads participating in a parallel region).
     PoolThreads,
     /// Row bands the legalizer partitioned the core into (1 = serial scan).
@@ -127,7 +130,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 13;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -141,6 +144,7 @@ impl Gauge {
         Gauge::RsmtClassesGenerated,
         Gauge::RsmtClassGenMs,
         Gauge::PoolDispatches,
+        Gauge::PoolInlineRegions,
         Gauge::PoolThreads,
         Gauge::LegalizeBands,
     ];
@@ -164,6 +168,7 @@ impl Gauge {
             Gauge::RsmtClassesGenerated => "rsmt_classes_generated",
             Gauge::RsmtClassGenMs => "rsmt_class_gen_ms",
             Gauge::PoolDispatches => "pool_dispatches",
+            Gauge::PoolInlineRegions => "pool_inline_regions",
             Gauge::PoolThreads => "pool_threads",
             Gauge::LegalizeBands => "legalize_bands",
         }

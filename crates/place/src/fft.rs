@@ -20,6 +20,11 @@
 //!   reverse the coefficients, cosine-synthesize, flip the sign of every
 //!   odd sample.
 //!
+//! Every transform reads its input through a stride (`x[k·stride]`), so the
+//! second pass of a 2-D transform can read a column of a row-major grid in
+//! place instead of going through a transposed copy; the input is touched
+//! only by the first load loop, everything after it runs on the strip.
+//!
 //! All transforms are strictly in-place over a caller-provided scratch strip
 //! of `N + 2` floats ([`DctPlan::scratch_len`]) — no allocation per call,
 //! which is what lets `Spectral2D::solve_into` run allocation-free inside
@@ -237,25 +242,26 @@ impl DctPlan {
         self.half.as_ref().expect("n >= 2").inverse(&mut work[..n]);
     }
 
-    /// Unnormalized DCT-II analysis: `out[u] = Σ_i x[i]·cos(πu(i+½)/n)`.
+    /// Unnormalized DCT-II analysis: `out[u] = Σ_i x[i·stride]·cos(πu(i+½)/n)`.
     ///
     /// `work` must be [`DctPlan::scratch_len`] floats; `x` and `out` must
     /// not alias.
-    pub fn dct2(&self, x: &[f64], out: &mut [f64], work: &mut [f64]) {
+    pub fn dct2(&self, x: &[f64], stride: usize, out: &mut [f64], work: &mut [f64]) {
         let n = self.n;
-        debug_assert_eq!(x.len(), n);
+        debug_assert!(x.len() > (n - 1) * stride);
         debug_assert_eq!(out.len(), n);
         debug_assert!(work.len() >= self.scratch_len());
         if n == 1 {
             out[0] = x[0];
             return;
         }
+        let x = |i: usize| x[i * stride];
         // Even permutation v_j = x_{2j} (front) / x_{2n−2j−1} (back),
         // packed directly as the half-length complex input: Z_k re/im are
         // v_{2k} / v_{2k+1}, which sit at work[2k] / work[2k+1] — i.e. the
         // permuted sequence in natural order.
         for (j, w) in work[..n].iter_mut().enumerate() {
-            *w = if 2 * j < n { x[2 * j] } else { x[2 * n - 2 * j - 1] };
+            *w = if 2 * j < n { x(2 * j) } else { x(2 * n - 2 * j - 1) };
         }
         self.rfft_in_place(work);
         // S_u = Re(e^{−iπu/2n} V_u); the conjugate-symmetric upper half
@@ -271,27 +277,28 @@ impl DctPlan {
         out[n / 2] = c * work[n] + s * work[n + 1];
     }
 
-    /// Cosine synthesis: `out[i] = Σ_u t[u]·cos(πu(i+½)/n)` for arbitrary
-    /// coefficients `t`.
-    pub fn idct(&self, t: &[f64], out: &mut [f64], work: &mut [f64]) {
-        self.synth(t, out, work, false);
+    /// Cosine synthesis: `out[i] = Σ_u t[u·stride]·cos(πu(i+½)/n)` for
+    /// arbitrary coefficients `t`.
+    pub fn idct(&self, t: &[f64], stride: usize, out: &mut [f64], work: &mut [f64]) {
+        self.synth(t, stride, out, work, false);
     }
 
-    /// Sine synthesis: `out[i] = Σ_u t[u]·sin(πu(i+½)/n)` (the `u = 0` term
-    /// vanishes identically).
-    pub fn idxst(&self, t: &[f64], out: &mut [f64], work: &mut [f64]) {
-        self.synth(t, out, work, true);
+    /// Sine synthesis: `out[i] = Σ_u t[u·stride]·sin(πu(i+½)/n)` (the
+    /// `u = 0` term vanishes identically).
+    pub fn idxst(&self, t: &[f64], stride: usize, out: &mut [f64], work: &mut [f64]) {
+        self.synth(t, stride, out, work, true);
     }
 
-    fn synth(&self, t: &[f64], out: &mut [f64], work: &mut [f64], sine: bool) {
+    fn synth(&self, t: &[f64], stride: usize, out: &mut [f64], work: &mut [f64], sine: bool) {
         let n = self.n;
-        debug_assert_eq!(t.len(), n);
+        debug_assert!(t.len() > (n - 1) * stride);
         debug_assert_eq!(out.len(), n);
         debug_assert!(work.len() >= self.scratch_len());
         if n == 1 {
             out[0] = if sine { 0.0 } else { t[0] };
             return;
         }
+        let t = |u: usize| t[u * stride];
         let l = n / 2;
         // Scaled spectrum S: S_0 = n·T_0, S_u = (n/2)·T_u, S_n = 0. The
         // sine fold reads the reversed coefficients T_{n−u} with T'_0 = 0.
@@ -300,12 +307,12 @@ impl DctPlan {
                 if u == 0 || u == n {
                     return 0.0;
                 }
-                t[n - u]
+                t(n - u)
             } else {
                 if u == n {
                     return 0.0;
                 }
-                t[u]
+                t(u)
             };
             if u == 0 {
                 n as f64 * tu
@@ -380,7 +387,7 @@ mod tests {
             let x = pseudo(n as u64, n);
             let mut out = vec![0.0; n];
             let mut work = vec![0.0; plan.scratch_len()];
-            plan.dct2(&x, &mut out, &mut work);
+            plan.dct2(&x, 1, &mut out, &mut work);
             let want = naive_dct2(&x);
             for (a, b) in out.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-10 * n as f64, "n={n}: {a} vs {b}");
@@ -396,7 +403,7 @@ mod tests {
             let mut out = vec![0.0; n];
             let mut work = vec![0.0; plan.scratch_len()];
             for sine in [false, true] {
-                plan.synth(&t, &mut out, &mut work, sine);
+                plan.synth(&t, 1, &mut out, &mut work, sine);
                 let want = naive_synth(&t, sine);
                 for (a, b) in out.iter().zip(&want) {
                     assert!((a - b).abs() < 1e-10 * n as f64, "n={n} sine={sine}: {a} vs {b}");
@@ -413,14 +420,39 @@ mod tests {
         let mut s = vec![0.0; n];
         let mut back = vec![0.0; n];
         let mut work = vec![0.0; plan.scratch_len()];
-        plan.dct2(&x, &mut s, &mut work);
+        plan.dct2(&x, 1, &mut s, &mut work);
         // Normalize to synthesis coefficients: T_0 = S_0/n, T_u = 2S_u/n.
         for (u, v) in s.iter_mut().enumerate() {
             *v *= if u == 0 { 1.0 } else { 2.0 } / n as f64;
         }
-        plan.idct(&s, &mut back, &mut work);
+        plan.idct(&s, 1, &mut back, &mut work);
         for (a, b) in x.iter().zip(&back) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn strided_input_equals_contiguous_input_bit_for_bit() {
+        for n in [1usize, 2, 8, 64] {
+            let plan = DctPlan::get(n);
+            let x = pseudo(11 + n as u64, n);
+            for stride in [2usize, 5] {
+                // Column 1 of an `n × stride` row-major grid.
+                let mut grid = pseudo(3, n * stride);
+                for (k, &v) in x.iter().enumerate() {
+                    grid[k * stride + 1] = v;
+                }
+                let mut work = vec![0.0; plan.scratch_len()];
+                let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+                plan.dct2(&x, 1, &mut a, &mut work);
+                plan.dct2(&grid[1..], stride, &mut b, &mut work);
+                assert_eq!(a, b, "dct2 n={n} stride={stride}");
+                for sine in [false, true] {
+                    plan.synth(&x, 1, &mut a, &mut work, sine);
+                    plan.synth(&grid[1..], stride, &mut b, &mut work, sine);
+                    assert_eq!(a, b, "synth n={n} stride={stride} sine={sine}");
+                }
+            }
         }
     }
 

@@ -32,8 +32,14 @@ mod spectral;
 mod wirelength;
 
 pub use abacus::AbacusLegalizer;
-pub use density::{DensityModel, DensityResult, DensityScratch};
+pub use density::{DensityModel, DensityResult, DensityScratch, GRID_AXIS_BINS};
 pub use legalize::{check_legal, Legalizer};
 pub use optimizer::{AdamOptimizer, NesterovOptimizer};
 pub use spectral::{PoissonScratch, PoissonSolution, Spectral2D};
 pub use wirelength::{WirelengthModel, WirelengthScratch};
+
+/// Bit patterns of a float slice, for the exactness oracles.
+#[cfg(test)]
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}

@@ -7,13 +7,45 @@
 //!
 //! Two transform backends share the same spectral math:
 //!
-//! * **FFT** (`O(N log N)`, [`crate::fft`]): row/column sweeps of the
-//!   radix-2 real-FFT DCT with two cache-friendly transposes per 2-D
-//!   transform. Selected automatically when *both* grid dimensions are
-//!   powers of two ≥ 2 — the only shapes the radix-2 kernels handle.
+//! * **FFT** (`O(N log N)`, [`crate::fft`]): two sweeps of the radix-2
+//!   real-FFT DCT per 2-D transform, y then x. The first sweep of the
+//!   forward transform reads contiguous rows; every other sweep reads the
+//!   columns of the previous sweep's output *in place* (strided reads,
+//!   contiguous writes), so no transposed copy is ever made. Selected
+//!   automatically when *both* grid dimensions are powers of two ≥ 2 — the
+//!   only shapes the radix-2 kernels handle.
 //! * **Dense** (`O(m³)` separable basis-matrix products): the reference
 //!   implementation, kept as the fallback for odd sizes and as the parity
 //!   oracle for the FFT path in tests.
+//!
+//! # What the hot path produces, and in which layout
+//!
+//! [`Spectral2D::solve_into`] yields the field only — `∂ψ/∂x` and `∂ψ/∂y`,
+//! three 2-D transforms (one analysis, two syntheses). The potential ψ is a
+//! fourth transform that the placement loop never needs;
+//! [`Spectral2D::potential_into`] synthesises it on request from the
+//! coefficients the last solve left in the scratch.
+//!
+//! | grid | layout | why |
+//! |---|---|---|
+//! | input ρ̂ | x-major, `[i·n + j]` | the charge stamp's column blocks |
+//! | coefficients `a_uv` (FFT) | y-major, `[v·m + u]` | the x sweep writes one row per `v` |
+//! | coefficients `a_uv` (dense) | x-major, `[u·n + v]` | the matrix products' natural output |
+//! | `∂ψ/∂x`, `∂ψ/∂y`, ψ | y-major, `[j·m + i]` | the x sweep writes one row per `j` |
+//!
+//! The coefficient layout is private to the backend (the `1/k²` scaling is
+//! element-wise and walks it through two strides); the output layout is
+//! public and the same for both backends. The bilinear field sampler reads
+//! four neighbours per cell, so it is indifferent to which axis is major.
+//!
+//! # Chunking
+//!
+//! Every sweep hands the pool tasks of a fixed amount of work
+//! ([`TASK_WORK`] element-operations, whole rows), never a share derived
+//! from the pool width: a 64 × 64 grid is one task per sweep and runs inline
+//! on the calling thread (the pool's single-index path — no dispatch, no
+//! wake-up), a 512 × 512 grid is 16 tasks of 32 rows. Rows are transformed
+//! independently, so the chunking cannot change a bit of the result.
 //!
 //! Per-axis resources are shared across solver instances: dense cosine/sine
 //! tables depend only on the axis *bin count* (the physical extent enters
@@ -31,6 +63,17 @@
 use crate::fft::{is_pow2, DctPlan};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+
+/// Work per pool task, in element-operations: a row of an FFT sweep counts
+/// its length, a row of a dense product its length times the axis it sums
+/// over. 16 Ki is a few tens of microseconds — an order of magnitude above
+/// the pool's ≈ 1–2 µs dispatch round trip.
+pub(crate) const TASK_WORK: usize = 16 * 1024;
+
+/// Rows per pool task for a sweep whose rows cost `row_work` each.
+fn rows_per_task(row_work: usize) -> usize {
+    TASK_WORK.div_ceil(row_work.max(1))
+}
 
 /// Dense cosine/sine basis tables for one axis length `k`: `cos/sin(πu(i+½)/k)`
 /// at `[i*k + u]`. Extent-independent, hence cacheable by `k` alone.
@@ -89,32 +132,34 @@ pub struct Spectral2D {
     backend: Backend,
 }
 
-/// The solved potential and its spatial derivatives on the bin grid.
+/// The solved field on the bin grid: the spatial derivatives of the
+/// potential, y-major (`[j·m + i]` for bin column `i`, bin row `j`).
 #[derive(Clone, Debug, Default)]
 pub struct PoissonSolution {
-    /// Potential ψ per bin, `[i*n + j]`.
-    pub psi: Vec<f64>,
-    /// ∂ψ/∂x per bin.
+    /// ∂ψ/∂x per bin, `[j*m + i]`.
     pub dpsi_dx: Vec<f64>,
-    /// ∂ψ/∂y per bin.
+    /// ∂ψ/∂y per bin, `[j*m + i]`.
     pub dpsi_dy: Vec<f64>,
 }
 
-/// Reusable intermediates for [`Spectral2D::solve_into`] /
-/// [`Spectral2D::dct2_into`]. Buffers grow on first use and are reused
-/// verbatim afterwards — steady-state calls allocate nothing.
+/// Reusable intermediates for [`Spectral2D::solve_into`]. Buffers grow on
+/// first use and are reused verbatim afterwards — steady-state calls
+/// allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct PoissonScratch {
-    /// Forward coefficients `a_uv`.
+    /// Forward coefficients `a_uv` of the last solve, in the backend's
+    /// coefficient layout.
     a: Vec<f64>,
     /// Synthesis coefficients (`a/k²` and its `w`-scaled variants).
     c: Vec<f64>,
-    /// Transform ping buffer (`m × n` or transposed `n × m`).
+    /// Output of a transform's first sweep.
     t1: Vec<f64>,
-    /// Transform pong buffer.
+    /// x-major staging of the dense backend's output (empty under FFT).
     t2: Vec<f64>,
-    /// Per-chunk complex FFT strips (`chunks × (len + 2)`).
+    /// Per-task complex FFT strips (`tasks × (len + 2)`).
     cplx: Vec<f64>,
+    /// 2-D transforms run through this scratch since it was created.
+    transforms: u64,
 }
 
 impl PoissonScratch {
@@ -122,13 +167,38 @@ impl PoissonScratch {
     pub fn new() -> PoissonScratch {
         PoissonScratch::default()
     }
+
+    /// Number of 2-D transforms (analyses and syntheses) run through this
+    /// scratch so far: a field solve adds 3, a potential synthesis 1.
+    pub fn transforms(&self) -> u64 {
+        self.transforms
+    }
 }
 
-/// Resizes `v` without preserving contents (still no realloc when shrinking
-/// or steady-state equal-size calls).
-fn ensure_len(v: &mut Vec<f64>, len: usize) {
+/// Resizes `v` to `len` zeros (no realloc when shrinking or in steady-state
+/// equal-size calls). For buffers that are accumulated into; buffers that
+/// are overwritten whole are merely `resize`d.
+pub(crate) fn ensure_len(v: &mut Vec<f64>, len: usize) {
     v.clear();
     v.resize(len, 0.0);
+}
+
+/// Out-of-place transpose `src (rows × cols)` → `dst (cols × rows)`.
+fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+    for (c, drow) in dst[..rows * cols].chunks_mut(rows).enumerate() {
+        for (r, d) in drow.iter_mut().enumerate() {
+            *d = src[r * cols + c];
+        }
+    }
+}
+
+/// Where the input vectors of a sweep sit in its source grid.
+#[derive(Clone, Copy)]
+enum Read {
+    /// Vector `r` is row `r` of a row-major `rows × len` grid.
+    Rows,
+    /// Vector `r` is column `r` of a row-major `len × rows` grid.
+    Columns,
 }
 
 impl Spectral2D {
@@ -179,59 +249,56 @@ impl Spectral2D {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Parallel sweep helpers
-    // ------------------------------------------------------------------
-
-    /// Rows per pool chunk for a `rows`-row sweep.
-    fn rows_per_chunk(rows: usize) -> usize {
-        rows.div_ceil(rayon::current_num_threads()).max(1)
+    /// Strides `(per u, per v)` of the backend's coefficient layout.
+    fn coef_strides(&self) -> (usize, usize) {
+        match self.backend {
+            Backend::Dense { .. } => (self.n, 1),
+            Backend::Fft { .. } => (1, self.m),
+        }
     }
 
-    /// Out-of-place transpose `src (rows × cols)` → `dst (cols × rows)`,
-    /// parallel over destination row chunks.
-    fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
-        let rpc = Self::rows_per_chunk(cols);
-        dst[..rows * cols].par_chunks_mut(rpc * rows).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * rpc;
-            for (local, drow) in chunk.chunks_mut(rows).enumerate() {
-                let c = base + local;
-                for (r, d) in drow.iter_mut().enumerate() {
-                    *d = src[r * cols + c];
-                }
-            }
-        });
-    }
+    // ------------------------------------------------------------------
+    // FFT sweeps
+    // ------------------------------------------------------------------
 
-    /// Applies a 1-D FFT transform to every length-`len` row of `src`,
-    /// writing into `dst` (same layout), with per-chunk complex strips from
-    /// `cplx`.
-    fn fft_rows(
+    /// One sweep of a 2-D transform: applies the 1-D transform `kind` to
+    /// `rows` vectors of `plan.len()` elements read from `src` as `read`
+    /// says, writing them as the contiguous rows of `dst`; `finish(r, row)`
+    /// post-processes row `r` in the same task. One complex strip of `cplx`
+    /// per task.
+    #[allow(clippy::too_many_arguments)]
+    fn fft_sweep(
         plan: &DctPlan,
+        kind: FftKind,
         src: &[f64],
+        read: Read,
         dst: &mut [f64],
         rows: usize,
         cplx: &mut Vec<f64>,
-        kind: FftKind,
+        finish: impl Fn(usize, &mut [f64]) + Sync,
     ) {
         let len = plan.len();
-        let rpc = Self::rows_per_chunk(rows);
-        let chunks = rows.div_ceil(rpc);
+        let rpt = rows_per_task(len);
         let strip = plan.scratch_len();
-        ensure_len(cplx, chunks * strip);
+        // Every transform writes its strip before reading it.
+        cplx.resize(rows.div_ceil(rpt) * strip, 0.0);
         dst[..rows * len]
-            .par_chunks_mut(rpc * len)
+            .par_chunks_mut(rpt * len)
             .zip(cplx.par_chunks_mut(strip))
             .enumerate()
-            .for_each(|(ci, (dchunk, work))| {
-                let base = ci * rpc;
+            .for_each(|(ti, (dchunk, work))| {
                 for (local, drow) in dchunk.chunks_mut(len).enumerate() {
-                    let srow = &src[(base + local) * len..(base + local + 1) * len];
+                    let r = ti * rpt + local;
+                    let (vector, stride) = match read {
+                        Read::Rows => (&src[r * len..(r + 1) * len], 1),
+                        Read::Columns => (&src[r..], rows),
+                    };
                     match kind {
-                        FftKind::Dct2 => plan.dct2(srow, drow, work),
-                        FftKind::Idct => plan.idct(srow, drow, work),
-                        FftKind::Idxst => plan.idxst(srow, drow, work),
+                        FftKind::Dct2 => plan.dct2(vector, stride, drow, work),
+                        FftKind::Idct => plan.idct(vector, stride, drow, work),
+                        FftKind::Idxst => plan.idxst(vector, stride, drow, work),
                     }
+                    finish(r, drow);
                 }
             });
     }
@@ -240,45 +307,53 @@ impl Spectral2D {
     // Forward transform
     // ------------------------------------------------------------------
 
-    /// Forward DCT-II of `grid` (`m × n`, row-major over x) into `out`:
-    /// coefficients `a_uv` such that `grid_ij = Σ a_uv cos·cos` exactly.
-    /// All intermediates live in `scratch`.
-    pub fn dct2_into(&self, grid: &[f64], out: &mut Vec<f64>, scratch: &mut PoissonScratch) {
+    /// Forward DCT-II of `grid` (`m × n`, x-major) into `scratch.a`, in the
+    /// backend's coefficient layout: `a_uv` such that
+    /// `grid_ij = Σ a_uv cos·cos` exactly.
+    fn forward(&self, grid: &[f64], scratch: &mut PoissonScratch) {
         let (m, n) = (self.m, self.n);
         assert_eq!(grid.len(), m * n);
-        ensure_len(out, m * n);
+        scratch.transforms += 1;
+        let mut a = std::mem::take(&mut scratch.a);
         match &self.backend {
-            Backend::Dense { x, y } => self.dense_dct2(grid, out, scratch, x, y),
+            Backend::Dense { x, y } => {
+                ensure_len(&mut a, m * n);
+                self.dense_dct2(grid, &mut a, scratch, x, y)
+            }
             Backend::Fft { x, y } => {
-                ensure_len(&mut scratch.t1, m * n);
-                ensure_len(&mut scratch.t2, m * n);
-                // Rows along y: S_y[i][v].
-                Self::fft_rows(y, grid, &mut scratch.t1, m, &mut scratch.cplx, FftKind::Dct2);
-                // Transpose to (n × m), transform along x: S_xy[v][u].
-                Self::transpose(&scratch.t1, &mut scratch.t2, m, n);
-                Self::fft_rows(x, &scratch.t2, &mut scratch.t1, n, &mut scratch.cplx, FftKind::Dct2);
-                // Transpose back and apply the c_u c_v normalization.
-                Self::transpose(&scratch.t1, out, n, m);
-                let rpc = Self::rows_per_chunk(m);
-                out.par_chunks_mut(rpc * n).enumerate().for_each(|(ci, chunk)| {
-                    let base = ci * rpc;
-                    for (local, row) in chunk.chunks_mut(n).enumerate() {
-                        let cu = if base + local == 0 { 1.0 } else { 2.0 } / m as f64;
-                        for (v, r) in row.iter_mut().enumerate() {
-                            let cv = if v == 0 { 1.0 } else { 2.0 } / n as f64;
-                            *r *= cu * cv;
-                        }
+                // Both sweeps overwrite their whole output.
+                a.resize(m * n, 0.0);
+                scratch.t1.resize(m * n, 0.0);
+                // Along y: S_y[i][v], rows of the input.
+                let (t1, cplx) = (&mut scratch.t1, &mut scratch.cplx);
+                Self::fft_sweep(y, FftKind::Dct2, grid, Read::Rows, t1, m, cplx, |_, _| {});
+                // Along x: S_xy[v][u], columns of S_y, with the c_u c_v
+                // normalization applied as each row lands.
+                Self::fft_sweep(x, FftKind::Dct2, t1, Read::Columns, &mut a, n, cplx, |v, row| {
+                    let cv = if v == 0 { 1.0 } else { 2.0 } / n as f64;
+                    for (u, r) in row.iter_mut().enumerate() {
+                        let cu = if u == 0 { 1.0 } else { 2.0 } / m as f64;
+                        *r *= cu * cv;
                     }
                 });
             }
         }
+        scratch.a = a;
     }
 
-    /// Allocating convenience wrapper over [`Spectral2D::dct2_into`].
+    /// Forward DCT-II of `grid` (`m × n`, `[i*n + j]`): coefficients
+    /// `[u*n + v]`. Allocating convenience form for tests and tools.
     pub fn dct2(&self, grid: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.dct2_into(grid, &mut out, &mut PoissonScratch::new());
-        out
+        let mut scratch = PoissonScratch::new();
+        self.forward(grid, &mut scratch);
+        match self.backend {
+            Backend::Dense { .. } => scratch.a,
+            Backend::Fft { .. } => {
+                let mut out = vec![0.0; self.m * self.n];
+                transpose(&scratch.a, &mut out, self.n, self.m);
+                out
+            }
+        }
     }
 
     fn dense_dct2(
@@ -292,9 +367,9 @@ impl Spectral2D {
         let (m, n) = (self.m, self.n);
         ensure_len(&mut scratch.t1, m * n);
         // T[u*n + j] = Σ_i cos_x[i][u] grid[i][j]
-        let rpc = Self::rows_per_chunk(m);
-        scratch.t1.par_chunks_mut(rpc * n).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * rpc;
+        let rpt = rows_per_task(m * n);
+        scratch.t1.par_chunks_mut(rpt * n).enumerate().for_each(|(ci, chunk)| {
+            let base = ci * rpt;
             for (local, row) in chunk.chunks_mut(n).enumerate() {
                 let u = base + local;
                 for i in 0..m {
@@ -310,8 +385,9 @@ impl Spectral2D {
         });
         // A[u*n + v] = cu cv Σ_j T[u][j] cos_y[j][v]
         let t1 = &scratch.t1;
-        out.par_chunks_mut(rpc * n).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * rpc;
+        let rpt = rows_per_task(n * n);
+        out.par_chunks_mut(rpt * n).enumerate().for_each(|(ci, chunk)| {
+            let base = ci * rpt;
             for (local, row) in chunk.chunks_mut(n).enumerate() {
                 let u = base + local;
                 let cu = if u == 0 { 1.0 / m as f64 } else { 2.0 / m as f64 };
@@ -335,8 +411,9 @@ impl Spectral2D {
     // Synthesis
     // ------------------------------------------------------------------
 
-    /// Evaluates `Σ_uv coef_uv · φx(i,u) · φy(j,v)` on the grid into `out`,
-    /// where the bases are selected by `sin_in_x` / `sin_in_y`.
+    /// Evaluates `Σ_uv coef_uv · φx(i,u) · φy(j,v)` on the grid into `out`
+    /// (y-major), where the bases are selected by `sin_in_x` / `sin_in_y`
+    /// and `coef` is in the backend's coefficient layout.
     fn synth_into(
         &self,
         coef: &[f64],
@@ -348,25 +425,30 @@ impl Spectral2D {
         let (m, n) = (self.m, self.n);
         debug_assert_eq!(coef.len(), m * n);
         debug_assert_eq!(out.len(), m * n);
+        scratch.transforms += 1;
         match &self.backend {
             Backend::Dense { x, y } => {
-                self.dense_synth(coef, sin_in_x, sin_in_y, out, scratch, x, y)
+                let mut staged = std::mem::take(&mut scratch.t2);
+                staged.resize(m * n, 0.0);
+                self.dense_synth(coef, sin_in_x, sin_in_y, &mut staged, scratch, x, y);
+                transpose(&staged, out, m, n);
+                scratch.t2 = staged;
             }
             Backend::Fft { x, y } => {
-                ensure_len(&mut scratch.t1, m * n);
-                ensure_len(&mut scratch.t2, m * n);
-                // Synthesize along y: G[u][j].
+                scratch.t1.resize(m * n, 0.0);
+                let (t1, cplx) = (&mut scratch.t1, &mut scratch.cplx);
+                // Along y: G[u][j], from the columns of the y-major
+                // coefficients.
                 let ykind = if sin_in_y { FftKind::Idxst } else { FftKind::Idct };
-                Self::fft_rows(y, coef, &mut scratch.t1, m, &mut scratch.cplx, ykind);
-                // Transpose to (n × m), synthesize along x, transpose back.
-                Self::transpose(&scratch.t1, &mut scratch.t2, m, n);
+                Self::fft_sweep(y, ykind, coef, Read::Columns, t1, m, cplx, |_, _| {});
+                // Along x: out[j][i], from the columns of G.
                 let xkind = if sin_in_x { FftKind::Idxst } else { FftKind::Idct };
-                Self::fft_rows(x, &scratch.t2, &mut scratch.t1, n, &mut scratch.cplx, xkind);
-                Self::transpose(&scratch.t1, out, n, m);
+                Self::fft_sweep(x, xkind, t1, Read::Columns, out, n, cplx, |_, _| {});
             }
         }
     }
 
+    /// Dense synthesis into `out`, x-major (`[i*n + j]`).
     #[allow(clippy::too_many_arguments)]
     fn dense_synth(
         &self,
@@ -383,9 +465,9 @@ impl Spectral2D {
         let by = if sin_in_y { &y.sin } else { &y.cos };
         ensure_len(&mut scratch.t1, m * n);
         // T[i*n + v] = Σ_u bx[i][u] coef[u][v]
-        let rpc = Self::rows_per_chunk(m);
-        scratch.t1.par_chunks_mut(rpc * n).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * rpc;
+        let rpt = rows_per_task(m * n);
+        scratch.t1.par_chunks_mut(rpt * n).enumerate().for_each(|(ci, chunk)| {
+            let base = ci * rpt;
             for (local, row) in chunk.chunks_mut(n).enumerate() {
                 let i = base + local;
                 for u in 0..m {
@@ -400,8 +482,9 @@ impl Spectral2D {
             }
         });
         let t1 = &scratch.t1;
-        out.par_chunks_mut(rpc * n).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * rpc;
+        let rpt = rows_per_task(n * n);
+        out.par_chunks_mut(rpt * n).enumerate().for_each(|(ci, chunk)| {
+            let base = ci * rpt;
             for (local, row) in chunk.chunks_mut(n).enumerate() {
                 let i = base + local;
                 for r in row.iter_mut() {
@@ -419,18 +502,21 @@ impl Spectral2D {
         });
     }
 
-    /// Inverse of [`Spectral2D::dct2`] (allocating convenience form).
+    /// Inverse of [`Spectral2D::dct2`]: evaluates the cosine expansion
+    /// `coef` (`[u*n + v]`) on the grid (`[i*n + j]`). Allocating
+    /// convenience form for tests and tools.
     pub fn idct2(&self, coef: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.m * self.n];
-        self.synth_into(coef, false, false, &mut out, &mut PoissonScratch::new());
+        let (m, n) = (self.m, self.n);
+        assert_eq!(coef.len(), m * n);
+        let mut native = coef.to_vec();
+        if self.uses_fft() {
+            transpose(coef, &mut native, m, n);
+        }
+        let mut y_major = vec![0.0; m * n];
+        self.synth_into(&native, false, false, &mut y_major, &mut PoissonScratch::new());
+        let mut out = vec![0.0; m * n];
+        transpose(&y_major, &mut out, n, m);
         out
-    }
-
-    /// Inverse of [`Spectral2D::dct2_into`]: evaluates the cosine expansion
-    /// `coef` on the grid into `out` using `scratch` for intermediates.
-    pub fn idct2_into(&self, coef: &[f64], out: &mut Vec<f64>, scratch: &mut PoissonScratch) {
-        ensure_len(out, self.m * self.n);
-        self.synth_into(coef, false, false, out, scratch);
     }
 
     // ------------------------------------------------------------------
@@ -438,66 +524,91 @@ impl Spectral2D {
     // ------------------------------------------------------------------
 
     /// Solves the Poisson problem for the (mean-removed) density `rho` and
-    /// returns ψ and its derivatives on the grid. Allocating convenience
-    /// wrapper over [`Spectral2D::solve_into`].
+    /// returns the field. Allocating convenience wrapper over
+    /// [`Spectral2D::solve_into`].
     pub fn solve(&self, rho: &[f64]) -> PoissonSolution {
         let mut sol = PoissonSolution::default();
         self.solve_into(rho, &mut PoissonScratch::new(), &mut sol);
         sol
     }
 
-    /// Solves the Poisson problem into a reused solution using caller-owned
-    /// scratch: zero heap allocation once the buffers have grown to size.
+    /// The potential ψ (y-major) of the (mean-removed) density `rho`.
+    /// Allocating convenience wrapper over [`Spectral2D::solve_into`] +
+    /// [`Spectral2D::potential_into`].
+    pub fn potential(&self, rho: &[f64]) -> Vec<f64> {
+        let mut scratch = PoissonScratch::new();
+        self.solve_into(rho, &mut scratch, &mut PoissonSolution::default());
+        let mut psi = Vec::new();
+        self.potential_into(&mut scratch, &mut psi);
+        psi
+    }
+
+    /// Fills the synthesis coefficients `c_uv = num(u, v, a_uv) / k²` (DC
+    /// term zero) from the forward coefficients, element-wise in the
+    /// backend's coefficient layout.
+    fn scale_coefficients(&self, a: &[f64], c: &mut [f64], num: impl Fn(usize, usize, f64) -> f64) {
+        let (m, n) = (self.m, self.n);
+        let (su, sv) = self.coef_strides();
+        let mut set = |u: usize, v: usize| {
+            let at = u * su + v * sv;
+            let k2 = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
+            c[at] = num(u, v, a[at]) / k2;
+        };
+        // Walk the unit-stride axis innermost.
+        if su == 1 {
+            (0..n).for_each(|v| (0..m).for_each(|u| set(u, v)));
+        } else {
+            (0..m).for_each(|u| (0..n).for_each(|v| set(u, v)));
+        }
+        c[0] = 0.0;
+    }
+
+    /// Solves the Poisson problem for the field into a reused solution using
+    /// caller-owned scratch: three 2-D transforms, zero heap allocation once
+    /// the buffers have grown to size. The forward coefficients stay in
+    /// `scratch` for [`Spectral2D::potential_into`].
     pub fn solve_into(&self, rho: &[f64], scratch: &mut PoissonScratch, sol: &mut PoissonSolution) {
         let (m, n) = (self.m, self.n);
-        assert_eq!(rho.len(), m * n);
-        // Forward transform: a_uv (kept in scratch.a across the 3 synths).
-        let mut a = std::mem::take(&mut scratch.a);
-        self.dct2_into(rho, &mut a, scratch);
-        ensure_len(&mut sol.psi, m * n);
-        ensure_len(&mut sol.dpsi_dx, m * n);
-        ensure_len(&mut sol.dpsi_dy, m * n);
+        self.forward(rho, scratch);
+        let a = std::mem::take(&mut scratch.a);
         let mut c = std::mem::take(&mut scratch.c);
-        ensure_len(&mut c, m * n);
-        // ψ coefficients b = a/k², then the w-scaled variants for the
-        // derivatives (d/dx cos(w x) = −w sin(w x)).
-        for u in 0..m {
-            for v in 0..n {
-                if u == 0 && v == 0 {
-                    c[0] = 0.0;
-                    continue;
-                }
-                let k2 = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
-                c[u * n + v] = a[u * n + v] / k2;
-            }
-        }
-        self.synth_into(&c, false, false, &mut sol.psi, scratch);
-        for u in 0..m {
-            for v in 0..n {
-                if u == 0 && v == 0 {
-                    continue;
-                }
-                let k2 = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
-                c[u * n + v] = -self.wu[u] * a[u * n + v] / k2;
-            }
-        }
+        // Overwritten whole by the scaling and the syntheses.
+        c.resize(m * n, 0.0);
+        sol.dpsi_dx.resize(m * n, 0.0);
+        sol.dpsi_dy.resize(m * n, 0.0);
+        // ψ coefficients are a/k²; the derivatives scale them by the
+        // frequency (d/dx cos(w x) = −w sin(w x)).
+        self.scale_coefficients(&a, &mut c, |u, _, a| -self.wu[u] * a);
         self.synth_into(&c, true, false, &mut sol.dpsi_dx, scratch);
-        for u in 0..m {
-            for v in 0..n {
-                if u == 0 && v == 0 {
-                    continue;
-                }
-                let k2 = self.wu[u] * self.wu[u] + self.wv[v] * self.wv[v];
-                c[u * n + v] = -self.wv[v] * a[u * n + v] / k2;
-            }
-        }
+        self.scale_coefficients(&a, &mut c, |_, v, a| -self.wv[v] * a);
         self.synth_into(&c, false, true, &mut sol.dpsi_dy, scratch);
+        scratch.a = a;
+        scratch.c = c;
+    }
+
+    /// Synthesises the potential ψ (y-major, `[j*m + i]`) of the density
+    /// last passed to [`Spectral2D::solve_into`] with this `scratch`: the
+    /// fourth 2-D transform, kept off the placement loop's path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` does not hold the coefficients of a solve on this
+    /// grid shape.
+    pub fn potential_into(&self, scratch: &mut PoissonScratch, psi: &mut Vec<f64>) {
+        let (m, n) = (self.m, self.n);
+        assert_eq!(scratch.a.len(), m * n, "potential_into needs a preceding solve_into");
+        let a = std::mem::take(&mut scratch.a);
+        let mut c = std::mem::take(&mut scratch.c);
+        c.resize(m * n, 0.0);
+        psi.resize(m * n, 0.0);
+        self.scale_coefficients(&a, &mut c, |_, _, a| a);
+        self.synth_into(&c, false, false, psi, scratch);
         scratch.a = a;
         scratch.c = c;
     }
 }
 
-/// 1-D transform selector for the row sweeps.
+/// 1-D transform selector for the sweeps.
 #[derive(Clone, Copy)]
 enum FftKind {
     Dct2,
@@ -508,6 +619,7 @@ enum FftKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
 
     #[test]
     fn dct_roundtrip_is_exact() {
@@ -555,7 +667,7 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "coef {a} vs {b}");
         }
         let (sa, sb) = (fft.solve(&grid), dense.solve(&grid));
-        for (a, b) in sa.psi.iter().zip(&sb.psi) {
+        for (a, b) in fft.potential(&grid).iter().zip(&dense.potential(&grid)) {
             assert!((a - b).abs() < 1e-9, "psi {a} vs {b}");
         }
         for (a, b) in sa.dpsi_dx.iter().zip(&sb.dpsi_dx) {
@@ -576,9 +688,15 @@ mod tests {
         // Two calls through the same scratch: second must match exactly.
         s.solve_into(&grid, &mut scratch, &mut sol);
         s.solve_into(&grid, &mut scratch, &mut sol);
-        assert_eq!(fresh.psi, sol.psi);
         assert_eq!(fresh.dpsi_dx, sol.dpsi_dx);
         assert_eq!(fresh.dpsi_dy, sol.dpsi_dy);
+        // Field only: one analysis + two syntheses per solve; ψ is the
+        // fourth transform, on request, from the coefficients left behind.
+        assert_eq!(scratch.transforms(), 6);
+        let mut psi = Vec::new();
+        s.potential_into(&mut scratch, &mut psi);
+        assert_eq!(scratch.transforms(), 7);
+        assert_eq!(psi, s.potential(&grid));
     }
 
     #[test]
@@ -605,19 +723,21 @@ mod tests {
                 rho[i * n + j] = (w * x).cos();
             }
         }
-        let sol = s.solve(&rho);
+        let (sol, psi) = (s.solve(&rho), s.potential(&rho));
         for i in 0..m {
             let x = (i as f64 + 0.5) * w_ext / m as f64;
             for j in 0..n {
                 let expect_psi = (w * x).cos() / (w * w);
                 let expect_dx = -(w * x).sin() / w;
+                // Outputs are y-major.
+                let at = j * m + i;
                 assert!(
-                    (sol.psi[i * n + j] - expect_psi).abs() < 1e-8,
+                    (psi[at] - expect_psi).abs() < 1e-8,
                     "psi({i},{j}) = {} vs {expect_psi}",
-                    sol.psi[i * n + j]
+                    psi[at]
                 );
-                assert!((sol.dpsi_dx[i * n + j] - expect_dx).abs() < 1e-8);
-                assert!(sol.dpsi_dy[i * n + j].abs() < 1e-8);
+                assert!((sol.dpsi_dx[at] - expect_dx).abs() < 1e-8);
+                assert!(sol.dpsi_dy[at].abs() < 1e-8);
             }
         }
     }
@@ -638,7 +758,7 @@ mod tests {
                 rho[i * n + j] = (wx * x).cos() * (wy * y).cos();
             }
         }
-        let sol = s.solve(&rho);
+        let (sol, psi) = (s.solve(&rho), s.potential(&rho));
         let k2 = wx * wx + wy * wy;
         for i in 0..m {
             let x = (i as f64 + 0.5) * w_ext / m as f64;
@@ -646,8 +766,8 @@ mod tests {
                 let y = (j as f64 + 0.5) * h_ext / n as f64;
                 let e_psi = (wx * x).cos() * (wy * y).cos() / k2;
                 let e_dy = -wy * (wx * x).cos() * (wy * y).sin() / k2;
-                assert!((sol.psi[i * n + j] - e_psi).abs() < 1e-8);
-                assert!((sol.dpsi_dy[i * n + j] - e_dy).abs() < 1e-8);
+                assert!((psi[j * m + i] - e_psi).abs() < 1e-8);
+                assert!((sol.dpsi_dy[j * m + i] - e_dy).abs() < 1e-8);
             }
         }
     }
@@ -656,8 +776,93 @@ mod tests {
     fn dc_mode_is_ignored() {
         let s = Spectral2D::new(8, 8, 1.0, 1.0);
         let sol = s.solve(&vec![5.0; 64]);
-        for v in sol.psi.iter().chain(&sol.dpsi_dx).chain(&sol.dpsi_dy) {
+        let psi = s.potential(&vec![5.0; 64]);
+        for v in psi.iter().chain(&sol.dpsi_dx).chain(&sol.dpsi_dy) {
             assert!(v.abs() < 1e-10);
         }
+    }
+
+    /// The parent's 2-D FFT transform: contiguous row sweeps with an
+    /// out-of-place transpose before and after the x sweep. `kinds` are the
+    /// 1-D transforms along (y, x); input and output x-major.
+    fn transposed_2d(
+        (xp, yp): (&DctPlan, &DctPlan),
+        (ykind, xkind): (FftKind, FftKind),
+        src: &[f64],
+        (m, n): (usize, usize),
+    ) -> Vec<f64> {
+        let rows = |plan: &DctPlan, kind: FftKind, src: &[f64], count: usize| {
+            let len = plan.len();
+            let mut dst = vec![0.0; count * len];
+            let mut work = vec![0.0; plan.scratch_len()];
+            for (srow, drow) in src.chunks(len).zip(dst.chunks_mut(len)) {
+                match kind {
+                    FftKind::Dct2 => plan.dct2(srow, 1, drow, &mut work),
+                    FftKind::Idct => plan.idct(srow, 1, drow, &mut work),
+                    FftKind::Idxst => plan.idxst(srow, 1, drow, &mut work),
+                }
+            }
+            dst
+        };
+        let along_y = rows(yp, ykind, src, m);
+        let mut turned = vec![0.0; m * n];
+        transpose(&along_y, &mut turned, m, n);
+        let along_x = rows(xp, xkind, &turned, n);
+        let mut out = vec![0.0; m * n];
+        transpose(&along_x, &mut out, n, m);
+        out
+    }
+
+    /// Exactness oracle: the strided-read transforms feed every 1-D
+    /// transform the numbers the transposing ones fed it, so analysis and
+    /// all three synthesis flavours agree bit for bit — on grids that run
+    /// inline and on grids that fan out over 1, 2 and 4 threads.
+    #[test]
+    fn strided_transforms_equal_transposed_transforms_bit_for_bit() {
+        for (m, n) in [(8, 4), (4, 8), (2, 2), (16, 16), (64, 32), (128, 64), (256, 128)] {
+            let s = Spectral2D::new(m, n, 3.0, 2.0);
+            let Backend::Fft { x, y } = &s.backend else { panic!("pow2 grid") };
+            let grid: Vec<f64> =
+                (0..m * n).map(|k| ((k * 2654435761 % 1009) as f64) / 37.0 - 13.0).collect();
+            let mut x_major = vec![0.0; m * n];
+            for threads in [1usize, 2, 4] {
+                rayon::with_pool(&rayon::Pool::new(threads), || {
+                    let mut scratch = PoissonScratch::new();
+                    // Analysis (normalization factored out of the oracle).
+                    s.forward(&grid, &mut scratch);
+                    let mut want =
+                        transposed_2d((x, y), (FftKind::Dct2, FftKind::Dct2), &grid, (m, n));
+                    for (k, w) in want.iter_mut().enumerate() {
+                        let cu = if k / n == 0 { 1.0 } else { 2.0 } / m as f64;
+                        let cv = if k % n == 0 { 1.0 } else { 2.0 } / n as f64;
+                        *w *= cu * cv;
+                    }
+                    transpose(&scratch.a, &mut x_major, n, m);
+                    assert_eq!(bits(&x_major), bits(&want), "dct2 {m}x{n} @{threads}");
+                    // Synthesis, from x-major coefficients `grid`.
+                    let mut coef = vec![0.0; m * n];
+                    transpose(&grid, &mut coef, m, n);
+                    for (sin_x, sin_y) in [(false, false), (true, false), (false, true)] {
+                        let kind = |sine| if sine { FftKind::Idxst } else { FftKind::Idct };
+                        let want = transposed_2d((x, y), (kind(sin_y), kind(sin_x)), &grid, (m, n));
+                        let mut got = vec![0.0; m * n];
+                        s.synth_into(&coef, sin_x, sin_y, &mut got, &mut scratch);
+                        transpose(&got, &mut x_major, n, m);
+                        assert_eq!(bits(&x_major), bits(&want), "synth {m}x{n} @{threads}");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn small_grids_are_one_task_per_sweep_large_ones_fan_out() {
+        // 64-element rows: 256 rows per task, so a 64-row sweep is one task
+        // (the pool runs it inline); 512-element rows: 32 rows per task.
+        assert_eq!(64usize.div_ceil(rows_per_task(64)), 1);
+        assert_eq!(512usize.div_ceil(rows_per_task(512)), 16);
+        // A dense product row costs its length times the summed axis.
+        assert_eq!(64usize.div_ceil(rows_per_task(64 * 64)), 16);
+        assert_eq!(rows_per_task(1 << 20), 1);
     }
 }

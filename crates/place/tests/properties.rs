@@ -53,8 +53,9 @@ proptest! {
         }
         let sa = fft.solve(&grid);
         let sb = dense.solve(&grid);
+        let (pa, pb) = (fft.potential(&grid), dense.potential(&grid));
         for i in 0..m * n {
-            prop_assert!((sa.psi[i] - sb.psi[i]).abs() < 1e-9 * (1.0 + sb.psi[i].abs()));
+            prop_assert!((pa[i] - pb[i]).abs() < 1e-9 * (1.0 + pb[i].abs()));
             prop_assert!(
                 (sa.dpsi_dx[i] - sb.dpsi_dx[i]).abs() < 1e-9 * (1.0 + sb.dpsi_dx[i].abs())
             );
@@ -95,8 +96,9 @@ proptest! {
         let scaled: Vec<f64> = rho.iter().map(|v| v * alpha).collect();
         let a = s.solve(&rho);
         let b = s.solve(&scaled);
+        let (pa, pb) = (s.potential(&rho), s.potential(&scaled));
         for i in 0..m * m {
-            prop_assert!((b.psi[i] - alpha * a.psi[i]).abs() < 1e-8 * (1.0 + a.psi[i].abs()));
+            prop_assert!((pb[i] - alpha * pa[i]).abs() < 1e-8 * (1.0 + pa[i].abs()));
             prop_assert!(
                 (b.dpsi_dx[i] - alpha * a.dpsi_dx[i]).abs()
                     < 1e-8 * (1.0 + a.dpsi_dx[i].abs())
@@ -119,11 +121,13 @@ proptest! {
             .collect();
         let a = s.solve(&rho);
         let b = s.solve(&mirrored);
+        let (pa, pb) = (s.potential(&rho), s.potential(&mirrored));
         for i in 0..m {
             for j in 0..m {
-                let k = i * m + j;
-                let km = (m - 1 - i) * m + j;
-                prop_assert!((a.psi[k] - b.psi[km]).abs() < 1e-8);
+                // Outputs are y-major: bin (i, j) sits at j·m + i.
+                let k = j * m + i;
+                let km = j * m + (m - 1 - i);
+                prop_assert!((pa[k] - pb[km]).abs() < 1e-8);
                 prop_assert!((a.dpsi_dx[k] + b.dpsi_dx[km]).abs() < 1e-8);
             }
         }

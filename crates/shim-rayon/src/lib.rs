@@ -36,7 +36,7 @@ pub mod chunks;
 pub mod pool;
 
 pub use chunks::{ParChunkExt, ParallelSlice, ParallelSliceMut};
-pub use pool::{current_num_threads, dispatch_count, with_pool, Pool};
+pub use pool::{current_num_threads, dispatch_count, inline_count, with_pool, Pool};
 
 use std::marker::PhantomData;
 use std::ops::Range;

@@ -2,9 +2,14 @@
 //! crate.
 //!
 //! The original shim spawned OS threads per call via `std::thread::scope`,
-//! which costs tens of microseconds per parallel region — far too much for
-//! the per-iteration placement kernels (a 64² density stamp is ~10 µs of
-//! actual work). This pool spawns `threads - 1` workers once, lazily, on
+//! which costs tens of microseconds per parallel region (≈ 110 µs for four
+//! lanes in `BENCH_density.json`) — far too much for the per-iteration
+//! placement kernels. Measured on the 2-vCPU benchmark host (EXPERIMENTS,
+//! PR 15): a whole 64² density evaluation at 3k cells is ≈ 0.3 ms, of which
+//! the three 2-D transforms are ≈ 0.13 ms — ≈ 20 µs per 64-row sweep —
+//! while a round trip through this pool is ≈ 1 µs when the worker is
+//! spinning up anyway and several times that when it has to be woken. This
+//! pool spawns `threads - 1` workers once, lazily, on
 //! first use and dispatches *indexed jobs* to them through a single
 //! condvar-protected slot:
 //!
@@ -40,12 +45,27 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// report how much work went through the pool.
 static DISPATCHES: AtomicU64 = AtomicU64::new(0);
 
+/// Process-wide count of non-empty parallel regions that ran inline on the
+/// calling thread — the complement of [`DISPATCHES`]. A statistic only: it
+/// publishes no other data, hence relaxed.
+static INLINE_REGIONS: AtomicU64 = AtomicU64::new(0);
+
 /// Total parallel regions dispatched to pool workers since process start.
 ///
 /// One relaxed load; safe to poll from hot paths. Regions that ran inline
-/// (trivial size, nested calls, single-thread pools) are excluded.
+/// (trivial size, nested calls, single-thread pools) are excluded — see
+/// [`inline_count`].
 pub fn dispatch_count() -> u64 {
     DISPATCHES.load(Ordering::Relaxed)
+}
+
+/// Total non-empty parallel regions that ran inline on the calling thread
+/// since process start: single-task regions, regions nested inside a job,
+/// and every region of a one-thread pool. Together with
+/// [`dispatch_count`] this says how much of a run's chunked work was worth
+/// a hand-off.
+pub fn inline_count() -> u64 {
+    INLINE_REGIONS.load(Ordering::Relaxed)
 }
 
 thread_local! {
@@ -215,6 +235,7 @@ impl Pool {
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_err()
         {
+            INLINE_REGIONS.fetch_add(1, Ordering::Relaxed);
             for i in 0..total {
                 f(i);
             }
@@ -413,6 +434,20 @@ mod tests {
             pool.run(64, |_| {});
         }
         assert!(dispatch_count() >= before + 100, "pooled regions not counted");
+    }
+
+    #[test]
+    fn inline_counter_tracks_regions_that_skip_the_pool() {
+        // Process-global like the dispatch counter: lower bounds only.
+        let wide = Pool::new(4);
+        let narrow = Pool::new(1);
+        let before = inline_count();
+        for _ in 0..50 {
+            wide.run(1, |_| {}); // single task
+            narrow.run(64, |_| {}); // no workers
+            wide.run(0, |_| {}); // empty: not a region at all
+        }
+        assert!(inline_count() >= before + 100, "inline regions not counted");
     }
 
     #[test]
