@@ -8,9 +8,10 @@
 //! * **exact** — `schema`, `*_valid` (e.g. `flow_parity_valid`: the FFT
 //!   and dense density backends drive the flow to the same HPWL within
 //!   1 %), keys containing `allocs` (steady-state allocation counts), the
-//!   topology-table content counts `classes` / `powvs`, and `transforms_*`
-//!   (2-D transforms per density evaluation): these are correctness claims,
-//!   not measurements; any change is a regression.
+//!   topology-table content counts `classes` / `powvs`, `transforms_*`
+//!   (2-D transforms per density evaluation) and `bytes_per_edge` (the
+//!   route map's stamp record): these are correctness claims, not
+//!   measurements; any change is a regression.
 //! * **percentage** (`*_pct`) — absolute tolerance of 15 points, wide
 //!   enough for scheduler noise on a sub-second flow, tight enough to
 //!   catch a real observability-overhead regression.
@@ -69,6 +70,7 @@ fn classify(key: &str) -> Rule {
         || key == "classes"
         || key == "powvs"
         || key.starts_with("transforms_")
+        || key == "bytes_per_edge"
     {
         return Rule::Exact;
     }

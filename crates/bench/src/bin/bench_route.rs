@@ -7,9 +7,12 @@
 //!    JSON records final overflowed-bin fraction, max overflow, HPWL and
 //!    TNS of both runs plus the relative deltas (the acceptance target is
 //!    ≥ 20 % overflowed-bin reduction at ≤ 5 % HPWL and |TNS| cost).
-//! 2. **Incremental map update cost**: RUDY full build vs incremental
-//!    update after moving a small fraction of cells — the update must scale
-//!    with the dirty-net set, not the design.
+//! 2. **Map maintenance cost**, both regimes: a full build against the
+//!    incremental update after moving 1 % of the cells (the update must
+//!    scale with the dirty-net set, not the design), and the update with
+//!    *every* net dirty and every cell moved — what each iteration of the
+//!    global-placement loop pays — with its ns per stamp, plus the bytes of
+//!    stamp record kept per branch.
 //!
 //! Usage: `cargo run --release -p dtp-bench --bin bench_route [-- cells]`
 //! (default 4000). `--smoke` runs a tiny configuration for CI.
@@ -19,7 +22,7 @@ use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::{CellId, NetId, Point};
 use dtp_route::RudyMap;
-use dtp_rsmt::build_forest;
+use dtp_rsmt::{build_forest, ForestScratch};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -141,6 +144,40 @@ fn main() {
     });
     let speedup = build_ns / update_ns;
 
+    // The global-placement case: every cell moves between two position
+    // sets, so every tree net is dirty and every cell re-stamps. Only the
+    // map's share of an iteration is timed.
+    let all_nets: Vec<NetId> = work.netlist.net_ids().collect();
+    let (home_x, home_y) = work.netlist.positions();
+    let mut away_x = home_x.clone();
+    for &c in &movable {
+        away_x[c.index()] += 0.75;
+    }
+    let mut scratch = ForestScratch::new();
+    let reps = if smoke { 20 } else { 200 };
+    let stamps_before = map.stamps_written();
+    let mut update_all_s = 0.0;
+    for rep in 0..reps + 2 {
+        let xs = if rep % 2 == 0 { &away_x } else { &home_x };
+        work.netlist.set_positions(xs, &home_y);
+        forest.update_nets_into(&work.netlist, &all_nets, &mut scratch);
+        let t0 = Instant::now();
+        map.update_nets(&forest, &all_nets);
+        map.sync_cells(&work.netlist);
+        if rep >= 2 {
+            update_all_s += t0.elapsed().as_secs_f64();
+        }
+    }
+    let update_all_ns = update_all_s * 1e9 / reps as f64;
+    let stamps_per_update = (map.stamps_written() - stamps_before) / (reps as u64 + 2);
+    let ns_per_stamp = update_all_ns / stamps_per_update.max(1) as f64;
+    let live_edges: usize = all_nets
+        .iter()
+        .filter_map(|&n| forest.tree(n))
+        .map(|t| t.num_nodes() - 1)
+        .sum();
+    let bytes_per_live_edge = map.record_bytes() as f64 / live_edges.max(1) as f64;
+
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"design_cells\": {},", design.netlist.num_cells());
@@ -176,8 +213,18 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"incremental_update_ns\": {update_ns:.0}, \"moved_cells\": {n_moved}, \
-         \"dirty_nets\": {}, \"speedup_vs_build\": {speedup:.2}",
+         \"dirty_nets\": {}, \"speedup_vs_build\": {speedup:.2},",
         dirty.len()
+    );
+    let _ = writeln!(
+        json,
+        "    \"update_all_ns\": {update_all_ns:.0}, \"stamps_per_update_all\": {stamps_per_update}, \
+         \"update_all_ns_per_stamp\": {ns_per_stamp:.2},"
+    );
+    let _ = writeln!(
+        json,
+        "    \"bytes_per_edge\": {}, \"record_bytes_per_live_edge\": {bytes_per_live_edge:.1}",
+        RudyMap::RECORD_BYTES
     );
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
@@ -196,6 +243,11 @@ fn main() {
         "map: full build {build_ns:.0} ns, incremental update ({n_moved} cells, {} nets) \
          {update_ns:.0} ns ({speedup:.1}x)",
         dirty.len()
+    );
+    println!(
+        "map: update with every net dirty {update_all_ns:.0} ns ({stamps_per_update} stamps, \
+         {ns_per_stamp:.2} ns/stamp); {} B per record, {bytes_per_live_edge:.1} B of records per live branch",
+        RudyMap::RECORD_BYTES
     );
     println!("wrote BENCH_route.json");
 }

@@ -440,7 +440,7 @@ struct RouteState {
 
 impl RouteState {
     fn new(design: &Design, config: &FlowConfig) -> RouteState {
-        let g = config.route_grid.max(2);
+        let g = config.route_grid;
         RouteState {
             map: RudyMap::new(design, g, g, config.route_capacity),
             penalty: CongestionPenalty::new(design, g, g, config.route_capacity),
@@ -522,12 +522,54 @@ fn run_flow_inner(
             config.bins
         )));
     }
+    check_route_knobs(config)?;
     emit_trace_header(design, mode, config, obs);
     if config.multilevel && config.levels >= 2 && config.cluster_ratio > 1.0 {
         run_flow_multilevel(design, lib, mode, config, obs)
     } else {
         run_flow_fine(design, lib, mode, config, obs, None)
     }
+}
+
+/// Rejects route knobs no flow can run with. They are checked whether or not
+/// the flow is route-aware: the final congestion summary is always computed
+/// on the configured grid and capacity.
+fn check_route_knobs(config: &FlowConfig) -> Result<(), FlowError> {
+    let bad = |what: String| Err(FlowError::Config(what));
+    if !dtp_route::GRID_AXIS_BINS.contains(&config.route_grid) {
+        return bad(format!(
+            "route_grid (--route-grid) = {}: the route grid needs {}..={} bins per axis",
+            config.route_grid,
+            dtp_route::GRID_AXIS_BINS.start(),
+            dtp_route::GRID_AXIS_BINS.end()
+        ));
+    }
+    // `!(x > 0)` rather than `x <= 0`: NaN must fail too.
+    if !(config.route_capacity > 0.0 && config.route_capacity.is_finite()) {
+        return bad(format!(
+            "route_capacity (--route-capacity) = {}: the routing supply must be positive and finite",
+            config.route_capacity
+        ));
+    }
+    if !(config.route_weight >= 0.0 && config.route_weight.is_finite()) {
+        return bad(format!(
+            "route_weight (--route-weight) = {}: the congestion weight must be finite and not negative",
+            config.route_weight
+        ));
+    }
+    if !(config.inflation_max >= 1.0 && config.inflation_max.is_finite()) {
+        return bad(format!(
+            "inflation_max (--inflation-max) = {}: the inflation cap must be finite and at least 1",
+            config.inflation_max
+        ));
+    }
+    if config.route_update_period == 0 {
+        return bad(
+            "route_update_period (--route-period) = 0: the feedback period must be at least 1"
+                .into(),
+        );
+    }
+    Ok(())
 }
 
 /// Writes the v2 trace header — the run's full identity: mode, config,
@@ -1094,27 +1136,42 @@ fn run_flow_fine(
             }
         }
 
-        // Exact RUDY map maintenance: full build on activation, then
-        // incremental updates from the same geometry/topology-dirty net
-        // sets the incremental timer consumes (plus a cell-position scan
-        // for the pin-density term). The legacy (non-incremental) path has
-        // no dirty sets and rebuilds at the feedback cadence instead.
+        // Route layer, one two-task region: the exact RUDY map (full build on
+        // activation, then incremental updates from the same
+        // geometry/topology-dirty net sets the incremental timer consumes,
+        // plus a cell-position scan for the pin-density term; the legacy
+        // non-incremental path has no dirty sets and rebuilds at the feedback
+        // cadence instead) and the smoothed penalty's gradient. Both only
+        // read the forest and the positions and write state of their own, so
+        // whichever thread runs which leaves the same bits; the gradient is
+        // merged into the objective further down, once there is a
+        // wirelength + density gradient to scale it against.
         if route_active {
             let rs = route.as_mut().expect("route state exists when active");
             let f = forest.as_ref().expect("forest built when route is active");
             let sp = obs.start(Phase::RudyUpdate);
-            if !rs.built {
-                rs.map.build(&work.netlist, f);
-                rs.built = true;
+            let rebuild = !rs.built
+                || (!config.incremental_timing
+                    && rs.iters_active % config.route_update_period == 0);
+            rs.built = true;
+            let RouteState { map, penalty, pgx, pgy, .. } = rs;
+            let nl = &work.netlist;
+            let mut map_step = || {
+                if rebuild {
+                    map.build(nl, f);
+                } else if config.incremental_timing {
+                    map.update_nets(f, &inc.geo_nets);
+                    map.update_nets(f, &inc.topo_nets);
+                    map.sync_cells(nl);
+                }
+            };
+            let mut penalty_step = || penalty.gradient(nl, f, pgx, pgy);
+            let mut steps: [&mut (dyn FnMut() + Send); 2] = [&mut map_step, &mut penalty_step];
+            steps.par_chunks_mut(1).for_each(|step| (step[0])());
+            if rebuild {
                 obs.add(Counter::RudyBuilds, 1);
             } else if config.incremental_timing {
-                rs.map.update_nets(f, &inc.geo_nets);
-                rs.map.update_nets(f, &inc.topo_nets);
-                rs.map.sync_cells(&work.netlist);
                 obs.add(Counter::RudyIncUpdates, 1);
-            } else if rs.iters_active % config.route_update_period.max(1) == 0 {
-                rs.map.build(&work.netlist, f);
-                obs.add(Counter::RudyBuilds, 1);
             }
             obs.stop(Phase::RudyUpdate, sp);
         }
@@ -1178,16 +1235,14 @@ fn run_flow_fine(
         axpy_into(&mut gy, &dres.grad_y, lambda);
         obs.stop(Phase::DensityGrad, sp);
 
-        // Congestion penalty gradient, normalized like the timing
-        // preconditioner: its ∞-norm is pinned to `route_weight` times the
-        // combined wirelength+density gradient's, so the pressure tracks
-        // the optimizer's scale instead of the raw demand units.
+        // Congestion penalty gradient (evaluated with the map update above),
+        // normalized like the timing preconditioner: its ∞-norm is pinned to
+        // `route_weight` times the combined wirelength+density gradient's,
+        // so the pressure tracks the optimizer's scale instead of the raw
+        // demand units.
         if route_active {
             let rs = route.as_mut().expect("route state exists when active");
-            let f = forest.as_ref().expect("forest built when route is active");
             let sp = obs.start(Phase::CongestionGrad);
-            rs.penalty
-                .value_and_gradient(&work.netlist, f, &mut rs.pgx, &mut rs.pgy);
             let base_norm = gx
                 .iter()
                 .chain(gy.iter())
@@ -1212,7 +1267,7 @@ fn run_flow_fine(
         if route_active {
             let rs = route.as_mut().expect("route state exists when active");
             let sp = obs.start(Phase::RudyUpdate);
-            if rs.iters_active % config.route_update_period.max(1) == 0 {
+            if rs.iters_active % config.route_update_period == 0 {
                 inflation_factors(
                     &rs.map,
                     &work.netlist,
@@ -1486,6 +1541,17 @@ fn run_flow_fine(
         (a.to_vec(), b.to_vec())
     };
     work.netlist.set_positions(&sx, &sy);
+    // The loop's working set is dead from here on. Released now rather than
+    // at return, it is what the reporting phase below (two forests, two
+    // analyses, the legalizer, the final map) allocates from, so the
+    // process's peak memory is the loop's, reached long before exit, and not
+    // a spike stacked on top of it in the last milliseconds of the run.
+    let rsmt = forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
+    let uses_fft = density.uses_fft();
+    let live_map = route.map(|rs| rs.map);
+    drop((opt, density, dscratch, dres, wl_scratch, weighter, path_weighter));
+    drop((forest, forest_scratch, inc, grads, prev));
+    drop((vx, vy, gx, gy, precond, pin_count, areas));
     let sp = obs.start(Phase::SteinerBuild);
     let gp_forest = build_forest(&work.netlist);
     obs.stop(Phase::SteinerBuild, sp);
@@ -1526,21 +1592,24 @@ fn run_flow_fine(
     let sp = obs.start(Phase::FinalSta);
     let final_analysis = timer.analyze_into(&work.netlist, &final_forest, &mut scratch);
     obs.stop(Phase::FinalSta, sp);
-    let congestion = {
-        let g = config.route_grid.max(2);
-        let mut map = RudyMap::new(&work, g, g, config.route_capacity);
+    // The final map: the live one rebuilt on the final forest when the flow
+    // was route-aware, a fresh one otherwise.
+    let (congestion, rudy_stamps) = {
+        let g = config.route_grid;
+        let mut map =
+            live_map.unwrap_or_else(|| RudyMap::new(&work, g, g, config.route_capacity));
         let sp = obs.start(Phase::RudyUpdate);
         map.build(&work.netlist, &final_forest);
         obs.stop(Phase::RudyUpdate, sp);
         obs.add(Counter::RudyBuilds, 1);
-        map.summary()
+        (map.summary(), map.stamps_written())
     };
-    let rsmt = forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
 
     // End-of-run gauges: backend selections and pool state. Cheap enough to
     // record unconditionally (the registry writes are gated inside `gauge`).
-    obs.gauge(Gauge::FftBackend, if density.uses_fft() { 1.0 } else { 0.0 });
+    obs.gauge(Gauge::FftBackend, if uses_fft { 1.0 } else { 0.0 });
     obs.gauge(Gauge::OverflowedFrac, congestion.overflowed_frac);
+    obs.gauge(Gauge::RudyStamps, rudy_stamps as f64);
     obs.gauge(Gauge::RsmtExact, rsmt.exact as f64);
     obs.gauge(Gauge::RsmtTable, rsmt.table as f64);
     obs.gauge(Gauge::RsmtPrim, rsmt.prim as f64);

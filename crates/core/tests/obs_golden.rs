@@ -227,6 +227,39 @@ fn cli_rejects_a_density_grid_it_cannot_sample() {
 }
 
 #[test]
+fn cli_rejects_route_knobs_no_flow_can_run_with() {
+    // Each of these used to panic (`capacity must be positive` out of the
+    // final summary map even without `--route`, `inflation_max must be >= 1`
+    // mid-run), abort on an 80 GB grid, or be silently rewritten to 2 / 1.
+    let (dir, prefix) = write_cli_fixture("route-knobs");
+    let cases: &[&[&str]] = &[
+        &["--route-capacity", "0"],
+        &["--route-capacity", "-1"],
+        &["--route-capacity", "nan"],
+        &["--route-grid", "0"],
+        &["--route-grid", "1"],
+        &["--route-grid", "100000"],
+        &["--route", "--inflation-max", "0.5"],
+        &["--route", "--route-period", "0"],
+        &["--route", "--route-weight", "-1"],
+        &["--route", "--route-weight", "nan"],
+    ];
+    for knobs in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
+            .args(["place", prefix.to_str().unwrap(), "--mode", "wirelength", "--max-iters", "40"])
+            .args(*knobs)
+            .output()
+            .expect("dtp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = knobs[knobs.len() - 2];
+        assert_eq!(out.status.code(), Some(1), "{knobs:?}: {stderr}");
+        assert!(stderr.contains(flag), "{knobs:?}: error does not name the flag: {stderr}");
+        assert!(!stderr.contains("panicked"), "{knobs:?} panicked: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_profile_metrics_and_trace_outputs() {
     let (dir, prefix) = write_cli_fixture("sinks");
     let metrics = dir.join("metrics.json");
@@ -264,8 +297,16 @@ fn cli_profile_metrics_and_trace_outputs() {
         "metrics.json misses phases"
     );
 
+    // The route layer's unit of work: a per-run total in the metrics and the
+    // profile (the final summary map is built even without `--route`),
+    // never in the trace.
+    let stamps = v.get("gauges").and_then(|g| g.get("rudy_stamps")).and_then(|s| s.as_f64());
+    assert!(stamps.is_some_and(|s| s > 0.0), "metrics.json misses rudy_stamps: {stamps:?}");
+    assert!(stdout.contains("rudy_stamps"), "--profile misses rudy_stamps:\n{stdout}");
+
     let trace_text = std::fs::read_to_string(&trace).expect("trace.jsonl written");
     assert!(trace_text.lines().count() > 0, "trace stream is empty");
+    assert!(!trace_text.contains("rudy_stamps"), "rudy_stamps leaked into the trace");
     for line in trace_text.lines() {
         json::parse(line).unwrap_or_else(|e| panic!("trace line unparseable ({e}): {line}"));
     }

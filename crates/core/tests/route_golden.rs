@@ -121,3 +121,84 @@ fn wirelength_mode_supports_route_awareness() {
     assert!(r.hpwl > 0.0);
     assert!(r.congestion.max_overflow > 0.0);
 }
+
+/// One `route_aware = true` run, folded to bit patterns: every trace row's
+/// HPWL / overflow / WNS / TNS, the final placement, the final QoR and the
+/// congestion summary.
+fn fingerprint(r: &FlowResult) -> [u64; 11] {
+    let fold = |it: &mut dyn Iterator<Item = f64>| {
+        it.fold(0u64, |h, x| h.rotate_left(5) ^ x.to_bits())
+    };
+    [
+        r.trace.len() as u64,
+        fold(&mut r.trace.iter().map(|p| p.hpwl)),
+        fold(&mut r.trace.iter().map(|p| p.overflow)),
+        fold(&mut r.trace.iter().map(|p| p.wns)),
+        fold(&mut r.trace.iter().map(|p| p.tns)),
+        fold(&mut r.xs.iter().copied()),
+        fold(&mut r.ys.iter().copied()),
+        fold(&mut [r.hpwl, r.wns, r.tns].into_iter()),
+        r.congestion.max_overflow.to_bits(),
+        r.congestion.avg_overflow.to_bits(),
+        r.congestion.overflowed_frac.to_bits(),
+    ]
+}
+
+/// The two recorded runs: differentiable timing with the congestion term
+/// live, and the wirelength flow. The capacities leave the grid partly
+/// overflowed (31 % / 78 % of the bins at the end), so inflation factors and
+/// net boosts take the exact map's values instead of saturating at their
+/// caps and every bit of the map steers the trajectory.
+fn route_aware_runs(threads: usize) -> [FlowResult; 2] {
+    let d = design();
+    let lib = synthetic_pdk();
+    let diff = FlowConfig {
+        route_aware: true,
+        route_capacity: 3.0,
+        threads,
+        ..base_config()
+    };
+    let wl = FlowConfig {
+        route_aware: true,
+        route_capacity: 2.0,
+        trace_timing_every: 25,
+        max_iters: 150,
+        threads,
+        ..FlowConfig::default()
+    };
+    [
+        run_flow(&d, &lib, FlowMode::differentiable(), &diff).expect("flow runs"),
+        run_flow(&d, &lib, FlowMode::Wirelength, &wl).expect("flow runs"),
+    ]
+}
+
+/// `fingerprint` of the two runs above as recorded at commit fb65459 — the
+/// last one whose route layer cached per-net stamp lists — before the arena
+/// rewrite touched any code.
+const PARENT_ROUTE_AWARE: [[u64; 11]; 2] = [
+    [
+        0x0000000000000012, 0x5237fc46bc64f5c0, 0x12d1c173c4e10c48, 0xd513366f9bc0a048,
+        0x283fe46c51e5e010, 0x99216d841203a8b0, 0x87b66fa357bebecf, 0x8250af1d975c232c,
+        0x3ff70eb45073078d, 0x3fa42ea66818ff63, 0x3fd3f00000000000,
+    ],
+    [
+        0x0000000000000006, 0x08a0eeb71f1aa1d4, 0x12d1d5d933ee3870, 0x7b36c6ed15a852e5,
+        0x863eaf387977be1f, 0x849d3a35ea8beb90, 0x1d821c0b773b281a, 0x9d6f145f1362d39d,
+        0x4003ef61494ab814, 0x3fd72e972a9716e8, 0x3fe8f80000000000,
+    ],
+];
+
+#[test]
+fn route_aware_flow_matches_the_recorded_parent_at_every_pool_width() {
+    for threads in [1usize, 2, 4] {
+        let runs = route_aware_runs(threads);
+        for (run, want) in runs.iter().zip(&PARENT_ROUTE_AWARE) {
+            let got = fingerprint(run);
+            assert_eq!(
+                &got, want,
+                "{} flow at threads={threads}: got {got:#018x?}",
+                run.mode
+            );
+        }
+    }
+}

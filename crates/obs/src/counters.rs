@@ -126,11 +126,16 @@ pub enum Gauge {
     PoolThreads,
     /// Row bands the legalizer partitioned the core into (1 = serial scan).
     LegalizeBands,
+    /// Bins written by the exact RUDY map, taking demand back and stamping
+    /// it alike: the route layer's unit of work (`rudy_update` time over
+    /// this is ns per stamp). A per-run total, which is why it is a gauge
+    /// and never in the trace.
+    RudyStamps,
 }
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 14;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -147,6 +152,7 @@ impl Gauge {
         Gauge::PoolInlineRegions,
         Gauge::PoolThreads,
         Gauge::LegalizeBands,
+        Gauge::RudyStamps,
     ];
 
     /// Dense slot index of this gauge.
@@ -171,6 +177,7 @@ impl Gauge {
             Gauge::PoolInlineRegions => "pool_inline_regions",
             Gauge::PoolThreads => "pool_threads",
             Gauge::LegalizeBands => "legalize_bands",
+            Gauge::RudyStamps => "rudy_stamps",
         }
     }
 }

@@ -18,9 +18,13 @@ pub enum Phase {
     WirelengthGrad = 0,
     /// Electrostatic density evaluation + gradient accumulation.
     DensityGrad,
-    /// Smoothed congestion-penalty gradient (route-aware flows).
+    /// Scaling and merging the smoothed congestion-penalty gradient into the
+    /// objective (route-aware flows; the gradient itself is evaluated under
+    /// [`Phase::RudyUpdate`]).
     CongestionGrad,
-    /// RUDY congestion-map builds and incremental updates.
+    /// The route layer's per-iteration region — RUDY congestion-map builds
+    /// and incremental updates, and beside them the congestion penalty's
+    /// gradient — plus the map's feedback reads and final build.
     RudyUpdate,
     /// Full Steiner-forest builds.
     SteinerBuild,

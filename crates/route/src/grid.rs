@@ -22,9 +22,15 @@ impl RouteGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `m` or `n` is zero or the region is degenerate.
+    /// Panics if `m` or `n` is outside [`GRID_AXIS_BINS`] or the region is
+    /// degenerate.
     pub fn new(region: Rect, m: usize, n: usize) -> RouteGrid {
-        assert!(m > 0 && n > 0, "route grid must have at least one bin");
+        assert!(
+            GRID_AXIS_BINS.contains(&m) && GRID_AXIS_BINS.contains(&n),
+            "route grid {m} x {n}: each axis needs {}..={} bins",
+            GRID_AXIS_BINS.start(),
+            GRID_AXIS_BINS.end()
+        );
         assert!(
             region.width() > 0.0 && region.height() > 0.0,
             "route grid needs a non-degenerate region"
@@ -87,48 +93,219 @@ impl RouteGrid {
         capacity * self.bin_w * self.bin_h
     }
 
-    /// Distributes `h_amt`/`v_amt` over the bins overlapping `rect`
-    /// (clamped to the region) proportionally to overlap area, appending
-    /// one `(flat_bin, h, v)` entry per touched bin. Mass-conserving: the
-    /// appended amounts sum to exactly the inputs (up to round-off) because
-    /// the bins tile the clamped rectangle.
-    pub(crate) fn splat(
+    /// The stamp record of `h_amt`/`v_amt` spread over the rectangle
+    /// `(xl, yl, xh, yh)`: the rectangle clamped to the region, the two
+    /// amounts, and the bin range and reciprocal area the stamp loops need —
+    /// or [`StampRec::NONE`] when nothing would be stamped (both amounts
+    /// zero, or the clamp inverted the rectangle because it lies entirely
+    /// outside the region).
+    #[inline]
+    pub(crate) fn record(
         &self,
-        rect: &Rect,
+        (xl, yl, xh, yh): (f64, f64, f64, f64),
         h_amt: f64,
         v_amt: f64,
-        out: &mut Vec<(u32, f64, f64)>,
-    ) {
-        let (rxl, ryl) = (rect.xl.max(self.region.xl), rect.yl.max(self.region.yl));
-        let (rxh, ryh) = (rect.xh.min(self.region.xh), rect.yh.min(self.region.yh));
-        // The clamp inverts the rect when the input lies entirely outside
-        // the region; such geometry contributes nothing.
-        if rxh <= rxl || ryh <= ryl || (h_amt == 0.0 && v_amt == 0.0) {
-            return;
+    ) -> StampRec {
+        let (xl, yl) = (xl.max(self.region.xl), yl.max(self.region.yl));
+        let (xh, yh) = (xh.min(self.region.xh), yh.min(self.region.yh));
+        if xh <= xl || yh <= yl || (h_amt == 0.0 && v_amt == 0.0) {
+            return StampRec::NONE;
         }
-        let r = Rect::new(rxl, ryl, rxh, ryh);
-        let area = (r.xh - r.xl) * (r.yh - r.yl);
-        let i0 = (((r.xl - self.region.xl) / self.bin_w).floor().max(0.0)) as usize;
-        let j0 = (((r.yl - self.region.yl) / self.bin_h).floor().max(0.0)) as usize;
-        let i1 = ((((r.xh - self.region.xl) / self.bin_w).ceil()) as usize).min(self.m);
-        let j1 = ((((r.yh - self.region.yl) / self.bin_h).ceil()) as usize).min(self.n);
-        let inv = 1.0 / area;
-        for i in i0..i1 {
-            let bx0 = self.region.xl + i as f64 * self.bin_w;
-            let ox = (r.xh.min(bx0 + self.bin_w) - r.xl.max(bx0)).max(0.0);
-            if ox == 0.0 {
+        StampRec {
+            xl,
+            yl,
+            xh,
+            yh,
+            h_amt,
+            v_amt,
+            inv_area: 1.0 / ((xh - xl) * (yh - yl)),
+            cols: bin_range(xl, xh, self.region.xl, self.bin_w, self.m),
+            rows: bin_range(yl, yh, self.region.yl, self.bin_h, self.n),
+        }
+    }
+
+    /// Distributes the record's amounts over the bins its rectangle
+    /// overlaps, proportionally to overlap area — added when `ADD`, taken
+    /// back otherwise. Mass-conserving: the bins tile the clamped
+    /// rectangle, so the per-bin amounts sum to the record's (up to
+    /// round-off). Every covered bin receives exactly one
+    /// `±= amt · (ox · oy / area)`, a pure function of the record, so taking
+    /// a stamp back recomputes what was added. Returns the number of bins
+    /// written.
+    #[inline]
+    pub(crate) fn stamp<const ADD: bool>(&self, r: &StampRec, h: &mut [f64], v: &mut [f64]) -> u64 {
+        // Rows go in fixed-size tiles so the per-bin loop has no
+        // data-dependent trip count: the common one- and two-row boxes
+        // (a branch plus its half-bin halo) take one tile of 2.
+        if r.rows[1] - r.rows[0] <= 2 || self.n < 4 {
+            self.stamp_tiles::<ADD, 2>(r, h, v)
+        } else {
+            self.stamp_tiles::<ADD, 4>(r, h, v)
+        }
+    }
+
+    /// [`RouteGrid::stamp`] over the record's rows in tiles of `T`. A tile is a
+    /// window of `T` bins of one column; the last one is shifted down to
+    /// end at the grid edge, and the rows of the window that are not the
+    /// tile's (or that the rectangle does not overlap) keep their value.
+    #[inline]
+    fn stamp_tiles<const ADD: bool, const T: usize>(
+        &self,
+        r: &StampRec,
+        h: &mut [f64],
+        v: &mut [f64],
+    ) -> u64 {
+        let cols = r.cols[0] as usize..r.cols[1] as usize;
+        let rows = r.rows[0] as usize..r.rows[1] as usize;
+        let mut written = 0;
+        for t0 in rows.clone().step_by(T) {
+            let t1 = (t0 + T).min(rows.end);
+            let base = t0.min(self.n - T);
+            let mut oy = [0.0; T];
+            let mut live = [false; T];
+            let mut n_live = 0;
+            for k in 0..T {
+                oy[k] = overlap(r.yl, r.yh, self.region.yl, self.bin_h, base + k);
+                live[k] = (t0..t1).contains(&(base + k)) && oy[k] > 0.0;
+                n_live += u64::from(live[k]);
+            }
+            // Whole tiles (nearly all of them) take the loop without the
+            // per-row test, which the compiler turns into vector code.
+            let whole = n_live == T as u64;
+            for i in cols.clone() {
+                let ox = overlap(r.xl, r.xh, self.region.xl, self.bin_w, i);
+                if ox == 0.0 {
+                    continue;
+                }
+                written += n_live;
+                let at = i * self.n + base;
+                let hs: &mut [f64; T] = (&mut h[at..at + T]).try_into().expect("a tile of T");
+                let vs: &mut [f64; T] = (&mut v[at..at + T]).try_into().expect("a tile of T");
+                for k in 0..T {
+                    if whole || live[k] {
+                        let f = ox * oy[k] * r.inv_area;
+                        if ADD {
+                            hs[k] += r.h_amt * f;
+                            vs[k] += r.v_amt * f;
+                        } else {
+                            hs[k] -= r.h_amt * f;
+                            vs[k] -= r.v_amt * f;
+                        }
+                    }
+                }
+            }
+        }
+        written
+    }
+
+    /// Calls `f` with the flat index of every bin [`RouteGrid::stamp`] writes
+    /// for this record.
+    pub(crate) fn for_each_bin(&self, r: &StampRec, mut f: impl FnMut(usize)) {
+        for i in r.cols[0] as usize..r.cols[1] as usize {
+            if overlap(r.xl, r.xh, self.region.xl, self.bin_w, i) == 0.0 {
                 continue;
             }
-            for j in j0..j1 {
-                let by0 = self.region.yl + j as f64 * self.bin_h;
-                let oy = (r.yh.min(by0 + self.bin_h) - r.yl.max(by0)).max(0.0);
-                if oy > 0.0 {
-                    let f = ox * oy * inv;
-                    out.push((self.index(i, j) as u32, h_amt * f, v_amt * f));
+            for j in r.rows[0] as usize..r.rows[1] as usize {
+                if overlap(r.yl, r.yh, self.region.yl, self.bin_h, j) > 0.0 {
+                    f(self.index(i, j));
                 }
             }
         }
     }
+}
+
+/// Bins a route-grid axis may have: the penalty samples its fields
+/// bilinearly between bin centers, so a 1-bin axis has no interior; stamp
+/// records keep bin indices in 16 bits, and an axis finer than this
+/// allocates gigabytes of demand grid for a map no router resolves.
+pub const GRID_AXIS_BINS: std::ops::RangeInclusive<usize> = 2..=2048;
+
+/// One stamped rectangle, a cache line: the part of a branch's (or cell's)
+/// halo box that lies inside the region, the demand spread over it in each
+/// direction, and what the stamp loops derive from those once — the bin
+/// range it reaches and the reciprocal of its area. The per-bin amounts are
+/// a pure function of the record, so taking a stamp back recomputes them
+/// instead of remembering them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(align(64))]
+pub(crate) struct StampRec {
+    pub xl: f64,
+    pub yl: f64,
+    pub xh: f64,
+    pub yh: f64,
+    pub h_amt: f64,
+    pub v_amt: f64,
+    inv_area: f64,
+    /// Bin columns / rows `[first, end)` the rectangle reaches.
+    cols: [u16; 2],
+    rows: [u16; 2],
+}
+
+impl StampRec {
+    /// The record of geometry that stamps nothing.
+    pub const NONE: StampRec = StampRec {
+        xl: 0.0,
+        yl: 0.0,
+        xh: 0.0,
+        yh: 0.0,
+        h_amt: 0.0,
+        v_amt: 0.0,
+        inv_area: 0.0,
+        cols: [0; 2],
+        rows: [0; 2],
+    };
+}
+
+/// Length of `[lo, hi] ∩ bin k` on an axis of `size`-wide bins from
+/// `origin`: `max(0, min(hi, b0 + size) − max(lo, b0))`. The operands are
+/// finite (a record's rectangle is clamped to the region), so plain
+/// compare-and-select — one instruction each, where `f64::min`/`max` pay for
+/// NaN handling — picks the same values; they could differ in the sign of a
+/// zero only, and a zero overlap is a bin the callers skip.
+#[inline]
+fn overlap(lo: f64, hi: f64, origin: f64, size: f64, k: usize) -> f64 {
+    // `k` is a bin index (16 bits): the narrow conversion is one instruction.
+    let b0 = origin + k as u32 as f64 * size;
+    let top = b0 + size;
+    let len = (if hi < top { hi } else { top }) - (if lo > b0 { lo } else { b0 });
+    if len > 0.0 {
+        len
+    } else {
+        0.0
+    }
+}
+
+/// `ceil(v) as usize` for `v ≥ 0` below 2⁵³ (NaN gives 0, as the cast of
+/// its ceiling would): a truncating cast and a compare instead of a libm
+/// call.
+#[inline]
+fn ceil_index(v: f64) -> usize {
+    let t = v as usize;
+    t + usize::from((t as f64) < v)
+}
+
+/// Bin range `[lo_bin, hi_bin)` the interval `[lo, hi]` covers on an axis of
+/// `count` bins of `size` starting at `origin`:
+/// `floor((lo − origin)/size)` and `ceil((hi − origin)/size)` clamped to
+/// `0..=count`. Clamping first makes the floor a truncating cast and the
+/// ceiling a [`ceil_index`]. `lo` and `hi` are finite (clamped to the
+/// region), so the clamps are plain compare-and-select.
+#[inline]
+fn bin_range(lo: f64, hi: f64, origin: f64, size: f64, count: usize) -> [u16; 2] {
+    let top = count as u32 as f64;
+    let clamp = |q: f64| {
+        if q > top {
+            top
+        } else if q > 0.0 {
+            q
+        } else {
+            0.0
+        }
+    };
+    let b0 = clamp((lo - origin) / size) as usize;
+    let b1 = ceil_index(clamp((hi - origin) / size));
+    // `count` is within `GRID_AXIS_BINS`, so the casts are exact.
+    [b0 as u16, b1 as u16]
 }
 
 /// Summary metrics of a congestion map — the routability counterpart of
@@ -206,25 +383,77 @@ mod tests {
         assert_eq!(g.bin_capacity(0.5), 2.0);
     }
 
-    #[test]
-    fn splat_conserves_mass() {
-        let g = grid();
-        let mut out = Vec::new();
-        // A rect straddling several bins and poking outside the region.
-        g.splat(&Rect::new(-1.0, 3.0, 5.0, 7.5), 6.0, 2.5, &mut out);
-        let (sh, sv): (f64, f64) = out
-            .iter()
-            .fold((0.0, 0.0), |(a, b), &(_, h, v)| (a + h, b + v));
-        assert!((sh - 6.0).abs() < 1e-12, "h mass {sh}");
-        assert!((sv - 2.5).abs() < 1e-12, "v mass {sv}");
+    /// Stamps `rec` over the whole 5 × 5 grid and returns the two fields.
+    fn stamped(g: &RouteGrid, rec: &StampRec) -> (Vec<f64>, Vec<f64>, u64) {
+        let (mut h, mut v) = (vec![0.0; 25], vec![0.0; 25]);
+        let written = g.stamp::<true>(rec, &mut h, &mut v);
+        (h, v, written)
     }
 
     #[test]
-    fn splat_degenerate_rect_is_dropped() {
+    fn stamp_conserves_mass_and_is_taken_back_exactly() {
         let g = grid();
-        let mut out = Vec::new();
-        g.splat(&Rect::new(3.0, 4.0, 3.0, 4.0), 1.0, 1.0, &mut out);
-        assert!(out.is_empty());
+        // A rect straddling several bins and poking outside the region.
+        let rec = g.record((-1.0, 3.0, 5.0, 7.5), 6.0, 2.5);
+        let (mut h, mut v, written) = stamped(&g, &rec);
+        assert!((h.iter().sum::<f64>() - 6.0).abs() < 1e-12, "h mass");
+        assert!((v.iter().sum::<f64>() - 2.5).abs() < 1e-12, "v mass");
+        assert_eq!(written, 9, "3 columns x 3 rows");
+        let mut visited = Vec::new();
+        g.for_each_bin(&rec, |b| visited.push(b));
+        let touched: Vec<usize> = (0..25).filter(|&b| h[b] != 0.0).collect();
+        assert_eq!(visited, touched);
+        assert_eq!(g.stamp::<false>(&rec, &mut h, &mut v), 9);
+        assert!(
+            h.iter().chain(&v).all(|&d| d == 0.0),
+            "a lone stamp comes back out bit for bit"
+        );
+    }
+
+    #[test]
+    fn tall_boxes_and_grid_edges_tile_exactly() {
+        // Every bin of a box gets `amt · ox · oy / area`, whatever tile it
+        // falls in: boxes taller than a tile, ending at the last row, and
+        // on a grid too short for a tile of 4.
+        for (n, rect) in [
+            (5, (0.5, 0.5, 9.5, 10.0)),
+            (5, (2.0, 7.9, 4.5, 9.9)),
+            (3, (1.0, 0.1, 9.0, 9.9)),
+        ] {
+            let g = RouteGrid::new(Rect::new(0.0, 0.0, 10.0, 10.0), 5, n);
+            let rec = g.record(rect, 3.0, 1.0);
+            let (mut h, mut v) = (vec![0.0; 5 * n], vec![0.0; 5 * n]);
+            g.stamp::<true>(&rec, &mut h, &mut v);
+            let area = (rec.xh - rec.xl) * (rec.yh - rec.yl);
+            for i in 0..5 {
+                for j in 0..n {
+                    let ox =
+                        (rec.xh.min(2.0 * (i + 1) as f64) - rec.xl.max(2.0 * i as f64)).max(0.0);
+                    let (b0, b1) = (g.bin_h() * j as f64, g.bin_h() * j as f64 + g.bin_h());
+                    let oy = (rec.yh.min(b1) - rec.yl.max(b0)).max(0.0);
+                    let f = ox * oy * (1.0 / area);
+                    assert_eq!(
+                        (h[i * n + j], v[i * n + j]),
+                        (3.0 * f, 1.0 * f),
+                        "bin ({i}, {j}) of {n} rows"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_outside_and_massless_rects_stamp_nothing() {
+        let g = grid();
+        for rec in [
+            g.record((3.0, 4.0, 3.0, 4.0), 1.0, 1.0),
+            g.record((12.0, 1.0, 14.0, 2.0), 1.0, 1.0),
+            g.record((1.0, 1.0, 4.0, 4.0), 0.0, 0.0),
+        ] {
+            assert_eq!(rec, StampRec::NONE);
+            assert_eq!(stamped(&g, &rec).2, 0);
+        }
+        assert_eq!(std::mem::size_of::<StampRec>(), 64);
     }
 
     #[test]

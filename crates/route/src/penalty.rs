@@ -19,14 +19,21 @@
 //!   Steiner-node gradients to the pins owning their coordinates (the
 //!   `dtp-rsmt` Fig.-4 bookkeeping), and accumulates per-cell gradients.
 //!
+//! The forward pass walks the forest arena once and writes a *sample tape*
+//! — per tree node (a branch is its child node) and per cell: base bin,
+//! fractional offsets, clamp flags, spans and span signs — that the
+//! backward pass reads back in the same order, so a bilinear sample is
+//! derived once; a Steiner node's gradient reaches its cell through the
+//! forest's per-net `pin_cell` table, two flat loads.
+//!
 //! The penalty is exactly differentiable almost everywhere (kinks only at
 //! bin-center crossings and zero-length spans); finite-difference tests in
 //! `tests/properties.rs` verify the analytic gradients.
 
 use crate::grid::RouteGrid;
 use crate::DEFAULT_PIN_WEIGHT;
-use dtp_netlist::{Design, Netlist, Point};
-use dtp_rsmt::SteinerForest;
+use dtp_netlist::{CellId, Design, Netlist, Point};
+use dtp_rsmt::{ForestArena, SteinerForest};
 
 /// Default softplus smoothing width, expressed as a routing supply
 /// (wire-µm per µm² of bin area). Deliberately *independent of the
@@ -34,24 +41,177 @@ use dtp_rsmt::SteinerForest;
 /// genuinely underflows to zero instead of plateauing at
 /// `γ·softplus(−cap/γ)`. At the default supply of 0.5 this equals a
 /// quarter of the bin capacity.
-const GAMMA_SUPPLY: f64 = 0.125;
+pub(crate) const GAMMA_SUPPLY: f64 = 0.125;
 
-/// A bilinear sample: base bin `(i, j)`, fractional offsets, and whether
-/// each axis is off its clamp (derivative nonzero).
-struct Bilin {
-    i: usize,
-    j: usize,
+/// [`Sample::flags`]: the slot holds a sample (a branch of nonzero length,
+/// a cell with pin mass).
+const LIVE: u32 = 1;
+/// The sample's x (resp. y) coordinate is off its clamp: the bilinear
+/// weights move with it.
+const FREE_X: u32 = 1 << 1;
+const FREE_Y: u32 = 1 << 2;
+/// The branch's child lies right of / left of / above / below its parent.
+const X_GT: u32 = 1 << 3;
+const X_LT: u32 = 1 << 4;
+const Y_GT: u32 = 1 << 5;
+const Y_LT: u32 = 1 << 6;
+
+/// `bit` when `on`, else no bit.
+#[inline]
+fn flag(on: bool, bit: u32) -> u32 {
+    if on {
+        bit
+    } else {
+        0
+    }
+}
+
+/// One bilinear demand sample of the tape: where it lands (base bin and
+/// fractional offsets toward the next column / row), what it carries in
+/// each direction, and [`LIVE`] … [`Y_LT`].
+#[derive(Clone, Copy, Debug)]
+struct Sample {
+    base: u32,
+    flags: u32,
     tx: f64,
     ty: f64,
-    free_x: bool,
-    free_y: bool,
+    mh: f64,
+    mv: f64,
+}
+
+impl Sample {
+    const NONE: Sample = Sample {
+        base: 0,
+        flags: 0,
+        tx: 0.0,
+        ty: 0.0,
+        mh: 0.0,
+        mv: 0.0,
+    };
+
+    /// The four bilinear weights, in the stamp order
+    /// `(i, j), (i+1, j), (i, j+1), (i+1, j+1)`.
+    #[inline]
+    fn weights(&self) -> [f64; 4] {
+        [
+            (1.0 - self.tx) * (1.0 - self.ty),
+            self.tx * (1.0 - self.ty),
+            (1.0 - self.tx) * self.ty,
+            self.tx * self.ty,
+        ]
+    }
+
+    /// `+1`, `−1` or `0` from a greater-than / less-than flag pair.
+    #[inline]
+    fn sign(&self, gt: u32, lt: u32) -> f64 {
+        if self.flags & gt != 0 {
+            1.0
+        } else if self.flags & lt != 0 {
+            -1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// What the σ fields say at one sample: the smoothed-field values and their
+/// spatial derivatives, per direction.
+struct Gathered {
+    s_h: f64,
+    s_v: f64,
+    dh_dx: f64,
+    dv_dx: f64,
+    dh_dy: f64,
+    dv_dy: f64,
+}
+
+/// The grid-side constants of the sampler, shared by the pool tasks.
+#[derive(Clone, Copy, Debug)]
+struct Sampler {
+    grid: RouteGrid,
+    inv_w: f64,
+    inv_h: f64,
+}
+
+impl Sampler {
+    /// The sample of `(mh, mv)` at `(x, y)`: base bin, fractional offsets,
+    /// and whether each axis is off its clamp (derivative nonzero).
+    #[inline]
+    fn sample(&self, x: f64, y: f64, mh: f64, mv: f64, flags: u32) -> Sample {
+        let (m, n) = self.grid.shape();
+        let region = self.grid.region();
+        let fx_raw = (x - region.xl) / self.grid.bin_w() - 0.5;
+        let fy_raw = (y - region.yl) / self.grid.bin_h() - 0.5;
+        let fx = fx_raw.clamp(0.0, (m - 1) as f64 - 1e-9);
+        let fy = fy_raw.clamp(0.0, (n - 1) as f64 - 1e-9);
+        // Clamped to ≥ 0: truncation is the floor (NaN lands on 0 both ways).
+        let (i, j) = (fx as usize, fy as usize);
+        let free_x = fx_raw > 0.0 && fx_raw < (m - 1) as f64;
+        let free_y = fy_raw > 0.0 && fy_raw < (n - 1) as f64;
+        Sample {
+            base: (i * n + j) as u32,
+            flags: flags | LIVE | flag(free_x, FREE_X) | flag(free_y, FREE_Y),
+            tx: fx - i as f64,
+            ty: fy - j as f64,
+            mh,
+            mv,
+        }
+    }
+
+    /// The sample of the branch from node `i` of the tree at slots `lo..`
+    /// to its parent: its spans, stamped at its midpoint.
+    #[inline]
+    fn edge(&self, a: &ForestArena<'_>, lo: usize, i: usize) -> Sample {
+        let Some((ax, ay, bx, by)) = crate::branch_ends(a, lo, i) else {
+            return Sample::NONE;
+        };
+        let mh = (ax - bx).abs();
+        let mv = (ay - by).abs();
+        if mh == 0.0 && mv == 0.0 {
+            return Sample::NONE;
+        }
+        let flags =
+            flag(ax > bx, X_GT) | flag(ax < bx, X_LT) | flag(ay > by, Y_GT) | flag(ay < by, Y_LT);
+        self.sample(0.5 * (ax + bx), 0.5 * (ay + by), mh, mv, flags)
+    }
+
+    /// Gathers the smoothed-field value and its spatial derivatives at a
+    /// sample, weighted by the two σ fields.
+    #[inline]
+    fn gather(&self, s: &Sample, sh: &[f64], sv: &[f64]) -> Gathered {
+        let n = self.grid.shape().1;
+        let base = s.base as usize;
+        let (s00h, s10h, s01h, s11h) = (sh[base], sh[base + n], sh[base + 1], sh[base + n + 1]);
+        let (s00v, s10v, s01v, s11v) = (sv[base], sv[base + n], sv[base + 1], sv[base + n + 1]);
+        let [w00, w10, w01, w11] = s.weights();
+        // ∂w/∂x and ∂w/∂y contractions (zero on the clamp).
+        let dx = if s.flags & FREE_X != 0 {
+            self.inv_w
+        } else {
+            0.0
+        };
+        let dy = if s.flags & FREE_Y != 0 {
+            self.inv_h
+        } else {
+            0.0
+        };
+        Gathered {
+            // Field values smoothed at the sample point.
+            s_h: s00h * w00 + s10h * w10 + s01h * w01 + s11h * w11,
+            s_v: s00v * w00 + s10v * w10 + s01v * w01 + s11v * w11,
+            dh_dx: dx * ((s10h - s00h) * (1.0 - s.ty) + (s11h - s01h) * s.ty),
+            dv_dx: dx * ((s10v - s00v) * (1.0 - s.ty) + (s11v - s01v) * s.ty),
+            dh_dy: dy * ((s01h - s00h) * (1.0 - s.tx) + (s11h - s10h) * s.tx),
+            dv_dy: dy * ((s01v - s00v) * (1.0 - s.tx) + (s11v - s10v) * s.tx),
+        }
+    }
 }
 
 /// Differentiable smoothed-overflow congestion penalty with persistent
 /// scratch buffers (allocation-free in steady state).
 #[derive(Clone, Debug)]
 pub struct CongestionPenalty {
-    grid: RouteGrid,
+    sampler: Sampler,
     cap: f64,
     gamma: f64,
     pin_weight: f64,
@@ -61,6 +221,10 @@ pub struct CongestionPenalty {
     /// σ((demand − cap)/γ) fields of the backward pass.
     sh: Vec<f64>,
     sv: Vec<f64>,
+    /// The sample tape of the last forward pass: one entry per live tree
+    /// node in net order (the branch from that node to its parent), then
+    /// one per cell.
+    tape: Vec<Sample>,
     /// Per-tree node-gradient scratch.
     node_gx: Vec<f64>,
     node_gy: Vec<f64>,
@@ -77,41 +241,39 @@ impl CongestionPenalty {
     ///
     /// # Panics
     ///
-    /// Panics if `m < 2`, `n < 2` or `capacity <= 0`.
+    /// Panics if either grid dimension is outside [`GRID_AXIS_BINS`] or
+    /// `capacity` is not positive.
+    ///
+    /// [`GRID_AXIS_BINS`]: crate::GRID_AXIS_BINS
     pub fn new(design: &Design, m: usize, n: usize, capacity: f64) -> CongestionPenalty {
-        assert!(m >= 2 && n >= 2, "bilinear stamping needs at least 2x2 bins");
         assert!(capacity > 0.0, "capacity must be positive");
         let grid = RouteGrid::new(design.region, m, n);
         let nl = &design.netlist;
-        let mut cell_pins = vec![0.0f64; nl.num_cells()];
-        for p in nl.pin_ids() {
-            if nl.pin(p).net().is_some() {
-                cell_pins[nl.pin(p).cell().index()] += 1.0;
-            }
-        }
-        let cell_cx: Vec<f64> = nl
-            .cell_ids()
-            .map(|c| 0.5 * nl.class_of(c).width())
-            .collect();
-        let cell_cy: Vec<f64> = nl
-            .cell_ids()
-            .map(|c| 0.5 * nl.class_of(c).height())
-            .collect();
-        let cap = grid.bin_capacity(capacity);
         CongestionPenalty {
-            cap,
+            sampler: Sampler {
+                grid,
+                inv_w: 1.0 / grid.bin_w(),
+                inv_h: 1.0 / grid.bin_h(),
+            },
+            cap: grid.bin_capacity(capacity),
             gamma: grid.bin_capacity(GAMMA_SUPPLY),
             pin_weight: DEFAULT_PIN_WEIGHT,
             h: vec![0.0; grid.num_bins()],
             v: vec![0.0; grid.num_bins()],
             sh: vec![0.0; grid.num_bins()],
             sv: vec![0.0; grid.num_bins()],
+            tape: Vec::new(),
             node_gx: Vec::new(),
             node_gy: Vec::new(),
-            cell_pins,
-            cell_cx,
-            cell_cy,
-            grid,
+            cell_pins: crate::connected_pins(nl),
+            cell_cx: nl
+                .cell_ids()
+                .map(|c| 0.5 * nl.class_of(c).width())
+                .collect(),
+            cell_cy: nl
+                .cell_ids()
+                .map(|c| 0.5 * nl.class_of(c).height())
+                .collect(),
         }
     }
 
@@ -132,88 +294,73 @@ impl CongestionPenalty {
         self
     }
 
-    #[inline]
-    fn bilin(&self, x: f64, y: f64) -> Bilin {
-        let (m, n) = self.grid.shape();
-        let region = self.grid.region();
-        let fx_raw = (x - region.xl) / self.grid.bin_w() - 0.5;
-        let fy_raw = (y - region.yl) / self.grid.bin_h() - 0.5;
-        let fx = fx_raw.clamp(0.0, (m - 1) as f64 - 1e-9);
-        let fy = fy_raw.clamp(0.0, (n - 1) as f64 - 1e-9);
-        let i = fx.floor() as usize;
-        let j = fy.floor() as usize;
-        Bilin {
-            i,
-            j,
-            tx: fx - i as f64,
-            ty: fy - j as f64,
-            free_x: fx_raw > 0.0 && fx_raw < (m - 1) as f64,
-            free_y: fy_raw > 0.0 && fy_raw < (n - 1) as f64,
+    /// Rebuilds the smooth demand fields, and the sample tape they were
+    /// stamped from: branches in net order, then cell centers.
+    fn forward(&mut self, nl: &Netlist, a: &ForestArena<'_>) {
+        let slots = a.x.len() + nl.num_cells();
+        if self.tape.capacity() < slots {
+            // Sized by the arena's capacity, not by the live nodes, so a
+            // topology rebuild never grows anything afterwards.
+            self.tape.reserve(slots);
+            let widest = a
+                .node_off
+                .windows(2)
+                .map(|w| (w[1] - w[0]) as usize)
+                .max()
+                .unwrap_or(0);
+            self.node_gx.reserve(widest);
+            self.node_gy.reserve(widest);
         }
-    }
-
-    /// Adds `(mh, mv)` bilinearly at `(x, y)` into the demand fields.
-    #[inline]
-    fn stamp(&mut self, x: f64, y: f64, mh: f64, mv: f64) {
-        let b = self.bilin(x, y);
-        let n = self.grid.shape().1;
-        let (w00, w10, w01, w11) = (
-            (1.0 - b.tx) * (1.0 - b.ty),
-            b.tx * (1.0 - b.ty),
-            (1.0 - b.tx) * b.ty,
-            b.tx * b.ty,
-        );
-        let base = b.i * n + b.j;
-        for (off, w) in [(0, w00), (n, w10), (1, w01), (n + 1, w11)] {
-            self.h[base + off] += mh * w;
-            self.v[base + off] += mv * w;
-        }
-    }
-
-    /// Rebuilds the smooth demand fields from the forest and cell centers.
-    fn forward(&mut self, nl: &Netlist, forest: &SteinerForest) {
-        self.h.fill(0.0);
-        self.v.fill(0.0);
-        for net in nl.net_ids() {
-            let Some(tree) = forest.tree(net) else { continue };
-            for (c, p) in tree.edges() {
-                let a = tree.node_pos(c);
-                let bpos = tree.node_pos(p);
-                let mh = (a.x - bpos.x).abs();
-                let mv = (a.y - bpos.y).abs();
-                if mh == 0.0 && mv == 0.0 {
-                    continue;
+        let CongestionPenalty {
+            sampler,
+            h,
+            v,
+            tape,
+            ..
+        } = self;
+        h.fill(0.0);
+        v.fill(0.0);
+        let n = sampler.grid.shape().1;
+        let mut stamp = |s: Sample| {
+            if s.flags & LIVE != 0 {
+                let base = s.base as usize;
+                for (off, w) in [0, n, 1, n + 1].into_iter().zip(s.weights()) {
+                    h[base + off] += s.mh * w;
+                    v[base + off] += s.mv * w;
                 }
-                self.stamp(
-                    0.5 * (a.x + bpos.x),
-                    0.5 * (a.y + bpos.y),
-                    mh,
-                    mv,
-                );
             }
+            s
+        };
+        tape.clear();
+        for (&lo, &live) in a.node_off.iter().zip(a.n_nodes) {
+            tape.extend((0..live as usize).map(|i| stamp(sampler.edge(a, lo as usize, i))));
         }
-        if self.pin_weight > 0.0 {
-            for c in nl.cell_ids() {
-                let i = c.index();
-                let mass = 0.5 * self.pin_weight * self.cell_pins[i];
-                if mass == 0.0 {
-                    continue;
-                }
-                let pos = nl.cell(c).pos();
-                self.stamp(pos.x + self.cell_cx[i], pos.y + self.cell_cy[i], mass, mass);
+        tape.extend((0..nl.num_cells()).map(|c| {
+            let mass = 0.5 * self.pin_weight * self.cell_pins[c];
+            if self.pin_weight > 0.0 && mass != 0.0 {
+                let pos = nl.cell(CellId::new(c)).pos();
+                stamp(sampler.sample(
+                    pos.x + self.cell_cx[c],
+                    pos.y + self.cell_cy[c],
+                    mass,
+                    mass,
+                    0,
+                ))
+            } else {
+                Sample::NONE
             }
-        }
+        }));
     }
 
     /// Evaluates the smoothed-overflow penalty at the current netlist/forest
     /// geometry (forward pass only).
     pub fn value(&mut self, nl: &Netlist, forest: &SteinerForest) -> f64 {
-        self.forward(nl, forest);
+        self.forward(nl, &forest.arena());
         let (cap, gamma) = (self.cap, self.gamma);
         self.h
             .iter()
             .chain(self.v.iter())
-            .map(|&d| sp(d - cap, gamma))
+            .map(|&d| softplus_sigma::<true>(d - cap, gamma).0)
             .sum()
     }
 
@@ -227,13 +374,39 @@ impl CongestionPenalty {
         gx: &mut Vec<f64>,
         gy: &mut Vec<f64>,
     ) -> f64 {
-        self.forward(nl, forest);
+        self.evaluate::<true>(nl, forest, gx, gy)
+    }
+
+    /// [`CongestionPenalty::value_and_gradient`] without the value: the
+    /// same gradients, and no logarithm per bin for a number the caller
+    /// would drop.
+    pub fn gradient(
+        &mut self,
+        nl: &Netlist,
+        forest: &SteinerForest,
+        gx: &mut Vec<f64>,
+        gy: &mut Vec<f64>,
+    ) {
+        self.evaluate::<false>(nl, forest, gx, gy);
+    }
+
+    fn evaluate<const VALUE: bool>(
+        &mut self,
+        nl: &Netlist,
+        forest: &SteinerForest,
+        gx: &mut Vec<f64>,
+        gy: &mut Vec<f64>,
+    ) -> f64 {
+        let a = forest.arena();
+        self.forward(nl, &a);
         let (cap, gamma) = (self.cap, self.gamma);
         let mut p = 0.0;
         for b in 0..self.h.len() {
-            p += sp(self.h[b] - cap, gamma) + sp(self.v[b] - cap, gamma);
-            self.sh[b] = sigma(self.h[b] - cap, gamma);
-            self.sv[b] = sigma(self.v[b] - cap, gamma);
+            let (ph, sh) = softplus_sigma::<VALUE>(self.h[b] - cap, gamma);
+            let (pv, sv) = softplus_sigma::<VALUE>(self.v[b] - cap, gamma);
+            p += ph + pv;
+            self.sh[b] = sh;
+            self.sv[b] = sv;
         }
 
         let n_cells = nl.num_cells();
@@ -241,122 +414,63 @@ impl CongestionPenalty {
         gx.resize(n_cells, 0.0);
         gy.clear();
         gy.resize(n_cells, 0.0);
-        let inv_w = 1.0 / self.grid.bin_w();
-        let inv_h = 1.0 / self.grid.bin_h();
-        let n = self.grid.shape().1;
+        let CongestionPenalty {
+            sampler,
+            sh,
+            sv,
+            tape,
+            node_gx,
+            node_gy,
+            ..
+        } = self;
+        let (branches, cells) = tape.split_at(tape.len() - n_cells);
 
-        // Gathers the smoothed-field value and its spatial derivatives at a
-        // sample point, weighted by the two σ fields.
-        let gather = |this: &CongestionPenalty, x: f64, y: f64| {
-            let b = this.bilin(x, y);
-            let base = b.i * n + b.j;
-            let (s00h, s10h, s01h, s11h) = (
-                this.sh[base],
-                this.sh[base + n],
-                this.sh[base + 1],
-                this.sh[base + n + 1],
-            );
-            let (s00v, s10v, s01v, s11v) = (
-                this.sv[base],
-                this.sv[base + n],
-                this.sv[base + 1],
-                this.sv[base + n + 1],
-            );
-            let (w00, w10, w01, w11) = (
-                (1.0 - b.tx) * (1.0 - b.ty),
-                b.tx * (1.0 - b.ty),
-                (1.0 - b.tx) * b.ty,
-                b.tx * b.ty,
-            );
-            // Field values smoothed at the sample point.
-            let s_h = s00h * w00 + s10h * w10 + s01h * w01 + s11h * w11;
-            let s_v = s00v * w00 + s10v * w10 + s01v * w01 + s11v * w11;
-            // ∂w/∂x and ∂w/∂y contractions (zero on the clamp).
-            let dx = if b.free_x { inv_w } else { 0.0 };
-            let dy = if b.free_y { inv_h } else { 0.0 };
-            let dh_dx = dx
-                * ((s10h - s00h) * (1.0 - b.ty) + (s11h - s01h) * b.ty);
-            let dv_dx = dx
-                * ((s10v - s00v) * (1.0 - b.ty) + (s11v - s01v) * b.ty);
-            let dh_dy = dy
-                * ((s01h - s00h) * (1.0 - b.tx) + (s11h - s10h) * b.tx);
-            let dv_dy = dy
-                * ((s01v - s00v) * (1.0 - b.tx) + (s11v - s10v) * b.tx);
-            (s_h, s_v, dh_dx, dv_dx, dh_dy, dv_dy)
-        };
-
-        // Branch demand: chain through midpoints and spans, then scatter
-        // Steiner-node gradients to their coordinate-source pins.
-        for net in nl.net_ids() {
-            let Some(tree) = forest.tree(net) else { continue };
-            let nn = tree.num_nodes();
-            self.node_gx.clear();
-            self.node_gx.resize(nn, 0.0);
-            self.node_gy.clear();
-            self.node_gy.resize(nn, 0.0);
-            for (c, par) in tree.edges() {
-                let a = tree.node_pos(c);
-                let bpos = tree.node_pos(par);
-                let mh = (a.x - bpos.x).abs();
-                let mv = (a.y - bpos.y).abs();
-                if mh == 0.0 && mv == 0.0 {
+        // Branch demand: chain through midpoints and spans to per-node
+        // gradients, then scatter those to the cells owning the nodes'
+        // coordinates.
+        let mut at = 0;
+        for (ni, (&lo, &live)) in a.node_off.iter().zip(a.n_nodes).enumerate() {
+            let (lo, live) = (lo as usize, live as usize);
+            node_gx.clear();
+            node_gx.resize(live, 0.0);
+            node_gy.clear();
+            node_gy.resize(live, 0.0);
+            for (c, s) in branches[at..at + live].iter().enumerate() {
+                if s.flags & LIVE == 0 {
                     continue;
                 }
-                let (s_h, s_v, dh_dx, dv_dx, dh_dy, dv_dy) = gather(
-                    self,
-                    0.5 * (a.x + bpos.x),
-                    0.5 * (a.y + bpos.y),
-                );
-                let sgn_x = match a.x.partial_cmp(&bpos.x) {
-                    Some(std::cmp::Ordering::Greater) => 1.0,
-                    Some(std::cmp::Ordering::Less) => -1.0,
-                    _ => 0.0,
-                };
-                let sgn_y = match a.y.partial_cmp(&bpos.y) {
-                    Some(std::cmp::Ordering::Greater) => 1.0,
-                    Some(std::cmp::Ordering::Less) => -1.0,
-                    _ => 0.0,
-                };
+                let par = a.parent[lo + c] as usize;
+                let g = sampler.gather(s, sh, sv);
+                let (sgn_x, sgn_y) = (s.sign(X_GT, X_LT), s.sign(Y_GT, Y_LT));
                 // Midpoint motion moves both masses; span change feeds the
                 // field value at the midpoint.
-                let common_x = 0.5 * (mh * dh_dx + mv * dv_dx);
-                let common_y = 0.5 * (mh * dh_dy + mv * dv_dy);
-                self.node_gx[c] += sgn_x * s_h + common_x;
-                self.node_gx[par] += -sgn_x * s_h + common_x;
-                self.node_gy[c] += sgn_y * s_v + common_y;
-                self.node_gy[par] += -sgn_y * s_v + common_y;
+                let common_x = 0.5 * (s.mh * g.dh_dx + s.mv * g.dv_dx);
+                let common_y = 0.5 * (s.mh * g.dh_dy + s.mv * g.dv_dy);
+                node_gx[c] += sgn_x * g.s_h + common_x;
+                node_gx[par] += -sgn_x * g.s_h + common_x;
+                node_gy[c] += sgn_y * g.s_v + common_y;
+                node_gy[par] += -sgn_y * g.s_v + common_y;
             }
-            let xs = tree.x_sources();
-            let ys = tree.y_sources();
-            let pins = nl.net(net).pins();
-            for i in 0..nn {
-                if self.node_gx[i] != 0.0 {
-                    let cell = nl.pin(pins[xs[i] as usize]).cell();
-                    gx[cell.index()] += self.node_gx[i];
+            at += live;
+            let owner = &a.pin_cell[a.pin_off[ni] as usize..];
+            for (&g, &src) in node_gx.iter().zip(&a.x_src[lo..lo + live]) {
+                if g != 0.0 {
+                    gx[owner[src as usize] as usize] += g;
                 }
-                if self.node_gy[i] != 0.0 {
-                    let cell = nl.pin(pins[ys[i] as usize]).cell();
-                    gy[cell.index()] += self.node_gy[i];
+            }
+            for (&g, &src) in node_gy.iter().zip(&a.y_src[lo..lo + live]) {
+                if g != 0.0 {
+                    gy[owner[src as usize] as usize] += g;
                 }
             }
         }
 
         // Pin-density demand: direct cell-center gradient.
-        if self.pin_weight > 0.0 {
-            for c in nl.cell_ids() {
-                let i = c.index();
-                let mass = 0.5 * self.pin_weight * self.cell_pins[i];
-                if mass == 0.0 {
-                    continue;
-                }
-                let pos = nl.cell(c).pos();
-                let (_, _, dh_dx, dv_dx, dh_dy, dv_dy) = gather(
-                    self,
-                    pos.x + self.cell_cx[i],
-                    pos.y + self.cell_cy[i],
-                );
-                gx[i] += mass * (dh_dx + dv_dx);
-                gy[i] += mass * (dh_dy + dv_dy);
+        for (c, s) in cells.iter().enumerate() {
+            if s.flags & LIVE != 0 {
+                let g = sampler.gather(s, sh, sv);
+                gx[c] += s.mh * (g.dh_dx + g.dv_dx);
+                gy[c] += s.mh * (g.dh_dy + g.dv_dy);
             }
         }
         p
@@ -370,32 +484,30 @@ impl CongestionPenalty {
     /// Worst-direction smooth demand/capacity ratio at a point (for
     /// diagnostics; reporting should use [`crate::RudyMap`]).
     pub fn smooth_ratio_at(&self, p: Point) -> f64 {
-        let (i, j) = self.grid.bin_of(p);
-        let b = self.grid.index(i, j);
+        let (i, j) = self.sampler.grid.bin_of(p);
+        let b = self.sampler.grid.index(i, j);
         (self.h[b] / self.cap).max(self.v[b] / self.cap)
     }
 }
 
-/// `γ·softplus(t/γ)` — smoothed `max(0, t)`, overflow-safe (the congestion
-/// analogue of `dtp-sta`'s stable softplus in `smooth_neg`).
+/// `(γ·softplus(t/γ), σ(t/γ))` — the smoothed `max(0, t)`, overflow-safe
+/// (the congestion analogue of `dtp-sta`'s stable softplus in
+/// `smooth_neg`), and its derivative with respect to `t`, from one `exp`.
+/// Without `VALUE` the softplus is not evaluated (0 instead).
 #[inline]
-fn sp(t: f64, gamma: f64) -> f64 {
-    let z = t / gamma;
-    gamma * if z > 30.0 { z } else { z.exp().ln_1p() }
-}
-
-/// `σ(t/γ)` — derivative of [`sp`] with respect to `t`.
-#[inline]
-fn sigma(t: f64, gamma: f64) -> f64 {
+fn softplus_sigma<const VALUE: bool>(t: f64, gamma: f64) -> (f64, f64) {
     let z = t / gamma;
     if z > 30.0 {
-        1.0
-    } else if z < -30.0 {
-        0.0
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
+        return (if VALUE { gamma * z } else { 0.0 }, 1.0);
     }
+    if z < -30.0 && !VALUE {
+        return (0.0, 0.0);
+    }
+    let e = z.exp();
+    (
+        if VALUE { gamma * e.ln_1p() } else { 0.0 },
+        if z < -30.0 { 0.0 } else { e / (1.0 + e) },
+    )
 }
 
 #[cfg(test)]

@@ -8,44 +8,104 @@
 //! routing. Horizontal span feeds the horizontal demand grid, vertical
 //! span the vertical grid, mirroring two routing-layer directions.
 //!
-//! Every net's (and cell's) stamped bins are cached so an update removes
-//! the old stamp and applies a new one in time proportional to the bins the
-//! net covers: the congestion analogue of the incremental timing pipeline's
-//! dirty-set discipline.
+//! The map keeps one [`StampRec`] — a cache line: the clamped rectangle, its
+//! two amounts and the bin range it reaches — per forest node slot (a branch
+//! is its child node) and one per cell. An update walks the dirty lists in
+//! order; per net it takes the stored records' demand back by *recomputing*
+//! their per-bin amounts, then derives, stamps and stores the records of the
+//! current geometry. Nothing is allocated, and a bin receives its additions
+//! in list order — the order that fixes every bit of the map.
+//!
+//! Two cost regimes (`BENCH_route.json`): a sparse move (1 % of the cells)
+//! re-stamps only the records of its dirty nets and costs 1/30 of a build;
+//! inside the global-placement loop every net is dirty in every iteration,
+//! and an update costs 1.6 builds (one pass to take the old demand back, one
+//! to derive and stamp the new).
 
-use crate::grid::{CongestionSummary, RouteGrid};
+use crate::grid::{CongestionSummary, RouteGrid, StampRec};
 use crate::DEFAULT_PIN_WEIGHT;
-use dtp_netlist::{Design, NetId, Netlist, Point, Rect};
-use dtp_rsmt::{SteinerForest, TreeView};
-use rayon::prelude::*;
+use dtp_netlist::{CellId, Design, NetId, Netlist, Point};
+use dtp_rsmt::{ForestArena, SteinerForest};
 
-/// One cached demand contribution: `(flat bin, horizontal, vertical)`.
-type Stamp = (u32, f64, f64);
-
-/// An incrementally maintained RUDY congestion map.
+/// The per-design constants a stamp record is derived from.
 #[derive(Clone, Debug)]
-pub struct RudyMap {
+struct Shapes {
     grid: RouteGrid,
-    cap: f64,
     pin_weight: f64,
     /// Halo added around degenerate branch bboxes (half a bin each side),
     /// so a purely horizontal wire still occupies a routable strip.
     halo_x: f64,
     halo_y: f64,
-    /// Horizontal / vertical demand per bin (µm of wire).
-    h: Vec<f64>,
-    v: Vec<f64>,
-    /// Cached stamps, indexed by net / cell.
-    net_stamp: Vec<Vec<Stamp>>,
-    cell_stamp: Vec<Vec<Stamp>>,
-    /// Cell positions at the last pin-density stamp (for [`RudyMap::sync_cells`]).
-    cell_pos: Vec<Point>,
     /// Connected-pin count per cell (pin-density mass).
     cell_pins: Vec<f64>,
     /// True cell footprints (pin demand is spread over the footprint).
     cell_w: Vec<f64>,
     cell_h: Vec<f64>,
     movable: Vec<bool>,
+}
+
+impl Shapes {
+    /// The record of the branch from node `i` of the tree at slots `lo..`
+    /// to its parent: the halo-expanded branch box carrying the branch's
+    /// horizontal and vertical span. Nothing for the root and for
+    /// zero-length branches.
+    #[inline]
+    fn edge(&self, a: &ForestArena<'_>, lo: usize, i: usize) -> StampRec {
+        let Some((ax, ay, bx, by)) = crate::branch_ends(a, lo, i) else {
+            return StampRec::NONE;
+        };
+        let hspan = (ax - bx).abs();
+        let vspan = (ay - by).abs();
+        if hspan == 0.0 && vspan == 0.0 {
+            return StampRec::NONE;
+        }
+        let rect = (
+            ax.min(bx) - self.halo_x,
+            ay.min(by) - self.halo_y,
+            ax.max(bx) + self.halo_x,
+            ay.max(by) + self.halo_y,
+        );
+        self.grid.record(rect, hspan, vspan)
+    }
+
+    /// The record of cell `c`'s pin density at `pos`: `pin_weight` µm of
+    /// demand per connected pin, split evenly between the two directions
+    /// and spread over the halo-expanded footprint.
+    #[inline]
+    fn cell(&self, c: usize, pos: Point) -> StampRec {
+        let mass = 0.5 * self.pin_weight * self.cell_pins[c];
+        if mass == 0.0 {
+            return StampRec::NONE;
+        }
+        let rect = (
+            pos.x - self.halo_x,
+            pos.y - self.halo_y,
+            pos.x + self.cell_w[c] + self.halo_x,
+            pos.y + self.cell_h[c] + self.halo_y,
+        );
+        self.grid.record(rect, mass, mass)
+    }
+}
+
+/// An incrementally maintained RUDY congestion map.
+#[derive(Clone, Debug)]
+pub struct RudyMap {
+    shapes: Shapes,
+    cap: f64,
+    /// Horizontal / vertical demand per bin (µm of wire).
+    h: Vec<f64>,
+    v: Vec<f64>,
+    /// The forest's node-slot range per net, copied when the arena is sized.
+    node_off: Vec<u32>,
+    /// The record each forest node slot last stamped (slot = child node of
+    /// the branch), and how many slots of each net's range hold one.
+    edge_rec: Vec<StampRec>,
+    stamped_nodes: Vec<u32>,
+    /// The record and position of each cell's last pin-density stamp.
+    cell_rec: Vec<StampRec>,
+    cell_pos: Vec<Point>,
+    /// Bins written since construction.
+    stamps: u64,
 }
 
 impl RudyMap {
@@ -55,48 +115,47 @@ impl RudyMap {
     ///
     /// # Panics
     ///
-    /// Panics if the grid is degenerate or `capacity <= 0`.
+    /// Panics if either grid dimension is outside [`GRID_AXIS_BINS`] or
+    /// `capacity` is not positive.
+    ///
+    /// [`GRID_AXIS_BINS`]: crate::GRID_AXIS_BINS
     pub fn new(design: &Design, m: usize, n: usize, capacity: f64) -> RudyMap {
         assert!(capacity > 0.0, "capacity must be positive");
         let grid = RouteGrid::new(design.region, m, n);
         let nl = &design.netlist;
-        let mut cell_pins = vec![0.0f64; nl.num_cells()];
-        for p in nl.pin_ids() {
-            if nl.pin(p).net().is_some() {
-                cell_pins[nl.pin(p).cell().index()] += 1.0;
-            }
-        }
-        let cell_w: Vec<f64> = nl.cell_ids().map(|c| nl.class_of(c).width()).collect();
-        let cell_h: Vec<f64> = nl.cell_ids().map(|c| nl.class_of(c).height()).collect();
-        let movable: Vec<bool> = nl.cell_ids().map(|c| !nl.cell(c).is_fixed()).collect();
         RudyMap {
             cap: grid.bin_capacity(capacity),
-            pin_weight: DEFAULT_PIN_WEIGHT,
-            halo_x: 0.5 * grid.bin_w(),
-            halo_y: 0.5 * grid.bin_h(),
             h: vec![0.0; grid.num_bins()],
             v: vec![0.0; grid.num_bins()],
-            net_stamp: vec![Vec::new(); nl.num_nets()],
-            cell_stamp: vec![Vec::new(); nl.num_cells()],
+            node_off: Vec::new(),
+            edge_rec: Vec::new(),
+            stamped_nodes: Vec::new(),
+            cell_rec: vec![StampRec::NONE; nl.num_cells()],
             cell_pos: vec![Point::new(f64::NAN, f64::NAN); nl.num_cells()],
-            cell_pins,
-            cell_w,
-            cell_h,
-            movable,
-            grid,
+            stamps: 0,
+            shapes: Shapes {
+                pin_weight: DEFAULT_PIN_WEIGHT,
+                halo_x: 0.5 * grid.bin_w(),
+                halo_y: 0.5 * grid.bin_h(),
+                cell_pins: crate::connected_pins(nl),
+                cell_w: nl.cell_ids().map(|c| nl.class_of(c).width()).collect(),
+                cell_h: nl.cell_ids().map(|c| nl.class_of(c).height()).collect(),
+                movable: nl.cell_ids().map(|c| !nl.cell(c).is_fixed()).collect(),
+                grid,
+            },
         }
     }
 
     /// Overrides the pin-density weight (µm of demand per connected pin);
     /// 0 disables the pin term.
     pub fn with_pin_weight(mut self, w: f64) -> RudyMap {
-        self.pin_weight = w;
+        self.shapes.pin_weight = w;
         self
     }
 
     /// The shared grid geometry.
     pub fn grid(&self) -> &RouteGrid {
-        &self.grid
+        &self.shapes.grid
     }
 
     /// Per-bin, per-direction capacity (µm of routable wire).
@@ -114,128 +173,116 @@ impl RudyMap {
         &self.v
     }
 
-    /// Rasterizes one tree into stamps (no state change).
-    fn rasterize_tree(&self, tree: TreeView<'_>, out: &mut Vec<Stamp>) {
-        for (c, p) in tree.edges() {
-            let a = tree.node_pos(c);
-            let b = tree.node_pos(p);
-            let hspan = (a.x - b.x).abs();
-            let vspan = (a.y - b.y).abs();
-            if hspan == 0.0 && vspan == 0.0 {
-                continue;
-            }
-            let rect = Rect::new(
-                a.x.min(b.x) - self.halo_x,
-                a.y.min(b.y) - self.halo_y,
-                a.x.max(b.x) + self.halo_x,
-                a.y.max(b.y) + self.halo_y,
-            );
-            self.grid.splat(&rect, hspan, vspan, out);
-        }
+    /// Bins written since construction, taking demand back and stamping it
+    /// alike — the map's unit of work.
+    pub fn stamps_written(&self) -> u64 {
+        self.stamps
     }
 
-    /// Rasterizes one cell's pin density into stamps: `pin_weight` µm of
-    /// demand per connected pin, split evenly between the two directions
-    /// and spread over the halo-expanded footprint.
-    fn rasterize_cell(&self, c: usize, pos: Point, out: &mut Vec<Stamp>) {
-        let mass = 0.5 * self.pin_weight * self.cell_pins[c];
-        if mass == 0.0 {
-            return;
-        }
-        let rect = Rect::new(
-            pos.x - self.halo_x,
-            pos.y - self.halo_y,
-            pos.x + self.cell_w[c] + self.halo_x,
-            pos.y + self.cell_h[c] + self.halo_y,
-        );
-        self.grid.splat(&rect, mass, mass, out);
+    /// Bytes of one stamp record — all the map keeps per forest branch and
+    /// per cell.
+    pub const RECORD_BYTES: usize = std::mem::size_of::<StampRec>();
+
+    /// Bytes of stamp records the map holds: one per forest node slot (a
+    /// net's range is sized for its largest possible tree, so there are
+    /// more slots than branches) and one per cell.
+    pub fn record_bytes(&self) -> usize {
+        (self.edge_rec.capacity() + self.cell_rec.capacity()) * Self::RECORD_BYTES
     }
 
-    #[inline]
-    fn apply(h: &mut [f64], v: &mut [f64], stamps: &[Stamp], sign: f64) {
-        for &(b, sh, sv) in stamps {
-            h[b as usize] += sign * sh;
-            v[b as usize] += sign * sv;
-        }
-    }
-
-    /// Full (re)build: rasterizes every tree of the forest and every cell's
-    /// pin density in parallel, replacing all cached stamps.
+    /// Full (re)build: zeroes the grids and stamps every tree of the forest
+    /// and every cell's pin density — an update in which every net is
+    /// listed and nothing was stamped before.
     pub fn build(&mut self, nl: &Netlist, forest: &SteinerForest) {
+        let a = forest.arena();
         self.h.fill(0.0);
         self.v.fill(0.0);
-        let nets: Vec<NetId> = nl.net_ids().collect();
-        let built: Vec<(usize, Vec<Stamp>)> = nets
-            .par_iter()
-            .filter_map(|&net| {
-                let tree = forest.tree(net)?;
-                let mut out = Vec::new();
-                self.rasterize_tree(tree, &mut out);
-                Some((net.index(), out))
-            })
-            .collect();
-        for s in &mut self.net_stamp {
-            s.clear();
+        self.lay_out(&a);
+        self.cell_rec.fill(StampRec::NONE);
+        for ni in 0..forest.len() {
+            self.restamp_net(&a, ni);
         }
-        for (ni, stamps) in built {
-            Self::apply(&mut self.h, &mut self.v, &stamps, 1.0);
-            self.net_stamp[ni] = stamps;
-        }
-        for c in nl.cell_ids() {
-            let i = c.index();
-            let pos = nl.cell(c).pos();
-            let mut out = std::mem::take(&mut self.cell_stamp[i]);
-            out.clear();
-            self.rasterize_cell(i, pos, &mut out);
-            Self::apply(&mut self.h, &mut self.v, &out, 1.0);
-            self.cell_stamp[i] = out;
-            self.cell_pos[i] = pos;
-        }
+        self.restamp_cells(nl, true);
     }
 
-    /// Incrementally re-stamps one net from its current tree: removes the
-    /// cached contribution and rasterizes the new geometry. Cost is
-    /// proportional to the bins the net covers. No-op for clock nets.
-    pub fn update_net(&mut self, forest: &SteinerForest, net: NetId) {
-        let Some(tree) = forest.tree(net) else { return };
-        let mut stamps = std::mem::take(&mut self.net_stamp[net.index()]);
-        Self::apply(&mut self.h, &mut self.v, &stamps, -1.0);
-        stamps.clear();
-        self.rasterize_tree(tree, &mut stamps);
-        Self::apply(&mut self.h, &mut self.v, &stamps, 1.0);
-        self.net_stamp[net.index()] = stamps;
-    }
-
-    /// [`RudyMap::update_net`] over a dirty-net list — the per-iteration
-    /// entry point of the placement flow, fed by the same geometry-dirty
-    /// net set as the incremental timing pipeline.
+    /// Incrementally re-stamps the listed nets from their current trees, in
+    /// list order: each net's stored records are taken back and its new
+    /// geometry stamped. Cost is proportional to the bins the nets cover;
+    /// nets without a tree (clock nets) are skipped.
     pub fn update_nets(&mut self, forest: &SteinerForest, nets: &[NetId]) {
-        for &n in nets {
-            self.update_net(forest, n);
+        let a = forest.arena();
+        if self.node_off.is_empty() {
+            // Never built: nothing is stamped yet.
+            self.lay_out(&a);
+        }
+        assert!(
+            self.edge_rec.len() == a.x.len() && self.stamped_nodes.len() == forest.len(),
+            "forest is laid out differently from the one this map was stamped from"
+        );
+        for net in nets {
+            self.restamp_net(&a, net.index());
         }
     }
 
-    /// Re-stamps the pin density of every cell whose position changed since
-    /// its last stamp. A pure position-compare scan over cells; only moved
-    /// cells pay rasterization cost.
+    /// Re-stamps the pin density of every movable cell whose position
+    /// changed since its last stamp, in cell order. A position-compare scan
+    /// over cells; only moved cells pay rasterization cost.
     pub fn sync_cells(&mut self, nl: &Netlist) {
-        for c in nl.cell_ids() {
-            let i = c.index();
-            if !self.movable[i] {
-                continue;
-            }
-            let pos = nl.cell(c).pos();
-            if pos == self.cell_pos[i] {
-                continue;
-            }
-            let mut stamps = std::mem::take(&mut self.cell_stamp[i]);
-            Self::apply(&mut self.h, &mut self.v, &stamps, -1.0);
-            stamps.clear();
-            self.rasterize_cell(i, pos, &mut stamps);
-            Self::apply(&mut self.h, &mut self.v, &stamps, 1.0);
-            self.cell_stamp[i] = stamps;
-            self.cell_pos[i] = pos;
+        self.restamp_cells(nl, false);
+    }
+
+    /// Sizes the record arena for `a`'s layout with nothing stamped.
+    fn lay_out(&mut self, a: &ForestArena<'_>) {
+        self.node_off.clear();
+        self.node_off.extend_from_slice(a.node_off);
+        self.edge_rec.clear();
+        self.edge_rec.resize(a.x.len(), StampRec::NONE);
+        self.stamped_nodes.clear();
+        self.stamped_nodes.resize(a.n_nodes.len(), 0);
+    }
+
+    /// Takes the stored records of net `ni` back, then derives, stamps and
+    /// stores the records of its current tree. A net listed twice is
+    /// re-stamped twice (the second time taking back what the first
+    /// stamped), which is what the order of additions per bin requires.
+    #[inline]
+    fn restamp_net(&mut self, a: &ForestArena<'_>, ni: usize) {
+        let lo = self.node_off[ni] as usize;
+        let live = a.n_nodes[ni] as usize;
+        let recs = &mut self.edge_rec[lo..self.node_off[ni + 1] as usize];
+        let g = &self.shapes.grid;
+        let mut written = 0;
+        for r in &recs[..self.stamped_nodes[ni] as usize] {
+            written += g.stamp::<false>(r, &mut self.h, &mut self.v);
         }
+        for (i, r) in recs[..live].iter_mut().enumerate() {
+            *r = self.shapes.edge(a, lo, i);
+            written += g.stamp::<true>(r, &mut self.h, &mut self.v);
+        }
+        self.stamped_nodes[ni] = live as u32;
+        self.stamps += written;
+    }
+
+    /// Re-stamps every cell (`all`), or every movable cell that is not where
+    /// it was last stamped.
+    fn restamp_cells(&mut self, nl: &Netlist, all: bool) {
+        assert_eq!(
+            nl.num_cells(),
+            self.cell_rec.len(),
+            "netlist differs from the map's"
+        );
+        let g = &self.shapes.grid;
+        let mut written = 0;
+        for (c, (r, last)) in self.cell_rec.iter_mut().zip(&mut self.cell_pos).enumerate() {
+            let pos = nl.cell(CellId::new(c)).pos();
+            if all || (self.shapes.movable[c] && pos != *last) {
+                written += g.stamp::<false>(r, &mut self.h, &mut self.v);
+                *r = self.shapes.cell(c, pos);
+                written += g.stamp::<true>(r, &mut self.h, &mut self.v);
+                *last = pos;
+            }
+        }
+        self.stamps += written;
     }
 
     /// Summary metrics over the current demand grids.
@@ -246,8 +293,8 @@ impl RudyMap {
     /// Worst-direction demand/capacity ratio of the bin containing `p`
     /// (1.0 = at capacity).
     pub fn overflow_ratio_at(&self, p: Point) -> f64 {
-        let (i, j) = self.grid.bin_of(p);
-        let b = self.grid.index(i, j);
+        let (i, j) = self.shapes.grid.bin_of(p);
+        let b = self.shapes.grid.index(i, j);
         (self.h[b] / self.cap).max(self.v[b] / self.cap)
     }
 
@@ -256,10 +303,16 @@ impl RudyMap {
     /// congestion-aware net weighting. 0 for clock nets and uncongested
     /// nets.
     pub fn net_overflow(&self, net: NetId) -> f64 {
+        let ni = net.index();
+        let Some(&lo) = self.node_off.get(ni) else {
+            return 0.0;
+        };
         let mut worst = 0.0f64;
-        for &(b, _, _) in &self.net_stamp[net.index()] {
-            let r = (self.h[b as usize] / self.cap).max(self.v[b as usize] / self.cap);
-            worst = worst.max(r - 1.0);
+        for r in &self.edge_rec[lo as usize..][..self.stamped_nodes[ni] as usize] {
+            self.shapes.grid.for_each_bin(r, |b| {
+                let ratio = (self.h[b] / self.cap).max(self.v[b] / self.cap);
+                worst = worst.max(ratio - 1.0);
+            });
         }
         worst.max(0.0)
     }
@@ -329,8 +382,7 @@ mod tests {
         let moved: Vec<dtp_netlist::CellId> = d.netlist.movable_cells().step_by(7).collect();
         for &c in &moved {
             let p = d.netlist.cell(c).pos();
-            d.netlist
-                .set_cell_pos(c, Point::new(p.x + 3.0, p.y - 2.0));
+            d.netlist.set_cell_pos(c, Point::new(p.x + 3.0, p.y - 2.0));
         }
         let mut dirty: Vec<NetId> = Vec::new();
         for &c in &moved {

@@ -233,6 +233,36 @@ pub struct SteinerForest {
     seq_rebuilds: u64,
 }
 
+/// The forest's arena as plain slices, for kernels that keep their own
+/// per-node state on the same node slots (`dtp-route`). Net `n` owns node slots
+/// `node_off[n]..node_off[n + 1]`, of which the first `n_nodes[n]` are live
+/// (slot 0 of a range is the root; every other live node is an edge to its
+/// `parent`); `parent`, `x_src` and `y_src` are indices *within* the net
+/// (node and tree-pin respectively), and `pin_cell[pin_off[n] + k]` is the
+/// cell owning tree pin `k` — so a node's coordinate source resolves to a
+/// cell in two flat loads.
+#[derive(Clone, Copy, Debug)]
+pub struct ForestArena<'a> {
+    /// Node-slot range per net (`nets + 1` entries; empty without a tree).
+    pub node_off: &'a [u32],
+    /// Live node count per net.
+    pub n_nodes: &'a [u32],
+    /// Node x coordinates.
+    pub x: &'a [f64],
+    /// Node y coordinates.
+    pub y: &'a [f64],
+    /// Net-local parent node of each node (the root is its own parent).
+    pub parent: &'a [u32],
+    /// Net-local tree pin owning each node's x coordinate.
+    pub x_src: &'a [u32],
+    /// Net-local tree pin owning each node's y coordinate.
+    pub y_src: &'a [u32],
+    /// Tree-pin range per net (`nets + 1` entries; empty without a tree).
+    pub pin_off: &'a [u32],
+    /// Owning cell of each tree pin.
+    pub pin_cell: &'a [u32],
+}
+
 /// The read-only side of a sweep: where each net's pins and nodes are.
 struct Gather<'a> {
     nl: &'a Netlist,
@@ -320,6 +350,21 @@ impl SteinerForest {
             return None;
         }
         Some(self.nodes.view(self.node_off[ni] as usize, self.n_nodes[ni] as usize, n_pins))
+    }
+
+    /// The arena as plain slices (see [`ForestArena`]).
+    pub fn arena(&self) -> ForestArena<'_> {
+        ForestArena {
+            node_off: &self.node_off,
+            n_nodes: &self.n_nodes,
+            x: &self.nodes.x,
+            y: &self.nodes.y,
+            parent: &self.nodes.parent,
+            x_src: &self.nodes.x_src,
+            y_src: &self.nodes.y_src,
+            pin_off: &self.pin_off,
+            pin_cell: &self.pin_cell,
+        }
     }
 
     /// Number of net slots (equals the netlist's net count).

@@ -52,7 +52,8 @@ mod tables;
 mod tree;
 
 pub use forest::{
-    build_forest, build_forest_with, build_tree_with, ForestScratch, ForestStats, SteinerForest,
+    build_forest, build_forest_with, build_tree_with, ForestArena, ForestScratch, ForestStats,
+    SteinerForest,
 };
 pub use tables::{prewarm, table_stats, TableConfig, TableStats, MAX_TABLE_DEGREE};
 pub use tree::{node_capacity, SteinerTree, TreeView};
