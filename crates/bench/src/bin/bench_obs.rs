@@ -160,7 +160,7 @@ fn main() {
             obs.stop(phase, s);
         }
         obs.add(Counter::GeoDirtyNets, 37);
-        obs.add(Counter::StaIncremental, 1);
+        obs.add(Counter::StaFull, 1);
         obs.iter_end(IterEvent {
             iter,
             level: 0,

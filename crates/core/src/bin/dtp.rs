@@ -24,8 +24,7 @@
 //! dtp trace report <trace.jsonl>            phase/level/convergence forensics
 //! ```
 //!
-//! Mode selection is unified under `--mode`; the historical short names
-//! `wl`, `nw` and `diff` still parse as deprecated aliases. The `--top-k`,
+//! Mode selection is unified under `--mode`. The `--top-k`,
 //! `--extract-period`, `--path-decay` and `--pin-weight-cap` knobs configure
 //! `--mode path-extraction` and are ignored (with a warning) elsewhere.
 //!
@@ -178,19 +177,6 @@ fn cmd_place(args: &[String]) -> CliResult {
                     Some("net-weighting") => FlowMode::net_weighting(),
                     Some("differentiable") => FlowMode::differentiable(),
                     Some("path-extraction") => FlowMode::path_extraction(),
-                    // Deprecated short aliases (pre-unification spelling).
-                    Some(alias @ ("wl" | "nw" | "diff")) => {
-                        let (m, canonical) = match alias {
-                            "wl" => (FlowMode::Wirelength, "wirelength"),
-                            "nw" => (FlowMode::net_weighting(), "net-weighting"),
-                            _ => (FlowMode::differentiable(), "differentiable"),
-                        };
-                        obs::warn!(
-                            "warning: `--mode {alias}` is a deprecated alias; \
-                             use `--mode {canonical}`"
-                        );
-                        m
-                    }
                     other => {
                         return Err(format!(
                             "unknown mode {other:?} (wirelength|net-weighting|\
@@ -365,14 +351,12 @@ fn cmd_place(args: &[String]) -> CliResult {
             c.start_iter
         ),
         FlowMode::Differentiable(c) => obs::info!(
-            "mode differentiable: gamma {} t1 {} t2 {} growth {} start_iter {} \
-             steiner_rebuild_period {}",
+            "mode differentiable: gamma {} t1 {} t2 {} growth {} start_iter {}",
             c.gamma,
             c.t1,
             c.t2,
             c.growth,
-            c.start_iter,
-            c.steiner_rebuild_period
+            c.start_iter
         ),
         FlowMode::PathExtraction(c) => obs::info!(
             "mode path-extraction: top_k {} extract_period {} path_decay {} \

@@ -3,44 +3,147 @@
 //! key/value fields and reconstructs from them (strictly — unknown or
 //! missing keys are errors), which is what makes `dtp trace replay` work
 //! from nothing but a recorded trace.
+//!
+//! Each config is written once, as a field table (`name: kind = default`
+//! under its doc comment); [`config_table!`] generates the struct, its
+//! `Default`, the ordered header keys and both directions of the round trip
+//! from it, so a knob cannot be in one of them and missing from another.
 
 use dtp_obs::json::Value;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the differentiable timing objective (the paper's method).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DiffTimingConfig {
-    /// LSE smoothing γ (ps); the paper sets "around 100".
-    pub gamma: f64,
-    /// Initial TNS weight t1. The paper reports "around 0.01" on the
-    /// ICCAD-2015 superblue suite; on the scaled synthetic proxies the same
-    /// gradient balance is reached at 0.04 (the paper itself tunes t1/t2 per
-    /// benchmark, §4).
-    pub t1: f64,
-    /// Initial WNS weight t2 (paper: "around 0.0001"; recalibrated like t1).
-    pub t2: f64,
-    /// Multiplicative growth of t1/t2 per iteration; the paper increases
-    /// them "by 1 % after each iteration".
-    pub growth: f64,
-    /// Iteration at which timing optimization starts ("around the 100th
-    /// iteration where cells have been initially spread out").
-    pub start_iter: usize,
-    /// Rebuild the Steiner trees every this many iterations; in between the
-    /// Steiner points ride along with their branches (§3.6: "every 10
-    /// iterations").
-    pub steiner_rebuild_period: usize,
-    /// Timing-gradient preconditioning (the paper's §5 future-work item):
-    /// when > 0, the timing gradient is rescaled each iteration so its
-    /// ∞-norm equals this fraction of the wirelength gradient's ∞-norm,
-    /// which decouples the effective timing pressure from t1/t2 magnitudes.
-    /// 0 disables (the paper's published behaviour).
-    pub grad_norm_target: f64,
-    /// Wire delay metric used by the differentiable timer.
-    pub wire_model: WireModelChoice,
+/// How one kind of knob travels through the trace header's generic values.
+trait Knob: Sized {
+    /// What a well-formed value is called in an error message.
+    const WHAT: &'static str;
+    fn to_value(self) -> Value;
+    fn from_value(v: &Value) -> Option<Self>;
+}
+
+/// The kinds of knob, one per row: `type: what a well-formed value is
+/// called, to a header value, from a header value`.
+macro_rules! knob_kinds {
+    ($( $kind:ty: $what:literal, $to:expr, $from:expr; )*) => {$(
+        impl Knob for $kind {
+            const WHAT: &'static str = $what;
+            fn to_value(self) -> Value {
+                ($to)(self)
+            }
+            fn from_value(v: &Value) -> Option<Self> {
+                ($from)(v)
+            }
+        }
+    )*};
+}
+
+knob_kinds! {
+    f64: "a number", Value::Num, Value::as_f64;
+    usize: "a non-negative integer", |x| Value::Num(x as f64), |v: &Value| {
+        let x = v.as_f64()?;
+        (x >= 0.0 && x.fract() == 0.0 && x <= usize::MAX as f64).then_some(x as usize)
+    };
+    bool: "a boolean", Value::Bool, Value::as_bool;
+    // A string, so the full `u64` range survives the f64 number pipeline.
+    u64: "a u64 string", |x: u64| Value::Str(x.to_string()), |v: &Value| v.as_str()?.parse().ok();
+    // Enums travel under their stable lowercase names.
+    WireModelChoice: "a wire model name", |x: WireModelChoice| Value::Str(x.name().into()),
+        |v: &Value| WireModelChoice::from_name(v.as_str()?);
+    LegalizerChoice: "a legalizer name", |x: LegalizerChoice| Value::Str(x.name().into()),
+        |v: &Value| LegalizerChoice::from_name(v.as_str()?);
+}
+
+/// Reads knob `key` out of trace-header fields.
+fn knob<T: Knob>(fields: &[(String, Value)], key: &str) -> Result<T, String> {
+    let (_, v) = fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .ok_or_else(|| format!("missing config field `{key}`"))?;
+    T::from_value(v).ok_or_else(|| format!("config field `{key}` is not {}", T::WHAT))
+}
+
+/// Declares a config struct from its field table and generates everything
+/// that has to agree with the field list: `Default`, the header keys in
+/// emission order, `trace_fields` and the strict `from_trace_fields` (whose
+/// visibility is the one given after `round trip:`).
+macro_rules! config_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident (round trip: $vis:vis) {
+            $( $(#[$doc:meta])* $field:ident: $kind:ty = $default:expr, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub struct $name {
+            $( $(#[$doc])* pub $field: $kind, )*
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                $name { $( $field: $default, )* }
+            }
+        }
+
+        impl $name {
+            /// The keys of [`Self::trace_fields`], in emission order.
+            const KEYS: &'static [&'static str] = &[ $( stringify!($field), )* ];
+
+            /// Serializes every knob into ordered trace-header fields. A
+            /// `u64` is a string so its full range survives the f64 number
+            /// pipeline; enums use their stable lowercase names.
+            $vis fn trace_fields(&self) -> Vec<(String, Value)> {
+                vec![ $( (stringify!($field).to_string(), self.$field.to_value()), )* ]
+            }
+
+            /// Reconstructs the config from trace-header fields, strictly:
+            /// every knob must be present with the right type, and unknown
+            /// keys are errors (a trace from a newer binary with more knobs
+            /// must not silently replay with defaults for the extras).
+            ///
+            /// # Errors
+            ///
+            /// Returns a message naming the offending field.
+            $vis fn from_trace_fields(fields: &[(String, Value)]) -> Result<Self, String> {
+                let known = |k: &String| Self::KEYS.contains(&k.as_str());
+                if let Some((k, _)) = fields.iter().find(|(k, _)| !known(k)) {
+                    return Err(format!("unknown config field `{k}`"));
+                }
+                Ok($name { $( $field: knob(fields, stringify!($field))?, )* })
+            }
+        }
+    };
+}
+
+config_table! {
+    /// Configuration of the differentiable timing objective (the paper's method).
+    pub struct DiffTimingConfig (round trip: pub(crate)) {
+        /// LSE smoothing γ (ps); the paper sets "around 100".
+        gamma: f64 = 100.0,
+        /// Initial TNS weight t1. The paper reports "around 0.01" on the
+        /// ICCAD-2015 superblue suite; on the scaled synthetic proxies the same
+        /// gradient balance is reached at 0.04 (the paper itself tunes t1/t2 per
+        /// benchmark, §4).
+        t1: f64 = 0.04,
+        /// Initial WNS weight t2 (paper: "around 0.0001"; recalibrated like t1).
+        t2: f64 = 0.0004,
+        /// Multiplicative growth of t1/t2 per iteration; the paper increases
+        /// them "by 1 % after each iteration".
+        growth: f64 = 1.01,
+        /// Iteration at which timing optimization starts ("around the 100th
+        /// iteration where cells have been initially spread out").
+        start_iter: usize = 100,
+        /// Timing-gradient preconditioning (the paper's §5 future-work item):
+        /// when > 0, the timing gradient is rescaled each iteration so its
+        /// ∞-norm equals this fraction of the wirelength gradient's ∞-norm,
+        /// which decouples the effective timing pressure from t1/t2 magnitudes.
+        /// 0 disables (the paper's published behaviour).
+        grad_norm_target: f64 = 0.0,
+        /// Wire delay metric used by the differentiable timer.
+        wire_model: WireModelChoice = WireModelChoice::Elmore,
+    }
 }
 
 /// Serializable mirror of [`dtp_sta::WireModel`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WireModelChoice {
     /// Elmore first-moment delay.
     #[default]
@@ -77,89 +180,53 @@ impl WireModelChoice {
     }
 }
 
-impl Default for DiffTimingConfig {
-    fn default() -> Self {
-        DiffTimingConfig {
-            gamma: 100.0,
-            t1: 0.04,
-            t2: 0.0004,
-            growth: 1.01,
-            start_iter: 100,
-            steiner_rebuild_period: 10,
-            grad_norm_target: 0.0,
-            wire_model: WireModelChoice::Elmore,
-        }
+config_table! {
+    /// Configuration of the momentum net-weighting baseline \[24\].
+    pub struct NetWeightConfig (round trip: pub(crate)) {
+        /// Momentum coefficient for the weight update.
+        momentum: f64 = 0.5,
+        /// Maximum instantaneous weight boost for a fully critical net.
+        max_boost: f64 = 2.0,
+        /// Run the (exact) STA and update weights every this many iterations.
+        sta_period: usize = 1,
+        /// Iteration at which weighting starts.
+        start_iter: usize = 100,
     }
 }
 
-/// Configuration of the momentum net-weighting baseline \[24\].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NetWeightConfig {
-    /// Momentum coefficient for the weight update.
-    pub momentum: f64,
-    /// Maximum instantaneous weight boost for a fully critical net.
-    pub max_boost: f64,
-    /// Run the (exact) STA and update weights every this many iterations.
-    pub sta_period: usize,
-    /// Iteration at which weighting starts.
-    pub start_iter: usize,
-}
-
-impl Default for NetWeightConfig {
-    fn default() -> Self {
-        NetWeightConfig {
-            momentum: 0.5,
-            max_boost: 2.0,
-            sta_period: 1,
-            start_iter: 100,
-        }
-    }
-}
-
-/// Configuration of the top-K critical-path-extraction timing mode.
-///
-/// Instead of back-propagating through every timing arc (the differentiable
-/// objective) or exact-analyzing every endpoint into momentum net weights
-/// (the net-weighting baseline), this mode periodically runs a forward-only
-/// exact analysis, extracts the `top_k` worst paths
-/// ([`dtp_sta::Timer::extract_paths_into`]) and converts the per-pin
-/// criticalities into wirelength-model net weights: a net touched by a pin
-/// of criticality `c` gets weight `1 + (pin_weight_cap − 1) · c` (max over
-/// its pins).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PathExtractConfig {
-    /// Number of worst endpoints traced per extraction.
-    pub top_k: usize,
-    /// Run the analysis + extraction every this many iterations.
-    pub extract_period: usize,
-    /// Criticality decay per path rank (rank r is scaled by `decay^r`).
-    pub path_decay: f64,
-    /// Net weight of a fully critical (rank-0, slack = WNS) pin; weights
-    /// interpolate between 1 and this cap with criticality. The sparse
-    /// weights need a much stronger pull than net-weighting's dense boost:
-    /// only a few dozen nets carry any timing force, so a small cap leaves
-    /// the critical cone dominated by the wirelength term (the bench
-    /// frontier loses ~20% WNS at cap 3 and ~1% at cap 8).
-    pub pin_weight_cap: f64,
-    /// Iteration at which path-driven weighting starts.
-    pub start_iter: usize,
-}
-
-impl Default for PathExtractConfig {
-    fn default() -> Self {
-        PathExtractConfig {
-            top_k: 32,
-            extract_period: 5,
-            path_decay: 0.9,
-            pin_weight_cap: 8.0,
-            start_iter: 100,
-        }
+config_table! {
+    /// Configuration of the top-K critical-path-extraction timing mode.
+    ///
+    /// Instead of back-propagating through every timing arc (the differentiable
+    /// objective) or exact-analyzing every endpoint into momentum net weights
+    /// (the net-weighting baseline), this mode periodically runs a forward-only
+    /// exact analysis, extracts the `top_k` worst paths
+    /// ([`dtp_sta::Timer::extract_paths_into`]) and converts the per-pin
+    /// criticalities into wirelength-model net weights: a net touched by a pin
+    /// of criticality `c` gets weight `1 + (pin_weight_cap − 1) · c` (max over
+    /// its pins).
+    pub struct PathExtractConfig (round trip: pub(crate)) {
+        /// Number of worst endpoints traced per extraction.
+        top_k: usize = 32,
+        /// Run the analysis + extraction every this many iterations.
+        extract_period: usize = 5,
+        /// Criticality decay per path rank (rank r is scaled by `decay^r`).
+        path_decay: f64 = 0.9,
+        /// Net weight of a fully critical (rank-0, slack = WNS) pin; weights
+        /// interpolate between 1 and this cap with criticality. The sparse
+        /// weights need a much stronger pull than net-weighting's dense boost:
+        /// only a few dozen nets carry any timing force, so a small cap leaves
+        /// the critical cone dominated by the wirelength term (the bench
+        /// frontier loses ~20% WNS at cap 3 and ~1% at cap 8).
+        pin_weight_cap: f64 = 8.0,
+        /// Iteration at which path-driven weighting starts.
+        start_iter: usize = 100,
     }
 }
 
 /// Which placement flow to run (the three columns of Table 3, plus the
 /// path-extraction mode).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlowMode {
     /// Wirelength-driven only (DREAMPlace \[16\]).
     Wirelength,
@@ -212,36 +279,11 @@ impl FlowMode {
     /// The mode's hyperparameters as ordered trace-header fields (empty for
     /// the wirelength-only mode).
     pub fn trace_fields(&self) -> Vec<(String, Value)> {
-        let n = |key: &str, v: f64| (key.to_string(), Value::Num(v));
-        let u = |key: &str, v: usize| (key.to_string(), Value::Num(v as f64));
         match self {
             FlowMode::Wirelength => Vec::new(),
-            FlowMode::NetWeighting(c) => vec![
-                n("momentum", c.momentum),
-                n("max_boost", c.max_boost),
-                u("sta_period", c.sta_period),
-                u("start_iter", c.start_iter),
-            ],
-            FlowMode::Differentiable(c) => vec![
-                n("gamma", c.gamma),
-                n("t1", c.t1),
-                n("t2", c.t2),
-                n("growth", c.growth),
-                u("start_iter", c.start_iter),
-                u("steiner_rebuild_period", c.steiner_rebuild_period),
-                n("grad_norm_target", c.grad_norm_target),
-                (
-                    "wire_model".to_string(),
-                    Value::Str(c.wire_model.name().to_string()),
-                ),
-            ],
-            FlowMode::PathExtraction(c) => vec![
-                u("top_k", c.top_k),
-                u("extract_period", c.extract_period),
-                n("path_decay", c.path_decay),
-                n("pin_weight_cap", c.pin_weight_cap),
-                u("start_iter", c.start_iter),
-            ],
+            FlowMode::NetWeighting(c) => c.trace_fields(),
+            FlowMode::Differentiable(c) => c.trace_fields(),
+            FlowMode::PathExtraction(c) => c.trace_fields(),
         }
     }
 
@@ -254,184 +296,132 @@ impl FlowMode {
     /// Returns a message naming the offending mode name or field.
     pub fn from_trace(name: &str, fields: &[(String, Value)]) -> Result<FlowMode, String> {
         match name {
-            "wirelength" => {
-                reject_unknown(fields, &[])?;
-                Ok(FlowMode::Wirelength)
-            }
+            // The wirelength mode must carry no fields.
+            "wirelength" => match fields.first() {
+                Some((k, _)) => Err(format!("unknown config field `{k}`")),
+                None => Ok(FlowMode::Wirelength),
+            },
             "net-weighting" => {
-                reject_unknown(fields, &["momentum", "max_boost", "sta_period", "start_iter"])?;
-                Ok(FlowMode::NetWeighting(NetWeightConfig {
-                    momentum: num(fields, "momentum")?,
-                    max_boost: num(fields, "max_boost")?,
-                    sta_period: int(fields, "sta_period")?,
-                    start_iter: int(fields, "start_iter")?,
-                }))
+                NetWeightConfig::from_trace_fields(fields).map(FlowMode::NetWeighting)
             }
             "differentiable" => {
-                reject_unknown(
-                    fields,
-                    &[
-                        "gamma",
-                        "t1",
-                        "t2",
-                        "growth",
-                        "start_iter",
-                        "steiner_rebuild_period",
-                        "grad_norm_target",
-                        "wire_model",
-                    ],
-                )?;
-                let wire_model = string(fields, "wire_model")?;
-                Ok(FlowMode::Differentiable(DiffTimingConfig {
-                    gamma: num(fields, "gamma")?,
-                    t1: num(fields, "t1")?,
-                    t2: num(fields, "t2")?,
-                    growth: num(fields, "growth")?,
-                    start_iter: int(fields, "start_iter")?,
-                    steiner_rebuild_period: int(fields, "steiner_rebuild_period")?,
-                    grad_norm_target: num(fields, "grad_norm_target")?,
-                    wire_model: WireModelChoice::from_name(wire_model)
-                        .ok_or_else(|| format!("unknown wire model `{wire_model}`"))?,
-                }))
+                DiffTimingConfig::from_trace_fields(fields).map(FlowMode::Differentiable)
             }
             "path-extraction" => {
-                reject_unknown(
-                    fields,
-                    &["top_k", "extract_period", "path_decay", "pin_weight_cap", "start_iter"],
-                )?;
-                Ok(FlowMode::PathExtraction(PathExtractConfig {
-                    top_k: int(fields, "top_k")?,
-                    extract_period: int(fields, "extract_period")?,
-                    path_decay: num(fields, "path_decay")?,
-                    pin_weight_cap: num(fields, "pin_weight_cap")?,
-                    start_iter: int(fields, "start_iter")?,
-                }))
+                PathExtractConfig::from_trace_fields(fields).map(FlowMode::PathExtraction)
             }
             other => Err(format!("unknown flow mode `{other}`")),
         }
     }
 }
 
-/// Global placement engine configuration (mode-independent knobs).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FlowConfig {
-    /// Maximum global-placement iterations.
-    pub max_iters: usize,
-    /// Stop when the density overflow drops below this ("the same stop
-    /// criterion on density overflow" for all flows, §4).
-    pub stop_overflow: f64,
-    /// Density bin grid (bins × bins).
-    pub bins: usize,
-    /// Target bin density.
-    pub target_density: f64,
-    /// Use the O(N log N) FFT-based spectral Poisson solver for the density
-    /// model. Only takes effect when `bins` is a power of two (the radix-2
-    /// transforms require it); other grids fall back to the dense reference
-    /// transforms regardless. `false` forces the dense path everywhere.
-    pub density_fft: bool,
-    /// Initial density weight λ as a fraction of the wirelength gradient
-    /// norm; 0 = auto-balance.
-    pub lambda_init: f64,
-    /// Multiplicative λ growth per iteration (cell-spreading pressure).
-    pub lambda_growth: f64,
-    /// How often (iterations) the trace records exact WNS/TNS; 0 = never
-    /// (cheapest), 1 = every iteration (Figure-8 mode).
-    pub trace_timing_every: usize,
-    /// Random seed for the initial center-cluster placement.
-    pub seed: u64,
-    /// Number of detailed-placement passes after legalization.
-    pub detail_passes: usize,
-    /// Which legalization algorithm runs after global placement.
-    pub legalizer: LegalizerChoice,
-    /// Drive the per-iteration timing analyses through the dirty-set
-    /// incremental pipeline (per-net Steiner maintenance, incremental STA
-    /// and scratch-buffer reuse). `false` restores the legacy behaviour:
-    /// a blanket periodic forest rebuild and a full analysis every
-    /// timing iteration.
-    pub incremental_timing: bool,
-    /// Minimum Manhattan displacement (µm) below which a cell does not
-    /// dirty its nets. 0 = any nonzero movement counts.
-    pub dirty_threshold: f64,
-    /// A net's Steiner topology is rebuilt when the accumulated worst cell
-    /// drift since its last build exceeds this fraction of the net's pin
-    /// bounding-box half-perimeter; until then only node coordinates are
-    /// updated.
-    pub topo_dirty_frac: f64,
-    /// Build the in-loop Steiner forest from the FLUTE-style topology
-    /// tables: optimal topologies at degree 4, near-optimal (clamped to
-    /// never lose to Prim) at degrees 5–9, plus the per-net sequence cache
-    /// that turns order-preserving moves into coordinate-only re-embeds.
-    /// `false` keeps the legacy exact-≤4 / Prim-≥5 constructions and leaves
-    /// the flow trajectory bit-for-bit identical to a build without the
-    /// tables.
-    pub rsmt_tables: bool,
-    /// Largest net degree served by the topology tables (clamped to 9);
-    /// nets above it use the Prim heuristic. Lowering this trades
-    /// wirelength accuracy for smaller per-class table generation cost.
-    pub rsmt_table_max_degree: usize,
-    /// Fall back to a full (non-incremental) analysis when more than this
-    /// fraction of nets is dirty in one iteration — past that point the
-    /// frontier sweep re-evaluates most of the graph anyway and the
-    /// bookkeeping is pure overhead.
-    pub incremental_fallback_frac: f64,
-    /// Enable the routability subsystem: the differentiable congestion
-    /// penalty joins the objective and the RUDY feedback loop (cell
-    /// inflation + congested-net weighting) runs every
-    /// [`route_update_period`](FlowConfig::route_update_period) iterations.
-    /// `false` leaves the flow trajectory bit-for-bit identical to a build
-    /// without the subsystem.
-    pub route_aware: bool,
-    /// Routing-congestion grid (bins × bins), for both the exact RUDY map
-    /// and the smoothed penalty.
-    pub route_grid: usize,
-    /// Per-direction routing supply in wire-µm per µm² of bin area (the
-    /// per-bin capacity is this times the bin area).
-    pub route_capacity: f64,
-    /// Strength of the congestion pressure: the congestion gradient is
-    /// rescaled so its ∞-norm equals this fraction of the combined
-    /// wirelength+density gradient's ∞-norm, and congested nets get their
-    /// wirelength weight boosted by up to `1 + route_weight`.
-    pub route_weight: f64,
-    /// Cap on the congestion-driven per-cell area inflation factor.
-    pub inflation_max: f64,
-    /// Run the RUDY feedback (inflation + net reweighting) every this many
-    /// iterations once congestion optimization is active.
-    pub route_update_period: usize,
-    /// Enable the observability subsystem (`dtp-obs`): per-phase span
-    /// accumulation, the counters/gauges registry, the iteration ring
-    /// buffer, and (when the caller attaches sinks via
-    /// [`run_flow_observed`](crate::run_flow_observed)) the JSONL trace
-    /// stream. `false` is bit-for-bit inert on the placement trajectory and
-    /// near-zero-cost: only the STA-phase clock reads that always existed
-    /// remain, so [`FlowResult::timing_runtime`](crate::FlowResult) keeps
-    /// working either way.
-    pub observe: bool,
-    /// Worker threads for the parallel phases (Nesterov update, gradient
-    /// sweeps, legalization bands). 0 = the ambient pool (the process-global
-    /// default, or whatever [`rayon::with_pool`] scope encloses the call);
-    /// any other value runs the flow on a dedicated pool of that width.
-    /// Every parallel kernel reduces in fixed chunk order, so the placement
-    /// trajectory is bit-for-bit identical for every value of this knob.
-    pub threads: usize,
-    /// Run the multi-level (clustered) V-cycle: coarsen the netlist
-    /// [`levels`](FlowConfig::levels)−1 times by
-    /// [`cluster_ratio`](FlowConfig::cluster_ratio)× each, place the coarsest
-    /// proxy with the cheap wirelength+density objective, then interpolate
-    /// and refine level by level, reserving the full differentiable-timing
-    /// gradient for the finest level. `false` is bit-for-bit inert: the flow
-    /// is identical to a build without the subsystem.
-    pub multilevel: bool,
-    /// Per-level coarsening ratio of the multi-level flow (≈ how many fine
-    /// cells merge into one cluster per level). Values ≤ 1 disable merging.
-    pub cluster_ratio: f64,
-    /// Number of placement levels in the multi-level flow (1 = flat; each
-    /// extra level adds one coarsening pass). Ignored unless
-    /// [`multilevel`](FlowConfig::multilevel) is set.
-    pub levels: usize,
+config_table! {
+    /// Global placement engine configuration (mode-independent knobs).
+    pub struct FlowConfig (round trip: pub) {
+        /// Maximum global-placement iterations.
+        max_iters: usize = 500,
+        /// Stop when the density overflow drops below this ("the same stop
+        /// criterion on density overflow" for all flows, §4).
+        stop_overflow: f64 = 0.10,
+        /// Density bin grid (bins × bins).
+        bins: usize = 64,
+        /// Target bin density.
+        target_density: f64 = 1.0,
+        /// Use the O(N log N) FFT-based spectral Poisson solver for the density
+        /// model. Only takes effect when `bins` is a power of two (the radix-2
+        /// transforms require it); other grids fall back to the dense reference
+        /// transforms regardless. `false` forces the dense path everywhere.
+        density_fft: bool = true,
+        /// Initial density weight λ as a fraction of the wirelength gradient
+        /// norm; 0 = auto-balance.
+        lambda_init: f64 = 0.0,
+        /// Multiplicative λ growth per iteration (cell-spreading pressure).
+        lambda_growth: f64 = 1.05,
+        /// How often (iterations) the trace records exact WNS/TNS; 0 = never
+        /// (cheapest), 1 = every iteration (Figure-8 mode).
+        trace_timing_every: usize = 10,
+        /// Random seed for the initial center-cluster placement.
+        seed: u64 = 1,
+        /// Number of detailed-placement passes after legalization.
+        detail_passes: usize = 2,
+        /// Which legalization algorithm runs after global placement.
+        legalizer: LegalizerChoice = LegalizerChoice::Abacus,
+        /// A net's Steiner topology is rebuilt when the accumulated worst cell
+        /// drift since its last build exceeds this fraction of the net's pin
+        /// bounding-box half-perimeter; until then only node coordinates are
+        /// updated.
+        topo_dirty_frac: f64 = 0.10,
+        /// Build the in-loop Steiner forest from the FLUTE-style topology
+        /// tables: optimal topologies at degree 4, near-optimal (clamped to
+        /// never lose to Prim) at degrees 5–9, plus the per-net sequence cache
+        /// that turns order-preserving moves into coordinate-only re-embeds.
+        /// `false` keeps the legacy exact-≤4 / Prim-≥5 constructions and leaves
+        /// the flow trajectory bit-for-bit identical to a build without the
+        /// tables.
+        rsmt_tables: bool = true,
+        /// Largest net degree served by the topology tables (clamped to 9);
+        /// nets above it use the Prim heuristic. Lowering this trades
+        /// wirelength accuracy for smaller per-class table generation cost.
+        rsmt_table_max_degree: usize = 9,
+        /// Enable the routability subsystem: the differentiable congestion
+        /// penalty joins the objective and the RUDY feedback loop (cell
+        /// inflation + congested-net weighting) runs every
+        /// [`route_update_period`](FlowConfig::route_update_period) iterations.
+        /// `false` leaves the flow trajectory bit-for-bit identical to a build
+        /// without the subsystem.
+        route_aware: bool = false,
+        /// Routing-congestion grid (bins × bins), for both the exact RUDY map
+        /// and the smoothed penalty.
+        route_grid: usize = 32,
+        /// Per-direction routing supply in wire-µm per µm² of bin area (the
+        /// per-bin capacity is this times the bin area).
+        route_capacity: f64 = 0.5,
+        /// Strength of the congestion pressure: the congestion gradient is
+        /// rescaled so its ∞-norm equals this fraction of the combined
+        /// wirelength+density gradient's ∞-norm, and congested nets get their
+        /// wirelength weight boosted by up to `1 + route_weight`.
+        route_weight: f64 = 1.0,
+        /// Cap on the congestion-driven per-cell area inflation factor.
+        inflation_max: f64 = 2.5,
+        /// Run the RUDY feedback (inflation + net reweighting) every this many
+        /// iterations once congestion optimization is active.
+        route_update_period: usize = 20,
+        /// Enable the observability subsystem (`dtp-obs`): per-phase span
+        /// accumulation, the counters/gauges registry, the iteration ring
+        /// buffer, and (when the caller attaches sinks via
+        /// [`run_flow_observed`](crate::run_flow_observed)) the JSONL trace
+        /// stream. `false` is bit-for-bit inert on the placement trajectory and
+        /// near-zero-cost: only the STA-phase clock reads that always existed
+        /// remain, so [`FlowResult::timing_runtime`](crate::FlowResult) keeps
+        /// working either way.
+        observe: bool = false,
+        /// Worker threads for the parallel phases (Nesterov update, gradient
+        /// sweeps, legalization bands). 0 = the ambient pool (the process-global
+        /// default, or whatever [`rayon::with_pool`] scope encloses the call);
+        /// any other value runs the flow on a dedicated pool of that width.
+        /// Every parallel kernel reduces in fixed chunk order, so the placement
+        /// trajectory is bit-for-bit identical for every value of this knob.
+        threads: usize = 0,
+        /// Run the multi-level (clustered) V-cycle: coarsen the netlist
+        /// [`levels`](FlowConfig::levels)−1 times by
+        /// [`cluster_ratio`](FlowConfig::cluster_ratio)× each, place the coarsest
+        /// proxy with the cheap wirelength+density objective, then interpolate
+        /// and refine level by level, reserving the full differentiable-timing
+        /// gradient for the finest level. `false` is bit-for-bit inert: the flow
+        /// is identical to a build without the subsystem.
+        multilevel: bool = false,
+        /// Per-level coarsening ratio of the multi-level flow (≈ how many fine
+        /// cells merge into one cluster per level). Values ≤ 1 disable merging.
+        cluster_ratio: f64 = 4.0,
+        /// Number of placement levels in the multi-level flow (1 = flat; each
+        /// extra level adds one coarsening pass). Ignored unless
+        /// [`multilevel`](FlowConfig::multilevel) is set.
+        levels: usize = 2,
+    }
 }
 
 /// Legalization algorithm selection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LegalizerChoice {
     /// Abacus row clustering (minimum quadratic displacement; default).
     #[default]
@@ -459,206 +449,6 @@ impl LegalizerChoice {
     }
 }
 
-/// The keys of [`FlowConfig::trace_fields`], in emission order.
-const CONFIG_KEYS: [&str; 28] = [
-    "max_iters",
-    "stop_overflow",
-    "bins",
-    "target_density",
-    "density_fft",
-    "lambda_init",
-    "lambda_growth",
-    "trace_timing_every",
-    "seed",
-    "detail_passes",
-    "legalizer",
-    "incremental_timing",
-    "dirty_threshold",
-    "topo_dirty_frac",
-    "rsmt_tables",
-    "rsmt_table_max_degree",
-    "incremental_fallback_frac",
-    "route_aware",
-    "route_grid",
-    "route_capacity",
-    "route_weight",
-    "inflation_max",
-    "route_update_period",
-    "observe",
-    "threads",
-    "multilevel",
-    "cluster_ratio",
-    "levels",
-];
-
-fn lookup<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing config field `{key}`"))
-}
-
-fn num(fields: &[(String, Value)], key: &str) -> Result<f64, String> {
-    lookup(fields, key)?
-        .as_f64()
-        .ok_or_else(|| format!("config field `{key}` is not a number"))
-}
-
-fn int(fields: &[(String, Value)], key: &str) -> Result<usize, String> {
-    let v = num(fields, key)?;
-    if v < 0.0 || v.fract() != 0.0 || v > usize::MAX as f64 {
-        return Err(format!("config field `{key}` is not a non-negative integer"));
-    }
-    Ok(v as usize)
-}
-
-fn boolean(fields: &[(String, Value)], key: &str) -> Result<bool, String> {
-    lookup(fields, key)?
-        .as_bool()
-        .ok_or_else(|| format!("config field `{key}` is not a boolean"))
-}
-
-fn string<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a str, String> {
-    lookup(fields, key)?
-        .as_str()
-        .ok_or_else(|| format!("config field `{key}` is not a string"))
-}
-
-fn reject_unknown(fields: &[(String, Value)], known: &[&str]) -> Result<(), String> {
-    for (k, _) in fields {
-        if !known.contains(&k.as_str()) {
-            return Err(format!("unknown config field `{k}`"));
-        }
-    }
-    Ok(())
-}
-
-impl FlowConfig {
-    /// Serializes every knob into ordered trace-header fields. The seed is
-    /// a string so the full `u64` range survives the f64 number pipeline;
-    /// enums use their stable lowercase names.
-    pub fn trace_fields(&self) -> Vec<(String, Value)> {
-        let n = |key: &str, v: f64| (key.to_string(), Value::Num(v));
-        let u = |key: &str, v: usize| (key.to_string(), Value::Num(v as f64));
-        let b = |key: &str, v: bool| (key.to_string(), Value::Bool(v));
-        vec![
-            u("max_iters", self.max_iters),
-            n("stop_overflow", self.stop_overflow),
-            u("bins", self.bins),
-            n("target_density", self.target_density),
-            b("density_fft", self.density_fft),
-            n("lambda_init", self.lambda_init),
-            n("lambda_growth", self.lambda_growth),
-            u("trace_timing_every", self.trace_timing_every),
-            ("seed".to_string(), Value::Str(self.seed.to_string())),
-            u("detail_passes", self.detail_passes),
-            (
-                "legalizer".to_string(),
-                Value::Str(self.legalizer.name().to_string()),
-            ),
-            b("incremental_timing", self.incremental_timing),
-            n("dirty_threshold", self.dirty_threshold),
-            n("topo_dirty_frac", self.topo_dirty_frac),
-            b("rsmt_tables", self.rsmt_tables),
-            u("rsmt_table_max_degree", self.rsmt_table_max_degree),
-            n("incremental_fallback_frac", self.incremental_fallback_frac),
-            b("route_aware", self.route_aware),
-            u("route_grid", self.route_grid),
-            n("route_capacity", self.route_capacity),
-            n("route_weight", self.route_weight),
-            n("inflation_max", self.inflation_max),
-            u("route_update_period", self.route_update_period),
-            b("observe", self.observe),
-            u("threads", self.threads),
-            b("multilevel", self.multilevel),
-            n("cluster_ratio", self.cluster_ratio),
-            u("levels", self.levels),
-        ]
-    }
-
-    /// Reconstructs a config from trace-header fields, strictly: every knob
-    /// must be present with the right type, and unknown keys are errors (a
-    /// trace from a newer binary with more knobs must not silently replay
-    /// with defaults for the extras).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn from_trace_fields(fields: &[(String, Value)]) -> Result<FlowConfig, String> {
-        reject_unknown(fields, &CONFIG_KEYS)?;
-        let legalizer_name = string(fields, "legalizer")?;
-        Ok(FlowConfig {
-            max_iters: int(fields, "max_iters")?,
-            stop_overflow: num(fields, "stop_overflow")?,
-            bins: int(fields, "bins")?,
-            target_density: num(fields, "target_density")?,
-            density_fft: boolean(fields, "density_fft")?,
-            lambda_init: num(fields, "lambda_init")?,
-            lambda_growth: num(fields, "lambda_growth")?,
-            trace_timing_every: int(fields, "trace_timing_every")?,
-            seed: string(fields, "seed")?
-                .parse()
-                .map_err(|_| "config field `seed` is not a u64 string".to_string())?,
-            detail_passes: int(fields, "detail_passes")?,
-            legalizer: LegalizerChoice::from_name(legalizer_name)
-                .ok_or_else(|| format!("unknown legalizer `{legalizer_name}`"))?,
-            incremental_timing: boolean(fields, "incremental_timing")?,
-            dirty_threshold: num(fields, "dirty_threshold")?,
-            topo_dirty_frac: num(fields, "topo_dirty_frac")?,
-            rsmt_tables: boolean(fields, "rsmt_tables")?,
-            rsmt_table_max_degree: int(fields, "rsmt_table_max_degree")?,
-            incremental_fallback_frac: num(fields, "incremental_fallback_frac")?,
-            route_aware: boolean(fields, "route_aware")?,
-            route_grid: int(fields, "route_grid")?,
-            route_capacity: num(fields, "route_capacity")?,
-            route_weight: num(fields, "route_weight")?,
-            inflation_max: num(fields, "inflation_max")?,
-            route_update_period: int(fields, "route_update_period")?,
-            observe: boolean(fields, "observe")?,
-            threads: int(fields, "threads")?,
-            multilevel: boolean(fields, "multilevel")?,
-            cluster_ratio: num(fields, "cluster_ratio")?,
-            levels: int(fields, "levels")?,
-        })
-    }
-}
-
-impl Default for FlowConfig {
-    fn default() -> Self {
-        FlowConfig {
-            max_iters: 500,
-            stop_overflow: 0.10,
-            bins: 64,
-            target_density: 1.0,
-            density_fft: true,
-            lambda_init: 0.0,
-            lambda_growth: 1.05,
-            trace_timing_every: 10,
-            seed: 1,
-            detail_passes: 2,
-            legalizer: LegalizerChoice::Abacus,
-            incremental_timing: true,
-            dirty_threshold: 0.0,
-            topo_dirty_frac: 0.10,
-            rsmt_tables: true,
-            rsmt_table_max_degree: 9,
-            incremental_fallback_frac: 0.30,
-            route_aware: false,
-            route_grid: 32,
-            route_capacity: 0.5,
-            route_weight: 1.0,
-            inflation_max: 2.5,
-            route_update_period: 20,
-            observe: false,
-            threads: 0,
-            multilevel: false,
-            cluster_ratio: 4.0,
-            levels: 2,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,7 +461,6 @@ mod tests {
         assert_eq!(d.t2, 0.0004);
         assert!((d.growth - 1.01).abs() < 1e-12);
         assert_eq!(d.start_iter, 100);
-        assert_eq!(d.steiner_rebuild_period, 10);
     }
 
     #[test]
@@ -680,6 +469,35 @@ mod tests {
         assert_eq!(FlowMode::net_weighting().label(), "NetWeighting");
         assert_eq!(FlowMode::differentiable().label(), "Ours");
         assert_eq!(FlowMode::path_extraction().label(), "PathExtract");
+    }
+
+    /// Every field of a config, perturbed from its default one at a time,
+    /// must come back out of `round` (from fields and back to fields) as it
+    /// went in — a field the reader defaulted, or read from a neighbour's
+    /// key, shows up as a difference here.
+    fn every_perturbed_field_survives(
+        defaults: Vec<(String, Value)>,
+        round: impl Fn(&[(String, Value)]) -> Result<Vec<(String, Value)>, String>,
+    ) {
+        for i in 0..defaults.len() {
+            let mut fields = defaults.clone();
+            let v = &mut fields[i].1;
+            *v = match &*v {
+                Value::Num(x) => Value::Num(x + 1.0),
+                Value::Bool(b) => Value::Bool(!b),
+                Value::Str(s) => Value::Str(match s.as_str() {
+                    "abacus" => "tetris".into(),
+                    "tetris" => "abacus".into(),
+                    "elmore" => "d2m".into(),
+                    "d2m" => "elmore".into(),
+                    seed => (seed.parse::<u64>().expect("a u64 string") + (1 << 60)).to_string(),
+                }),
+                other => panic!("no config kind serializes as {other:?}"),
+            };
+            assert_ne!(fields, defaults);
+            let back = round(&fields).unwrap_or_else(|e| panic!("`{}`: {e}", fields[i].0));
+            assert_eq!(back, fields, "field `{}` did not survive", fields[i].0);
+        }
     }
 
     #[test]
@@ -693,9 +511,14 @@ mod tests {
         };
         cfg.lambda_growth = 1.0375;
         let fields = cfg.trace_fields();
-        assert_eq!(fields.len(), CONFIG_KEYS.len());
+        assert_eq!(fields.len(), 25);
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, FlowConfig::KEYS, "header keys follow the field table's order");
         let back = FlowConfig::from_trace_fields(&fields).expect("round trip");
         assert_eq!(back, cfg);
+        every_perturbed_field_survives(FlowConfig::default().trace_fields(), |f| {
+            FlowConfig::from_trace_fields(f).map(|c| c.trace_fields())
+        });
         // Strictness: a missing knob and an unknown knob are both errors.
         let missing: Vec<_> = fields[1..].to_vec();
         assert!(FlowConfig::from_trace_fields(&missing).is_err());
@@ -720,7 +543,18 @@ mod tests {
             let fields = mode.trace_fields();
             let back = FlowMode::from_trace(mode.name(), &fields).expect("round trip");
             assert_eq!(back, mode);
+            every_perturbed_field_survives(fields.clone(), |f| {
+                FlowMode::from_trace(mode.name(), f).map(|m| m.trace_fields())
+            });
+            // Strictness, per mode: a missing knob and an unknown knob.
+            if !fields.is_empty() {
+                assert!(FlowMode::from_trace(mode.name(), &fields[1..]).is_err());
+            }
+            let mut extra = fields;
+            extra.push(("bogus".to_string(), Value::Bool(true)));
+            assert!(FlowMode::from_trace(mode.name(), &extra).is_err());
         }
+        assert_eq!(DiffTimingConfig::KEYS.len(), 7);
         assert!(FlowMode::from_trace("bogus", &[]).is_err());
         // Wirelength mode must carry no fields.
         assert!(FlowMode::from_trace(

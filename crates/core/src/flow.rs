@@ -6,8 +6,7 @@
 //! - wirelength-only: none;
 //! - net weighting: exact STA → per-net weights in the WA wirelength;
 //! - differentiable (ours): smoothed STA → TNS/WNS gradients added to the
-//!   wirelength + density gradient, Steiner forest rebuilt every N
-//!   iterations and branch-updated in between;
+//!   wirelength + density gradient;
 //! - path extraction: forward-only exact STA → top-K critical paths →
 //!   per-net weights concentrated on the extracted pins (the cheap, sharp
 //!   timing signal; same weight slot as net weighting, a fraction of the
@@ -17,13 +16,28 @@
 //! the routability subsystem (`dtp-route`): a smoothed congestion penalty
 //! joins the gradient every iteration, and a RUDY feedback loop periodically
 //! inflates cells in overflowed bins and boosts the wirelength weight of
-//! nets crossing them. The exact RUDY map is maintained incrementally from
-//! the same geometry-dirty net sets that drive incremental timing.
+//! nets crossing them.
+//!
+//! Every consumer of wire geometry (the three timing mechanisms, the trace
+//! STA, the route layer) reads one in-loop Steiner forest, built once and
+//! then maintained per net under a drift budget ([`LoopForest`]): nets of
+//! moved cells are re-embedded, and a net whose accumulated drift exceeds
+//! [`FlowConfig::topo_dirty_frac`] of its bounding box gets a fresh
+//! topology. Each timing iteration then runs one full, scratch-backed
+//! analysis — in global placement every movable cell moves every iteration,
+//! so there is no sparse dirty set for an incremental analysis to exploit
+//! (that lives in `timing_detail`, where moves are sparse). The exact RUDY
+//! map is maintained incrementally from the same geometry/topology-dirty
+//! net lists.
+//!
+//! The flat flow, the warm-started finest level of a V-cycle and the coarse
+//! levels all drive one [`GradientCore`] (WA wirelength + density + Nesterov
+//! step); they differ in what they add around it.
 
-use crate::config::{FlowConfig, FlowMode, LegalizerChoice};
+use crate::config::{DiffTimingConfig, FlowConfig, FlowMode, LegalizerChoice};
 use crate::weighting::{NetWeighter, PathWeighter};
 use dtp_liberty::Library;
-use dtp_netlist::{coarsen, CellId, ClusterMap, Design, NetId, NetlistError};
+use dtp_netlist::{coarsen, ClusterMap, Design, NetId, Netlist, NetlistError};
 use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
@@ -32,7 +46,7 @@ use dtp_place::{
 };
 use dtp_route::{inflation_factors, CongestionPenalty, CongestionSummary, RudyMap};
 use dtp_rsmt::{build_forest, build_forest_with, ForestScratch, ForestStats, SteinerForest, TableConfig};
-use dtp_sta::{Analysis, AnalysisScratch, PositionGradients, StaError, Timer, TimerConfig};
+use dtp_sta::{AnalysisScratch, PositionGradients, StaError, Timer, TimerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -75,20 +89,17 @@ const WARM_TIMING_OVERFLOW: f64 = 0.15;
 /// A slightly steeper anneal compresses that tail.
 const WARM_LAMBDA_GROWTH_BOOST: f64 = 1.01;
 
-/// Seed placement handed to the finest level by the multi-level driver.
-struct WarmStart {
-    /// Interpolated lower-left x positions, indexed by cell.
-    xs: Vec<f64>,
-    /// Interpolated lower-left y positions.
-    ys: Vec<f64>,
-}
+/// Ratio of the density to the wirelength gradient (1-norms) at which λ is
+/// auto-balanced on a level's first evaluation.
+const COLD_BALANCE_RATIO: f64 = 0.1;
 
-/// The solution of one coarse-level placement.
-struct CoarseOutcome {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    iterations: usize,
-}
+/// [`COLD_BALANCE_RATIO`] of a warm-started finest level. A warm start
+/// re-enters the λ schedule "mid-flight": the placement is already spread,
+/// so the density gradient is small and the cold-start ratio would
+/// over-weight density from the first step, freezing the arrangement before
+/// wirelength (and timing) can improve it. A lower ratio restores the
+/// wirelength-dominant phase the cold schedule gets for free.
+const WARM_BALANCE_RATIO: f64 = 0.05;
 
 /// Adds `scale * add` into `acc` elementwise over the persistent pool.
 fn axpy_into(acc: &mut [f64], add: &[f64], scale: f64) {
@@ -220,13 +231,26 @@ impl fmt::Display for FlowResult {
     }
 }
 
-/// Dirty-set bookkeeping for the incremental timing pipeline.
+/// The in-loop Steiner forest and its maintenance policy.
 ///
-/// One instance lives across the whole placement loop; every buffer persists
-/// between iterations so the per-iteration work is proportional to the
-/// number of moved cells, not the design size.
-struct IncrementalState {
-    /// Positions at the last Steiner-forest synchronization.
+/// One instance lives across the whole placement loop. The first sync builds
+/// the forest; every later one classifies the nets of moved cells as
+/// geometry-dirty (coordinate update) or topology-dirty (per-net Steiner
+/// rebuild once accumulated drift exceeds the bbox budget) and applies both.
+/// Every buffer persists between iterations, so a steady-state sync
+/// allocates nothing.
+#[derive(Default)]
+struct LoopForest {
+    /// `None` until the first consumer (timing, trace, route) asks for it.
+    forest: Option<SteinerForest>,
+    /// Topology-table configuration for the in-loop forest; the post-GP and
+    /// final reporting forests always use the legacy constructions so the
+    /// reported metrics stay comparable across configurations.
+    table_cfg: TableConfig,
+    scratch: ForestScratch,
+    /// [`FlowConfig::topo_dirty_frac`].
+    topo_frac: f64,
+    /// Positions at the last synchronization.
     last_x: Vec<f64>,
     last_y: Vec<f64>,
     /// Accumulated worst cell drift per net since its last topology build.
@@ -236,13 +260,7 @@ struct IncrementalState {
     net_budget: Vec<f64>,
     /// This-iteration max displacement per net (sparse; reset via `touched`).
     net_disp: Vec<f64>,
-    /// Cells moved since the last timing analysis (flags + dense list).
-    cell_moved: Vec<bool>,
-    moved_cells: Vec<CellId>,
-    /// Nets dirtied since the last timing analysis (flags + dense list).
-    net_dirty: Vec<bool>,
-    dirty_nets: Vec<usize>,
-    /// Per-iteration classification scratch.
+    /// The last sync's classification; the RUDY map consumes the same lists.
     geo_nets: Vec<NetId>,
     topo_nets: Vec<NetId>,
     touched: Vec<usize>,
@@ -254,42 +272,55 @@ struct IncrementalState {
     cell_nets: Vec<u32>,
 }
 
-impl IncrementalState {
-    fn new(num_cells: usize) -> IncrementalState {
-        IncrementalState {
-            last_x: Vec::new(),
-            last_y: Vec::new(),
-            net_drift: Vec::new(),
-            net_budget: Vec::new(),
-            net_disp: Vec::new(),
-            cell_moved: vec![false; num_cells],
-            moved_cells: Vec::new(),
-            net_dirty: Vec::new(),
-            dirty_nets: Vec::new(),
-            geo_nets: Vec::new(),
-            topo_nets: Vec::new(),
-            touched: Vec::new(),
-            movable: Vec::new(),
-            cell_net_off: Vec::new(),
-            cell_nets: Vec::new(),
+impl LoopForest {
+    fn new(nl: &Netlist, config: &FlowConfig) -> LoopForest {
+        // Pre-sized from the design's stats, so the sweeps' warm-up growth
+        // happens here, once, and not inside the first iterations.
+        let mut scratch = ForestScratch::new();
+        scratch.presize(nl.num_nets());
+        LoopForest {
+            table_cfg: TableConfig {
+                enabled: config.rsmt_tables,
+                max_degree: config.rsmt_table_max_degree,
+            },
+            scratch,
+            topo_frac: config.topo_dirty_frac,
+            ..LoopForest::default()
         }
     }
 
-    /// Re-seeds the bookkeeping after a full forest build: budgets from the
-    /// fresh trees, zero drift, reference positions = current positions, and
-    /// the movable-cell → tree-net table.
-    fn reset_after_build(
-        &mut self,
-        nl: &dtp_netlist::Netlist,
-        forest: &SteinerForest,
-        xs: &[f64],
-        ys: &[f64],
-        topo_frac: f64,
-    ) {
+    /// Topology-rebuild budget of `net`'s tree as it stands.
+    fn budget(&self, forest: &SteinerForest, net: NetId) -> f64 {
+        self.topo_frac * forest.tree(net).map_or(0.0, |t| t.pin_bbox_half_perimeter())
+    }
+
+    /// Brings the forest up to the positions `xs`/`ys` (already set on
+    /// `nl`): a full build the first time, dirty-set maintenance after.
+    fn sync(&mut self, nl: &Netlist, xs: &[f64], ys: &[f64], obs: &mut Observer) {
+        match self.forest.take() {
+            Some(mut f) => {
+                obs.time(Phase::SteinerUpdate, || self.maintain(nl, &mut f, xs, ys));
+                obs.add(Counter::ForestSyncs, 1);
+                obs.add(Counter::GeoDirtyNets, self.geo_nets.len() as u64);
+                obs.add(Counter::TopoDirtyNets, self.topo_nets.len() as u64);
+                self.forest = Some(f);
+            }
+            None => {
+                self.forest = Some(obs.time(Phase::SteinerBuild, || {
+                    let f = build_forest_with(nl, self.table_cfg);
+                    self.seed_bookkeeping(nl, &f, xs, ys);
+                    f
+                }));
+                obs.add(Counter::ForestBuilds, 1);
+            }
+        }
+    }
+
+    /// Seeds the bookkeeping after the forest build: budgets from the fresh
+    /// trees, zero drift, reference positions = current positions, and the
+    /// movable-cell → tree-net table.
+    fn seed_bookkeeping(&mut self, nl: &Netlist, forest: &SteinerForest, xs: &[f64], ys: &[f64]) {
         let n = forest.len();
-        self.movable.clear();
-        self.cell_net_off.clear();
-        self.cell_nets.clear();
         self.cell_net_off.push(0);
         for c in nl.movable_cells() {
             self.movable.push(c.index() as u32);
@@ -299,53 +330,25 @@ impl IncrementalState {
             self.cell_nets.extend(tree_nets.map(|net| net.index() as u32));
             self.cell_net_off.push(self.cell_nets.len() as u32);
         }
-        self.net_drift.clear();
         self.net_drift.resize(n, 0.0);
-        self.net_disp.clear();
         self.net_disp.resize(n, 0.0);
-        self.net_budget.clear();
-        self.net_budget.extend((0..n).map(|ni| {
-            topo_frac
-                * forest
-                    .tree(NetId::new(ni))
-                    .map_or(0.0, |t| t.pin_bbox_half_perimeter())
-        }));
-        self.net_dirty.clear();
-        self.net_dirty.resize(n, false);
-        self.dirty_nets.clear();
-        self.last_x.clear();
+        for ni in 0..n {
+            self.net_budget.push(self.budget(forest, NetId::new(ni)));
+        }
         self.last_x.extend_from_slice(xs);
-        self.last_y.clear();
         self.last_y.extend_from_slice(ys);
-        self.cell_moved.fill(false);
-        self.moved_cells.clear();
     }
 
     /// Per-iteration forest maintenance: classify the nets of moved cells as
-    /// geometry-dirty (coordinate update) or topology-dirty (per-net Steiner
-    /// rebuild once accumulated drift exceeds the bbox budget), apply both,
-    /// and fold the moved cells into the since-last-analysis dirty set.
-    fn sync_forest(
-        &mut self,
-        nl: &dtp_netlist::Netlist,
-        forest: &mut SteinerForest,
-        xs: &[f64],
-        ys: &[f64],
-        config: &FlowConfig,
-        scratch: &mut ForestScratch,
-    ) {
-        let dirty_threshold = config.dirty_threshold;
-        let topo_frac = config.topo_dirty_frac;
+    /// geometry-dirty or topology-dirty and apply both.
+    fn maintain(&mut self, nl: &Netlist, forest: &mut SteinerForest, xs: &[f64], ys: &[f64]) {
         self.touched.clear();
         for (&c, nets) in self.movable.iter().zip(self.cell_net_off.windows(2)) {
             let i = c as usize;
             let d = (xs[i] - self.last_x[i]).abs() + (ys[i] - self.last_y[i]).abs();
-            if d <= dirty_threshold {
+            // Any nonzero movement dirties the cell's nets.
+            if d <= 0.0 {
                 continue;
-            }
-            if !self.cell_moved[i] {
-                self.cell_moved[i] = true;
-                self.moved_cells.push(CellId::new(i));
             }
             for &net in &self.cell_nets[nets[0] as usize..nets[1] as usize] {
                 let ni = net as usize;
@@ -362,48 +365,322 @@ impl IncrementalState {
         for &ni in &self.touched {
             self.net_drift[ni] += self.net_disp[ni];
             self.net_disp[ni] = 0.0;
-            if !self.net_dirty[ni] {
-                self.net_dirty[ni] = true;
-                self.dirty_nets.push(ni);
-            }
             if self.net_drift[ni] > self.net_budget[ni] {
                 self.topo_nets.push(NetId::new(ni));
             } else {
                 self.geo_nets.push(NetId::new(ni));
             }
         }
-        forest.update_nets_into(nl, &self.geo_nets, scratch);
-        forest.rebuild_nets_into(nl, &self.topo_nets, scratch);
+        forest.update_nets_into(nl, &self.geo_nets, &mut self.scratch);
+        forest.rebuild_nets_into(nl, &self.topo_nets, &mut self.scratch);
         for &net in &self.topo_nets {
             let ni = net.index();
             self.net_drift[ni] = 0.0;
-            self.net_budget[ni] = topo_frac
-                * forest
-                    .tree(net)
-                    .map_or(0.0, |t| t.pin_bbox_half_perimeter());
+            self.net_budget[ni] = self.budget(forest, net);
         }
         self.last_x.copy_from_slice(xs);
         self.last_y.copy_from_slice(ys);
     }
+}
 
-    /// Fraction of nets dirtied since the last analysis.
-    fn dirty_fraction(&self, num_nets: usize) -> f64 {
-        if num_nets == 0 {
-            0.0
-        } else {
-            self.dirty_nets.len() as f64 / num_nets as f64
+/// Initial placement of a level. Warm start (multi-level): the interpolated
+/// solution of the next coarser level. Cold start: the movable cells
+/// clustered at the core center with small seeded noise. Returns whether the
+/// start was a warm one.
+fn seed_positions(work: &mut Design, warm: Option<(Vec<f64>, Vec<f64>)>, seed: u64) -> bool {
+    if let Some((xs, ys)) = warm {
+        work.netlist.set_positions(&xs, &ys);
+        return true;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let center = work.region.center();
+    let (mut xs, mut ys) = work.netlist.positions();
+    for c in work.netlist.movable_cells() {
+        let i = c.index();
+        let class = work.netlist.class_of(c);
+        xs[i] = center.x - 0.5 * class.width()
+            + rng.gen_range(-0.02..0.02) * work.region.width();
+        ys[i] = center.y - 0.5 * class.height()
+            + rng.gen_range(-0.02..0.02) * work.region.height();
+    }
+    work.netlist.set_positions(&xs, &ys);
+    false
+}
+
+/// What every level's iteration shares — the flat flow, a warm-started
+/// finest level and the coarse levels alike: the wirelength and density
+/// models, the preconditioned Nesterov optimizer, the λ / overflow state
+/// that threads one iteration into the next, and every buffer the
+/// steady-state gradient evaluation touches (with these, a wirelength +
+/// density + timing gradient evaluation allocates nothing).
+struct GradientCore {
+    wl_model: WirelengthModel,
+    density: DensityModel,
+    opt: NesterovOptimizer,
+    bin_w: f64,
+    /// Per-cell preconditioner ingredients.
+    pin_count: Vec<f64>,
+    areas: Vec<f64>,
+    /// The optimizer's look-ahead positions this iteration evaluates at
+    /// (refilled each iteration instead of allocating two fresh Vecs).
+    vx: Vec<f64>,
+    vy: Vec<f64>,
+    /// The iteration's objective gradient, accumulated term by term.
+    gx: Vec<f64>,
+    gy: Vec<f64>,
+    wl_scratch: WirelengthScratch,
+    dscratch: DensityScratch,
+    dres: DensityResult,
+    precond: Vec<f64>,
+    /// Density weight; 0 = auto-balance on the first evaluation.
+    lambda: f64,
+    lambda_growth: f64,
+    /// Density : wirelength gradient 1-norm ratio the auto-balance sets.
+    balance_ratio: f64,
+    /// Density overflow of the latest evaluation (1 before the first).
+    overflow: f64,
+}
+
+impl GradientCore {
+    /// Models and buffers for `work` on a `bins × bins` density grid, the
+    /// optimizer starting from the positions `work` currently holds.
+    fn new(
+        work: &Design,
+        bins: usize,
+        config: &FlowConfig,
+        lambda_growth: f64,
+        balance_ratio: f64,
+    ) -> GradientCore {
+        let nl = &work.netlist;
+        let density =
+            DensityModel::with_options(work, bins, bins, config.target_density, config.density_fft);
+        let bin_w = work.region.width() / bins as f64;
+        let mut pin_count = vec![0.0f64; nl.num_cells()];
+        for p in nl.pin_ids() {
+            if nl.pin(p).net().is_some() {
+                pin_count[nl.pin(p).cell().index()] += 1.0;
+            }
+        }
+        let mut dscratch = DensityScratch::new();
+        density.presize_scratch(&mut dscratch);
+        GradientCore {
+            wl_model: WirelengthModel::new(nl),
+            opt: NesterovOptimizer::new(work, bin_w),
+            density,
+            bin_w,
+            pin_count,
+            areas: nl.cell_ids().map(|c| nl.class_of(c).area()).collect(),
+            vx: Vec::new(),
+            vy: Vec::new(),
+            gx: Vec::new(),
+            gy: Vec::new(),
+            wl_scratch: WirelengthScratch::new(),
+            dscratch,
+            dres: DensityResult::default(),
+            precond: Vec::new(),
+            lambda: config.lambda_init,
+            lambda_growth,
+            balance_ratio,
+            overflow: 1.0,
         }
     }
 
-    /// Clears the since-last-analysis dirty set (call right after an
-    /// analysis consumed it).
-    fn mark_analyzed(&mut self) {
-        for c in self.moved_cells.drain(..) {
-            self.cell_moved[c.index()] = false;
+    /// Copies the optimizer's look-ahead positions into `vx`/`vy`.
+    fn load_positions(&mut self) {
+        let (a, b) = self.opt.positions();
+        self.vx.clear();
+        self.vx.extend_from_slice(a);
+        self.vy.clear();
+        self.vy.extend_from_slice(b);
+    }
+
+    /// Starts the iteration's gradient: the WA wirelength gradient (γ
+    /// annealed with overflow, nets optionally weighted) plus λ × the
+    /// density gradient, into `gx`/`gy`; updates `overflow`. Returns the
+    /// smoothed wirelength.
+    fn wl_density(&mut self, weights: Option<&[f64]>, obs: &mut Observer) -> f64 {
+        let wa_gamma = (self.bin_w * (0.1 + 8.0 * self.overflow)).max(1e-3);
+        let wl_value = obs.time(Phase::WirelengthGrad, || {
+            self.wl_model.wa_gradient_into(
+                &self.vx,
+                &self.vy,
+                wa_gamma,
+                weights,
+                &mut self.wl_scratch,
+                &mut self.gx,
+                &mut self.gy,
+            )
+        });
+
+        let sp = obs.start(Phase::DensityGrad);
+        self.density.evaluate_into(&self.vx, &self.vy, &mut self.dscratch, &mut self.dres);
+        self.overflow = self.dres.overflow;
+        if self.lambda == 0.0 {
+            // Auto-balance λ against the wirelength gradient on iteration 0.
+            let norm1 = |x: &[f64], y: &[f64]| x.iter().chain(y).map(|g| g.abs()).sum::<f64>();
+            let wl_norm = norm1(&self.gx, &self.gy);
+            let d_norm = norm1(&self.dres.grad_x, &self.dres.grad_y);
+            self.lambda = if d_norm > 0.0 { self.balance_ratio * wl_norm / d_norm } else { 1.0 };
         }
-        for ni in self.dirty_nets.drain(..) {
-            self.net_dirty[ni] = false;
+        axpy_into(&mut self.gx, &self.dres.grad_x, self.lambda);
+        axpy_into(&mut self.gy, &self.dres.grad_y, self.lambda);
+        obs.stop(Phase::DensityGrad, sp);
+        wl_value
+    }
+
+    /// Preconditioned Nesterov step along `gx`/`gy`, then λ growth. Returns
+    /// the step length and the λ this iteration's gradient actually used
+    /// (post auto-balance, pre growth) — what the trace records.
+    fn step(&mut self, obs: &mut Observer) -> (f64, f64) {
+        let sp = obs.start(Phase::NesterovStep);
+        let lambda = self.lambda;
+        self.precond.resize(self.areas.len(), 0.0);
+        self.precond
+            .par_chunks_mut(MERGE_CHUNK)
+            .zip(self.pin_count.par_chunks(MERGE_CHUNK))
+            .zip(self.areas.par_chunks(MERGE_CHUNK))
+            .for_each(|((pr, pc), ar)| {
+                for ((p, &c), &a) in pr.iter_mut().zip(pc).zip(ar) {
+                    *p = (c + lambda * a).max(1.0);
+                }
+            });
+        let step = self.opt.step(&self.gx, &self.gy, &self.precond);
+        self.lambda *= self.lambda_growth;
+        obs.stop(Phase::NesterovStep, sp);
+        (step, lambda)
+    }
+
+    /// Ends the loop: releases the optimizer, the density model and every
+    /// buffer, keeping only what the reporting phase reads.
+    fn into_wl_model(self) -> WirelengthModel {
+        self.wl_model
+    }
+}
+
+/// A from-scratch forest on the legacy constructions: what the reporting
+/// analyses and the coarse levels' extractions read.
+fn fresh_forest(nl: &Netlist, obs: &mut Observer) -> SteinerForest {
+    let f = obs.time(Phase::SteinerBuild, || build_forest(nl));
+    obs.add(Counter::ForestBuilds, 1);
+    f
+}
+
+/// ∞-norm of a gradient held as two coordinate slices.
+fn norm_inf(x: &[f64], y: &[f64]) -> f64 {
+    x.iter().chain(y).fold(0.0f64, |m, &g| m.max(g.abs()))
+}
+
+/// The timing mechanism of a flow with its run-time state, built once from
+/// the mode (`None` for the wirelength-only mode): when it starts, on which
+/// iterations it runs, which net weights it contributes to the WA
+/// wirelength, and what a run does.
+struct TimingMechanism {
+    /// Iteration at which a cold flow activates the mechanism.
+    start_iter: usize,
+    /// The mechanism runs every `period`-th iteration once active.
+    period: usize,
+    kind: TimingKind,
+}
+
+enum TimingKind {
+    /// Smoothed analysis → TNS/WNS gradient added to the objective gradient.
+    Differentiable { cfg: DiffTimingConfig, t1: f64, t2: f64, grads: PositionGradients },
+    /// Exact analysis → momentum net weights.
+    NetWeighting(NetWeighter),
+    /// Forward-only exact analysis → top-K path weights.
+    PathExtraction(PathWeighter),
+}
+
+impl TimingMechanism {
+    fn new(mode: FlowMode, nl: &Netlist, wl_model: &WirelengthModel) -> Option<TimingMechanism> {
+        let (start_iter, period, kind) = match mode {
+            FlowMode::Wirelength => return None,
+            FlowMode::Differentiable(cfg) => {
+                let (t1, t2, grads) = (cfg.t1, cfg.t2, PositionGradients::default());
+                (cfg.start_iter, 1, TimingKind::Differentiable { cfg, t1, t2, grads })
+            }
+            FlowMode::NetWeighting(cfg) => {
+                let weighter = NetWeighter::new(wl_model, cfg);
+                (cfg.start_iter, cfg.sta_period, TimingKind::NetWeighting(weighter))
+            }
+            FlowMode::PathExtraction(cfg) => {
+                let weighter = PathWeighter::new(nl, wl_model, cfg);
+                (cfg.start_iter, cfg.extract_period.max(1), TimingKind::PathExtraction(weighter))
+            }
+        };
+        Some(TimingMechanism { start_iter, period, kind })
+    }
+
+    /// Net weights the mechanism carries in the WA wirelength, if any.
+    fn weights(&self) -> Option<&[f64]> {
+        match &self.kind {
+            TimingKind::Differentiable { .. } => None,
+            TimingKind::NetWeighting(weighter) => Some(weighter.weights()),
+            TimingKind::PathExtraction(weighter) => Some(weighter.weights()),
         }
+    }
+
+    /// Whether the mechanism runs on the `active`-th iteration since it
+    /// was activated.
+    fn due(&self, active: usize) -> bool {
+        active.is_multiple_of(self.period)
+    }
+
+    /// One timing iteration: a full, scratch-backed analysis of the current
+    /// placement (`forest` is in sync with it) and the mode's use of it —
+    /// the TNS/WNS gradient merged into `core`'s gradient, or the net
+    /// weights refreshed for the next iterations. Returns the exact
+    /// (WNS, TNS) where the analysis was an exact one, NaNs otherwise.
+    fn run(
+        &mut self,
+        nl: &Netlist,
+        timer: &Timer,
+        forest: &SteinerForest,
+        scratch: &mut AnalysisScratch,
+        core: &mut GradientCore,
+        obs: &mut Observer,
+    ) -> (f64, f64) {
+        let analysis = obs.time(Phase::StaForward, || match self.kind {
+            TimingKind::Differentiable { .. } => timer.analyze_smoothed_into(nl, forest, scratch),
+            // The weighter reads per-pin slacks: forward + RAT sweep.
+            TimingKind::NetWeighting(_) => timer.analyze_into(nl, forest, scratch),
+            // Path extraction reads only arrival times and endpoint slacks,
+            // so the analysis is forward-only.
+            TimingKind::PathExtraction(_) => timer.analyze_no_rat_into(nl, forest, scratch),
+        });
+        obs.add(Counter::StaFull, 1);
+        let traced = match &mut self.kind {
+            TimingKind::Differentiable { cfg, t1, t2, grads } => {
+                obs.time(Phase::StaBackward, || {
+                    timer.gradients_into(nl, &analysis, forest, *t1, *t2, scratch, grads)
+                });
+                // Optional preconditioning (§5 future work): normalize the
+                // timing gradient against the combined WL+density gradient.
+                let scale = if cfg.grad_norm_target > 0.0 {
+                    let base_norm = norm_inf(&core.gx, &core.gy);
+                    let t_norm = norm_inf(&grads.cell_grad_x, &grads.cell_grad_y);
+                    if t_norm > 0.0 { cfg.grad_norm_target * base_norm / t_norm } else { 0.0 }
+                } else {
+                    1.0
+                };
+                axpy_into(&mut core.gx, &grads.cell_grad_x, scale);
+                axpy_into(&mut core.gy, &grads.cell_grad_y, scale);
+                *t1 *= cfg.growth;
+                *t2 *= cfg.growth;
+                (f64::NAN, f64::NAN)
+            }
+            TimingKind::NetWeighting(weighter) => {
+                obs.time(Phase::NetWeight, || weighter.update(nl, &core.wl_model, &analysis));
+                (analysis.wns(), analysis.tns())
+            }
+            TimingKind::PathExtraction(weighter) => {
+                obs.time(Phase::PathExtract, || weighter.update(nl, timer, &analysis));
+                obs.add(Counter::PathExtractions, 1);
+                (analysis.wns(), analysis.tns())
+            }
+        };
+        scratch.recycle(analysis);
+        traced
     }
 }
 
@@ -429,11 +706,9 @@ struct RouteState {
     inflation: Vec<f64>,
     /// Latched once density overflow first drops under
     /// [`ROUTE_START_OVERFLOW`]; counts active iterations for the feedback
-    /// cadence.
+    /// cadence (the map is built on the first and updated on the others).
     iters_active: usize,
     active: bool,
-    /// Whether the map has been built from a forest yet.
-    built: bool,
     /// Whether any boost differs from 1 (skips the weight merge if not).
     boosted: bool,
 }
@@ -451,9 +726,19 @@ impl RouteState {
             inflation: Vec::new(),
             iters_active: 0,
             active: false,
-            built: false,
             boosted: false,
         }
+    }
+
+    /// The congestion boosts as WA net weights, multiplied into the timing
+    /// mechanism's weights when it carries any.
+    fn boosted_weights(&mut self, timing: Option<&[f64]>) -> &[f64] {
+        self.combined.clear();
+        match timing {
+            Some(w) => self.combined.extend(w.iter().zip(&self.boost).map(|(a, b)| a * b)),
+            None => self.combined.extend_from_slice(&self.boost),
+        }
+        &self.combined
     }
 }
 
@@ -607,7 +892,7 @@ fn emit_trace_header(design: &Design, mode: FlowMode, config: &FlowConfig, obs: 
 /// and refine it there. Coarse levels run wirelength + density only (cluster
 /// pseudo-cells carry synthetic classes the liberty library cannot bind);
 /// the finest level runs the full flow, warm-started, with its timing
-/// mechanism engaging at [`WARM_TIMING_START`].
+/// mechanism engaging once overflow drops under [`WARM_TIMING_OVERFLOW`].
 fn run_flow_multilevel(
     design: &Design,
     lib: &Library,
@@ -642,16 +927,17 @@ fn run_flow_multilevel(
     let mut level_iterations: Vec<usize> = Vec::new();
     let mut warm_pos: Option<(Vec<f64>, Vec<f64>)> = None;
     for l in (0..designs.len()).rev() {
-        let out =
+        let iterations =
             run_coarse_level(&mut designs[l], l + 1, lib, mode, config, obs, warm_pos.take());
         dtp_obs::info!(
             "multilevel: level {} ({} clusters) placed in {} iterations",
             l + 1,
             designs[l].netlist.num_cells(),
-            out.iterations
+            iterations
         );
-        level_iterations.push(out.iterations);
+        level_iterations.push(iterations);
         let coarse_nl = &designs[l].netlist;
+        let (cx, cy) = coarse_nl.positions();
         let (fine_nl, region) = if l == 0 {
             (&design.netlist, design.region)
         } else {
@@ -660,21 +946,13 @@ fn run_flow_multilevel(
         let sp = obs.start(Phase::Interpolate);
         let (mut fx, mut fy) = fine_nl.positions();
         maps[l].interpolate(
-            fine_nl, coarse_nl, region, config.seed, &out.xs, &out.ys, &mut fx, &mut fy,
+            fine_nl, coarse_nl, region, config.seed, &cx, &cy, &mut fx, &mut fy,
         );
         obs.stop(Phase::Interpolate, sp);
         warm_pos = Some((fx, fy));
     }
 
-    let (wxs, wys) = warm_pos.take().expect("ladder is non-empty");
-    let mut result = run_flow_fine(
-        design,
-        lib,
-        mode,
-        config,
-        obs,
-        Some(WarmStart { xs: wxs, ys: wys }),
-    )?;
+    let mut result = run_flow_fine(design, lib, mode, config, obs, warm_pos)?;
     dtp_obs::info!(
         "multilevel: level 0 ({} cells) refined in {} iterations",
         design.netlist.num_cells(),
@@ -700,8 +978,8 @@ fn run_flow_multilevel(
 /// paths and carries their net weights in the WA wirelength — timing
 /// pressure on the levels where the differentiable gradient cannot run.
 ///
-/// Returns the global-placement solution (unlegalized; finer levels only
-/// need the arrangement).
+/// Leaves the global-placement solution in `work`'s positions (unlegalized;
+/// finer levels only need the arrangement) and returns the iterations run.
 fn run_coarse_level(
     work: &mut Design,
     level: usize,
@@ -710,65 +988,21 @@ fn run_coarse_level(
     config: &FlowConfig,
     obs: &mut Observer,
     warm: Option<(Vec<f64>, Vec<f64>)>,
-) -> CoarseOutcome {
-    let nl_cells = work.netlist.num_cells();
+) -> usize {
     // Halve the density grid per level (floor 32): clusters are ~ratio×
     // larger than cells, so the field granularity must coarsen with them or
     // it fights cluster interleaving the finer levels resolve trivially.
     // Powers of two are preserved, so the FFT backend still applies.
     let bins = (config.bins >> level).max(32.min(config.bins));
 
-    match warm {
-        Some((xs, ys)) => work.netlist.set_positions(&xs, &ys),
-        None => {
-            // Cold start: same center-cluster seeding as the fine flow.
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let center = work.region.center();
-            let (mut xs, mut ys) = work.netlist.positions();
-            for c in work.netlist.movable_cells() {
-                let i = c.index();
-                let class = work.netlist.class_of(c);
-                xs[i] = center.x - 0.5 * class.width()
-                    + rng.gen_range(-0.02..0.02) * work.region.width();
-                ys[i] = center.y - 0.5 * class.height()
-                    + rng.gen_range(-0.02..0.02) * work.region.height();
-            }
-            work.netlist.set_positions(&xs, &ys);
-        }
-    }
+    seed_positions(work, warm, config.seed);
 
-    let wl_model = WirelengthModel::new(&work.netlist);
-    let density = DensityModel::with_options(
-        work,
-        bins,
-        bins,
-        config.target_density,
-        config.density_fft,
-    );
-    let bin_w = work.region.width() / bins as f64;
-    let mut pin_count = vec![0.0f64; nl_cells];
-    for p in work.netlist.pin_ids() {
-        if work.netlist.pin(p).net().is_some() {
-            pin_count[work.netlist.pin(p).cell().index()] += 1.0;
-        }
-    }
-    let areas: Vec<f64> = work
-        .netlist
-        .cell_ids()
-        .map(|c| work.netlist.class_of(c).area())
-        .collect();
-    let mut opt = NesterovOptimizer::new(work, bin_w);
-    let mut vx: Vec<f64> = Vec::new();
-    let mut vy: Vec<f64> = Vec::new();
-    let mut wl_scratch = WirelengthScratch::new();
-    let mut gx: Vec<f64> = Vec::new();
-    let mut gy: Vec<f64> = Vec::new();
-    let mut dscratch = DensityScratch::new();
-    density.presize_scratch(&mut dscratch);
-    let mut dres = DensityResult::default();
-    let mut precond: Vec<f64> = Vec::new();
-    let mut lambda = config.lambda_init;
-    let mut overflow = 1.0f64;
+    // Clusters pre-aggregate connectivity, so the coarse anneal can afford a
+    // density schedule twice as steep as the fine flow's: the arrangement
+    // forms in roughly half the iterations at no observed quality cost (the
+    // finer levels re-anneal the endgame anyway).
+    let lambda_growth = config.lambda_growth * config.lambda_growth;
+    let mut core = GradientCore::new(work, bins, config, lambda_growth, COLD_BALANCE_RATIO);
     let stop_overflow = config.stop_overflow.max(COARSE_STOP_OVERFLOW);
 
     // Coarse path extraction: only when the mode asks for it, the clustered
@@ -777,20 +1011,15 @@ fn run_coarse_level(
     // guarded — a fully clustered proxy with no endpoints skips the
     // machinery entirely and the level stays pure wirelength + density.
     let mut coarse_paths = match mode {
-        FlowMode::PathExtraction(pcfg) => Timer::new(work, lib)
+        FlowMode::PathExtraction(_) => Timer::new(work, lib)
             .ok()
             .filter(|t| !t.graph().endpoints().is_empty())
-            .map(|t| {
-                let pw = PathWeighter::new(&work.netlist, &wl_model, pcfg);
-                (t, pw, AnalysisScratch::new(), pcfg.extract_period.max(1))
+            .and_then(|timer| {
+                let paths = TimingMechanism::new(mode, &work.netlist, &core.wl_model)?;
+                Some((timer, paths, AnalysisScratch::new()))
             }),
         _ => None,
     };
-    // Clusters pre-aggregate connectivity, so the coarse anneal can afford a
-    // density schedule twice as steep as the fine flow's: the arrangement
-    // forms in roughly half the iterations at no observed quality cost (the
-    // finer levels re-anneal the endgame anyway).
-    let lambda_growth = config.lambda_growth * config.lambda_growth;
 
     let mut iterations = 0usize;
     for iter in 0..config.max_iters {
@@ -798,109 +1027,44 @@ fn run_coarse_level(
         obs.iter_begin();
         obs.add(Counter::Iterations, 1);
         obs.add(Counter::CoarseIterations, 1);
-
-        {
-            let (a, b) = opt.positions();
-            vx.clear();
-            vx.extend_from_slice(a);
-            vy.clear();
-            vy.extend_from_slice(b);
-        }
+        core.load_positions();
 
         // Periodic top-K extraction (path-extraction mode only): a fresh
         // forest + forward-only analysis at the extraction cadence; the
         // resulting net weights ride in the WA wirelength below until the
         // next extraction.
-        let mut traced_wns = f64::NAN;
-        let mut traced_tns = f64::NAN;
-        if let Some((timer, pw, ascratch, period)) = coarse_paths.as_mut() {
-            if iter % *period == 0 {
-                work.netlist.set_positions(&vx, &vy);
-                let sp = obs.start(Phase::SteinerBuild);
-                let f = build_forest(&work.netlist);
-                obs.stop(Phase::SteinerBuild, sp);
-                obs.add(Counter::ForestBuilds, 1);
-                let sp = obs.start(Phase::StaForward);
-                let a = timer.analyze_no_rat_into(&work.netlist, &f, ascratch);
-                obs.stop(Phase::StaForward, sp);
-                obs.add(Counter::StaFull, 1);
-                let sp = obs.start(Phase::PathExtract);
-                pw.update(&work.netlist, timer, &a);
-                obs.stop(Phase::PathExtract, sp);
-                obs.add(Counter::PathExtractions, 1);
-                traced_wns = a.wns();
-                traced_tns = a.tns();
-                ascratch.recycle(a);
-            }
+        let mut traced = (f64::NAN, f64::NAN);
+        if let Some((timer, paths, ascratch)) = coarse_paths.as_mut().filter(|c| c.1.due(iter)) {
+            work.netlist.set_positions(&core.vx, &core.vy);
+            let f = fresh_forest(&work.netlist, obs);
+            traced = paths.run(&work.netlist, timer, &f, ascratch, &mut core, obs);
         }
-        let weights = coarse_paths.as_ref().map(|(_, pw, _, _)| pw.weights());
+        let weights = coarse_paths.as_ref().and_then(|(_, paths, _)| paths.weights());
 
-        let wa_gamma = (bin_w * (0.1 + 8.0 * overflow)).max(1e-3);
-        let sp = obs.start(Phase::WirelengthGrad);
-        let wl_value = wl_model.wa_gradient_into(
-            &vx,
-            &vy,
-            wa_gamma,
-            weights,
-            &mut wl_scratch,
-            &mut gx,
-            &mut gy,
-        );
-        obs.stop(Phase::WirelengthGrad, sp);
-
-        let sp = obs.start(Phase::DensityGrad);
-        density.evaluate_into(&vx, &vy, &mut dscratch, &mut dres);
-        overflow = dres.overflow;
-        if lambda == 0.0 {
-            let wl_norm: f64 = gx.iter().chain(gy.iter()).map(|g| g.abs()).sum();
-            let d_norm: f64 = dres
-                .grad_x
-                .iter()
-                .chain(dres.grad_y.iter())
-                .map(|g| g.abs())
-                .sum();
-            lambda = if d_norm > 0.0 { 0.1 * wl_norm / d_norm } else { 1.0 };
-        }
-        axpy_into(&mut gx, &dres.grad_x, lambda);
-        axpy_into(&mut gy, &dres.grad_y, lambda);
-        obs.stop(Phase::DensityGrad, sp);
-
-        let sp = obs.start(Phase::NesterovStep);
-        precond.resize(nl_cells, 0.0);
-        precond
-            .par_chunks_mut(MERGE_CHUNK)
-            .zip(pin_count.par_chunks(MERGE_CHUNK))
-            .zip(areas.par_chunks(MERGE_CHUNK))
-            .for_each(|((pr, pc), ar)| {
-                for ((p, &c), &a) in pr.iter_mut().zip(pc).zip(ar) {
-                    *p = (c + lambda * a).max(1.0);
-                }
-            });
-        let step = opt.step(&gx, &gy, &precond);
-        let iter_lambda = lambda;
-        lambda *= lambda_growth;
-        obs.stop(Phase::NesterovStep, sp);
+        let wl_value = core.wl_density(weights, obs);
+        let (step, lambda) = core.step(obs);
 
         obs.iter_end(IterEvent {
             iter: iter as u64,
             level: level as u32,
             wl: wl_value,
             hpwl: f64::NAN,
-            overflow,
-            lambda: iter_lambda,
+            overflow: core.overflow,
+            lambda,
             step,
-            wns: traced_wns,
-            tns: traced_tns,
+            wns: traced.0,
+            tns: traced.1,
             timing: coarse_paths.is_some(),
         });
 
-        if iter > COARSE_MIN_ITERS && overflow < stop_overflow {
+        if iter > COARSE_MIN_ITERS && core.overflow < stop_overflow {
             break;
         }
     }
 
-    let (sx, sy) = opt.solution();
-    CoarseOutcome { xs: sx.to_vec(), ys: sy.to_vec(), iterations }
+    let (sx, sy) = core.opt.solution();
+    work.netlist.set_positions(sx, sy);
+    iterations
 }
 
 fn run_flow_fine(
@@ -909,363 +1073,152 @@ fn run_flow_fine(
     mode: FlowMode,
     config: &FlowConfig,
     obs: &mut Observer,
-    warm: Option<WarmStart>,
+    warm: Option<(Vec<f64>, Vec<f64>)>,
 ) -> Result<FlowResult, FlowError> {
     let t_start = Instant::now();
     // `timing_runtime` is reported as the STA-span delta across this run,
     // so a reused observer does not double-count an earlier run's time.
     let sta_seconds_at_entry = obs.sta_seconds();
     let mut work = design.clone();
-    let nl_cells = work.netlist.num_cells();
 
-    // --- initial placement ---------------------------------------------------
-    // Cold start: cluster at the core center with small noise. Warm start
-    // (multi-level): seed from the interpolated coarse solution.
-    match &warm {
-        Some(w) => work.netlist.set_positions(&w.xs, &w.ys),
-        None => {
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let center = work.region.center();
-            let (mut xs, mut ys) = work.netlist.positions();
-            for c in work.netlist.movable_cells() {
-                let i = c.index();
-                let class = work.netlist.class_of(c);
-                xs[i] = center.x - 0.5 * class.width()
-                    + rng.gen_range(-0.02..0.02) * work.region.width();
-                ys[i] = center.y - 0.5 * class.height()
-                    + rng.gen_range(-0.02..0.02) * work.region.height();
-            }
-            work.netlist.set_positions(&xs, &ys);
-        }
-    }
+    let warm = seed_positions(&mut work, warm, config.seed);
+
+    // A warm start re-enters λ low (the lower balance ratio) to rebuild a
+    // wirelength-dominant phase, but the standard growth then crawls through
+    // the overflow tail — the placement is already globally arranged, so the
+    // anneal is compressed slightly to keep the (expensive) endgame short.
+    let (lambda_growth, balance_ratio) = if warm {
+        (config.lambda_growth * WARM_LAMBDA_GROWTH_BOOST, WARM_BALANCE_RATIO)
+    } else {
+        (config.lambda_growth, COLD_BALANCE_RATIO)
+    };
+
+    // --- models -------------------------------------------------------------
+    let mut core = GradientCore::new(&work, config.bins, config, lambda_growth, balance_ratio);
+    let timer_config = match mode {
+        FlowMode::Differentiable(d) => TimerConfig {
+            gamma: d.gamma,
+            wire_model: d.wire_model.into(),
+            ..TimerConfig::default()
+        },
+        _ => TimerConfig::default(),
+    };
+    let timer = Timer::with_config(&work, lib, timer_config)?;
+    let mut timing = TimingMechanism::new(mode, &work.netlist, &core.wl_model);
 
     // Iteration at which the mode's timing mechanism activates. A cold start
     // uses the mode's `start_iter` directly; a warm start doesn't know which
     // iteration corresponds to "spread enough", so it starts unset and is
     // latched below once overflow first drops under [`WARM_TIMING_OVERFLOW`].
     // Pure-wirelength mode never activates timing, warm or not.
-    let mut timing_start = match (mode, &warm) {
-        (FlowMode::Wirelength, _) => usize::MAX,
-        (_, Some(_)) => usize::MAX,
-        (FlowMode::Differentiable(d), None) => d.start_iter,
-        (FlowMode::NetWeighting(n), None) => n.start_iter,
-        (FlowMode::PathExtraction(p), None) => p.start_iter,
+    let mut timing_start = match &timing {
+        Some(t) if !warm => t.start_iter,
+        _ => usize::MAX,
     };
-
-    // A warm start re-enters λ low (auto-balance ratio below) to rebuild a
-    // wirelength-dominant phase, but the standard growth then crawls through
-    // the overflow tail — the placement is already globally arranged, so the
-    // anneal is compressed slightly to keep the (expensive) endgame short.
-    let lambda_growth = match &warm {
-        Some(_) => config.lambda_growth * WARM_LAMBDA_GROWTH_BOOST,
-        None => config.lambda_growth,
-    };
-
-    // --- models -------------------------------------------------------------
-    let wl_model = WirelengthModel::new(&work.netlist);
-    let mut density = DensityModel::with_options(
-        &work,
-        config.bins,
-        config.bins,
-        config.target_density,
-        config.density_fft,
-    );
-    let bin_w = work.region.width() / config.bins as f64;
-    let (timer_gamma, wire_model) = match mode {
-        FlowMode::Differentiable(d) => (d.gamma, d.wire_model.into()),
-        _ => (TimerConfig::default().gamma, dtp_sta::WireModel::Elmore),
-    };
-    let timer = Timer::with_config(
-        &work,
-        lib,
-        TimerConfig { gamma: timer_gamma, wire_model, ..TimerConfig::default() },
-    )?;
-    let mut weighter = match mode {
-        FlowMode::NetWeighting(cfg) => Some(NetWeighter::new(&wl_model, cfg)),
-        _ => None,
-    };
-    let mut path_weighter = match mode {
-        FlowMode::PathExtraction(cfg) => {
-            Some(PathWeighter::new(&work.netlist, &wl_model, cfg))
-        }
-        _ => None,
-    };
-    // Per-cell preconditioner ingredients.
-    let mut pin_count = vec![0.0f64; nl_cells];
-    for p in work.netlist.pin_ids() {
-        if work.netlist.pin(p).net().is_some() {
-            pin_count[work.netlist.pin(p).cell().index()] += 1.0;
-        }
-    }
-    let areas: Vec<f64> = work
-        .netlist
-        .cell_ids()
-        .map(|c| work.netlist.class_of(c).area())
-        .collect();
 
     let mut route = config.route_aware.then(|| RouteState::new(&work, config));
-    let mut opt = NesterovOptimizer::new(&work, bin_w);
-    let mut forest: Option<SteinerForest> = None;
-    // Topology-table configuration for the in-loop forest; the post-GP and
-    // final reporting forests always use the legacy constructions so the
-    // reported metrics stay comparable across configurations.
-    let table_cfg = TableConfig {
-        enabled: config.rsmt_tables,
-        max_degree: config.rsmt_table_max_degree,
-    };
-    let mut forest_scratch = ForestScratch::new();
-    let mut inc = IncrementalState::new(nl_cells);
+    let mut loop_forest = LoopForest::new(&work.netlist, config);
+    // Pre-sized like the forest scratch: no warm-up growth inside the loop.
     let mut scratch = AnalysisScratch::new();
-    // Pre-size every scratch from the design's stats so the steady-state
-    // iteration allocates nothing: the warm-up growth that used to happen
-    // lazily inside the first iterations happens here, once.
-    forest_scratch.presize(work.netlist.num_nets());
     scratch.presize(work.netlist.num_pins(), work.netlist.num_nets());
-    let mut grads = PositionGradients::default();
-    let mut prev: Option<Analysis> = None;
-    // Persistent position buffers (refilled from the optimizer each
-    // iteration instead of allocating two fresh Vecs).
-    let mut vx: Vec<f64> = Vec::new();
-    let mut vy: Vec<f64> = Vec::new();
-    // Persistent gradient-path buffers: with these, the steady-state
-    // wirelength + density + timing gradient evaluation allocates nothing.
-    let mut wl_scratch = WirelengthScratch::new();
-    let mut gx: Vec<f64> = Vec::new();
-    let mut gy: Vec<f64> = Vec::new();
-    let mut dscratch = DensityScratch::new();
-    density.presize_scratch(&mut dscratch);
-    let mut dres = DensityResult::default();
-    let mut precond: Vec<f64> = Vec::new();
-    let mut lambda = config.lambda_init;
-    let mut overflow = 1.0f64;
     let mut trace = Vec::new();
-    let (mut t1, mut t2) = match mode {
-        FlowMode::Differentiable(d) => (d.t1, d.t2),
-        _ => (0.0, 0.0),
-    };
 
     let mut iterations = 0usize;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         obs.iter_begin();
         obs.add(Counter::Iterations, 1);
-        {
-            let (a, b) = opt.positions();
-            vx.clear();
-            vx.extend_from_slice(a);
-            vy.clear();
-            vy.extend_from_slice(b);
-        }
-        work.netlist.set_positions(&vx, &vy);
+        core.load_positions();
+        work.netlist.set_positions(&core.vx, &core.vy);
 
-        // Warm-started timing latch: `overflow` here is still the previous
-        // iteration's value, same as the route-activation latch below.
-        if warm.is_some()
+        // Warm-started timing latch: `core.overflow` here is still the
+        // previous iteration's value, same as the route-activation latch
+        // below.
+        if warm
+            && timing.is_some()
             && timing_start == usize::MAX
-            && !matches!(mode, FlowMode::Wirelength)
             && iter > 0
-            && overflow < WARM_TIMING_OVERFLOW
+            && core.overflow < WARM_TIMING_OVERFLOW
         {
             timing_start = iter;
         }
-        // Steiner forest maintenance (only when some consumer needs it).
         let timing_active = iter >= timing_start;
         let trace_timing =
             config.trace_timing_every > 0 && iter % config.trace_timing_every == 0;
-        // Congestion optimization latches on once the cells have spread out
-        // (`overflow` here is still the previous iteration's value).
+        // Congestion optimization latches on once the cells have spread out.
         if let Some(rs) = route.as_mut() {
-            if !rs.active && iter > 0 && overflow < ROUTE_START_OVERFLOW {
+            if !rs.active && iter > 0 && core.overflow < ROUTE_START_OVERFLOW {
                 rs.active = true;
             }
         }
         let route_active = route.as_ref().is_some_and(|rs| rs.active);
-        if timing_active || trace_timing || route_active {
-            if config.incremental_timing {
-                // Dirty-set maintenance: per-net coordinate updates for
-                // geometry-dirty nets, per-net Steiner rebuilds once a net's
-                // accumulated drift exceeds its bbox budget. Replaces the
-                // blanket periodic full-forest rebuild.
-                match &mut forest {
-                    Some(f) => {
-                        let sp = obs.start(Phase::SteinerUpdate);
-                        inc.sync_forest(
-                            &work.netlist,
-                            f,
-                            &vx,
-                            &vy,
-                            config,
-                            &mut forest_scratch,
-                        );
-                        obs.stop(Phase::SteinerUpdate, sp);
-                        obs.add(Counter::ForestSyncs, 1);
-                        obs.add(Counter::GeoDirtyNets, inc.geo_nets.len() as u64);
-                        obs.add(Counter::TopoDirtyNets, inc.topo_nets.len() as u64);
-                    }
-                    None => {
-                        let sp = obs.start(Phase::SteinerBuild);
-                        let f = build_forest_with(&work.netlist, table_cfg);
-                        let frac = config.topo_dirty_frac;
-                        inc.reset_after_build(&work.netlist, &f, &vx, &vy, frac);
-                        forest = Some(f);
-                        obs.stop(Phase::SteinerBuild, sp);
-                        obs.add(Counter::ForestBuilds, 1);
-                        if let Some(p) = prev.take() {
-                            scratch.recycle(p);
-                        }
-                    }
-                }
-            } else {
-                let rebuild_period = match mode {
-                    FlowMode::Differentiable(d) => d.steiner_rebuild_period,
-                    _ => 10,
-                };
-                match &mut forest {
-                    Some(f) if iter % rebuild_period != 0 => {
-                        let sp = obs.start(Phase::SteinerUpdate);
-                        f.update_positions(&work.netlist);
-                        obs.stop(Phase::SteinerUpdate, sp);
-                    }
-                    _ => {
-                        let sp = obs.start(Phase::SteinerBuild);
-                        forest = Some(build_forest_with(&work.netlist, table_cfg));
-                        obs.stop(Phase::SteinerBuild, sp);
-                        obs.add(Counter::ForestBuilds, 1);
-                    }
-                }
-            }
-        }
+        // Steiner forest maintenance (only when some consumer needs it).
+        let forest = if timing_active || trace_timing || route_active {
+            loop_forest.sync(&work.netlist, &core.vx, &core.vy, obs);
+            loop_forest.forest.as_ref()
+        } else {
+            None
+        };
 
         // Route layer, one two-task region: the exact RUDY map (full build on
-        // activation, then incremental updates from the same
-        // geometry/topology-dirty net sets the incremental timer consumes,
-        // plus a cell-position scan for the pin-density term; the legacy
-        // non-incremental path has no dirty sets and rebuilds at the feedback
-        // cadence instead) and the smoothed penalty's gradient. Both only
-        // read the forest and the positions and write state of their own, so
-        // whichever thread runs which leaves the same bits; the gradient is
-        // merged into the objective further down, once there is a
-        // wirelength + density gradient to scale it against.
-        if route_active {
-            let rs = route.as_mut().expect("route state exists when active");
-            let f = forest.as_ref().expect("forest built when route is active");
+        // activation, then incremental updates from the geometry/topology-
+        // dirty net lists of the forest sync, plus a cell-position scan for
+        // the pin-density term) and the smoothed penalty's gradient. Both
+        // only read the forest and the positions and write state of their
+        // own, so whichever thread runs which leaves the same bits; the
+        // gradient is merged into the objective further down, once there is
+        // a wirelength + density gradient to scale it against.
+        if let (Some(rs), Some(f)) = (route.as_mut().filter(|rs| rs.active), forest) {
             let sp = obs.start(Phase::RudyUpdate);
-            let rebuild = !rs.built
-                || (!config.incremental_timing
-                    && rs.iters_active % config.route_update_period == 0);
-            rs.built = true;
+            let rebuild = rs.iters_active == 0;
             let RouteState { map, penalty, pgx, pgy, .. } = rs;
             let nl = &work.netlist;
             let mut map_step = || {
                 if rebuild {
                     map.build(nl, f);
-                } else if config.incremental_timing {
-                    map.update_nets(f, &inc.geo_nets);
-                    map.update_nets(f, &inc.topo_nets);
+                } else {
+                    map.update_nets(f, &loop_forest.geo_nets);
+                    map.update_nets(f, &loop_forest.topo_nets);
                     map.sync_cells(nl);
                 }
             };
             let mut penalty_step = || penalty.gradient(nl, f, pgx, pgy);
             let mut steps: [&mut (dyn FnMut() + Send); 2] = [&mut map_step, &mut penalty_step];
             steps.par_chunks_mut(1).for_each(|step| (step[0])());
-            if rebuild {
-                obs.add(Counter::RudyBuilds, 1);
-            } else if config.incremental_timing {
-                obs.add(Counter::RudyIncUpdates, 1);
-            }
+            obs.add(if rebuild { Counter::RudyBuilds } else { Counter::RudyIncUpdates }, 1);
             obs.stop(Phase::RudyUpdate, sp);
         }
 
-        // Wirelength gradient (WA), γ annealed with overflow; congested
-        // nets carry their boosted weight (merged with the timing
-        // weighter's weights when both mechanisms are on).
-        let wa_gamma = (bin_w * (0.1 + 8.0 * overflow)).max(1e-3);
-        let sp = obs.start(Phase::WirelengthGrad);
-        let timing_weights = weighter
-            .as_ref()
-            .map(NetWeighter::weights)
-            .or_else(|| path_weighter.as_ref().map(PathWeighter::weights));
-        if let Some(rs) = route.as_mut().filter(|rs| rs.boosted) {
-            rs.combined.clear();
-            match timing_weights {
-                Some(w) => rs
-                    .combined
-                    .extend(w.iter().zip(&rs.boost).map(|(a, b)| a * b)),
-                None => rs.combined.extend_from_slice(&rs.boost),
-            }
-        }
-        let weights = match route.as_ref() {
-            Some(rs) if rs.boosted => Some(rs.combined.as_slice()),
+        // Wirelength + density gradient; congested nets carry their boosted
+        // weight (merged with the timing mechanism's weights when both are
+        // on).
+        let timing_weights = timing.as_ref().and_then(TimingMechanism::weights);
+        let weights = match route.as_mut() {
+            Some(rs) if rs.boosted => Some(rs.boosted_weights(timing_weights)),
             _ => timing_weights,
         };
-        let wl_value = wl_model.wa_gradient_into(
-            &vx,
-            &vy,
-            wa_gamma,
-            weights,
-            &mut wl_scratch,
-            &mut gx,
-            &mut gy,
-        );
-        obs.stop(Phase::WirelengthGrad, sp);
+        let wl_value = core.wl_density(weights, obs);
 
-        // Density gradient.
-        let sp = obs.start(Phase::DensityGrad);
-        density.evaluate_into(&vx, &vy, &mut dscratch, &mut dres);
-        overflow = dres.overflow;
-        if lambda == 0.0 {
-            // Auto-balance λ against the wirelength gradient on iteration 0.
-            // A warm start re-enters the λ schedule "mid-flight": the
-            // placement is already spread, so the density gradient is small
-            // and the cold-start ratio would over-weight density from the
-            // first step, freezing the arrangement before wirelength (and
-            // timing) can improve it. A lower ratio restores the
-            // wirelength-dominant phase the cold schedule gets for free.
-            let ratio = if warm.is_some() { 0.05 } else { 0.1 };
-            let wl_norm: f64 = gx.iter().chain(gy.iter()).map(|g| g.abs()).sum();
-            let d_norm: f64 = dres
-                .grad_x
-                .iter()
-                .chain(dres.grad_y.iter())
-                .map(|g| g.abs())
-                .sum();
-            lambda = if d_norm > 0.0 { ratio * wl_norm / d_norm } else { 1.0 };
-        }
-        axpy_into(&mut gx, &dres.grad_x, lambda);
-        axpy_into(&mut gy, &dres.grad_y, lambda);
-        obs.stop(Phase::DensityGrad, sp);
-
-        // Congestion penalty gradient (evaluated with the map update above),
-        // normalized like the timing preconditioner: its ∞-norm is pinned to
-        // `route_weight` times the combined wirelength+density gradient's,
-        // so the pressure tracks the optimizer's scale instead of the raw
-        // demand units.
-        if route_active {
-            let rs = route.as_mut().expect("route state exists when active");
+        if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
+            // Congestion penalty gradient (evaluated with the map update
+            // above), normalized like the timing preconditioner: its ∞-norm
+            // is pinned to `route_weight` times the combined
+            // wirelength+density gradient's, so the pressure tracks the
+            // optimizer's scale instead of the raw demand units.
             let sp = obs.start(Phase::CongestionGrad);
-            let base_norm = gx
-                .iter()
-                .chain(gy.iter())
-                .fold(0.0f64, |m, &g| m.max(g.abs()));
-            let p_norm = rs
-                .pgx
-                .iter()
-                .chain(rs.pgy.iter())
-                .fold(0.0f64, |m, &g| m.max(g.abs()));
+            let base_norm = norm_inf(&core.gx, &core.gy);
+            let p_norm = norm_inf(&rs.pgx, &rs.pgy);
             if p_norm > 0.0 {
                 let scale = config.route_weight * base_norm / p_norm;
-                axpy_into(&mut gx, &rs.pgx, scale);
-                axpy_into(&mut gy, &rs.pgy, scale);
+                axpy_into(&mut core.gx, &rs.pgx, scale);
+                axpy_into(&mut core.gy, &rs.pgy, scale);
             }
             obs.stop(Phase::CongestionGrad, sp);
-        }
 
-        // RUDY feedback every `route_update_period` active iterations:
-        // inflate cells in overflowed bins (density-model footprints) and
-        // boost the wirelength weight of nets crossing them; both take
-        // effect from the next iteration's gradients.
-        if route_active {
-            let rs = route.as_mut().expect("route state exists when active");
+            // RUDY feedback every `route_update_period` active iterations:
+            // inflate cells in overflowed bins (density-model footprints) and
+            // boost the wirelength weight of nets crossing them; both take
+            // effect from the next iteration's gradients.
             let sp = obs.start(Phase::RudyUpdate);
             if rs.iters_active % config.route_update_period == 0 {
                 inflation_factors(
@@ -1274,7 +1227,8 @@ fn run_flow_fine(
                     config.inflation_max,
                     &mut rs.inflation,
                 );
-                density.set_inflation(&rs.inflation);
+                core.density.set_inflation(&rs.inflation);
+                let wl_model = &core.wl_model;
                 rs.boost.resize(wl_model.num_nets(), 1.0);
                 rs.boosted = false;
                 for e in 0..wl_model.num_nets() {
@@ -1290,254 +1244,61 @@ fn run_flow_fine(
             obs.stop(Phase::RudyUpdate, sp);
         }
 
-        // Timing mechanisms.
-        let mut traced_wns = f64::NAN;
-        let mut traced_tns = f64::NAN;
-        match mode {
-            FlowMode::Differentiable(dcfg) if timing_active => {
-                let f = forest.as_ref().expect("forest built when timing is active");
-                let sp = obs.start(Phase::StaForward);
-                // Incremental smoothed analysis when only a few nets are
-                // dirty; full re-analysis on the first timing iteration and
-                // past the fallback fraction. Gradients never read RATs, so
-                // the incremental path skips the backward sweep.
-                let analysis = match prev.take() {
-                    Some(p)
-                        if config.incremental_timing
-                            && p.gamma == timer_gamma
-                            && inc.dirty_fraction(f.len())
-                                <= config.incremental_fallback_frac =>
-                    {
-                        obs.add(Counter::StaIncremental, 1);
-                        let a = timer.analyze_incremental_into(
-                            &work.netlist,
-                            f,
-                            &p,
-                            &inc.moved_cells,
-                            false,
-                            &mut scratch,
-                        );
-                        scratch.recycle(p);
-                        a
-                    }
-                    p => {
-                        obs.add(Counter::StaFull, 1);
-                        if config.incremental_timing && p.is_some() {
-                            obs.add(Counter::StaFallback, 1);
-                        }
-                        if let Some(p) = p {
-                            scratch.recycle(p);
-                        }
-                        timer.analyze_smoothed_into(&work.netlist, f, &mut scratch)
-                    }
-                };
-                inc.mark_analyzed();
-                obs.stop(Phase::StaForward, sp);
-                let sp = obs.start(Phase::StaBackward);
-                timer.gradients_into(
-                    &work.netlist,
-                    &analysis,
-                    f,
-                    t1,
-                    t2,
-                    &mut scratch,
-                    &mut grads,
-                );
-                prev = Some(analysis);
-                obs.stop(Phase::StaBackward, sp);
-                // Optional preconditioning (§5 future work): normalize the
-                // timing gradient against the combined WL+density gradient.
-                let scale = if dcfg.grad_norm_target > 0.0 {
-                    let base_norm = gx
-                        .iter()
-                        .chain(gy.iter())
-                        .fold(0.0f64, |m, &g| m.max(g.abs()));
-                    let t_norm = grads
-                        .cell_grad_x
-                        .iter()
-                        .chain(grads.cell_grad_y.iter())
-                        .fold(0.0f64, |m, &g| m.max(g.abs()));
-                    if t_norm > 0.0 { dcfg.grad_norm_target * base_norm / t_norm } else { 0.0 }
-                } else {
-                    1.0
-                };
-                axpy_into(&mut gx, &grads.cell_grad_x, scale);
-                axpy_into(&mut gy, &grads.cell_grad_y, scale);
-                t1 *= dcfg.growth;
-                t2 *= dcfg.growth;
-            }
-            FlowMode::NetWeighting(wcfg)
-                if timing_active && (iter - timing_start) % wcfg.sta_period == 0 =>
-            {
-                let f = forest.as_ref().expect("forest built when timing is active");
-                let sp = obs.start(Phase::StaForward);
-                // The weighter reads per-pin slacks, so the incremental
-                // path must recompute the RAT sweep (`recompute_rat`).
-                let analysis = match prev.take() {
-                    Some(p)
-                        if config.incremental_timing
-                            && p.gamma == 0.0
-                            && inc.dirty_fraction(f.len())
-                                <= config.incremental_fallback_frac =>
-                    {
-                        obs.add(Counter::StaIncremental, 1);
-                        let a = timer.analyze_incremental_into(
-                            &work.netlist,
-                            f,
-                            &p,
-                            &inc.moved_cells,
-                            true,
-                            &mut scratch,
-                        );
-                        scratch.recycle(p);
-                        a
-                    }
-                    p => {
-                        obs.add(Counter::StaFull, 1);
-                        if config.incremental_timing && p.is_some() {
-                            obs.add(Counter::StaFallback, 1);
-                        }
-                        if let Some(p) = p {
-                            scratch.recycle(p);
-                        }
-                        timer.analyze_into(&work.netlist, f, &mut scratch)
-                    }
-                };
-                inc.mark_analyzed();
-                obs.stop(Phase::StaForward, sp);
-                let sp = obs.start(Phase::NetWeight);
-                weighter
-                    .as_mut()
-                    .expect("weighter exists in net-weighting mode")
-                    .update(&work.netlist, &wl_model, &analysis);
-                obs.stop(Phase::NetWeight, sp);
-                traced_wns = analysis.wns();
-                traced_tns = analysis.tns();
-                prev = Some(analysis);
-            }
-            FlowMode::PathExtraction(pcfg)
-                if timing_active
-                    && (iter - timing_start) % pcfg.extract_period.max(1) == 0 =>
-            {
-                let f = forest.as_ref().expect("forest built when timing is active");
-                let sp = obs.start(Phase::StaForward);
-                // Path extraction reads only arrival times and endpoint
-                // slacks, so no RAT sweep runs on either path: the
-                // incremental analysis skips it (`recompute_rat = false`)
-                // and the full analysis is forward-only.
-                let analysis = match prev.take() {
-                    Some(p)
-                        if config.incremental_timing
-                            && p.gamma == 0.0
-                            && inc.dirty_fraction(f.len())
-                                <= config.incremental_fallback_frac =>
-                    {
-                        obs.add(Counter::StaIncremental, 1);
-                        let a = timer.analyze_incremental_into(
-                            &work.netlist,
-                            f,
-                            &p,
-                            &inc.moved_cells,
-                            false,
-                            &mut scratch,
-                        );
-                        scratch.recycle(p);
-                        a
-                    }
-                    p => {
-                        obs.add(Counter::StaFull, 1);
-                        if config.incremental_timing && p.is_some() {
-                            obs.add(Counter::StaFallback, 1);
-                        }
-                        if let Some(p) = p {
-                            scratch.recycle(p);
-                        }
-                        timer.analyze_no_rat_into(&work.netlist, f, &mut scratch)
-                    }
-                };
-                inc.mark_analyzed();
-                obs.stop(Phase::StaForward, sp);
-                let sp = obs.start(Phase::PathExtract);
-                path_weighter
-                    .as_mut()
-                    .expect("path weighter exists in path-extraction mode")
-                    .update(&work.netlist, &timer, &analysis);
-                obs.stop(Phase::PathExtract, sp);
-                obs.add(Counter::PathExtractions, 1);
-                traced_wns = analysis.wns();
-                traced_tns = analysis.tns();
-                prev = Some(analysis);
-            }
-            _ => {}
+        // Timing mechanism, when active and due this iteration.
+        let (mut traced_wns, mut traced_tns) = (f64::NAN, f64::NAN);
+        let due = timing.as_mut().filter(|t| timing_active && t.due(iter - timing_start));
+        if let (Some(t), Some(f)) = (due, forest) {
+            (traced_wns, traced_tns) =
+                t.run(&work.netlist, &timer, f, &mut scratch, &mut core, obs);
         }
 
         // Trace (exact timing only every `trace_timing_every` iterations).
-        if trace_timing && traced_wns.is_nan() {
-            if let Some(f) = forest.as_ref() {
-                let sp = obs.start(Phase::TraceSta);
-                let analysis = timer.analyze_into(&work.netlist, f, &mut scratch);
-                obs.stop(Phase::TraceSta, sp);
-                obs.add(Counter::TraceAnalyses, 1);
-                traced_wns = analysis.wns();
-                traced_tns = analysis.tns();
-                scratch.recycle(analysis);
-            }
+        if let Some(f) = forest.filter(|_| trace_timing && traced_wns.is_nan()) {
+            let analysis =
+                obs.time(Phase::TraceSta, || timer.analyze_into(&work.netlist, f, &mut scratch));
+            obs.add(Counter::TraceAnalyses, 1);
+            traced_wns = analysis.wns();
+            traced_tns = analysis.tns();
+            scratch.recycle(analysis);
         }
         // Exact HPWL is only computed on traced iterations; telemetry reuses
         // it and reports `null` elsewhere (the smoothed WA wirelength is
         // free every iteration).
-        let iter_hpwl = if trace_timing { wl_model.hpwl(&vx, &vy) } else { f64::NAN };
+        let iter_hpwl =
+            if trace_timing { core.wl_model.hpwl(&core.vx, &core.vy) } else { f64::NAN };
         if trace_timing {
             trace.push(TracePoint {
                 iter,
                 hpwl: iter_hpwl,
-                overflow,
+                overflow: core.overflow,
                 wns: traced_wns,
                 tns: traced_tns,
             });
         }
 
-        // Preconditioned Nesterov step (persistent buffer, no per-iteration
-        // allocation).
-        let sp = obs.start(Phase::NesterovStep);
-        precond.resize(nl_cells, 0.0);
-        precond
-            .par_chunks_mut(MERGE_CHUNK)
-            .zip(pin_count.par_chunks(MERGE_CHUNK))
-            .zip(areas.par_chunks(MERGE_CHUNK))
-            .for_each(|((pr, pc), ar)| {
-                for ((p, &c), &a) in pr.iter_mut().zip(pc).zip(ar) {
-                    *p = (c + lambda * a).max(1.0);
-                }
-            });
-        let step = opt.step(&gx, &gy, &precond);
-        // The trace records the λ this iteration's gradient actually used
-        // (post auto-balance, pre growth).
-        let iter_lambda = lambda;
-        lambda *= lambda_growth;
-        obs.stop(Phase::NesterovStep, sp);
+        let (step, lambda) = core.step(obs);
 
         obs.iter_end(IterEvent {
             iter: iter as u64,
             level: 0,
             wl: wl_value,
             hpwl: iter_hpwl,
-            overflow,
-            lambda: iter_lambda,
+            overflow: core.overflow,
+            lambda,
             step,
             wns: traced_wns,
             tns: traced_tns,
             timing: timing_active,
         });
 
-        if iter > 30 && overflow < config.stop_overflow {
+        if iter > 30 && core.overflow < config.stop_overflow {
             break;
         }
     }
 
     // --- post-GP metrics ------------------------------------------------------
     let (sx, sy) = {
-        let (a, b) = opt.solution();
+        let (a, b) = core.opt.solution();
         (a.to_vec(), b.to_vec())
     };
     work.netlist.set_positions(&sx, &sy);
@@ -1546,19 +1307,14 @@ fn run_flow_fine(
     // analyses, the legalizer, the final map) allocates from, so the
     // process's peak memory is the loop's, reached long before exit, and not
     // a spike stacked on top of it in the last milliseconds of the run.
-    let rsmt = forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
-    let uses_fft = density.uses_fft();
+    let rsmt = loop_forest.forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
+    let uses_fft = core.density.uses_fft();
     let live_map = route.map(|rs| rs.map);
-    drop((opt, density, dscratch, dres, wl_scratch, weighter, path_weighter));
-    drop((forest, forest_scratch, inc, grads, prev));
-    drop((vx, vy, gx, gy, precond, pin_count, areas));
-    let sp = obs.start(Phase::SteinerBuild);
-    let gp_forest = build_forest(&work.netlist);
-    obs.stop(Phase::SteinerBuild, sp);
-    obs.add(Counter::ForestBuilds, 1);
-    let sp = obs.start(Phase::FinalSta);
-    let gp_analysis = timer.analyze_into(&work.netlist, &gp_forest, &mut scratch);
-    obs.stop(Phase::FinalSta, sp);
+    let wl_model = core.into_wl_model();
+    drop((timing, loop_forest));
+    let gp_forest = fresh_forest(&work.netlist, obs);
+    let gp_analysis =
+        obs.time(Phase::FinalSta, || timer.analyze_into(&work.netlist, &gp_forest, &mut scratch));
     drop(gp_forest);
     let gp_hpwl = wl_model.hpwl(&sx, &sy);
     let (gp_wns, gp_tns) = (gp_analysis.wns(), gp_analysis.tns());
@@ -1585,13 +1341,14 @@ fn run_flow_fine(
     DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, config.detail_passes);
     obs.stop(Phase::DetailPlace, sp);
     work.netlist.set_positions(&lx, &ly);
-    let sp = obs.start(Phase::SteinerBuild);
-    let final_forest = build_forest(&work.netlist);
-    obs.stop(Phase::SteinerBuild, sp);
-    obs.add(Counter::ForestBuilds, 1);
-    let sp = obs.start(Phase::FinalSta);
-    let final_analysis = timer.analyze_into(&work.netlist, &final_forest, &mut scratch);
-    obs.stop(Phase::FinalSta, sp);
+    let final_forest = fresh_forest(&work.netlist, obs);
+    let final_analysis = obs
+        .time(Phase::FinalSta, || timer.analyze_into(&work.netlist, &final_forest, &mut scratch));
+    let (wns, tns, wns_hold) =
+        (final_analysis.wns(), final_analysis.tns(), final_analysis.wns_hold());
+    // Timing is done: like the loop state above, the timer and the analysis
+    // buffers go now, so the summary map below allocates from what they free.
+    drop((final_analysis, scratch, timer));
     // The final map: the live one rebuilt on the final forest when the flow
     // was route-aware, a fresh one otherwise.
     let (congestion, rudy_stamps) = {
@@ -1630,9 +1387,9 @@ fn run_flow_fine(
         mode: mode.label(),
         design: design.name.clone(),
         hpwl: wl_model.hpwl(&lx, &ly),
-        wns: final_analysis.wns(),
-        tns: final_analysis.tns(),
-        wns_hold: final_analysis.wns_hold(),
+        wns,
+        tns,
+        wns_hold,
         gp_hpwl,
         gp_wns,
         gp_tns,

@@ -18,8 +18,9 @@
 //!   exact STA (DREAMPlace 4.0 \[24\], Eq. 4);
 //! - [`FlowMode::Differentiable`] — the paper's method: direct gradient
 //!   descent on smoothed TNS/WNS with t1/t2 grown 1 %/iteration from a warm
-//!   start (§4), Steiner trees rebuilt every N iterations and moved with
-//!   their branches in between (§3.6, Fig. 7);
+//!   start (§4), on Steiner trees that move with their branches and are
+//!   rebuilt per net once the net has drifted past a budget (§3.6, Fig. 7;
+//!   [`FlowConfig::topo_dirty_frac`]);
 //! - [`FlowMode::PathExtraction`] — top-K critical-path extraction
 //!   (arXiv 2503.11674): a periodic forward-only exact STA traces the K
 //!   worst paths and concentrates net weights on their pins, approaching

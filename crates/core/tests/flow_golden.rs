@@ -1,0 +1,132 @@
+//! Recorded goldens for the placement loop itself.
+//!
+//! The other golden files compare the flow with itself (a knob off against
+//! the default, one pool width against another); `route_golden` records the
+//! two route-aware runs. This file records the rest of what the loop can do
+//! — the four flat modes at default knobs and two V-cycles — as bit patterns
+//! taken at commit 42d4a9c, before the loop body was folded into one copy,
+//! so a rewrite of `flow.rs` that moves a single bit of any trajectory or
+//! final placement fails here.
+
+mod common;
+
+use common::fingerprint;
+use dtp_core::{run_flow_observed, FlowConfig, FlowMode, Observer};
+use dtp_liberty::synth::synthetic_pdk;
+use dtp_netlist::generate::{generate, GeneratorConfig};
+use dtp_obs::Counter;
+use dtp_place::check_legal;
+
+/// Default knobs but for the iteration cap: every flat timing mode has its
+/// mechanism live for well over 30 iterations before the overflow stop.
+fn flat() -> FlowConfig {
+    FlowConfig { max_iters: 250, ..FlowConfig::default() }
+}
+
+/// The six recorded runs, in the order of [`RECORDED`].
+fn cases() -> [(&'static str, FlowMode, FlowConfig); 6] {
+    let vcycle = |levels| FlowConfig {
+        multilevel: true,
+        cluster_ratio: 3.0,
+        levels,
+        max_iters: 150,
+        ..FlowConfig::default()
+    };
+    [
+        ("wirelength", FlowMode::Wirelength, flat()),
+        ("net-weighting", FlowMode::net_weighting(), flat()),
+        ("differentiable", FlowMode::differentiable(), flat()),
+        ("path-extraction", FlowMode::path_extraction(), flat()),
+        ("2-level differentiable", FlowMode::differentiable(), vcycle(2)),
+        ("3-level path-extraction", FlowMode::path_extraction(), vcycle(3)),
+    ]
+}
+
+/// Iterations per level and `fingerprint` of the six runs, as recorded at
+/// commit 42d4a9c.
+const RECORDED: [(&[usize], [u64; 11]); 6] = [
+    (
+        &[155],
+        [
+            0x0000000000000010, 0xc9b890abe27a1162, 0x3ef96b8277e1bc8f, 0x692996863f20f06f,
+            0x2b6616fb0433834a, 0xf1a4d6604eeb62cb, 0x71706788cb88b92a, 0x960f3c4d0468d97f,
+            0x4024672d8f2cc36d, 0x400f8bbcab97a245, 0x3fefe80000000000,
+        ],
+    ),
+    (
+        &[167],
+        [
+            0x0000000000000011, 0x8031aa709c8fb4af, 0x5ddef79aabc92058, 0xa4a8a8197b972b2e,
+            0xa63cc9372e9ef580, 0xdf527897322b866d, 0xce5d63633d81929f, 0x9a3a936132d7e38a,
+            0x40240c70cfa3bc54, 0x401022cf4d035897, 0x3feff80000000000,
+        ],
+    ),
+    (
+        &[165],
+        [
+            0x0000000000000011, 0xf84d6bad0092a531, 0xce9f376ddaaaba06, 0xb5bf5d664d1bc88a,
+            0x13342c901e9d6db5, 0x1a4c2ed02621a58c, 0xae66389462cff925, 0x99b79dcc1fca5f5c,
+            0x402398cb27421dfb, 0x400f04bac92a84a8, 0x3feff80000000000,
+        ],
+    ),
+    (
+        &[182],
+        [
+            0x0000000000000013, 0x3b7e7613053621e8, 0x8855310e8e0d09ae, 0x3382595b6f02970c,
+            0x9d11e37961ee57fc, 0x905ae4a614e1703e, 0x9b48073234988016, 0x80d1546c58c18a27,
+            0x4026e83ffb33c498, 0x4011426eaf187307, 0x3feff80000000000,
+        ],
+    ),
+    (
+        &[46, 89],
+        [
+            0x0000000000000009, 0xa6776f24f404ce9e, 0x45778fbe326324b9, 0xc20ef333a9c5b945,
+            0x6f273410f9cb2380, 0xf811e854dd773d0c, 0xb69de282aa35acd7, 0x863a186cfb748a18,
+            0x402371ae2b08d141, 0x400efb5e1d810814, 0x3ff0000000000000,
+        ],
+    ),
+    (
+        &[39, 18, 104],
+        [
+            0x000000000000000b, 0x3c308614edf91e51, 0xde08c7fd27bbf00e, 0x985d70c2ee8bf8f7,
+            0x57ce430898c5ae7a, 0xb590bda225b45465, 0x93b9f093911945b7, 0x81b7c0dc935bfae9,
+            0x40248c114d2d66b7, 0x4010eecdcf82dc5f, 0x3feff80000000000,
+        ],
+    ),
+];
+
+#[test]
+fn every_mode_and_the_v_cycle_match_the_recorded_parent_at_every_pool_width() {
+    let d = generate(&GeneratorConfig::named("flow-golden", 800)).expect("generator succeeds");
+    let lib = synthetic_pdk();
+    for threads in [1usize, 2, 4] {
+        for ((name, mode, config), (want_iters, want)) in cases().into_iter().zip(&RECORDED) {
+            let config = FlowConfig { threads, ..config };
+            let mut obs = Observer::new(true);
+            let r = run_flow_observed(&d, &lib, mode, &config, &mut obs).expect("flow runs");
+            let got = fingerprint(&r);
+            assert_eq!(&got, want, "{name} at threads={threads}: got {got:#018x?}");
+            assert_eq!(&r.level_iterations, want_iters, "{name} at threads={threads}");
+            let violations = check_legal(&d, &r.xs, &r.ys);
+            assert!(violations.is_empty(), "{name} at threads={threads}: {violations:?}");
+
+            // The runs exercise what they are recorded for.
+            let count = |c| obs.registry().get(c);
+            let flat_run = !config.multilevel;
+            match mode {
+                FlowMode::Wirelength => assert_eq!(count(Counter::StaFull), 0, "{name}"),
+                FlowMode::PathExtraction(_) => {
+                    assert!(count(Counter::PathExtractions) >= 3, "{name}: too few extractions");
+                    // A flat flow builds one in-loop forest and two reporting
+                    // ones; every further build is a coarse-level extraction.
+                    assert_eq!(count(Counter::ForestBuilds) == 3, flat_run, "{name}");
+                }
+                _ if flat_run => {
+                    assert!(count(Counter::StaFull) >= 30, "{name}: timing live too briefly")
+                }
+                _ => assert!(count(Counter::StaFull) > 0, "{name}: timing never engaged"),
+            }
+            assert_eq!(count(Counter::CoarseIterations) == 0, flat_run, "{name}");
+        }
+    }
+}

@@ -161,8 +161,42 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
         if i % 2 == 1 {
             let wns = v.get("wns").expect("wns member present");
             assert!(wns.is_null() || wns.as_f64().is_some());
+            // Every in-loop analysis is a full one, counted by `sta_full`:
+            // in differentiable mode, one on each iteration marked `timing`.
+            let timing = v.get("timing").and_then(|t| t.as_bool()).expect("timing member");
+            let analyses =
+                v.get("counters").and_then(|c| c.get("sta_full")).and_then(|n| n.as_f64());
+            assert_eq!(analyses, timing.then_some(1.0), "{line}");
         }
     }
+    let start_iter = dtp_core::DiffTimingConfig::default().start_iter;
+    assert!(r.iterations > start_iter, "timing never engaged");
+    assert_eq!(
+        obs.registry().get(dtp_obs::Counter::StaFull) as usize,
+        r.iterations - start_iter,
+        "sta_full must count one analysis per iteration from `start_iter` on"
+    );
+}
+
+#[test]
+fn counters_are_exactly_the_eleven_survivors() {
+    let names: Vec<&str> = dtp_obs::Counter::ALL.iter().map(|c| c.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "iterations",
+            "geo_dirty_nets",
+            "topo_dirty_nets",
+            "sta_full",
+            "forest_builds",
+            "forest_syncs",
+            "rudy_builds",
+            "rudy_inc_updates",
+            "trace_analyses",
+            "path_extractions",
+            "coarse_iterations",
+        ]
+    );
 }
 
 /// Generates a design on disk and returns (dir, bookshelf prefix path).
@@ -184,7 +218,7 @@ fn cli_log_level_warn_leaves_stdout_machine_clean() {
             "place",
             prefix.to_str().unwrap(),
             "--mode",
-            "wl",
+            "wirelength",
             "--max-iters",
             "40",
             "--log-level",
@@ -260,6 +294,22 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
 }
 
 #[test]
+fn cli_rejects_the_retired_mode_aliases_like_any_typo() {
+    let (dir, prefix) = write_cli_fixture("aliases");
+    for mode in ["wl", "nw", "diff", "wirelenght"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
+            .args(["place", prefix.to_str().unwrap(), "--mode", mode, "--max-iters", "40"])
+            .output()
+            .expect("dtp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--mode {mode}: {stderr}");
+        assert!(stderr.contains("unknown mode"), "--mode {mode}: {stderr}");
+        assert!(stderr.contains(mode), "--mode {mode}: error does not name it: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_profile_metrics_and_trace_outputs() {
     let (dir, prefix) = write_cli_fixture("sinks");
     let metrics = dir.join("metrics.json");
@@ -269,7 +319,7 @@ fn cli_profile_metrics_and_trace_outputs() {
             "place",
             prefix.to_str().unwrap(),
             "--mode",
-            "diff",
+            "differentiable",
             "--max-iters",
             "120",
             "--profile",

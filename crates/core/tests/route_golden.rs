@@ -7,6 +7,9 @@
 //! `route_aware = true` the congestion gradient and feedback must actually
 //! change the trajectory.
 
+mod common;
+
+use common::fingerprint;
 use dtp_core::{run_flow, FlowConfig, FlowMode, FlowResult};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
@@ -120,28 +123,6 @@ fn wirelength_mode_supports_route_awareness() {
     let r = run_flow(&d, &lib, FlowMode::Wirelength, &cfg).expect("flow runs");
     assert!(r.hpwl > 0.0);
     assert!(r.congestion.max_overflow > 0.0);
-}
-
-/// One `route_aware = true` run, folded to bit patterns: every trace row's
-/// HPWL / overflow / WNS / TNS, the final placement, the final QoR and the
-/// congestion summary.
-fn fingerprint(r: &FlowResult) -> [u64; 11] {
-    let fold = |it: &mut dyn Iterator<Item = f64>| {
-        it.fold(0u64, |h, x| h.rotate_left(5) ^ x.to_bits())
-    };
-    [
-        r.trace.len() as u64,
-        fold(&mut r.trace.iter().map(|p| p.hpwl)),
-        fold(&mut r.trace.iter().map(|p| p.overflow)),
-        fold(&mut r.trace.iter().map(|p| p.wns)),
-        fold(&mut r.trace.iter().map(|p| p.tns)),
-        fold(&mut r.xs.iter().copied()),
-        fold(&mut r.ys.iter().copied()),
-        fold(&mut [r.hpwl, r.wns, r.tns].into_iter()),
-        r.congestion.max_overflow.to_bits(),
-        r.congestion.avg_overflow.to_bits(),
-        r.congestion.overflowed_frac.to_bits(),
-    ]
 }
 
 /// The two recorded runs: differentiable timing with the congestion term

@@ -1,13 +1,12 @@
 //! Timing arcs: NLDM delay/transition arcs and setup/hold constraint arcs.
 
 use crate::lut::{Lut1, Lut2};
-use serde::{Deserialize, Serialize};
 
 /// Unateness of a combinational arc (which input edge causes which output
 /// edge). The simplified single-corner propagation of this flow evaluates the
 /// worst of rise/fall regardless of unateness, but the attribute is parsed,
 /// stored and written so libraries round-trip.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Unate {
     /// Rising input causes rising output.
     Positive,
@@ -19,7 +18,7 @@ pub enum Unate {
 }
 
 /// Kind of a timing arc.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArcKind {
     /// Input-to-output delay arc of a combinational cell.
     Combinational,
@@ -53,7 +52,7 @@ pub struct ArcEval {
 }
 
 /// An NLDM timing arc between two pins of a cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimingArc {
     /// Source pin name (`related_pin` in Liberty terms is the *from* pin).
     pub from: String,

@@ -2,10 +2,9 @@
 
 use crate::arc::{ArcKind, TimingArc};
 use dtp_netlist::PinDir;
-use serde::{Deserialize, Serialize};
 
 /// The electrical view of one library pin.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LibPin {
     /// Pin name (matches the structural class pin name).
     pub name: String,
@@ -20,7 +19,7 @@ pub struct LibPin {
 }
 
 /// The electrical/timing view of one library cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LibCell {
     name: String,
     area: f64,

@@ -1,14 +1,13 @@
 //! The top-level library container.
 
 use crate::cell::LibCell;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An NLDM cell library plus the interconnect RC technology parameters that a
 /// real flow would read from a technology file. Times are in ps, capacitances
 /// in fF, resistances in Ω (so Ω·fF = ps·10⁻³; the units are chosen so that
 /// `wire_res_per_um · wire_cap_per_um · length²` comes out in ps).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Library {
     /// Library name.
     pub name: String,

@@ -9,7 +9,6 @@
 //! propagation (Eq. 12) consumes.
 
 use crate::error::LibertyError;
-use serde::{Deserialize, Serialize};
 
 /// Axes up to this long are located by a branch-free linear count (NLDM
 /// tables have 5–8 samples per axis); longer ones by binary partition.
@@ -95,7 +94,7 @@ fn check_axis(axis: &[f64], what: &str) -> Result<(), LibertyError> {
 ///
 /// Used for setup/hold constraint arcs, which in this flow depend on data
 /// slew only (the clock network is ideal).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Lut1 {
     x: Vec<f64>,
     v: Vec<f64>,
@@ -172,7 +171,7 @@ impl Lut1 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Lut2 {
     x: Vec<f64>,
     y: Vec<f64>,

@@ -7,7 +7,6 @@
 //! the `dtp-liberty` crate and is bound by cell-class name.
 
 use crate::geom::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a cell class within a netlist.
@@ -47,7 +46,7 @@ impl ClassPinId {
 }
 
 /// Signal direction of a pin, seen from the cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PinDir {
     /// The pin consumes a signal (a net sink).
     Input,
@@ -73,7 +72,7 @@ impl fmt::Display for PinDir {
 }
 
 /// Functional kind of a pin, used by timing analysis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PinKind {
     /// Ordinary signal pin.
     #[default]
@@ -84,7 +83,7 @@ pub enum PinKind {
 
 /// A pin template of a cell class: name, direction, kind and the offset of the
 /// physical pin location from the cell's lower-left corner.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PinSpec {
     /// Pin name within the class (e.g. `"A"`, `"Y"`, `"D"`, `"CK"`).
     pub name: String,
@@ -110,7 +109,7 @@ pub struct PinSpec {
 /// assert_eq!(nand.pins().len(), 3);
 /// assert!(!nand.is_sequential());
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CellClass {
     name: String,
     width: f64,

@@ -3,10 +3,9 @@
 use crate::geom::Rect;
 use crate::model::Netlist;
 use crate::sdc::Sdc;
-use serde::{Deserialize, Serialize};
 
 /// A placement row (simplified `.scl` row: uniform height and site width).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Row {
     /// Bottom y coordinate of the row.
     pub y: f64,

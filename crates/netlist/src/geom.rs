@@ -3,12 +3,11 @@
 //! Coordinates are `f64` microns. Global placement works in continuous
 //! coordinates; legalization snaps to rows/sites at the end.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// A point (or displacement vector) in the placement plane.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Point {
     /// Horizontal coordinate in microns.
     pub x: f64,
@@ -87,7 +86,7 @@ impl fmt::Display for Point {
 }
 
 /// An axis-aligned rectangle given by its lower-left and upper-right corners.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Rect {
     /// Lower-left x.
     pub xl: f64,

@@ -12,11 +12,10 @@
 //! ```
 
 use crate::error::NetlistError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Timing constraints for a design (SDC subset).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Sdc {
     /// Clock period in picoseconds.
     pub clock_period: f64,

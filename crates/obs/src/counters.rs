@@ -1,5 +1,5 @@
-//! The counters/gauges registry: the health signals of the incremental
-//! subsystems, recorded into fixed arrays (no hashing, no allocation).
+//! The counters/gauges registry: how much work the loop's subsystems did,
+//! recorded into fixed arrays (no hashing, no allocation).
 //!
 //! Counters are monotone event totals incremented from the hot loop; gauges
 //! are point-in-time values (backend selections, final cache statistics) set
@@ -16,13 +16,9 @@ pub enum Counter {
     GeoDirtyNets,
     /// Nets classified topology-dirty (per-net Steiner rebuild).
     TopoDirtyNets,
-    /// Incremental STA analyses.
-    StaIncremental,
-    /// Full STA analyses in the loop (first analysis or fallback).
+    /// STA analyses in the loop: one full analysis per iteration on which
+    /// the mode's timing mechanism ran.
     StaFull,
-    /// Full analyses that were *fallbacks*: an incremental-eligible state
-    /// existed but the dirty fraction (or γ mismatch) forced a full sweep.
-    StaFallback,
     /// Full Steiner-forest builds.
     ForestBuilds,
     /// Incremental forest synchronizations (dirty-set sweeps).
@@ -43,16 +39,14 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (length of every per-counter array).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 11;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::Iterations,
         Counter::GeoDirtyNets,
         Counter::TopoDirtyNets,
-        Counter::StaIncremental,
         Counter::StaFull,
-        Counter::StaFallback,
         Counter::ForestBuilds,
         Counter::ForestSyncs,
         Counter::RudyBuilds,
@@ -74,9 +68,7 @@ impl Counter {
             Counter::Iterations => "iterations",
             Counter::GeoDirtyNets => "geo_dirty_nets",
             Counter::TopoDirtyNets => "topo_dirty_nets",
-            Counter::StaIncremental => "sta_incremental",
             Counter::StaFull => "sta_full",
-            Counter::StaFallback => "sta_fallback",
             Counter::ForestBuilds => "forest_builds",
             Counter::ForestSyncs => "forest_syncs",
             Counter::RudyBuilds => "rudy_builds",

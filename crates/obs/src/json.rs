@@ -1,8 +1,9 @@
 //! Minimal JSON support for the structured sinks: allocation-free writer
 //! helpers and a small validating parser.
 //!
-//! The workspace's serde is an offline marker shim, so the sinks hand-write
-//! their JSON. Two invariants live here:
+//! The workspace has no serialization framework (the build environment has
+//! no registry access), so the sinks hand-write their JSON. Two invariants
+//! live here:
 //!
 //! * **Non-finite floats serialize as `null`** ([`write_f64`]/[`push_f64`]) —
 //!   untraced-iteration WNS/TNS are `NAN` in-memory and a naive `{}`-format

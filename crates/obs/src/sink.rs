@@ -336,7 +336,7 @@ mod tests {
         t.add(Phase::StaForward, 1_000_000);
         t.add(Phase::WirelengthGrad, 2_000_000);
         let mut counters = [0u64; Counter::COUNT];
-        counters[Counter::StaIncremental.index()] = 42;
+        counters[Counter::StaFull.index()] = 42;
         let mut gauges = [0f64; Gauge::COUNT];
         gauges[Gauge::FftBackend.index()] = 1.0;
         let slots: [PhaseSlot; Phase::COUNT] =
@@ -422,7 +422,7 @@ mod tests {
         let phases = v.get("phases").unwrap().as_array().unwrap();
         assert_eq!(phases.len(), Phase::COUNT);
         assert_eq!(
-            v.get("counters").unwrap().get("sta_incremental").unwrap().as_f64(),
+            v.get("counters").unwrap().get("sta_full").unwrap().as_f64(),
             Some(42.0)
         );
         assert_eq!(
@@ -437,7 +437,7 @@ mod tests {
         assert!(table.contains("sta_forward"));
         assert!(table.contains("wirelength_grad"));
         assert!(!table.contains("legalize"), "zero-call phase listed:\n{table}");
-        assert!(table.contains("sta_incremental"));
+        assert!(table.contains("sta_full"));
         assert!(table.contains("fft_backend"), "nonzero gauge missing:\n{table}");
         assert!(!table.contains("rsmt_class_gen_ms"), "zero gauge listed:\n{table}");
     }
