@@ -40,7 +40,7 @@
 //! machine-clean (the `FlowResult` line only).
 
 use dtp_core::{run_flow_observed, FlowConfig, FlowMode, PathExtractConfig};
-use dtp_obs::{self as obs, Level, Observer, QorSummary};
+use dtp_obs::{self as obs, Level, Observer, Phase, QorSummary};
 use dtp_trace::{Tolerances, Trace};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, superblue_proxy, GeneratorConfig};
@@ -368,13 +368,14 @@ fn cmd_place(args: &[String]) -> CliResult {
             c.start_iter
         ),
     }
-    let mut design = load_design(spec)?;
+    // Created before the design is read, so parsing is a span of the run.
+    let mut observer = Observer::new(config.observe);
+    let mut design = observer.time(Phase::Parse, || load_design(spec))?;
     if design.constraints.clock_port.is_none() && design.constraints.clock_period >= 1000.0 {
         // Bookshelf input with no SDC: pick a period that creates pressure.
         design.constraints = Sdc::with_period(500.0);
     }
     let lib = synthetic_pdk();
-    let mut observer = Observer::new(config.observe);
     // Recorded in the trace header so `dtp trace replay` can reload the
     // same design without being told where it came from.
     observer.set_design_source(spec);
@@ -397,6 +398,13 @@ fn cmd_place(args: &[String]) -> CliResult {
             dtp_rsmt::table_stats()
         );
     }
+    // The placed design is written before the profile and the metrics, so
+    // both account for the write.
+    if let Some(dir) = &out_dir {
+        design.netlist.set_positions(&r.xs, &r.ys);
+        observer.time(Phase::Write, || bookshelf::write_design(&design, Path::new(dir)))?;
+        obs::info!("wrote placed design to {dir}/");
+    }
     if profile {
         // Explicitly requested output: printed regardless of --log-level.
         print!("{}", observer.report().table());
@@ -418,11 +426,6 @@ fn cmd_place(args: &[String]) -> CliResult {
     }
     if let Some(path) = &trace_out {
         obs::info!("wrote {path}");
-    }
-    if let Some(dir) = out_dir {
-        design.netlist.set_positions(&r.xs, &r.ys);
-        bookshelf::write_design(&design, Path::new(&dir))?;
-        obs::info!("wrote placed design to {dir}/");
     }
     if let Some(path) = svg_path {
         // Color by endpoint-cone slack: hotter = more violating pins.

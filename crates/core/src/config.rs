@@ -337,9 +337,15 @@ config_table! {
         lambda_init: f64 = 0.0,
         /// Multiplicative λ growth per iteration (cell-spreading pressure).
         lambda_growth: f64 = 1.05,
-        /// How often (iterations) the trace records exact WNS/TNS; 0 = never
-        /// (cheapest), 1 = every iteration (Figure-8 mode).
-        trace_timing_every: usize = 10,
+        /// How often (iterations) the flow records a
+        /// [`TracePoint`](crate::TracePoint) with exact HPWL / WNS / TNS —
+        /// each one costs a forest sync and, unless the timing mechanism ran
+        /// an exact analysis of its own that iteration, a full STA. 0 (the
+        /// default) = never: the optimiser reads none of it, so a flow pays
+        /// for it only when the caller will read the trace; 1 = every
+        /// iteration (Figure-8 mode). 0 and 10 place identically in every
+        /// mode.
+        trace_timing_every: usize = 0,
         /// Random seed for the initial center-cluster placement.
         seed: u64 = 1,
         /// Number of detailed-placement passes after legalization.

@@ -18,17 +18,19 @@
 //! inflates cells in overflowed bins and boosts the wirelength weight of
 //! nets crossing them.
 //!
-//! Every consumer of wire geometry (the three timing mechanisms, the trace
-//! STA, the route layer) reads one in-loop Steiner forest, built once and
-//! then maintained per net under a drift budget ([`LoopForest`]): nets of
-//! moved cells are re-embedded, and a net whose accumulated drift exceeds
-//! [`FlowConfig::topo_dirty_frac`] of its bounding box gets a fresh
-//! topology. Each timing iteration then runs one full, scratch-backed
-//! analysis — in global placement every movable cell moves every iteration,
-//! so there is no sparse dirty set for an incremental analysis to exploit
-//! (that lives in `timing_detail`, where moves are sparse). The exact RUDY
-//! map is maintained incrementally from the same geometry/topology-dirty
-//! net lists.
+//! Every consumer of wire geometry (the three timing mechanisms, the route
+//! layer, the trace STA a caller asks for with
+//! [`FlowConfig::trace_timing_every`]) reads one in-loop Steiner forest,
+//! built once and then maintained per net under a drift budget
+//! ([`LoopForest`]): nets of moved cells are re-embedded, and a net whose
+//! accumulated drift exceeds [`FlowConfig::topo_dirty_frac`] of its bounding
+//! box gets a fresh topology. A flow with no such consumer — the
+//! wirelength-only mode at default knobs — never builds one. Each timing
+//! iteration then runs one full, scratch-backed analysis — in global
+//! placement every movable cell moves every iteration, so there is no sparse
+//! dirty set for an incremental analysis to exploit (that lives in
+//! `timing_detail`, where moves are sparse). The exact RUDY map is
+//! maintained incrementally from the same geometry/topology-dirty net lists.
 //!
 //! The flat flow, the warm-started finest level of a V-cycle and the coarse
 //! levels all drive one [`GradientCore`] (WA wirelength + density + Nesterov
@@ -188,10 +190,6 @@ pub struct FlowResult {
     pub wns_hold: f64,
     /// HPWL at the end of global placement, before legalization.
     pub gp_hpwl: f64,
-    /// WNS at the end of global placement.
-    pub gp_wns: f64,
-    /// TNS at the end of global placement.
-    pub gp_tns: f64,
     /// Global-placement iterations executed (summed over all levels in a
     /// multi-level run).
     pub iterations: usize,
@@ -205,7 +203,9 @@ pub struct FlowResult {
     /// this run. Value-compatible with the legacy hand-timed accounting and
     /// populated whether or not observability is on.
     pub timing_runtime: f64,
-    /// Optimization trajectory samples.
+    /// Optimization trajectory samples, one every
+    /// [`FlowConfig::trace_timing_every`] iterations; empty at the default
+    /// cadence 0.
     pub trace: Vec<TracePoint>,
     /// Final legalized positions (lower-left), indexed by cell.
     pub xs: Vec<f64>,
@@ -217,7 +217,7 @@ pub struct FlowResult {
     pub congestion: CongestionSummary,
     /// In-loop Steiner-forest composition (exact / table / Prim backends)
     /// and sequence-cache counters; all zeros when the flow never built a
-    /// forest (pure-wirelength mode without tracing).
+    /// forest (wirelength-only mode, not route-aware, no trace cadence).
     pub rsmt: ForestStats,
 }
 
@@ -243,9 +243,9 @@ impl fmt::Display for FlowResult {
 struct LoopForest {
     /// `None` until the first consumer (timing, trace, route) asks for it.
     forest: Option<SteinerForest>,
-    /// Topology-table configuration for the in-loop forest; the post-GP and
-    /// final reporting forests always use the legacy constructions so the
-    /// reported metrics stay comparable across configurations.
+    /// Topology-table configuration for the in-loop forest; the final
+    /// reporting forest always uses the legacy constructions so the reported
+    /// metrics stay comparable across configurations.
     table_cfg: TableConfig,
     scratch: ForestScratch,
     /// [`FlowConfig::topo_dirty_frac`].
@@ -558,7 +558,7 @@ impl GradientCore {
 }
 
 /// A from-scratch forest on the legacy constructions: what the reporting
-/// analyses and the coarse levels' extractions read.
+/// analysis and the coarse levels' extractions read.
 fn fresh_forest(nl: &Netlist, obs: &mut Observer) -> SteinerForest {
     let f = obs.time(Phase::SteinerBuild, || build_forest(nl));
     obs.add(Counter::ForestBuilds, 1);
@@ -683,6 +683,17 @@ impl TimingMechanism {
         traced
     }
 }
+
+/// Iterations between two forest syncs ahead of the first real consumer —
+/// and between two exact-HPWL samples of an observed run — when the caller
+/// set no [`FlowConfig::trace_timing_every`]. A flow whose timing mechanism
+/// or route layer will read the loop forest builds it on iteration 0 and
+/// re-syncs it on this period until the consumer takes over, so the drift
+/// bookkeeping the consumer inherits — and with it the placement — is the
+/// same whether or not anyone traces timing. The period is the cadence the
+/// trace used to default to; it goes when the overflow-milestone `Schedule`
+/// (ROADMAP item 1) decides when the forest is first needed.
+const SAMPLE_PERIOD: usize = 10;
 
 /// Density overflow below which congestion optimization switches on: like
 /// timing, the RUDY estimate is meaningless while every cell still sits in
@@ -1079,6 +1090,7 @@ fn run_flow_fine(
     // `timing_runtime` is reported as the STA-span delta across this run,
     // so a reused observer does not double-count an earlier run's time.
     let sta_seconds_at_entry = obs.sta_seconds();
+    let sp = obs.start(Phase::Setup);
     let mut work = design.clone();
 
     let warm = seed_positions(&mut work, warm, config.seed);
@@ -1118,10 +1130,20 @@ fn run_flow_fine(
 
     let mut route = config.route_aware.then(|| RouteState::new(&work, config));
     let mut loop_forest = LoopForest::new(&work.netlist, config);
-    // Pre-sized like the forest scratch: no warm-up growth inside the loop.
+    // Sized by the first analysis that draws from it, for what that analysis
+    // reads: a flow whose first analysis is the final one reserves nothing
+    // through the loop, and the buffers of one analysis come out of the heap
+    // as one touched block, which the summary map at the end moves into.
     let mut scratch = AnalysisScratch::new();
-    scratch.presize(work.netlist.num_pins(), work.netlist.num_nets());
     let mut trace = Vec::new();
+    // Exact timing is traced only at the cadence the caller set; without one
+    // the same sampling points only keep the forest of a flow that has a
+    // consumer for it warm, and give an observed run its exact HPWL.
+    let trace_cadence = config.trace_timing_every > 0;
+    let sample_period = if trace_cadence { config.trace_timing_every } else { SAMPLE_PERIOD };
+    let forest_consumer = timing.is_some() || route.is_some();
+    let sample_hpwl = trace_cadence || obs.is_enabled();
+    obs.stop(Phase::Setup, sp);
 
     let mut iterations = 0usize;
     for iter in 0..config.max_iters {
@@ -1143,8 +1165,8 @@ fn run_flow_fine(
             timing_start = iter;
         }
         let timing_active = iter >= timing_start;
-        let trace_timing =
-            config.trace_timing_every > 0 && iter % config.trace_timing_every == 0;
+        let sampled = iter % sample_period == 0;
+        let trace_timing = sampled && trace_cadence;
         // Congestion optimization latches on once the cells have spread out.
         if let Some(rs) = route.as_mut() {
             if !rs.active && iter > 0 && core.overflow < ROUTE_START_OVERFLOW {
@@ -1152,8 +1174,12 @@ fn run_flow_fine(
             }
         }
         let route_active = route.as_ref().is_some_and(|rs| rs.active);
-        // Steiner forest maintenance (only when some consumer needs it).
-        let forest = if timing_active || trace_timing || route_active {
+        // Steiner forest maintenance (only when some consumer needs it, now
+        // or — on the sampling points — later in the run).
+        let forest = if timing_active
+            || route_active
+            || (sampled && (trace_cadence || forest_consumer))
+        {
             loop_forest.sync(&work.netlist, &core.vx, &core.vy, obs);
             loop_forest.forest.as_ref()
         } else {
@@ -1252,7 +1278,7 @@ fn run_flow_fine(
                 t.run(&work.netlist, &timer, f, &mut scratch, &mut core, obs);
         }
 
-        // Trace (exact timing only every `trace_timing_every` iterations).
+        // Trace (exact timing only at the cadence the caller set).
         if let Some(f) = forest.filter(|_| trace_timing && traced_wns.is_nan()) {
             let analysis =
                 obs.time(Phase::TraceSta, || timer.analyze_into(&work.netlist, f, &mut scratch));
@@ -1261,11 +1287,14 @@ fn run_flow_fine(
             traced_tns = analysis.tns();
             scratch.recycle(analysis);
         }
-        // Exact HPWL is only computed on traced iterations; telemetry reuses
-        // it and reports `null` elsewhere (the smoothed WA wirelength is
-        // free every iteration).
-        let iter_hpwl =
-            if trace_timing { core.wl_model.hpwl(&core.vx, &core.vy) } else { f64::NAN };
+        // Exact HPWL is only computed on the sampling points, for the trace
+        // rows and the observer's `iter` records; it reads `null` elsewhere
+        // (the smoothed WA wirelength is free every iteration).
+        let iter_hpwl = if sampled && sample_hpwl {
+            core.wl_model.hpwl(&core.vx, &core.vy)
+        } else {
+            f64::NAN
+        };
         if trace_timing {
             trace.push(TracePoint {
                 iter,
@@ -1303,22 +1332,18 @@ fn run_flow_fine(
     };
     work.netlist.set_positions(&sx, &sy);
     // The loop's working set is dead from here on. Released now rather than
-    // at return, it is what the reporting phase below (two forests, two
-    // analyses, the legalizer, the final map) allocates from, so the
-    // process's peak memory is the loop's, reached long before exit, and not
-    // a spike stacked on top of it in the last milliseconds of the run.
+    // at return, it is what the reporting phase below (the legalizer, the
+    // final forest, analysis and map) allocates from, so the process's peak
+    // memory is the loop's, reached long before exit, and not a spike
+    // stacked on top of it in the last milliseconds of the run. (A flow
+    // that kept no loop forest peaks on the final one, the only forest of
+    // the run.)
     let rsmt = loop_forest.forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
     let uses_fft = core.density.uses_fft();
     let live_map = route.map(|rs| rs.map);
     let wl_model = core.into_wl_model();
     drop((timing, loop_forest));
-    let gp_forest = fresh_forest(&work.netlist, obs);
-    let gp_analysis =
-        obs.time(Phase::FinalSta, || timer.analyze_into(&work.netlist, &gp_forest, &mut scratch));
-    drop(gp_forest);
     let gp_hpwl = wl_model.hpwl(&sx, &sy);
-    let (gp_wns, gp_tns) = (gp_analysis.wns(), gp_analysis.tns());
-    scratch.recycle(gp_analysis);
 
     // --- legalization + detailed placement -------------------------------------
     let mut lx = sx;
@@ -1391,8 +1416,6 @@ fn run_flow_fine(
         tns,
         wns_hold,
         gp_hpwl,
-        gp_wns,
-        gp_tns,
         iterations,
         level_iterations: vec![iterations],
         runtime: t_start.elapsed().as_secs_f64(),

@@ -6,32 +6,39 @@
 //! — the four flat modes at default knobs and two V-cycles — as bit patterns
 //! taken at commit 42d4a9c, before the loop body was folded into one copy,
 //! so a rewrite of `flow.rs` that moves a single bit of any trajectory or
-//! final placement fails here.
+//! final placement fails here. They were recorded at the trace cadence the
+//! flow then defaulted to (10), which the cases name.
 
 mod common;
 
 use common::fingerprint;
-use dtp_core::{run_flow_observed, FlowConfig, FlowMode, Observer};
+use dtp_core::{run_flow, run_flow_observed, FlowConfig, FlowMode, FlowResult, Observer};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_obs::Counter;
 use dtp_place::check_legal;
 
-/// Default knobs but for the iteration cap: every flat timing mode has its
-/// mechanism live for well over 30 iterations before the overflow stop.
+/// Default knobs but for the iteration cap — every flat timing mode has its
+/// mechanism live for well over 30 iterations before the overflow stop — and
+/// the trace cadence the fingerprints were recorded at.
 fn flat() -> FlowConfig {
-    FlowConfig { max_iters: 250, ..FlowConfig::default() }
+    FlowConfig { max_iters: 250, trace_timing_every: 10, ..FlowConfig::default() }
 }
 
-/// The six recorded runs, in the order of [`RECORDED`].
-fn cases() -> [(&'static str, FlowMode, FlowConfig); 6] {
-    let vcycle = |levels| FlowConfig {
+/// A V-cycle of `levels` levels, at the recorded trace cadence.
+fn vcycle(levels: usize) -> FlowConfig {
+    FlowConfig {
         multilevel: true,
         cluster_ratio: 3.0,
         levels,
         max_iters: 150,
+        trace_timing_every: 10,
         ..FlowConfig::default()
-    };
+    }
+}
+
+/// The six recorded runs, in the order of [`RECORDED`].
+fn cases() -> [(&'static str, FlowMode, FlowConfig); 6] {
     [
         ("wirelength", FlowMode::Wirelength, flat()),
         ("net-weighting", FlowMode::net_weighting(), flat()),
@@ -117,9 +124,9 @@ fn every_mode_and_the_v_cycle_match_the_recorded_parent_at_every_pool_width() {
                 FlowMode::Wirelength => assert_eq!(count(Counter::StaFull), 0, "{name}"),
                 FlowMode::PathExtraction(_) => {
                     assert!(count(Counter::PathExtractions) >= 3, "{name}: too few extractions");
-                    // A flat flow builds one in-loop forest and two reporting
-                    // ones; every further build is a coarse-level extraction.
-                    assert_eq!(count(Counter::ForestBuilds) == 3, flat_run, "{name}");
+                    // A flat flow builds one in-loop forest and one reporting
+                    // one; every further build is a coarse-level extraction.
+                    assert_eq!(count(Counter::ForestBuilds) == 2, flat_run, "{name}");
                 }
                 _ if flat_run => {
                     assert!(count(Counter::StaFull) >= 30, "{name}: timing live too briefly")
@@ -127,6 +134,38 @@ fn every_mode_and_the_v_cycle_match_the_recorded_parent_at_every_pool_width() {
                 _ => assert!(count(Counter::StaFull) > 0, "{name}: timing never engaged"),
             }
             assert_eq!(count(Counter::CoarseIterations) == 0, flat_run, "{name}");
+        }
+    }
+}
+
+/// Exact-timing telemetry is read by nobody inside the loop, so asking for
+/// it must not move a placement: the default (no trace) and the cadence the
+/// trace used to default to give the same bits in every mode — the trace
+/// points were what warmed the loop forest ahead of the timing mechanism,
+/// which the loop now does on its own sampling period.
+#[test]
+fn the_trace_cadence_does_not_steer_the_placement() {
+    let d = generate(&GeneratorConfig::named("flow-golden", 800)).expect("generator succeeds");
+    let lib = synthetic_pdk();
+    // The recorded runs, and a route-aware one: the route layer reads the
+    // loop forest too.
+    let route_aware = FlowConfig { route_aware: true, route_capacity: 3.0, ..flat() };
+    let runs: Vec<_> = cases()
+        .into_iter()
+        .chain([("route-aware differentiable", FlowMode::differentiable(), route_aware)])
+        .collect();
+    for threads in [1usize, 2, 4] {
+        for &(name, mode, traced) in &runs {
+            let traced = FlowConfig { threads, ..traced };
+            let untraced = FlowConfig { trace_timing_every: 0, ..traced };
+            let a = run_flow(&d, &lib, mode, &traced).expect("flow runs");
+            let b = run_flow(&d, &lib, mode, &untraced).expect("flow runs");
+            assert!(!a.trace.is_empty() && b.trace.is_empty(), "{name}");
+            assert_eq!(a.xs, b.xs, "{name} at threads={threads}: x positions differ");
+            assert_eq!(a.ys, b.ys, "{name} at threads={threads}: y positions differ");
+            let qor = |r: &FlowResult| [r.hpwl, r.wns, r.tns].map(f64::to_bits);
+            assert_eq!(qor(&a), qor(&b), "{name} at threads={threads}");
+            assert_eq!(a.level_iterations, b.level_iterations, "{name} at threads={threads}");
         }
     }
 }

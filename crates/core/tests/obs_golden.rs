@@ -11,7 +11,7 @@ use dtp_core::{run_flow, run_flow_observed, FlowConfig, FlowMode, FlowResult, Ob
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::bookshelf;
-use dtp_obs::json;
+use dtp_obs::{json, Counter, Phase};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
@@ -178,6 +178,65 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     );
 }
 
+/// One observed run of `mode` on the golden design.
+fn observed(mode: FlowMode, config: &FlowConfig) -> (Observer, FlowResult) {
+    let mut obs = Observer::new(true);
+    let r = run_flow_observed(&design(), &synthetic_pdk(), mode, config, &mut obs)
+        .expect("flow runs");
+    (obs, r)
+}
+
+/// At the default cadence nobody reads exact timing inside the loop, so the
+/// loop computes none: the wirelength-only flow has no consumer for a forest
+/// at all and builds only the one the final report is analysed on.
+#[test]
+fn an_untraced_wirelength_flow_builds_no_loop_forest_and_runs_no_trace_sta() {
+    let config = FlowConfig { max_iters: 200, ..FlowConfig::default() };
+    assert_eq!(config.trace_timing_every, 0, "the default asks for no exact-timing trace");
+    let (obs, r) = observed(FlowMode::Wirelength, &config);
+    assert!(r.trace.is_empty());
+    assert_eq!(r.rsmt.trees, 0, "no in-loop forest to report on");
+    let count = |c| obs.registry().get(c);
+    assert_eq!(count(Counter::TraceAnalyses), 0);
+    assert_eq!(count(Counter::ForestSyncs), 0);
+    assert_eq!(count(Counter::ForestBuilds), 1);
+    let calls = |p| obs.spans().slot(p).calls;
+    assert_eq!(calls(Phase::TraceSta), 0);
+    assert_eq!(calls(Phase::SteinerUpdate), 0);
+    assert_eq!(calls(Phase::SteinerBuild), 1);
+    assert_eq!(calls(Phase::FinalSta), 1);
+    assert_eq!(calls(Phase::Setup), 1);
+    // The observer still gets its convergence forensics: exact HPWL on the
+    // loop's sampling period, every tenth iteration.
+    let sampled = obs.ring().iter().filter(|s| s.hpwl.is_finite()).count();
+    assert_eq!(sampled, r.iterations.div_ceil(10));
+}
+
+/// A timing flow keeps its forest maintenance — the syncs ahead of the
+/// mechanism's start included — exactly as at cadence 10; only the trace
+/// analyses go.
+#[test]
+fn an_untraced_timing_flow_does_the_traced_flows_forest_and_sta_work() {
+    for mode in [FlowMode::net_weighting(), FlowMode::differentiable()] {
+        let untraced = FlowConfig { max_iters: 200, ..FlowConfig::default() };
+        let (at_0, _) = observed(mode, &untraced);
+        let (at_10, _) = observed(mode, &base_config());
+        assert_eq!(at_0.registry().get(Counter::TraceAnalyses), 0, "{}", mode.name());
+        assert!(at_10.registry().get(Counter::TraceAnalyses) > 0, "{}", mode.name());
+        for c in [
+            Counter::ForestBuilds,
+            Counter::ForestSyncs,
+            Counter::GeoDirtyNets,
+            Counter::TopoDirtyNets,
+            Counter::StaFull,
+        ] {
+            let (a, b) = (at_0.registry().get(c), at_10.registry().get(c));
+            assert_eq!(a, b, "{}: {} differs", mode.name(), c.name());
+            assert!(a > 0, "{}: {} never counted", mode.name(), c.name());
+        }
+    }
+}
+
 #[test]
 fn counters_are_exactly_the_eleven_survivors() {
     let names: Vec<&str> = dtp_obs::Counter::ALL.iter().map(|c| c.name()).collect();
@@ -314,23 +373,26 @@ fn cli_profile_metrics_and_trace_outputs() {
     let (dir, prefix) = write_cli_fixture("sinks");
     let metrics = dir.join("metrics.json");
     let trace = dir.join("trace.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
-        .args([
-            "place",
-            prefix.to_str().unwrap(),
-            "--mode",
-            "differentiable",
-            "--max-iters",
-            "120",
+    let place = |out_dir: &str, sinks: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
+            .args(["place", prefix.to_str().unwrap(), "--mode", "differentiable"])
+            .args(["--max-iters", "120", "--out", dir.join(out_dir).to_str().unwrap()])
+            .args(sinks)
+            .output()
+            .expect("dtp runs");
+        assert!(out.status.success(), "dtp failed: {}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let out = place(
+        "traced",
+        &[
             "--profile",
             "--metrics-out",
             metrics.to_str().unwrap(),
             "--trace-out",
             trace.to_str().unwrap(),
-        ])
-        .output()
-        .expect("dtp runs");
-    assert!(out.status.success(), "dtp failed: {}", String::from_utf8_lossy(&out.stderr));
+        ],
+    );
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
     assert!(
         stdout.contains("phase breakdown"),
@@ -342,10 +404,18 @@ fn cli_profile_metrics_and_trace_outputs() {
     let v = json::parse(&metrics_text).expect("metrics.json parses");
     assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some(dtp_obs::METRICS_SCHEMA));
     assert!(v.get("qor").is_some(), "metrics.json misses the QoR block");
-    assert!(
-        v.get("phases").and_then(|p| p.as_array()).is_some_and(|a| !a.is_empty()),
-        "metrics.json misses phases"
-    );
+    // The once-per-run work around the loop is accounted: reading the
+    // design, the flow's set-up and writing `--out` are one span each.
+    let phases = v.get("phases").and_then(|p| p.as_array()).expect("metrics.json misses phases");
+    for name in ["parse", "setup", "write"] {
+        let calls = phases
+            .iter()
+            .find(|p| p.get("phase").and_then(|n| n.as_str()) == Some(name))
+            .and_then(|p| p.get("calls"))
+            .and_then(|c| c.as_f64());
+        assert_eq!(calls, Some(1.0), "phase `{name}` in metrics.json");
+        assert!(stdout.contains(name), "--profile misses `{name}`:\n{stdout}");
+    }
 
     // The route layer's unit of work: a per-run total in the metrics and the
     // profile (the final summary map is built even without `--route`),
@@ -360,5 +430,15 @@ fn cli_profile_metrics_and_trace_outputs() {
     for line in trace_text.lines() {
         json::parse(line).unwrap_or_else(|e| panic!("trace line unparseable ({e}): {line}"));
     }
+    assert!(!trace_text.contains("\"parse\""), "a once-per-run span leaked into the trace");
+
+    // A recorder attached or not, the flow does the same work: the placement
+    // written with every sink on is the one written with none.
+    place("untraced", &[]);
+    let pl = |out_dir: &str| {
+        let name = prefix.with_extension("pl");
+        std::fs::read(dir.join(out_dir).join(name.file_name().unwrap())).expect(".pl written")
+    };
+    assert!(pl("traced") == pl("untraced"), "--trace-out changed the placement");
     let _ = std::fs::remove_dir_all(&dir);
 }

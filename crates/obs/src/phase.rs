@@ -5,7 +5,8 @@
 //! reads and one array add, with no hashing and no allocation. The variants
 //! mirror where the wall-clock of one global-placement iteration can go
 //! (gradient terms, Steiner-forest maintenance, STA sweeps) plus the post-GP
-//! pipeline stages.
+//! pipeline stages and the once-per-run work around the loop (parse, set-up,
+//! write).
 
 /// One timed phase of the placement flow.
 ///
@@ -36,7 +37,8 @@ pub enum Phase {
     StaBackward,
     /// Net-weighting updates driven by the exact STA (baseline mode).
     NetWeight,
-    /// Exact STA runs that only feed the trace (`trace_timing_every`).
+    /// Exact STA runs that only feed the trace (run only when the caller set
+    /// `trace_timing_every`).
     TraceSta,
     /// Preconditioned Nesterov step.
     NesterovStep,
@@ -44,7 +46,7 @@ pub enum Phase {
     Legalize,
     /// Detailed-placement refinement passes.
     DetailPlace,
-    /// Post-GP and final exact analyses (reporting).
+    /// The exact analysis of the final placement (reporting).
     FinalSta,
     /// Netlist coarsening for a multi-level (clustered) flow level.
     Coarsen,
@@ -52,11 +54,19 @@ pub enum Phase {
     Interpolate,
     /// Top-K critical-path extraction + net-weight transfer (path mode).
     PathExtract,
+    /// Reading the design: the input files parsed, or a proxy synthesized
+    /// (`dtp place`; once per run, outside every iteration).
+    Parse,
+    /// The fine level's set-up before its first iteration: the working copy
+    /// of the design, the models and the timer.
+    Setup,
+    /// Writing the placed design (`dtp place --out`).
+    Write,
 }
 
 impl Phase {
     /// Number of phases (length of every per-phase array).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 20;
 
     /// Every phase, in slot order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -77,6 +87,9 @@ impl Phase {
         Phase::Coarsen,
         Phase::Interpolate,
         Phase::PathExtract,
+        Phase::Parse,
+        Phase::Setup,
+        Phase::Write,
     ];
 
     /// Dense slot index of this phase.
@@ -105,6 +118,9 @@ impl Phase {
             Phase::Coarsen => "coarsen",
             Phase::Interpolate => "interpolate",
             Phase::PathExtract => "path_extract",
+            Phase::Parse => "parse",
+            Phase::Setup => "setup",
+            Phase::Write => "write",
         }
     }
 
