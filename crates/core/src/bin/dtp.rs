@@ -40,7 +40,7 @@
 //! machine-clean (the `FlowResult` line only).
 
 use dtp_core::{run_flow_observed, FlowConfig, FlowMode, PathExtractConfig};
-use dtp_obs::{self as obs, Level, Observer, Phase, QorSummary};
+use dtp_obs::{self as obs, Gauge, Level, Observer, Phase, QorSummary};
 use dtp_trace::{Tolerances, Trace};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, superblue_proxy, GeneratorConfig};
@@ -80,12 +80,27 @@ fn load_design(spec: &str) -> Result<Design, Box<dyn std::error::Error>> {
         return Ok(superblue_proxy(spec, dtp_netlist::generate::DEFAULT_PROXY_SCALE)?);
     }
     let prefix = Path::new(spec);
-    // ICCAD-2015 bundle (.v + .def) takes precedence; fall back to Bookshelf.
-    if prefix.with_extension("v").exists() && prefix.with_extension("def").exists() {
+    if is_iccad_bundle(prefix) {
         Ok(dtp_netlist::iccad::read_iccad15(prefix)?)
     } else {
         Ok(bookshelf::read_design(prefix)?)
     }
+}
+
+/// ICCAD-2015 bundle (.v + .def) takes precedence; fall back to Bookshelf.
+fn is_iccad_bundle(prefix: &Path) -> bool {
+    prefix.with_extension("v").exists() && prefix.with_extension("def").exists()
+}
+
+/// Bytes of the files `load_design` reads for `spec` (0 for a proxy name).
+fn input_bytes(spec: &str) -> u64 {
+    let prefix = Path::new(spec);
+    let exts: &[&str] = if is_iccad_bundle(prefix) {
+        &["v", "def", "sdc"]
+    } else {
+        &["nodes", "nets", "pl", "scl", "classes", "sdc"]
+    };
+    exts.iter().filter_map(|ext| std::fs::metadata(prefix.with_extension(ext)).ok()).map(|m| m.len()).sum()
 }
 
 fn cmd_gen(args: &[String]) -> CliResult {
@@ -370,7 +385,10 @@ fn cmd_place(args: &[String]) -> CliResult {
     }
     // Created before the design is read, so parsing is a span of the run.
     let mut observer = Observer::new(config.observe);
+    let parse_start = std::time::Instant::now();
     let mut design = observer.time(Phase::Parse, || load_design(spec))?;
+    let parse_mb_s = input_bytes(spec) as f64 / 1e6 / parse_start.elapsed().as_secs_f64();
+    observer.gauge(Gauge::ParseMbS, parse_mb_s);
     if design.constraints.clock_port.is_none() && design.constraints.clock_period >= 1000.0 {
         // Bookshelf input with no SDC: pick a period that creates pressure.
         design.constraints = Sdc::with_period(500.0);

@@ -1392,6 +1392,7 @@ fn run_flow_fine(
     obs.gauge(Gauge::FftBackend, if uses_fft { 1.0 } else { 0.0 });
     obs.gauge(Gauge::OverflowedFrac, congestion.overflowed_frac);
     obs.gauge(Gauge::RudyStamps, rudy_stamps as f64);
+    obs.gauge(Gauge::NetlistBytes, design.netlist.heap_bytes() as f64);
     obs.gauge(Gauge::RsmtExact, rsmt.exact as f64);
     obs.gauge(Gauge::RsmtTable, rsmt.table as f64);
     obs.gauge(Gauge::RsmtPrim, rsmt.prim as f64);

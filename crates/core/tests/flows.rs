@@ -181,3 +181,59 @@ fn d2m_wire_model_variant_runs() {
     assert!(check_legal(&d, &r.xs, &r.ys).is_empty());
     assert!(r.wns.is_finite() && r.tns.is_finite());
 }
+
+/// `d` rebuilt with the movable cell `macro_name` declared fixed at `(x, y)`.
+fn with_fixed_macro(d: &dtp_netlist::Design, macro_name: &str, x: f64, y: f64) -> dtp_netlist::Design {
+    let nl = &d.netlist;
+    let mut b = dtp_netlist::NetlistBuilder::new();
+    for c in nl.cell_ids() {
+        let cell = nl.cell(c);
+        let id = if nl.cell_is_input_port(c) {
+            b.add_input_port(cell.name())
+        } else if nl.cell_is_output_port(c) {
+            b.add_output_port(cell.name())
+        } else {
+            let class = b.add_class(nl.class_of(c).clone());
+            if cell.name() == macro_name { b.add_fixed_cell(cell.name(), class) } else { b.add_cell(cell.name(), class) }
+        }
+        .expect("names stay distinct");
+        let pos = if cell.name() == macro_name { dtp_netlist::Point::new(x, y) } else { cell.pos() };
+        b.place(id, pos.x, pos.y);
+    }
+    for n in nl.net_ids() {
+        let net = b.add_net(nl.net(n).name()).expect("names stay distinct");
+        for &p in nl.net(n).pins() {
+            b.connect(net, p).expect("pin ids carry over");
+        }
+    }
+    dtp_netlist::Design { netlist: b.finish().expect("same topology"), ..d.clone() }
+}
+
+#[test]
+fn def_fixed_component_survives_the_bundle_and_the_flow() {
+    use dtp_netlist::iccad::{read_iccad15, write_iccad15};
+    let base = generate(&GeneratorConfig::named("fixedrt", 300)).expect("generator succeeds");
+    // A register pinned on a site of the sixth row, DEF units exact.
+    let (x, y) = (12.5, base.rows[5].y);
+    let d = with_fixed_macro(&base, "ff3", x, y);
+    let dir = std::env::temp_dir().join(format!("dtp-fixedrt-{}", std::process::id()));
+    write_iccad15(&d, &dir).expect("bundle written");
+    let def = std::fs::read_to_string(dir.join("fixedrt.def")).expect("def written");
+    assert_eq!(def.lines().filter(|l| l.contains("+ FIXED")).count(), 1, "one FIXED component");
+    let back = read_iccad15(&dir.join("fixedrt")).expect("bundle reads");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let nl = &back.netlist;
+    let m = nl.find_cell("ff3").expect("macro read back");
+    assert!(nl.cell(m).is_fixed(), "DEF `+ FIXED` was dropped");
+    assert_eq!((nl.cell(m).pos().x, nl.cell(m).pos().y), (x, y));
+    // Only the macro and the ports are fixed: `+ PLACED` components move.
+    let fixed = nl.cell_ids().filter(|&c| nl.cell(c).is_fixed()).count();
+    assert_eq!(fixed, 1 + nl.cell_ids().filter(|&c| nl.cell_is_port(c)).count());
+
+    let cfg = FlowConfig { max_iters: 60, ..FlowConfig::default() };
+    let r = run_flow(&back, &synthetic_pdk(), FlowMode::Wirelength, &cfg).expect("flow runs");
+    assert_eq!((r.xs[m.index()], r.ys[m.index()]), (x, y), "the placer moved a FIXED component");
+    let moved = nl.movable_cells().filter(|&c| r.xs[c.index()] != nl.cell(c).pos().x).count();
+    assert!(moved > nl.num_cells() / 2, "the flow placed nothing ({moved} cells moved)");
+}

@@ -258,6 +258,42 @@ fn counters_are_exactly_the_eleven_survivors() {
     );
 }
 
+#[test]
+fn gauges_are_exactly_these_sixteen_and_the_netlist_stays_under_160_bytes_a_cell() {
+    let names: Vec<&str> = dtp_obs::Gauge::ALL.iter().map(|g| g.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "fft_backend",
+            "overflowed_frac",
+            "rsmt_exact",
+            "rsmt_table",
+            "rsmt_prim",
+            "rsmt_seq_hits",
+            "rsmt_seq_rebuilds",
+            "rsmt_classes_generated",
+            "rsmt_class_gen_ms",
+            "pool_dispatches",
+            "pool_inline_regions",
+            "pool_threads",
+            "legalize_bands",
+            "rudy_stamps",
+            "netlist_bytes",
+            "parse_mb_s",
+        ]
+    );
+    let d = design();
+    let mut obs = Observer::new(true);
+    let config = FlowConfig { max_iters: 40, ..FlowConfig::default() };
+    run_flow_observed(&d, &synthetic_pdk(), FlowMode::Wirelength, &config, &mut obs).expect("flow runs");
+    let bytes = obs.registry().gauge(dtp_obs::Gauge::NetlistBytes);
+    assert_eq!(bytes, d.netlist.heap_bytes() as f64);
+    let per_cell = bytes / d.netlist.num_cells() as f64;
+    assert!(per_cell > 0.0 && per_cell <= 160.0, "{per_cell} netlist bytes per cell");
+    // `parse_mb_s` belongs to the CLI's parse phase; an in-memory design has none.
+    assert_eq!(obs.registry().gauge(dtp_obs::Gauge::ParseMbS), 0.0);
+}
+
 /// Generates a design on disk and returns (dir, bookshelf prefix path).
 fn write_cli_fixture(tag: &str) -> (PathBuf, PathBuf) {
     let name = format!("obs-cli-{tag}");
@@ -427,6 +463,13 @@ fn cli_profile_metrics_and_trace_outputs() {
     let trace_text = std::fs::read_to_string(&trace).expect("trace.jsonl written");
     assert!(trace_text.lines().count() > 0, "trace stream is empty");
     assert!(!trace_text.contains("rudy_stamps"), "rudy_stamps leaked into the trace");
+    // Likewise the netlist layer's two: what it holds and how fast it read.
+    for name in ["netlist_bytes", "parse_mb_s"] {
+        let value = v.get("gauges").and_then(|g| g.get(name)).and_then(|s| s.as_f64());
+        assert!(value.is_some_and(|x| x > 0.0), "metrics.json misses {name}: {value:?}");
+        assert!(stdout.contains(name), "--profile misses {name}:\n{stdout}");
+        assert!(!trace_text.contains(name), "{name} leaked into the trace");
+    }
     for line in trace_text.lines() {
         json::parse(line).unwrap_or_else(|e| panic!("trace line unparseable ({e}): {line}"));
     }

@@ -20,29 +20,37 @@
 //! binding should use the synthetic generator or provide a name map.
 
 use crate::builder::NetlistBuilder;
-use crate::class::{CellClass, PinDir};
-use crate::model::{PI_CLASS, PO_CLASS};
-use crate::stdcells;
+use crate::class::{CellClass, ClassId, PinDir};
+use crate::cursor::{fields, finite, Cursor};
 use crate::design::{Design, Row};
 use crate::error::NetlistError;
 use crate::geom::{Point, Rect};
-use crate::ids::CellId;
-use crate::model::Netlist;
+use crate::model::{Netlist, PI_CLASS, PO_CLASS};
 use crate::sdc::Sdc;
+use crate::stdcells;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-fn parse_err(kind: &'static str, line: usize, message: impl Into<String>) -> NetlistError {
-    NetlistError::Parse { kind, line, message: message.into() }
+/// The next field of a record as a finite number.
+fn number<'a>(cur: &Cursor<'_>, it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<f64, NetlistError> {
+    let field = it.next().ok_or_else(|| cur.err(format!("missing {what}")))?;
+    finite(field).ok_or_else(|| cur.err(format!("bad {what}")))
 }
 
-/// A `.nodes` record.
+/// The count a `Num… : n` header declares, as a reservation clamped by the
+/// bytes that remain (`min_bytes` per record).
+fn declared(cur: &Cursor<'_>, line: &str, min_bytes: usize) -> usize {
+    cur.clamp_count(fields(line, true).nth(1).and_then(|n| n.parse().ok()).unwrap_or(0), min_bytes)
+}
+
+/// A `.nodes` record; the name borrows from the parsed text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NodeRecord {
+pub struct NodeRecord<'a> {
     /// Node name.
-    pub name: String,
+    pub name: &'a str,
     /// Width in microns.
     pub width: f64,
     /// Height in microns.
@@ -55,114 +63,127 @@ pub struct NodeRecord {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] on malformed records.
-pub fn parse_nodes(text: &str) -> Result<Vec<NodeRecord>, NetlistError> {
+/// Returns [`NetlistError::Parse`] on malformed records and non-finite sizes.
+pub fn parse_nodes(text: &str) -> Result<Vec<NodeRecord<'_>>, NetlistError> {
+    let mut cur = Cursor::new("nodes", text);
     let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if skip_line(line) || line.starts_with("NumNodes") || line.starts_with("NumTerminals") {
-            continue;
+    while let Some(line) = cur.record_line() {
+        if line.starts_with("NumNodes") {
+            out.reserve(declared(&cur, line, 8));
+        } else if !line.starts_with("NumTerminals") {
+            let mut it = fields(line, false);
+            let name = it.next().ok_or_else(|| cur.err("missing name"))?;
+            let width = number(&cur, &mut it, "width")?;
+            let height = number(&cur, &mut it, "height")?;
+            let terminal = it.next().is_some_and(|t| t.starts_with("terminal"));
+            out.push(NodeRecord { name, width, height, terminal });
         }
-        let mut it = line.split_whitespace();
-        let name = it.next().ok_or_else(|| parse_err("nodes", i + 1, "missing name"))?;
-        let w: f64 = it
-            .next()
-            .ok_or_else(|| parse_err("nodes", i + 1, "missing width"))?
-            .parse()
-            .map_err(|_| parse_err("nodes", i + 1, "bad width"))?;
-        let h: f64 = it
-            .next()
-            .ok_or_else(|| parse_err("nodes", i + 1, "missing height"))?
-            .parse()
-            .map_err(|_| parse_err("nodes", i + 1, "bad height"))?;
-        let terminal = it.next().map(|t| t.starts_with("terminal")).unwrap_or(false);
-        out.push(NodeRecord { name: name.to_owned(), width: w, height: h, terminal });
     }
     Ok(out)
 }
 
 /// One pin of a `.nets` record: node name, direction, center-relative offset.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NetPinRecord {
+pub struct NetPinRecord<'a> {
     /// Node name.
-    pub node: String,
+    pub node: &'a str,
     /// Direction (`I` or `O`; `B` is treated as input).
     pub dir: PinDir,
     /// Offset from the node center.
     pub offset: Point,
 }
 
-/// A `.nets` record.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NetRecord {
-    /// Net name.
-    pub name: String,
-    /// Pins on the net.
-    pub pins: Vec<NetPinRecord>,
+/// The records of a `.nets` file: the net names and one flat pin table cut
+/// into per-net rows.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct NetRecords<'a> {
+    names: Vec<Cow<'a, str>>,
+    pin_end: Vec<u32>,
+    pins: Vec<NetPinRecord<'a>>,
+}
+
+impl<'a> NetRecords<'a> {
+    /// Number of nets.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether the file listed no net.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// Total number of pin records.
+    pub fn num_pins(&self) -> usize {
+        self.pins.len()
+    }
+
+    /// `(name, pins)` of every net in file order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &[NetPinRecord<'a>])> {
+        let starts = std::iter::once(0).chain(self.pin_end.iter().map(|&e| e as usize));
+        let rows = starts.zip(&self.pin_end).map(|(lo, &hi)| &self.pins[lo..hi as usize]);
+        self.names.iter().map(|n| &**n).zip(rows)
+    }
 }
 
 /// Parses a `.nets` file body.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] on malformed records or degree mismatches.
-pub fn parse_nets(text: &str) -> Result<Vec<NetRecord>, NetlistError> {
-    let mut out: Vec<NetRecord> = Vec::new();
+/// Returns [`NetlistError::Parse`] on malformed records, degree mismatches,
+/// a degree that the rest of the file cannot hold and non-finite offsets.
+pub fn parse_nets(text: &str) -> Result<NetRecords<'_>, NetlistError> {
+    let mut cur = Cursor::new("nets", text);
+    let mut out = NetRecords::default();
     let mut expect: usize = 0;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if skip_line(line) || line.starts_with("NumNets") || line.starts_with("NumPins") {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("NetDegree") {
+    while let Some(line) = cur.record_line() {
+        if line.starts_with("NumNets") {
+            let nets = declared(&cur, line, 16);
+            out.names.reserve(nets);
+            out.pin_end.reserve(nets);
+        } else if line.starts_with("NumPins") {
+            out.pins.reserve(declared(&cur, line, 4));
+        } else if let Some(rest) = line.strip_prefix("NetDegree") {
             if expect != 0 {
-                return Err(parse_err("nets", i + 1, "previous net is missing pins"));
+                return Err(cur.err("previous net is missing pins"));
             }
-            let rest = rest.trim_start_matches([':', ' ', '\t']);
-            let mut it = rest.split_whitespace();
-            let d: usize = it
-                .next()
-                .ok_or_else(|| parse_err("nets", i + 1, "missing degree"))?
-                .parse()
-                .map_err(|_| parse_err("nets", i + 1, "bad degree"))?;
-            let name = it
-                .next()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("net{}", out.len()));
-            out.push(NetRecord { name, pins: Vec::with_capacity(d) });
-            expect = d;
+            let mut it = rest.trim_start_matches([':', ' ', '\t']).split_whitespace();
+            let degree = it.next().ok_or_else(|| cur.err("missing degree"))?;
+            expect = degree.parse().map_err(|_| cur.err("bad degree"))?;
+            // A pin line is at least `a I`: more pins than that cannot follow.
+            if cur.clamp_count(expect, 4) < expect {
+                return Err(cur.err("degree exceeds the remaining input"));
+            }
+            let name = it.next().map_or_else(|| format!("net{}", out.len()).into(), Cow::Borrowed);
+            out.names.push(name);
+            out.pin_end.push(out.pins.len() as u32);
         } else {
-            let net = out
-                .last_mut()
-                .ok_or_else(|| parse_err("nets", i + 1, "pin before any NetDegree"))?;
+            let end = out.pin_end.last_mut().ok_or_else(|| cur.err("pin before any NetDegree"))?;
             // `cell I : dx dy` (offsets optional in some dialects).
-            let cleaned = line.replace(':', " ");
-            let mut it = cleaned.split_whitespace();
-            let node = it.next().ok_or_else(|| parse_err("nets", i + 1, "missing node"))?;
+            let mut it = fields(line, true);
+            let node = it.next().ok_or_else(|| cur.err("missing node"))?;
             let dir = match it.next() {
                 Some("O") => PinDir::Output,
                 Some("I") | Some("B") => PinDir::Input,
-                other => {
-                    return Err(parse_err("nets", i + 1, format!("bad direction {other:?}")))
-                }
+                other => return Err(cur.err(format!("bad direction {other:?}"))),
             };
-            let dx: f64 = it.next().and_then(|t| t.parse().ok()).unwrap_or(0.0);
-            let dy: f64 = it.next().and_then(|t| t.parse().ok()).unwrap_or(0.0);
-            net.pins.push(NetPinRecord { node: node.to_owned(), dir, offset: Point::new(dx, dy) });
+            let mut offset = || it.next().map_or(Ok(0.0), |f| finite(f).ok_or_else(|| cur.err("bad offset")));
+            out.pins.push(NetPinRecord { node, dir, offset: Point::new(offset()?, offset()?) });
+            *end = u32::try_from(out.pins.len()).map_err(|_| cur.err("too many pins"))?;
             expect = expect.saturating_sub(1);
         }
     }
     if expect != 0 {
-        return Err(parse_err("nets", text.lines().count(), "last net is missing pins"));
+        return Err(cur.err("last net is missing pins"));
     }
     Ok(out)
 }
 
 /// A `.pl` record: lower-left position plus fixed flag.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PlRecord {
+pub struct PlRecord<'a> {
     /// Node name.
-    pub name: String,
+    pub name: &'a str,
     /// Lower-left x.
     pub x: f64,
     /// Lower-left y.
@@ -175,29 +196,17 @@ pub struct PlRecord {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] on malformed records.
-pub fn parse_pl(text: &str) -> Result<Vec<PlRecord>, NetlistError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if skip_line(line) {
-            continue;
-        }
-        let cleaned = line.replace(':', " ");
-        let mut it = cleaned.split_whitespace();
-        let name = it.next().ok_or_else(|| parse_err("pl", i + 1, "missing name"))?;
-        let x: f64 = it
-            .next()
-            .ok_or_else(|| parse_err("pl", i + 1, "missing x"))?
-            .parse()
-            .map_err(|_| parse_err("pl", i + 1, "bad x"))?;
-        let y: f64 = it
-            .next()
-            .ok_or_else(|| parse_err("pl", i + 1, "missing y"))?
-            .parse()
-            .map_err(|_| parse_err("pl", i + 1, "bad y"))?;
-        let fixed = line.contains("/FIXED");
-        out.push(PlRecord { name: name.to_owned(), x, y, fixed });
+/// Returns [`NetlistError::Parse`] on malformed records and non-finite
+/// coordinates.
+pub fn parse_pl(text: &str) -> Result<Vec<PlRecord<'_>>, NetlistError> {
+    let mut cur = Cursor::new("pl", text);
+    let mut out = Vec::with_capacity(cur.clamp_count(usize::MAX, 24));
+    while let Some(line) = cur.record_line() {
+        let mut it = fields(line, true);
+        let name = it.next().ok_or_else(|| cur.err("missing name"))?;
+        let x = number(&cur, &mut it, "x")?;
+        let y = number(&cur, &mut it, "y")?;
+        out.push(PlRecord { name, x, y, fixed: line.contains("/FIXED") });
     }
     Ok(out)
 }
@@ -208,42 +217,30 @@ pub fn parse_pl(text: &str) -> Result<Vec<PlRecord>, NetlistError> {
 ///
 /// Returns [`NetlistError::Parse`] on malformed row records.
 pub fn parse_scl(text: &str) -> Result<Vec<Row>, NetlistError> {
+    let mut cur = Cursor::new("scl", text);
     let mut rows = Vec::new();
-    let mut cur: Option<(f64, f64, f64, f64, usize)> = None; // y, h, sw, x0, nsites
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if skip_line(line) || line.starts_with("NumRows") {
-            continue;
-        }
-        if line.starts_with("CoreRow") {
-            cur = Some((0.0, 0.0, 1.0, 0.0, 0));
+    let mut open: Option<(Row, usize)> = None; // the row being read, its NumSites
+    while let Some(line) = cur.record_line() {
+        if line.starts_with("NumRows") {
+            rows.reserve(declared(&cur, line, 32));
+        } else if line.starts_with("CoreRow") {
+            open = Some((Row { y: 0.0, x_min: 0.0, x_max: 0.0, height: 0.0, site_width: 1.0 }, 0));
         } else if line == "End" {
-            let (y, h, sw, x0, n) =
-                cur.take().ok_or_else(|| parse_err("scl", i + 1, "End without CoreRow"))?;
-            rows.push(Row { y, x_min: x0, x_max: x0 + sw * n as f64, height: h, site_width: sw });
-        } else if let Some(c) = cur.as_mut() {
-            let cleaned = line.replace(':', " ");
-            let mut it = cleaned.split_whitespace();
+            let (mut row, sites) = open.take().ok_or_else(|| cur.err("End without CoreRow"))?;
+            row.x_max = row.x_min + row.site_width * sites as f64;
+            rows.push(row);
+        } else if let Some((row, sites)) = open.as_mut() {
+            let mut it = fields(line, true);
             match it.next() {
-                Some("Coordinate") => {
-                    c.0 = next_f64(&mut it, "scl", i)?;
-                }
-                Some("Height") => {
-                    c.1 = next_f64(&mut it, "scl", i)?;
-                }
-                Some("Sitewidth") => {
-                    c.2 = next_f64(&mut it, "scl", i)?;
-                }
+                Some("Coordinate") => row.y = number(&cur, &mut it, "numeric value")?,
+                Some("Height") => row.height = number(&cur, &mut it, "numeric value")?,
+                Some("Sitewidth") => row.site_width = number(&cur, &mut it, "numeric value")?,
                 Some("SubrowOrigin") => {
-                    c.3 = next_f64(&mut it, "scl", i)?;
+                    row.x_min = number(&cur, &mut it, "numeric value")?;
                     // Optional `NumSites : n` on the same line.
-                    if let Some(tok) = it.next() {
-                        if tok == "NumSites" {
-                            c.4 = it
-                                .next()
-                                .and_then(|t| t.parse().ok())
-                                .ok_or_else(|| parse_err("scl", i + 1, "bad NumSites"))?;
-                        }
+                    if it.next() == Some("NumSites") {
+                        let n = it.next().and_then(|t| t.parse().ok());
+                        *sites = n.ok_or_else(|| cur.err("bad NumSites"))?;
                     }
                 }
                 _ => {} // Siteorient / Sitespacing etc. ignored
@@ -251,20 +248,6 @@ pub fn parse_scl(text: &str) -> Result<Vec<Row>, NetlistError> {
         }
     }
     Ok(rows)
-}
-
-fn next_f64<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    kind: &'static str,
-    line0: usize,
-) -> Result<f64, NetlistError> {
-    it.next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| parse_err(kind, line0 + 1, "missing numeric value"))
-}
-
-fn skip_line(line: &str) -> bool {
-    line.is_empty() || line.starts_with('#') || line.starts_with("UCLA")
 }
 
 /// Assembles a [`Netlist`] from parsed Bookshelf records, creating one private
@@ -275,61 +258,11 @@ fn skip_line(line: &str) -> bool {
 ///
 /// Returns builder errors (duplicate names, multi-driver nets, …).
 pub fn build_netlist(
-    nodes: &[NodeRecord],
-    nets: &[NetRecord],
-    pl: &[PlRecord],
+    nodes: &[NodeRecord<'_>],
+    nets: &NetRecords<'_>,
+    pl: &[PlRecord<'_>],
 ) -> Result<Netlist, NetlistError> {
-    // First collect all pins per node so each class is complete before
-    // instantiation.
-    let mut node_pins: HashMap<&str, Vec<(String, PinDir, Point)>> = HashMap::new();
-    for n in nets {
-        for p in &n.pins {
-            let pins = node_pins.entry(p.node.as_str()).or_default();
-            let name = format!("p{}", pins.len());
-            pins.push((name, p.dir, p.offset));
-        }
-    }
-    let mut b = NetlistBuilder::new();
-    let mut cell_of: HashMap<&str, CellId> = HashMap::new();
-    // Track, per node, how many of its pins have been consumed so repeated
-    // appearances map to successive pins.
-    let mut next_pin: HashMap<&str, usize> = HashMap::new();
-    for rec in nodes {
-        let mut class = CellClass::new(format!("__bs_{}", rec.name), rec.width, rec.height);
-        if let Some(pins) = node_pins.get(rec.name.as_str()) {
-            for (name, dir, center_off) in pins {
-                // Bookshelf offsets are center-relative; the model is
-                // lower-left-relative.
-                let off = Point::new(center_off.x + rec.width * 0.5, center_off.y + rec.height * 0.5);
-                class = class.with_pin(name.clone(), *dir, off.x, off.y);
-            }
-        }
-        let cid = b.add_class(class);
-        let cell = if rec.terminal {
-            b.add_fixed_cell(&*rec.name, cid)?
-        } else {
-            b.add_cell(&*rec.name, cid)?
-        };
-        cell_of.insert(rec.name.as_str(), cell);
-    }
-    for n in nets {
-        let net = b.add_net(&*n.name)?;
-        for p in &n.pins {
-            let cell = *cell_of
-                .get(p.node.as_str())
-                .ok_or_else(|| NetlistError::UnknownName(p.node.clone()))?;
-            let k = next_pin.entry(p.node.as_str()).or_insert(0);
-            let pin_name = format!("p{k}");
-            *k += 1;
-            b.connect_by_name(net, cell, &pin_name)?;
-        }
-    }
-    for rec in pl {
-        if let Some(&cell) = cell_of.get(rec.name.as_str()) {
-            b.place(cell, rec.x, rec.y);
-        }
-    }
-    b.finish()
+    build_netlist_with_classes(nodes, nets, pl, &HashMap::new())
 }
 
 /// Reads a design from `<prefix>.nodes/.nets/.pl/.scl` (and `<prefix>.sdc`
@@ -340,25 +273,18 @@ pub fn build_netlist(
 /// Returns I/O errors for missing files and parse/builder errors for
 /// malformed content.
 pub fn read_design(prefix: &Path) -> Result<Design, NetlistError> {
-    let read = |ext: &str| -> Result<String, NetlistError> {
-        Ok(fs::read_to_string(prefix.with_extension(ext))?)
-    };
-    let nodes = parse_nodes(&read("nodes")?)?;
-    let nets = parse_nets(&read("nets")?)?;
-    let pl = parse_pl(&read("pl")?)?;
+    let read = |ext: &str| fs::read_to_string(prefix.with_extension(ext));
+    let (nodes_text, nets_text, pl_text) = (read("nodes")?, read("nets")?, read("pl")?);
+    let nodes = parse_nodes(&nodes_text)?;
+    let nets = parse_nets(&nets_text)?;
+    let pl = parse_pl(&pl_text)?;
     let rows = parse_scl(&read("scl")?)?;
     // An optional `.classes` sidecar (written by [`write_design`]) maps node
     // names back to standard-cell classes, restoring the library binding
     // that plain Bookshelf cannot express.
-    let classes = fs::read_to_string(prefix.with_extension("classes"))
-        .ok()
-        .map(|text| parse_classes(&text))
-        .transpose()?;
-    let netlist = match &classes {
-        Some(map) => build_netlist_with_classes(&nodes, &nets, &pl, map)?,
-        None => build_netlist(&nodes, &nets, &pl)?,
-    };
-    let sdc = match fs::read_to_string(prefix.with_extension("sdc")) {
+    let classes_text = read("classes").unwrap_or_default();
+    let netlist = build_netlist_with_classes(&nodes, &nets, &pl, &parse_classes(&classes_text)?)?;
+    let sdc = match read("sdc") {
         Ok(text) => Sdc::parse(&text)?,
         Err(_) => Sdc::default(),
     };
@@ -370,130 +296,119 @@ pub fn read_design(prefix: &Path) -> Result<Design, NetlistError> {
     Ok(Design { name, netlist, region, rows, constraints: sdc })
 }
 
-/// Parses a `.classes` sidecar into `(node, class)` pairs.
-fn parse_classes(text: &str) -> Result<HashMap<String, String>, NetlistError> {
-    let mut map = HashMap::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if skip_line(line) {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let node = it
-            .next()
-            .ok_or_else(|| parse_err("classes", i + 1, "missing node"))?;
-        let class = it
-            .next()
-            .ok_or_else(|| parse_err("classes", i + 1, "missing class"))?;
-        map.insert(node.to_owned(), class.to_owned());
+/// Parses a `.classes` sidecar into a `node → class` map.
+pub(crate) fn parse_classes(text: &str) -> Result<HashMap<&str, &str>, NetlistError> {
+    let mut cur = Cursor::new("classes", text);
+    let mut map = HashMap::with_capacity(cur.clamp_count(usize::MAX, 12));
+    while let Some(line) = cur.record_line() {
+        let mut it = fields(line, false);
+        let node = it.next().ok_or_else(|| cur.err("missing node"))?;
+        let class = it.next().ok_or_else(|| cur.err("missing class"))?;
+        map.insert(node, class);
     }
     Ok(map)
 }
 
 /// Like [`build_netlist`], but binds nodes to real classes via a
 /// `node → class name` map: standard-cell names resolve through
-/// [`stdcells`], the port pseudo-class names recreate I/O ports, and
-/// unmapped nodes fall back to private Bookshelf classes. Net pins are
-/// matched to class pin templates by direction + center offset.
+/// [`stdcells`] (once per class), the port pseudo-class names recreate I/O
+/// ports, and unmapped nodes fall back to private Bookshelf classes. Net pins
+/// are matched to class pin templates by direction + center offset.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError`] when a mapped pin cannot be matched to any class
 /// pin template, or on builder-level inconsistencies.
 pub fn build_netlist_with_classes(
-    nodes: &[NodeRecord],
-    nets: &[NetRecord],
-    pl: &[PlRecord],
-    class_of: &HashMap<String, String>,
+    nodes: &[NodeRecord<'_>],
+    nets: &NetRecords<'_>,
+    pl: &[PlRecord<'_>],
+    class_of: &HashMap<&str, &str>,
 ) -> Result<Netlist, NetlistError> {
-    let mut b = NetlistBuilder::new();
-    let mut cell_of: HashMap<&str, CellId> = HashMap::new();
-    // Collect fallback pins for unmapped nodes (same as build_netlist).
-    let mut node_pins: HashMap<&str, Vec<(String, PinDir, Point)>> = HashMap::new();
-    for n in nets {
-        for p in &n.pins {
-            let pins = node_pins.entry(p.node.as_str()).or_default();
-            pins.push((format!("p{}", pins.len()), p.dir, p.offset));
+    /// What a node's class resolves to.
+    enum Binding {
+        Input,
+        Output,
+        Std(usize),
+        Private,
+    }
+    let bindings: Vec<Binding> = nodes
+        .iter()
+        .map(|rec| match class_of.get(rec.name) {
+            Some(&PI_CLASS) => Binding::Input,
+            Some(&PO_CLASS) => Binding::Output,
+            Some(name) => stdcells::CELLS.iter().position(|c| c.name == *name).map_or(Binding::Private, Binding::Std),
+            None => Binding::Private,
+        })
+        .collect();
+    // The pins of every node that gets a private class, in file order, so
+    // each such class is complete before its cell is instantiated.
+    let mut private_pins: HashMap<&str, Vec<(PinDir, Point)>> = HashMap::new();
+    for (rec, binding) in nodes.iter().zip(&bindings) {
+        if matches!(binding, Binding::Private) {
+            private_pins.insert(rec.name, Vec::new());
         }
     }
-    for rec in nodes {
-        let class_name = class_of.get(&rec.name).map(String::as_str);
-        let cell = match class_name {
-            Some(PI_CLASS) => b.add_input_port(&*rec.name)?,
-            Some(PO_CLASS) => b.add_output_port(&*rec.name)?,
-            Some(name) if stdcells::find(name).is_some() => {
-                let spec = stdcells::find(name).expect("checked above");
-                let cid = b.add_class(spec.to_class());
-                if rec.terminal {
-                    b.add_fixed_cell(&*rec.name, cid)?
-                } else {
-                    b.add_cell(&*rec.name, cid)?
-                }
+    if !private_pins.is_empty() {
+        for p in &nets.pins {
+            if let Some(pins) = private_pins.get_mut(p.node) {
+                pins.push((p.dir, p.offset));
             }
-            _ => {
-                // Unknown class: private per-node class, as in build_netlist.
+        }
+    }
+    let mut b = NetlistBuilder::with_capacity(nodes.len(), nets.len(), nets.num_pins());
+    let mut std_ids: Vec<Option<ClassId>> = vec![None; stdcells::CELLS.len()];
+    for (rec, binding) in nodes.iter().zip(&bindings) {
+        let class = match *binding {
+            Binding::Input => {
+                b.add_input_port(rec.name)?;
+                continue;
+            }
+            Binding::Output => {
+                b.add_output_port(rec.name)?;
+                continue;
+            }
+            Binding::Std(i) => *std_ids[i].get_or_insert_with(|| b.add_class(stdcells::CELLS[i].to_class())),
+            Binding::Private => {
+                // Bookshelf offsets are center-relative; the model is
+                // lower-left-relative.
                 let mut class = CellClass::new(format!("__bs_{}", rec.name), rec.width, rec.height);
-                if let Some(pins) = node_pins.get(rec.name.as_str()) {
-                    for (name, dir, off) in pins {
-                        class = class.with_pin(
-                            name.clone(),
-                            *dir,
-                            off.x + rec.width * 0.5,
-                            off.y + rec.height * 0.5,
-                        );
-                    }
+                for (k, (dir, off)) in private_pins[rec.name].iter().enumerate() {
+                    class = class.with_pin(format!("p{k}"), *dir, off.x + rec.width * 0.5, off.y + rec.height * 0.5);
                 }
-                let cid = b.add_class(class);
-                if rec.terminal {
-                    b.add_fixed_cell(&*rec.name, cid)?
-                } else {
-                    b.add_cell(&*rec.name, cid)?
-                }
+                b.add_class(class)
             }
         };
-        cell_of.insert(rec.name.as_str(), cell);
+        if rec.terminal {
+            b.add_fixed_cell(rec.name, class)?;
+        } else {
+            b.add_cell(rec.name, class)?;
+        }
     }
-    // Connect: match each net-pin record to an unused class pin by direction
-    // and lower-left offset.
-    let mut used: HashMap<CellId, Vec<bool>> = HashMap::new();
-    for n in nets {
-        let net = b.add_net(&*n.name)?;
-        for p in &n.pins {
-            let cell = *cell_of
-                .get(p.node.as_str())
-                .ok_or_else(|| NetlistError::UnknownName(p.node.clone()))?;
-            let (pin_name, idx) = {
-                let nl = b.as_netlist();
-                let class = nl.class_of(cell);
-                let off_ll = Point::new(
-                    p.offset.x + class.width() * 0.5,
-                    p.offset.y + class.height() * 0.5,
-                );
-                let used_flags = used
-                    .entry(cell)
-                    .or_insert_with(|| vec![false; class.pins().len()]);
-                let found = class
-                    .pins()
-                    .iter()
-                    .enumerate()
-                    .find(|(k, spec)| {
-                        !used_flags[*k]
-                            && spec.dir == p.dir
-                            && (spec.offset.x - off_ll.x).abs() < 1e-4
-                            && (spec.offset.y - off_ll.y).abs() < 1e-4
-                    })
-                    .map(|(k, spec)| (spec.name.clone(), k));
-                found.ok_or_else(|| NetlistError::UnknownPin {
-                    class: class.name().to_owned(),
-                    pin: format!("{} @ ({}, {})", p.dir, off_ll.x, off_ll.y),
-                })?
-            };
-            used.get_mut(&cell).expect("inserted above")[idx] = true;
-            b.connect_by_name(net, cell, &pin_name)?;
+    // Connect: match each net-pin record to an unconnected class pin by
+    // direction and lower-left offset.
+    for (name, pins) in nets.iter() {
+        let net = b.add_net(name)?;
+        for p in pins {
+            let nl = b.as_netlist();
+            let cell = nl.find_cell(p.node).ok_or_else(|| NetlistError::UnknownName(p.node.to_owned()))?;
+            let class = nl.class_of(cell);
+            let off_ll = Point::new(p.offset.x + class.width() * 0.5, p.offset.y + class.height() * 0.5);
+            let found = nl.cell(cell).pins().iter().zip(class.pins()).find(|(&pin, spec)| {
+                nl.pin(pin).net().is_none()
+                    && spec.dir == p.dir
+                    && (spec.offset.x - off_ll.x).abs() < 1e-4
+                    && (spec.offset.y - off_ll.y).abs() < 1e-4
+            });
+            let (&pin, _) = found.ok_or_else(|| NetlistError::UnknownPin {
+                class: class.name().to_owned(),
+                pin: format!("{} @ ({}, {})", p.dir, off_ll.x, off_ll.y),
+            })?;
+            b.connect(net, pin)?;
         }
     }
     for rec in pl {
-        if let Some(&cell) = cell_of.get(rec.name.as_str()) {
+        if let Some(cell) = b.as_netlist().find_cell(rec.name) {
             b.place(cell, rec.x, rec.y);
         }
     }
@@ -517,80 +432,148 @@ fn region_of_rows(rows: &[Row]) -> Rect {
     r.unwrap_or(Rect::EMPTY)
 }
 
-/// Writes `<dir>/<design.name>.{nodes,nets,pl,scl}`.
+/// Writes `v` as `{:.6}` does — the decimal expansion of the binary value,
+/// rounded half-to-even at the sixth place — in integer arithmetic (`fmt`'s
+/// exact mode costs ≈ 125 ns a number, and `.pl` prints two per cell).
+fn write_fixed6(out: &mut impl Write, v: f64) -> io::Result<()> {
+    let bits = v.to_bits();
+    let (exp, frac) = ((bits >> 52) as i32 & 0x7ff, bits & ((1 << 52) - 1));
+    // |v| = m · 2^e
+    let (m, e) = if exp == 0 { (frac, -1074) } else { (frac | 1 << 52, exp - 1075) };
+    if exp == 0x7ff || e > 10 {
+        return write!(out, "{v:.6}"); // non-finite or ≥ 2^63: not a coordinate
+    }
+    let scaled = u128::from(m) * 1_000_000; // < 2^73
+    let micro = match e {
+        0.. => scaled << e,
+        -127..=-1 => {
+            let (q, rem, half) = (scaled >> -e, scaled & ((1 << -e) - 1), 1u128 << (-e - 1));
+            q + u128::from(rem > half || (rem == half && q & 1 == 1))
+        }
+        _ => 0, // below 2^73 / 2^128: rounds to zero
+    };
+    let (mut int, mut frac6) = ((micro / 1_000_000) as u64, (micro % 1_000_000) as u32);
+    let mut buf = [0u8; 27]; // sign, ≤ 19 integer digits, point, 6 digits
+    let mut at = buf.len();
+    for _ in 0..6 {
+        at -= 1;
+        buf[at] = b'0' + (frac6 % 10) as u8;
+        frac6 /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    if bits >> 63 == 1 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.write_all(&buf[at..])
+}
+
+/// Creates `<base>.<ext>` behind a write buffer; the caller flushes.
+pub(crate) fn create(base: &Path, ext: &str) -> io::Result<BufWriter<File>> {
+    Ok(BufWriter::with_capacity(1 << 16, File::create(base.with_extension(ext))?))
+}
+
+/// Writes `<dir>/<design.name>.{nodes,nets,pl,scl,classes}`, each streamed
+/// through one write buffer.
 ///
 /// # Errors
 ///
-/// Returns I/O errors from file creation.
+/// Returns I/O errors from file creation and writing.
 pub fn write_design(design: &Design, dir: &Path) -> Result<(), NetlistError> {
     fs::create_dir_all(dir)?;
     let nl = &design.netlist;
     let base = dir.join(&design.name);
-
-    // .nodes
-    let mut nodes = String::from("UCLA nodes 1.0\n");
-    let _ = writeln!(nodes, "NumNodes : {}", nl.num_cells());
-    let n_term = nl.cell_ids().filter(|&c| nl.cell(c).is_fixed()).count();
-    let _ = writeln!(nodes, "NumTerminals : {n_term}");
-    for c in nl.cell_ids() {
-        let cell = nl.cell(c);
-        let class = nl.class_of(c);
-        let term = if cell.is_fixed() { " terminal" } else { "" };
-        let _ = writeln!(nodes, "  {} {} {}{}", cell.name(), class.width(), class.height(), term);
-    }
-    fs::write(base.with_extension("nodes"), nodes)?;
-
-    // .nets
-    let mut nets = String::from("UCLA nets 1.0\n");
-    let _ = writeln!(nets, "NumNets : {}", nl.num_nets());
-    let npins: usize = nl.net_ids().map(|n| nl.net(n).degree()).sum();
-    let _ = writeln!(nets, "NumPins : {npins}");
-    for n in nl.net_ids() {
-        let net = nl.net(n);
-        let _ = writeln!(nets, "NetDegree : {} {}", net.degree(), net.name());
-        for &p in net.pins() {
-            let pin = nl.pin(p);
-            let cell = nl.cell(pin.cell());
-            let class = nl.class_of(pin.cell());
-            let spec = nl.pin_spec(p);
+    // Everything a line repeats per class or per class pin is formatted once:
+    // the `.nets` file alone prints two `{:.6}` offsets per pin drawn from a
+    // few dozen distinct values.
+    let mut dims = Vec::with_capacity(nl.num_classes());
+    let mut first_pin = Vec::with_capacity(nl.num_classes());
+    let mut pin_text = Vec::new();
+    for class in (0..nl.num_classes()).map(|i| nl.class(ClassId::new(i))) {
+        dims.push(format!(" {} {}", class.width(), class.height()));
+        first_pin.push(pin_text.len());
+        for spec in class.pins() {
             let dir = if spec.dir.is_output() { "O" } else { "I" };
             // Convert lower-left offsets back to center-relative.
             let dx = spec.offset.x - class.width() * 0.5;
             let dy = spec.offset.y - class.height() * 0.5;
-            let _ = writeln!(nets, "  {} {dir} : {dx:.6} {dy:.6}", cell.name());
+            pin_text.push(format!(" {dir} : {dx:.6} {dy:.6}\n"));
         }
     }
-    fs::write(base.with_extension("nets"), nets)?;
 
-    // .pl
-    let mut pl = String::from("UCLA pl 1.0\n");
+    let mut out = create(&base, "nodes")?;
+    writeln!(out, "UCLA nodes 1.0\nNumNodes : {}", nl.num_cells())?;
+    writeln!(out, "NumTerminals : {}", nl.cell_ids().filter(|&c| nl.cell(c).is_fixed()).count())?;
     for c in nl.cell_ids() {
         let cell = nl.cell(c);
-        let fixed = if cell.is_fixed() { " /FIXED" } else { "" };
-        let _ = writeln!(pl, "{} {:.6} {:.6} : N{}", cell.name(), cell.pos().x, cell.pos().y, fixed);
+        let term = if cell.is_fixed() { " terminal\n" } else { "\n" };
+        for part in ["  ", cell.name(), &dims[cell.class().index()], term] {
+            out.write_all(part.as_bytes())?;
+        }
     }
-    fs::write(base.with_extension("pl"), pl)?;
+    out.flush()?;
+
+    let mut out = create(&base, "nets")?;
+    writeln!(out, "UCLA nets 1.0\nNumNets : {}", nl.num_nets())?;
+    writeln!(out, "NumPins : {}", nl.net_ids().map(|n| nl.net(n).degree()).sum::<usize>())?;
+    for n in nl.net_ids() {
+        let net = nl.net(n);
+        writeln!(out, "NetDegree : {} {}", net.degree(), net.name())?;
+        for &p in net.pins() {
+            let pin = nl.pin(p);
+            let cell = nl.cell(pin.cell());
+            let text = &pin_text[first_pin[cell.class().index()] + pin.class_pin().index()];
+            for part in ["  ", cell.name(), text] {
+                out.write_all(part.as_bytes())?;
+            }
+        }
+    }
+    out.flush()?;
+
+    let mut out = create(&base, "pl")?;
+    writeln!(out, "UCLA pl 1.0")?;
+    for c in nl.cell_ids() {
+        let cell = nl.cell(c);
+        out.write_all(cell.name().as_bytes())?;
+        for v in [cell.pos().x, cell.pos().y] {
+            out.write_all(b" ")?;
+            write_fixed6(&mut out, v)?;
+        }
+        out.write_all(if cell.is_fixed() { b" : N /FIXED\n" } else { b" : N\n" })?;
+    }
+    out.flush()?;
 
     // .classes sidecar: node -> class name, so a re-import can rebind the
     // library (standard Bookshelf has no cell-class concept).
-    let mut classes = String::from("# node class\n");
+    let mut out = create(&base, "classes")?;
+    writeln!(out, "# node class")?;
     for c in nl.cell_ids() {
-        let _ = writeln!(classes, "{} {}", nl.cell(c).name(), nl.class_of(c).name());
+        for part in [nl.cell(c).name(), " ", nl.class_of(c).name(), "\n"] {
+            out.write_all(part.as_bytes())?;
+        }
     }
-    fs::write(base.with_extension("classes"), classes)?;
+    out.flush()?;
 
-    // .scl
-    let mut scl = String::from("UCLA scl 1.0\n");
-    let _ = writeln!(scl, "NumRows : {}", design.rows.len());
+    let mut out = create(&base, "scl")?;
+    writeln!(out, "UCLA scl 1.0\nNumRows : {}", design.rows.len())?;
     for row in &design.rows {
-        let _ = writeln!(scl, "CoreRow Horizontal");
-        let _ = writeln!(scl, "  Coordinate : {}", row.y);
-        let _ = writeln!(scl, "  Height : {}", row.height);
-        let _ = writeln!(scl, "  Sitewidth : {}", row.site_width);
-        let _ = writeln!(scl, "  SubrowOrigin : {} NumSites : {}", row.x_min, row.num_sites());
-        let _ = writeln!(scl, "End");
+        writeln!(out, "CoreRow Horizontal")?;
+        writeln!(out, "  Coordinate : {}", row.y)?;
+        writeln!(out, "  Height : {}", row.height)?;
+        writeln!(out, "  Sitewidth : {}", row.site_width)?;
+        writeln!(out, "  SubrowOrigin : {} NumSites : {}", row.x_min, row.num_sites())?;
+        writeln!(out, "End")?;
     }
-    fs::write(base.with_extension("scl"), scl)?;
+    out.flush()?;
     Ok(())
 }
 
@@ -650,8 +633,9 @@ End
         assert!(nodes[2].terminal);
         let nets = parse_nets(NETS).unwrap();
         assert_eq!(nets.len(), 2);
-        assert_eq!(nets[0].pins.len(), 2);
-        assert_eq!(nets[0].pins[0].dir, PinDir::Output);
+        let (name, pins) = nets.iter().next().unwrap();
+        assert_eq!((name, pins.len()), ("n0", 2));
+        assert_eq!(pins[0].dir, PinDir::Output);
         let pl = parse_pl(PL).unwrap();
         assert_eq!(pl.len(), 3);
         assert!(pl[2].fixed);
@@ -676,6 +660,34 @@ End
         let n0 = nl.find_net("n0").unwrap();
         let sink = nl.net_sinks(n0)[0];
         assert_eq!(nl.pin_position(sink), Point::new(10.25, 5.0));
+    }
+
+    #[test]
+    fn fixed6_is_what_fmt_prints() {
+        let same = |v: f64| {
+            let mut out = Vec::new();
+            write_fixed6(&mut out, v).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), format!("{v:.6}"), "{v:e}");
+        };
+        // Ties (dyadic values ending in …5 at the seventh place), zeros, the
+        // subnormal and huge ends, non-finite values.
+        for v in [0.0078125, 0.0234375, -0.0078125, 0.5, 1.0000005, 0.0, -0.0, -1e-9, 5e-7, 4.9e-324, f64::MAX, 1e15,
+            4503599627370497.0, 9007199254740992.0, 4611686018427387904.0, 9.3e18, 1e22, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 451.03, 123456789.1234565]
+        {
+            same(v);
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..200_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            same(match i % 4 {
+                0 => f64::from_bits(x),
+                1 => (x % 1_000_000_000) as f64 / 1024.0 / 7.0,
+                2 => (x % 4_000_000) as f64 * 0.25,
+                _ => ((x % 2_000_001) as f64 - 1e6) / 128_000.0,
+            });
+        }
     }
 
     #[test]

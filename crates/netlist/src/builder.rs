@@ -4,7 +4,7 @@ use crate::class::{CellClass, ClassId, ClassPinId, PinDir};
 use crate::error::NetlistError;
 use crate::geom::Point;
 use crate::ids::{CellId, NetId, PinId};
-use crate::model::{mark_clock_nets, Cell, Net, Netlist, Pin, PI_CLASS, PO_CLASS, PORT_PIN};
+use crate::model::{Netlist, PI_CLASS, PO_CLASS, PORT_PIN};
 
 /// Incrementally constructs a [`Netlist`], validating as it goes and once more
 /// in [`NetlistBuilder::finish`].
@@ -13,6 +13,9 @@ use crate::model::{mark_clock_nets, Cell, Net, Netlist, Pin, PI_CLASS, PO_CLASS,
 #[derive(Debug, Default)]
 pub struct NetlistBuilder {
     nl: Netlist,
+    /// Connected pins in the order of the connect calls: the order of each
+    /// net's pin row, which `finish` lays out.
+    connected: Vec<PinId>,
     pi_class: Option<ClassId>,
     po_class: Option<ClassId>,
 }
@@ -23,16 +26,22 @@ impl NetlistBuilder {
         NetlistBuilder::default()
     }
 
+    /// An empty builder with room for the given entity counts (reader hints).
+    pub(crate) fn with_capacity(cells: usize, nets: usize, pins: usize) -> Self {
+        NetlistBuilder {
+            nl: Netlist::with_capacity(cells, nets, pins),
+            connected: Vec::with_capacity(pins),
+            ..NetlistBuilder::default()
+        }
+    }
+
     /// Registers a cell class and returns its id. Re-registering an identical
     /// name returns the existing id only if the definitions are equal.
     pub fn add_class(&mut self, class: CellClass) -> ClassId {
-        if let Some(&id) = self.nl.class_names.get(class.name()) {
-            return id;
+        match self.nl.find_class(class.name()) {
+            Some(id) => id,
+            None => self.nl.push_class(class),
         }
-        let id = ClassId::new(self.nl.classes.len());
-        self.nl.class_names.insert(class.name().to_owned(), id);
-        self.nl.classes.push(class);
-        id
     }
 
     /// Adds a movable cell instance of `class`.
@@ -40,8 +49,8 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the instance name is taken.
-    pub fn add_cell(&mut self, name: impl Into<String>, class: ClassId) -> Result<CellId, NetlistError> {
-        self.add_cell_inner(name.into(), class, false)
+    pub fn add_cell(&mut self, name: impl AsRef<str>, class: ClassId) -> Result<CellId, NetlistError> {
+        self.add_cell_inner(name.as_ref(), class, false)
     }
 
     /// Adds a fixed cell instance (macro / pre-placed block) of `class`.
@@ -49,35 +58,25 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the instance name is taken.
-    pub fn add_fixed_cell(&mut self, name: impl Into<String>, class: ClassId) -> Result<CellId, NetlistError> {
-        self.add_cell_inner(name.into(), class, true)
+    pub fn add_fixed_cell(&mut self, name: impl AsRef<str>, class: ClassId) -> Result<CellId, NetlistError> {
+        self.add_cell_inner(name.as_ref(), class, true)
     }
 
-    fn add_cell_inner(&mut self, name: String, class: ClassId, fixed: bool) -> Result<CellId, NetlistError> {
-        if self.nl.cell_names.contains_key(&name) {
-            return Err(NetlistError::DuplicateName(name));
+    fn add_cell_inner(&mut self, name: &str, class: ClassId, fixed: bool) -> Result<CellId, NetlistError> {
+        let id = self.nl.push_cell(name, class, fixed)?;
+        for cp in 0..self.nl.class(class).pins().len() {
+            self.nl.push_pin(id, ClassPinId::new(cp));
         }
-        let id = CellId::new(self.nl.cells.len());
-        let n_pins = self.nl.classes[class.index()].pins().len();
-        let mut pins = Vec::with_capacity(n_pins);
-        for cp in 0..n_pins {
-            let pid = PinId::new(self.nl.pins.len());
-            self.nl.pins.push(Pin {
-                cell: id,
-                class_pin: ClassPinId::new(cp),
-                net: None,
-            });
-            pins.push(pid);
-        }
-        self.nl.cell_names.insert(name.clone(), id);
-        self.nl.cells.push(Cell {
-            name,
-            class,
-            pos: Point::ORIGIN,
-            fixed,
-            pins,
-        });
+        self.nl.close_cell_row();
         Ok(id)
+    }
+
+    fn add_port(&mut self, name: &str, class_name: &str, dir: PinDir) -> Result<CellId, NetlistError> {
+        let slot = if dir.is_output() { &mut self.pi_class } else { &mut self.po_class };
+        let class = *slot.get_or_insert_with(|| {
+            self.nl.push_class(CellClass::new(class_name, 0.0, 0.0).with_pin(PORT_PIN, dir, 0.0, 0.0))
+        });
+        self.add_cell_inner(name, class, true)
     }
 
     /// Adds a primary-input port: a fixed zero-area pseudo-cell whose single
@@ -86,15 +85,8 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the port name is taken.
-    pub fn add_input_port(&mut self, name: impl Into<String>) -> Result<CellId, NetlistError> {
-        let class = *self.pi_class.get_or_insert_with(|| {
-            let id = ClassId::new(self.nl.classes.len());
-            let c = CellClass::new(PI_CLASS, 0.0, 0.0).with_pin(PORT_PIN, PinDir::Output, 0.0, 0.0);
-            self.nl.class_names.insert(PI_CLASS.to_owned(), id);
-            self.nl.classes.push(c);
-            id
-        });
-        self.add_cell_inner(name.into(), class, true)
+    pub fn add_input_port(&mut self, name: impl AsRef<str>) -> Result<CellId, NetlistError> {
+        self.add_port(name.as_ref(), PI_CLASS, PinDir::Output)
     }
 
     /// Adds a primary-output port: a fixed zero-area pseudo-cell whose single
@@ -103,15 +95,8 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the port name is taken.
-    pub fn add_output_port(&mut self, name: impl Into<String>) -> Result<CellId, NetlistError> {
-        let class = *self.po_class.get_or_insert_with(|| {
-            let id = ClassId::new(self.nl.classes.len());
-            let c = CellClass::new(PO_CLASS, 0.0, 0.0).with_pin(PORT_PIN, PinDir::Input, 0.0, 0.0);
-            self.nl.class_names.insert(PO_CLASS.to_owned(), id);
-            self.nl.classes.push(c);
-            id
-        });
-        self.add_cell_inner(name.into(), class, true)
+    pub fn add_output_port(&mut self, name: impl AsRef<str>) -> Result<CellId, NetlistError> {
+        self.add_port(name.as_ref(), PO_CLASS, PinDir::Input)
     }
 
     /// Creates a new net.
@@ -119,15 +104,16 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the net name is taken.
-    pub fn add_net(&mut self, name: impl Into<String>) -> Result<NetId, NetlistError> {
-        let name = name.into();
-        if self.nl.net_names.contains_key(&name) {
-            return Err(NetlistError::DuplicateName(name));
+    pub fn add_net(&mut self, name: impl AsRef<str>) -> Result<NetId, NetlistError> {
+        match self.nl.intern_net(name.as_ref()) {
+            (id, true) => Ok(id),
+            (_, false) => Err(NetlistError::DuplicateName(name.as_ref().to_owned())),
         }
-        let id = NetId::new(self.nl.nets.len());
-        self.nl.net_names.insert(name.clone(), id);
-        self.nl.nets.push(Net { name, pins: Vec::new(), is_clock: false });
-        Ok(id)
+    }
+
+    /// The net of that name, created if there is none yet.
+    pub(crate) fn net(&mut self, name: &str) -> NetId {
+        self.nl.intern_net(name).0
     }
 
     /// Connects pin `cell.pin_name` to `net`.
@@ -137,14 +123,10 @@ impl NetlistBuilder {
     /// Returns [`NetlistError::UnknownPin`] if the class has no such pin, or
     /// [`NetlistError::PinAlreadyConnected`] if the pin is already on a net.
     pub fn connect_by_name(&mut self, net: NetId, cell: CellId, pin_name: &str) -> Result<PinId, NetlistError> {
-        let class = self.nl.cells[cell.index()].class;
-        let cp = self.nl.classes[class.index()]
-            .find_pin(pin_name)
-            .ok_or_else(|| NetlistError::UnknownPin {
-                class: self.nl.classes[class.index()].name().to_owned(),
-                pin: pin_name.to_owned(),
-            })?;
-        let pin = self.nl.cells[cell.index()].pins[cp.index()];
+        let pin = self.nl.find_pin(cell, pin_name).ok_or_else(|| NetlistError::UnknownPin {
+            class: self.nl.class_of(cell).name().to_owned(),
+            pin: pin_name.to_owned(),
+        })?;
         self.connect(net, pin)?;
         Ok(pin)
     }
@@ -165,29 +147,31 @@ impl NetlistBuilder {
     /// Returns [`NetlistError::PinAlreadyConnected`] if the pin is already on
     /// a net.
     pub fn connect(&mut self, net: NetId, pin: PinId) -> Result<(), NetlistError> {
-        if self.nl.pins[pin.index()].net.is_some() {
+        if !self.nl.set_pin_net(pin, net) {
             return Err(NetlistError::PinAlreadyConnected(self.nl.pin_name(pin)));
         }
-        self.nl.pins[pin.index()].net = Some(net);
-        self.nl.nets[net.index()].pins.push(pin);
+        self.connected.push(pin);
         Ok(())
     }
 
     /// Sets the initial position of a cell.
     pub fn place(&mut self, cell: CellId, x: f64, y: f64) {
-        self.nl.cells[cell.index()].pos = Point::new(x, y);
+        self.nl.set_cell_pos(cell, Point::new(x, y));
     }
 
     /// Read-only view of the netlist under construction (for generators that
-    /// need to inspect what they have built so far).
+    /// need to inspect what they have built so far). Cells, pins and each
+    /// pin's net are current; every net's pin list is empty until
+    /// [`NetlistBuilder::finish`] lays the rows out.
     pub fn as_netlist(&self) -> &Netlist {
         &self.nl
     }
 
     /// Validates and finalizes the netlist.
     ///
-    /// Reorders each net's pin list so the driver is first, and marks clock
-    /// nets (nets with at least one clock sink pin).
+    /// Lays out each net's pin list in connection order with the driver moved
+    /// to the front, and marks clock nets (nets with at least one clock sink
+    /// pin).
     ///
     /// # Errors
     ///
@@ -195,29 +179,7 @@ impl NetlistBuilder {
     /// one driver. Unconnected pins are allowed (dangling inputs are treated
     /// as constant by timing analysis).
     pub fn finish(mut self) -> Result<Netlist, NetlistError> {
-        // Move the driver to the front of every net's pin list.
-        for ni in 0..self.nl.nets.len() {
-            let driver_pos = {
-                let net = &self.nl.nets[ni];
-                let mut found = None;
-                let mut count = 0usize;
-                for (i, &p) in net.pins.iter().enumerate() {
-                    if self.nl.pin_spec(p).dir.is_output() {
-                        count += 1;
-                        found = Some(i);
-                    }
-                }
-                if count != 1 {
-                    return Err(NetlistError::DriverCount {
-                        net: net.name.clone(),
-                        found: count,
-                    });
-                }
-                found.expect("count == 1 implies a driver was found")
-            };
-            self.nl.nets[ni].pins.swap(0, driver_pos);
-        }
-        mark_clock_nets(&mut self.nl);
+        self.nl.index_net_pins(&self.connected)?;
         Ok(self.nl)
     }
 }

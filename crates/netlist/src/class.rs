@@ -166,6 +166,12 @@ impl CellClass {
         self
     }
 
+    /// Heap bytes behind this template (its name, pin table and pin names).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let pin_names: usize = self.pins.iter().map(|p| p.name.capacity()).sum();
+        self.name.capacity() + self.pins.capacity() * std::mem::size_of::<PinSpec>() + pin_names
+    }
+
     /// Class name (the binding key into the liberty library).
     pub fn name(&self) -> &str {
         &self.name

@@ -25,8 +25,8 @@
 use crate::class::{CellClass, ClassPinId, PinDir, PinKind, PinSpec};
 use crate::design::Design;
 use crate::geom::{Point, Rect};
-use crate::ids::{CellId, NetId, PinId};
-use crate::model::{Cell, Net, Netlist, Pin};
+use crate::ids::{CellId, PinId};
+use crate::model::Netlist;
 
 /// Nets with more pins than this are ignored by the clustering score: huge
 /// fanout nets (resets, enables) say nothing about which cells belong
@@ -70,9 +70,11 @@ impl ClusterMap {
 
     /// Fine member cells of a cluster, in ascending fine-cell order.
     pub fn members(&self, cluster: usize) -> impl Iterator<Item = CellId> + '_ {
-        let lo = self.member_start[cluster] as usize;
-        let hi = self.member_start[cluster + 1] as usize;
-        self.members[lo..hi].iter().map(|&c| CellId::new(c as usize))
+        self.member_slice(cluster).iter().map(|&c| CellId::new(c as usize))
+    }
+
+    fn member_slice(&self, cluster: usize) -> &[u32] {
+        &self.members[self.member_start[cluster] as usize..self.member_start[cluster + 1] as usize]
     }
 
     /// Interpolates a coarse placement onto the fine netlist: every movable
@@ -103,10 +105,11 @@ impl ClusterMap {
         assert_eq!(coarse_ys.len(), coarse.num_cells());
         assert_eq!(fine_xs.len(), fine.num_cells());
         assert_eq!(fine_ys.len(), fine.num_cells());
-        for (i, cell) in fine.cells.iter().enumerate() {
-            if cell.fixed {
-                fine_xs[i] = cell.pos.x;
-                fine_ys[i] = cell.pos.y;
+        for i in 0..fine.num_cells() {
+            let cell = fine.cell(CellId::new(i));
+            if cell.is_fixed() {
+                fine_xs[i] = cell.pos().x;
+                fine_ys[i] = cell.pos().y;
                 continue;
             }
             let k = self.cell_to_cluster[i] as usize;
@@ -158,11 +161,9 @@ pub fn coarsen(design: &Design, cluster_ratio: f64, seed: u64) -> (Design, Clust
 
     let mut num_mergeable = 0usize;
     let mut movable_area = 0.0f64;
-    for cell in &nl.cells {
-        if !cell.fixed {
-            num_mergeable += 1;
-            movable_area += nl.classes[cell.class.index()].area();
-        }
+    for c in nl.movable_cells() {
+        num_mergeable += 1;
+        movable_area += nl.class_of(c).area();
     }
     let target = ((num_mergeable as f64 / ratio).ceil() as usize).max(1);
     let mean_area = if num_mergeable > 0 {
@@ -174,12 +175,8 @@ pub fn coarsen(design: &Design, cluster_ratio: f64, seed: u64) -> (Design, Clust
 
     // Clustering state: fine cell → current cluster, plus per-cluster stats.
     let mut assign: Vec<u32> = (0..nf as u32).collect();
-    let mut cl_area: Vec<f64> = nl
-        .cells
-        .iter()
-        .map(|c| nl.classes[c.class.index()].area())
-        .collect();
-    let mut cl_mergeable: Vec<bool> = nl.cells.iter().map(|c| !c.fixed).collect();
+    let mut cl_area: Vec<f64> = nl.cell_ids().map(|c| nl.class_of(c).area()).collect();
+    let mut cl_mergeable: Vec<bool> = nl.cell_ids().map(|c| !nl.cell(c).is_fixed()).collect();
     let mut mergeable_clusters = num_mergeable;
 
     for _round in 0..MAX_ROUNDS {
@@ -191,13 +188,13 @@ pub fn coarsen(design: &Design, cluster_ratio: f64, seed: u64) -> (Design, Clust
         // Clique-expand each scoring net into a symmetric cluster edge list.
         let mut edges: Vec<(u32, u32, f64)> = Vec::new();
         let mut distinct: Vec<u32> = Vec::with_capacity(MAX_CLUSTER_NET_DEGREE);
-        for net in &nl.nets {
-            if net.is_clock || net.pins.len() < 2 || net.pins.len() > MAX_CLUSTER_NET_DEGREE {
+        for net in nl.net_ids().map(|n| nl.net(n)) {
+            if net.is_clock() || net.degree() < 2 || net.degree() > MAX_CLUSTER_NET_DEGREE {
                 continue;
             }
             distinct.clear();
-            for &p in &net.pins {
-                distinct.push(assign[nl.pins[p.index()].cell.index()]);
+            for &p in net.pins() {
+                distinct.push(assign[nl.pin(p).cell().index()]);
             }
             distinct.sort_unstable();
             distinct.dedup();
@@ -332,167 +329,99 @@ pub fn coarsen(design: &Design, cluster_ratio: f64, seed: u64) -> (Design, Clust
 /// a synthetic square class of conserved area with pins at the center.
 fn build_coarse_netlist(nl: &Netlist, map: &ClusterMap, cl_area: &[f64]) -> Netlist {
     let nc = map.num_clusters();
-    let mut out = Netlist {
-        classes: nl.classes.clone(),
-        class_names: nl.class_names.clone(),
-        ..Netlist::default()
-    };
-    out.cells.reserve(nc);
+    let mut out = Netlist::with_classes_of(nl);
+    // First pin of each singleton cluster (its class pins follow in template
+    // order); synthetic clusters start without pins.
+    let mut first_pin: Vec<u32> = vec![u32::MAX; nc];
 
-    // Per-cluster class of each coarse cell; u32::MAX marks "synthetic".
     for (k, &area) in cl_area.iter().enumerate().take(nc) {
-        let lo = map.member_start[k] as usize;
-        let hi = map.member_start[k + 1] as usize;
-        let ms = &map.members[lo..hi];
-        let (class, pos, fixed) = if ms.len() == 1 {
-            let fc = &nl.cells[ms[0] as usize];
-            (fc.class, fc.pos, fc.fixed)
+        let ms = map.member_slice(k);
+        let (class, pos, fixed) = if let [m] = ms {
+            let fc = nl.cell(CellId::new(*m as usize));
+            (fc.class(), fc.pos(), fc.is_fixed())
         } else {
             let side = area.sqrt();
             let mut cx = 0.0;
             let mut cy = 0.0;
             let mut aw = 0.0;
             for &m in ms {
-                let cell = &nl.cells[m as usize];
-                let cls = &nl.classes[cell.class.index()];
+                let cell = nl.cell(CellId::new(m as usize));
+                let cls = nl.class(cell.class());
                 let a = cls.area().max(1e-12);
-                cx += a * (cell.pos.x + 0.5 * cls.width());
-                cy += a * (cell.pos.y + 0.5 * cls.height());
+                cx += a * (cell.pos().x + 0.5 * cls.width());
+                cy += a * (cell.pos().y + 0.5 * cls.height());
                 aw += a;
             }
             cx /= aw;
             cy /= aw;
-            let id = crate::class::ClassId::new(out.classes.len());
-            let name = format!("__CL{k}");
-            out.classes.push(CellClass::new(name.clone(), side, side));
-            out.class_names.insert(name, id);
+            let id = out.push_class(CellClass::new(format!("__CL{k}"), side, side));
             (id, Point::new(cx - 0.5 * side, cy - 0.5 * side), false)
         };
-        let mut cell = Cell {
-            name: format!("k{k}"),
-            class,
-            pos,
-            fixed,
-            pins: Vec::new(),
-        };
+        let cell = out.push_cell(&format!("k{k}"), class, fixed).expect("cluster names are distinct");
+        out.set_cell_pos(cell, pos);
         // Singleton clusters materialize every class pin up front (initially
         // unconnected), mirroring the builder; synthetic classes grow pins as
         // nets are formed below.
         if ms.len() == 1 {
-            let np = out.classes[class.index()].pins().len();
-            cell.pins.reserve(np);
-            for cp in 0..np {
-                let pid = PinId::new(out.pins.len());
-                out.pins.push(Pin {
-                    cell: CellId::new(k),
-                    class_pin: ClassPinId::new(cp),
-                    net: None,
-                });
-                cell.pins.push(pid);
+            first_pin[k] = out.num_pins() as u32;
+            for cp in 0..out.class(class).pins().len() {
+                out.push_pin(cell, ClassPinId::new(cp));
             }
         }
-        out.cell_names.insert(cell.name.clone(), CellId::new(k));
-        out.cells.push(cell);
     }
 
     // Nets: one coarse net per fine net that still spans ≥2 clusters; clock
     // nets are dropped (the coarse levels run wirelength+density only, and the
     // wirelength model excludes clock nets anyway).
+    let cluster_of = |p: PinId| map.cell_to_cluster[nl.pin(p).cell().index()];
     let mut sink_clusters: Vec<u32> = Vec::new();
-    for ni in 0..nl.nets.len() {
-        let net = &nl.nets[ni];
-        if net.is_clock || net.pins.len() < 2 {
+    for n in nl.net_ids() {
+        let net = nl.net(n);
+        if net.is_clock() || net.degree() < 2 {
             continue;
         }
-        let Some(dpin) = nl.net_driver(NetId::new(ni)) else {
+        let Some(dpin) = nl.net_driver(n) else {
             continue;
         };
-        let d = map.cell_to_cluster[nl.pins[dpin.index()].cell.index()];
+        let d = cluster_of(dpin);
         sink_clusters.clear();
-        for &p in &net.pins[1..] {
-            let s = map.cell_to_cluster[nl.pins[p.index()].cell.index()];
-            if s != d {
-                sink_clusters.push(s);
-            }
-        }
+        sink_clusters.extend(net.pins()[1..].iter().map(|&p| cluster_of(p)).filter(|&s| s != d));
         sink_clusters.sort_unstable();
         sink_clusters.dedup();
         if sink_clusters.is_empty() {
             continue;
         }
-        let nid = NetId::new(out.nets.len());
-        let mut pins = Vec::with_capacity(1 + sink_clusters.len());
-        pins.push(attach_pin(
-            nl,
-            &mut out,
-            map,
-            d,
-            nid,
-            PinDir::Output,
-            Some(dpin),
-        ));
+        out.intern_net(net.name());
+        attach_pin(nl, &mut out, &first_pin, d, PinDir::Output, dpin);
         for &s in sink_clusters.iter() {
             // Representative fine sink pin, only meaningful for singletons.
-            let rep = net.pins[1..]
-                .iter()
-                .copied()
-                .find(|&p| map.cell_to_cluster[nl.pins[p.index()].cell.index()] == s);
-            pins.push(attach_pin(nl, &mut out, map, s, nid, PinDir::Input, rep));
+            let rep = net.pins()[1..].iter().copied().find(|&p| cluster_of(p) == s);
+            attach_pin(nl, &mut out, &first_pin, s, PinDir::Input, rep.expect("s came from a sink"));
         }
-        let name = net.name.clone();
-        out.net_names.insert(name.clone(), nid);
-        out.nets.push(Net {
-            name,
-            pins,
-            is_clock: false,
-        });
     }
+    out.index_cell_pins();
     out
 }
 
-/// Connects cluster `k` to coarse net `nid` in role `dir`, returning the pin.
-/// Singleton clusters route through the pre-materialized pin instance of the
+/// Connects cluster `k` to the newest coarse net in role `dir`. Singleton
+/// clusters route through the pre-materialized pin instance of the
 /// representative fine pin `rep`; synthetic clusters grow a fresh center pin.
-fn attach_pin(
-    nl: &Netlist,
-    out: &mut Netlist,
-    map: &ClusterMap,
-    k: u32,
-    nid: NetId,
-    dir: PinDir,
-    rep: Option<PinId>,
-) -> PinId {
-    let lo = map.member_start[k as usize] as usize;
-    let hi = map.member_start[k as usize + 1] as usize;
-    if hi - lo == 1 {
-        let fine_pin = rep.expect("singleton cluster always has a representative fine pin");
-        let cp = nl.pins[fine_pin.index()].class_pin;
-        let pid = out.cells[k as usize].pins[cp.index()];
-        out.pins[pid.index()].net = Some(nid);
-        pid
+fn attach_pin(nl: &Netlist, out: &mut Netlist, first_pin: &[u32], k: u32, dir: PinDir, rep: PinId) {
+    let cell = CellId::new(k as usize);
+    let pin = if first_pin[k as usize] != u32::MAX {
+        PinId::new(first_pin[k as usize] as usize + nl.pin(rep).class_pin().index())
     } else {
-        let class = out.cells[k as usize].class;
-        let cls = &mut out.classes[class.index()];
-        let n = cls.pins().len();
-        let (prefix, offset) = match dir {
-            PinDir::Output => ("o", Point::new(0.5 * cls.width(), 0.5 * cls.height())),
-            PinDir::Input => ("i", Point::new(0.5 * cls.width(), 0.5 * cls.height())),
-        };
+        let cls = out.class_mut(out.cell(cell).class());
+        let prefix = if dir.is_output() { "o" } else { "i" };
         let cp = cls.push_pin(PinSpec {
-            name: format!("{prefix}{n}"),
+            name: format!("{prefix}{}", cls.pins().len()),
             dir,
             kind: PinKind::Signal,
-            offset,
+            offset: Point::new(0.5 * cls.width(), 0.5 * cls.height()),
         });
-        let pid = PinId::new(out.pins.len());
-        out.pins.push(Pin {
-            cell: CellId::new(k as usize),
-            class_pin: cp,
-            net: Some(nid),
-        });
-        out.cells[k as usize].pins.push(pid);
-        pid
-    }
+        out.push_pin(cell, cp)
+    };
+    out.push_net_pin(pin);
 }
 
 #[cfg(test)]

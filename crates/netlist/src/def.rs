@@ -21,17 +21,20 @@
 //! END DESIGN
 //! ```
 
-use crate::design::Row;
+use crate::cursor::{finite, Cursor};
+use crate::design::{Design, Row};
 use crate::error::NetlistError;
-use crate::geom::Rect;
+use crate::geom::{Point, Rect};
 use crate::model::Netlist;
-use std::fmt::Write as _;
+use crate::stdcells::{ROW_HEIGHT, SITE_WIDTH};
+use std::io::{self, Write};
 
-/// One placed object from a DEF file (component or pin).
+/// One placed object from a DEF file (component or pin); the name borrows
+/// from the parsed text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct DefPlacement {
+pub struct DefPlacement<'a> {
     /// Component / pin name.
-    pub name: String,
+    pub name: &'a str,
     /// Lower-left x in microns.
     pub x: f64,
     /// Lower-left y in microns.
@@ -40,11 +43,11 @@ pub struct DefPlacement {
     pub fixed: bool,
 }
 
-/// Parsed DEF content.
+/// Parsed DEF content; names borrow from the parsed text.
 #[derive(Clone, Debug, Default)]
-pub struct DefData {
+pub struct DefData<'a> {
     /// DESIGN name.
-    pub design: String,
+    pub design: &'a str,
     /// Database units per micron (UNITS DISTANCE MICRONS).
     pub dbu_per_micron: f64,
     /// Die area in microns.
@@ -52,48 +55,20 @@ pub struct DefData {
     /// Placement rows.
     pub rows: Vec<Row>,
     /// Component placements.
-    pub components: Vec<DefPlacement>,
+    pub components: Vec<DefPlacement<'a>>,
     /// Pin (port) placements.
-    pub pins: Vec<DefPlacement>,
-}
-
-fn perr(line: usize, message: impl Into<String>) -> NetlistError {
-    NetlistError::Parse { kind: "def", line, message: message.into() }
+    pub pins: Vec<DefPlacement<'a>>,
 }
 
 /// Parses the DEF subset.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] on malformed statements. Unsupported DEF
-/// sections (NETS, SPECIALNETS, …) are skipped statement-wise.
-pub fn parse_def(text: &str) -> Result<DefData, NetlistError> {
-    let mut data = DefData { dbu_per_micron: 1000.0, ..DefData::default() };
-    // DEF statements end with `;` and may span lines; rebuild statements.
-    let mut statements: Vec<(usize, String)> = Vec::new();
-    {
-        let mut cur = String::new();
-        let mut start_line = 1usize;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("");
-            if cur.is_empty() {
-                start_line = i + 1;
-            }
-            cur.push_str(line);
-            cur.push(' ');
-            if line.trim_end().ends_with(';')
-                || line.trim() == "END COMPONENTS"
-                || line.trim() == "END PINS"
-                || line.trim() == "END DESIGN"
-            {
-                statements.push((start_line, std::mem::take(&mut cur)));
-            }
-        }
-        if !cur.trim().is_empty() {
-            statements.push((start_line, cur));
-        }
-    }
-
+/// Returns [`NetlistError::Parse`] on malformed statements, non-finite or
+/// non-positive `UNITS`, non-finite coordinates, an empty `DIEAREA` and
+/// `COMPONENTS`/`PINS` sections that never end. Unsupported DEF sections
+/// (NETS, SPECIALNETS, …) are skipped statement-wise.
+pub fn parse_def(text: &str) -> Result<DefData<'_>, NetlistError> {
     #[derive(PartialEq)]
     enum Section {
         Top,
@@ -101,88 +76,76 @@ pub fn parse_def(text: &str) -> Result<DefData, NetlistError> {
         Pins,
         Skip(&'static str),
     }
+    let mut data = DefData { dbu_per_micron: 1000.0, ..DefData::default() };
+    let mut cur = Cursor::new("def", text);
     let mut section = Section::Top;
-    let dbu = |data: &DefData| data.dbu_per_micron;
-
-    for (lineno, stmt) in statements {
-        let owned: Vec<String> = stmt
-            .replace(['(', ')'], " ")
-            .split_whitespace()
-            .map(|s| s.trim_end_matches(';').to_owned())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let t: Vec<&str> = owned.iter().map(String::as_str).collect();
-        if t.is_empty() {
-            continue;
-        }
+    // The tokens of the statement at hand: one buffer for the whole file.
+    let mut t: Vec<&str> = Vec::with_capacity(16);
+    while let Some(line) = cur.def_statement(&mut t) {
+        let num = |i: usize, what: &str| -> Result<f64, NetlistError> {
+            t.get(i)
+                .and_then(|s| finite(s))
+                .ok_or_else(|| cur.err_at(line, format!("bad {what}")))
+        };
+        let dbu = data.dbu_per_micron;
+        // `COMPONENTS n ;` / `PINS n ;`: room for n records, clamped by what
+        // the rest of the file could hold.
+        let declared = || cur.clamp_count(t.get(1).and_then(|s| s.parse().ok()).unwrap_or(0), 16);
         match section {
             Section::Skip(end) => {
-                if t[0] == "END" && t.get(1).copied() == Some(end) {
+                if t[0] == "END" && t.get(1) == Some(&end) {
                     section = Section::Top;
                 }
             }
             Section::Top => match t[0] {
-                "VERSION" | "DIVIDERCHAR" | "BUSBITCHARS" | "TECHNOLOGY" => {}
-                "DESIGN" => {
-                    data.design = t.get(1).unwrap_or(&"design").to_string();
-                }
+                "DESIGN" => data.design = t.get(1).copied().unwrap_or("design"),
                 "UNITS" => {
                     // UNITS DISTANCE MICRONS n
-                    if let Some(v) = t.last().and_then(|s| s.parse::<f64>().ok()) {
-                        data.dbu_per_micron = v;
+                    data.dbu_per_micron = num(t.len() - 1, "UNITS (a positive number)")?;
+                    if data.dbu_per_micron <= 0.0 {
+                        return Err(cur.err_at(line, "UNITS must be positive"));
                     }
                 }
                 "DIEAREA" => {
-                    let nums: Vec<f64> = t[1..]
-                        .iter()
-                        .filter_map(|s| s.parse().ok())
-                        .collect();
-                    if nums.len() < 4 {
-                        return Err(perr(lineno, "DIEAREA needs two points"));
+                    let mut nums = t[1..].iter().filter_map(|s| s.parse::<f64>().ok());
+                    let mut coord = || {
+                        let v = nums.next().filter(|v| v.is_finite());
+                        v.map(|v| v / dbu).ok_or_else(|| cur.err_at(line, "DIEAREA needs two finite points"))
+                    };
+                    data.diearea = Rect::new(coord()?, coord()?, coord()?, coord()?);
+                    if !(data.diearea.width() > 0.0 && data.diearea.height() > 0.0) {
+                        return Err(cur.err_at(line, "DIEAREA is empty"));
                     }
-                    let s = dbu(&data);
-                    data.diearea =
-                        Rect::new(nums[0] / s, nums[1] / s, nums[2] / s, nums[3] / s);
                 }
                 "ROW" => {
                     // ROW name site x y orient DO nx BY ny STEP sx sy
-                    let num = |i: usize| -> Result<f64, NetlistError> {
-                        t.get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| perr(lineno, "bad ROW statement"))
-                    };
-                    let x = num(3)? / dbu(&data);
-                    let y = num(4)? / dbu(&data);
+                    let x = num(3, "ROW statement")? / dbu;
+                    let y = num(4, "ROW statement")? / dbu;
                     let do_idx = t.iter().position(|&s| s == "DO");
                     let step_idx = t.iter().position(|&s| s == "STEP");
                     let (nx, sx) = match (do_idx, step_idx) {
-                        (Some(d), Some(st)) => {
-                            let nx: f64 = t
-                                .get(d + 1)
-                                .and_then(|s| s.parse().ok())
-                                .ok_or_else(|| perr(lineno, "bad DO count"))?;
-                            let sx: f64 = t
-                                .get(st + 1)
-                                .and_then(|s| s.parse().ok())
-                                .ok_or_else(|| perr(lineno, "bad STEP"))?;
-                            (nx, sx / dbu(&data))
-                        }
+                        (Some(d), Some(st)) => (num(d + 1, "DO count")?, num(st + 1, "STEP")? / dbu),
                         _ => (0.0, 0.0),
                     };
                     data.rows.push(Row {
                         y,
                         x_min: x,
                         x_max: x + nx * sx,
-                        height: crate::stdcells::ROW_HEIGHT,
-                        site_width: if sx > 0.0 { sx } else { crate::stdcells::SITE_WIDTH },
+                        height: ROW_HEIGHT,
+                        site_width: if sx > 0.0 { sx } else { SITE_WIDTH },
                     });
                 }
-                "COMPONENTS" => section = Section::Components,
-                "PINS" => section = Section::Pins,
+                "COMPONENTS" => {
+                    data.components.reserve(declared());
+                    section = Section::Components;
+                }
+                "PINS" => {
+                    data.pins.reserve(declared());
+                    section = Section::Pins;
+                }
                 "NETS" => section = Section::Skip("NETS"),
                 "SPECIALNETS" => section = Section::Skip("SPECIALNETS"),
-                "END" => {}
-                _ => {} // unsupported top-level statements are skipped
+                _ => {} // VERSION, END DESIGN and unsupported statements are skipped
             },
             Section::Components | Section::Pins => {
                 if t[0] == "END" {
@@ -192,23 +155,10 @@ pub fn parse_def(text: &str) -> Result<DefData, NetlistError> {
                 if t[0] != "-" {
                     continue;
                 }
-                let name = t
-                    .get(1)
-                    .ok_or_else(|| perr(lineno, "missing name"))?
-                    .to_string();
-                let placed = t.iter().position(|&s| s == "PLACED" || s == "FIXED");
-                let Some(pi) = placed else { continue };
-                let fixed = t[pi] == "FIXED";
-                let s = dbu(&data);
-                let x: f64 = t
-                    .get(pi + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| perr(lineno, "bad placement x"))?;
-                let y: f64 = t
-                    .get(pi + 2)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| perr(lineno, "bad placement y"))?;
-                let rec = DefPlacement { name, x: x / s, y: y / s, fixed };
+                let name = *t.get(1).ok_or_else(|| cur.err_at(line, "missing name"))?;
+                let Some(pi) = t.iter().position(|&s| s == "PLACED" || s == "FIXED") else { continue };
+                let (x, y) = (num(pi + 1, "placement x")? / dbu, num(pi + 2, "placement y")? / dbu);
+                let rec = DefPlacement { name, x, y, fixed: t[pi] == "FIXED" };
                 if section == Section::Components {
                     data.components.push(rec);
                 } else {
@@ -217,87 +167,97 @@ pub fn parse_def(text: &str) -> Result<DefData, NetlistError> {
             }
         }
     }
-    Ok(data)
+    match section {
+        Section::Components => Err(cur.err("unterminated COMPONENTS section")),
+        Section::Pins => Err(cur.err("unterminated PINS section")),
+        _ => Ok(data),
+    }
 }
 
 /// Applies DEF placements to a netlist parsed from the matching Verilog:
-/// component names map to cells, pin names to port pseudo-cells. Returns the
-/// number of objects placed.
+/// component names map to cells, pin names to port pseudo-cells, and a
+/// `FIXED` object becomes (or stays) a fixed cell. Returns the number of
+/// objects placed.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::UnknownName`] for a DEF object with no netlist
 /// counterpart.
-pub fn apply_def(nl: &mut Netlist, def: &DefData) -> Result<usize, NetlistError> {
-    let mut placed = 0usize;
+pub fn apply_def(nl: &mut Netlist, def: &DefData<'_>) -> Result<usize, NetlistError> {
     for rec in def.components.iter().chain(def.pins.iter()) {
         let cell = nl
-            .find_cell(&rec.name)
-            .ok_or_else(|| NetlistError::UnknownName(rec.name.clone()))?;
-        nl.set_cell_pos(cell, crate::geom::Point::new(rec.x, rec.y));
-        placed += 1;
+            .find_cell(rec.name)
+            .ok_or_else(|| NetlistError::UnknownName(rec.name.to_owned()))?;
+        nl.set_cell_pos(cell, Point::new(rec.x, rec.y));
+        if rec.fixed {
+            nl.fix_cell(cell);
+        }
     }
-    Ok(placed)
+    Ok(def.components.len() + def.pins.len())
 }
 
 /// Serializes a placed netlist + floorplan to the DEF subset.
-pub fn write_def(design: &crate::design::Design) -> String {
+pub fn write_def(design: &Design) -> String {
+    let mut out = Vec::new();
+    emit_def(design, &mut out).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("names are UTF-8")
+}
+
+/// [`write_def`] into any writer (the bundle writer streams to a file).
+pub(crate) fn emit_def(design: &Design, out: &mut impl Write) -> io::Result<()> {
     let nl = &design.netlist;
     let dbu = 1000.0;
-    let mut out = String::new();
-    let _ = writeln!(out, "VERSION 5.8 ;");
-    let _ = writeln!(out, "DESIGN {} ;", design.name);
-    let _ = writeln!(out, "UNITS DISTANCE MICRONS {dbu} ;");
-    let _ = writeln!(
+    writeln!(out, "VERSION 5.8 ;")?;
+    writeln!(out, "DESIGN {} ;", design.name)?;
+    writeln!(out, "UNITS DISTANCE MICRONS {dbu} ;")?;
+    writeln!(
         out,
         "DIEAREA ( {:.0} {:.0} ) ( {:.0} {:.0} ) ;",
         design.region.xl * dbu,
         design.region.yl * dbu,
         design.region.xh * dbu,
         design.region.yh * dbu
-    );
+    )?;
     for (i, row) in design.rows.iter().enumerate() {
-        let _ = writeln!(
+        writeln!(
             out,
             "ROW row{i} core {:.0} {:.0} N DO {} BY 1 STEP {:.0} 0 ;",
             row.x_min * dbu,
             row.y * dbu,
             row.num_sites(),
             row.site_width * dbu
-        );
+        )?;
     }
-    let comps: Vec<_> = nl.cell_ids().filter(|&c| !nl.cell_is_port(c)).collect();
-    let _ = writeln!(out, "COMPONENTS {} ;", comps.len());
-    for c in comps {
+    let n_ports = nl.cell_ids().filter(|&c| nl.cell_is_port(c)).count();
+    writeln!(out, "COMPONENTS {} ;", nl.num_cells() - n_ports)?;
+    for c in nl.cell_ids().filter(|&c| !nl.cell_is_port(c)) {
         let cell = nl.cell(c);
         let kind = if cell.is_fixed() { "FIXED" } else { "PLACED" };
-        let _ = writeln!(
+        writeln!(
             out,
             " - {} {} + {kind} ( {:.0} {:.0} ) N ;",
             cell.name(),
             nl.class_of(c).name(),
             cell.pos().x * dbu,
             cell.pos().y * dbu
-        );
+        )?;
     }
-    let _ = writeln!(out, "END COMPONENTS");
-    let ports: Vec<_> = nl.cell_ids().filter(|&c| nl.cell_is_port(c)).collect();
-    let _ = writeln!(out, "PINS {} ;", ports.len());
-    for c in ports {
+    writeln!(out, "END COMPONENTS")?;
+    writeln!(out, "PINS {n_ports} ;")?;
+    for c in nl.cell_ids().filter(|&c| nl.cell_is_port(c)) {
         let cell = nl.cell(c);
         let dir = if nl.cell_is_input_port(c) { "INPUT" } else { "OUTPUT" };
-        let _ = writeln!(
+        writeln!(
             out,
             " - {} + NET {} + DIRECTION {dir} + PLACED ( {:.0} {:.0} ) N ;",
             cell.name(),
             cell.name(),
             cell.pos().x * dbu,
             cell.pos().y * dbu
-        );
+        )?;
     }
-    let _ = writeln!(out, "END PINS");
-    let _ = writeln!(out, "END DESIGN");
-    out
+    writeln!(out, "END PINS")?;
+    writeln!(out, "END DESIGN")
 }
 
 #[cfg(test)]
@@ -358,8 +318,8 @@ END DESIGN
         let d = parse_def(SMALL_DEF).unwrap();
         // `out` pin is not in the DEF; restrict to known objects.
         let mut partial = d.clone();
-        partial.pins.retain(|p| nl.find_cell(&p.name).is_some());
-        partial.components.retain(|p| nl.find_cell(&p.name).is_some());
+        partial.pins.retain(|p| nl.find_cell(p.name).is_some());
+        partial.components.retain(|p| nl.find_cell(p.name).is_some());
         let n = apply_def(&mut nl, &partial).unwrap();
         assert_eq!(n, 3);
         let g1 = nl.find_cell("g1").unwrap();

@@ -3,13 +3,15 @@
 //! (constraints) — the release format of the benchmark suite the paper
 //! evaluates on. The `.lib` file is handled separately by `dtp-liberty`.
 
-use crate::def::{apply_def, parse_def, write_def};
+use crate::bookshelf::create;
+use crate::def::{apply_def, emit_def, parse_def};
 use crate::design::Design;
 use crate::error::NetlistError;
 use crate::sdc::Sdc;
 use crate::stdcells::{ROW_HEIGHT, SITE_WIDTH};
-use crate::verilog::{parse_verilog, write_verilog};
+use crate::verilog::{emit_verilog, parse_verilog};
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 
 /// Reads `<prefix>.v` + `<prefix>.def` (+ `<prefix>.sdc`) into a [`Design`].
@@ -19,11 +21,16 @@ use std::path::Path;
 /// Returns I/O errors for missing files and parse errors for malformed
 /// content; DEF components must all exist in the Verilog netlist.
 pub fn read_iccad15(prefix: &Path) -> Result<Design, NetlistError> {
-    let vtext = fs::read_to_string(prefix.with_extension("v"))?;
+    // One text in memory at a time: the Verilog is dropped before the DEF is
+    // read.
+    let mut netlist = parse_verilog(&fs::read_to_string(prefix.with_extension("v"))?)?;
     let dtext = fs::read_to_string(prefix.with_extension("def"))?;
-    let mut netlist = parse_verilog(&vtext)?;
     let def = parse_def(&dtext)?;
     apply_def(&mut netlist, &def)?;
+    if def.diearea.width() <= 0.0 {
+        // `parse_def` rejects an empty DIEAREA, so this one is missing.
+        return Err(NetlistError::Parse { kind: "def", line: 1, message: "no DIEAREA statement".into() });
+    }
     let sdc = match fs::read_to_string(prefix.with_extension("sdc")) {
         Ok(text) => Sdc::parse(&text)?,
         Err(_) => Sdc::default(),
@@ -34,39 +41,30 @@ pub fn read_iccad15(prefix: &Path) -> Result<Design, NetlistError> {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "design".to_owned())
     } else {
-        def.design.clone()
+        def.design.to_owned()
     };
-    let mut design = Design {
-        name,
-        netlist,
-        region: def.diearea,
-        rows: def.rows,
-        constraints: sdc,
-    };
-    if design.rows.is_empty() {
+    if def.rows.is_empty() {
         // DEF without ROW statements: synthesize uniform rows.
-        design = Design::new(
-            design.name.clone(),
-            design.netlist,
-            design.region,
-            ROW_HEIGHT,
-            SITE_WIDTH,
-            design.constraints,
-        );
+        return Ok(Design::new(name, netlist, def.diearea, ROW_HEIGHT, SITE_WIDTH, sdc));
     }
-    Ok(design)
+    Ok(Design { name, netlist, region: def.diearea, rows: def.rows, constraints: sdc })
 }
 
-/// Writes `<dir>/<design.name>.{v,def,sdc}`.
+/// Writes `<dir>/<design.name>.{v,def,sdc}`, each streamed through one write
+/// buffer.
 ///
 /// # Errors
 ///
-/// Returns I/O errors from file creation.
+/// Returns I/O errors from file creation and writing.
 pub fn write_iccad15(design: &Design, dir: &Path) -> Result<(), NetlistError> {
     fs::create_dir_all(dir)?;
     let base = dir.join(&design.name);
-    fs::write(base.with_extension("v"), write_verilog(&design.netlist, &design.name))?;
-    fs::write(base.with_extension("def"), write_def(design))?;
+    let mut out = create(&base, "v")?;
+    emit_verilog(&design.netlist, &design.name, &mut out)?;
+    out.flush()?;
+    let mut out = create(&base, "def")?;
+    emit_def(design, &mut out)?;
+    out.flush()?;
     let sdc = &design.constraints;
     let mut text = format!(
         "create_clock -period {} -name {} [get_ports {}]\n",

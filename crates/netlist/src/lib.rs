@@ -3,9 +3,11 @@
 //!
 //! This crate is the structural substrate everything else builds on. It provides:
 //!
-//! - [`Netlist`]: an arena-based circuit model (cell classes, cells, pins, nets)
-//!   with `u32` id newtypes and struct-of-arrays friendly accessors, mirroring
-//!   the data layout a GPU placement/timing kernel would use.
+//! - [`Netlist`]: a flat circuit model (cell classes, cells, pins, nets):
+//!   `u32` id newtypes, one array per attribute, CSR rows for cell→pins and
+//!   net→pins, names in one arena per kind — the data layout a GPU
+//!   placement/timing kernel would use — read through the `Copy` views
+//!   [`Cell`], [`Net`] and [`Pin`].
 //! - [`NetlistBuilder`]: a validating builder that enforces the single-driver
 //!   invariant and connectivity consistency.
 //! - [`Design`]: a placed design — netlist plus core region, placement rows and
@@ -14,9 +16,11 @@
 //!   scaled "superblue proxy" designs used to regenerate the paper's Table 2
 //!   and Table 3 (the real ICCAD-2015 superblue suite is proprietary contest
 //!   data; see `DESIGN.md` for the substitution rationale).
-//! - [`bookshelf`]: reader/writer for the Bookshelf placement format subset
-//!   (`.nodes`, `.nets`, `.pl`, `.scl`), so real benchmark data can be dropped
-//!   in when available.
+//! - [`bookshelf`], [`verilog`], [`def`], [`iccad`]: readers/writers for the
+//!   Bookshelf subset (`.nodes`, `.nets`, `.pl`, `.scl`) and for the
+//!   ICCAD-2015 bundle (`.v` + `.def` + `.sdc`), so real benchmark data can be
+//!   dropped in when available. The readers share one zero-copy cursor and
+//!   answer malformed input with [`NetlistError::Parse`], never a panic.
 //! - [`sdc`]: a parser for the SDC subset used by timing-driven placement
 //!   (`create_clock`, `set_input_delay`, `set_output_delay`).
 //!
@@ -50,11 +54,14 @@
 mod builder;
 mod class;
 mod cluster;
+mod cursor;
 mod design;
 mod error;
 mod geom;
 mod ids;
 mod model;
+#[cfg(test)]
+mod reference;
 mod stats;
 
 pub mod bookshelf;

@@ -1,14 +1,21 @@
-//! The immutable-topology netlist model.
+//! The immutable-topology netlist model, stored flat.
 //!
 //! Topology (classes, cells, pins, nets) is fixed after
 //! [`crate::NetlistBuilder::finish`]; only cell *positions* are mutable, which
 //! is exactly the degree of freedom global placement optimizes.
+//!
+//! Storage is struct-of-arrays: one `Vec` per attribute indexed by id, CSR
+//! offset arrays for cell→pins and net→pins, one text arena per name kind and
+//! one open-addressed id table per name kind (no second copy of any name).
+//! [`Netlist::cell`], [`Netlist::net`] and [`Netlist::pin`] hand out small
+//! `Copy` views over those arrays. See DESIGN.md, "netlist storage".
 
 use crate::class::{CellClass, ClassId, ClassPinId, PinDir, PinKind, PinSpec};
 use crate::error::NetlistError;
 use crate::geom::Point;
 use crate::ids::{CellId, NetId, PinId};
-use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// Name of the implicit class used for primary-input ports.
 pub(crate) const PI_CLASS: &str = "__PI__";
@@ -16,50 +23,184 @@ pub(crate) const PI_CLASS: &str = "__PI__";
 pub(crate) const PO_CLASS: &str = "__PO__";
 /// Name of the single pin on port classes.
 pub(crate) const PORT_PIN: &str = "P";
+/// `pin_net` value of an unconnected pin.
+const NO_NET: u32 = u32::MAX;
 
-/// A cell instance.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    pub(crate) name: String,
-    pub(crate) class: ClassId,
-    pub(crate) pos: Point,
-    pub(crate) fixed: bool,
-    pub(crate) pins: Vec<PinId>,
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("netlist arena exceeds u32 offsets")
 }
 
-impl Cell {
+/// Rows of a CSR array addressed by their end offsets (row `i` starts where
+/// row `i - 1` ends), so an empty table needs no sentinel.
+fn row(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
+    lo..ends[i] as usize
+}
+
+/// Counting sort of `pins` into `rows` CSR rows by `key`, input order kept
+/// within a row: returns the row ends and the grouped pins.
+fn group_pins(rows: usize, pins: impl Iterator<Item = PinId> + Clone, key: impl Fn(PinId) -> usize) -> (Vec<u32>, Vec<PinId>) {
+    let mut ends = vec![0u32; rows];
+    for p in pins.clone() {
+        ends[key(p)] += 1;
+    }
+    let mut sum = 0;
+    for e in &mut ends {
+        sum += *e;
+        *e = sum;
+    }
+    let mut next: Vec<u32> = (0..rows).map(|r| row(&ends, r).start as u32).collect();
+    let mut grouped = vec![PinId(0); sum as usize];
+    for p in pins {
+        let slot = &mut next[key(p)];
+        grouped[*slot as usize] = p;
+        *slot += 1;
+    }
+    (ends, grouped)
+}
+
+/// Names of one entity kind, back to back in one text arena.
+#[derive(Clone, Debug, Default)]
+struct Names {
+    text: String,
+    end: Vec<u32>,
+}
+
+impl Names {
+    fn get(&self, i: u32) -> &str {
+        &self.text[row(&self.end, i as usize)]
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.end.push(to_u32(self.text.len()));
+    }
+}
+
+/// FxHash-style multiply-rotate hash over 8-byte words of `bytes`.
+fn fx_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = bytes.len() as u64;
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    }
+    h
+}
+
+/// Open-addressed (linear probing) table of dense ids keyed by the name each
+/// id already has elsewhere; a slot holds `id + 1`, 0 is empty.
+#[derive(Clone, Debug, Default)]
+struct NameIndex {
+    slots: Vec<u32>,
+}
+
+impl NameIndex {
+    fn with_capacity(ids: usize) -> Self {
+        let mut index = NameIndex::default();
+        if ids > 0 {
+            index.slots.resize((ids * 4 / 3 + 1).next_power_of_two().max(16), 0);
+        }
+        index
+    }
+
+    /// Home slot of `key`. The multiply only carries entropy upwards, so the
+    /// *top* bits index the table (the low bits of `net12345`/`net12346` agree).
+    fn home(&self, key: &str) -> usize {
+        (fx_hash(key.as_bytes()) >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id named `key`, or else the empty slot where its probe ended.
+    fn probe<'n>(&self, key: &str, name_of: impl Fn(u32) -> &'n str) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if name_of(s - 1) == key => return Ok(s - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn find<'n>(&self, key: &str, name_of: impl Fn(u32) -> &'n str) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(key, name_of).ok()
+    }
+
+    /// The id named `key` if there is one; otherwise registers `next`, the
+    /// id `key` is about to get, and returns `None`. `name_of` covers the ids
+    /// below `next`; the table grows (rehashing through it) above 3/4 load.
+    fn intern<'n>(&mut self, key: &str, next: u32, name_of: impl Fn(u32) -> &'n str) -> Option<u32> {
+        if (next as usize + 1) * 4 > self.slots.len() * 3 {
+            self.slots.clear();
+            self.slots.resize(((next as usize + 1) * 2).next_power_of_two().max(16), 0);
+            for id in 0..next {
+                // Of two ids with one name the first stays the findable one.
+                if let Err(slot) = self.probe(name_of(id), &name_of) {
+                    self.slots[slot] = id + 1;
+                }
+            }
+        }
+        match self.probe(key, name_of) {
+            Ok(id) => Some(id),
+            Err(slot) => {
+                self.slots[slot] = next + 1;
+                None
+            }
+        }
+    }
+}
+
+/// A cell instance: a `Copy` view into the netlist's arrays.
+#[derive(Clone, Copy)]
+pub struct Cell<'a> {
+    nl: &'a Netlist,
+    id: CellId,
+}
+
+impl<'a> Cell<'a> {
     /// Instance name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.nl.cell_names.get(self.id.0)
     }
 
     /// Class of this instance.
     pub fn class(&self) -> ClassId {
-        self.class
+        self.nl.cell_class[self.id.index()]
     }
 
     /// Lower-left position in microns.
     pub fn pos(&self) -> Point {
-        self.pos
+        Point::new(self.nl.xs[self.id.index()], self.nl.ys[self.id.index()])
     }
 
     /// Whether the cell is fixed (macros, I/O pads).
     pub fn is_fixed(&self) -> bool {
-        self.fixed
+        self.nl.cell_fixed[self.id.index()]
     }
 
     /// Pin instances of this cell, parallel to the class pin templates.
-    pub fn pins(&self) -> &[PinId] {
-        &self.pins
+    pub fn pins(&self) -> &'a [PinId] {
+        &self.nl.cell_pins[row(&self.nl.cell_pin_end, self.id.index())]
     }
 }
 
-/// A pin instance.
-#[derive(Clone, Debug)]
+impl fmt::Debug for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Cell({} `{}`)", self.id, self.name())
+    }
+}
+
+/// A pin instance (a value copied out of the pin arrays).
+#[derive(Clone, Copy, Debug)]
 pub struct Pin {
-    pub(crate) cell: CellId,
-    pub(crate) class_pin: ClassPinId,
-    pub(crate) net: Option<NetId>,
+    cell: CellId,
+    class_pin: ClassPinId,
+    net: Option<NetId>,
 }
 
 impl Pin {
@@ -79,34 +220,38 @@ impl Pin {
     }
 }
 
-/// A net — one driver pin plus sink pins.
-#[derive(Clone, Debug)]
-pub struct Net {
-    pub(crate) name: String,
-    /// After `finish()`, `pins[0]` is the driver.
-    pub(crate) pins: Vec<PinId>,
-    pub(crate) is_clock: bool,
+/// A net — one driver pin plus sink pins: a `Copy` view into the netlist.
+#[derive(Clone, Copy)]
+pub struct Net<'a> {
+    nl: &'a Netlist,
+    id: NetId,
 }
 
-impl Net {
+impl<'a> Net<'a> {
     /// Net name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.nl.net_names.get(self.id.0)
     }
 
     /// All pins on the net; index 0 is the driver.
-    pub fn pins(&self) -> &[PinId] {
-        &self.pins
+    pub fn pins(&self) -> &'a [PinId] {
+        &self.nl.net_pins[row(&self.nl.net_pin_end, self.id.index())]
     }
 
     /// Number of pins (degree) of the net.
     pub fn degree(&self) -> usize {
-        self.pins.len()
+        row(&self.nl.net_pin_end, self.id.index()).len()
     }
 
     /// Whether this net is part of the (ideal) clock network.
     pub fn is_clock(&self) -> bool {
-        self.is_clock
+        self.nl.net_is_clock[self.id.index()]
+    }
+}
+
+impl fmt::Debug for Net<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Net({} `{}`)", self.id, self.name())
     }
 }
 
@@ -115,13 +260,27 @@ impl Net {
 /// Construct with [`crate::NetlistBuilder`]. See the crate-level example.
 #[derive(Clone, Debug, Default)]
 pub struct Netlist {
-    pub(crate) classes: Vec<CellClass>,
-    pub(crate) class_names: HashMap<String, ClassId>,
-    pub(crate) cells: Vec<Cell>,
-    pub(crate) cell_names: HashMap<String, CellId>,
-    pub(crate) pins: Vec<Pin>,
-    pub(crate) nets: Vec<Net>,
-    pub(crate) net_names: HashMap<String, NetId>,
+    /// Shared, so cloning a netlist does not clone the class templates.
+    classes: Arc<Vec<CellClass>>,
+    class_index: NameIndex,
+    cell_names: Names,
+    cell_index: NameIndex,
+    cell_class: Vec<ClassId>,
+    cell_fixed: Vec<bool>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// CSR cell → pins (ascending pin ids): row ends and items.
+    cell_pin_end: Vec<u32>,
+    cell_pins: Vec<PinId>,
+    pin_cell: Vec<CellId>,
+    pin_class_pin: Vec<ClassPinId>,
+    pin_net: Vec<u32>,
+    net_names: Names,
+    net_index: NameIndex,
+    net_is_clock: Vec<bool>,
+    /// CSR net → pins (driver first): row ends and items.
+    net_pin_end: Vec<u32>,
+    net_pins: Vec<PinId>,
 }
 
 impl Netlist {
@@ -129,22 +288,51 @@ impl Netlist {
 
     /// Number of cell instances (including fixed cells and I/O ports).
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.cell_class.len()
     }
 
     /// Number of pin instances.
     pub fn num_pins(&self) -> usize {
-        self.pins.len()
+        self.pin_cell.len()
     }
 
     /// Number of nets.
     pub fn num_nets(&self) -> usize {
-        self.nets.len()
+        self.net_is_clock.len()
     }
 
     /// Number of cell classes.
     pub fn num_classes(&self) -> usize {
         self.classes.len()
+    }
+
+    /// Heap bytes held by the netlist, summed from its arrays' capacities
+    /// (class templates included).
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let names = |n: &Names| n.text.capacity() + bytes(&n.end);
+        let classes: usize = bytes(&*self.classes)
+            + self.classes.iter().map(CellClass::heap_bytes).sum::<usize>();
+        classes
+            + names(&self.cell_names)
+            + names(&self.net_names)
+            + bytes(&self.class_index.slots)
+            + bytes(&self.cell_index.slots)
+            + bytes(&self.net_index.slots)
+            + bytes(&self.cell_class)
+            + bytes(&self.cell_fixed)
+            + bytes(&self.xs)
+            + bytes(&self.ys)
+            + bytes(&self.cell_pin_end)
+            + bytes(&self.cell_pins)
+            + bytes(&self.pin_cell)
+            + bytes(&self.pin_class_pin)
+            + bytes(&self.pin_net)
+            + bytes(&self.net_is_clock)
+            + bytes(&self.net_pin_end)
+            + bytes(&self.net_pins)
     }
 
     // ---- entity access ----------------------------------------------------
@@ -153,9 +341,9 @@ impl Netlist {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
-    pub fn cell(&self, id: CellId) -> &Cell {
-        &self.cells[id.index()]
+    /// Panics (on first use of the view) if `id` is out of range.
+    pub fn cell(&self, id: CellId) -> Cell<'_> {
+        Cell { nl: self, id }
     }
 
     /// Returns the pin with the given id.
@@ -163,17 +351,22 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn pin(&self, id: PinId) -> &Pin {
-        &self.pins[id.index()]
+    pub fn pin(&self, id: PinId) -> Pin {
+        let net = self.pin_net[id.index()];
+        Pin {
+            cell: self.pin_cell[id.index()],
+            class_pin: self.pin_class_pin[id.index()],
+            net: (net != NO_NET).then_some(NetId(net)),
+        }
     }
 
     /// Returns the net with the given id.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
-    pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
+    /// Panics (on first use of the view) if `id` is out of range.
+    pub fn net(&self, id: NetId) -> Net<'_> {
+        Net { nl: self, id }
     }
 
     /// Returns the class with the given id.
@@ -187,65 +380,67 @@ impl Netlist {
 
     /// Class of the given cell.
     pub fn class_of(&self, cell: CellId) -> &CellClass {
-        self.class(self.cell(cell).class)
+        self.class(self.cell_class[cell.index()])
     }
 
     /// Pin template (name, direction, offset) of the given pin instance.
+    #[inline]
     pub fn pin_spec(&self, pin: PinId) -> &PinSpec {
-        let p = self.pin(pin);
-        self.class_of(p.cell).pin(p.class_pin)
+        self.class_of(self.pin_cell[pin.index()])
+            .pin(self.pin_class_pin[pin.index()])
     }
 
     // ---- iteration --------------------------------------------------------
 
     /// Iterates over all cell ids.
     pub fn cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
-        (0..self.cells.len()).map(CellId::new)
+        (0..self.num_cells()).map(CellId::new)
     }
 
     /// Iterates over all pin ids.
     pub fn pin_ids(&self) -> impl Iterator<Item = PinId> + '_ {
-        (0..self.pins.len()).map(PinId::new)
+        (0..self.num_pins()).map(PinId::new)
     }
 
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
-        (0..self.nets.len()).map(NetId::new)
+        (0..self.num_nets()).map(NetId::new)
     }
 
     /// Iterates over movable (non-fixed) cell ids.
     pub fn movable_cells(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.cell_ids().filter(move |&c| !self.cell(c).fixed)
+        self.cell_ids().filter(move |&c| !self.cell_fixed[c.index()])
     }
 
     // ---- lookup by name ---------------------------------------------------
 
     /// Finds a cell by instance name.
     pub fn find_cell(&self, name: &str) -> Option<CellId> {
-        self.cell_names.get(name).copied()
+        self.cell_index.find(name, |i| self.cell_names.get(i)).map(CellId)
     }
 
     /// Finds a net by name.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_names.get(name).copied()
+        self.net_index.find(name, |i| self.net_names.get(i)).map(NetId)
     }
 
     /// Finds a class by name.
     pub fn find_class(&self, name: &str) -> Option<ClassId> {
-        self.class_names.get(name).copied()
+        self.class_index
+            .find(name, |i| self.classes[i as usize].name())
+            .map(ClassId)
     }
 
     /// Finds the pin instance `cell.pin_name`.
     pub fn find_pin(&self, cell: CellId, pin_name: &str) -> Option<PinId> {
-        let c = self.cell(cell);
-        let cp = self.class(c.class).find_pin(pin_name)?;
-        Some(c.pins[cp.index()])
+        let cp = self.class_of(cell).find_pin(pin_name)?;
+        Some(self.cell(cell).pins()[cp.index()])
     }
 
     /// Full hierarchical name of a pin, `cell/PIN`.
     pub fn pin_name(&self, pin: PinId) -> String {
-        let p = self.pin(pin);
-        format!("{}/{}", self.cell(p.cell).name, self.pin_spec(pin).name)
+        let cell = self.cell(self.pin_cell[pin.index()]);
+        format!("{}/{}", cell.name(), self.pin_spec(pin).name)
     }
 
     // ---- geometry ---------------------------------------------------------
@@ -253,10 +448,8 @@ impl Netlist {
     /// Absolute position of a pin (cell position + template offset).
     #[inline]
     pub fn pin_position(&self, pin: PinId) -> Point {
-        let p = &self.pins[pin.index()];
-        let c = &self.cells[p.cell.index()];
-        let spec = self.classes[c.class.index()].pin(p.class_pin);
-        c.pos + spec.offset
+        let c = self.pin_cell[pin.index()].index();
+        Point::new(self.xs[c], self.ys[c]) + self.pin_spec(pin).offset
     }
 
     /// Moves a cell to a new lower-left position.
@@ -265,14 +458,13 @@ impl Netlist {
     ///
     /// Panics if `cell` is out of range.
     pub fn set_cell_pos(&mut self, cell: CellId, pos: Point) {
-        self.cells[cell.index()].pos = pos;
+        self.xs[cell.index()] = pos.x;
+        self.ys[cell.index()] = pos.y;
     }
 
     /// Copies all cell positions out as `(x, y)` vectors indexed by cell.
     pub fn positions(&self) -> (Vec<f64>, Vec<f64>) {
-        let xs = self.cells.iter().map(|c| c.pos.x).collect();
-        let ys = self.cells.iter().map(|c| c.pos.y).collect();
-        (xs, ys)
+        (self.xs.clone(), self.ys.clone())
     }
 
     /// Writes cell positions back from `(x, y)` vectors indexed by cell.
@@ -283,46 +475,32 @@ impl Netlist {
     ///
     /// Panics if the vectors are shorter than the cell count.
     pub fn set_positions(&mut self, xs: &[f64], ys: &[f64]) {
-        for (i, c) in self.cells.iter_mut().enumerate() {
-            c.pos = Point::new(xs[i], ys[i]);
-        }
+        let n = self.num_cells();
+        self.xs.copy_from_slice(&xs[..n]);
+        self.ys.copy_from_slice(&ys[..n]);
     }
 
     /// Total area of movable cells, in square microns.
     pub fn movable_area(&self) -> f64 {
-        self.cells
-            .iter()
-            .filter(|c| !c.fixed)
-            .map(|c| self.classes[c.class.index()].area())
-            .sum()
+        self.movable_cells().map(|c| self.class_of(c).area()).sum()
     }
 
     // ---- connectivity -----------------------------------------------------
 
     /// The driver pin of a net (an output pin), if the net is driven.
     pub fn net_driver(&self, net: NetId) -> Option<PinId> {
-        let n = self.net(net);
-        let first = *n.pins.first()?;
-        if self.pin_spec(first).dir.is_output() {
-            Some(first)
-        } else {
-            None
-        }
+        let first = *self.net(net).pins().first()?;
+        self.pin_spec(first).dir.is_output().then_some(first)
     }
 
     /// The sink pins of a net (all pins except the driver).
     pub fn net_sinks(&self, net: NetId) -> &[PinId] {
-        let n = self.net(net);
-        if n.pins.is_empty() {
-            &[]
-        } else {
-            &n.pins[1..]
-        }
+        self.net(net).pins().get(1..).unwrap_or(&[])
     }
 
     /// Whether a pin belongs to an I/O port pseudo-cell.
     pub fn pin_is_port(&self, pin: PinId) -> bool {
-        self.cell_is_port(self.pin(pin).cell)
+        self.cell_is_port(self.pin_cell[pin.index()])
     }
 
     /// Whether a cell is an I/O port pseudo-cell.
@@ -341,6 +519,11 @@ impl Netlist {
         self.class_of(cell).name() == PO_CLASS
     }
 
+    fn driver_count(&self, net: NetId) -> usize {
+        let is_driver = |p: &&PinId| self.pin_spec(**p).dir.is_output();
+        self.net(net).pins().iter().filter(is_driver).count()
+    }
+
     /// Validates structural invariants; used by the builder and by tests.
     ///
     /// # Errors
@@ -348,31 +531,189 @@ impl Netlist {
     /// Returns [`NetlistError::DriverCount`] if any net does not have exactly
     /// one output pin.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for (i, net) in self.nets.iter().enumerate() {
-            let drivers = net
-                .pins
-                .iter()
-                .filter(|&&p| self.pin_spec(p).dir.is_output())
-                .count();
-            if drivers != 1 {
-                return Err(NetlistError::DriverCount {
-                    net: self.nets[i].name.clone(),
-                    found: drivers,
-                });
+        for n in self.net_ids() {
+            let found = self.driver_count(n);
+            if found != 1 {
+                return Err(NetlistError::DriverCount { net: self.net(n).name().to_owned(), found });
             }
         }
         Ok(())
     }
-}
 
-/// Marks nets whose sinks include a clock pin as clock nets; called by the
-/// builder after connectivity is final.
-pub(crate) fn mark_clock_nets(nl: &mut Netlist) {
-    for ni in 0..nl.nets.len() {
-        let is_clock = nl.nets[ni].pins.iter().any(|&p| {
-            let spec = nl.pin_spec(p);
-            spec.kind == PinKind::Clock && spec.dir == PinDir::Input
-        });
-        nl.nets[ni].is_clock = is_clock;
+    // ---- construction (crate-internal) --------------------------------------
+
+    /// An empty netlist with room for the given entity counts.
+    pub(crate) fn with_capacity(cells: usize, nets: usize, pins: usize) -> Self {
+        let names = |n: usize| Names {
+            text: String::with_capacity(8 * n),
+            end: Vec::with_capacity(n),
+        };
+        Netlist {
+            cell_names: names(cells),
+            cell_index: NameIndex::with_capacity(cells),
+            cell_class: Vec::with_capacity(cells),
+            cell_fixed: Vec::with_capacity(cells),
+            xs: Vec::with_capacity(cells),
+            ys: Vec::with_capacity(cells),
+            cell_pin_end: Vec::with_capacity(cells),
+            cell_pins: Vec::with_capacity(pins),
+            pin_cell: Vec::with_capacity(pins),
+            pin_class_pin: Vec::with_capacity(pins),
+            pin_net: Vec::with_capacity(pins),
+            net_names: names(nets),
+            net_index: NameIndex::with_capacity(nets),
+            net_is_clock: Vec::with_capacity(nets),
+            net_pin_end: Vec::with_capacity(nets),
+            ..Netlist::default()
+        }
+    }
+
+    /// An empty netlist sharing `other`'s class table.
+    pub(crate) fn with_classes_of(other: &Netlist) -> Self {
+        Netlist {
+            classes: Arc::clone(&other.classes),
+            class_index: other.class_index.clone(),
+            ..Netlist::default()
+        }
+    }
+
+    /// Appends a class. Names are the builder's to keep distinct; of two
+    /// classes with one name (coarsening a coarse netlist re-issues `__CL<k>`)
+    /// [`Netlist::find_class`] returns the first.
+    pub(crate) fn push_class(&mut self, class: CellClass) -> ClassId {
+        let id = to_u32(self.classes.len());
+        let classes = &self.classes;
+        self.class_index.intern(class.name(), id, |i| classes[i as usize].name());
+        Arc::make_mut(&mut self.classes).push(class);
+        ClassId(id)
+    }
+
+    /// Mutable access to a class (the coarsening pass grows synthetic ones).
+    pub(crate) fn class_mut(&mut self, id: ClassId) -> &mut CellClass {
+        &mut Arc::make_mut(&mut self.classes)[id.index()]
+    }
+
+    /// Appends a cell at the origin, without pins.
+    pub(crate) fn push_cell(&mut self, name: &str, class: ClassId, fixed: bool) -> Result<CellId, NetlistError> {
+        let id = to_u32(self.num_cells());
+        let names = &self.cell_names;
+        if self.cell_index.intern(name, id, |i| names.get(i)).is_some() {
+            return Err(NetlistError::DuplicateName(name.to_owned()));
+        }
+        self.cell_names.push(name);
+        self.cell_class.push(class);
+        self.cell_fixed.push(fixed);
+        self.xs.push(0.0);
+        self.ys.push(0.0);
+        Ok(CellId(id))
+    }
+
+    /// Appends an unconnected pin instance; the cell → pins rows are the caller's to keep
+    /// ([`Netlist::close_cell_row`] or [`Netlist::index_cell_pins`]).
+    pub(crate) fn push_pin(&mut self, cell: CellId, class_pin: ClassPinId) -> PinId {
+        let id = PinId(to_u32(self.num_pins()));
+        self.pin_cell.push(cell);
+        self.pin_class_pin.push(class_pin);
+        self.pin_net.push(NO_NET);
+        id
+    }
+
+    /// Ends the newest cell's pin row at the newest pin (the builder adds a
+    /// cell's pins right after the cell, so rows are contiguous id ranges).
+    pub(crate) fn close_cell_row(&mut self) {
+        let lo = self.cell_pins.len();
+        self.cell_pins.extend((lo..self.num_pins()).map(|p| PinId(p as u32)));
+        self.cell_pin_end.push(to_u32(self.num_pins()));
+    }
+
+    /// Rebuilds the cell → pins rows from `pin_cell` (ascending pin ids per
+    /// cell), for netlists whose cells gained pins out of order.
+    pub(crate) fn index_cell_pins(&mut self) {
+        let pins = (0..self.num_pins()).map(PinId::new);
+        (self.cell_pin_end, self.cell_pins) = group_pins(self.num_cells(), pins, |p| self.pin_cell[p.index()].index());
+    }
+
+    /// The net named `name`, appended (without pins) if there is none yet;
+    /// the flag says whether it is new.
+    pub(crate) fn intern_net(&mut self, name: &str) -> (NetId, bool) {
+        let id = to_u32(self.num_nets());
+        let names = &self.net_names;
+        if let Some(existing) = self.net_index.intern(name, id, |i| names.get(i)) {
+            return (NetId(existing), false);
+        }
+        self.net_names.push(name);
+        self.net_is_clock.push(false);
+        self.net_pin_end.push(to_u32(self.net_pins.len()));
+        (NetId(id), true)
+    }
+
+    /// Appends a pin to the newest net's row (driver first is the caller's
+    /// duty) and points the pin at it.
+    pub(crate) fn push_net_pin(&mut self, pin: PinId) {
+        let net = self.num_nets() - 1;
+        self.pin_net[pin.index()] = net as u32;
+        self.net_pins.push(pin);
+        self.net_pin_end[net] = to_u32(self.net_pins.len());
+    }
+
+    /// Points an unconnected pin at `net`; `false` if it already has a net.
+    pub(crate) fn set_pin_net(&mut self, pin: PinId, net: NetId) -> bool {
+        let slot = &mut self.pin_net[pin.index()];
+        let free = *slot == NO_NET;
+        if free {
+            *slot = net.0;
+        }
+        free
+    }
+
+    /// Marks a cell fixed (DEF `+ FIXED`).
+    pub(crate) fn fix_cell(&mut self, cell: CellId) {
+        self.cell_fixed[cell.index()] = true;
+    }
+
+    /// Builds the net → pins rows from `pin_net`, keeping within each net the
+    /// order of `connected` (the order of the connect calls) with the driver
+    /// swapped to the front, checks the single-driver rule, marks clock nets
+    /// and drops growth slack.
+    pub(crate) fn index_net_pins(&mut self, connected: &[PinId]) -> Result<(), NetlistError> {
+        let net_of = |p: PinId| self.pin_net[p.index()] as usize;
+        (self.net_pin_end, self.net_pins) = group_pins(self.num_nets(), connected.iter().copied(), net_of);
+        for n in 0..self.num_nets() {
+            let pins = row(&self.net_pin_end, n);
+            let (mut driver, mut found, mut is_clock) = (pins.start, 0, false);
+            for i in pins.clone() {
+                let spec = self.pin_spec(self.net_pins[i]);
+                if spec.dir.is_output() {
+                    driver = i;
+                    found += 1;
+                }
+                is_clock |= spec.kind == PinKind::Clock && spec.dir == PinDir::Input;
+            }
+            if found != 1 {
+                let net = self.net_names.get(n as u32).to_owned();
+                return Err(NetlistError::DriverCount { net, found });
+            }
+            self.net_pins.swap(pins.start, driver);
+            self.net_is_clock[n] = is_clock;
+        }
+        self.shrink_to_fit();
+        Ok(())
+    }
+
+    fn shrink_to_fit(&mut self) {
+        for names in [&mut self.cell_names, &mut self.net_names] {
+            names.text.shrink_to_fit();
+            names.end.shrink_to_fit();
+        }
+        self.cell_class.shrink_to_fit();
+        self.cell_fixed.shrink_to_fit();
+        self.xs.shrink_to_fit();
+        self.ys.shrink_to_fit();
+        self.cell_pin_end.shrink_to_fit();
+        self.cell_pins.shrink_to_fit();
+        self.pin_cell.shrink_to_fit();
+        self.pin_class_pin.shrink_to_fit();
+        self.pin_net.shrink_to_fit();
+        self.net_is_clock.shrink_to_fit();
     }
 }

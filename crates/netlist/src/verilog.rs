@@ -22,149 +22,14 @@
 //! [`parse_verilog_with`] for other libraries.
 
 use crate::builder::NetlistBuilder;
-use crate::class::CellClass;
+use crate::class::{CellClass, ClassId};
+use crate::cursor::{is_word, Cursor};
 use crate::error::NetlistError;
+use crate::ids::NetId;
 use crate::model::Netlist;
 use crate::stdcells;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Word(String),
-    Symbol(char),
-}
-
-fn tokenize(src: &str) -> Result<Vec<(Tok, usize)>, NetlistError> {
-    let mut out = Vec::new();
-    let mut line = 1usize;
-    let mut chars = src.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
-                // `//` line comment or `/* */` block comment.
-                let rest = &src[i..];
-                if rest.starts_with("//") {
-                    while let Some(&(_, c)) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        chars.next();
-                    }
-                } else if rest.starts_with("/*") {
-                    chars.next();
-                    chars.next();
-                    let mut prev = ' ';
-                    for (_, c) in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                        }
-                        if prev == '*' && c == '/' {
-                            break;
-                        }
-                        prev = c;
-                    }
-                } else {
-                    return Err(NetlistError::Parse {
-                        kind: "verilog",
-                        line,
-                        message: "stray `/`".into(),
-                    });
-                }
-            }
-            '(' | ')' | ';' | ',' | '.' | '=' => {
-                out.push((Tok::Symbol(c), line));
-                chars.next();
-            }
-            _ => {
-                let start = i;
-                let mut end = i;
-                while let Some(&(j, c)) = chars.peek() {
-                    // `-` continues an identifier but cannot start one, so a
-                    // stray `-` still errors; our own ICCAD writer emits
-                    // hyphenated design names (`module obs-ci (...)`) and this
-                    // subset gives `-` no other lexical role.
-                    if c.is_alphanumeric() || c == '_' || c == '\\' || c == '[' || c == ']' || c == '$'
-                        || (c == '-' && end > start)
-                    {
-                        end = j + c.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if end == start {
-                    return Err(NetlistError::Parse {
-                        kind: "verilog",
-                        line,
-                        message: format!("unexpected character `{c}`"),
-                    });
-                }
-                out.push((Tok::Word(src[start..end].trim_start_matches('\\').to_owned()), line));
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct Parser {
-    toks: Vec<(Tok, usize)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn err(&self, message: impl Into<String>) -> NetlistError {
-        let line = self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |(_, l)| *l);
-        NetlistError::Parse { kind: "verilog", line, message: message.into() }
-    }
-
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
-        self.pos += 1;
-        t
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
-    }
-
-    fn expect_symbol(&mut self, c: char) -> Result<(), NetlistError> {
-        match self.next() {
-            Some(Tok::Symbol(s)) if s == c => Ok(()),
-            other => Err(self.err(format!("expected `{c}`, found {other:?}"))),
-        }
-    }
-
-    fn expect_word(&mut self) -> Result<String, NetlistError> {
-        match self.next() {
-            Some(Tok::Word(w)) => Ok(w),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    /// Consumes a comma-separated identifier list terminated by `;`.
-    fn word_list(&mut self) -> Result<Vec<String>, NetlistError> {
-        let mut words = Vec::new();
-        loop {
-            match self.next() {
-                Some(Tok::Word(w)) => words.push(w),
-                Some(Tok::Symbol(',')) => {}
-                Some(Tok::Symbol(';')) => return Ok(words),
-                other => return Err(self.err(format!("unexpected {other:?} in list"))),
-            }
-        }
-    }
-}
+use std::io::{self, Write};
 
 /// Parses the Verilog subset, resolving instance types through
 /// [`stdcells`].
@@ -178,7 +43,68 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, NetlistError> {
     parse_verilog_with(text, |name| stdcells::find(name).map(|s| s.to_class()))
 }
 
-/// Like [`parse_verilog`], with a custom cell-class resolver.
+/// The recursive-descent state: the cursor, the builder it fills, and the
+/// names that `assign` made aliases of a net (all other names are the
+/// builder's own).
+struct Reader<'a> {
+    cur: Cursor<'a>,
+    b: NetlistBuilder,
+    aliases: HashMap<&'a str, NetId>,
+}
+
+impl<'a> Reader<'a> {
+    fn next(&mut self) -> Result<Option<&'a str>, NetlistError> {
+        self.cur.verilog_token()
+    }
+
+    fn unexpected(&self, token: Option<&str>, place: &str) -> NetlistError {
+        self.cur.err(match token {
+            Some(t) => format!("unexpected `{t}` {place}"),
+            None => format!("unexpected end of input {place}"),
+        })
+    }
+
+    fn expect_symbol(&mut self, symbol: &str) -> Result<(), NetlistError> {
+        match self.next()? {
+            Some(t) if t == symbol => Ok(()),
+            other => Err(self.unexpected(other, &format!("(expected `{symbol}`)"))),
+        }
+    }
+
+    fn expect_word(&mut self) -> Result<&'a str, NetlistError> {
+        match self.next()? {
+            Some(t) if is_word(t) => Ok(t),
+            other => Err(self.unexpected(other, "(expected an identifier)")),
+        }
+    }
+
+    /// Consumes a comma-separated identifier list terminated by `;`.
+    fn word_list(&mut self, mut each: impl FnMut(&mut Self, &'a str) -> Result<(), NetlistError>) -> Result<(), NetlistError> {
+        loop {
+            match self.next()? {
+                Some(";") => return Ok(()),
+                Some(",") => {}
+                Some(t) if is_word(t) => each(self, t)?,
+                other => return Err(self.unexpected(other, "in list")),
+            }
+        }
+    }
+
+    fn find_net(&self, name: &str) -> Option<NetId> {
+        self.b.as_netlist().find_net(name).or_else(|| self.aliases.get(name).copied())
+    }
+
+    /// The net `name` refers to, created if the name is new.
+    fn net(&mut self, name: &'a str) -> NetId {
+        match self.aliases.get(name) {
+            Some(&n) => n,
+            None => self.b.net(name),
+        }
+    }
+}
+
+/// Like [`parse_verilog`], with a custom cell-class resolver (asked once per
+/// distinct type name).
 ///
 /// # Errors
 ///
@@ -187,135 +113,120 @@ pub fn parse_verilog_with(
     text: &str,
     resolve: impl Fn(&str) -> Option<CellClass>,
 ) -> Result<Netlist, NetlistError> {
-    let mut p = Parser { toks: tokenize(text)?, pos: 0 };
+    let cur = Cursor::new("verilog", text);
+    // Table sizes from the file length (`TYPE inst ( .P(net), … );` runs to
+    // ≈ 60 bytes a cell in contest files); a wrong guess only costs a regrow.
+    let (cells, pins) = (cur.clamp_count(usize::MAX, 48), cur.clamp_count(usize::MAX, 20));
+    let mut r = Reader { cur, b: NetlistBuilder::with_capacity(cells, cells, pins), aliases: HashMap::new() };
     // module NAME ( ports... ) ;
-    match p.next() {
-        Some(Tok::Word(w)) if w == "module" => {}
-        other => return Err(p.err(format!("expected `module`, found {other:?}"))),
+    match r.next()? {
+        Some("module") => {}
+        other => return Err(r.unexpected(other, "(expected `module`)")),
     }
-    let _module_name = p.expect_word()?;
-    p.expect_symbol('(')?;
+    let _module_name = r.expect_word()?;
+    r.expect_symbol("(")?;
     loop {
-        match p.next() {
-            Some(Tok::Symbol(')')) => break,
-            Some(Tok::Word(_)) | Some(Tok::Symbol(',')) => {}
-            other => return Err(p.err(format!("unexpected {other:?} in port list"))),
+        match r.next()? {
+            Some(")") => break,
+            Some(",") => {}
+            Some(t) if is_word(t) => {}
+            other => return Err(r.unexpected(other, "in port list")),
         }
     }
-    p.expect_symbol(';')?;
+    r.expect_symbol(";")?;
 
-    let mut b = NetlistBuilder::new();
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut nets: HashMap<String, crate::ids::NetId> = HashMap::new();
+    let mut inputs: Vec<&str> = Vec::new();
+    let mut outputs: Vec<&str> = Vec::new();
+    let mut classes: HashMap<&str, ClassId> = HashMap::new();
 
     // Declarations and instances until `endmodule`.
-    while let Some(tok) = p.peek().cloned() {
-        match tok {
-            Tok::Word(w) if w == "endmodule" => break,
-            Tok::Word(w) if w == "input" => {
-                p.next();
-                inputs.extend(p.word_list()?);
-            }
-            Tok::Word(w) if w == "output" => {
-                p.next();
-                outputs.extend(p.word_list()?);
-            }
-            Tok::Word(w) if w == "wire" => {
-                p.next();
-                for name in p.word_list()? {
-                    if !nets.contains_key(&name) {
-                        nets.insert(name.clone(), b.add_net(name)?);
-                    }
-                }
-            }
-            Tok::Word(w) if w == "assign" => {
+    loop {
+        match r.next()? {
+            None | Some("endmodule") => break,
+            Some("input") => r.word_list(|_, w| {
+                inputs.push(w);
+                Ok(())
+            })?,
+            Some("output") => r.word_list(|_, w| {
+                outputs.push(w);
+                Ok(())
+            })?,
+            Some("wire") => r.word_list(|r, w| {
+                r.net(w);
+                Ok(())
+            })?,
+            Some("assign") => {
                 // `assign a = b;` — the subset treats it as net aliasing
                 // (used for ports that share a net, e.g. a PI feeding a PO
                 // directly). Both names refer to the same net afterwards.
-                p.next();
-                let lhs = p.expect_word()?;
-                p.expect_symbol('=')?;
-                let rhs = p.expect_word()?;
-                p.expect_symbol(';')?;
-                let net = match (nets.get(&lhs).copied(), nets.get(&rhs).copied()) {
-                    (Some(n), None) => n,
-                    (None, Some(n)) => n,
-                    (None, None) => b.add_net(rhs.clone())?,
+                let lhs = r.expect_word()?;
+                r.expect_symbol("=")?;
+                let rhs = r.expect_word()?;
+                r.expect_symbol(";")?;
+                let net = match (r.find_net(lhs), r.find_net(rhs)) {
+                    (Some(n), None) | (None, Some(n)) => n,
+                    (None, None) => r.b.add_net(rhs)?,
                     (Some(_), Some(_)) => {
-                        return Err(p.err(format!(
+                        return Err(r.cur.err(format!(
                             "assign between two existing nets `{lhs}` and `{rhs}` is unsupported"
                         )))
                     }
                 };
-                nets.insert(lhs, net);
-                nets.insert(rhs, net);
-            }
-            Tok::Word(_) => {
-                // CELLTYPE instname ( .PIN(net), ... ) ;
-                let cell_type = p.expect_word()?;
-                let inst = p.expect_word()?;
-                let class = resolve(&cell_type)
-                    .ok_or_else(|| NetlistError::UnknownName(cell_type.clone()))?;
-                let class_id = b.add_class(class);
-                let cell = b.add_cell(inst, class_id)?;
-                p.expect_symbol('(')?;
-                loop {
-                    match p.next() {
-                        Some(Tok::Symbol(')')) => break,
-                        Some(Tok::Symbol(',')) => {}
-                        Some(Tok::Symbol('.')) => {
-                            let pin = p.expect_word()?;
-                            p.expect_symbol('(')?;
-                            let net_name = p.expect_word()?;
-                            p.expect_symbol(')')?;
-                            let net = match nets.get(&net_name) {
-                                Some(&n) => n,
-                                None => {
-                                    let n = b.add_net(net_name.clone())?;
-                                    nets.insert(net_name, n);
-                                    n
-                                }
-                            };
-                            b.connect_by_name(net, cell, &pin)?;
-                        }
-                        other => {
-                            return Err(p.err(format!("unexpected {other:?} in connections")))
-                        }
+                for name in [lhs, rhs] {
+                    if r.b.as_netlist().find_net(name).is_none() {
+                        r.aliases.insert(name, net);
                     }
                 }
-                p.expect_symbol(';')?;
             }
-            other => return Err(p.err(format!("unexpected {other:?} at top level"))),
+            Some(cell_type) if is_word(cell_type) => {
+                // CELLTYPE instname ( .PIN(net), ... ) ;
+                let inst = r.expect_word()?;
+                let class = match classes.get(cell_type) {
+                    Some(&id) => id,
+                    None => {
+                        let class = resolve(cell_type)
+                            .ok_or_else(|| NetlistError::UnknownName(cell_type.to_owned()))?;
+                        *classes.entry(cell_type).or_insert(r.b.add_class(class))
+                    }
+                };
+                let cell = r.b.add_cell(inst, class)?;
+                r.expect_symbol("(")?;
+                loop {
+                    match r.next()? {
+                        Some(")") => break,
+                        Some(",") => {}
+                        Some(".") => {
+                            let pin = r.expect_word()?;
+                            r.expect_symbol("(")?;
+                            let net_name = r.expect_word()?;
+                            r.expect_symbol(")")?;
+                            let net = r.net(net_name);
+                            r.b.connect_by_name(net, cell, pin)?;
+                        }
+                        other => return Err(r.unexpected(other, "in connections")),
+                    }
+                }
+                r.expect_symbol(";")?;
+            }
+            other => return Err(r.unexpected(other, "at top level")),
         }
     }
 
+    // Whatever follows `endmodule` is not parsed but still has to lex.
+    while r.next()?.is_some() {}
+
     // Create port pseudo-cells and attach them to the nets of the same name.
     for name in inputs {
-        let port = b.add_input_port(&*name)?;
-        let net = match nets.get(&name) {
-            Some(&n) => n,
-            None => {
-                let n = b.add_net(name.clone())?;
-                nets.insert(name, n);
-                n
-            }
-        };
-        b.connect_port(net, port)?;
+        let port = r.b.add_input_port(name)?;
+        let net = r.net(name);
+        r.b.connect_port(net, port)?;
     }
     for name in outputs {
-        let port = b.add_output_port(&*name)?;
-        let net = match nets.get(&name) {
-            Some(&n) => n,
-            None => {
-                let n = b.add_net(name.clone())?;
-                nets.insert(name, n);
-                n
-            }
-        };
-        b.connect_port(net, port)?;
+        let port = r.b.add_output_port(name)?;
+        let net = r.net(name);
+        r.b.connect_port(net, port)?;
     }
-    b.finish()
+    r.b.finish()
 }
 
 /// Serializes a netlist to the Verilog subset. Port pseudo-cells become
@@ -323,78 +234,58 @@ pub fn parse_verilog_with(
 /// a port is emitted under that port's name, and additional ports on the
 /// same net become `assign` aliases.
 pub fn write_verilog(nl: &Netlist, module_name: &str) -> String {
-    let mut inputs = Vec::new();
-    let mut outputs = Vec::new();
-    let mut alias: HashMap<usize, String> = HashMap::new(); // net index -> port name
-    let mut assigns: Vec<(String, String)> = Vec::new();
-    for c in nl.cell_ids() {
-        if !nl.cell_is_port(c) {
-            continue;
-        }
-        let name = nl.cell(c).name().to_owned();
-        if nl.cell_is_input_port(c) {
-            inputs.push(name.clone());
-        } else {
-            outputs.push(name.clone());
-        }
-        if let Some(&pid) = nl.cell(c).pins().first() {
-            if let Some(net) = nl.pin(pid).net() {
-                match alias.get(&net.index()) {
-                    None => {
-                        alias.insert(net.index(), name);
-                    }
-                    Some(canonical) => assigns.push((name, canonical.clone())),
-                }
+    let mut out = Vec::new();
+    emit_verilog(nl, module_name, &mut out).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("names are UTF-8")
+}
+
+/// [`write_verilog`] into any writer (the bundle writer streams to a file).
+pub(crate) fn emit_verilog(nl: &Netlist, module_name: &str, out: &mut impl Write) -> io::Result<()> {
+    let ports = || nl.cell_ids().filter(|&c| nl.cell_is_port(c));
+    let inputs = || ports().filter(|&c| nl.cell_is_input_port(c));
+    let outputs = || ports().filter(|&c| !nl.cell_is_input_port(c));
+    // Net index → the port cell it is named after (the first port on it).
+    let mut alias = vec![None; nl.num_nets()];
+    let mut assigns = Vec::new();
+    for c in ports() {
+        if let Some(net) = nl.cell(c).pins().first().and_then(|&p| nl.pin(p).net()) {
+            match alias[net.index()] {
+                None => alias[net.index()] = Some(c),
+                Some(canonical) => assigns.push((c, canonical)),
             }
         }
     }
-    let net_name = |n: crate::ids::NetId| -> &str {
-        alias
-            .get(&n.index())
-            .map(String::as_str)
-            .unwrap_or_else(|| nl.net(n).name())
-    };
-    let mut out = String::new();
-    let ports: Vec<&str> = inputs
-        .iter()
-        .chain(outputs.iter())
-        .map(String::as_str)
-        .collect();
-    let _ = writeln!(out, "module {module_name} ({});", ports.join(", "));
-    for i in &inputs {
-        let _ = writeln!(out, "input {i};");
+    write!(out, "module {module_name} (")?;
+    for (i, c) in inputs().chain(outputs()).enumerate() {
+        write!(out, "{}{}", if i == 0 { "" } else { ", " }, nl.cell(c).name())?;
     }
-    for o in &outputs {
-        let _ = writeln!(out, "output {o};");
+    writeln!(out, ");")?;
+    for c in inputs() {
+        writeln!(out, "input {};", nl.cell(c).name())?;
     }
-    for n in nl.net_ids() {
-        if !alias.contains_key(&n.index()) {
-            let _ = writeln!(out, "wire {};", nl.net(n).name());
+    for c in outputs() {
+        writeln!(out, "output {};", nl.cell(c).name())?;
+    }
+    for n in nl.net_ids().filter(|n| alias[n.index()].is_none()) {
+        writeln!(out, "wire {};", nl.net(n).name())?;
+    }
+    for &(l, r) in &assigns {
+        writeln!(out, "assign {} = {};", nl.cell(l).name(), nl.cell(r).name())?;
+    }
+    writeln!(out)?;
+    for c in nl.cell_ids().filter(|&c| !nl.cell_is_port(c)) {
+        write!(out, "{} {} ( ", nl.class_of(c).name(), nl.cell(c).name())?;
+        let mut first = true;
+        for &p in nl.cell(c).pins() {
+            if let Some(net) = nl.pin(p).net() {
+                let net_name = alias[net.index()].map_or(nl.net(net).name(), |port| nl.cell(port).name());
+                write!(out, "{}.{}({net_name})", if first { "" } else { ", " }, nl.pin_spec(p).name)?;
+                first = false;
+            }
         }
+        writeln!(out, " );")?;
     }
-    for (l, r) in &assigns {
-        let _ = writeln!(out, "assign {l} = {r};");
-    }
-    out.push('\n');
-    for c in nl.cell_ids() {
-        if nl.cell_is_port(c) {
-            continue;
-        }
-        let cell = nl.cell(c);
-        let class = nl.class_of(c);
-        let conns: Vec<String> = cell
-            .pins()
-            .iter()
-            .filter_map(|&p| {
-                let pin = nl.pin(p);
-                pin.net()
-                    .map(|net| format!(".{}({})", nl.pin_spec(p).name, net_name(net)))
-            })
-            .collect();
-        let _ = writeln!(out, "{} {} ( {} );", class.name(), cell.name(), conns.join(", "));
-    }
-    out.push_str("endmodule\n");
-    out
+    writeln!(out, "endmodule")
 }
 
 #[cfg(test)]

@@ -123,11 +123,16 @@ pub enum Gauge {
     /// this is ns per stamp). A per-run total, which is why it is a gauge
     /// and never in the trace.
     RudyStamps,
+    /// Heap bytes the design's netlist holds, summed from its arrays'
+    /// capacities (bytes per cell is this over the cell count).
+    NetlistBytes,
+    /// Input megabytes per second of the `parse` phase (file-backed designs).
+    ParseMbS,
 }
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 16;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -145,6 +150,8 @@ impl Gauge {
         Gauge::PoolThreads,
         Gauge::LegalizeBands,
         Gauge::RudyStamps,
+        Gauge::NetlistBytes,
+        Gauge::ParseMbS,
     ];
 
     /// Dense slot index of this gauge.
@@ -170,6 +177,8 @@ impl Gauge {
             Gauge::PoolThreads => "pool_threads",
             Gauge::LegalizeBands => "legalize_bands",
             Gauge::RudyStamps => "rudy_stamps",
+            Gauge::NetlistBytes => "netlist_bytes",
+            Gauge::ParseMbS => "parse_mb_s",
         }
     }
 }

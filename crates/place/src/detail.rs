@@ -12,110 +12,170 @@
 //! contribution — but it is a real legality-preserving refinement pass, so
 //! the full GP → LG → DP pipeline of §1 exists end to end.
 
-use dtp_netlist::{CellId, Design, NetId};
+use dtp_netlist::{CellId, Design, NetId, Netlist};
 
 /// Cell → incident net index for fast HPWL deltas.
 #[derive(Clone, Debug)]
 pub struct DetailPlacer {
-    /// Incident (non-clock) nets per cell.
-    nets_of_cell: Vec<Vec<u32>>,
+    /// CSR cell → incident (non-clock, multi-pin) nets, ascending: row `c`
+    /// is `nets[net_end[c - 1]..net_end[c]]`.
+    net_end: Vec<u32>,
+    nets: Vec<u32>,
+    /// Site pitch; 0 for a design without rows, which `refine` leaves alone.
     site: f64,
+}
+
+/// What one cell visit needs of the nets incident to a cell: per net the
+/// x-extent of the pins that stay put, the net's y-span, and the x-offsets of
+/// the pins that move with the cell (or with its swap partner).
+#[derive(Default)]
+struct Incident {
+    /// `(others' xmin, others' xmax, ymax − ymin, end of the net's run in `moving`)`.
+    nets: Vec<(f64, f64, f64, u32)>,
+    /// `(x offset, belongs to the swap partner)` of each moving pin.
+    moving: Vec<(f64, bool)>,
+}
+
+impl Incident {
+    /// HPWL of the gathered nets with the cell at `x` and its partner at `xp`.
+    /// `min`/`max` are exact, so this equals a fresh walk over every pin.
+    fn hpwl(&self, x: f64, xp: f64) -> f64 {
+        let mut lo = 0usize;
+        self.nets
+            .iter()
+            .map(|&(mut xmin, mut xmax, y_span, end)| {
+                for &(dx, partner) in &self.moving[lo..end as usize] {
+                    let px = if partner { xp } else { x } + dx;
+                    xmin = xmin.min(px);
+                    xmax = xmax.max(px);
+                }
+                lo = end as usize;
+                (xmax - xmin) + y_span
+            })
+            .sum()
+    }
+}
+
+/// Calls `visit(cell, net)` once per cell and incident non-clock multi-pin
+/// net. Nets are walked in ascending order, so each cell sees its nets
+/// ascending and "already visited" is "visited last".
+fn for_each_incidence(nl: &Netlist, mut visit: impl FnMut(usize, u32)) {
+    let mut last = vec![u32::MAX; nl.num_cells()];
+    for net in nl.net_ids().filter(|&n| !nl.net(n).is_clock() && nl.net(n).degree() >= 2) {
+        for &p in nl.net(net).pins() {
+            let c = nl.pin(p).cell().index();
+            if last[c] != net.index() as u32 {
+                last[c] = net.index() as u32;
+                visit(c, net.index() as u32);
+            }
+        }
+    }
 }
 
 impl DetailPlacer {
     /// Builds incidence structures.
     pub fn new(design: &Design) -> DetailPlacer {
         let nl = &design.netlist;
-        let mut nets_of_cell: Vec<Vec<u32>> = vec![Vec::new(); nl.num_cells()];
-        for net in nl.net_ids() {
-            if nl.net(net).is_clock() || nl.net(net).degree() < 2 {
-                continue;
-            }
-            for &p in nl.net(net).pins() {
-                let c = nl.pin(p).cell().index();
-                if !nets_of_cell[c].contains(&(net.index() as u32)) {
-                    nets_of_cell[c].push(net.index() as u32);
-                }
-            }
+        let mut net_end = vec![0u32; nl.num_cells()];
+        for_each_incidence(nl, |c, _| net_end[c] += 1);
+        let mut sum = 0;
+        for e in &mut net_end {
+            sum += *e;
+            *e = sum;
         }
-        DetailPlacer { nets_of_cell, site: design.rows[0].site_width }
+        let mut next: Vec<u32> = std::iter::once(0).chain(net_end.iter().copied()).take(net_end.len()).collect();
+        let mut nets = vec![0u32; sum as usize];
+        for_each_incidence(nl, |c, net| {
+            nets[next[c] as usize] = net;
+            next[c] += 1;
+        });
+        DetailPlacer { net_end, nets, site: design.rows.first().map_or(0.0, |r| r.site_width) }
     }
 
-    /// HPWL of the nets incident to `cell` at the given positions.
-    fn incident_hpwl(&self, design: &Design, xs: &[f64], ys: &[f64], cell: CellId) -> f64 {
+    /// Gathers the nets incident to `cell` at the given positions; the pins of
+    /// `cell` and of `partner` are the ones a candidate move displaces.
+    fn gather(&self, design: &Design, xs: &[f64], ys: &[f64], cell: CellId, partner: Option<CellId>, out: &mut Incident) {
         let nl = &design.netlist;
-        self.nets_of_cell[cell.index()]
-            .iter()
-            .map(|&ni| {
-                let net = nl.net(NetId::new(ni as usize));
-                let mut xmin = f64::INFINITY;
-                let mut xmax = f64::NEG_INFINITY;
-                let mut ymin = f64::INFINITY;
-                let mut ymax = f64::NEG_INFINITY;
-                for &p in net.pins() {
-                    let pin = nl.pin(p);
-                    let off = nl.pin_spec(p).offset;
-                    let x = xs[pin.cell().index()] + off.x;
-                    let y = ys[pin.cell().index()] + off.y;
+        out.nets.clear();
+        out.moving.clear();
+        let lo = if cell.index() == 0 { 0 } else { self.net_end[cell.index() - 1] };
+        for &ni in &self.nets[lo as usize..self.net_end[cell.index()] as usize] {
+            let mut xmin = f64::INFINITY;
+            let mut xmax = f64::NEG_INFINITY;
+            let mut ymin = f64::INFINITY;
+            let mut ymax = f64::NEG_INFINITY;
+            for &p in nl.net(NetId::new(ni as usize)).pins() {
+                let owner = nl.pin(p).cell();
+                let off = nl.pin_spec(p).offset;
+                let y = ys[owner.index()] + off.y;
+                ymin = ymin.min(y);
+                ymax = ymax.max(y);
+                if owner == cell || Some(owner) == partner {
+                    out.moving.push((off.x, owner != cell));
+                } else {
+                    let x = xs[owner.index()] + off.x;
                     xmin = xmin.min(x);
                     xmax = xmax.max(x);
-                    ymin = ymin.min(y);
-                    ymax = ymax.max(y);
                 }
-                (xmax - xmin) + (ymax - ymin)
-            })
-            .sum()
+            }
+            out.nets.push((xmin, xmax, ymax - ymin, out.moving.len() as u32));
+        }
     }
 
     /// Runs up to `passes` improvement passes; returns the number of
     /// improving moves applied.
     pub fn refine(&self, design: &Design, xs: &mut [f64], ys: &mut [f64], passes: usize) -> usize {
+        if design.rows.is_empty() {
+            return 0;
+        }
         let nl = &design.netlist;
         let row_h = design.row_height();
+        // Per-row cell lists, built once: `ys` never changes here, so a pass
+        // only has to re-sort each row by x.
+        let mut cells: Vec<(i64, CellId)> = nl
+            .movable_cells()
+            .map(|c| (((ys[c.index()] - design.region.yl) / row_h).round() as i64, c))
+            .collect();
+        cells.sort_by_key(|&(row, _)| row);
+        let (mut ga, mut gb) = (Incident::default(), Incident::default());
         let mut moves = 0usize;
         for _ in 0..passes {
             let before = moves;
-            // Build per-row ordered cell lists.
-            let mut rows: std::collections::BTreeMap<i64, Vec<CellId>> =
-                std::collections::BTreeMap::new();
-            for c in nl.movable_cells() {
-                let r = ((ys[c.index()] - design.region.yl) / row_h).round() as i64;
-                rows.entry(r).or_default().push(c);
-            }
-            for cells in rows.values_mut() {
-                cells.sort_by(|&a, &b| {
-                    xs[a.index()].partial_cmp(&xs[b.index()]).expect("finite")
+            for row in cells.chunk_by_mut(|a, b| a.0 == b.0) {
+                // Equal x falls back to the cell id: the order a stable sort
+                // of the id-ordered row gives.
+                row.sort_unstable_by(|a, b| {
+                    xs[a.1.index()].partial_cmp(&xs[b.1.index()]).expect("finite").then(a.1.cmp(&b.1))
                 });
                 // Median shifts.
-                for k in 0..cells.len() {
-                    let c = cells[k];
+                for k in 0..row.len() {
+                    let c = row[k].1;
                     let w = nl.class_of(c).width();
                     let lo = if k == 0 {
                         design.region.xl
                     } else {
-                        let prev = cells[k - 1];
+                        let prev = row[k - 1].1;
                         xs[prev.index()] + nl.class_of(prev).width()
                     };
-                    let hi = if k + 1 == cells.len() {
+                    let hi = if k + 1 == row.len() {
                         design.region.xh - w
                     } else {
-                        xs[cells[k + 1].index()] - w
+                        xs[row[k + 1].1.index()] - w
                     };
                     if hi < lo {
                         continue;
                     }
                     let cur = xs[c.index()];
-                    let base = self.incident_hpwl(design, xs, ys, c);
+                    self.gather(design, xs, ys, c, None, &mut ga);
                     // Candidate: snap a few positions across the gap.
-                    let mut best = (base, cur);
+                    let mut best = (ga.hpwl(cur, 0.0), cur);
                     for t in 0..5 {
                         let cand = lo + (hi - lo) * t as f64 / 4.0;
                         let cand = (cand / self.site).round() * self.site;
                         if cand < lo - 1e-9 || cand > hi + 1e-9 {
                             continue;
                         }
-                        xs[c.index()] = cand;
-                        let v = self.incident_hpwl(design, xs, ys, c);
+                        let v = ga.hpwl(cand, 0.0);
                         if v < best.0 - 1e-9 {
                             best = (v, cand);
                         }
@@ -126,26 +186,21 @@ impl DetailPlacer {
                     }
                 }
                 // Adjacent equal-width swaps.
-                for k in 0..cells.len().saturating_sub(1) {
-                    let a = cells[k];
-                    let b = cells[k + 1];
+                for k in 0..row.len().saturating_sub(1) {
+                    let (a, b) = (row[k].1, row[k + 1].1);
                     if (nl.class_of(a).width() - nl.class_of(b).width()).abs() > 1e-9 {
                         continue;
                     }
-                    let base = self.incident_hpwl(design, xs, ys, a)
-                        + self.incident_hpwl(design, xs, ys, b);
                     let (xa, xb) = (xs[a.index()], xs[b.index()]);
-                    xs[a.index()] = xb;
-                    xs[b.index()] = xa;
-                    let after = self.incident_hpwl(design, xs, ys, a)
-                        + self.incident_hpwl(design, xs, ys, b);
+                    self.gather(design, xs, ys, a, Some(b), &mut ga);
+                    self.gather(design, xs, ys, b, Some(a), &mut gb);
+                    let base = ga.hpwl(xa, xb) + gb.hpwl(xb, xa);
+                    let after = ga.hpwl(xb, xa) + gb.hpwl(xa, xb);
                     if after < base - 1e-9 {
+                        // The row list keeps its order; the next pass re-sorts.
                         moves += 1;
-                        // Keep row order consistent for later iterations.
-                        // (cells vec order no longer matches x; fix locally)
-                    } else {
-                        xs[a.index()] = xa;
-                        xs[b.index()] = xb;
+                        xs[a.index()] = xb;
+                        xs[b.index()] = xa;
                     }
                 }
             }
@@ -154,6 +209,151 @@ impl DetailPlacer {
             }
         }
         moves
+    }
+}
+
+/// The oracle: the placer as it was before the CSR / bounding-box rewrite —
+/// `Vec<Vec<u32>>` incidence, a full walk of every incident net per candidate,
+/// a `BTreeMap` of rows per pass — verbatim but for the name.
+#[cfg(test)]
+mod reference {
+    use dtp_netlist::{CellId, Design, NetId};
+
+    #[derive(Clone, Debug)]
+    pub struct ReferencePlacer {
+        nets_of_cell: Vec<Vec<u32>>,
+        site: f64,
+    }
+
+    impl ReferencePlacer {
+        pub fn new(design: &Design) -> ReferencePlacer {
+            let nl = &design.netlist;
+            let mut nets_of_cell: Vec<Vec<u32>> = vec![Vec::new(); nl.num_cells()];
+            for net in nl.net_ids() {
+                if nl.net(net).is_clock() || nl.net(net).degree() < 2 {
+                    continue;
+                }
+                for &p in nl.net(net).pins() {
+                    let c = nl.pin(p).cell().index();
+                    if !nets_of_cell[c].contains(&(net.index() as u32)) {
+                        nets_of_cell[c].push(net.index() as u32);
+                    }
+                }
+            }
+            ReferencePlacer { nets_of_cell, site: design.rows[0].site_width }
+        }
+
+        fn incident_hpwl(&self, design: &Design, xs: &[f64], ys: &[f64], cell: CellId) -> f64 {
+            let nl = &design.netlist;
+            self.nets_of_cell[cell.index()]
+                .iter()
+                .map(|&ni| {
+                    let net = nl.net(NetId::new(ni as usize));
+                    let mut xmin = f64::INFINITY;
+                    let mut xmax = f64::NEG_INFINITY;
+                    let mut ymin = f64::INFINITY;
+                    let mut ymax = f64::NEG_INFINITY;
+                    for &p in net.pins() {
+                        let pin = nl.pin(p);
+                        let off = nl.pin_spec(p).offset;
+                        let x = xs[pin.cell().index()] + off.x;
+                        let y = ys[pin.cell().index()] + off.y;
+                        xmin = xmin.min(x);
+                        xmax = xmax.max(x);
+                        ymin = ymin.min(y);
+                        ymax = ymax.max(y);
+                    }
+                    (xmax - xmin) + (ymax - ymin)
+                })
+                .sum()
+        }
+
+        pub fn refine(&self, design: &Design, xs: &mut [f64], ys: &mut [f64], passes: usize) -> usize {
+            let nl = &design.netlist;
+            let row_h = design.row_height();
+            let mut moves = 0usize;
+            for _ in 0..passes {
+                let before = moves;
+                // Build per-row ordered cell lists.
+                let mut rows: std::collections::BTreeMap<i64, Vec<CellId>> =
+                    std::collections::BTreeMap::new();
+                for c in nl.movable_cells() {
+                    let r = ((ys[c.index()] - design.region.yl) / row_h).round() as i64;
+                    rows.entry(r).or_default().push(c);
+                }
+                for cells in rows.values_mut() {
+                    cells.sort_by(|&a, &b| {
+                        xs[a.index()].partial_cmp(&xs[b.index()]).expect("finite")
+                    });
+                    // Median shifts.
+                    for k in 0..cells.len() {
+                        let c = cells[k];
+                        let w = nl.class_of(c).width();
+                        let lo = if k == 0 {
+                            design.region.xl
+                        } else {
+                            let prev = cells[k - 1];
+                            xs[prev.index()] + nl.class_of(prev).width()
+                        };
+                        let hi = if k + 1 == cells.len() {
+                            design.region.xh - w
+                        } else {
+                            xs[cells[k + 1].index()] - w
+                        };
+                        if hi < lo {
+                            continue;
+                        }
+                        let cur = xs[c.index()];
+                        let base = self.incident_hpwl(design, xs, ys, c);
+                        // Candidate: snap a few positions across the gap.
+                        let mut best = (base, cur);
+                        for t in 0..5 {
+                            let cand = lo + (hi - lo) * t as f64 / 4.0;
+                            let cand = (cand / self.site).round() * self.site;
+                            if cand < lo - 1e-9 || cand > hi + 1e-9 {
+                                continue;
+                            }
+                            xs[c.index()] = cand;
+                            let v = self.incident_hpwl(design, xs, ys, c);
+                            if v < best.0 - 1e-9 {
+                                best = (v, cand);
+                            }
+                        }
+                        xs[c.index()] = best.1;
+                        if best.1 != cur {
+                            moves += 1;
+                        }
+                    }
+                    // Adjacent equal-width swaps.
+                    for k in 0..cells.len().saturating_sub(1) {
+                        let a = cells[k];
+                        let b = cells[k + 1];
+                        if (nl.class_of(a).width() - nl.class_of(b).width()).abs() > 1e-9 {
+                            continue;
+                        }
+                        let base = self.incident_hpwl(design, xs, ys, a)
+                            + self.incident_hpwl(design, xs, ys, b);
+                        let (xa, xb) = (xs[a.index()], xs[b.index()]);
+                        xs[a.index()] = xb;
+                        xs[b.index()] = xa;
+                        let after = self.incident_hpwl(design, xs, ys, a)
+                            + self.incident_hpwl(design, xs, ys, b);
+                        if after < base - 1e-9 {
+                            moves += 1;
+                            // Keep row order consistent for later iterations.
+                            // (cells vec order no longer matches x; fix locally)
+                        } else {
+                            xs[a.index()] = xa;
+                            xs[b.index()] = xb;
+                        }
+                    }
+                }
+                if moves == before {
+                    break;
+                }
+            }
+            moves
+        }
     }
 }
 
@@ -190,5 +390,36 @@ mod tests {
         // A second run from the converged state makes (almost) no moves.
         let again = dp.refine(&d, &mut xs, &mut ys, 1);
         assert!(again <= 2, "did not converge: {again} moves");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Same moves, same positions to the bit, as the reference placer.
+        #[test]
+        fn refine_equals_reference_bit_for_bit(cells in 60usize..1200, seed in 0u64..100_000, passes in 1usize..4) {
+            let mut cfg = GeneratorConfig::named("dp-oracle", cells);
+            cfg.seed = seed;
+            let d = generate(&cfg).unwrap();
+            let (mut xs, mut ys) = d.netlist.positions();
+            Legalizer::new(&d).legalize(&d, &mut xs, &mut ys);
+            let (mut rxs, mut rys) = (xs.clone(), ys.clone());
+            let moves = DetailPlacer::new(&d).refine(&d, &mut xs, &mut ys, passes);
+            let expected = super::reference::ReferencePlacer::new(&d).refine(&d, &mut rxs, &mut rys, passes);
+            proptest::prop_assert_eq!(moves, expected);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&xs), bits(&rxs));
+            proptest::prop_assert_eq!(bits(&ys), bits(&rys));
+        }
+    }
+
+    #[test]
+    fn a_design_without_rows_is_left_alone() {
+        let mut d = generate(&GeneratorConfig::named("dp-norows", 60)).unwrap();
+        d.rows.clear();
+        let (mut xs, mut ys) = d.netlist.positions();
+        let before = xs.clone();
+        assert_eq!(DetailPlacer::new(&d).refine(&d, &mut xs, &mut ys, 3), 0);
+        assert_eq!(xs, before);
     }
 }
