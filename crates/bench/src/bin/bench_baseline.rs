@@ -5,9 +5,9 @@
 //! exactly, so every leaf is classified by its key name and judged under
 //! the matching rule:
 //!
-//! * **exact** — `schema`, `*_valid` (e.g. `flow_parity_valid`: the FFT
-//!   and dense density backends drive the flow to the same HPWL within
-//!   1 %), keys containing `allocs` (steady-state allocation counts), the
+//! * **exact** — `schema`, `*_valid` (e.g. `metrics_json_valid`: the
+//!   observer's report parses under its schema), keys containing `allocs`
+//!   (steady-state allocation counts), the
 //!   topology-table content counts `classes` / `powvs`, `transforms_*`
 //!   (2-D transforms per density evaluation) and `bytes_per_edge` (the
 //!   route map's stamp record): these are correctness claims, not

@@ -1,33 +1,23 @@
 //! Electrostatics-kernel benchmark emitting `BENCH_density.json`.
 //!
-//! Four measurements, mirroring `bench_route`'s hand-timed style:
+//! Three measurements, mirroring `bench_route`'s hand-timed style:
 //!
 //! 1. **Poisson solve**: dense reference transforms vs the radix-2 FFT
 //!    backend on 64²–512² grids (the acceptance target is ≥ 5× at 256²).
-//! 2. **Density evaluation**: allocating `evaluate` vs scratch-reusing
-//!    `evaluate_into`, with per-call heap-allocation counts from a counting
-//!    global allocator (`evaluate_into` must be zero in steady state) and
-//!    the 2-D transform count per call (must be 3: the loop never
-//!    synthesises ψ); `energy_into` is the 4-transform form gradient checks
-//!    use.
+//! 2. **Density evaluation**: `evaluate_into` on a reused scratch, with its
+//!    per-call heap-allocation count from a counting global allocator (must
+//!    be zero in steady state) and the 2-D transform count per call (must be
+//!    3: the loop never synthesises ψ); `energy_into` is the 4-transform
+//!    form gradient checks use.
 //! 3. **Dispatch overhead**: spawning scoped threads per parallel region vs
 //!    reusing the persistent worker pool. The ratio of a syscall-bound path
 //!    to a sub-microsecond one swings 2–4× between runs on one host, so it
 //!    is recorded as `spawn_over_pool` (informational to the baseline gate),
 //!    not as a `speedup`.
-//! 4. **Flow parity**: the full differentiable flow with `density_fft`
-//!    on/off. The two backends differ only in floating-point rounding, but
-//!    a few hundred Nesterov iterations amplify that: at 4000 cells the
-//!    runs end 0.02 % apart in HPWL and 6.5 % apart in TNS, one iteration
-//!    apart. The gate is final HPWL within 1 %, asserted and recorded as
-//!    `flow_parity_valid`.
 //!
 //! Usage: `cargo run --release -p dtp-bench --bin bench_density [-- cells]`
-//! (default 4000). `--smoke` runs a tiny configuration for CI (small grids,
-//! short flows).
+//! (default 4000). `--smoke` runs a tiny configuration for CI (small grids).
 
-use dtp_core::{run_flow, FlowConfig, FlowMode};
-use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_place::{DensityModel, DensityResult, DensityScratch, PoissonScratch, PoissonSolution, Spectral2D};
 use std::fmt::Write as _;
@@ -144,14 +134,11 @@ fn main() {
     }
     let _ = writeln!(json, "  }},");
 
-    // --- 2. Density evaluation: evaluate vs evaluate_into ----------------
+    // --- 2. Density evaluation on a reused scratch -----------------------
     let design = generate(&GeneratorConfig::named("bench_density", cells)).unwrap();
     let bins = if smoke { 64 } else { 128 };
     let model = DensityModel::new(&design, bins, bins, 1.0);
     let (xs, ys) = design.netlist.positions();
-    let evaluate_ns = time_ns(|| {
-        black_box(model.evaluate(&xs, &ys));
-    });
     let mut dscratch = DensityScratch::new();
     let mut dres = DensityResult::default();
     let evaluate_into_ns = time_ns(|| {
@@ -160,9 +147,6 @@ fn main() {
     });
     let energy_into_ns = time_ns(|| {
         black_box(model.energy_into(&xs, &ys, &mut dscratch));
-    });
-    let evaluate_allocs = allocs_per_call(10, || {
-        black_box(model.evaluate(&xs, &ys));
     });
     let evaluate_into_allocs = allocs_per_call(10, || {
         model.evaluate_into(&xs, &ys, &mut dscratch, &mut dres);
@@ -173,15 +157,13 @@ fn main() {
     let transforms_per_eval = dscratch.transforms() - transforms_before;
     let _ = writeln!(
         json,
-        "  \"density_eval\": {{\"bins\": {bins}, \"evaluate_ns\": {evaluate_ns:.0}, \
+        "  \"density_eval\": {{\"bins\": {bins}, \
          \"evaluate_into_ns\": {evaluate_into_ns:.0}, \"energy_into_ns\": {energy_into_ns:.0}, \
-         \"evaluate_allocs_per_call\": {evaluate_allocs:.1}, \
          \"evaluate_into_steady_state_allocs\": {evaluate_into_allocs:.1}, \
          \"transforms_per_evaluate_into\": {transforms_per_eval}}},"
     );
     println!(
-        "density {bins}²: evaluate {evaluate_ns:.0} ns ({evaluate_allocs:.0} allocs) | \
-         evaluate_into {evaluate_into_ns:.0} ns ({evaluate_into_allocs:.0} allocs, \
+        "density {bins}²: evaluate_into {evaluate_into_ns:.0} ns ({evaluate_into_allocs:.0} allocs, \
          {transforms_per_eval} transforms) | energy_into {energy_into_ns:.0} ns"
     );
     assert_eq!(
@@ -212,62 +194,13 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"dispatch\": {{\"threads\": {threads}, \"spawn_ns\": {spawn_ns:.0}, \
-         \"pool_ns\": {pool_ns:.0}, \"spawn_over_pool\": {dispatch_speedup:.1}}},"
+         \"pool_ns\": {pool_ns:.0}, \"spawn_over_pool\": {dispatch_speedup:.1}}}"
     );
     println!(
         "dispatch ({threads} lanes): scoped spawn {spawn_ns:.0} ns | persistent pool \
          {pool_ns:.0} ns ({dispatch_speedup:.1}x)"
     );
-
-    // --- 4. Flow parity: density_fft on vs off ---------------------------
-    let lib = synthetic_pdk();
-    let cfg_fft = FlowConfig {
-        max_iters: if smoke { 120 } else { 500 },
-        trace_timing_every: 0,
-        density_fft: true,
-        ..FlowConfig::default()
-    };
-    let cfg_dense = FlowConfig { density_fft: false, ..cfg_fft };
-    let with_fft = run_flow(&design, &lib, FlowMode::differentiable(), &cfg_fft).unwrap();
-    let with_dense = run_flow(&design, &lib, FlowMode::differentiable(), &cfg_dense).unwrap();
-    let hpwl_delta = (with_fft.hpwl / with_dense.hpwl - 1.0).abs();
-    let tns_delta = if with_dense.tns.abs() > 0.0 {
-        (with_fft.tns.abs() / with_dense.tns.abs() - 1.0).abs()
-    } else {
-        0.0
-    };
-    let _ = writeln!(json, "  \"flow_parity\": {{");
-    for (label, r, comma) in [("fft", &with_fft, ","), ("dense", &with_dense, ",")] {
-        let _ = writeln!(
-            json,
-            "    \"{label}\": {{\"hpwl\": {:.0}, \"wns\": {:.1}, \"tns\": {:.1}, \
-             \"iterations\": {}, \"runtime_s\": {:.2}}}{comma}",
-            r.hpwl, r.wns, r.tns, r.iterations, r.runtime
-        );
-    }
-    let parity = hpwl_delta < 0.01;
-    let _ = writeln!(
-        json,
-        "    \"hpwl_rel_delta\": {hpwl_delta:.6}, \"tns_rel_delta\": {tns_delta:.6}, \
-         \"flow_parity_valid\": {parity}"
-    );
-    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     std::fs::write("BENCH_density.json", &json).expect("write BENCH_density.json");
-
-    println!(
-        "flow parity: fft HPWL {:.0} / TNS {:.1} ({} iters, {:.1} s) vs dense HPWL {:.0} / \
-         TNS {:.1} ({} iters, {:.1} s)",
-        with_fft.hpwl,
-        with_fft.tns,
-        with_fft.iterations,
-        with_fft.runtime,
-        with_dense.hpwl,
-        with_dense.tns,
-        with_dense.iterations,
-        with_dense.runtime
-    );
-    println!("  HPWL delta {:.4}% | TNS delta {:.4}%", hpwl_delta * 100.0, tns_delta * 100.0);
     println!("wrote BENCH_density.json");
-    assert!(parity, "FFT and dense density backends ended more than 1 % apart in HPWL");
 }

@@ -125,7 +125,6 @@ fn main() {
         trace_timing_every: 0,
         bins: 128,
         detail_passes: 1,
-        observe: true,
         threads,
         ..FlowConfig::default()
     };

@@ -89,16 +89,10 @@ fn main() {
     let _ = writeln!(out, "  \"threads\": {},", rayon::current_num_threads());
     let _ = writeln!(out, "  \"max_iters\": {max_iters},");
 
-    // --- 1. Flow overhead: observe off vs on ------------------------------
+    // --- 1. Flow overhead: observer disabled vs enabled -------------------
     let design = generate(&GeneratorConfig::named("bench_obs", cells)).unwrap();
     let lib = synthetic_pdk();
-    let cfg_off = FlowConfig {
-        max_iters,
-        trace_timing_every: 10,
-        observe: false,
-        ..FlowConfig::default()
-    };
-    let cfg_on = FlowConfig { observe: true, ..cfg_off };
+    let cfg = FlowConfig { max_iters, trace_timing_every: 10, ..FlowConfig::default() };
     let rounds = if smoke { 1 } else { 3 };
     let mut off_s = f64::INFINITY;
     let mut on_s = f64::INFINITY;
@@ -108,7 +102,7 @@ fn main() {
     for _ in 0..rounds {
         let mut obs = Observer::disabled();
         let t0 = Instant::now();
-        let r = run_flow_observed(&design, &lib, FlowMode::differentiable(), &cfg_off, &mut obs)
+        let r = run_flow_observed(&design, &lib, FlowMode::differentiable(), &cfg, &mut obs)
             .unwrap();
         off_s = off_s.min(t0.elapsed().as_secs_f64());
         black_box(r.hpwl);
@@ -116,7 +110,7 @@ fn main() {
         let mut obs = Observer::new(true);
         obs.set_trace_writer(Box::new(std::io::sink()));
         let t0 = Instant::now();
-        let r = run_flow_observed(&design, &lib, FlowMode::differentiable(), &cfg_on, &mut obs)
+        let r = run_flow_observed(&design, &lib, FlowMode::differentiable(), &cfg, &mut obs)
             .unwrap();
         on_s = on_s.min(t0.elapsed().as_secs_f64());
         black_box(r.hpwl);

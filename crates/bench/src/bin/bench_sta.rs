@@ -1,7 +1,6 @@
 //! Hand-timed STA hot-path benchmark emitting `BENCH_sta.json`.
 //!
-//! Criterion is a dev-dependency (bench targets only), so this binary times
-//! with `std::time::Instant` and writes the JSON by hand. It measures the
+//! Times with `std::time::Instant` and writes the JSON by hand. It measures the
 //! three per-iteration timing costs of the placement loop — full analysis,
 //! incremental analysis at several moved-cell fractions, and the backward
 //! gradient sweep — all through the scratch-buffer (`*_into`) entry points

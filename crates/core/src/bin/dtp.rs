@@ -8,11 +8,11 @@
 //!           [--mode wirelength|net-weighting|differentiable|path-extraction]
 //!           [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F]
 //!           [--out dir] [--svg file]
-//!           [--bins N] [--no-density-fft] [--max-iters N] [--threads N]
+//!           [--bins N] [--max-iters N] [--threads N]
 //!           [--multilevel] [--cluster-ratio F] [--levels N]
 //!           [--route] [--route-grid N] [--route-capacity C] [--route-weight W]
 //!           [--inflation-max F] [--route-period N]
-//!           [--observe] [--profile] [--metrics-out file] [--trace-out file]
+//!           [--profile] [--metrics-out file] [--trace-out file]
 //!           [--log-level error|warn|info|debug]
 //! dtp proxy <sbN> [scale_denom]             print statistics of a superblue proxy
 //! dtp trace validate <trace.jsonl>          schema-checked parse of a v2 trace
@@ -35,7 +35,7 @@
 //!
 //! Observability: `--profile` prints the end-of-run phase table,
 //! `--metrics-out` writes `metrics.json`, `--trace-out` streams one JSON
-//! object per placement iteration; any of the three implies `--observe`.
+//! object per placement iteration; any of the three enables the observer.
 //! `--log-level warn` silences the informational summaries, leaving stdout
 //! machine-clean (the `FlowResult` line only).
 
@@ -154,12 +154,11 @@ fn cmd_place(args: &[String]) -> CliResult {
              [--mode wirelength|net-weighting|differentiable|path-extraction] \
              [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F] \
              [--out dir] [--svg file] \
-             [--bins N] [--no-density-fft] [--max-iters N] [--threads N] \
+             [--bins N] [--max-iters N] [--threads N] \
              [--multilevel] [--cluster-ratio F] [--levels N] \
-             [--no-rsmt-tables] [--rsmt-table-max-degree N] \
              [--route] [--route-grid N] [--route-capacity C] [--route-weight W] \
              [--inflation-max F] [--route-period N] \
-             [--observe] [--profile] [--metrics-out file] [--trace-out file] \
+             [--profile] [--metrics-out file] [--trace-out file] \
              [--log-level error|warn|info|debug]"
                 .into(),
         );
@@ -223,27 +222,15 @@ fn cmd_place(args: &[String]) -> CliResult {
                 i += 2;
             }
             "--out" => {
-                out_dir = args.get(i + 1).cloned();
+                out_dir = Some(args.get(i + 1).ok_or("option `--out` needs a directory")?.clone());
                 i += 2;
             }
             "--svg" => {
-                svg_path = args.get(i + 1).cloned();
+                svg_path = Some(args.get(i + 1).ok_or("option `--svg` needs a file path")?.clone());
                 i += 2;
             }
             "--bins" => {
                 config.bins = num(args, i)?;
-                i += 2;
-            }
-            "--no-density-fft" => {
-                config.density_fft = false;
-                i += 1;
-            }
-            "--no-rsmt-tables" => {
-                config.rsmt_tables = false;
-                i += 1;
-            }
-            "--rsmt-table-max-degree" => {
-                config.rsmt_table_max_degree = num(args, i)?;
                 i += 2;
             }
             "--route" => {
@@ -290,13 +277,8 @@ fn cmd_place(args: &[String]) -> CliResult {
                 config.threads = num(args, i)?;
                 i += 2;
             }
-            "--observe" => {
-                config.observe = true;
-                i += 1;
-            }
             "--profile" => {
                 profile = true;
-                config.observe = true;
                 i += 1;
             }
             "--metrics-out" => {
@@ -305,7 +287,6 @@ fn cmd_place(args: &[String]) -> CliResult {
                         .ok_or("option `--metrics-out` needs a file path")?
                         .clone(),
                 );
-                config.observe = true;
                 i += 2;
             }
             "--trace-out" => {
@@ -314,7 +295,6 @@ fn cmd_place(args: &[String]) -> CliResult {
                         .ok_or("option `--trace-out` needs a file path")?
                         .clone(),
                 );
-                config.observe = true;
                 i += 2;
             }
             "--log-level" => {
@@ -336,11 +316,11 @@ fn cmd_place(args: &[String]) -> CliResult {
     }
     // The FFT Poisson backend needs a power-of-two grid; round a custom
     // `--bins` up rather than silently dropping to the dense solver.
-    if config.density_fft && !config.bins.is_power_of_two() {
+    if !config.bins.is_power_of_two() {
         let rounded = config.bins.next_power_of_two();
         obs::warn!(
-            "warning: --bins {} is not a power of two; rounding up to {rounded} so the \
-             FFT density solver applies (use --no-density-fft to keep the exact grid)",
+            "warning: --bins {} is not a power of two; rounding up to {rounded}, the next \
+             grid the FFT density solver runs on",
             config.bins
         );
         config.bins = rounded;
@@ -384,7 +364,8 @@ fn cmd_place(args: &[String]) -> CliResult {
         ),
     }
     // Created before the design is read, so parsing is a span of the run.
-    let mut observer = Observer::new(config.observe);
+    let mut observer =
+        Observer::new(profile || metrics_out.is_some() || trace_out.is_some());
     let parse_start = std::time::Instant::now();
     let mut design = observer.time(Phase::Parse, || load_design(spec))?;
     let parse_mb_s = input_bytes(spec) as f64 / 1e6 / parse_start.elapsed().as_secs_f64();
@@ -410,8 +391,7 @@ fn cmd_place(args: &[String]) -> CliResult {
     );
     if r.rsmt.trees > 0 {
         obs::info!(
-            "steiner forest ({}): {}; {}",
-            if config.rsmt_tables { "topology tables" } else { "legacy" },
+            "steiner forest (topology tables): {}; {}",
             r.rsmt,
             dtp_rsmt::table_stats()
         );
@@ -643,11 +623,10 @@ fn cmd_trace_replay(args: &[String]) -> CliResult {
     // Rebuild the exact run configuration from the header. Both
     // reconstructions are strict: a trace from a different binary version
     // fails loudly here instead of replaying with silently-defaulted knobs.
-    let mut config = FlowConfig::from_trace_fields(&recorded.header.config)
+    let config = FlowConfig::from_trace_fields(&recorded.header.config)
         .map_err(|e| format!("{path}: header config: {e}"))?;
     let mode = FlowMode::from_trace(&recorded.header.mode, &recorded.header.mode_config)
         .map_err(|e| format!("{path}: header mode: {e}"))?;
-    config.observe = true; // replay must record, whatever the original run logged
     let spec = match design_override.or_else(|| recorded.header.source.clone()) {
         Some(s) => s,
         None => {

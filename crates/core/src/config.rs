@@ -10,6 +10,7 @@
 //! from it, so a knob cannot be in one of them and missing from another.
 
 use dtp_obs::json::Value;
+use dtp_sta::WireModel;
 
 /// How one kind of knob travels through the trace header's generic values.
 trait Knob: Sized {
@@ -44,11 +45,14 @@ knob_kinds! {
     bool: "a boolean", Value::Bool, Value::as_bool;
     // A string, so the full `u64` range survives the f64 number pipeline.
     u64: "a u64 string", |x: u64| Value::Str(x.to_string()), |v: &Value| v.as_str()?.parse().ok();
-    // Enums travel under their stable lowercase names.
-    WireModelChoice: "a wire model name", |x: WireModelChoice| Value::Str(x.name().into()),
-        |v: &Value| WireModelChoice::from_name(v.as_str()?);
-    LegalizerChoice: "a legalizer name", |x: LegalizerChoice| Value::Str(x.name().into()),
-        |v: &Value| LegalizerChoice::from_name(v.as_str()?);
+    // The wire model travels under its stable lowercase name.
+    WireModel: "a wire model name",
+        |x| Value::Str(match x { WireModel::Elmore => "elmore", WireModel::D2m => "d2m" }.into()),
+        |v: &Value| match v.as_str()? {
+            "elmore" => Some(WireModel::Elmore),
+            "d2m" => Some(WireModel::D2m),
+            _ => None,
+        };
 }
 
 /// Reads knob `key` out of trace-header fields.
@@ -89,7 +93,7 @@ macro_rules! config_table {
 
             /// Serializes every knob into ordered trace-header fields. A
             /// `u64` is a string so its full range survives the f64 number
-            /// pipeline; enums use their stable lowercase names.
+            /// pipeline; the wire model uses its stable lowercase name.
             $vis fn trace_fields(&self) -> Vec<(String, Value)> {
                 vec![ $( (stringify!($field).to_string(), self.$field.to_value()), )* ]
             }
@@ -138,45 +142,7 @@ config_table! {
         /// 0 disables (the paper's published behaviour).
         grad_norm_target: f64 = 0.0,
         /// Wire delay metric used by the differentiable timer.
-        wire_model: WireModelChoice = WireModelChoice::Elmore,
-    }
-}
-
-/// Serializable mirror of [`dtp_sta::WireModel`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WireModelChoice {
-    /// Elmore first-moment delay.
-    #[default]
-    Elmore,
-    /// D2M two-moment delay metric.
-    D2m,
-}
-
-impl From<WireModelChoice> for dtp_sta::WireModel {
-    fn from(w: WireModelChoice) -> Self {
-        match w {
-            WireModelChoice::Elmore => dtp_sta::WireModel::Elmore,
-            WireModelChoice::D2m => dtp_sta::WireModel::D2m,
-        }
-    }
-}
-
-impl WireModelChoice {
-    /// Stable lowercase name used in the trace header.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireModelChoice::Elmore => "elmore",
-            WireModelChoice::D2m => "d2m",
-        }
-    }
-
-    /// Inverse of [`WireModelChoice::name`].
-    pub fn from_name(name: &str) -> Option<WireModelChoice> {
-        match name {
-            "elmore" => Some(WireModelChoice::Elmore),
-            "d2m" => Some(WireModelChoice::D2m),
-            _ => None,
-        }
+        wire_model: WireModel = WireModel::Elmore,
     }
 }
 
@@ -323,18 +289,12 @@ config_table! {
         /// Stop when the density overflow drops below this ("the same stop
         /// criterion on density overflow" for all flows, §4).
         stop_overflow: f64 = 0.10,
-        /// Density bin grid (bins × bins).
+        /// Density bin grid (bins × bins). The Poisson solve runs on the
+        /// O(N log N) FFT backend when this is a power of two and on the dense
+        /// reference transforms otherwise.
         bins: usize = 64,
         /// Target bin density.
         target_density: f64 = 1.0,
-        /// Use the O(N log N) FFT-based spectral Poisson solver for the density
-        /// model. Only takes effect when `bins` is a power of two (the radix-2
-        /// transforms require it); other grids fall back to the dense reference
-        /// transforms regardless. `false` forces the dense path everywhere.
-        density_fft: bool = true,
-        /// Initial density weight λ as a fraction of the wirelength gradient
-        /// norm; 0 = auto-balance.
-        lambda_init: f64 = 0.0,
         /// Multiplicative λ growth per iteration (cell-spreading pressure).
         lambda_growth: f64 = 1.05,
         /// How often (iterations) the flow records a
@@ -350,25 +310,11 @@ config_table! {
         seed: u64 = 1,
         /// Number of detailed-placement passes after legalization.
         detail_passes: usize = 2,
-        /// Which legalization algorithm runs after global placement.
-        legalizer: LegalizerChoice = LegalizerChoice::Abacus,
         /// A net's Steiner topology is rebuilt when the accumulated worst cell
         /// drift since its last build exceeds this fraction of the net's pin
         /// bounding-box half-perimeter; until then only node coordinates are
         /// updated.
         topo_dirty_frac: f64 = 0.10,
-        /// Build the in-loop Steiner forest from the FLUTE-style topology
-        /// tables: optimal topologies at degree 4, near-optimal (clamped to
-        /// never lose to Prim) at degrees 5–9, plus the per-net sequence cache
-        /// that turns order-preserving moves into coordinate-only re-embeds.
-        /// `false` keeps the legacy exact-≤4 / Prim-≥5 constructions and leaves
-        /// the flow trajectory bit-for-bit identical to a build without the
-        /// tables.
-        rsmt_tables: bool = true,
-        /// Largest net degree served by the topology tables (clamped to 9);
-        /// nets above it use the Prim heuristic. Lowering this trades
-        /// wirelength accuracy for smaller per-class table generation cost.
-        rsmt_table_max_degree: usize = 9,
         /// Enable the routability subsystem: the differentiable congestion
         /// penalty joins the objective and the RUDY feedback loop (cell
         /// inflation + congested-net weighting) runs every
@@ -392,15 +338,6 @@ config_table! {
         /// Run the RUDY feedback (inflation + net reweighting) every this many
         /// iterations once congestion optimization is active.
         route_update_period: usize = 20,
-        /// Enable the observability subsystem (`dtp-obs`): per-phase span
-        /// accumulation, the counters/gauges registry, the iteration ring
-        /// buffer, and (when the caller attaches sinks via
-        /// [`run_flow_observed`](crate::run_flow_observed)) the JSONL trace
-        /// stream. `false` is bit-for-bit inert on the placement trajectory and
-        /// near-zero-cost: only the STA-phase clock reads that always existed
-        /// remain, so [`FlowResult::timing_runtime`](crate::FlowResult) keeps
-        /// working either way.
-        observe: bool = false,
         /// Worker threads for the parallel phases (Nesterov update, gradient
         /// sweeps, legalization bands). 0 = the ambient pool (the process-global
         /// default, or whatever [`rayon::with_pool`] scope encloses the call);
@@ -423,35 +360,6 @@ config_table! {
         /// extra level adds one coarsening pass). Ignored unless
         /// [`multilevel`](FlowConfig::multilevel) is set.
         levels: usize = 2,
-    }
-}
-
-/// Legalization algorithm selection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LegalizerChoice {
-    /// Abacus row clustering (minimum quadratic displacement; default).
-    #[default]
-    Abacus,
-    /// Greedy Tetris frontier (faster, cruder).
-    Tetris,
-}
-
-impl LegalizerChoice {
-    /// Stable lowercase name used in the trace header.
-    pub fn name(self) -> &'static str {
-        match self {
-            LegalizerChoice::Abacus => "abacus",
-            LegalizerChoice::Tetris => "tetris",
-        }
-    }
-
-    /// Inverse of [`LegalizerChoice::name`].
-    pub fn from_name(name: &str) -> Option<LegalizerChoice> {
-        match name {
-            "abacus" => Some(LegalizerChoice::Abacus),
-            "tetris" => Some(LegalizerChoice::Tetris),
-            _ => None,
-        }
     }
 }
 
@@ -492,8 +400,6 @@ mod tests {
                 Value::Num(x) => Value::Num(x + 1.0),
                 Value::Bool(b) => Value::Bool(!b),
                 Value::Str(s) => Value::Str(match s.as_str() {
-                    "abacus" => "tetris".into(),
-                    "tetris" => "abacus".into(),
                     "elmore" => "d2m".into(),
                     "d2m" => "elmore".into(),
                     seed => (seed.parse::<u64>().expect("a u64 string") + (1 << 60)).to_string(),
@@ -510,14 +416,12 @@ mod tests {
     fn config_trace_fields_round_trip() {
         let mut cfg = FlowConfig {
             seed: u64::MAX - 3, // above 2^53: exercises the string encoding
-            legalizer: LegalizerChoice::Tetris,
             multilevel: true,
             threads: 4,
             ..FlowConfig::default()
         };
         cfg.lambda_growth = 1.0375;
         let fields = cfg.trace_fields();
-        assert_eq!(fields.len(), 25);
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, FlowConfig::KEYS, "header keys follow the field table's order");
         let back = FlowConfig::from_trace_fields(&fields).expect("round trip");
@@ -533,6 +437,21 @@ mod tests {
         assert!(FlowConfig::from_trace_fields(&extra).is_err());
     }
 
+    /// The surviving knobs, in header order: a new one is a visible edit
+    /// here, and the order is part of the trace format.
+    #[test]
+    fn flow_config_keys_are_pinned() {
+        assert_eq!(
+            FlowConfig::KEYS,
+            [
+                "max_iters", "stop_overflow", "bins", "target_density", "lambda_growth",
+                "trace_timing_every", "seed", "detail_passes", "topo_dirty_frac", "route_aware",
+                "route_grid", "route_capacity", "route_weight", "inflation_max",
+                "route_update_period", "threads", "multilevel", "cluster_ratio", "levels",
+            ]
+        );
+    }
+
     #[test]
     fn mode_trace_fields_round_trip() {
         for mode in [
@@ -541,7 +460,7 @@ mod tests {
             FlowMode::differentiable(),
             FlowMode::path_extraction(),
             FlowMode::Differentiable(DiffTimingConfig {
-                wire_model: WireModelChoice::D2m,
+                wire_model: WireModel::D2m,
                 grad_norm_target: 0.25,
                 ..DiffTimingConfig::default()
             }),

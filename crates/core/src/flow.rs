@@ -36,14 +36,14 @@
 //! levels all drive one [`GradientCore`] (WA wirelength + density + Nesterov
 //! step); they differ in what they add around it.
 
-use crate::config::{DiffTimingConfig, FlowConfig, FlowMode, LegalizerChoice};
+use crate::config::{DiffTimingConfig, FlowConfig, FlowMode};
 use crate::weighting::{NetWeighter, PathWeighter};
 use dtp_liberty::Library;
 use dtp_netlist::{coarsen, ClusterMap, Design, NetId, Netlist, NetlistError};
 use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
-    AbacusLegalizer, DensityModel, DensityResult, DensityScratch, Legalizer, NesterovOptimizer,
+    AbacusLegalizer, DensityModel, DensityResult, DensityScratch, NesterovOptimizer,
     WirelengthModel, WirelengthScratch,
 };
 use dtp_route::{inflation_factors, CongestionPenalty, CongestionSummary, RudyMap};
@@ -242,11 +242,9 @@ impl fmt::Display for FlowResult {
 #[derive(Default)]
 struct LoopForest {
     /// `None` until the first consumer (timing, trace, route) asks for it.
+    /// Built on the topology tables; the reporting forest
+    /// ([`fresh_forest`]) is on the legacy constructions.
     forest: Option<SteinerForest>,
-    /// Topology-table configuration for the in-loop forest; the final
-    /// reporting forest always uses the legacy constructions so the reported
-    /// metrics stay comparable across configurations.
-    table_cfg: TableConfig,
     scratch: ForestScratch,
     /// [`FlowConfig::topo_dirty_frac`].
     topo_frac: f64,
@@ -278,15 +276,7 @@ impl LoopForest {
         // happens here, once, and not inside the first iterations.
         let mut scratch = ForestScratch::new();
         scratch.presize(nl.num_nets());
-        LoopForest {
-            table_cfg: TableConfig {
-                enabled: config.rsmt_tables,
-                max_degree: config.rsmt_table_max_degree,
-            },
-            scratch,
-            topo_frac: config.topo_dirty_frac,
-            ..LoopForest::default()
-        }
+        LoopForest { scratch, topo_frac: config.topo_dirty_frac, ..LoopForest::default() }
     }
 
     /// Topology-rebuild budget of `net`'s tree as it stands.
@@ -307,7 +297,7 @@ impl LoopForest {
             }
             None => {
                 self.forest = Some(obs.time(Phase::SteinerBuild, || {
-                    let f = build_forest_with(nl, self.table_cfg);
+                    let f = build_forest_with(nl, TableConfig::default());
                     self.seed_bookkeeping(nl, &f, xs, ys);
                     f
                 }));
@@ -452,8 +442,8 @@ impl GradientCore {
         balance_ratio: f64,
     ) -> GradientCore {
         let nl = &work.netlist;
-        let density =
-            DensityModel::with_options(work, bins, bins, config.target_density, config.density_fft);
+        // FFT Poisson backend on a power-of-two grid, dense otherwise.
+        let density = DensityModel::new(work, bins, bins, config.target_density);
         let bin_w = work.region.width() / bins as f64;
         let mut pin_count = vec![0.0f64; nl.num_cells()];
         for p in nl.pin_ids() {
@@ -478,7 +468,7 @@ impl GradientCore {
             dscratch,
             dres: DensityResult::default(),
             precond: Vec::new(),
-            lambda: config.lambda_init,
+            lambda: 0.0,
             lambda_growth,
             balance_ratio,
             overflow: 1.0,
@@ -769,7 +759,7 @@ pub fn run_flow(
     mode: FlowMode,
     config: &FlowConfig,
 ) -> Result<FlowResult, FlowError> {
-    let mut obs = Observer::new(config.observe);
+    let mut obs = Observer::disabled();
     run_flow_observed(design, lib, mode, config, &mut obs)
 }
 
@@ -777,11 +767,10 @@ pub fn run_flow(
 /// JSONL trace sink beforehand and read the phase/counter report afterwards
 /// (the `dtp` CLI's `--profile` / `--metrics-out` / `--trace-out` path).
 ///
-/// The observer should be freshly constructed per run; its enablement is
-/// honored as-is (it is *not* re-derived from [`FlowConfig::observe`]).
-/// Observability only ever reads clocks and counts events, so an enabled
-/// observer leaves the placement trajectory bit-for-bit identical to a
-/// disabled one — the `obs_golden` tests assert this.
+/// The observer should be freshly constructed per run. Observability only
+/// ever reads clocks and counts events, so an enabled observer leaves the
+/// placement trajectory bit-for-bit identical to the disabled one
+/// [`run_flow`] runs with — the `obs_golden` tests assert this.
 ///
 /// # Errors
 ///
@@ -1110,7 +1099,7 @@ fn run_flow_fine(
     let timer_config = match mode {
         FlowMode::Differentiable(d) => TimerConfig {
             gamma: d.gamma,
-            wire_model: d.wire_model.into(),
+            wire_model: d.wire_model,
             ..TimerConfig::default()
         },
         _ => TimerConfig::default(),
@@ -1349,18 +1338,9 @@ fn run_flow_fine(
     let mut lx = sx;
     let mut ly = sy;
     let sp = obs.start(Phase::Legalize);
-    match config.legalizer {
-        LegalizerChoice::Abacus => {
-            let leg = AbacusLegalizer::new(&work);
-            obs.gauge(Gauge::LegalizeBands, leg.bands() as f64);
-            leg.legalize(&work, &mut lx, &mut ly);
-        }
-        LegalizerChoice::Tetris => {
-            let leg = Legalizer::new(&work);
-            obs.gauge(Gauge::LegalizeBands, leg.bands() as f64);
-            leg.legalize(&work, &mut lx, &mut ly);
-        }
-    }
+    let leg = AbacusLegalizer::new(&work);
+    obs.gauge(Gauge::LegalizeBands, leg.bands() as f64);
+    leg.legalize(&work, &mut lx, &mut ly);
     obs.stop(Phase::Legalize, sp);
     let sp = obs.start(Phase::DetailPlace);
     DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, config.detail_passes);

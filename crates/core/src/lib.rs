@@ -50,10 +50,7 @@ mod flow;
 mod timing_detail;
 mod weighting;
 
-pub use config::{
-    DiffTimingConfig, FlowConfig, FlowMode, LegalizerChoice, NetWeightConfig, PathExtractConfig,
-    WireModelChoice,
-};
+pub use config::{DiffTimingConfig, FlowConfig, FlowMode, NetWeightConfig, PathExtractConfig};
 pub use dtp_obs::Observer;
 pub use dtp_route::CongestionSummary;
 pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, TracePoint};

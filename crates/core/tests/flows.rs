@@ -169,12 +169,12 @@ fn gradient_preconditioning_variant_runs() {
 #[test]
 fn d2m_wire_model_variant_runs() {
     // §3.4.2 generality: the full flow works with the two-moment wire model.
-    use dtp_core::{DiffTimingConfig, WireModelChoice};
+    use dtp_core::DiffTimingConfig;
     let d = design();
     let lib = synthetic_pdk();
     let cfg = fast_config();
     let mode = FlowMode::Differentiable(DiffTimingConfig {
-        wire_model: WireModelChoice::D2m,
+        wire_model: dtp_sta::WireModel::D2m,
         ..DiffTimingConfig::default()
     });
     let r = run_flow(&d, &lib, mode, &cfg).expect("flow runs");

@@ -1,9 +1,9 @@
 //! Golden tests for the observability subsystem (`dtp-obs`).
 //!
-//! The contract under test: observability is *pure telemetry*. With
-//! `observe = false` the flow must be bit-for-bit identical to an observed
-//! run; `FlowResult::timing_runtime` must equal the sum of the STA-phase
-//! spans either way; the v2 JSONL stream must emit a header record followed
+//! The contract under test: observability is *pure telemetry*. An
+//! unobserved flow must be bit-for-bit identical to an observed run;
+//! `FlowResult::timing_runtime` must equal the sum of the STA-phase spans
+//! either way; the v2 JSONL stream must emit a header record followed
 //! by one `iter` + `span` record pair per iteration; and at `--log-level
 //! warn` the CLI's stdout must contain nothing but the result line.
 
@@ -78,9 +78,8 @@ fn observe_off_is_bit_for_bit_identical_to_observe_on() {
     let lib = synthetic_pdk();
     let off = run_flow(&d, &lib, FlowMode::differentiable(), &base_config())
         .expect("unobserved flow runs");
-    let observed_cfg = FlowConfig { observe: true, ..base_config() };
     let mut obs = Observer::new(true);
-    let on = run_flow_observed(&d, &lib, FlowMode::differentiable(), &observed_cfg, &mut obs)
+    let on = run_flow_observed(&d, &lib, FlowMode::differentiable(), &base_config(), &mut obs)
         .expect("observed flow runs");
     assert_identical(&off, &on);
     // The observed run actually recorded something.
@@ -125,7 +124,7 @@ fn timing_runtime_equals_sta_span_sum() {
 fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     let d = design();
     let lib = synthetic_pdk();
-    let cfg = FlowConfig { observe: true, ..base_config() };
+    let cfg = base_config();
     let buf = Arc::new(Mutex::new(Vec::new()));
     let mut obs = Observer::new(true);
     obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
@@ -234,6 +233,20 @@ fn an_untraced_timing_flow_does_the_traced_flows_forest_and_sta_work() {
             assert_eq!(a, b, "{}: {} differs", mode.name(), c.name());
             assert!(a > 0, "{}: {} never counted", mode.name(), c.name());
         }
+    }
+}
+
+/// The Poisson backend is picked from the grid shape alone, and the pick is
+/// observable: FFT on a power-of-two grid, dense on any other, a legal
+/// placement out of both.
+#[test]
+fn the_fft_backend_gauge_follows_the_grid_shape() {
+    for (bins, fft) in [(64, 1.0), (48, 0.0)] {
+        let config = FlowConfig { max_iters: 200, bins, ..FlowConfig::default() };
+        let (obs, r) = observed(FlowMode::Wirelength, &config);
+        assert_eq!(obs.registry().gauge(dtp_obs::Gauge::FftBackend), fft, "bins = {bins}");
+        let violations = dtp_place::check_legal(&design(), &r.xs, &r.ys);
+        assert!(violations.is_empty(), "bins = {bins}: {violations:?}");
     }
 }
 
@@ -384,6 +397,56 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
         assert_eq!(out.status.code(), Some(1), "{knobs:?}: {stderr}");
         assert!(stderr.contains(flag), "{knobs:?}: error does not name the flag: {stderr}");
         assert!(!stderr.contains("panicked"), "{knobs:?} panicked: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every flag the usage string advertises is accepted, and nothing else is:
+/// the retired flags are unknown options, and `--out` / `--svg` without a
+/// value are errors rather than silently writing nothing.
+#[test]
+fn cli_accepts_exactly_the_flags_its_usage_lists() {
+    let dtp = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_dtp")).arg("place").args(args).output().expect("dtp runs")
+    };
+    let usage = String::from_utf8(dtp(&[]).stderr).expect("usage is UTF-8");
+    let (dir, prefix) = write_cli_fixture("flags");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // One `[--flag]` or `[--flag PLACEHOLDER]` group per option.
+    let mut args = vec![prefix.to_str().unwrap().to_string()];
+    let mut flags = 0;
+    for group in usage.split('[').skip(1) {
+        let group = group.split(']').next().expect("split yields a first piece");
+        let mut words = group.split_whitespace();
+        let flag = words.next().filter(|f| f.starts_with("--")).expect("a group names a flag");
+        flags += 1;
+        args.push(flag.to_string());
+        match words.next() {
+            None => {}
+            Some("N") => args.push("8".into()),
+            Some("F" | "C" | "W") => args.push("2".into()),
+            Some("dir" | "file") => args.push(file(flag.trim_start_matches('-'))),
+            Some(choice) => args.push(choice.split('|').next().unwrap_or(choice).into()),
+        }
+    }
+    assert_eq!(flags, 23, "`dtp place` flags, counted off its usage:\n{usage}");
+    let out = dtp(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+
+    let rejected: &[&[&str]] = &[
+        &["--observe"],
+        &["--no-density-fft"],
+        &["--no-rsmt-tables"],
+        &["--rsmt-table-max-degree", "4"],
+        &["--out"],
+        &["--svg"],
+    ];
+    for tail in rejected {
+        let out = dtp(&[&[prefix.to_str().unwrap(), "--max-iters", "8"], *tail].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tail:?}: {stderr}");
+        assert!(stderr.contains(tail[0]), "{tail:?}: error does not name the option: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

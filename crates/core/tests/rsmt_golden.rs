@@ -1,11 +1,9 @@
 //! Golden-equivalence tests for the topology-table Steiner backend.
 //!
-//! With `rsmt_tables = false` the table machinery must be completely inert:
-//! the flow trajectory (traced HPWL/WNS/TNS and the final placement) must be
-//! bit-for-bit identical no matter what the table knobs say. With tables on,
-//! the flow must be deterministic run-to-run (the parallel sweeps and lazily
-//! generated table classes may not introduce any nondeterminism) and must
-//! actually use the tables.
+//! The flow's loop forest is built on the topology tables: the flow must be
+//! deterministic run-to-run (the parallel sweeps and lazily generated table
+//! classes may not introduce any nondeterminism) and must actually use the
+//! tables.
 
 use dtp_core::{run_flow, FlowConfig, FlowMode, FlowResult};
 use dtp_liberty::synth::synthetic_pdk;
@@ -53,33 +51,10 @@ fn assert_identical(a: &FlowResult, b: &FlowResult) {
 }
 
 #[test]
-fn tables_disabled_is_bit_for_bit_inert() {
-    let d = design();
-    let lib = synthetic_pdk();
-    let plain_cfg = FlowConfig {
-        rsmt_tables: false,
-        ..base_config()
-    };
-    let plain = run_flow(&d, &lib, FlowMode::differentiable(), &plain_cfg).expect("flow runs");
-    // Exotic value on the degree knob: with rsmt_tables=false it may not
-    // leak into the trajectory.
-    let exotic = FlowConfig {
-        rsmt_tables: false,
-        rsmt_table_max_degree: 2,
-        ..base_config()
-    };
-    let off = run_flow(&d, &lib, FlowMode::differentiable(), &exotic).expect("flow runs");
-    assert_identical(&plain, &off);
-    assert_eq!(plain.rsmt.table, 0, "tables-off flow used table trees");
-    assert!(plain.rsmt.trees > 0, "timing flow built no forest");
-}
-
-#[test]
 fn tables_on_is_deterministic_and_used() {
     let d = design();
     let lib = synthetic_pdk();
     let cfg = base_config();
-    assert!(cfg.rsmt_tables, "tables are on by default");
     let a = run_flow(&d, &lib, FlowMode::differentiable(), &cfg).expect("flow runs");
     let b = run_flow(&d, &lib, FlowMode::differentiable(), &cfg).expect("flow runs");
     assert_identical(&a, &b);
@@ -88,27 +63,5 @@ fn tables_on_is_deterministic_and_used() {
     assert!(
         a.rsmt.seq_hits > 0,
         "placement drift produced no sequence-cache hits"
-    );
-}
-
-#[test]
-fn degree_cap_prunes_table_usage() {
-    // Capping the table degree at 4 must still run (exact degree-4 classes
-    // only), with every degree-5+ net on the Prim backend.
-    let d = design();
-    let lib = synthetic_pdk();
-    let capped = FlowConfig {
-        rsmt_table_max_degree: 4,
-        ..base_config()
-    };
-    let full = base_config();
-    let r_capped = run_flow(&d, &lib, FlowMode::differentiable(), &capped).expect("flow runs");
-    let r_full = run_flow(&d, &lib, FlowMode::differentiable(), &full).expect("flow runs");
-    assert!(r_capped.rsmt.table > 0, "degree-4 classes unused");
-    assert!(
-        r_capped.rsmt.prim >= r_full.rsmt.prim,
-        "capping the degree cannot reduce Prim usage: {} vs {}",
-        r_capped.rsmt.prim,
-        r_full.rsmt.prim
     );
 }

@@ -23,7 +23,6 @@ fn base_config() -> FlowConfig {
     FlowConfig {
         max_iters: 60,
         trace_timing_every: 10,
-        observe: true,
         ..FlowConfig::default()
     }
 }

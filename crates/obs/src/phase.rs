@@ -42,7 +42,7 @@ pub enum Phase {
     TraceSta,
     /// Preconditioned Nesterov step.
     NesterovStep,
-    /// Legalization (Abacus or Tetris).
+    /// Legalization (Abacus).
     Legalize,
     /// Detailed-placement refinement passes.
     DetailPlace,

@@ -348,19 +348,6 @@ impl DensityModel {
         scratch.cols.resize(n_cells, [0; 2]);
     }
 
-    /// Evaluates density overflow and per-cell gradients at the given
-    /// lower-left cell positions. Allocating convenience wrapper over
-    /// [`DensityModel::evaluate_into`] (bit-for-bit identical results).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the position slices are shorter than the cell count.
-    pub fn evaluate(&self, xs: &[f64], ys: &[f64]) -> DensityResult {
-        let mut out = DensityResult::default();
-        self.evaluate_into(xs, ys, &mut DensityScratch::new(), &mut out);
-        out
-    }
-
     /// Evaluates density overflow and per-cell gradients into a reused
     /// result, with every intermediate in caller-owned `scratch`: zero heap
     /// allocation once the buffers have grown to size, three 2-D transforms.
@@ -670,7 +657,8 @@ mod tests {
     fn overflow_high_when_clustered_low_when_spread() {
         let (d, model) = setup();
         let (xs, ys) = d.netlist.positions();
-        let spread = model.evaluate(&xs, &ys);
+        let mut spread = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut spread);
         // Pile every movable cell at the center.
         let c = d.region.center();
         let mut cx = xs.clone();
@@ -679,7 +667,8 @@ mod tests {
             cx[cell.index()] = c.x;
             cy[cell.index()] = c.y;
         }
-        let packed = model.evaluate(&cx, &cy);
+        let mut packed = DensityResult::default();
+        model.evaluate_into(&cx, &cy, &mut DensityScratch::new(), &mut packed);
         assert!(
             packed.overflow > spread.overflow,
             "packed {} vs spread {}",
@@ -705,7 +694,8 @@ mod tests {
         }
         let probe = movable[0];
         cx[probe.index()] = d.region.xl + 0.30 * d.region.width();
-        let res = model.evaluate(&cx, &cy);
+        let mut res = DensityResult::default();
+        model.evaluate_into(&cx, &cy, &mut DensityScratch::new(), &mut res);
         // Descending the gradient must move the probe right (away from the
         // cluster): ∂E/∂x < 0 would move it left, so expect positive-to-right
         // push, i.e. grad_x > 0 means energy decreases by moving −x... the
@@ -727,7 +717,8 @@ mod tests {
         // directional agreement (cosine similarity) tightly.
         let (d, model) = setup();
         let (mut xs, mut ys) = d.netlist.positions();
-        let res = model.evaluate(&xs, &ys);
+        let mut res = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut res);
         let h = 1e-4;
         let movable: Vec<_> = d.netlist.movable_cells().collect();
         let mut dot = 0.0;
@@ -768,12 +759,15 @@ mod tests {
         assert!((0.4..2.5).contains(&ratio), "gradient magnitude off: ratio = {ratio}");
     }
 
+    /// A scratch that has already served an evaluation gives the bits of a
+    /// fresh one (the name dates from the allocating `evaluate` twin).
     #[test]
     fn evaluate_into_is_bitwise_identical_to_evaluate() {
         let (d, model) = setup();
         assert!(model.uses_fft());
         let (xs, ys) = d.netlist.positions();
-        let fresh = model.evaluate(&xs, &ys);
+        let mut fresh = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut fresh);
         let mut scratch = DensityScratch::new();
         let mut out = DensityResult::default();
         // Run through the same scratch twice so reuse is exercised.
@@ -789,7 +783,8 @@ mod tests {
     fn inflation_replaces_and_restores_exactly() {
         let (d, mut model) = setup();
         let (xs, ys) = d.netlist.positions();
-        let base = model.evaluate(&xs, &ys);
+        let mut base = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut base);
         let base_energy = energy(&model, &xs, &ys);
 
         let n = d.netlist.num_cells();
@@ -798,7 +793,8 @@ mod tests {
             factors[c.index()] = 2.0;
         }
         model.set_inflation(&factors);
-        let inflated = model.evaluate(&xs, &ys);
+        let mut inflated = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut inflated);
         let inflated_energy = energy(&model, &xs, &ys);
         assert!(
             inflated.max_density > base.max_density,
@@ -810,12 +806,14 @@ mod tests {
         // Applying again must replace, not compound; all-ones restores the
         // original model bit-for-bit.
         model.set_inflation(&factors);
-        let again = model.evaluate(&xs, &ys);
+        let mut again = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut again);
         assert_eq!(energy(&model, &xs, &ys), inflated_energy);
         assert_eq!(again.overflow, inflated.overflow);
 
         model.set_inflation(&vec![1.0; n]);
-        let restored = model.evaluate(&xs, &ys);
+        let mut restored = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut restored);
         assert_eq!(energy(&model, &xs, &ys), base_energy);
         assert_eq!(restored.overflow, base.overflow);
         assert_eq!(restored.grad_x, base.grad_x);
@@ -831,7 +829,7 @@ mod tests {
             let factors = vec![1.0 + 0.1 * round as f64; n];
             model.set_inflation(&factors);
             let (xs, ys) = d.netlist.positions();
-            let _ = model.evaluate(&xs, &ys);
+            model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut DensityResult::default());
             assert_eq!(model.basis_token(), token, "inflation must not rebuild bases");
         }
         // A second model on the same grid shares the cached bases outright.
@@ -843,7 +841,8 @@ mod tests {
     fn fixed_cells_carry_no_charge() {
         let (d, model) = setup();
         let (xs, ys) = d.netlist.positions();
-        let res = model.evaluate(&xs, &ys);
+        let mut res = DensityResult::default();
+        model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut res);
         for c in d.netlist.cell_ids() {
             if d.netlist.cell(c).is_fixed() {
                 assert_eq!(res.grad_x[c.index()], 0.0);
@@ -987,7 +986,8 @@ mod tests {
         let mut out = DensityResult::default();
         for round in 0..3 {
             for model in &models {
-                let fresh = model.evaluate(&xs, &ys);
+                let mut fresh = DensityResult::default();
+                model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut fresh);
                 model.evaluate_into(&xs, &ys, &mut shared, &mut out);
                 assert_eq!(fresh.overflow.to_bits(), out.overflow.to_bits(), "round {round}");
                 assert_eq!(fresh.max_density.to_bits(), out.max_density.to_bits());

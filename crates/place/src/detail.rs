@@ -360,7 +360,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legalize::{check_legal, Legalizer};
+    use crate::{check_legal, AbacusLegalizer};
     use crate::wirelength::WirelengthModel;
     use dtp_netlist::generate::{generate, GeneratorConfig};
 
@@ -368,7 +368,7 @@ mod tests {
     fn refinement_reduces_hpwl_and_stays_legal() {
         let d = generate(&GeneratorConfig::named("dp", 200)).unwrap();
         let (mut xs, mut ys) = d.netlist.positions();
-        Legalizer::new(&d).legalize(&d, &mut xs, &mut ys);
+        AbacusLegalizer::new(&d).legalize(&d, &mut xs, &mut ys);
         let wl = WirelengthModel::new(&d.netlist);
         let before = wl.hpwl(&xs, &ys);
         let dp = DetailPlacer::new(&d);
@@ -384,7 +384,7 @@ mod tests {
     fn converges_to_no_moves() {
         let d = generate(&GeneratorConfig::named("dp2", 120)).unwrap();
         let (mut xs, mut ys) = d.netlist.positions();
-        Legalizer::new(&d).legalize(&d, &mut xs, &mut ys);
+        AbacusLegalizer::new(&d).legalize(&d, &mut xs, &mut ys);
         let dp = DetailPlacer::new(&d);
         dp.refine(&d, &mut xs, &mut ys, 20);
         // A second run from the converged state makes (almost) no moves.
@@ -402,7 +402,7 @@ mod tests {
             cfg.seed = seed;
             let d = generate(&cfg).unwrap();
             let (mut xs, mut ys) = d.netlist.positions();
-            Legalizer::new(&d).legalize(&d, &mut xs, &mut ys);
+            AbacusLegalizer::new(&d).legalize(&d, &mut xs, &mut ys);
             let (mut rxs, mut rys) = (xs.clone(), ys.clone());
             let moves = DetailPlacer::new(&d).refine(&d, &mut xs, &mut ys, passes);
             let expected = super::reference::ReferencePlacer::new(&d).refine(&d, &mut rxs, &mut rys, passes);

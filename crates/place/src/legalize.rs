@@ -1,220 +1,8 @@
-//! Tetris-style legalization: snap the global-placement result onto rows and
-//! sites with no overlaps, minimizing displacement greedily.
-//!
-//! At scale the row-assignment phase runs *band-parallel*: rows are split
-//! into independent bands, cells are partitioned to bands by target row, and
-//! each band assigns its cells scanning only its own rows — turning the
-//! serial O(cells × rows) scan into concurrent O(cells × band_rows) work.
-//! Cells whose band is full are deferred to a serial all-rows pass. Band
-//! count derives from the row count alone, so results are bit-for-bit
-//! identical across thread counts; designs under 64 rows use a single band
-//! (the classic serial algorithm).
+//! The legality check every legalized placement is held to: rows, sites,
+//! the core boundary and overlaps. The legalizer itself is
+//! [`AbacusLegalizer`](crate::AbacusLegalizer).
 
 use dtp_netlist::{CellId, Design};
-use rayon::prelude::*;
-
-/// Greedy row legalizer.
-///
-/// Cells are processed in increasing x; each is assigned to the row/site that
-/// minimizes `|Δx| + 2·|Δy|` among rows whose frontier still has space. Cells
-/// are assumed to be single-row-height (true for the synthetic standard-cell
-/// set); fixed cells are left untouched and are not modeled as blockages
-/// (the synthetic fixed cells are zero-area ports on the boundary).
-#[derive(Clone, Debug)]
-pub struct Legalizer {
-    row_y: Vec<f64>,
-    row_x_min: Vec<f64>,
-    row_x_max: Vec<f64>,
-    site: f64,
-    /// Rows per parallel band; 0 = auto (32 for ≥ 64 rows, else one band).
-    band_rows: usize,
-}
-
-impl Legalizer {
-    /// Builds a legalizer from the design's rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design has no rows.
-    pub fn new(design: &Design) -> Legalizer {
-        assert!(!design.rows.is_empty(), "design has no rows");
-        Legalizer {
-            row_y: design.rows.iter().map(|r| r.y).collect(),
-            row_x_min: design.rows.iter().map(|r| r.x_min).collect(),
-            row_x_max: design.rows.iter().map(|r| r.x_max).collect(),
-            site: design.rows[0].site_width,
-            band_rows: 0,
-        }
-    }
-
-    /// Overrides the parallel band height (rows per band); 0 restores the
-    /// automatic policy. The result depends only on this value and the
-    /// design, never on the thread count.
-    #[must_use]
-    pub fn with_band_rows(mut self, band_rows: usize) -> Legalizer {
-        self.band_rows = band_rows;
-        self
-    }
-
-    fn effective_band_rows(&self) -> usize {
-        if self.band_rows > 0 {
-            self.band_rows
-        } else if self.row_y.len() >= 64 {
-            32
-        } else {
-            self.row_y.len()
-        }
-    }
-
-    /// Number of row bands the legalizer will partition the core into
-    /// (1 = a single serial scan). Depends only on the band policy and the
-    /// design, never on the thread count; the flow reports it as the
-    /// `legalize_bands` gauge.
-    pub fn bands(&self) -> usize {
-        self.row_y.len().div_ceil(self.effective_band_rows().max(1)).max(1)
-    }
-
-    /// Legalizes `(xs, ys)` in place and returns the total and maximum cell
-    /// displacement `(total, max)`.
-    ///
-    /// Two phases: (1) capacity-aware row assignment — each cell (ascending
-    /// x) takes the cheapest row that still has width budget; (2) per-row
-    /// frontier packing, clamped so the row's remaining cells always fit
-    /// (the classic Tetris frontier alone can strand space to its left and
-    /// deadlock on scattered inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the movable cell width exceeds the total row capacity.
-    pub fn legalize(&self, design: &Design, xs: &mut [f64], ys: &mut [f64]) -> (f64, f64) {
-        let nl = &design.netlist;
-        let mut order: Vec<CellId> = nl.movable_cells().collect();
-        order.sort_by(|&a, &b| {
-            xs[a.index()]
-                .partial_cmp(&xs[b.index()])
-                .expect("positions are finite")
-        });
-        // Phase 1: row assignment under site-quantized width budgets,
-        // band-parallel — each band scans only its own rows; cells whose
-        // band is full fall through to the serial all-rows pass below.
-        let n_rows = self.row_y.len();
-        let row_h = design.row_height();
-        let site_width = |w: f64| (w / self.site).ceil() * self.site;
-        let band_rows = self.effective_band_rows();
-        let bands = n_rows.div_ceil(band_rows);
-        let mut band_cells: Vec<Vec<CellId>> = vec![Vec::new(); bands];
-        for &c in &order {
-            let tr = (((ys[c.index()] - self.row_y[0]) / row_h).round() as i64)
-                .clamp(0, n_rows as i64 - 1) as usize;
-            band_cells[tr / band_rows].push(c);
-        }
-        let mut remaining: Vec<f64> = (0..n_rows)
-            .map(|r| self.row_x_max[r] - self.row_x_min[r])
-            .collect();
-        let mut members: Vec<Vec<CellId>> = vec![Vec::new(); n_rows];
-        let mut deferred: Vec<Vec<CellId>> = vec![Vec::new(); bands];
-        let ys_r = &*ys;
-        remaining
-            .par_chunks_mut(band_rows)
-            .zip(members.par_chunks_mut(band_rows))
-            .zip(band_cells.par_chunks(1))
-            .zip(deferred.par_chunks_mut(1))
-            .enumerate()
-            .for_each(|(bi, (((rem, mem), bc), defer))| {
-                let defer = &mut defer[0];
-                let band_lo = bi * band_rows;
-                for &c in &bc[0] {
-                    let w = site_width(nl.class_of(c).width());
-                    let ty = ys_r[c.index()];
-                    let mut best: Option<(f64, usize)> = None;
-                    for (k, &r_rem) in rem.iter().enumerate() {
-                        if r_rem < w - 1e-9 {
-                            continue;
-                        }
-                        let r = band_lo + k;
-                        // Penalize nearly-full rows slightly so load stays
-                        // balanced.
-                        let cap0 = self.row_x_max[r] - self.row_x_min[r];
-                        let fullness = 1.0 - r_rem / cap0;
-                        let cost =
-                            (self.row_y[r] - ty).abs() + 2.0 * fullness * fullness;
-                        if best.is_none_or(|(bc, _)| cost < bc) {
-                            best = Some((cost, k));
-                        }
-                    }
-                    match best {
-                        Some((_, k)) => {
-                            rem[k] -= w;
-                            mem[k].push(c);
-                        }
-                        None => defer.push(c),
-                    }
-                }
-            });
-        // Serial reconciliation over all rows for deferred cells
-        // (deterministic band-then-x order, independent of threads).
-        for defer in &deferred {
-            for &c in defer {
-                let w = site_width(nl.class_of(c).width());
-                let ty = ys[c.index()];
-                let mut best: Option<(f64, usize)> = None;
-                for (r, &rem) in remaining.iter().enumerate() {
-                    if rem < w - 1e-9 {
-                        continue;
-                    }
-                    let cap0 = self.row_x_max[r] - self.row_x_min[r];
-                    let fullness = 1.0 - rem / cap0;
-                    let cost = (self.row_y[r] - ty).abs() + 2.0 * fullness * fullness;
-                    if best.is_none_or(|(bc, _)| cost < bc) {
-                        best = Some((cost, r));
-                    }
-                }
-                let (_, row) =
-                    best.unwrap_or_else(|| panic!("no row has capacity for cell {c:?}"));
-                remaining[row] -= w;
-                members[row].push(c);
-            }
-        }
-        // Phase 2: pack each row with a suffix-aware frontier.
-        let mut total = 0.0f64;
-        let mut max_disp = 0.0f64;
-        for (r, mems) in members.iter().enumerate() {
-            // Members arrive in global ascending x; keep that order.
-            let widths: Vec<f64> = mems
-                .iter()
-                .map(|&c| site_width(nl.class_of(c).width()))
-                .collect();
-            let mut suffix: Vec<f64> = vec![0.0; widths.len() + 1];
-            for k in (0..widths.len()).rev() {
-                suffix[k] = suffix[k + 1] + widths[k];
-            }
-            let mut frontier = self.row_x_min[r];
-            for (k, &c) in mems.iter().enumerate() {
-                let i = c.index();
-                let (tx, ty) = (xs[i], ys[i]);
-                let latest = self.row_x_max[r] - suffix[k];
-                let x = self
-                    .snap(frontier.max(tx))
-                    .min((latest / self.site + 1e-9).floor() * self.site)
-                    .max(self.snap(frontier));
-                let disp = (x - tx).abs() + (self.row_y[r] - ty).abs();
-                total += disp;
-                max_disp = max_disp.max(disp);
-                xs[i] = x;
-                ys[i] = self.row_y[r];
-                frontier = x + widths[k];
-            }
-        }
-        (total, max_disp)
-    }
-
-    #[inline]
-    fn snap(&self, x: f64) -> f64 {
-        // Tolerant ceil: accumulated float error must not push a cell one
-        // whole site to the right.
-        (x / self.site - 1e-9).ceil() * self.site
-    }
-}
 
 /// Checks whether a placement is legal: every movable cell on a row and site,
 /// inside the core, with no overlaps between movable cells. Returns the list
@@ -260,14 +48,14 @@ pub fn check_legal(design: &Design, xs: &[f64], ys: &[f64]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AbacusLegalizer;
     use dtp_netlist::generate::{generate, GeneratorConfig};
 
     #[test]
     fn legalizes_random_placement() {
         let d = generate(&GeneratorConfig::named("lg", 250)).unwrap();
         let (mut xs, mut ys) = d.netlist.positions();
-        let lg = Legalizer::new(&d);
-        let (total, max_disp) = lg.legalize(&d, &mut xs, &mut ys);
+        let (total, max_disp) = AbacusLegalizer::new(&d).legalize(&d, &mut xs, &mut ys);
         assert!(total >= 0.0 && max_disp >= 0.0);
         let violations = check_legal(&d, &xs, &ys);
         assert!(violations.is_empty(), "violations: {violations:?}");
@@ -275,15 +63,13 @@ mod tests {
 
     #[test]
     fn legal_input_moves_little() {
-        // Already-legal cells should stay close (greedy frontier may shift
-        // same-row neighbours, but displacement stays bounded by cell widths).
+        // Re-legalizing a legal placement is near-free: every cell already
+        // sits on its cheapest row and site.
         let d = generate(&GeneratorConfig::named("lg2", 100)).unwrap();
-        let lg = Legalizer::new(&d);
+        let lg = AbacusLegalizer::new(&d);
         let (mut xs, mut ys) = d.netlist.positions();
         lg.legalize(&d, &mut xs, &mut ys);
-        let (mut xs2, mut ys2) = (xs.clone(), ys.clone());
-        let (total2, _) = lg.legalize(&d, &mut xs2, &mut ys2);
-        // Re-legalizing a legal placement is near-free.
+        let (total2, _) = lg.legalize(&d, &mut xs, &mut ys);
         assert!(total2 < 1e-6, "re-legalization moved cells: {total2}");
     }
 
@@ -291,8 +77,7 @@ mod tests {
     fn detects_overlaps() {
         let d = generate(&GeneratorConfig::named("lg3", 50)).unwrap();
         let (mut xs, mut ys) = d.netlist.positions();
-        let lg = Legalizer::new(&d);
-        lg.legalize(&d, &mut xs, &mut ys);
+        AbacusLegalizer::new(&d).legalize(&d, &mut xs, &mut ys);
         // Manufacture an overlap.
         let movable: Vec<_> = d.netlist.movable_cells().collect();
         let a = movable[0].index();

@@ -10,10 +10,10 @@
 //!   stamping, spectral Poisson solve (DCT basis, in-house transforms),
 //!   per-cell field gradients, and the density-overflow stop metric.
 //! - [`NesterovOptimizer`]: Nesterov accelerated gradient with
-//!   Barzilai–Borwein step sizing and per-cell preconditioning, plus a plain
-//!   [`AdamOptimizer`] alternative.
-//! - [`Legalizer`]: Tetris-style row legalization; [`detail`]: greedy
-//!   swap-based detailed placement.
+//!   Barzilai–Borwein step sizing and per-cell preconditioning.
+//! - [`AbacusLegalizer`]: row legalization by cluster merging, with
+//!   [`check_legal`] as the legality check; [`detail`]: greedy swap-based
+//!   detailed placement.
 //!
 //! The timing-driven placement flows in `dtp-core` compose these pieces with
 //! the differentiable timer of `dtp-sta`.
@@ -33,8 +33,8 @@ mod wirelength;
 
 pub use abacus::AbacusLegalizer;
 pub use density::{DensityModel, DensityResult, DensityScratch, GRID_AXIS_BINS};
-pub use legalize::{check_legal, Legalizer};
-pub use optimizer::{AdamOptimizer, NesterovOptimizer};
+pub use legalize::check_legal;
+pub use optimizer::NesterovOptimizer;
 pub use spectral::{PoissonScratch, PoissonSolution, Spectral2D};
 pub use wirelength::{WirelengthModel, WirelengthScratch};
 

@@ -1,9 +1,8 @@
-//! First-order optimizers for the nonlinear placement problem.
+//! The first-order optimizer of the nonlinear placement problem.
 //!
 //! [`NesterovOptimizer`] is the ePlace/DREAMPlace workhorse: Nesterov's
 //! accelerated gradient with Barzilai–Borwein step estimation and a caller
-//! supplied per-cell preconditioner. [`AdamOptimizer`] is a simpler
-//! alternative used by the ablation benches.
+//! supplied per-cell preconditioner.
 
 use dtp_netlist::Design;
 use rayon::chunks::chunk_count;
@@ -280,77 +279,6 @@ fn copy_into(dst: &mut Vec<f64>, src: &[f64]) {
     dst.extend_from_slice(src);
 }
 
-/// Adam optimizer over cell positions (ablation alternative).
-#[derive(Clone, Debug)]
-pub struct AdamOptimizer {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    m_x: Vec<f64>,
-    m_y: Vec<f64>,
-    v_x: Vec<f64>,
-    v_y: Vec<f64>,
-    t: u64,
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    bounds: Bounds,
-}
-
-impl AdamOptimizer {
-    /// Creates the optimizer with learning rate `lr` (microns per step).
-    pub fn new(design: &Design, lr: f64) -> AdamOptimizer {
-        let (xs, ys) = design.netlist.positions();
-        let n = xs.len();
-        AdamOptimizer {
-            x: xs,
-            y: ys,
-            m_x: vec![0.0; n],
-            m_y: vec![0.0; n],
-            v_x: vec![0.0; n],
-            v_y: vec![0.0; n],
-            t: 0,
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            bounds: Bounds::new(design),
-        }
-    }
-
-    /// Current positions (also the gradient query point).
-    pub fn positions(&self) -> (&[f64], &[f64]) {
-        (&self.x, &self.y)
-    }
-
-    /// Applies one Adam step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths mismatch.
-    pub fn step(&mut self, gx: &[f64], gy: &[f64]) {
-        let n = self.x.len();
-        assert!(gx.len() == n && gy.len() == n);
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..n {
-            if !self.bounds.movable[i] {
-                continue;
-            }
-            self.m_x[i] = self.beta1 * self.m_x[i] + (1.0 - self.beta1) * gx[i];
-            self.m_y[i] = self.beta1 * self.m_y[i] + (1.0 - self.beta1) * gy[i];
-            self.v_x[i] = self.beta2 * self.v_x[i] + (1.0 - self.beta2) * gx[i] * gx[i];
-            self.v_y[i] = self.beta2 * self.v_y[i] + (1.0 - self.beta2) * gy[i] * gy[i];
-            let sx = self.lr * (self.m_x[i] / bc1) / ((self.v_x[i] / bc2).sqrt() + self.eps);
-            let sy = self.lr * (self.m_y[i] / bc1) / ((self.v_y[i] / bc2).sqrt() + self.eps);
-            let (x, y) = self.bounds.clamp(i, self.x[i] - sx, self.y[i] - sy);
-            self.x[i] = x;
-            self.y[i] = y;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,22 +336,6 @@ mod tests {
                 assert_eq!(ys[c.index()], y0[c.index()]);
             }
         }
-    }
-
-    #[test]
-    fn adam_descends_quadratic() {
-        let d = generate(&GeneratorConfig::named("opt2", 50)).unwrap();
-        let mut opt = AdamOptimizer::new(&d, 0.5);
-        let (xs, _) = opt.positions();
-        let (_, _, f0) = quad_grad(&d, xs);
-        for _ in 0..200 {
-            let (xs, _) = opt.positions();
-            let (gx, gy, _) = quad_grad(&d, xs);
-            opt.step(&gx, &gy);
-        }
-        let (xs, _) = opt.positions();
-        let (_, _, f1) = quad_grad(&d, xs);
-        assert!(f1 < 0.5 * f0, "adam did not descend: {f0} -> {f1}");
     }
 
     #[test]

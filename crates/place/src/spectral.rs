@@ -523,26 +523,6 @@ impl Spectral2D {
     // Poisson solve
     // ------------------------------------------------------------------
 
-    /// Solves the Poisson problem for the (mean-removed) density `rho` and
-    /// returns the field. Allocating convenience wrapper over
-    /// [`Spectral2D::solve_into`].
-    pub fn solve(&self, rho: &[f64]) -> PoissonSolution {
-        let mut sol = PoissonSolution::default();
-        self.solve_into(rho, &mut PoissonScratch::new(), &mut sol);
-        sol
-    }
-
-    /// The potential ψ (y-major) of the (mean-removed) density `rho`.
-    /// Allocating convenience wrapper over [`Spectral2D::solve_into`] +
-    /// [`Spectral2D::potential_into`].
-    pub fn potential(&self, rho: &[f64]) -> Vec<f64> {
-        let mut scratch = PoissonScratch::new();
-        self.solve_into(rho, &mut scratch, &mut PoissonSolution::default());
-        let mut psi = Vec::new();
-        self.potential_into(&mut scratch, &mut psi);
-        psi
-    }
-
     /// Fills the synthesis coefficients `c_uv = num(u, v, a_uv) / k²` (DC
     /// term zero) from the forward coefficients, element-wise in the
     /// backend's coefficient layout.
@@ -563,10 +543,11 @@ impl Spectral2D {
         c[0] = 0.0;
     }
 
-    /// Solves the Poisson problem for the field into a reused solution using
-    /// caller-owned scratch: three 2-D transforms, zero heap allocation once
-    /// the buffers have grown to size. The forward coefficients stay in
-    /// `scratch` for [`Spectral2D::potential_into`].
+    /// Solves the Poisson problem for the field of the (mean-removed)
+    /// density `rho` into a reused solution using caller-owned scratch: three
+    /// 2-D transforms, zero heap allocation once the buffers have grown to
+    /// size. The forward coefficients stay in `scratch` for
+    /// [`Spectral2D::potential_into`].
     pub fn solve_into(&self, rho: &[f64], scratch: &mut PoissonScratch, sol: &mut PoissonSolution) {
         let (m, n) = (self.m, self.n);
         self.forward(rho, scratch);
@@ -666,8 +647,14 @@ mod tests {
         for (a, b) in ca.iter().zip(&cb) {
             assert!((a - b).abs() < 1e-9, "coef {a} vs {b}");
         }
-        let (sa, sb) = (fft.solve(&grid), dense.solve(&grid));
-        for (a, b) in fft.potential(&grid).iter().zip(&dense.potential(&grid)) {
+        let (mut fa, mut fb) = (PoissonScratch::new(), PoissonScratch::new());
+        let (mut sa, mut sb) = (PoissonSolution::default(), PoissonSolution::default());
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        fft.solve_into(&grid, &mut fa, &mut sa);
+        dense.solve_into(&grid, &mut fb, &mut sb);
+        fft.potential_into(&mut fa, &mut pa);
+        dense.potential_into(&mut fb, &mut pb);
+        for (a, b) in pa.iter().zip(&pb) {
             assert!((a - b).abs() < 1e-9, "psi {a} vs {b}");
         }
         for (a, b) in sa.dpsi_dx.iter().zip(&sb.dpsi_dx) {
@@ -682,7 +669,8 @@ mod tests {
     fn solve_into_reuses_buffers_and_matches_solve() {
         let s = Spectral2D::new(16, 16, 2.0, 2.0);
         let grid: Vec<f64> = (0..256).map(|k| ((k * 13 % 23) as f64) - 11.0).collect();
-        let fresh = s.solve(&grid);
+        let (mut fresh_scratch, mut fresh) = (PoissonScratch::new(), PoissonSolution::default());
+        s.solve_into(&grid, &mut fresh_scratch, &mut fresh);
         let mut scratch = PoissonScratch::new();
         let mut sol = PoissonSolution::default();
         // Two calls through the same scratch: second must match exactly.
@@ -696,7 +684,9 @@ mod tests {
         let mut psi = Vec::new();
         s.potential_into(&mut scratch, &mut psi);
         assert_eq!(scratch.transforms(), 7);
-        assert_eq!(psi, s.potential(&grid));
+        let mut fresh_psi = Vec::new();
+        s.potential_into(&mut fresh_scratch, &mut fresh_psi);
+        assert_eq!(psi, fresh_psi);
     }
 
     #[test]
@@ -723,7 +713,10 @@ mod tests {
                 rho[i * n + j] = (w * x).cos();
             }
         }
-        let (sol, psi) = (s.solve(&rho), s.potential(&rho));
+        let mut scratch = PoissonScratch::new();
+        let (mut sol, mut psi) = (PoissonSolution::default(), Vec::new());
+        s.solve_into(&rho, &mut scratch, &mut sol);
+        s.potential_into(&mut scratch, &mut psi);
         for i in 0..m {
             let x = (i as f64 + 0.5) * w_ext / m as f64;
             for j in 0..n {
@@ -758,7 +751,10 @@ mod tests {
                 rho[i * n + j] = (wx * x).cos() * (wy * y).cos();
             }
         }
-        let (sol, psi) = (s.solve(&rho), s.potential(&rho));
+        let mut scratch = PoissonScratch::new();
+        let (mut sol, mut psi) = (PoissonSolution::default(), Vec::new());
+        s.solve_into(&rho, &mut scratch, &mut sol);
+        s.potential_into(&mut scratch, &mut psi);
         let k2 = wx * wx + wy * wy;
         for i in 0..m {
             let x = (i as f64 + 0.5) * w_ext / m as f64;
@@ -775,8 +771,10 @@ mod tests {
     #[test]
     fn dc_mode_is_ignored() {
         let s = Spectral2D::new(8, 8, 1.0, 1.0);
-        let sol = s.solve(&vec![5.0; 64]);
-        let psi = s.potential(&vec![5.0; 64]);
+        let mut scratch = PoissonScratch::new();
+        let (mut sol, mut psi) = (PoissonSolution::default(), Vec::new());
+        s.solve_into(&[5.0; 64], &mut scratch, &mut sol);
+        s.potential_into(&mut scratch, &mut psi);
         for v in psi.iter().chain(&sol.dpsi_dx).chain(&sol.dpsi_dy) {
             assert!(v.abs() < 1e-10);
         }

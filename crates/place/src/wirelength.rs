@@ -227,42 +227,13 @@ impl WirelengthModel {
         partials.iter().sum()
     }
 
-    /// Weighted-average smooth wirelength and its gradient with respect to
-    /// cell positions. Allocating convenience wrapper over
-    /// [`WirelengthModel::wa_gradient_into`] (bit-for-bit identical results).
+    /// Weighted-average smooth wirelength with its gradient with respect to
+    /// cell positions written into reused vectors; every intermediate lives
+    /// in caller-owned `scratch`, so steady-state calls perform zero heap
+    /// allocations.
     ///
     /// `gamma` is the WA smoothing parameter (same length unit as positions);
     /// `weights`, when given, scales each model net's contribution (Eq. 4).
-    ///
-    /// Returns `(wirelength, grad_x, grad_y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is provided with the wrong length.
-    pub fn wa_gradient(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        gamma: f64,
-        weights: Option<&[f64]>,
-    ) -> (f64, Vec<f64>, Vec<f64>) {
-        let mut gx = Vec::new();
-        let mut gy = Vec::new();
-        let wl = self.wa_gradient_into(
-            xs,
-            ys,
-            gamma,
-            weights,
-            &mut WirelengthScratch::new(),
-            &mut gx,
-            &mut gy,
-        );
-        (wl, gx, gy)
-    }
-
-    /// Weighted-average smooth wirelength with gradients written into reused
-    /// vectors; every intermediate lives in caller-owned `scratch`, so
-    /// steady-state calls perform zero heap allocations.
     ///
     /// Returns the (weighted) smooth wirelength.
     ///
@@ -576,10 +547,12 @@ mod tests {
         let (d, m) = model();
         let (xs, ys) = d.netlist.positions();
         let hpwl = m.hpwl(&xs, &ys);
-        let (wa_tight, _, _) = m.wa_gradient(&xs, &ys, 0.01, None);
+        let mut scratch = WirelengthScratch::new();
+        let (mut gx, mut gy) = (Vec::new(), Vec::new());
+        let wa_tight = m.wa_gradient_into(&xs, &ys, 0.01, None, &mut scratch, &mut gx, &mut gy);
         // WA underestimates HPWL slightly; at tiny gamma they coincide.
         assert!((wa_tight - hpwl).abs() < 0.01 * hpwl);
-        let (wa_loose, _, _) = m.wa_gradient(&xs, &ys, 10.0, None);
+        let wa_loose = m.wa_gradient_into(&xs, &ys, 10.0, None, &mut scratch, &mut gx, &mut gy);
         assert!((wa_loose - hpwl).abs() < 0.5 * hpwl);
     }
 
@@ -588,35 +561,46 @@ mod tests {
         let (d, m) = model();
         let (mut xs, mut ys) = d.netlist.positions();
         let gamma = 2.0;
-        let (_, gx, gy) = m.wa_gradient(&xs, &ys, gamma, None);
+        let mut scratch = WirelengthScratch::new();
+        let (mut gx, mut gy) = (Vec::new(), Vec::new());
+        m.wa_gradient_into(&xs, &ys, gamma, None, &mut scratch, &mut gx, &mut gy);
+        // The probes' own gradients land in throw-away vectors.
+        let (mut px, mut py) = (Vec::new(), Vec::new());
+        let mut value = |xs: &[f64], ys: &[f64]| {
+            m.wa_gradient_into(xs, ys, gamma, None, &mut scratch, &mut px, &mut py)
+        };
         let h = 1e-6;
         // Check several cells.
         for c in (0..xs.len()).step_by(xs.len() / 10 + 1) {
             let x0 = xs[c];
             xs[c] = x0 + h;
-            let fp = m.wa_gradient(&xs, &ys, gamma, None).0;
+            let fp = value(&xs, &ys);
             xs[c] = x0 - h;
-            let fm = m.wa_gradient(&xs, &ys, gamma, None).0;
+            let fm = value(&xs, &ys);
             xs[c] = x0;
             let num = (fp - fm) / (2.0 * h);
             assert!((gx[c] - num).abs() < 1e-5 * (1.0 + num.abs()), "cell {c}: {} vs {num}", gx[c]);
 
             let y0 = ys[c];
             ys[c] = y0 + h;
-            let fp = m.wa_gradient(&xs, &ys, gamma, None).0;
+            let fp = value(&xs, &ys);
             ys[c] = y0 - h;
-            let fm = m.wa_gradient(&xs, &ys, gamma, None).0;
+            let fm = value(&xs, &ys);
             ys[c] = y0;
             let num = (fp - fm) / (2.0 * h);
             assert!((gy[c] - num).abs() < 1e-5 * (1.0 + num.abs()));
         }
     }
 
+    /// A scratch and gradient vectors that have already served a call give
+    /// the bits of fresh ones.
     #[test]
     fn wa_gradient_into_is_bitwise_identical() {
         let (d, m) = model();
         let (xs, ys) = d.netlist.positions();
-        let (wl, gx, gy) = m.wa_gradient(&xs, &ys, 2.0, None);
+        let (mut gx, mut gy) = (Vec::new(), Vec::new());
+        let wl =
+            m.wa_gradient_into(&xs, &ys, 2.0, None, &mut WirelengthScratch::new(), &mut gx, &mut gy);
         let mut scratch = WirelengthScratch::new();
         let mut gx2 = Vec::new();
         let mut gy2 = Vec::new();
@@ -634,8 +618,10 @@ mod tests {
         let (xs, ys) = d.netlist.positions();
         let w1 = vec![1.0; m.num_nets()];
         let w2 = vec![2.0; m.num_nets()];
-        let (f1, g1x, _) = m.wa_gradient(&xs, &ys, 2.0, Some(&w1));
-        let (f2, g2x, _) = m.wa_gradient(&xs, &ys, 2.0, Some(&w2));
+        let mut scratch = WirelengthScratch::new();
+        let (mut g1x, mut g2x, mut gy) = (Vec::new(), Vec::new(), Vec::new());
+        let f1 = m.wa_gradient_into(&xs, &ys, 2.0, Some(&w1), &mut scratch, &mut g1x, &mut gy);
+        let f2 = m.wa_gradient_into(&xs, &ys, 2.0, Some(&w2), &mut scratch, &mut g2x, &mut gy);
         assert!((f2 - 2.0 * f1).abs() < 1e-9 * f1.abs());
         for (a, b) in g1x.iter().zip(&g2x) {
             assert!((b - 2.0 * a).abs() < 1e-12 + 1e-9 * a.abs());

@@ -1,8 +1,8 @@
-//! Golden equivalence tests for the allocation-free density hot path:
-//! [`DensityModel::evaluate_into`] must be bit-for-bit identical to the
-//! allocating [`DensityModel::evaluate`] across a realistic multi-iteration
-//! placement trajectory, with the scratch buffers reused throughout — and
-//! to the values the kernels produced before they were rewritten (PR 15).
+//! Golden equivalence tests for the allocation-free density hot path: a
+//! [`DensityModel::evaluate_into`] whose scratch is reused across a
+//! realistic multi-iteration placement trajectory must be bit-for-bit
+//! identical to one handed a fresh scratch every iteration — and to the
+//! values the kernels produced before they were rewritten (PR 15).
 
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_place::{DensityModel, DensityResult, DensityScratch};
@@ -15,8 +15,9 @@ fn jitter(seed: u64) -> f64 {
 
 /// Drives 50 iterations of a synthetic trajectory (cells drift toward the
 /// core center with per-iteration jitter — the same kind of motion the
-/// Nesterov loop produces) and checks that the scratch-reusing path tracks
-/// the allocating path exactly, for both spectral backends.
+/// Nesterov loop produces) and checks that the scratch reused for all 50
+/// tracks a fresh scratch every iteration exactly, for both spectral
+/// backends.
 #[test]
 fn evaluate_into_matches_evaluate_over_50_iteration_flow() {
     let d = generate(&GeneratorConfig::named("dg", 250)).unwrap();
@@ -33,7 +34,8 @@ fn evaluate_into_matches_evaluate_over_50_iteration_flow() {
                 xs[i] += 0.05 * (c.x - xs[i]) + 0.3 * jitter(iter * 1_000_003 + 2 * i as u64);
                 ys[i] += 0.05 * (c.y - ys[i]) + 0.3 * jitter(iter * 1_000_003 + 2 * i as u64 + 1);
             }
-            let fresh = model.evaluate(&xs, &ys);
+            let mut fresh = DensityResult::default();
+            model.evaluate_into(&xs, &ys, &mut DensityScratch::new(), &mut fresh);
             model.evaluate_into(&xs, &ys, &mut scratch, &mut out);
             let fresh_energy = model.energy_into(&xs, &ys, &mut DensityScratch::new());
             let energy = model.energy_into(&xs, &ys, &mut scratch);

@@ -5,14 +5,14 @@
 //! worker pool runs the exact serial schedule, which makes "parallel equals
 //! serial" the same statement as "invariant across pool widths". These
 //! properties pin that down over random designs and pools of 1/2/4/8
-//! threads, for the Nesterov + gradient pipeline and for both legalizers
+//! threads, for the Nesterov + gradient pipeline and for the legalizer
 //! (including multi-band partitions much finer than the auto policy).
 
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::Design;
 use dtp_place::{
-    check_legal, AbacusLegalizer, DensityModel, DensityResult, DensityScratch, Legalizer,
-    NesterovOptimizer, WirelengthModel, WirelengthScratch,
+    check_legal, AbacusLegalizer, DensityModel, DensityResult, DensityScratch, NesterovOptimizer,
+    WirelengthModel, WirelengthScratch,
 };
 use proptest::prelude::*;
 use rayon::{with_pool, Pool};
@@ -70,28 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn tetris_legalizer_is_pool_width_invariant(
-        cells in 150usize..600,
-        seed in 0u64..1000,
-        band_rows in 1usize..5,
-    ) {
-        let d = random_design(cells, seed);
-        let (xs0, ys0) = d.netlist.positions();
-        // Tiny bands force many parallel bands even on small designs.
-        let lg = Legalizer::new(&d).with_band_rows(band_rows);
-        let (mut bx, mut by) = (xs0.clone(), ys0.clone());
-        let base_disp = with_pool(&Pool::new(1), || lg.legalize(&d, &mut bx, &mut by));
-        prop_assert!(check_legal(&d, &bx, &by).is_empty());
-        for threads in [2usize, 4, 8] {
-            let (mut tx, mut ty) = (xs0.clone(), ys0.clone());
-            let disp = with_pool(&Pool::new(threads), || lg.legalize(&d, &mut tx, &mut ty));
-            prop_assert_eq!(base_disp, disp, "displacement differs at {} threads", threads);
-            prop_assert_eq!(&bx, &tx, "x differs at {} threads", threads);
-            prop_assert_eq!(&by, &ty, "y differs at {} threads", threads);
-        }
-    }
-
-    #[test]
     fn abacus_legalizer_is_pool_width_invariant(
         cells in 150usize..600,
         seed in 0u64..1000,
@@ -120,10 +98,6 @@ proptest! {
 fn single_row_bands_stay_legal() {
     let d = random_design(400, 99);
     for band_rows in [1usize, 2, 3] {
-        let (mut xs, mut ys) = d.netlist.positions();
-        Legalizer::new(&d).with_band_rows(band_rows).legalize(&d, &mut xs, &mut ys);
-        let v = check_legal(&d, &xs, &ys);
-        assert!(v.is_empty(), "tetris band_rows={band_rows}: {v:?}");
         let (mut xs, mut ys) = d.netlist.positions();
         AbacusLegalizer::new(&d).with_band_rows(band_rows).legalize(&d, &mut xs, &mut ys);
         let v = check_legal(&d, &xs, &ys);

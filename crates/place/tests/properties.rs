@@ -1,8 +1,11 @@
 //! Property-based tests of the placement substrate: spectral transforms,
-//! wirelength model and legalizers over random inputs.
+//! wirelength model and legalizer over random inputs.
 
 use dtp_netlist::generate::{generate, GeneratorConfig};
-use dtp_place::{check_legal, AbacusLegalizer, Legalizer, Spectral2D, WirelengthModel};
+use dtp_place::{
+    check_legal, AbacusLegalizer, PoissonScratch, PoissonSolution, Spectral2D, WirelengthModel,
+    WirelengthScratch,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,9 +54,13 @@ proptest! {
         for (a, b) in ra.iter().zip(&rb) {
             prop_assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "idct2: {a} vs {b}");
         }
-        let sa = fft.solve(&grid);
-        let sb = dense.solve(&grid);
-        let (pa, pb) = (fft.potential(&grid), dense.potential(&grid));
+        let (mut fa, mut fb) = (PoissonScratch::new(), PoissonScratch::new());
+        let (mut sa, mut sb) = (PoissonSolution::default(), PoissonSolution::default());
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        fft.solve_into(&grid, &mut fa, &mut sa);
+        dense.solve_into(&grid, &mut fb, &mut sb);
+        fft.potential_into(&mut fa, &mut pa);
+        dense.potential_into(&mut fb, &mut pb);
         for i in 0..m * n {
             prop_assert!((pa[i] - pb[i]).abs() < 1e-9 * (1.0 + pb[i].abs()));
             prop_assert!(
@@ -94,9 +101,13 @@ proptest! {
             .map(|k| (((k as u64 * 2654435761 + seed) % 1000) as f64) / 500.0 - 1.0)
             .collect();
         let scaled: Vec<f64> = rho.iter().map(|v| v * alpha).collect();
-        let a = s.solve(&rho);
-        let b = s.solve(&scaled);
-        let (pa, pb) = (s.potential(&rho), s.potential(&scaled));
+        let (mut fa, mut fb) = (PoissonScratch::new(), PoissonScratch::new());
+        let (mut a, mut b) = (PoissonSolution::default(), PoissonSolution::default());
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        s.solve_into(&rho, &mut fa, &mut a);
+        s.solve_into(&scaled, &mut fb, &mut b);
+        s.potential_into(&mut fa, &mut pa);
+        s.potential_into(&mut fb, &mut pb);
         for i in 0..m * m {
             prop_assert!((pb[i] - alpha * pa[i]).abs() < 1e-8 * (1.0 + pa[i].abs()));
             prop_assert!(
@@ -119,9 +130,13 @@ proptest! {
                 rho[(m - 1 - i) * m + j]
             })
             .collect();
-        let a = s.solve(&rho);
-        let b = s.solve(&mirrored);
-        let (pa, pb) = (s.potential(&rho), s.potential(&mirrored));
+        let (mut fa, mut fb) = (PoissonScratch::new(), PoissonScratch::new());
+        let (mut a, mut b) = (PoissonSolution::default(), PoissonSolution::default());
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        s.solve_into(&rho, &mut fa, &mut a);
+        s.solve_into(&mirrored, &mut fb, &mut b);
+        s.potential_into(&mut fa, &mut pa);
+        s.potential_into(&mut fb, &mut pb);
         for i in 0..m {
             for j in 0..m {
                 // Outputs are y-major: bin (i, j) sits at j·m + i.
@@ -145,12 +160,16 @@ proptest! {
         let m = WirelengthModel::new(&d.netlist);
         let (xs, ys) = d.netlist.positions();
         let hpwl = m.hpwl(&xs, &ys);
-        let (wa, _, _) = m.wa_gradient(&xs, &ys, gamma, None);
+        let (mut gx, mut gy) = (Vec::new(), Vec::new());
+        let wa =
+            m.wa_gradient_into(&xs, &ys, gamma, None, &mut WirelengthScratch::new(), &mut gx, &mut gy);
         // WA underestimates HPWL, and converges to it as γ → 0.
         prop_assert!(wa <= hpwl + 1e-6, "wa {wa} > hpwl {hpwl}");
         prop_assert!(wa >= hpwl - gamma * 4.0 * m.num_nets() as f64, "wa too loose");
     }
 
+    /// Both shapes of the legalizer — the classic single band and row bands
+    /// far narrower than the automatic policy picks — always end legal.
     #[test]
     fn both_legalizers_always_legal(
         cells in 60usize..300,
@@ -159,18 +178,11 @@ proptest! {
         let mut cfg = GeneratorConfig::named("pl", cells);
         cfg.seed = seed;
         let d = generate(&cfg).expect("generator succeeds");
-        for abacus in [false, true] {
+        for band_rows in [0usize, 2] {
             let (mut xs, mut ys) = d.netlist.positions();
-            if abacus {
-                AbacusLegalizer::new(&d).legalize(&d, &mut xs, &mut ys);
-            } else {
-                Legalizer::new(&d).legalize(&d, &mut xs, &mut ys);
-            }
+            AbacusLegalizer::new(&d).with_band_rows(band_rows).legalize(&d, &mut xs, &mut ys);
             let violations = check_legal(&d, &xs, &ys);
-            prop_assert!(
-                violations.is_empty(),
-                "abacus={abacus}: {violations:?}"
-            );
+            prop_assert!(violations.is_empty(), "band_rows={band_rows}: {violations:?}");
         }
     }
 }

@@ -613,7 +613,7 @@ fn rebuild_tree(
         *cache = NetCache::untabled(Backend::Exact);
         return false;
     }
-    if !cfg.enabled || n > cfg.degree_cap() {
+    if !cfg.enabled || n > MAX_TABLE_DEGREE {
         crate::mst::prim_steiner_into(&lane.pins, &mut lane.prim, &mut lane.adj, tree);
         *cache = NetCache::untabled(Backend::Prim);
         return false;

@@ -47,30 +47,23 @@ pub(crate) const MIN_TABLE_DEGREE: usize = 4;
 /// [`SteinerForest`](crate::SteinerForest).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableConfig {
-    /// Use the precomputed topology tables for degrees 4..=`max_degree`.
-    /// When `false` the forest reproduces the legacy constructions
-    /// (exact Hanan at degree ≤ 4, Prim above) bit for bit.
+    /// Use the precomputed topology tables for degrees
+    /// 4..=[`MAX_TABLE_DEGREE`]. When `false` the forest reproduces the
+    /// legacy constructions (exact Hanan at degree ≤ 4, Prim above) bit for
+    /// bit.
     pub enabled: bool,
-    /// Upper degree bound for table lookups, clamped to
-    /// [`MAX_TABLE_DEGREE`]; nets above it use the Prim heuristic.
-    pub max_degree: usize,
 }
 
 impl Default for TableConfig {
     fn default() -> Self {
-        TableConfig { enabled: true, max_degree: MAX_TABLE_DEGREE }
+        TableConfig { enabled: true }
     }
 }
 
 impl TableConfig {
     /// Configuration with the tables switched off (the legacy behaviour).
     pub fn disabled() -> TableConfig {
-        TableConfig { enabled: false, ..TableConfig::default() }
-    }
-
-    /// The effective degree ceiling for table lookups.
-    pub(crate) fn degree_cap(&self) -> usize {
-        self.max_degree.min(MAX_TABLE_DEGREE)
+        TableConfig { enabled: false }
     }
 }
 

@@ -87,8 +87,8 @@ thread_local! {
 /// those workers run inline anyway (the worker flag), so composition with
 /// the kernels' nested regions is unchanged.
 ///
-/// This is what lets `bench_scale` sweep thread counts in-process and what
-/// `FlowConfig::threads` hangs off: width-invariant kernels produce
+/// This is what lets the pool-width goldens sweep thread counts in-process
+/// and what `FlowConfig::threads` hangs off: width-invariant kernels produce
 /// bit-identical results under any override width.
 pub fn with_pool<R>(pool: &Pool, f: impl FnOnce() -> R) -> R {
     struct Restore(*const Pool);
