@@ -15,7 +15,7 @@
 //! * **percentage** (`*_pct`) — absolute tolerance of 15 points, wide
 //!   enough for scheduler noise on a sub-second flow, tight enough to
 //!   catch a real observability-overhead regression.
-//! * **time** (`*_ns`, `*_ms`, `*_s`, `*_seconds`) — the fresh value must
+//! * **time** (`*_ns`, `*_us`, `*_ms`, `*_s`, `*_seconds`) — the fresh value must
 //!   be within 10x of the baseline in either direction; machines differ,
 //!   order-of-magnitude blowups do not.
 //! * **speedup** (`speedup*`) — lower bound only: fresh >= half the
@@ -84,6 +84,7 @@ fn classify(key: &str) -> Rule {
         return Rule::PctAbs(15.0);
     }
     if key.ends_with("_ns")
+        || key.ends_with("_us")
         || key.ends_with("_ms")
         || key.ends_with("_s")
         || key.ends_with("_seconds")

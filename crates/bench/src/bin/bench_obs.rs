@@ -1,6 +1,6 @@
 //! Observability-overhead benchmark emitting `BENCH_obs.json`.
 //!
-//! Three measurements, mirroring `bench_density`'s hand-timed style:
+//! Four measurements, mirroring `bench_density`'s hand-timed style:
 //!
 //! 1. **Flow overhead**: the full differentiable flow with observability off
 //!    vs on (spans + counters + ring + a JSONL stream into a null sink).
@@ -13,6 +13,13 @@
 //! 3. **Sink validity**: the emitted `metrics.json` parses back with
 //!    `dtp_obs::json::parse`, and the v2 `iter`/`span` trace records pass
 //!    both the generic parser and the strict schema reader.
+//! 4. **Pool hand-off** (`pool`): the median time of a two-task region on a
+//!    2-thread pool, for tasks of 50 / 200 / 500 µs, entered after the
+//!    submitting thread has computed alone for 0 / 500 / 2 000 µs. Two
+//!    equal tasks on two threads take one task's time when the second
+//!    thread is there as the region starts and two when it is not; the gaps
+//!    sit below, inside and beyond the time a worker polls before it parks
+//!    (`rayon::pool::WORKER_SPIN`).
 //!
 //! Usage: `cargo run --release -p dtp-bench --bin bench_obs [-- cells]`
 //! (default 2000). `--smoke` runs a tiny configuration for CI.
@@ -23,7 +30,7 @@ use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_obs::{json, Counter, IterEvent, Phase, QorSummary};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 mod alloc_counter {
     //! Counting wrapper around the system allocator: `allocs()` reads the
@@ -70,6 +77,46 @@ fn allocs_per_call(reps: u64, mut f: impl FnMut()) -> f64 {
         f();
     }
     (alloc_counter::allocs() - before) as f64 / reps as f64
+}
+
+/// Computes (polls the clock) for `us` microseconds.
+fn busy_us(us: u64) {
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_micros(us) {
+        std::hint::spin_loop();
+    }
+}
+
+/// The `pool` section: `"task<T>": {"gap<G>_us": median µs, ...}` for every
+/// task length and gap, on a dedicated 2-thread pool.
+fn pool_section(reps: usize) -> String {
+    let pool = rayon::Pool::new(2);
+    let mut rows = Vec::new();
+    for task in [50u64, 200, 500] {
+        let mut cols = Vec::new();
+        for gap in [0u64, 500, 2000] {
+            let mut us: Vec<f64> = rayon::with_pool(&pool, || {
+                (0..reps)
+                    .map(|_| {
+                        busy_us(gap);
+                        let t0 = Instant::now();
+                        rayon::join(|| busy_us(task), || busy_us(task));
+                        t0.elapsed().as_secs_f64() * 1e6
+                    })
+                    .collect()
+            });
+            us.sort_by(f64::total_cmp);
+            let median = us[reps / 2];
+            println!("pool: 2 x {task} us after a {gap} us gap: median {median:.0} us (n {reps})");
+            cols.push(format!("\"gap{gap}_us\": {median:.1}"));
+        }
+        rows.push(format!("\"task{task}\": {{{}}}", cols.join(", ")));
+    }
+    format!(
+        "{{\"threads\": {}, \"reps\": {reps}, \"two_task_region\": {{{}}}}}",
+        pool.num_threads(),
+        rows.join(", ")
+    )
 }
 
 fn main() {
@@ -219,7 +266,10 @@ fn main() {
         dtp_obs::trace::parse_record(line).expect("v2 record passes the strict reader");
     }
     let _ = writeln!(out, "  \"metrics_json_valid\": true,");
-    let _ = writeln!(out, "  \"sta_seconds\": {sta_s:.4}");
+    let _ = writeln!(out, "  \"sta_seconds\": {sta_s:.4},");
+
+    // --- 4. Pool hand-off: two-task regions after a serial gap ------------
+    let _ = writeln!(out, "  \"pool\": {}", pool_section(if smoke { 50 } else { 200 }));
     let _ = writeln!(out, "}}");
     println!("sinks: metrics.json and JSONL events parse back (sta {sta_s:.3} s)");
 

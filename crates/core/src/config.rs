@@ -341,7 +341,8 @@ config_table! {
         /// Worker threads for the parallel phases (Nesterov update, gradient
         /// sweeps, legalization bands). 0 = the ambient pool (the process-global
         /// default, or whatever [`rayon::with_pool`] scope encloses the call);
-        /// any other value runs the flow on a dedicated pool of that width.
+        /// any other value up to 256 runs the flow on a dedicated pool of that
+        /// width (above that the flow returns `FlowError::Config`).
         /// Every parallel kernel reduces in fixed chunk order, so the placement
         /// trajectory is bit-for-bit identical for every value of this knob.
         threads: usize = 0,

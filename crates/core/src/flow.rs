@@ -103,6 +103,12 @@ const COLD_BALANCE_RATIO: f64 = 0.1;
 /// wirelength-dominant phase the cold schedule gets for free.
 const WARM_BALANCE_RATIO: f64 = 0.05;
 
+/// Widest pool a flow asks for (`FlowConfig::threads`). No level of the loop
+/// has that many tasks to hand out (a 1M-cell design is 245 chunks of
+/// [`MERGE_CHUNK`] cells), and a width beyond it is a typo that would
+/// otherwise spend seconds spawning threads the system then refuses.
+const MAX_THREADS: usize = 256;
+
 /// Adds `scale * add` into `acc` elementwise over the persistent pool.
 fn axpy_into(acc: &mut [f64], add: &[f64], scale: f64) {
     acc.par_chunks_mut(MERGE_CHUNK)
@@ -775,7 +781,8 @@ pub fn run_flow(
 /// # Errors
 ///
 /// Returns [`FlowError::Sta`] if the netlist cannot be bound to the library
-/// or contains combinational cycles.
+/// or contains combinational cycles, and [`FlowError::Config`] for a
+/// configuration no flow can run (the message names the field and its flag).
 pub fn run_flow_observed(
     design: &Design,
     lib: &Library,
@@ -783,6 +790,12 @@ pub fn run_flow_observed(
     config: &FlowConfig,
     obs: &mut Observer,
 ) -> Result<FlowResult, FlowError> {
+    if config.threads > MAX_THREADS {
+        return Err(FlowError::Config(format!(
+            "threads (--threads) = {}: a flow runs on at most {MAX_THREADS} threads",
+            config.threads
+        )));
+    }
     if config.threads > 0 {
         // Dedicated pool of the requested width for the whole flow —
         // every parallel kernel below dispatches through it. The workers
@@ -1079,6 +1092,9 @@ fn run_flow_fine(
     // `timing_runtime` is reported as the STA-span delta across this run,
     // so a reused observer does not double-count an earlier run's time.
     let sta_seconds_at_entry = obs.sta_seconds();
+    // Likewise the pool gauges: a pool outlives a flow (the ambient one lives
+    // as long as the process), so this run's traffic is a delta.
+    let pool_at_entry = rayon::pool_stats();
     let sp = obs.start(Phase::Setup);
     let mut work = design.clone();
 
@@ -1188,18 +1204,18 @@ fn run_flow_fine(
             let rebuild = rs.iters_active == 0;
             let RouteState { map, penalty, pgx, pgy, .. } = rs;
             let nl = &work.netlist;
-            let mut map_step = || {
-                if rebuild {
-                    map.build(nl, f);
-                } else {
-                    map.update_nets(f, &loop_forest.geo_nets);
-                    map.update_nets(f, &loop_forest.topo_nets);
-                    map.sync_cells(nl);
-                }
-            };
-            let mut penalty_step = || penalty.gradient(nl, f, pgx, pgy);
-            let mut steps: [&mut (dyn FnMut() + Send); 2] = [&mut map_step, &mut penalty_step];
-            steps.par_chunks_mut(1).for_each(|step| (step[0])());
+            rayon::join(
+                || {
+                    if rebuild {
+                        map.build(nl, f);
+                    } else {
+                        map.update_nets(f, &loop_forest.geo_nets);
+                        map.update_nets(f, &loop_forest.topo_nets);
+                        map.sync_cells(nl);
+                    }
+                },
+                || penalty.gradient(nl, f, pgx, pgy),
+            );
             obs.add(if rebuild { Counter::RudyBuilds } else { Counter::RudyIncUpdates }, 1);
             obs.stop(Phase::RudyUpdate, sp);
         }
@@ -1383,8 +1399,12 @@ fn run_flow_fine(
     let tables = dtp_rsmt::table_stats();
     obs.gauge(Gauge::RsmtClassesGenerated, tables.classes_generated as f64);
     obs.gauge(Gauge::RsmtClassGenMs, tables.gen_ns as f64 / 1e6);
-    obs.gauge(Gauge::PoolDispatches, rayon::dispatch_count() as f64);
-    obs.gauge(Gauge::PoolInlineRegions, rayon::inline_count() as f64);
+    let pool = rayon::pool_stats().since(pool_at_entry);
+    obs.gauge(Gauge::PoolDispatches, pool.dispatches as f64);
+    obs.gauge(Gauge::PoolInlineRegions, pool.inline_regions as f64);
+    obs.gauge(Gauge::PoolHotHandoffs, pool.hot_handoffs() as f64);
+    obs.gauge(Gauge::PoolWakes, pool.wakes as f64);
+    obs.gauge(Gauge::PoolSpinMs, pool.spin_ns as f64 / 1e6);
     obs.gauge(Gauge::PoolThreads, rayon::current_num_threads() as f64);
     obs.flush();
     let timing_runtime = obs.sta_seconds() - sta_seconds_at_entry;

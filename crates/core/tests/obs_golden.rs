@@ -272,7 +272,7 @@ fn counters_are_exactly_the_eleven_survivors() {
 }
 
 #[test]
-fn gauges_are_exactly_these_sixteen_and_the_netlist_stays_under_160_bytes_a_cell() {
+fn gauges_are_exactly_these_nineteen_and_the_netlist_stays_under_160_bytes_a_cell() {
     let names: Vec<&str> = dtp_obs::Gauge::ALL.iter().map(|g| g.name()).collect();
     assert_eq!(
         names,
@@ -288,6 +288,9 @@ fn gauges_are_exactly_these_sixteen_and_the_netlist_stays_under_160_bytes_a_cell
             "rsmt_class_gen_ms",
             "pool_dispatches",
             "pool_inline_regions",
+            "pool_hot_handoffs",
+            "pool_wakes",
+            "pool_spin_ms",
             "pool_threads",
             "legalize_bands",
             "rudy_stamps",
@@ -305,6 +308,33 @@ fn gauges_are_exactly_these_sixteen_and_the_netlist_stays_under_160_bytes_a_cell
     assert!(per_cell > 0.0 && per_cell <= 160.0, "{per_cell} netlist bytes per cell");
     // `parse_mb_s` belongs to the CLI's parse phase; an in-memory design has none.
     assert_eq!(obs.registry().gauge(dtp_obs::Gauge::ParseMbS), 0.0);
+}
+
+/// The pool gauges are this run's traffic, not the pool's lifetime totals:
+/// the second of two identical flows on one pool reports what the first did.
+#[test]
+fn pool_gauges_are_per_run_deltas_not_pool_totals() {
+    use dtp_obs::Gauge;
+    // Big enough that the net-chunked WA sweep has more than one task.
+    let d = generate(&GeneratorConfig::named("obs-pool", 3000)).expect("generator succeeds");
+    let lib = synthetic_pdk();
+    // `threads: 0`: both flows run on the pool of the enclosing scope.
+    let config = FlowConfig { max_iters: 30, ..FlowConfig::default() };
+    let pool = rayon::Pool::new(2);
+    let run = || {
+        let mut obs = Observer::new(true);
+        run_flow_observed(&d, &lib, FlowMode::Wirelength, &config, &mut obs).expect("flow runs");
+        let g = |gauge| obs.registry().gauge(gauge);
+        assert_eq!(g(Gauge::PoolHotHandoffs) + g(Gauge::PoolWakes), g(Gauge::PoolDispatches));
+        assert!(g(Gauge::PoolSpinMs) >= 0.0);
+        (g(Gauge::PoolDispatches), g(Gauge::PoolInlineRegions))
+    };
+    let (first, second) = rayon::with_pool(&pool, || (run(), run()));
+    assert!(first.0 > 0.0 && first.1 > 0.0, "the flow dispatched nothing: {first:?}");
+    assert_eq!(second, first);
+    let total = pool.stats();
+    assert_eq!(total.dispatches as f64, 2.0 * first.0);
+    assert_eq!(total.inline_regions as f64, 2.0 * first.1);
 }
 
 /// Generates a design on disk and returns (dir, bookshelf prefix path).
@@ -385,6 +415,10 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
         &["--route", "--route-period", "0"],
         &["--route", "--route-weight", "-1"],
         &["--route", "--route-weight", "nan"],
+        // Not a route knob, same contract: this one aborted (`failed to
+        // spawn thread`) after three seconds of `clone`.
+        &["--threads", "257"],
+        &["--threads", "200000"],
     ];
     for knobs in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dtp"))

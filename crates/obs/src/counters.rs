@@ -109,11 +109,21 @@ pub enum Gauge {
     /// Milliseconds spent generating them, summed over threads (wall-clock:
     /// not deterministic, which is why it is a gauge and never in the trace).
     RsmtClassGenMs,
-    /// Parallel regions dispatched to the worker pool (process-wide).
+    /// Parallel regions this run dispatched to the worker pool.
     PoolDispatches,
-    /// Parallel regions that ran inline on the calling thread instead
-    /// (process-wide): single-task regions, nested regions, 1-thread pools.
+    /// Parallel regions of this run that ran inline on the calling thread
+    /// instead: single-task regions, nested regions, 1-thread pools.
     PoolInlineRegions,
+    /// Dispatched regions published without a mutex or system call (every
+    /// worker was running or polling).
+    PoolHotHandoffs,
+    /// Dispatched regions that had to wake a parked worker
+    /// (`pool_hot_handoffs + pool_wakes = pool_dispatches`).
+    PoolWakes,
+    /// Milliseconds the pool's threads spent polling for work or for
+    /// completion: what the hot hand-offs cost in CPU time. Wall-clock
+    /// dependent like the two before it, hence gauges and never in the trace.
+    PoolSpinMs,
     /// Worker-pool width (threads participating in a parallel region).
     PoolThreads,
     /// Row bands the legalizer partitioned the core into (1 = serial scan).
@@ -132,7 +142,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 19;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -147,6 +157,9 @@ impl Gauge {
         Gauge::RsmtClassGenMs,
         Gauge::PoolDispatches,
         Gauge::PoolInlineRegions,
+        Gauge::PoolHotHandoffs,
+        Gauge::PoolWakes,
+        Gauge::PoolSpinMs,
         Gauge::PoolThreads,
         Gauge::LegalizeBands,
         Gauge::RudyStamps,
@@ -174,6 +187,9 @@ impl Gauge {
             Gauge::RsmtClassGenMs => "rsmt_class_gen_ms",
             Gauge::PoolDispatches => "pool_dispatches",
             Gauge::PoolInlineRegions => "pool_inline_regions",
+            Gauge::PoolHotHandoffs => "pool_hot_handoffs",
+            Gauge::PoolWakes => "pool_wakes",
+            Gauge::PoolSpinMs => "pool_spin_ms",
             Gauge::PoolThreads => "pool_threads",
             Gauge::LegalizeBands => "legalize_bands",
             Gauge::RudyStamps => "rudy_stamps",

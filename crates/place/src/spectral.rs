@@ -67,7 +67,8 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 /// Work per pool task, in element-operations: a row of an FFT sweep counts
 /// its length, a row of a dense product its length times the axis it sums
 /// over. 16 Ki is a few tens of microseconds — an order of magnitude above
-/// the pool's ≈ 1–2 µs dispatch round trip.
+/// the pool's ≈ 1–2 µs dispatch round trip (2 Ki, which splits a 64 × 64
+/// sweep in two, makes the density phase 1.10–1.16× slower: PR 24).
 pub(crate) const TASK_WORK: usize = 16 * 1024;
 
 /// Rows per pool task for a sweep whose rows cost `row_work` each.

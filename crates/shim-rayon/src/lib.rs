@@ -1,15 +1,21 @@
 //! Offline stand-in for the subset of the [`rayon`](https://docs.rs/rayon)
 //! API this workspace uses: `par_iter` / `par_iter_mut` on slices,
 //! `into_par_iter` on `Vec<T>` and `Range<usize>`, borrowing `par_chunks` /
-//! `par_chunks_mut`, and the adapters `map`, `filter`, `filter_map`,
-//! `flat_map_iter`, `for_each`, `sum`, `collect`, `collect_into_vec`.
+//! `par_chunks_mut`, the adapters `map`, `filter`, `filter_map`,
+//! `flat_map_iter`, `for_each`, `sum`, `collect`, `collect_into_vec`, and
+//! [`join`] for a region of two different tasks.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! real data parallelism on `std` only. All adapters dispatch onto one
-//! lazily-initialized persistent worker [`pool`] (condvar job slot, dynamic
-//! index claiming, panic propagation) instead of spawning OS threads per
-//! call — a parallel region costs a couple of atomics and a condvar signal,
-//! not a `clone(2)` per core. Three adapter families sit on top:
+//! real data parallelism on `std` only. Everything dispatches onto one
+//! lazily-initialized persistent worker [`pool`] (dynamic index claiming,
+//! panic propagation, no allocation per region). Its hand-off is lock-free:
+//! a region is published with two atomic stores, a worker that has just
+//! finished a region polls for the next one for a bounded time before it
+//! parks, and the mutex + condvar are only the parking path — so a region
+//! that follows the previous one within [`pool::WORKER_SPIN`] costs no
+//! system call and finds its second thread already there. A pool wider than
+//! the CPUs it may run on never polls (see the module docs of [`pool`]).
+//! Three adapter families sit on top:
 //!
 //! * **Eager `ParIter`** — materializes items, splits them into per-thread
 //!   chunks, re-joins in input order. Source-compatible with the original
@@ -28,7 +34,11 @@
 //! [`with_pool`] installs a scoped per-thread pool override: every adapter
 //! invoked inside the closure dispatches to the given pool instead of the
 //! global one, which is how the flow's `threads` knob and the in-process
-//! thread-scaling sweeps work.
+//! thread-scaling sweeps work. [`pool_stats`] reads that pool's counters.
+//!
+//! `unsafe` is confined to [`pool`] (the hand-off of a stack-allocated job
+//! record), [`chunks`] (carving disjoint `&mut` sub-slices) and the private
+//! `range_fill` (writes into spare capacity); the crate root denies it.
 
 #![deny(unsafe_code)]
 
@@ -36,7 +46,7 @@ pub mod chunks;
 pub mod pool;
 
 pub use chunks::{ParChunkExt, ParallelSlice, ParallelSliceMut};
-pub use pool::{current_num_threads, dispatch_count, inline_count, with_pool, Pool};
+pub use pool::{current_num_threads, pool_stats, with_pool, Pool, PoolStats};
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -85,6 +95,35 @@ where
         out.extend(slot.into_inner().unwrap());
     }
     out
+}
+
+/// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
+/// results (rayon's `join`): a two-index region on the current pool, so one
+/// closure runs on the caller and the other on whichever thread gets to it
+/// first. Inside a pool job (or on a one-thread pool) both run on the
+/// caller, `oper_a` first. A panic in either closure is resumed on the
+/// caller once both have finished.
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    /// One side of the join: the closure until it is taken, then its result.
+    type Side<F, R> = Mutex<(Option<F>, Option<R>)>;
+    const HELD: &str = "the slot is never held across the closure call";
+    fn run_side<F: FnOnce() -> R, R>(side: &Side<F, R>) {
+        let f = side.lock().expect(HELD).0.take().expect("the pool hands out each index once");
+        let r = f();
+        side.lock().expect(HELD).1 = Some(r);
+    }
+    fn result<F, R>(side: Side<F, R>) -> R {
+        side.into_inner().expect(HELD).1.expect("the region returned, so both indices ran")
+    }
+    let (a, b) = (Mutex::new((Some(oper_a), None)), Mutex::new((Some(oper_b), None)));
+    pool::with_current(|p| p.run(2, |i| if i == 0 { run_side(&a) } else { run_side(&b) }));
+    (result(a), result(b))
 }
 
 /// An eager "parallel iterator": the materialized items plus adapter methods
@@ -475,5 +514,86 @@ mod tests {
             .map(|_| (0..4000).into_par_iter().map(|i| i).sum::<usize>())
             .collect();
         assert!(totals.iter().all(|&t| t == 3999 * 4000 / 2));
+    }
+
+    #[test]
+    fn join_runs_both_closures_exactly_once_and_returns_both_results() {
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+        let (runs_a, runs_b) = (AtomicU32::new(0), AtomicU32::new(0));
+        // Width 2 hands the second closure to the worker, width 1 runs both
+        // on the caller: same results either way.
+        for width in [1, 2, 4] {
+            let pool = crate::Pool::new(width);
+            crate::with_pool(&pool, || {
+                for round in 0..2_000u64 {
+                    let mut owned = vec![round; 3];
+                    let (a, b) = crate::join(
+                        || {
+                            runs_a.fetch_add(1, Relaxed);
+                            owned.push(1); // FnOnce + &mut capture, as the route region's steps
+                            owned.len()
+                        },
+                        || {
+                            runs_b.fetch_add(1, Relaxed);
+                            round * 2
+                        },
+                    );
+                    assert_eq!((a, b), (4, round * 2));
+                }
+            });
+            let stats = pool.stats();
+            assert_eq!(stats.dispatches + stats.inline_regions, 2_000);
+            assert_eq!(stats.dispatches, if width == 1 { 0 } else { 2_000 });
+        }
+        assert_eq!((runs_a.load(Relaxed), runs_b.load(Relaxed)), (6_000, 6_000));
+    }
+
+    #[test]
+    fn join_nested_inside_a_region_runs_inline() {
+        let pool = crate::Pool::new(2);
+        let mut sums = vec![0usize; 64];
+        crate::with_pool(&pool, || {
+            sums.par_chunks_mut(1).enumerate().for_each(|(i, out)| {
+                // On a worker the pool is busy; on the submitter the thread's
+                // override still points at it and its slot is taken. Either
+                // way the join runs on the thread that called it.
+                let caller = std::thread::current().id();
+                let (a, b) = crate::with_pool(&pool, || {
+                    crate::join(
+                        || (std::thread::current().id(), i),
+                        || (std::thread::current().id(), i * i),
+                    )
+                });
+                assert_eq!((a.0, b.0), (caller, caller));
+                out[0] = a.1 + b.1;
+            });
+        });
+        assert!(sums.iter().enumerate().all(|(i, &s)| s == i + i * i));
+        let stats = pool.stats();
+        assert_eq!((stats.dispatches, stats.inline_regions), (1, 64));
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let pool = crate::Pool::new(2);
+        crate::with_pool(&pool, || {
+            for side in 0..2 {
+                let other_ran = AtomicBool::new(false);
+                let work = |me: usize| {
+                    if me == side {
+                        panic!("side {me}");
+                    }
+                    other_ran.store(true, SeqCst);
+                };
+                let caught = catch_unwind(AssertUnwindSafe(|| crate::join(|| work(0), || work(1))));
+                let payload = caught.expect_err("the panic must reach the caller");
+                assert_eq!(payload.downcast_ref::<String>(), Some(&format!("side {side}")));
+                assert!(other_ran.load(SeqCst), "the other side still runs");
+            }
+            // The pool is usable afterwards.
+            assert_eq!(crate::join(|| 1, || 2), (1, 2));
+        });
     }
 }

@@ -108,8 +108,10 @@ impl Default for TimerConfig {
 pub const MAX_INLINE_ARCS: usize = 16;
 
 /// Pins per level-sweep task. A level of at most this many pins is one task
-/// and runs inline, writing arrival times in place; a condvar dispatch costs
-/// more than evaluating a few hundred pins.
+/// and runs inline, writing arrival times in place: handing ≈ 10 µs tasks to
+/// a second thread costs more than it saves even when that thread is polling
+/// (re-measured in PR 24: 64 is 1.07–1.09× slower end to end, 512 wins the
+/// phase on the ≤ 10k-pin designs only).
 const LEVEL_GRAIN: usize = 256;
 
 /// Nets per Elmore task (forward and backward).
