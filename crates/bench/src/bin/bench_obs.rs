@@ -11,7 +11,7 @@
 //!    event) must allocate nothing, measured with a counting global
 //!    allocator.
 //! 3. **Sink validity**: the emitted `metrics.json` parses back with
-//!    `dtp_obs::json::parse`, and the v2 `iter`/`span` trace records pass
+//!    `dtp_obs::json::parse`, and the v3 `iter`/`span` trace records pass
 //!    both the generic parser and the strict schema reader.
 //! 4. **Pool hand-off** (`pool`): the median time of a two-task region on a
 //!    2-thread pool, for tasks of 50 / 200 / 500 µs, entered after the
@@ -204,7 +204,6 @@ fn main() {
         obs.add(Counter::StaFull, 1);
         obs.iter_end(IterEvent {
             iter,
-            level: 0,
             wl: 1234.5,
             hpwl: f64::NAN,
             overflow: 0.42,
@@ -248,7 +247,6 @@ fn main() {
     let mut event = Vec::new();
     let ev = IterEvent {
         iter: 7,
-        level: 0,
         wl: 1.0,
         hpwl: f64::NAN,
         overflow: 0.5,
@@ -259,11 +257,11 @@ fn main() {
         timing: true,
     };
     dtp_obs::write_iter_record(&mut event, &ev, &[1; Counter::COUNT]).unwrap();
-    dtp_obs::write_span_record(&mut event, 7, 0, &[1; Phase::COUNT]).unwrap();
+    dtp_obs::write_span_record(&mut event, 7, &[1; Phase::COUNT]).unwrap();
     let event_text = String::from_utf8(event).unwrap();
     for line in event_text.lines() {
-        json::parse(line).expect("v2 JSONL record must parse");
-        dtp_obs::trace::parse_record(line).expect("v2 record passes the strict reader");
+        json::parse(line).expect("v3 JSONL record must parse");
+        dtp_obs::trace::parse_record(line).expect("v3 record passes the strict reader");
     }
     let _ = writeln!(out, "  \"metrics_json_valid\": true,");
     let _ = writeln!(out, "  \"sta_seconds\": {sta_s:.4},");

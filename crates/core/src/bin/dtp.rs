@@ -9,19 +9,18 @@
 //!           [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F]
 //!           [--out dir] [--svg file]
 //!           [--bins N] [--max-iters N] [--threads N]
-//!           [--multilevel] [--cluster-ratio F] [--levels N]
 //!           [--route] [--route-grid N] [--route-capacity C] [--route-weight W]
 //!           [--inflation-max F] [--route-period N]
 //!           [--profile] [--metrics-out file] [--trace-out file]
 //!           [--log-level error|warn|info|debug]
 //! dtp proxy <sbN> [scale_denom]             print statistics of a superblue proxy
-//! dtp trace validate <trace.jsonl>          schema-checked parse of a v2 trace
+//! dtp trace validate <trace.jsonl>          schema-checked parse of a v3 trace
 //! dtp trace diff <a.jsonl> <b.jsonl>
 //!           [--abs F] [--rel F] [--field name:abs:rel]
 //!                                           tolerance-aware trace comparison
 //! dtp trace replay <trace.jsonl> [--design spec] [--out file]
 //!                                           re-run the recorded flow, diff bit-for-bit
-//! dtp trace report <trace.jsonl>            phase/level/convergence forensics
+//! dtp trace report <trace.jsonl>            phase/convergence forensics
 //! ```
 //!
 //! Mode selection is unified under `--mode`. The `--top-k`,
@@ -155,7 +154,6 @@ fn cmd_place(args: &[String]) -> CliResult {
              [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F] \
              [--out dir] [--svg file] \
              [--bins N] [--max-iters N] [--threads N] \
-             [--multilevel] [--cluster-ratio F] [--levels N] \
              [--route] [--route-grid N] [--route-capacity C] [--route-weight W] \
              [--inflation-max F] [--route-period N] \
              [--profile] [--metrics-out file] [--trace-out file] \
@@ -255,18 +253,6 @@ fn cmd_place(args: &[String]) -> CliResult {
             }
             "--route-period" => {
                 config.route_update_period = num(args, i)?;
-                i += 2;
-            }
-            "--multilevel" => {
-                config.multilevel = true;
-                i += 1;
-            }
-            "--cluster-ratio" => {
-                config.cluster_ratio = num(args, i)?;
-                i += 2;
-            }
-            "--levels" => {
-                config.levels = num(args, i)?;
                 i += 2;
             }
             "--max-iters" => {
@@ -524,15 +510,14 @@ fn cmd_trace_validate(args: &[String]) -> CliResult {
     let t = load_trace(path)?;
     println!(
         "{path}: valid {} trace — design {} ({} cells), mode {}, seed {}, \
-         {} iteration record(s), {} span record(s), levels {:?}",
+         {} iteration record(s), {} span record(s)",
         t.header.schema,
         t.header.design,
         t.header.cells,
         t.header.mode,
         t.header.seed,
         t.iters.len(),
-        t.spans.len(),
-        t.levels()
+        t.spans.len()
     );
     Ok(())
 }

@@ -1,5 +1,5 @@
 //! Flow configuration: the knobs of §4 of the paper, plus the trace-header
-//! round trip: every config serializes into the v2 trace header's generic
+//! round trip: every config serializes into the trace header's generic
 //! key/value fields and reconstructs from them (strictly — unknown or
 //! missing keys are errors), which is what makes `dtp trace replay` work
 //! from nothing but a recorded trace.
@@ -346,21 +346,6 @@ config_table! {
         /// Every parallel kernel reduces in fixed chunk order, so the placement
         /// trajectory is bit-for-bit identical for every value of this knob.
         threads: usize = 0,
-        /// Run the multi-level (clustered) V-cycle: coarsen the netlist
-        /// [`levels`](FlowConfig::levels)−1 times by
-        /// [`cluster_ratio`](FlowConfig::cluster_ratio)× each, place the coarsest
-        /// proxy with the cheap wirelength+density objective, then interpolate
-        /// and refine level by level, reserving the full differentiable-timing
-        /// gradient for the finest level. `false` is bit-for-bit inert: the flow
-        /// is identical to a build without the subsystem.
-        multilevel: bool = false,
-        /// Per-level coarsening ratio of the multi-level flow (≈ how many fine
-        /// cells merge into one cluster per level). Values ≤ 1 disable merging.
-        cluster_ratio: f64 = 4.0,
-        /// Number of placement levels in the multi-level flow (1 = flat; each
-        /// extra level adds one coarsening pass). Ignored unless
-        /// [`multilevel`](FlowConfig::multilevel) is set.
-        levels: usize = 2,
     }
 }
 
@@ -417,7 +402,7 @@ mod tests {
     fn config_trace_fields_round_trip() {
         let mut cfg = FlowConfig {
             seed: u64::MAX - 3, // above 2^53: exercises the string encoding
-            multilevel: true,
+            route_aware: true,
             threads: 4,
             ..FlowConfig::default()
         };
@@ -448,7 +433,7 @@ mod tests {
                 "max_iters", "stop_overflow", "bins", "target_density", "lambda_growth",
                 "trace_timing_every", "seed", "detail_passes", "topo_dirty_frac", "route_aware",
                 "route_grid", "route_capacity", "route_weight", "inflation_max",
-                "route_update_period", "threads", "multilevel", "cluster_ratio", "levels",
+                "route_update_period", "threads",
             ]
         );
     }

@@ -32,14 +32,13 @@
 //! `timing_detail`, where moves are sparse). The exact RUDY map is
 //! maintained incrementally from the same geometry/topology-dirty net lists.
 //!
-//! The flat flow, the warm-started finest level of a V-cycle and the coarse
-//! levels all drive one [`GradientCore`] (WA wirelength + density + Nesterov
-//! step); they differ in what they add around it.
+//! Every mode drives one [`GradientCore`] (WA wirelength + density +
+//! Nesterov step); the modes differ in what they add around it.
 
 use crate::config::{DiffTimingConfig, FlowConfig, FlowMode};
 use crate::weighting::{NetWeighter, PathWeighter};
 use dtp_liberty::Library;
-use dtp_netlist::{coarsen, ClusterMap, Design, NetId, Netlist, NetlistError};
+use dtp_netlist::{Design, NetId, Netlist, NetlistError};
 use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
@@ -60,51 +59,12 @@ use std::time::Instant;
 /// the parallel shape independent of the pool width.
 const MERGE_CHUNK: usize = 4096;
 
-/// Overflow floor at which a coarse (clustered) level stops. A coarse level
-/// only needs to form the global arrangement; resolving overlap at cluster
-/// granularity costs far more wirelength than resolving it cell-by-cell, so
-/// the expensive low-overflow endgame is left to the finer levels (which
-/// redo it anyway).
-const COARSE_STOP_OVERFLOW: f64 = 0.30;
-
-/// Minimum iterations per coarse level before the overflow stop can fire
-/// (mirrors the fine loop's `iter > 30` guard, scaled down).
-const COARSE_MIN_ITERS: usize = 10;
-
-/// Density overflow below which a warm-started finest level activates its
-/// timing mechanism. A cold flow gates timing on an iteration count
-/// (`start_iter`, default 100) tuned so timing engages once the placement
-/// has spread; a warm start reaches the same state at an unpredictable
-/// iteration, so it latches on the state itself — the overflow the cold
-/// schedule typically shows when its own gate opens. Paired with
-/// [`WARM_LAMBDA_GROWTH_BOOST`], which keeps the descent from here to the
-/// stop overflow short: without it the warm level crawls through this band
-/// at small λ and the (expensive) timing tail runs several times longer
-/// than the cold flow's.
-const WARM_TIMING_OVERFLOW: f64 = 0.15;
-
-/// Multiplier on `FlowConfig::lambda_growth` for warm-started finest levels.
-/// The warm λ re-entry (ratio 0.05 of the gradient balance) buys back the
-/// wirelength-dominant phase, but with the cold growth rate the level then
-/// spends most of its iterations crawling down the last few points of
-/// overflow at small λ — where every iteration may also carry timing work.
-/// A slightly steeper anneal compresses that tail.
-const WARM_LAMBDA_GROWTH_BOOST: f64 = 1.01;
-
 /// Ratio of the density to the wirelength gradient (1-norms) at which λ is
-/// auto-balanced on a level's first evaluation.
-const COLD_BALANCE_RATIO: f64 = 0.1;
+/// auto-balanced on the first evaluation.
+const BALANCE_RATIO: f64 = 0.1;
 
-/// [`COLD_BALANCE_RATIO`] of a warm-started finest level. A warm start
-/// re-enters the λ schedule "mid-flight": the placement is already spread,
-/// so the density gradient is small and the cold-start ratio would
-/// over-weight density from the first step, freezing the arrangement before
-/// wirelength (and timing) can improve it. A lower ratio restores the
-/// wirelength-dominant phase the cold schedule gets for free.
-const WARM_BALANCE_RATIO: f64 = 0.05;
-
-/// Widest pool a flow asks for (`FlowConfig::threads`). No level of the loop
-/// has that many tasks to hand out (a 1M-cell design is 245 chunks of
+/// Widest pool a flow asks for (`FlowConfig::threads`). No region of the
+/// loop has that many tasks to hand out (a 1M-cell design is 245 chunks of
 /// [`MERGE_CHUNK`] cells), and a width beyond it is a typo that would
 /// otherwise spend seconds spawning threads the system then refuses.
 const MAX_THREADS: usize = 256;
@@ -196,12 +156,8 @@ pub struct FlowResult {
     pub wns_hold: f64,
     /// HPWL at the end of global placement, before legalization.
     pub gp_hpwl: f64,
-    /// Global-placement iterations executed (summed over all levels in a
-    /// multi-level run).
+    /// Global-placement iterations executed.
     pub iterations: usize,
-    /// Iterations per level, coarsest first; a flat (single-level) flow
-    /// reports one entry equal to [`FlowResult::iterations`].
-    pub level_iterations: Vec<usize>,
     /// Wall-clock runtime of the whole flow, seconds.
     pub runtime: f64,
     /// Wall-clock spent inside timing analysis/gradients, seconds: the sum
@@ -379,15 +335,9 @@ impl LoopForest {
     }
 }
 
-/// Initial placement of a level. Warm start (multi-level): the interpolated
-/// solution of the next coarser level. Cold start: the movable cells
-/// clustered at the core center with small seeded noise. Returns whether the
-/// start was a warm one.
-fn seed_positions(work: &mut Design, warm: Option<(Vec<f64>, Vec<f64>)>, seed: u64) -> bool {
-    if let Some((xs, ys)) = warm {
-        work.netlist.set_positions(&xs, &ys);
-        return true;
-    }
+/// Initial placement: the movable cells clustered at the core center with
+/// small seeded noise.
+fn seed_positions(work: &mut Design, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let center = work.region.center();
     let (mut xs, mut ys) = work.netlist.positions();
@@ -400,15 +350,13 @@ fn seed_positions(work: &mut Design, warm: Option<(Vec<f64>, Vec<f64>)>, seed: u
             + rng.gen_range(-0.02..0.02) * work.region.height();
     }
     work.netlist.set_positions(&xs, &ys);
-    false
 }
 
-/// What every level's iteration shares — the flat flow, a warm-started
-/// finest level and the coarse levels alike: the wirelength and density
-/// models, the preconditioned Nesterov optimizer, the λ / overflow state
-/// that threads one iteration into the next, and every buffer the
-/// steady-state gradient evaluation touches (with these, a wirelength +
-/// density + timing gradient evaluation allocates nothing).
+/// What every mode's iteration shares: the wirelength and density models,
+/// the preconditioned Nesterov optimizer, the λ / overflow state that
+/// threads one iteration into the next, and every buffer the steady-state
+/// gradient evaluation touches (with these, a wirelength + density + timing
+/// gradient evaluation allocates nothing).
 struct GradientCore {
     wl_model: WirelengthModel,
     density: DensityModel,
@@ -431,23 +379,16 @@ struct GradientCore {
     /// Density weight; 0 = auto-balance on the first evaluation.
     lambda: f64,
     lambda_growth: f64,
-    /// Density : wirelength gradient 1-norm ratio the auto-balance sets.
-    balance_ratio: f64,
     /// Density overflow of the latest evaluation (1 before the first).
     overflow: f64,
 }
 
 impl GradientCore {
-    /// Models and buffers for `work` on a `bins × bins` density grid, the
+    /// Models and buffers for `work` on the configured density grid, the
     /// optimizer starting from the positions `work` currently holds.
-    fn new(
-        work: &Design,
-        bins: usize,
-        config: &FlowConfig,
-        lambda_growth: f64,
-        balance_ratio: f64,
-    ) -> GradientCore {
+    fn new(work: &Design, config: &FlowConfig) -> GradientCore {
         let nl = &work.netlist;
+        let bins = config.bins;
         // FFT Poisson backend on a power-of-two grid, dense otherwise.
         let density = DensityModel::new(work, bins, bins, config.target_density);
         let bin_w = work.region.width() / bins as f64;
@@ -475,8 +416,7 @@ impl GradientCore {
             dres: DensityResult::default(),
             precond: Vec::new(),
             lambda: 0.0,
-            lambda_growth,
-            balance_ratio,
+            lambda_growth: config.lambda_growth,
             overflow: 1.0,
         }
     }
@@ -516,7 +456,7 @@ impl GradientCore {
             let norm1 = |x: &[f64], y: &[f64]| x.iter().chain(y).map(|g| g.abs()).sum::<f64>();
             let wl_norm = norm1(&self.gx, &self.gy);
             let d_norm = norm1(&self.dres.grad_x, &self.dres.grad_y);
-            self.lambda = if d_norm > 0.0 { self.balance_ratio * wl_norm / d_norm } else { 1.0 };
+            self.lambda = if d_norm > 0.0 { BALANCE_RATIO * wl_norm / d_norm } else { 1.0 };
         }
         axpy_into(&mut self.gx, &self.dres.grad_x, self.lambda);
         axpy_into(&mut self.gy, &self.dres.grad_y, self.lambda);
@@ -554,7 +494,7 @@ impl GradientCore {
 }
 
 /// A from-scratch forest on the legacy constructions: what the reporting
-/// analysis and the coarse levels' extractions read.
+/// analysis reads.
 fn fresh_forest(nl: &Netlist, obs: &mut Observer) -> SteinerForest {
     let f = obs.time(Phase::SteinerBuild, || build_forest(nl));
     obs.add(Counter::ForestBuilds, 1);
@@ -571,7 +511,7 @@ fn norm_inf(x: &[f64], y: &[f64]) -> f64 {
 /// iterations it runs, which net weights it contributes to the WA
 /// wirelength, and what a run does.
 struct TimingMechanism {
-    /// Iteration at which a cold flow activates the mechanism.
+    /// Iteration at which the mechanism activates.
     start_iter: usize,
     /// The mechanism runs every `period`-th iteration once active.
     period: usize,
@@ -601,7 +541,7 @@ impl TimingMechanism {
             }
             FlowMode::PathExtraction(cfg) => {
                 let weighter = PathWeighter::new(nl, wl_model, cfg);
-                (cfg.start_iter, cfg.extract_period.max(1), TimingKind::PathExtraction(weighter))
+                (cfg.start_iter, cfg.extract_period, TimingKind::PathExtraction(weighter))
             }
         };
         Some(TimingMechanism { start_iter, period, kind })
@@ -782,7 +722,8 @@ pub fn run_flow(
 ///
 /// Returns [`FlowError::Sta`] if the netlist cannot be bound to the library
 /// or contains combinational cycles, and [`FlowError::Config`] for a
-/// configuration no flow can run (the message names the field and its flag).
+/// configuration or mode knob no flow can run (the message names the field
+/// and, where `dtp place` has one, its flag).
 pub fn run_flow_observed(
     design: &Design,
     lib: &Library,
@@ -796,6 +737,14 @@ pub fn run_flow_observed(
             config.threads
         )));
     }
+    if !dtp_place::GRID_AXIS_BINS.contains(&config.bins) {
+        return Err(FlowError::Config(format!(
+            "bins = {}: the density grid needs 2..=65535 bins per axis",
+            config.bins
+        )));
+    }
+    check_route_knobs(config)?;
+    check_mode_knobs(mode)?;
     if config.threads > 0 {
         // Dedicated pool of the requested width for the whole flow —
         // every parallel kernel below dispatches through it. The workers
@@ -804,28 +753,6 @@ pub fn run_flow_observed(
         rayon::with_pool(&pool, || run_flow_inner(design, lib, mode, config, obs))
     } else {
         run_flow_inner(design, lib, mode, config, obs)
-    }
-}
-
-fn run_flow_inner(
-    design: &Design,
-    lib: &Library,
-    mode: FlowMode,
-    config: &FlowConfig,
-    obs: &mut Observer,
-) -> Result<FlowResult, FlowError> {
-    if !dtp_place::GRID_AXIS_BINS.contains(&config.bins) {
-        return Err(FlowError::Config(format!(
-            "bins = {}: the density grid needs 2..=65535 bins per axis",
-            config.bins
-        )));
-    }
-    check_route_knobs(config)?;
-    emit_trace_header(design, mode, config, obs);
-    if config.multilevel && config.levels >= 2 && config.cluster_ratio > 1.0 {
-        run_flow_multilevel(design, lib, mode, config, obs)
-    } else {
-        run_flow_fine(design, lib, mode, config, obs, None)
     }
 }
 
@@ -870,7 +797,62 @@ fn check_route_knobs(config: &FlowConfig) -> Result<(), FlowError> {
     Ok(())
 }
 
-/// Writes the v2 trace header — the run's full identity: mode, config,
+/// Rejects timing-mode knobs that can only crash a flow or leave it without
+/// the timing force the mode is for.
+fn check_mode_knobs(mode: FlowMode) -> Result<(), FlowError> {
+    let bad = |what: String| Err(FlowError::Config(what));
+    // Written so that NaN fails every test, like the route knobs.
+    match mode {
+        FlowMode::Wirelength => {}
+        FlowMode::Differentiable(c) => {
+            for (name, v) in [("t1", c.t1), ("t2", c.t2), ("grad_norm_target", c.grad_norm_target)] {
+                if !(v >= 0.0 && v.is_finite()) {
+                    return bad(format!("{name} = {v}: the weight must be finite and not negative"));
+                }
+            }
+        }
+        FlowMode::NetWeighting(c) => {
+            if c.sta_period == 0 {
+                return bad("sta_period = 0: the analysis period must be at least 1".into());
+            }
+            if !(0.0..1.0).contains(&c.momentum) {
+                return bad(format!("momentum = {}: the momentum must lie in [0, 1)", c.momentum));
+            }
+            if !(c.max_boost >= 1.0 && c.max_boost.is_finite()) {
+                return bad(format!(
+                    "max_boost = {}: the weight boost must be finite and at least 1",
+                    c.max_boost
+                ));
+            }
+        }
+        FlowMode::PathExtraction(c) => {
+            if c.top_k == 0 {
+                return bad("top_k (--top-k) = 0: at least one path must be extracted".into());
+            }
+            if c.extract_period == 0 {
+                return bad(
+                    "extract_period (--extract-period) = 0: the extraction period must be at least 1"
+                        .into(),
+                );
+            }
+            if !(c.path_decay > 0.0 && c.path_decay <= 1.0) {
+                return bad(format!(
+                    "path_decay (--path-decay) = {}: the per-rank decay must lie in (0, 1]",
+                    c.path_decay
+                ));
+            }
+            if !(c.pin_weight_cap >= 1.0 && c.pin_weight_cap.is_finite()) {
+                return bad(format!(
+                    "pin_weight_cap (--pin-weight-cap) = {}: the weight cap must be finite and at least 1",
+                    c.pin_weight_cap
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Writes the v3 trace header — the run's full identity: mode, config,
 /// seed, thread counts, and the design fingerprint — as the first record of
 /// the JSONL stream. Runs inside the flow's pool scope, so `pool_threads`
 /// reports the width the iterations will actually execute with.
@@ -899,195 +881,14 @@ fn emit_trace_header(design: &Design, mode: FlowMode, config: &FlowConfig, obs: 
     obs.emit_header(&header);
 }
 
-/// The multi-level (clustered) V-cycle: coarsen the netlist `levels - 1`
-/// times, place the coarsest level from a cold start, then walk back down
-/// the ladder — interpolate each coarse solution onto the next finer level
-/// and refine it there. Coarse levels run wirelength + density only (cluster
-/// pseudo-cells carry synthetic classes the liberty library cannot bind);
-/// the finest level runs the full flow, warm-started, with its timing
-/// mechanism engaging once overflow drops under [`WARM_TIMING_OVERFLOW`].
-fn run_flow_multilevel(
+fn run_flow_inner(
     design: &Design,
     lib: &Library,
     mode: FlowMode,
     config: &FlowConfig,
     obs: &mut Observer,
 ) -> Result<FlowResult, FlowError> {
-    let t_start = Instant::now();
-
-    // Build the ladder: designs[0] is one level above the input design,
-    // designs[l] is coarser than designs[l - 1]. Stop early when a round
-    // stops reducing (tiny designs, everything fixed).
-    let mut designs: Vec<Design> = Vec::new();
-    let mut maps: Vec<ClusterMap> = Vec::new();
-    let sp = obs.start(Phase::Coarsen);
-    for l in 1..config.levels {
-        let cur = designs.last().unwrap_or(design);
-        let (c, m) = coarsen(cur, config.cluster_ratio, config.seed ^ l as u64);
-        if c.netlist.num_cells() as f64 > 0.9 * cur.netlist.num_cells() as f64 {
-            break;
-        }
-        designs.push(c);
-        maps.push(m);
-    }
-    obs.stop(Phase::Coarsen, sp);
-    if designs.is_empty() {
-        return run_flow_fine(design, lib, mode, config, obs, None);
-    }
-
-    // Upstroke: coarsest → finest. Each level refines the previous level's
-    // interpolated solution; the coarsest starts cold.
-    let mut level_iterations: Vec<usize> = Vec::new();
-    let mut warm_pos: Option<(Vec<f64>, Vec<f64>)> = None;
-    for l in (0..designs.len()).rev() {
-        let iterations =
-            run_coarse_level(&mut designs[l], l + 1, lib, mode, config, obs, warm_pos.take());
-        dtp_obs::info!(
-            "multilevel: level {} ({} clusters) placed in {} iterations",
-            l + 1,
-            designs[l].netlist.num_cells(),
-            iterations
-        );
-        level_iterations.push(iterations);
-        let coarse_nl = &designs[l].netlist;
-        let (cx, cy) = coarse_nl.positions();
-        let (fine_nl, region) = if l == 0 {
-            (&design.netlist, design.region)
-        } else {
-            (&designs[l - 1].netlist, designs[l - 1].region)
-        };
-        let sp = obs.start(Phase::Interpolate);
-        let (mut fx, mut fy) = fine_nl.positions();
-        maps[l].interpolate(
-            fine_nl, coarse_nl, region, config.seed, &cx, &cy, &mut fx, &mut fy,
-        );
-        obs.stop(Phase::Interpolate, sp);
-        warm_pos = Some((fx, fy));
-    }
-
-    let mut result = run_flow_fine(design, lib, mode, config, obs, warm_pos)?;
-    dtp_obs::info!(
-        "multilevel: level 0 ({} cells) refined in {} iterations",
-        design.netlist.num_cells(),
-        result.iterations
-    );
-    level_iterations.push(result.iterations);
-    result.iterations = level_iterations.iter().sum();
-    result.level_iterations = level_iterations;
-    result.runtime = t_start.elapsed().as_secs_f64();
-    Ok(result)
-}
-
-/// Places one coarse (clustered) design: plain ePlace — WA wirelength +
-/// electrostatic density under preconditioned Nesterov — with no routing
-/// machinery and, in most modes, no timing (cluster pseudo-cells carry
-/// synthetic classes the library cannot bind, so the full differentiable
-/// objective is unavailable here).
-///
-/// The one exception is [`FlowMode::PathExtraction`]: its timing signal
-/// needs only a forward analysis over whatever endpoints *survive*
-/// coarsening (uncollapsed registers, primary outputs), so when the coarse
-/// design still has endpoints, the level periodically extracts the top-K
-/// paths and carries their net weights in the WA wirelength — timing
-/// pressure on the levels where the differentiable gradient cannot run.
-///
-/// Leaves the global-placement solution in `work`'s positions (unlegalized;
-/// finer levels only need the arrangement) and returns the iterations run.
-fn run_coarse_level(
-    work: &mut Design,
-    level: usize,
-    lib: &Library,
-    mode: FlowMode,
-    config: &FlowConfig,
-    obs: &mut Observer,
-    warm: Option<(Vec<f64>, Vec<f64>)>,
-) -> usize {
-    // Halve the density grid per level (floor 32): clusters are ~ratio×
-    // larger than cells, so the field granularity must coarsen with them or
-    // it fights cluster interleaving the finer levels resolve trivially.
-    // Powers of two are preserved, so the FFT backend still applies.
-    let bins = (config.bins >> level).max(32.min(config.bins));
-
-    seed_positions(work, warm, config.seed);
-
-    // Clusters pre-aggregate connectivity, so the coarse anneal can afford a
-    // density schedule twice as steep as the fine flow's: the arrangement
-    // forms in roughly half the iterations at no observed quality cost (the
-    // finer levels re-anneal the endgame anyway).
-    let lambda_growth = config.lambda_growth * config.lambda_growth;
-    let mut core = GradientCore::new(work, bins, config, lambda_growth, COLD_BALANCE_RATIO);
-    let stop_overflow = config.stop_overflow.max(COARSE_STOP_OVERFLOW);
-
-    // Coarse path extraction: only when the mode asks for it, the clustered
-    // netlist still binds (synthetic cluster classes bind as unbound
-    // pass-throughs), and some endpoints survived coarsening. Everything is
-    // guarded — a fully clustered proxy with no endpoints skips the
-    // machinery entirely and the level stays pure wirelength + density.
-    let mut coarse_paths = match mode {
-        FlowMode::PathExtraction(_) => Timer::new(work, lib)
-            .ok()
-            .filter(|t| !t.graph().endpoints().is_empty())
-            .and_then(|timer| {
-                let paths = TimingMechanism::new(mode, &work.netlist, &core.wl_model)?;
-                Some((timer, paths, AnalysisScratch::new()))
-            }),
-        _ => None,
-    };
-
-    let mut iterations = 0usize;
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        obs.iter_begin();
-        obs.add(Counter::Iterations, 1);
-        obs.add(Counter::CoarseIterations, 1);
-        core.load_positions();
-
-        // Periodic top-K extraction (path-extraction mode only): a fresh
-        // forest + forward-only analysis at the extraction cadence; the
-        // resulting net weights ride in the WA wirelength below until the
-        // next extraction.
-        let mut traced = (f64::NAN, f64::NAN);
-        if let Some((timer, paths, ascratch)) = coarse_paths.as_mut().filter(|c| c.1.due(iter)) {
-            work.netlist.set_positions(&core.vx, &core.vy);
-            let f = fresh_forest(&work.netlist, obs);
-            traced = paths.run(&work.netlist, timer, &f, ascratch, &mut core, obs);
-        }
-        let weights = coarse_paths.as_ref().and_then(|(_, paths, _)| paths.weights());
-
-        let wl_value = core.wl_density(weights, obs);
-        let (step, lambda) = core.step(obs);
-
-        obs.iter_end(IterEvent {
-            iter: iter as u64,
-            level: level as u32,
-            wl: wl_value,
-            hpwl: f64::NAN,
-            overflow: core.overflow,
-            lambda,
-            step,
-            wns: traced.0,
-            tns: traced.1,
-            timing: coarse_paths.is_some(),
-        });
-
-        if iter > COARSE_MIN_ITERS && core.overflow < stop_overflow {
-            break;
-        }
-    }
-
-    let (sx, sy) = core.opt.solution();
-    work.netlist.set_positions(sx, sy);
-    iterations
-}
-
-fn run_flow_fine(
-    design: &Design,
-    lib: &Library,
-    mode: FlowMode,
-    config: &FlowConfig,
-    obs: &mut Observer,
-    warm: Option<(Vec<f64>, Vec<f64>)>,
-) -> Result<FlowResult, FlowError> {
+    emit_trace_header(design, mode, config, obs);
     let t_start = Instant::now();
     // `timing_runtime` is reported as the STA-span delta across this run,
     // so a reused observer does not double-count an earlier run's time.
@@ -1097,21 +898,10 @@ fn run_flow_fine(
     let pool_at_entry = rayon::pool_stats();
     let sp = obs.start(Phase::Setup);
     let mut work = design.clone();
-
-    let warm = seed_positions(&mut work, warm, config.seed);
-
-    // A warm start re-enters λ low (the lower balance ratio) to rebuild a
-    // wirelength-dominant phase, but the standard growth then crawls through
-    // the overflow tail — the placement is already globally arranged, so the
-    // anneal is compressed slightly to keep the (expensive) endgame short.
-    let (lambda_growth, balance_ratio) = if warm {
-        (config.lambda_growth * WARM_LAMBDA_GROWTH_BOOST, WARM_BALANCE_RATIO)
-    } else {
-        (config.lambda_growth, COLD_BALANCE_RATIO)
-    };
+    seed_positions(&mut work, config.seed);
 
     // --- models -------------------------------------------------------------
-    let mut core = GradientCore::new(&work, config.bins, config, lambda_growth, balance_ratio);
+    let mut core = GradientCore::new(&work, config);
     let timer_config = match mode {
         FlowMode::Differentiable(d) => TimerConfig {
             gamma: d.gamma,
@@ -1122,16 +912,8 @@ fn run_flow_fine(
     };
     let timer = Timer::with_config(&work, lib, timer_config)?;
     let mut timing = TimingMechanism::new(mode, &work.netlist, &core.wl_model);
-
-    // Iteration at which the mode's timing mechanism activates. A cold start
-    // uses the mode's `start_iter` directly; a warm start doesn't know which
-    // iteration corresponds to "spread enough", so it starts unset and is
-    // latched below once overflow first drops under [`WARM_TIMING_OVERFLOW`].
-    // Pure-wirelength mode never activates timing, warm or not.
-    let mut timing_start = match &timing {
-        Some(t) if !warm => t.start_iter,
-        _ => usize::MAX,
-    };
+    // The wirelength-only mode never activates timing.
+    let timing_start = timing.as_ref().map_or(usize::MAX, |t| t.start_iter);
 
     let mut route = config.route_aware.then(|| RouteState::new(&work, config));
     let mut loop_forest = LoopForest::new(&work.netlist, config);
@@ -1157,18 +939,6 @@ fn run_flow_fine(
         obs.add(Counter::Iterations, 1);
         core.load_positions();
         work.netlist.set_positions(&core.vx, &core.vy);
-
-        // Warm-started timing latch: `core.overflow` here is still the
-        // previous iteration's value, same as the route-activation latch
-        // below.
-        if warm
-            && timing.is_some()
-            && timing_start == usize::MAX
-            && iter > 0
-            && core.overflow < WARM_TIMING_OVERFLOW
-        {
-            timing_start = iter;
-        }
         let timing_active = iter >= timing_start;
         let sampled = iter % sample_period == 0;
         let trace_timing = sampled && trace_cadence;
@@ -1314,7 +1084,6 @@ fn run_flow_fine(
 
         obs.iter_end(IterEvent {
             iter: iter as u64,
-            level: 0,
             wl: wl_value,
             hpwl: iter_hpwl,
             overflow: core.overflow,
@@ -1418,7 +1187,6 @@ fn run_flow_fine(
         wns_hold,
         gp_hpwl,
         iterations,
-        level_iterations: vec![iterations],
         runtime: t_start.elapsed().as_secs_f64(),
         timing_runtime,
         trace,
@@ -1427,4 +1195,76 @@ fn run_flow_fine(
         congestion,
         rsmt,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{NetWeightConfig, PathExtractConfig};
+
+    /// The error `check_mode_knobs` returns for `mode`, `None` if it accepts it.
+    fn rejection(mode: FlowMode) -> Option<String> {
+        check_mode_knobs(mode).err().map(|e| e.to_string())
+    }
+
+    #[test]
+    fn defaults_and_the_edges_of_every_range_are_accepted() {
+        let accepted = [
+            FlowMode::Wirelength,
+            FlowMode::differentiable(),
+            FlowMode::net_weighting(),
+            FlowMode::path_extraction(),
+            FlowMode::Differentiable(DiffTimingConfig {
+                t1: 0.0,
+                t2: 0.0,
+                grad_norm_target: 0.0,
+                ..DiffTimingConfig::default()
+            }),
+            FlowMode::NetWeighting(NetWeightConfig {
+                momentum: 0.0,
+                max_boost: 1.0,
+                sta_period: 1,
+                ..NetWeightConfig::default()
+            }),
+            // `path_decay = 1` and `extract_period = 1` are what `paths_golden`
+            // extracts with.
+            FlowMode::PathExtraction(PathExtractConfig {
+                top_k: 1,
+                extract_period: 1,
+                path_decay: 1.0,
+                pin_weight_cap: 1.0,
+                ..PathExtractConfig::default()
+            }),
+        ];
+        for mode in accepted {
+            assert_eq!(rejection(mode), None, "{mode:?}");
+        }
+    }
+
+    /// The knobs `dtp place` has no flag for (the CLI test covers the
+    /// path-extraction ones): reachable from library callers and from
+    /// `dtp trace replay` headers.
+    #[test]
+    fn knobs_no_flow_can_use_are_rejected_by_name() {
+        let nw = NetWeightConfig::default();
+        let diff = DiffTimingConfig::default();
+        let cases = [
+            (FlowMode::NetWeighting(NetWeightConfig { sta_period: 0, ..nw }), "sta_period"),
+            (FlowMode::NetWeighting(NetWeightConfig { momentum: 1.0, ..nw }), "momentum"),
+            (FlowMode::NetWeighting(NetWeightConfig { momentum: -0.5, ..nw }), "momentum"),
+            (FlowMode::NetWeighting(NetWeightConfig { momentum: f64::NAN, ..nw }), "momentum"),
+            (FlowMode::NetWeighting(NetWeightConfig { max_boost: 0.5, ..nw }), "max_boost"),
+            (FlowMode::NetWeighting(NetWeightConfig { max_boost: f64::INFINITY, ..nw }), "max_boost"),
+            (FlowMode::Differentiable(DiffTimingConfig { t1: f64::NAN, ..diff }), "t1"),
+            (FlowMode::Differentiable(DiffTimingConfig { t2: -1.0, ..diff }), "t2"),
+            (
+                FlowMode::Differentiable(DiffTimingConfig { grad_norm_target: f64::INFINITY, ..diff }),
+                "grad_norm_target",
+            ),
+        ];
+        for (mode, field) in cases {
+            let msg = rejection(mode).unwrap_or_else(|| panic!("{mode:?} accepted"));
+            assert!(msg.starts_with(&format!("invalid flow configuration: {field} = ")), "{msg}");
+        }
+    }
 }

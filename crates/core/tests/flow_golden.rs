@@ -3,7 +3,7 @@
 //! The other golden files compare the flow with itself (a knob off against
 //! the default, one pool width against another); `route_golden` records the
 //! two route-aware runs. This file records the rest of what the loop can do
-//! — the four flat modes at default knobs and two V-cycles — as bit patterns
+//! — the four modes at default knobs — as bit patterns
 //! taken at commit 42d4a9c, before the loop body was folded into one copy,
 //! so a rewrite of `flow.rs` that moves a single bit of any trajectory or
 //! final placement fails here. They were recorded at the trace cadence the
@@ -18,40 +18,26 @@ use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_obs::Counter;
 use dtp_place::check_legal;
 
-/// Default knobs but for the iteration cap — every flat timing mode has its
+/// Default knobs but for the iteration cap — every timing mode has its
 /// mechanism live for well over 30 iterations before the overflow stop — and
 /// the trace cadence the fingerprints were recorded at.
 fn flat() -> FlowConfig {
     FlowConfig { max_iters: 250, trace_timing_every: 10, ..FlowConfig::default() }
 }
 
-/// A V-cycle of `levels` levels, at the recorded trace cadence.
-fn vcycle(levels: usize) -> FlowConfig {
-    FlowConfig {
-        multilevel: true,
-        cluster_ratio: 3.0,
-        levels,
-        max_iters: 150,
-        trace_timing_every: 10,
-        ..FlowConfig::default()
-    }
-}
-
-/// The six recorded runs, in the order of [`RECORDED`].
-fn cases() -> [(&'static str, FlowMode, FlowConfig); 6] {
+/// The four recorded runs, in the order of [`RECORDED`].
+fn cases() -> [(&'static str, FlowMode, FlowConfig); 4] {
     [
         ("wirelength", FlowMode::Wirelength, flat()),
         ("net-weighting", FlowMode::net_weighting(), flat()),
         ("differentiable", FlowMode::differentiable(), flat()),
         ("path-extraction", FlowMode::path_extraction(), flat()),
-        ("2-level differentiable", FlowMode::differentiable(), vcycle(2)),
-        ("3-level path-extraction", FlowMode::path_extraction(), vcycle(3)),
     ]
 }
 
-/// Iterations per level and `fingerprint` of the six runs, as recorded at
-/// commit 42d4a9c.
-const RECORDED: [(&[usize], [u64; 11]); 6] = [
+/// Iterations (as the one-entry per-level list they were recorded in) and
+/// `fingerprint` of the four runs, as recorded at commit 42d4a9c.
+const RECORDED: [(&[usize], [u64; 11]); 4] = [
     (
         &[155],
         [
@@ -84,26 +70,10 @@ const RECORDED: [(&[usize], [u64; 11]); 6] = [
             0x4026e83ffb33c498, 0x4011426eaf187307, 0x3feff80000000000,
         ],
     ),
-    (
-        &[46, 89],
-        [
-            0x0000000000000009, 0xa6776f24f404ce9e, 0x45778fbe326324b9, 0xc20ef333a9c5b945,
-            0x6f273410f9cb2380, 0xf811e854dd773d0c, 0xb69de282aa35acd7, 0x863a186cfb748a18,
-            0x402371ae2b08d141, 0x400efb5e1d810814, 0x3ff0000000000000,
-        ],
-    ),
-    (
-        &[39, 18, 104],
-        [
-            0x000000000000000b, 0x3c308614edf91e51, 0xde08c7fd27bbf00e, 0x985d70c2ee8bf8f7,
-            0x57ce430898c5ae7a, 0xb590bda225b45465, 0x93b9f093911945b7, 0x81b7c0dc935bfae9,
-            0x40248c114d2d66b7, 0x4010eecdcf82dc5f, 0x3feff80000000000,
-        ],
-    ),
 ];
 
 #[test]
-fn every_mode_and_the_v_cycle_match_the_recorded_parent_at_every_pool_width() {
+fn every_mode_matches_the_recorded_parent_at_every_pool_width() {
     let d = generate(&GeneratorConfig::named("flow-golden", 800)).expect("generator succeeds");
     let lib = synthetic_pdk();
     for threads in [1usize, 2, 4] {
@@ -113,27 +83,21 @@ fn every_mode_and_the_v_cycle_match_the_recorded_parent_at_every_pool_width() {
             let r = run_flow_observed(&d, &lib, mode, &config, &mut obs).expect("flow runs");
             let got = fingerprint(&r);
             assert_eq!(&got, want, "{name} at threads={threads}: got {got:#018x?}");
-            assert_eq!(&r.level_iterations, want_iters, "{name} at threads={threads}");
+            assert_eq!(&[r.iterations][..], *want_iters, "{name} at threads={threads}");
             let violations = check_legal(&d, &r.xs, &r.ys);
             assert!(violations.is_empty(), "{name} at threads={threads}: {violations:?}");
 
             // The runs exercise what they are recorded for.
             let count = |c| obs.registry().get(c);
-            let flat_run = !config.multilevel;
             match mode {
                 FlowMode::Wirelength => assert_eq!(count(Counter::StaFull), 0, "{name}"),
                 FlowMode::PathExtraction(_) => {
                     assert!(count(Counter::PathExtractions) >= 3, "{name}: too few extractions");
-                    // A flat flow builds one in-loop forest and one reporting
-                    // one; every further build is a coarse-level extraction.
-                    assert_eq!(count(Counter::ForestBuilds) == 2, flat_run, "{name}");
+                    // One in-loop forest and one reporting one.
+                    assert_eq!(count(Counter::ForestBuilds), 2, "{name}");
                 }
-                _ if flat_run => {
-                    assert!(count(Counter::StaFull) >= 30, "{name}: timing live too briefly")
-                }
-                _ => assert!(count(Counter::StaFull) > 0, "{name}: timing never engaged"),
+                _ => assert!(count(Counter::StaFull) >= 30, "{name}: timing live too briefly"),
             }
-            assert_eq!(count(Counter::CoarseIterations) == 0, flat_run, "{name}");
         }
     }
 }
@@ -165,7 +129,7 @@ fn the_trace_cadence_does_not_steer_the_placement() {
             assert_eq!(a.ys, b.ys, "{name} at threads={threads}: y positions differ");
             let qor = |r: &FlowResult| [r.hpwl, r.wns, r.tns].map(f64::to_bits);
             assert_eq!(qor(&a), qor(&b), "{name} at threads={threads}");
-            assert_eq!(a.level_iterations, b.level_iterations, "{name} at threads={threads}");
+            assert_eq!(a.iterations, b.iterations, "{name} at threads={threads}");
         }
     }
 }

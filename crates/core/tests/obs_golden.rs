@@ -3,7 +3,7 @@
 //! The contract under test: observability is *pure telemetry*. An
 //! unobserved flow must be bit-for-bit identical to an observed run;
 //! `FlowResult::timing_runtime` must equal the sum of the STA-phase spans
-//! either way; the v2 JSONL stream must emit a header record followed
+//! either way; the v3 JSONL stream must emit a header record followed
 //! by one `iter` + `span` record pair per iteration; and at `--log-level
 //! warn` the CLI's stdout must contain nothing but the result line.
 
@@ -131,7 +131,7 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     let r = run_flow_observed(&d, &lib, FlowMode::differentiable(), &cfg, &mut obs)
         .expect("flow runs");
     let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
-    // Schema v2: one header record, then an iter + span record pair per
+    // Schema v3: one header record, then an iter + span record pair per
     // placement iteration.
     assert_eq!(
         text.lines().count(),
@@ -251,7 +251,7 @@ fn the_fft_backend_gauge_follows_the_grid_shape() {
 }
 
 #[test]
-fn counters_are_exactly_the_eleven_survivors() {
+fn counters_are_exactly_the_ten_survivors() {
     let names: Vec<&str> = dtp_obs::Counter::ALL.iter().map(|c| c.name()).collect();
     assert_eq!(
         names,
@@ -266,7 +266,6 @@ fn counters_are_exactly_the_eleven_survivors() {
             "rudy_inc_updates",
             "trace_analyses",
             "path_extractions",
-            "coarse_iterations",
         ]
     );
 }
@@ -402,7 +401,9 @@ fn cli_rejects_a_density_grid_it_cannot_sample() {
 fn cli_rejects_route_knobs_no_flow_can_run_with() {
     // Each of these used to panic (`capacity must be positive` out of the
     // final summary map even without `--route`, `inflation_max must be >= 1`
-    // mid-run), abort on an 80 GB grid, or be silently rewritten to 2 / 1.
+    // mid-run, `non-finite coordinates` out of the forest for an infinite
+    // path weight), abort on an 80 GB grid, be silently rewritten to 2 / 1,
+    // or place like a flow without any timing force.
     let (dir, prefix) = write_cli_fixture("route-knobs");
     let cases: &[&[&str]] = &[
         &["--route-capacity", "0"],
@@ -419,6 +420,15 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
         // spawn thread`) after three seconds of `clone`.
         &["--threads", "257"],
         &["--threads", "200000"],
+        // The path-extraction knobs, which only this mode reads.
+        &["--mode", "path-extraction", "--pin-weight-cap", "inf"],
+        &["--mode", "path-extraction", "--pin-weight-cap", "nan"],
+        &["--mode", "path-extraction", "--pin-weight-cap", "0.5"],
+        &["--mode", "path-extraction", "--top-k", "0"],
+        &["--mode", "path-extraction", "--extract-period", "0"],
+        &["--mode", "path-extraction", "--path-decay", "-1"],
+        &["--mode", "path-extraction", "--path-decay", "0"],
+        &["--mode", "path-extraction", "--path-decay", "1.5"],
     ];
     for knobs in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
@@ -436,7 +446,7 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
 }
 
 /// Every flag the usage string advertises is accepted, and nothing else is:
-/// the retired flags are unknown options, and `--out` / `--svg` without a
+/// the retired flags (the V-cycle's among them) are unknown options, and `--out` / `--svg` without a
 /// value are errors rather than silently writing nothing.
 #[test]
 fn cli_accepts_exactly_the_flags_its_usage_lists() {
@@ -463,7 +473,7 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
             Some(choice) => args.push(choice.split('|').next().unwrap_or(choice).into()),
         }
     }
-    assert_eq!(flags, 23, "`dtp place` flags, counted off its usage:\n{usage}");
+    assert_eq!(flags, 20, "`dtp place` flags, counted off its usage:\n{usage}");
     let out = dtp(&args.iter().map(String::as_str).collect::<Vec<_>>());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{args:?}: {stderr}");
@@ -473,6 +483,9 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
         &["--no-density-fft"],
         &["--no-rsmt-tables"],
         &["--rsmt-table-max-degree", "4"],
+        &["--multilevel"],
+        &["--cluster-ratio", "4"],
+        &["--levels", "2"],
         &["--out"],
         &["--svg"],
     ];

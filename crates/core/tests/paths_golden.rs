@@ -1,7 +1,7 @@
 //! Path-extraction flow goldens: pool-width determinism of
 //! `FlowMode::PathExtraction`, agreement of the extracted weights with the
-//! full-analysis criticalities when K covers every endpoint, and a
-//! multi-level smoke exercising the coarse-level extraction guard.
+//! full-analysis criticalities when K covers every endpoint, and the
+//! concentration of the weights on the extracted paths.
 
 use dtp_core::{run_flow, FlowConfig, FlowMode, PathExtractConfig, PathWeighter};
 use dtp_liberty::synth::synthetic_pdk;
@@ -112,33 +112,6 @@ fn full_extraction_matches_full_analysis_criticalities() {
             weights[m]
         );
     }
-}
-
-/// The multi-level V-cycle accepts the path-extraction mode: coarse levels
-/// run the guarded extraction (or skip it when coarsening erased the
-/// endpoints) and the warm-started finest level engages it on the overflow
-/// latch — deterministically across pool widths.
-#[test]
-fn multilevel_path_extraction_runs_and_is_deterministic() {
-    let d = generate(&GeneratorConfig::named("paths_ml", 800)).expect("generator");
-    let lib = synthetic_pdk();
-    let mut cfg = FlowConfig {
-        max_iters: 120,
-        trace_timing_every: 0,
-        multilevel: true,
-        levels: 2,
-        ..FlowConfig::default()
-    };
-    let mode = path_mode(60);
-    cfg.threads = 1;
-    let base = run_flow(&d, &lib, mode, &cfg).expect("flow runs");
-    assert!(base.level_iterations.len() >= 2, "V-cycle ran at least two levels");
-    cfg.threads = 4;
-    let r = run_flow(&d, &lib, mode, &cfg).expect("flow runs");
-    assert_eq!(base.xs, r.xs, "multilevel path extraction must be pool-width invariant");
-    assert_eq!(base.ys, r.ys);
-    let violations = check_legal(&d, &base.xs, &base.ys);
-    assert!(violations.is_empty(), "violations: {:?}", &violations[..violations.len().min(5)]);
 }
 
 /// Nets never touched by an extracted path keep weight exactly 1, so the

@@ -1,14 +1,12 @@
-//! Golden tests for trace schema v2 and the `dtp-trace` forensics layer.
+//! Golden tests for trace schema v3 and the `dtp-trace` forensics layer.
 //!
 //! The contract under test: the canonical trace bytes (header with the
 //! execution environment normalized away, plus every deterministic `iter`
 //! record) are **bit-identical** across reruns and across pool widths; the
 //! header's config/mode fields reconstruct the exact `FlowConfig`/`FlowMode`
-//! that produced the run (the `dtp trace replay` foundation); and a
-//! multilevel trace records its V-cycle coarsest-first with per-level
-//! record counts matching `FlowResult::level_iterations`.
+//! that produced the run (the `dtp trace replay` foundation).
 
-use dtp_core::{run_flow_observed, FlowConfig, FlowMode, FlowResult, Observer};
+use dtp_core::{run_flow_observed, FlowConfig, FlowMode, Observer};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_trace::{diff, Tolerances, Trace};
@@ -41,19 +39,15 @@ impl Write for SharedBuf {
     }
 }
 
-fn run_traced(
-    d: &dtp_netlist::Design,
-    mode: FlowMode,
-    config: &FlowConfig,
-) -> (Trace, FlowResult) {
+fn run_traced(d: &dtp_netlist::Design, mode: FlowMode, config: &FlowConfig) -> Trace {
     let lib = synthetic_pdk();
     let buf = Arc::new(Mutex::new(Vec::new()));
     let mut obs = Observer::new(true);
     obs.set_design_source("trace-golden");
     obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
-    let r = run_flow_observed(d, &lib, mode, config, &mut obs).expect("flow runs");
+    run_flow_observed(d, &lib, mode, config, &mut obs).expect("flow runs");
     let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
-    (Trace::parse(&text).expect("v2 stream parses"), r)
+    Trace::parse(&text).expect("v3 stream parses")
 }
 
 #[test]
@@ -62,7 +56,7 @@ fn canonical_bytes_are_bit_identical_across_reruns_and_pool_widths() {
     let mut traces = Vec::new();
     for threads in [1usize, 1, 2, 4] {
         let config = FlowConfig { threads, ..base_config() };
-        let (t, _) = run_traced(&d, FlowMode::differentiable(), &config);
+        let t = run_traced(&d, FlowMode::differentiable(), &config);
         traces.push(t);
     }
     let golden = traces[0].canonical_bytes();
@@ -97,7 +91,7 @@ fn header_reconstructs_the_exact_flow_config_and_mode() {
         ..base_config()
     };
     let mode = FlowMode::path_extraction();
-    let (t, _) = run_traced(&d, mode, &config);
+    let t = run_traced(&d, mode, &config);
     assert_eq!(t.header.mode, "path-extraction");
     assert_eq!(t.header.seed, u64::MAX - 17);
     assert_eq!(t.header.design, "trace-golden");
@@ -114,38 +108,4 @@ fn header_reconstructs_the_exact_flow_config_and_mode() {
     let rebuilt_mode =
         FlowMode::from_trace(&t.header.mode, &t.header.mode_config).expect("mode reconstructs");
     assert_eq!(rebuilt_mode.trace_fields(), mode.trace_fields());
-}
-
-#[test]
-fn multilevel_trace_is_coarsest_first_with_per_level_counts() {
-    let d = design();
-    let config = FlowConfig {
-        multilevel: true,
-        levels: 2,
-        max_iters: 40,
-        ..base_config()
-    };
-    let (t, r) = run_traced(&d, FlowMode::differentiable(), &config);
-    let levels = t.levels();
-    assert!(levels.len() >= 2, "multilevel run recorded a single level: {levels:?}");
-    assert_eq!(*levels.last().unwrap(), 0, "finest level must come last");
-    for w in levels.windows(2) {
-        assert!(w[0] > w[1], "levels not strictly coarsest-first: {levels:?}");
-    }
-    // Per-level iter record counts match the flow's own accounting
-    // (level_iterations is coarsest first, like the stream).
-    let recorded: Vec<usize> = levels
-        .iter()
-        .map(|&lv| t.iters.iter().filter(|it| it.level == lv).count())
-        .collect();
-    assert_eq!(recorded, r.level_iterations, "per-level record counts diverge from FlowResult");
-    assert_eq!(t.iters.len(), r.iterations, "total iter records diverge from FlowResult");
-    // Every record carries the per-iteration counter deltas; the iteration
-    // counter itself must be 1 in each (exactly one optimizer step per
-    // record), and coarse records must mark the coarse counter.
-    for it in &t.iters {
-        assert_eq!(it.counters[dtp_obs::Counter::Iterations.index()], 1, "iter {}", it.iter);
-        let coarse = it.counters[dtp_obs::Counter::CoarseIterations.index()];
-        assert_eq!(coarse, u64::from(it.level > 0), "iter {} level {}", it.iter, it.level);
-    }
 }

@@ -137,13 +137,6 @@ impl CellClass {
         self
     }
 
-    /// Appends a pin template in place; used by the coarsening pass, which
-    /// grows a synthetic cluster class one pin per net incidence.
-    pub(crate) fn push_pin(&mut self, spec: PinSpec) -> ClassPinId {
-        self.pins.push(spec);
-        ClassPinId::new(self.pins.len() - 1)
-    }
-
     /// Adds a signal pin template (builder style).
     pub fn with_pin(mut self, name: impl Into<String>, dir: PinDir, dx: f64, dy: f64) -> Self {
         self.pins.push(PinSpec {

@@ -53,7 +53,6 @@
 
 mod builder;
 mod class;
-mod cluster;
 mod cursor;
 mod design;
 mod error;
@@ -74,7 +73,6 @@ pub mod verilog;
 
 pub use builder::NetlistBuilder;
 pub use class::{CellClass, ClassId, ClassPinId, PinDir, PinKind, PinSpec};
-pub use cluster::{coarsen, ClusterMap, MAX_CLUSTER_NET_DEGREE};
 pub use design::{Design, Row};
 pub use error::NetlistError;
 pub use geom::{Point, Rect};

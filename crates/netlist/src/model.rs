@@ -568,29 +568,13 @@ impl Netlist {
         }
     }
 
-    /// An empty netlist sharing `other`'s class table.
-    pub(crate) fn with_classes_of(other: &Netlist) -> Self {
-        Netlist {
-            classes: Arc::clone(&other.classes),
-            class_index: other.class_index.clone(),
-            ..Netlist::default()
-        }
-    }
-
-    /// Appends a class. Names are the builder's to keep distinct; of two
-    /// classes with one name (coarsening a coarse netlist re-issues `__CL<k>`)
-    /// [`Netlist::find_class`] returns the first.
+    /// Appends a class. Names are the builder's to keep distinct.
     pub(crate) fn push_class(&mut self, class: CellClass) -> ClassId {
         let id = to_u32(self.classes.len());
         let classes = &self.classes;
         self.class_index.intern(class.name(), id, |i| classes[i as usize].name());
         Arc::make_mut(&mut self.classes).push(class);
         ClassId(id)
-    }
-
-    /// Mutable access to a class (the coarsening pass grows synthetic ones).
-    pub(crate) fn class_mut(&mut self, id: ClassId) -> &mut CellClass {
-        &mut Arc::make_mut(&mut self.classes)[id.index()]
     }
 
     /// Appends a cell at the origin, without pins.
@@ -609,7 +593,7 @@ impl Netlist {
     }
 
     /// Appends an unconnected pin instance; the cell → pins rows are the caller's to keep
-    /// ([`Netlist::close_cell_row`] or [`Netlist::index_cell_pins`]).
+    /// ([`Netlist::close_cell_row`]).
     pub(crate) fn push_pin(&mut self, cell: CellId, class_pin: ClassPinId) -> PinId {
         let id = PinId(to_u32(self.num_pins()));
         self.pin_cell.push(cell);
@@ -626,13 +610,6 @@ impl Netlist {
         self.cell_pin_end.push(to_u32(self.num_pins()));
     }
 
-    /// Rebuilds the cell → pins rows from `pin_cell` (ascending pin ids per
-    /// cell), for netlists whose cells gained pins out of order.
-    pub(crate) fn index_cell_pins(&mut self) {
-        let pins = (0..self.num_pins()).map(PinId::new);
-        (self.cell_pin_end, self.cell_pins) = group_pins(self.num_cells(), pins, |p| self.pin_cell[p.index()].index());
-    }
-
     /// The net named `name`, appended (without pins) if there is none yet;
     /// the flag says whether it is new.
     pub(crate) fn intern_net(&mut self, name: &str) -> (NetId, bool) {
@@ -645,15 +622,6 @@ impl Netlist {
         self.net_is_clock.push(false);
         self.net_pin_end.push(to_u32(self.net_pins.len()));
         (NetId(id), true)
-    }
-
-    /// Appends a pin to the newest net's row (driver first is the caller's
-    /// duty) and points the pin at it.
-    pub(crate) fn push_net_pin(&mut self, pin: PinId) {
-        let net = self.num_nets() - 1;
-        self.pin_net[pin.index()] = net as u32;
-        self.net_pins.push(pin);
-        self.net_pin_end[net] = to_u32(self.net_pins.len());
     }
 
     /// Points an unconnected pin at `net`; `false` if it already has a net.

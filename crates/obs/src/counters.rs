@@ -31,15 +31,11 @@ pub enum Counter {
     TraceAnalyses,
     /// Top-K critical-path extractions (path-extraction mode).
     PathExtractions,
-    /// Global-placement iterations spent on coarse (clustered) V-cycle
-    /// levels; the per-record `level` field of the v2 trace attributes them
-    /// to individual levels.
-    CoarseIterations,
 }
 
 impl Counter {
     /// Number of counters (length of every per-counter array).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -53,7 +49,6 @@ impl Counter {
         Counter::RudyIncUpdates,
         Counter::TraceAnalyses,
         Counter::PathExtractions,
-        Counter::CoarseIterations,
     ];
 
     /// Dense slot index of this counter.
@@ -75,12 +70,11 @@ impl Counter {
             Counter::RudyIncUpdates => "rudy_inc_updates",
             Counter::TraceAnalyses => "trace_analyses",
             Counter::PathExtractions => "path_extractions",
-            Counter::CoarseIterations => "coarse_iterations",
         }
     }
 
     /// Inverse of [`Counter::name`]: resolves a sink name back to the
-    /// counter (the v2 trace reader's lookup). `None` for unknown names.
+    /// counter (the trace reader's lookup). `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Counter> {
         Counter::ALL.iter().copied().find(|c| c.name() == name)
     }

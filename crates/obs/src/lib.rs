@@ -15,7 +15,7 @@
 //!    the health signals of the incremental subsystems: dirty-net counts,
 //!    incremental-vs-full STA fallbacks, table-vs-Prim Steiner backends,
 //!    FFT-vs-dense Poisson selection, pool dispatches, overflow bins.
-//! 3. **Structured sinks** — the schema-v2 JSONL flight recorder
+//! 3. **Structured sinks** — the schema-v3 JSONL flight recorder
 //!    (`--trace-out`): one [`TraceHeader`] record carrying config, seed,
 //!    pool width, and design fingerprint, then per-iteration pairs of a
 //!    deterministic `iter` record ([`write_iter_record`]) and a wall-clock
@@ -132,7 +132,7 @@ impl Observer {
         self.design_source.as_deref()
     }
 
-    /// Writes the v2 trace header record to the attached sink, if any.
+    /// Writes the v3 trace header record to the attached sink, if any.
     /// Call once, before the first iteration. Allocates (once per run).
     pub fn emit_header(&mut self, header: &TraceHeader) {
         if !self.enabled {
@@ -234,7 +234,7 @@ impl Observer {
                 // Deterministic convergence record first, then the
                 // wall-clock span record (diff/replay skip the latter).
                 let res = write_iter_record(w.as_mut(), &ev, &sample.counter_delta).and_then(
-                    |()| write_span_record(w.as_mut(), ev.iter, ev.level, &sample.phase_ns),
+                    |()| write_span_record(w.as_mut(), ev.iter, &sample.phase_ns),
                 );
                 if let Err(e) = res {
                     self.trace_failed = true;
@@ -332,7 +332,6 @@ mod tests {
         obs.iter_begin();
         obs.iter_end(IterEvent {
             iter: 0,
-            level: 0,
             wl: 1.0,
             hpwl: 1.0,
             overflow: 1.0,
@@ -361,8 +360,7 @@ mod tests {
             obs.add(Counter::GeoDirtyNets, 4);
             obs.iter_end(IterEvent {
                 iter,
-                level: 0,
-                wl: 100.0 + iter as f64,
+                    wl: 100.0 + iter as f64,
                 hpwl: f64::NAN,
                 overflow: 0.9,
                 lambda: 2e-4,
@@ -384,7 +382,7 @@ mod tests {
         // One `iter` + one `span` record per iteration.
         assert_eq!(text.lines().count(), 6);
         for (i, line) in text.lines().enumerate() {
-            let rec = trace::parse_record(line).expect("JSONL line parses as a v2 record");
+            let rec = trace::parse_record(line).expect("JSONL line parses as a v3 record");
             match rec {
                 TraceRecord::Iter(it) => {
                     assert_eq!(i % 2, 0, "iter record out of order at line {i}");
@@ -429,7 +427,6 @@ mod tests {
         obs.iter_begin();
         obs.iter_end(IterEvent {
             iter: 0,
-            level: 0,
             wl: 1.0,
             hpwl: 1.0,
             overflow: 0.5,

@@ -48,17 +48,13 @@ pub enum Phase {
     DetailPlace,
     /// The exact analysis of the final placement (reporting).
     FinalSta,
-    /// Netlist coarsening for a multi-level (clustered) flow level.
-    Coarsen,
-    /// Projecting a coarse solution onto the next finer level's cells.
-    Interpolate,
     /// Top-K critical-path extraction + net-weight transfer (path mode).
     PathExtract,
     /// Reading the design: the input files parsed, or a proxy synthesized
     /// (`dtp place`; once per run, outside every iteration).
     Parse,
-    /// The fine level's set-up before its first iteration: the working copy
-    /// of the design, the models and the timer.
+    /// The flow's set-up before its first iteration: the working copy of the
+    /// design, the models and the timer.
     Setup,
     /// Writing the placed design (`dtp place --out`).
     Write,
@@ -66,7 +62,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (length of every per-phase array).
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 18;
 
     /// Every phase, in slot order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -84,8 +80,6 @@ impl Phase {
         Phase::Legalize,
         Phase::DetailPlace,
         Phase::FinalSta,
-        Phase::Coarsen,
-        Phase::Interpolate,
         Phase::PathExtract,
         Phase::Parse,
         Phase::Setup,
@@ -115,8 +109,6 @@ impl Phase {
             Phase::Legalize => "legalize",
             Phase::DetailPlace => "detail_place",
             Phase::FinalSta => "final_sta",
-            Phase::Coarsen => "coarsen",
-            Phase::Interpolate => "interpolate",
             Phase::PathExtract => "path_extract",
             Phase::Parse => "parse",
             Phase::Setup => "setup",
@@ -125,7 +117,7 @@ impl Phase {
     }
 
     /// Inverse of [`Phase::name`]: resolves a sink name back to the phase
-    /// (the v2 trace reader's lookup). `None` for unknown names.
+    /// (the trace reader's lookup). `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Phase> {
         Phase::ALL.iter().copied().find(|p| p.name() == name)
     }

@@ -18,7 +18,7 @@ pub const METRICS_SCHEMA: &str = "dtp-metrics-v1";
 
 /// Identifies the JSONL trace layout (one header record, then per-iteration
 /// `iter`/`span` record pairs).
-pub const TRACE_SCHEMA: &str = "dtp-trace-v2";
+pub const TRACE_SCHEMA: &str = "dtp-trace-v3";
 
 /// The QoR samples of one iteration, as handed to the JSONL sink.
 ///
@@ -26,11 +26,8 @@ pub const TRACE_SCHEMA: &str = "dtp-trace-v2";
 /// `NAN` on iterations where they were not computed and serialize as `null`.
 #[derive(Clone, Copy, Debug)]
 pub struct IterEvent {
-    /// Iteration index (within its level).
+    /// Iteration index.
     pub iter: u64,
-    /// V-cycle level: 0 = flat/fine placement, >0 = coarse clustered levels
-    /// (higher = coarser).
-    pub level: u32,
     /// Smoothed (weighted-average) wirelength from the gradient evaluation.
     pub wl: f64,
     /// Exact HPWL; `NAN` when not computed this iteration.
@@ -49,7 +46,7 @@ pub struct IterEvent {
     pub timing: bool,
 }
 
-/// Writes one v2 `iter` record: the iteration's deterministic convergence
+/// Writes one v3 `iter` record: the iteration's deterministic convergence
 /// fields plus its per-counter increments. One valid JSON object per line,
 /// `NAN`/infinities as `null`, no heap allocation.
 ///
@@ -66,11 +63,7 @@ pub fn write_iter_record(
     ev: &IterEvent,
     counter_delta: &[u64; Counter::COUNT],
 ) -> io::Result<()> {
-    write!(
-        w,
-        "{{\"t\":\"iter\",\"iter\":{},\"level\":{},\"wl\":",
-        ev.iter, ev.level
-    )?;
+    write!(w, "{{\"t\":\"iter\",\"iter\":{},\"wl\":", ev.iter)?;
     json::write_f64(w, ev.wl)?;
     w.write_all(b",\"hpwl\":")?;
     json::write_f64(w, ev.hpwl)?;
@@ -104,7 +97,7 @@ pub fn write_iter_record(
     w.write_all(b"}}\n")
 }
 
-/// Writes one v2 `span` record: the iteration's per-phase nanoseconds.
+/// Writes one v3 `span` record: the iteration's per-phase nanoseconds.
 /// One valid JSON object per line, no heap allocation.
 ///
 /// Span records carry the only nondeterministic trace content (wall-clock),
@@ -116,13 +109,9 @@ pub fn write_iter_record(
 pub fn write_span_record(
     w: &mut dyn Write,
     iter: u64,
-    level: u32,
     phase_ns: &[u64; Phase::COUNT],
 ) -> io::Result<()> {
-    write!(
-        w,
-        "{{\"t\":\"span\",\"iter\":{iter},\"level\":{level},\"phase_ns\":{{"
-    )?;
+    write!(w, "{{\"t\":\"span\",\"iter\":{iter},\"phase_ns\":{{")?;
     let mut first = true;
     for p in Phase::ALL {
         let ns = phase_ns[p.index()];
@@ -349,7 +338,6 @@ mod tests {
         let mut buf: Vec<u8> = Vec::new();
         let ev = IterEvent {
             iter: 3,
-            level: 2,
             wl: 123.5,
             hpwl: f64::NAN,
             overflow: 0.7,
@@ -369,7 +357,6 @@ mod tests {
             let v = crate::json::parse(line).expect("line parses");
             assert_eq!(v.get("t").unwrap().as_str(), Some("iter"));
             assert_eq!(v.get("iter").unwrap().as_f64(), Some(3.0));
-            assert_eq!(v.get("level").unwrap().as_f64(), Some(2.0));
             assert!(v.get("hpwl").unwrap().is_null());
             assert_eq!(v.get("lambda").unwrap().as_f64(), Some(1.5e-4));
             assert!(v.get("step").unwrap().is_null());
@@ -389,12 +376,11 @@ mod tests {
         let mut buf: Vec<u8> = Vec::new();
         let mut ns = [0u64; Phase::COUNT];
         ns[Phase::DensityGrad.index()] = 55;
-        write_span_record(&mut buf, 7, 1, &ns).unwrap();
+        write_span_record(&mut buf, 7, &ns).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let v = crate::json::parse(text.trim()).expect("line parses");
         assert_eq!(v.get("t").unwrap().as_str(), Some("span"));
         assert_eq!(v.get("iter").unwrap().as_f64(), Some(7.0));
-        assert_eq!(v.get("level").unwrap().as_f64(), Some(1.0));
         let phase_ns = v.get("phase_ns").unwrap();
         assert_eq!(phase_ns.get("density_grad").unwrap().as_f64(), Some(55.0));
         assert!(phase_ns.get("legalize").is_none(), "zero phase serialized");

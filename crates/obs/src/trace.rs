@@ -1,7 +1,7 @@
-//! Trace schema v2: the typed record model of the JSONL flight recorder,
+//! Trace schema v3: the typed record model of the JSONL flight recorder,
 //! with a strict reader that every sink line round-trips through.
 //!
-//! A v2 trace is one JSONL stream of three record kinds, discriminated by
+//! A v3 trace is one JSONL stream of three record kinds, discriminated by
 //! the `"t"` field:
 //!
 //! * **`header`** (exactly one, first line) — the run's identity: schema
@@ -9,9 +9,9 @@
 //!   fingerprint (name, cell/net/pin counts, region, clock period), the
 //!   optional design-source spec for replay, and the full flow + mode
 //!   configuration as generic key/value fields.
-//! * **`iter`** (one per global-placement iteration, coarse and fine) — the
-//!   deterministic convergence record: wl/HPWL/overflow, λ, step length,
-//!   WNS/TNS, timing-active flag, V-cycle level, and per-counter deltas.
+//! * **`iter`** (one per global-placement iteration) — the deterministic
+//!   convergence record: wl/HPWL/overflow, λ, step length, WNS/TNS,
+//!   timing-active flag, and per-counter deltas.
 //!   For a fixed config and seed these lines are bit-for-bit identical
 //!   across runs and pool widths.
 //! * **`span`** (one per iteration, after its `iter` line) — the per-phase
@@ -22,7 +22,8 @@
 //! `seed` is a JSON *string* so the full `u64` range survives the `f64`
 //! number pipeline; counters/phase durations are JSON numbers and exact up
 //! to 2^53 (per-iteration deltas in practice are far smaller). Re-writing a
-//! parsed record with the same writers reproduces the input bytes.
+//! parsed record with the same writers reproduces the input bytes. (v3 is v2
+//! without the V-cycle `level` field; a v2 header is refused.)
 
 use crate::counters::Counter;
 use crate::json::{self, Value};
@@ -30,7 +31,7 @@ use crate::phase::Phase;
 use crate::sink::{write_iter_record, write_span_record, IterEvent, TRACE_SCHEMA};
 use std::io::{self, Write};
 
-/// The run-identity record: first line of every v2 trace.
+/// The run-identity record: first line of every v3 trace.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
     /// Schema tag ([`TRACE_SCHEMA`]).
@@ -69,10 +70,8 @@ pub struct TraceHeader {
 /// One deterministic per-iteration convergence record.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceIter {
-    /// Iteration index (within its level).
+    /// Iteration index.
     pub iter: u64,
-    /// V-cycle level (0 = flat/fine; higher = coarser).
-    pub level: u32,
     /// Smoothed (weighted-average) wirelength.
     pub wl: f64,
     /// Exact HPWL; `NAN` when not sampled this iteration.
@@ -98,13 +97,11 @@ pub struct TraceIter {
 pub struct TraceSpan {
     /// Iteration index the span belongs to.
     pub iter: u64,
-    /// V-cycle level of that iteration.
-    pub level: u32,
     /// Per-phase nanoseconds, in [`Phase::ALL`] order.
     pub phase_ns: [u64; Phase::COUNT],
 }
 
-/// One parsed line of a v2 trace.
+/// One parsed line of a v3 trace.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceRecord {
     /// The run-identity header (first line).
@@ -182,7 +179,6 @@ impl TraceIter {
     pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
         let ev = IterEvent {
             iter: self.iter,
-            level: self.level,
             wl: self.wl,
             hpwl: self.hpwl,
             overflow: self.overflow,
@@ -203,7 +199,7 @@ impl TraceSpan {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_span_record(w, self.iter, self.level, &self.phase_ns)
+        write_span_record(w, self.iter, &self.phase_ns)
     }
 }
 
@@ -310,13 +306,8 @@ fn parse_iter(v: &Value) -> Result<TraceIter, String> {
         }
         counters[c.index()] = n as u64;
     }
-    let level = req_u64(v, "level")?;
-    if level > u32::MAX as u64 {
-        return Err("field `level` out of range".into());
-    }
     Ok(TraceIter {
         iter: req_u64(v, "iter")?,
-        level: level as u32,
         wl: req_f64_or_null(v, "wl")?,
         hpwl: req_f64_or_null(v, "hpwl")?,
         overflow: req_f64_or_null(v, "overflow")?,
@@ -341,11 +332,7 @@ fn parse_span(v: &Value) -> Result<TraceSpan, String> {
         }
         phase_ns[p.index()] = n as u64;
     }
-    let level = req_u64(v, "level")?;
-    if level > u32::MAX as u64 {
-        return Err("field `level` out of range".into());
-    }
-    Ok(TraceSpan { iter: req_u64(v, "iter")?, level: level as u32, phase_ns })
+    Ok(TraceSpan { iter: req_u64(v, "iter")?, phase_ns })
 }
 
 /// Parses one JSONL line into a typed [`TraceRecord`], strictly: required
@@ -432,6 +419,16 @@ mod tests {
         assert_eq!(parsed.to_json_line(), line);
     }
 
+    /// v2 records carried the V-cycle `level`; a v2 stream is refused at its
+    /// header rather than half-read.
+    #[test]
+    fn a_v2_header_is_refused_as_an_unsupported_schema() {
+        let mut h = sample_header();
+        h.schema = "dtp-trace-v2".to_string();
+        let err = parse_record(h.to_json_line().trim_end()).unwrap_err();
+        assert_eq!(err, "unsupported trace schema `dtp-trace-v2` (expected `dtp-trace-v3`)");
+    }
+
     #[test]
     fn iter_round_trips_bytewise_with_nans() {
         let mut counters = [0u64; Counter::COUNT];
@@ -439,7 +436,6 @@ mod tests {
         counters[Counter::GeoDirtyNets.index()] = 250;
         let rec = TraceIter {
             iter: 42,
-            level: 3,
             wl: 1.25e6,
             hpwl: f64::NAN,
             overflow: 0.41,
@@ -469,7 +465,7 @@ mod tests {
         let mut phase_ns = [0u64; Phase::COUNT];
         phase_ns[Phase::WirelengthGrad.index()] = 123_456;
         phase_ns[Phase::Legalize.index()] = 9;
-        let rec = TraceSpan { iter: 7, level: 0, phase_ns };
+        let rec = TraceSpan { iter: 7, phase_ns };
         let mut buf = Vec::new();
         rec.write_jsonl(&mut buf).unwrap();
         let line = String::from_utf8(buf).unwrap();
@@ -491,12 +487,12 @@ mod tests {
         assert!(parse_record(r#"{"t":"frame"}"#).is_err());
         // Unknown counter name.
         assert!(parse_record(
-            r#"{"t":"iter","iter":0,"level":0,"wl":1,"hpwl":null,"overflow":1,"lambda":1,"step":null,"wns":null,"tns":null,"timing":false,"counters":{"bogus":1}}"#
+            r#"{"t":"iter","iter":0,"wl":1,"hpwl":null,"overflow":1,"lambda":1,"step":null,"wns":null,"tns":null,"timing":false,"counters":{"bogus":1}}"#
         )
         .is_err());
         // Missing required field (no overflow).
         assert!(parse_record(
-            r#"{"t":"iter","iter":0,"level":0,"wl":1,"hpwl":null,"lambda":1,"step":null,"wns":null,"tns":null,"timing":false,"counters":{}}"#
+            r#"{"t":"iter","iter":0,"wl":1,"hpwl":null,"lambda":1,"step":null,"wns":null,"tns":null,"timing":false,"counters":{}}"#
         )
         .is_err());
         // Wrong schema tag.
@@ -506,7 +502,7 @@ mod tests {
         .is_err());
         // Negative counter.
         assert!(parse_record(
-            r#"{"t":"span","iter":0,"level":0,"phase_ns":{"legalize":-5}}"#
+            r#"{"t":"span","iter":0,"phase_ns":{"legalize":-5}}"#
         )
         .is_err());
     }

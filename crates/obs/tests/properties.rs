@@ -1,6 +1,6 @@
 //! Property tests for the structured sinks: for arbitrary counter/phase
 //! states — including the NAN/±inf QoR samples of untraced iterations —
-//! the v2 JSONL writers must emit exactly one valid record per line, every
+//! the v3 JSONL writers must emit exactly one valid record per line, every
 //! line must round-trip through the strict trace reader, and re-serializing
 //! the parsed record must reproduce the input bytes.
 
@@ -23,16 +23,16 @@ fn telemetry_f64(raw: u64, scale: f64) -> f64 {
 
 proptest! {
     #[test]
-    fn v2_records_round_trip_through_the_reader(
+    fn v3_records_round_trip_through_the_reader(
         iters in proptest::collection::vec(
-            (0u64..1_000_000, 0u32..6, 0u64..u64::MAX, 0u64..u64::MAX),
+            (0u64..1_000_000, 0u64..u64::MAX, 0u64..u64::MAX),
             1..20
         ),
         ns_seed in 0u64..u64::MAX,
         cd_seed in 0u64..u64::MAX,
     ) {
         let mut buf: Vec<u8> = Vec::new();
-        for &(iter, level, qa, qb) in &iters {
+        for &(iter, qa, qb) in &iters {
             // Arbitrary per-phase nanoseconds (sparse: some slots zero).
             let mut phase_ns = [0u64; Phase::COUNT];
             for (i, slot) in phase_ns.iter_mut().enumerate() {
@@ -48,7 +48,6 @@ proptest! {
             }
             let ev = IterEvent {
                 iter,
-                level,
                 wl: telemetry_f64(qa, 1.0),
                 hpwl: telemetry_f64(qa.rotate_left(13), 1e3),
                 overflow: telemetry_f64(qb, 1e-3),
@@ -59,7 +58,7 @@ proptest! {
                 timing: qa % 2 == 0,
             };
             dtp_obs::write_iter_record(&mut buf, &ev, &counter_delta).unwrap();
-            dtp_obs::write_span_record(&mut buf, iter, level, &phase_ns).unwrap();
+            dtp_obs::write_span_record(&mut buf, iter, &phase_ns).unwrap();
         }
         let text = String::from_utf8(buf).expect("sink output is UTF-8");
         // Exactly two lines per iteration (iter + span)...
@@ -74,19 +73,17 @@ proptest! {
                 Ok(r) => r,
                 Err(e) => return Err(TestCaseError::Fail(format!("bad line {line:?}: {e}"))),
             };
-            let (iter, level, _, _) = iters[i / 2];
+            let (iter, _, _) = iters[i / 2];
             let mut rewritten = Vec::new();
             match rec {
                 TraceRecord::Iter(it) => {
                     prop_assert_eq!(i % 2, 0, "iter record on an odd line");
                     prop_assert_eq!(it.iter, iter);
-                    prop_assert_eq!(it.level, level);
                     it.write_jsonl(&mut rewritten).unwrap();
                 }
                 TraceRecord::Span(sp) => {
                     prop_assert_eq!(i % 2, 1, "span record on an even line");
                     prop_assert_eq!(sp.iter, iter);
-                    prop_assert_eq!(sp.level, level);
                     sp.write_jsonl(&mut rewritten).unwrap();
                 }
                 TraceRecord::Header(_) => {

@@ -122,9 +122,8 @@ pub struct TimingReport {
 impl TimingReport {
     /// Builds a report from an (ideally exact) analysis.
     ///
-    /// A design with no constrained endpoints (e.g. a coarse multi-level
-    /// proxy whose synthetic cluster classes carry no arcs) reports
-    /// `WNS = 0.0`, not `+inf`. The worst endpoint is selected
+    /// A design with no constrained endpoints (no registers, no output
+    /// ports) reports `WNS = 0.0`, not `+inf`. The worst endpoint is selected
     /// deterministically: slack ties are broken by the smaller [`PinId`].
     pub fn new(timer: &Timer, nl: &Netlist, analysis: &Analysis) -> TimingReport {
         let endpoints = analysis.endpoints();

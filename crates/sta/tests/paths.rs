@@ -297,7 +297,7 @@ fn no_rat_analysis_is_sufficient_for_extraction() {
 #[test]
 fn report_clamps_wns_without_endpoints() {
     // A design with no registers and no output ports has no constrained
-    // endpoints (the coarse V-cycle case): WNS must read 0.0, not +inf.
+    // endpoints: WNS must read 0.0, not +inf.
     let mut b = NetlistBuilder::new();
     let inv = inv_class(&mut b);
     let pi = b.add_input_port("in").unwrap();

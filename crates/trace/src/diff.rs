@@ -74,8 +74,6 @@ pub struct Divergence {
     /// The `iter` field of the offending record (from trace A when records
     /// are missing in B).
     pub iter: u64,
-    /// The V-cycle level of the offending record.
-    pub level: u32,
     /// Which field diverged (`"wl"`, `"counters.sta_full"`, `"missing
     /// record"`, ...).
     pub field: String,
@@ -129,8 +127,8 @@ impl DiffReport {
         match &self.first_divergence {
             Some(d) => {
                 out.push_str(&format!(
-                    "first divergence at record {} (iter {}, level {}): {} — a={} b={}\n",
-                    d.index, d.iter, d.level, d.field, d.a, d.b
+                    "first divergence at record {} (iter {}): {} — a={} b={}\n",
+                    d.index, d.iter, d.field, d.a, d.b
                 ));
                 out.push_str(&format!(
                     "{} mismatched value(s) across {} compared iteration record(s)\n",
@@ -246,7 +244,6 @@ impl IterCmp<'_> {
             self.report.first_divergence = Some(Divergence {
                 index,
                 iter: a.iter,
-                level: a.level,
                 field: field.to_string(),
                 a: va,
                 b: vb,
@@ -263,9 +260,6 @@ impl IterCmp<'_> {
     fn compare(&mut self, index: usize, a: &TraceIter, b: &TraceIter) {
         if a.iter != b.iter {
             self.record(index, a, "iter", a.iter.to_string(), b.iter.to_string());
-        }
-        if a.level != b.level {
-            self.record(index, a, "level", a.level.to_string(), b.level.to_string());
         }
         if a.timing != b.timing {
             self.record(index, a, "timing", a.timing.to_string(), b.timing.to_string());
@@ -302,17 +296,12 @@ pub fn diff(a: &Trace, b: &Trace, tol: &Tolerances) -> DiffReport {
         cmp.compare(i, &a.iters[i], &b.iters[i]);
     }
     if a.iters.len() != b.iters.len() {
-        let (iter, level) = if a.iters.len() > shared {
-            (a.iters[shared].iter, a.iters[shared].level)
-        } else {
-            (b.iters[shared].iter, b.iters[shared].level)
-        };
+        let iter = if a.iters.len() > shared { a.iters[shared].iter } else { b.iters[shared].iter };
         cmp.report.mismatched_values += 1;
         if cmp.report.first_divergence.is_none() {
             cmp.report.first_divergence = Some(Divergence {
                 index: shared,
                 iter,
-                level,
                 field: "record count".to_string(),
                 a: a.iters.len().to_string(),
                 b: b.iters.len().to_string(),

@@ -1,6 +1,6 @@
-//! `dtp-trace` — forensics over the flow's schema-v2 JSONL flight recorder.
+//! `dtp-trace` — forensics over the flow's schema-v3 JSONL flight recorder.
 //!
-//! The flow records its convergence behaviour (`dtp-obs` trace schema v2:
+//! The flow records its convergence behaviour (`dtp-obs` trace schema v3:
 //! one header record, then per-iteration `iter`/`span` record pairs); this
 //! crate reads those streams back and answers the questions the raw JSONL
 //! cannot:
@@ -18,9 +18,8 @@
 //!   canonical bytes at any pool width; `dtp trace replay` asserts exactly
 //!   this.
 //! * [`report`] — a human-readable convergence summary: per-phase time
-//!   table, per-V-cycle-level iteration/time breakdown, and windowed
-//!   plateau/oscillation/divergence detection over the HPWL and overflow
-//!   trajectories.
+//!   table and windowed plateau/oscillation/divergence detection over the
+//!   HPWL and overflow trajectories.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,13 +33,12 @@ pub use report::report;
 use dtp_obs::json::Value;
 use dtp_obs::{trace, TraceHeader, TraceIter, TraceRecord, TraceSpan};
 
-/// A fully parsed v2 trace: the header plus all iteration records.
+/// A fully parsed v3 trace: the header plus all iteration records.
 #[derive(Clone, Debug)]
 pub struct Trace {
     /// The run-identity header (first record of the stream).
     pub header: TraceHeader,
-    /// Deterministic convergence records, in stream order (coarsest
-    /// V-cycle level first for multilevel runs, then level 0).
+    /// Deterministic convergence records, in stream order.
     pub iters: Vec<TraceIter>,
     /// Wall-clock records, in stream order (parallel to `iters`).
     pub spans: Vec<TraceSpan>,
@@ -135,18 +133,6 @@ impl Trace {
         totals
     }
 
-    /// The distinct V-cycle levels present, in stream order of first
-    /// appearance (coarsest first for multilevel traces, `[0]` for flat).
-    pub fn levels(&self) -> Vec<u32> {
-        let mut levels = Vec::new();
-        for it in &self.iters {
-            if !levels.contains(&it.level) {
-                levels.push(it.level);
-            }
-        }
-        levels
-    }
-
     /// Re-serializes the full trace (header + iter/span records) exactly as
     /// the flow would emit it.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -194,7 +180,6 @@ pub(crate) fn sample_trace(iters: usize) -> Trace {
         counters[Counter::Iterations.index()] = 1;
         trace.iters.push(TraceIter {
             iter: i as u64,
-            level: 0,
             wl: 1000.0 - i as f64,
             hpwl: if i % 10 == 0 { 900.0 - i as f64 } else { f64::NAN },
             overflow: 1.0 / (1.0 + i as f64),
@@ -207,7 +192,7 @@ pub(crate) fn sample_trace(iters: usize) -> Trace {
         });
         let mut phase_ns = [0u64; dtp_obs::Phase::COUNT];
         phase_ns[dtp_obs::Phase::WirelengthGrad.index()] = 1000 + i as u64;
-        trace.spans.push(TraceSpan { iter: i as u64, level: 0, phase_ns });
+        trace.spans.push(TraceSpan { iter: i as u64, phase_ns });
     }
     trace
 }
@@ -258,7 +243,6 @@ mod tests {
         let text = String::from_utf8(t.to_bytes()).unwrap();
         let back = Trace::parse(&text).unwrap();
         assert_eq!(back.to_bytes(), t.to_bytes());
-        assert_eq!(back.levels(), vec![0]);
         let totals = back.phase_totals();
         assert_eq!(
             totals[dtp_obs::Phase::WirelengthGrad.index()],

@@ -1,9 +1,9 @@
 //! Human-readable convergence reports: the `dtp trace report` backend.
 //!
 //! [`report`] renders a parsed trace as a plain-text dossier: run identity,
-//! per-V-cycle-level iteration/time breakdown, a per-phase wall-clock
-//! table, and windowed pathology detection (plateau, oscillation,
-//! divergence) over the recorded HPWL and overflow trajectories.
+//! a per-phase wall-clock table, and windowed pathology detection (plateau,
+//! oscillation, divergence) over the recorded HPWL and overflow
+//! trajectories.
 
 use crate::Trace;
 use dtp_obs::Phase;
@@ -135,32 +135,6 @@ pub fn report(trace: &Trace) -> String {
         trace.spans.len()
     ));
 
-    // Per-level breakdown (multilevel V-cycle forensics).
-    let levels = trace.levels();
-    if !levels.is_empty() {
-        out.push_str("per-level breakdown (stream order, coarsest first):\n");
-        out.push_str("  level  iters  time_ms  final_overflow  final_wl\n");
-        for &lv in &levels {
-            let iters: Vec<_> = trace.iters.iter().filter(|it| it.level == lv).collect();
-            let ns: u64 = trace
-                .spans
-                .iter()
-                .filter(|sp| sp.level == lv)
-                .map(|sp| sp.phase_ns.iter().sum::<u64>())
-                .sum();
-            let last = iters.last().expect("level came from an iter record");
-            let overflow = format!("{:.6}", last.overflow);
-            let wl = format!("{:.4e}", last.wl);
-            out.push_str(&format!(
-                "  {:<5}  {:<5}  {:>7}  {overflow:<14}  {wl}\n",
-                lv,
-                iters.len(),
-                fmt_ms(ns),
-            ));
-        }
-        out.push('\n');
-    }
-
     // Phase table, heaviest first.
     let totals = trace.phase_totals();
     let grand: u64 = totals.iter().sum();
@@ -171,7 +145,7 @@ pub fn report(trace: &Trace) -> String {
             .filter(|&(_, ns)| ns > 0)
             .collect();
         rows.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
-        out.push_str("phase time (all levels):\n");
+        out.push_str("phase time:\n");
         out.push_str("  phase             time_ms     pct\n");
         for (p, ns) in rows {
             out.push_str(&format!(
@@ -184,17 +158,17 @@ pub fn report(trace: &Trace) -> String {
         out.push_str(&format!("  total             {:>8}\n\n", fmt_ms(grand)));
     }
 
-    // Pathology detection over the level-0 (finest) trajectory.
-    let fine: Vec<_> = trace.iters.iter().filter(|it| it.level == 0).collect();
-    let overflow: Vec<f64> = fine.iter().map(|it| it.overflow).collect();
-    let hpwl: Vec<f64> = fine.iter().map(|it| it.hpwl).filter(|v| v.is_finite()).collect();
-    let wl: Vec<f64> = fine.iter().map(|it| it.wl).collect();
-    out.push_str(&format!("convergence pathology (level 0, window {WINDOW}):\n"));
+    // Pathology detection over the trajectory.
+    let iters = &trace.iters;
+    let overflow: Vec<f64> = iters.iter().map(|it| it.overflow).collect();
+    let hpwl: Vec<f64> = iters.iter().map(|it| it.hpwl).filter(|v| v.is_finite()).collect();
+    let wl: Vec<f64> = iters.iter().map(|it| it.wl).collect();
+    out.push_str(&format!("convergence pathology (window {WINDOW}):\n"));
     pathology_line("overflow", &overflow, &mut out);
     pathology_line("hpwl", &hpwl, &mut out);
     pathology_line("wl", &wl, &mut out);
 
-    if let Some(last) = fine.last() {
+    if let Some(last) = iters.last() {
         out.push_str(&format!(
             "\nfinal: overflow {:.6}  wl {:.4e}",
             last.overflow, last.wl
@@ -247,7 +221,6 @@ mod tests {
         let t = sample_trace(30);
         let r = report(&t);
         assert!(r.contains("trace report: sbt"));
-        assert!(r.contains("per-level breakdown"));
         assert!(r.contains("wirelength_grad"));
         assert!(r.contains("convergence pathology"));
         assert!(r.contains("final: overflow"));

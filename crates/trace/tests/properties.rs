@@ -9,7 +9,7 @@ use dtp_trace::{diff, Tolerances, Trace};
 use proptest::prelude::*;
 
 /// Maps a raw u64 onto an "interesting" f64. Only NaN and finite values:
-/// the v2 serialization canonicalizes every non-finite sample to `null`
+/// the v3 serialization canonicalizes every non-finite sample to `null`
 /// (parsed back as NaN), so a `Trace` built from a real stream never
 /// carries ±inf — the generator must respect that invariant for the
 /// byte-exact round-trip property to hold.
@@ -24,7 +24,7 @@ fn telemetry_f64(raw: u64, scale: f64) -> f64 {
     }
 }
 
-fn build_trace(seed: u64, iters: &[(u64, u32, u64, u64)]) -> Trace {
+fn build_trace(seed: u64, iters: &[(u64, u64, u64)]) -> Trace {
     let header = TraceHeader {
         schema: TRACE_SCHEMA.to_string(),
         mode: "differentiable".to_string(),
@@ -46,7 +46,7 @@ fn build_trace(seed: u64, iters: &[(u64, u32, u64, u64)]) -> Trace {
         mode_config: vec![("gamma".to_string(), Value::Num(80.0))],
     };
     let mut t = Trace { header, iters: Vec::new(), spans: Vec::new() };
-    for &(iter, level, qa, qb) in iters {
+    for &(iter, qa, qb) in iters {
         let mut counters = [0u64; Counter::COUNT];
         for (i, slot) in counters.iter_mut().enumerate() {
             let v = qa.wrapping_add((iter + 1).wrapping_mul(i as u64 + 1));
@@ -54,7 +54,6 @@ fn build_trace(seed: u64, iters: &[(u64, u32, u64, u64)]) -> Trace {
         }
         t.iters.push(TraceIter {
             iter,
-            level,
             wl: telemetry_f64(qa, 1.0),
             hpwl: telemetry_f64(qa.rotate_left(13), 1e3),
             overflow: telemetry_f64(qb, 1e-3),
@@ -67,7 +66,7 @@ fn build_trace(seed: u64, iters: &[(u64, u32, u64, u64)]) -> Trace {
         });
         let mut phase_ns = [0u64; Phase::COUNT];
         phase_ns[(qb % Phase::COUNT as u64) as usize] = qb % 1_000_000;
-        t.spans.push(TraceSpan { iter, level, phase_ns });
+        t.spans.push(TraceSpan { iter, phase_ns });
     }
     t
 }
@@ -77,7 +76,7 @@ proptest! {
     fn zero_tolerance_self_diff_is_reflexively_clean(
         seed in 0u64..u64::MAX,
         iters in proptest::collection::vec(
-            (0u64..1_000_000, 0u32..6, 0u64..u64::MAX, 0u64..u64::MAX),
+            (0u64..1_000_000, 0u64..u64::MAX, 0u64..u64::MAX),
             1..20
         ),
     ) {
@@ -118,7 +117,7 @@ proptest! {
     fn any_single_metric_perturbation_is_detected(
         seed in 0u64..u64::MAX,
         iters in proptest::collection::vec(
-            (0u64..1_000_000, 0u32..6, 0u64..u64::MAX, 0u64..u64::MAX),
+            (0u64..1_000_000, 0u64..u64::MAX, 0u64..u64::MAX),
             1..12
         ),
         pick in 0usize..1000,
