@@ -44,8 +44,6 @@ const CONTEXT_KEYS: &[&str] = &[
     "pool_widths",
     "max_iters",
     "smoke",
-    "top_k_sweep",
-    "extract_period",
     "moved_cells",
     "moved_frac",
     "cells",

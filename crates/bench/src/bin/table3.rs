@@ -31,7 +31,7 @@ fn main() {
     let cfg = FlowConfig { max_iters, trace_timing_every: 0, ..FlowConfig::default() };
     let modes = [
         FlowMode::Wirelength,
-        FlowMode::net_weighting(),
+        FlowMode::NetWeighting,
         FlowMode::differentiable(),
     ];
 

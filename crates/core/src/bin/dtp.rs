@@ -5,8 +5,7 @@
 //! dtp gen   <name> <cells> <out_dir>        generate a synthetic design (Bookshelf + .lib + .sdc)
 //! dtp sta   <bookshelf_prefix> <lib_file>   timing report for a placed design
 //! dtp place <bookshelf_prefix_or_proxy>
-//!           [--mode wirelength|net-weighting|differentiable|path-extraction]
-//!           [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F]
+//!           [--mode wirelength|net-weighting|differentiable]
 //!           [--out dir] [--svg file]
 //!           [--bins N] [--max-iters N] [--threads N]
 //!           [--route] [--route-grid N] [--route-capacity C] [--route-weight W]
@@ -23,9 +22,7 @@
 //! dtp trace report <trace.jsonl>            phase/convergence forensics
 //! ```
 //!
-//! Mode selection is unified under `--mode`. The `--top-k`,
-//! `--extract-period`, `--path-decay` and `--pin-weight-cap` knobs configure
-//! `--mode path-extraction` and are ignored (with a warning) elsewhere.
+//! Mode selection is unified under `--mode`; the modes take no options.
 //!
 //! Designs can be given either as a Bookshelf prefix (path to
 //! `X.{nodes,nets,pl,scl}`) or as a built-in proxy name (`sb1`…`sb18`).
@@ -38,7 +35,7 @@
 //! `--log-level warn` silences the informational summaries, leaving stdout
 //! machine-clean (the `FlowResult` line only).
 
-use dtp_core::{run_flow_observed, FlowConfig, FlowMode, PathExtractConfig};
+use dtp_core::{run_flow_observed, FlowConfig, FlowMode};
 use dtp_obs::{self as obs, Gauge, Level, Observer, Phase, QorSummary};
 use dtp_trace::{Tolerances, Trace};
 use dtp_liberty::synth::synthetic_pdk;
@@ -150,8 +147,7 @@ fn cmd_place(args: &[String]) -> CliResult {
     let Some(spec) = args.first() else {
         return Err(
             "usage: dtp place <design> \
-             [--mode wirelength|net-weighting|differentiable|path-extraction] \
-             [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F] \
+             [--mode wirelength|net-weighting|differentiable] \
              [--out dir] [--svg file] \
              [--bins N] [--max-iters N] [--threads N] \
              [--route] [--route-grid N] [--route-capacity C] [--route-weight W] \
@@ -163,8 +159,6 @@ fn cmd_place(args: &[String]) -> CliResult {
     };
     let mut mode = FlowMode::differentiable();
     let mut config = FlowConfig::default();
-    let mut pcfg = PathExtractConfig::default();
-    let mut path_knobs_set = false;
     let mut out_dir: Option<String> = None;
     let mut svg_path: Option<String> = None;
     let mut profile = false;
@@ -186,37 +180,15 @@ fn cmd_place(args: &[String]) -> CliResult {
                 let name = args.get(i + 1).map(String::as_str);
                 mode = match name {
                     Some("wirelength") => FlowMode::Wirelength,
-                    Some("net-weighting") => FlowMode::net_weighting(),
+                    Some("net-weighting") => FlowMode::NetWeighting,
                     Some("differentiable") => FlowMode::differentiable(),
-                    Some("path-extraction") => FlowMode::path_extraction(),
                     other => {
                         return Err(format!(
-                            "unknown mode {other:?} (wirelength|net-weighting|\
-                             differentiable|path-extraction)"
+                            "unknown mode {other:?} (wirelength|net-weighting|differentiable)"
                         )
                         .into())
                     }
                 };
-                i += 2;
-            }
-            "--top-k" => {
-                pcfg.top_k = num(args, i)?;
-                path_knobs_set = true;
-                i += 2;
-            }
-            "--extract-period" => {
-                pcfg.extract_period = num(args, i)?;
-                path_knobs_set = true;
-                i += 2;
-            }
-            "--path-decay" => {
-                pcfg.path_decay = num(args, i)?;
-                path_knobs_set = true;
-                i += 2;
-            }
-            "--pin-weight-cap" => {
-                pcfg.pin_weight_cap = num(args, i)?;
-                path_knobs_set = true;
                 i += 2;
             }
             "--out" => {
@@ -311,41 +283,18 @@ fn cmd_place(args: &[String]) -> CliResult {
         );
         config.bins = rounded;
     }
-    // Fold the path-extraction knobs into the selected mode (they may appear
-    // on either side of `--mode` on the command line).
-    match &mut mode {
-        FlowMode::PathExtraction(c) => *c = pcfg,
-        _ if path_knobs_set => obs::warn!(
-            "warning: --top-k/--extract-period/--path-decay/--pin-weight-cap only \
-             apply to --mode path-extraction; ignored"
-        ),
-        _ => {}
-    }
     // Per-mode configuration, at info so stdout stays machine-clean at warn.
     match mode {
         FlowMode::Wirelength => obs::info!("mode wirelength: no timing mechanism"),
-        FlowMode::NetWeighting(c) => obs::info!(
-            "mode net-weighting: momentum {} max_boost {} sta_period {} start_iter {}",
-            c.momentum,
-            c.max_boost,
-            c.sta_period,
-            c.start_iter
-        ),
+        FlowMode::NetWeighting => {
+            obs::info!("mode net-weighting: momentum net weights from an exact STA")
+        }
         FlowMode::Differentiable(c) => obs::info!(
             "mode differentiable: gamma {} t1 {} t2 {} growth {} start_iter {}",
             c.gamma,
             c.t1,
             c.t2,
             c.growth,
-            c.start_iter
-        ),
-        FlowMode::PathExtraction(c) => obs::info!(
-            "mode path-extraction: top_k {} extract_period {} path_decay {} \
-             pin_weight_cap {} start_iter {}",
-            c.top_k,
-            c.extract_period,
-            c.path_decay,
-            c.pin_weight_cap,
             c.start_iter
         ),
     }

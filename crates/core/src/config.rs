@@ -10,7 +10,6 @@
 //! from it, so a knob cannot be in one of them and missing from another.
 
 use dtp_obs::json::Value;
-use dtp_sta::WireModel;
 
 /// How one kind of knob travels through the trace header's generic values.
 trait Knob: Sized {
@@ -45,14 +44,6 @@ knob_kinds! {
     bool: "a boolean", Value::Bool, Value::as_bool;
     // A string, so the full `u64` range survives the f64 number pipeline.
     u64: "a u64 string", |x: u64| Value::Str(x.to_string()), |v: &Value| v.as_str()?.parse().ok();
-    // The wire model travels under its stable lowercase name.
-    WireModel: "a wire model name",
-        |x| Value::Str(match x { WireModel::Elmore => "elmore", WireModel::D2m => "d2m" }.into()),
-        |v: &Value| match v.as_str()? {
-            "elmore" => Some(WireModel::Elmore),
-            "d2m" => Some(WireModel::D2m),
-            _ => None,
-        };
 }
 
 /// Reads knob `key` out of trace-header fields.
@@ -93,7 +84,7 @@ macro_rules! config_table {
 
             /// Serializes every knob into ordered trace-header fields. A
             /// `u64` is a string so its full range survives the f64 number
-            /// pipeline; the wire model uses its stable lowercase name.
+            /// pipeline.
             $vis fn trace_fields(&self) -> Vec<(String, Value)> {
                 vec![ $( (stringify!($field).to_string(), self.$field.to_value()), )* ]
             }
@@ -117,6 +108,11 @@ macro_rules! config_table {
     };
 }
 
+/// Iteration at which a timing mechanism starts: "around the 100th iteration
+/// where cells have been initially spread out" (§4). Net weighting always
+/// starts here; it is the default of [`DiffTimingConfig::start_iter`].
+pub(crate) const TIMING_START_ITER: usize = 100;
+
 config_table! {
     /// Configuration of the differentiable timing objective (the paper's method).
     pub struct DiffTimingConfig (round trip: pub(crate)) {
@@ -132,77 +128,21 @@ config_table! {
         /// Multiplicative growth of t1/t2 per iteration; the paper increases
         /// them "by 1 % after each iteration".
         growth: f64 = 1.01,
-        /// Iteration at which timing optimization starts ("around the 100th
-        /// iteration where cells have been initially spread out").
-        start_iter: usize = 100,
-        /// Timing-gradient preconditioning (the paper's §5 future-work item):
-        /// when > 0, the timing gradient is rescaled each iteration so its
-        /// ∞-norm equals this fraction of the wirelength gradient's ∞-norm,
-        /// which decouples the effective timing pressure from t1/t2 magnitudes.
-        /// 0 disables (the paper's published behaviour).
-        grad_norm_target: f64 = 0.0,
-        /// Wire delay metric used by the differentiable timer.
-        wire_model: WireModel = WireModel::Elmore,
+        /// Iteration at which timing optimization starts.
+        start_iter: usize = TIMING_START_ITER,
     }
 }
 
-config_table! {
-    /// Configuration of the momentum net-weighting baseline \[24\].
-    pub struct NetWeightConfig (round trip: pub(crate)) {
-        /// Momentum coefficient for the weight update.
-        momentum: f64 = 0.5,
-        /// Maximum instantaneous weight boost for a fully critical net.
-        max_boost: f64 = 2.0,
-        /// Run the (exact) STA and update weights every this many iterations.
-        sta_period: usize = 1,
-        /// Iteration at which weighting starts.
-        start_iter: usize = 100,
-    }
-}
-
-config_table! {
-    /// Configuration of the top-K critical-path-extraction timing mode.
-    ///
-    /// Instead of back-propagating through every timing arc (the differentiable
-    /// objective) or exact-analyzing every endpoint into momentum net weights
-    /// (the net-weighting baseline), this mode periodically runs a forward-only
-    /// exact analysis, extracts the `top_k` worst paths
-    /// ([`dtp_sta::Timer::extract_paths_into`]) and converts the per-pin
-    /// criticalities into wirelength-model net weights: a net touched by a pin
-    /// of criticality `c` gets weight `1 + (pin_weight_cap − 1) · c` (max over
-    /// its pins).
-    pub struct PathExtractConfig (round trip: pub(crate)) {
-        /// Number of worst endpoints traced per extraction.
-        top_k: usize = 32,
-        /// Run the analysis + extraction every this many iterations.
-        extract_period: usize = 5,
-        /// Criticality decay per path rank (rank r is scaled by `decay^r`).
-        path_decay: f64 = 0.9,
-        /// Net weight of a fully critical (rank-0, slack = WNS) pin; weights
-        /// interpolate between 1 and this cap with criticality. The sparse
-        /// weights need a much stronger pull than net-weighting's dense boost:
-        /// only a few dozen nets carry any timing force, so a small cap leaves
-        /// the critical cone dominated by the wirelength term (the bench
-        /// frontier loses ~20% WNS at cap 3 and ~1% at cap 8).
-        pin_weight_cap: f64 = 8.0,
-        /// Iteration at which path-driven weighting starts.
-        start_iter: usize = 100,
-    }
-}
-
-/// Which placement flow to run (the three columns of Table 3, plus the
-/// path-extraction mode).
+/// Which placement flow to run: the three columns of Table 3.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlowMode {
     /// Wirelength-driven only (DREAMPlace \[16\]).
     Wirelength,
-    /// Net-weighting timing-driven (DREAMPlace 4.0 \[24\]).
-    NetWeighting(NetWeightConfig),
+    /// Net-weighting timing-driven (DREAMPlace 4.0 \[24\]): momentum net
+    /// weights from an exact STA on every iteration from the 100th on.
+    NetWeighting,
     /// Differentiable-timing-driven (this paper).
     Differentiable(DiffTimingConfig),
-    /// Top-K critical-path extraction driving net weights (the cheap, sharp
-    /// timing signal of arXiv 2503.11674).
-    PathExtraction(PathExtractConfig),
 }
 
 impl FlowMode {
@@ -211,23 +151,12 @@ impl FlowMode {
         FlowMode::Differentiable(DiffTimingConfig::default())
     }
 
-    /// The net-weighting baseline with default hyperparameters.
-    pub fn net_weighting() -> FlowMode {
-        FlowMode::NetWeighting(NetWeightConfig::default())
-    }
-
-    /// The path-extraction mode with default hyperparameters.
-    pub fn path_extraction() -> FlowMode {
-        FlowMode::PathExtraction(PathExtractConfig::default())
-    }
-
     /// Short label used in tables.
     pub fn label(&self) -> &'static str {
         match self {
             FlowMode::Wirelength => "DREAMPlace",
-            FlowMode::NetWeighting(_) => "NetWeighting",
+            FlowMode::NetWeighting => "NetWeighting",
             FlowMode::Differentiable(_) => "Ours",
-            FlowMode::PathExtraction(_) => "PathExtract",
         }
     }
 
@@ -236,20 +165,17 @@ impl FlowMode {
     pub fn name(&self) -> &'static str {
         match self {
             FlowMode::Wirelength => "wirelength",
-            FlowMode::NetWeighting(_) => "net-weighting",
+            FlowMode::NetWeighting => "net-weighting",
             FlowMode::Differentiable(_) => "differentiable",
-            FlowMode::PathExtraction(_) => "path-extraction",
         }
     }
 
     /// The mode's hyperparameters as ordered trace-header fields (empty for
-    /// the wirelength-only mode).
+    /// the two modes without any).
     pub fn trace_fields(&self) -> Vec<(String, Value)> {
         match self {
-            FlowMode::Wirelength => Vec::new(),
-            FlowMode::NetWeighting(c) => c.trace_fields(),
+            FlowMode::Wirelength | FlowMode::NetWeighting => Vec::new(),
             FlowMode::Differentiable(c) => c.trace_fields(),
-            FlowMode::PathExtraction(c) => c.trace_fields(),
         }
     }
 
@@ -261,20 +187,16 @@ impl FlowMode {
     ///
     /// Returns a message naming the offending mode name or field.
     pub fn from_trace(name: &str, fields: &[(String, Value)]) -> Result<FlowMode, String> {
+        // The modes without hyperparameters must carry no fields.
+        let bare = |mode| match fields.first() {
+            Some((k, _)) => Err(format!("unknown config field `{k}`")),
+            None => Ok(mode),
+        };
         match name {
-            // The wirelength mode must carry no fields.
-            "wirelength" => match fields.first() {
-                Some((k, _)) => Err(format!("unknown config field `{k}`")),
-                None => Ok(FlowMode::Wirelength),
-            },
-            "net-weighting" => {
-                NetWeightConfig::from_trace_fields(fields).map(FlowMode::NetWeighting)
-            }
+            "wirelength" => bare(FlowMode::Wirelength),
+            "net-weighting" => bare(FlowMode::NetWeighting),
             "differentiable" => {
                 DiffTimingConfig::from_trace_fields(fields).map(FlowMode::Differentiable)
-            }
-            "path-extraction" => {
-                PathExtractConfig::from_trace_fields(fields).map(FlowMode::PathExtraction)
             }
             other => Err(format!("unknown flow mode `{other}`")),
         }
@@ -286,17 +208,10 @@ config_table! {
     pub struct FlowConfig (round trip: pub) {
         /// Maximum global-placement iterations.
         max_iters: usize = 500,
-        /// Stop when the density overflow drops below this ("the same stop
-        /// criterion on density overflow" for all flows, §4).
-        stop_overflow: f64 = 0.10,
         /// Density bin grid (bins × bins). The Poisson solve runs on the
         /// O(N log N) FFT backend when this is a power of two and on the dense
         /// reference transforms otherwise.
         bins: usize = 64,
-        /// Target bin density.
-        target_density: f64 = 1.0,
-        /// Multiplicative λ growth per iteration (cell-spreading pressure).
-        lambda_growth: f64 = 1.05,
         /// How often (iterations) the flow records a
         /// [`TracePoint`](crate::TracePoint) with exact HPWL / WNS / TNS —
         /// each one costs a forest sync and, unless the timing mechanism ran
@@ -308,8 +223,6 @@ config_table! {
         trace_timing_every: usize = 0,
         /// Random seed for the initial center-cluster placement.
         seed: u64 = 1,
-        /// Number of detailed-placement passes after legalization.
-        detail_passes: usize = 2,
         /// A net's Steiner topology is rebuilt when the accumulated worst cell
         /// drift since its last build exceeds this fraction of the net's pin
         /// bounding-box half-perimeter; until then only node coordinates are
@@ -366,9 +279,8 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(FlowMode::Wirelength.label(), "DREAMPlace");
-        assert_eq!(FlowMode::net_weighting().label(), "NetWeighting");
+        assert_eq!(FlowMode::NetWeighting.label(), "NetWeighting");
         assert_eq!(FlowMode::differentiable().label(), "Ours");
-        assert_eq!(FlowMode::path_extraction().label(), "PathExtract");
     }
 
     /// Every field of a config, perturbed from its default one at a time,
@@ -385,11 +297,9 @@ mod tests {
             *v = match &*v {
                 Value::Num(x) => Value::Num(x + 1.0),
                 Value::Bool(b) => Value::Bool(!b),
-                Value::Str(s) => Value::Str(match s.as_str() {
-                    "elmore" => "d2m".into(),
-                    "d2m" => "elmore".into(),
-                    seed => (seed.parse::<u64>().expect("a u64 string") + (1 << 60)).to_string(),
-                }),
+                Value::Str(seed) => {
+                    Value::Str((seed.parse::<u64>().expect("a u64 string") + (1 << 60)).to_string())
+                }
                 other => panic!("no config kind serializes as {other:?}"),
             };
             assert_ne!(fields, defaults);
@@ -400,13 +310,13 @@ mod tests {
 
     #[test]
     fn config_trace_fields_round_trip() {
-        let mut cfg = FlowConfig {
+        let cfg = FlowConfig {
             seed: u64::MAX - 3, // above 2^53: exercises the string encoding
             route_aware: true,
             threads: 4,
+            topo_dirty_frac: 0.0375,
             ..FlowConfig::default()
         };
-        cfg.lambda_growth = 1.0375;
         let fields = cfg.trace_fields();
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, FlowConfig::KEYS, "header keys follow the field table's order");
@@ -430,9 +340,8 @@ mod tests {
         assert_eq!(
             FlowConfig::KEYS,
             [
-                "max_iters", "stop_overflow", "bins", "target_density", "lambda_growth",
-                "trace_timing_every", "seed", "detail_passes", "topo_dirty_frac", "route_aware",
-                "route_grid", "route_capacity", "route_weight", "inflation_max",
+                "max_iters", "bins", "trace_timing_every", "seed", "topo_dirty_frac",
+                "route_aware", "route_grid", "route_capacity", "route_weight", "inflation_max",
                 "route_update_period", "threads",
             ]
         );
@@ -442,12 +351,11 @@ mod tests {
     fn mode_trace_fields_round_trip() {
         for mode in [
             FlowMode::Wirelength,
-            FlowMode::net_weighting(),
+            FlowMode::NetWeighting,
             FlowMode::differentiable(),
-            FlowMode::path_extraction(),
             FlowMode::Differentiable(DiffTimingConfig {
-                wire_model: WireModel::D2m,
-                grad_norm_target: 0.25,
+                gamma: 50.0,
+                start_iter: 10,
                 ..DiffTimingConfig::default()
             }),
         ] {
@@ -465,24 +373,14 @@ mod tests {
             extra.push(("bogus".to_string(), Value::Bool(true)));
             assert!(FlowMode::from_trace(mode.name(), &extra).is_err());
         }
-        assert_eq!(DiffTimingConfig::KEYS.len(), 7);
+        assert_eq!(DiffTimingConfig::KEYS, ["gamma", "t1", "t2", "growth", "start_iter"]);
         assert!(FlowMode::from_trace("bogus", &[]).is_err());
-        // Wirelength mode must carry no fields.
-        assert!(FlowMode::from_trace(
-            "wirelength",
-            &[("gamma".to_string(), Value::Num(1.0))]
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn path_extract_defaults() {
-        let p = PathExtractConfig::default();
-        assert_eq!(p.top_k, 32);
-        assert_eq!(p.extract_period, 5);
-        assert!((p.path_decay - 0.9).abs() < 1e-12);
-        assert!((p.pin_weight_cap - 8.0).abs() < 1e-12);
-        assert_eq!(p.start_iter, 100);
-        assert!(p.pin_weight_cap >= 1.0, "cap below 1 would anti-weight");
+        assert!(FlowMode::from_trace("path-extraction", &[]).is_err());
+        // The modes without hyperparameters must carry no fields — neither
+        // another mode's nor a retired one.
+        for (name, key) in [("wirelength", "gamma"), ("net-weighting", "momentum")] {
+            let err = FlowMode::from_trace(name, &[(key.to_string(), Value::Num(0.5))]);
+            assert_eq!(err, Err(format!("unknown config field `{key}`")), "{name}");
+        }
     }
 }

@@ -6,11 +6,7 @@
 //! - wirelength-only: none;
 //! - net weighting: exact STA → per-net weights in the WA wirelength;
 //! - differentiable (ours): smoothed STA → TNS/WNS gradients added to the
-//!   wirelength + density gradient;
-//! - path extraction: forward-only exact STA → top-K critical paths →
-//!   per-net weights concentrated on the extracted pins (the cheap, sharp
-//!   timing signal; same weight slot as net weighting, a fraction of the
-//!   differentiable mode's per-iteration timing cost).
+//!   wirelength + density gradient.
 //!
 //! Orthogonally to the timing mechanism, [`FlowConfig::route_aware`] enables
 //! the routability subsystem (`dtp-route`): a smoothed congestion penalty
@@ -18,7 +14,7 @@
 //! inflates cells in overflowed bins and boosts the wirelength weight of
 //! nets crossing them.
 //!
-//! Every consumer of wire geometry (the three timing mechanisms, the route
+//! Every consumer of wire geometry (the two timing mechanisms, the route
 //! layer, the trace STA a caller asks for with
 //! [`FlowConfig::trace_timing_every`]) reads one in-loop Steiner forest,
 //! built once and then maintained per net under a drift budget
@@ -35,8 +31,8 @@
 //! Every mode drives one [`GradientCore`] (WA wirelength + density +
 //! Nesterov step); the modes differ in what they add around it.
 
-use crate::config::{DiffTimingConfig, FlowConfig, FlowMode};
-use crate::weighting::{NetWeighter, PathWeighter};
+use crate::config::{FlowConfig, FlowMode, TIMING_START_ITER};
+use crate::weighting::NetWeighter;
 use dtp_liberty::Library;
 use dtp_netlist::{Design, NetId, Netlist, NetlistError};
 use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
@@ -62,6 +58,19 @@ const MERGE_CHUNK: usize = 4096;
 /// Ratio of the density to the wirelength gradient (1-norms) at which λ is
 /// auto-balanced on the first evaluation.
 const BALANCE_RATIO: f64 = 0.1;
+
+/// Density overflow below which global placement stops ("the same stop
+/// criterion on density overflow" for all flows, §4).
+const STOP_OVERFLOW: f64 = 0.10;
+
+/// Target bin density of the electrostatic density model.
+const TARGET_DENSITY: f64 = 1.0;
+
+/// Multiplicative λ growth per iteration (cell-spreading pressure).
+const LAMBDA_GROWTH: f64 = 1.05;
+
+/// Detailed-placement passes after legalization.
+const DETAIL_PASSES: usize = 2;
 
 /// Widest pool a flow asks for (`FlowConfig::threads`). No region of the
 /// loop has that many tasks to hand out (a 1M-cell design is 245 chunks of
@@ -378,7 +387,6 @@ struct GradientCore {
     precond: Vec<f64>,
     /// Density weight; 0 = auto-balance on the first evaluation.
     lambda: f64,
-    lambda_growth: f64,
     /// Density overflow of the latest evaluation (1 before the first).
     overflow: f64,
 }
@@ -390,7 +398,7 @@ impl GradientCore {
         let nl = &work.netlist;
         let bins = config.bins;
         // FFT Poisson backend on a power-of-two grid, dense otherwise.
-        let density = DensityModel::new(work, bins, bins, config.target_density);
+        let density = DensityModel::new(work, bins, bins, TARGET_DENSITY);
         let bin_w = work.region.width() / bins as f64;
         let mut pin_count = vec![0.0f64; nl.num_cells()];
         for p in nl.pin_ids() {
@@ -416,7 +424,6 @@ impl GradientCore {
             dres: DensityResult::default(),
             precond: Vec::new(),
             lambda: 0.0,
-            lambda_growth: config.lambda_growth,
             overflow: 1.0,
         }
     }
@@ -481,7 +488,7 @@ impl GradientCore {
                 }
             });
         let step = self.opt.step(&self.gx, &self.gy, &self.precond);
-        self.lambda *= self.lambda_growth;
+        self.lambda *= LAMBDA_GROWTH;
         obs.stop(Phase::NesterovStep, sp);
         (step, lambda)
     }
@@ -507,44 +514,37 @@ fn norm_inf(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// The timing mechanism of a flow with its run-time state, built once from
-/// the mode (`None` for the wirelength-only mode): when it starts, on which
-/// iterations it runs, which net weights it contributes to the WA
-/// wirelength, and what a run does.
+/// the mode (`None` for the wirelength-only mode): when it starts (it runs
+/// on every iteration from then on), which net weights it contributes to
+/// the WA wirelength, and what a run does.
 struct TimingMechanism {
     /// Iteration at which the mechanism activates.
     start_iter: usize,
-    /// The mechanism runs every `period`-th iteration once active.
-    period: usize,
     kind: TimingKind,
 }
 
 enum TimingKind {
-    /// Smoothed analysis → TNS/WNS gradient added to the objective gradient.
-    Differentiable { cfg: DiffTimingConfig, t1: f64, t2: f64, grads: PositionGradients },
+    /// Smoothed analysis → TNS/WNS gradient added to the objective gradient;
+    /// t1/t2 grow by `growth` after every run.
+    Differentiable { t1: f64, t2: f64, growth: f64, grads: PositionGradients },
     /// Exact analysis → momentum net weights.
     NetWeighting(NetWeighter),
-    /// Forward-only exact analysis → top-K path weights.
-    PathExtraction(PathWeighter),
 }
 
 impl TimingMechanism {
-    fn new(mode: FlowMode, nl: &Netlist, wl_model: &WirelengthModel) -> Option<TimingMechanism> {
-        let (start_iter, period, kind) = match mode {
+    fn new(mode: FlowMode, wl_model: &WirelengthModel) -> Option<TimingMechanism> {
+        let (start_iter, kind) = match mode {
             FlowMode::Wirelength => return None,
-            FlowMode::Differentiable(cfg) => {
-                let (t1, t2, grads) = (cfg.t1, cfg.t2, PositionGradients::default());
-                (cfg.start_iter, 1, TimingKind::Differentiable { cfg, t1, t2, grads })
+            FlowMode::Differentiable(c) => {
+                let (t1, t2, growth) = (c.t1, c.t2, c.growth);
+                let grads = PositionGradients::default();
+                (c.start_iter, TimingKind::Differentiable { t1, t2, growth, grads })
             }
-            FlowMode::NetWeighting(cfg) => {
-                let weighter = NetWeighter::new(wl_model, cfg);
-                (cfg.start_iter, cfg.sta_period, TimingKind::NetWeighting(weighter))
-            }
-            FlowMode::PathExtraction(cfg) => {
-                let weighter = PathWeighter::new(nl, wl_model, cfg);
-                (cfg.start_iter, cfg.extract_period, TimingKind::PathExtraction(weighter))
+            FlowMode::NetWeighting => {
+                (TIMING_START_ITER, TimingKind::NetWeighting(NetWeighter::new(wl_model)))
             }
         };
-        Some(TimingMechanism { start_iter, period, kind })
+        Some(TimingMechanism { start_iter, kind })
     }
 
     /// Net weights the mechanism carries in the WA wirelength, if any.
@@ -552,14 +552,7 @@ impl TimingMechanism {
         match &self.kind {
             TimingKind::Differentiable { .. } => None,
             TimingKind::NetWeighting(weighter) => Some(weighter.weights()),
-            TimingKind::PathExtraction(weighter) => Some(weighter.weights()),
         }
-    }
-
-    /// Whether the mechanism runs on the `active`-th iteration since it
-    /// was activated.
-    fn due(&self, active: usize) -> bool {
-        active.is_multiple_of(self.period)
     }
 
     /// One timing iteration: a full, scratch-backed analysis of the current
@@ -580,38 +573,21 @@ impl TimingMechanism {
             TimingKind::Differentiable { .. } => timer.analyze_smoothed_into(nl, forest, scratch),
             // The weighter reads per-pin slacks: forward + RAT sweep.
             TimingKind::NetWeighting(_) => timer.analyze_into(nl, forest, scratch),
-            // Path extraction reads only arrival times and endpoint slacks,
-            // so the analysis is forward-only.
-            TimingKind::PathExtraction(_) => timer.analyze_no_rat_into(nl, forest, scratch),
         });
         obs.add(Counter::StaFull, 1);
         let traced = match &mut self.kind {
-            TimingKind::Differentiable { cfg, t1, t2, grads } => {
+            TimingKind::Differentiable { t1, t2, growth, grads } => {
                 obs.time(Phase::StaBackward, || {
                     timer.gradients_into(nl, &analysis, forest, *t1, *t2, scratch, grads)
                 });
-                // Optional preconditioning (§5 future work): normalize the
-                // timing gradient against the combined WL+density gradient.
-                let scale = if cfg.grad_norm_target > 0.0 {
-                    let base_norm = norm_inf(&core.gx, &core.gy);
-                    let t_norm = norm_inf(&grads.cell_grad_x, &grads.cell_grad_y);
-                    if t_norm > 0.0 { cfg.grad_norm_target * base_norm / t_norm } else { 0.0 }
-                } else {
-                    1.0
-                };
-                axpy_into(&mut core.gx, &grads.cell_grad_x, scale);
-                axpy_into(&mut core.gy, &grads.cell_grad_y, scale);
-                *t1 *= cfg.growth;
-                *t2 *= cfg.growth;
+                axpy_into(&mut core.gx, &grads.cell_grad_x, 1.0);
+                axpy_into(&mut core.gy, &grads.cell_grad_y, 1.0);
+                *t1 *= *growth;
+                *t2 *= *growth;
                 (f64::NAN, f64::NAN)
             }
             TimingKind::NetWeighting(weighter) => {
                 obs.time(Phase::NetWeight, || weighter.update(nl, &core.wl_model, &analysis));
-                (analysis.wns(), analysis.tns())
-            }
-            TimingKind::PathExtraction(weighter) => {
-                obs.time(Phase::PathExtract, || weighter.update(nl, timer, &analysis));
-                obs.add(Counter::PathExtractions, 1);
                 (analysis.wns(), analysis.tns())
             }
         };
@@ -797,56 +773,22 @@ fn check_route_knobs(config: &FlowConfig) -> Result<(), FlowError> {
     Ok(())
 }
 
-/// Rejects timing-mode knobs that can only crash a flow or leave it without
-/// the timing force the mode is for.
+/// Rejects differentiable-mode knobs that can only crash a flow or leave it
+/// without the timing force the mode is for (the other modes have none).
 fn check_mode_knobs(mode: FlowMode) -> Result<(), FlowError> {
+    let FlowMode::Differentiable(c) = mode else { return Ok(()) };
     let bad = |what: String| Err(FlowError::Config(what));
     // Written so that NaN fails every test, like the route knobs.
-    match mode {
-        FlowMode::Wirelength => {}
-        FlowMode::Differentiable(c) => {
-            for (name, v) in [("t1", c.t1), ("t2", c.t2), ("grad_norm_target", c.grad_norm_target)] {
-                if !(v >= 0.0 && v.is_finite()) {
-                    return bad(format!("{name} = {v}: the weight must be finite and not negative"));
-                }
-            }
+    for (name, v) in [("t1", c.t1), ("t2", c.t2)] {
+        if !(v >= 0.0 && v.is_finite()) {
+            return bad(format!("{name} = {v}: the weight must be finite and not negative"));
         }
-        FlowMode::NetWeighting(c) => {
-            if c.sta_period == 0 {
-                return bad("sta_period = 0: the analysis period must be at least 1".into());
-            }
-            if !(0.0..1.0).contains(&c.momentum) {
-                return bad(format!("momentum = {}: the momentum must lie in [0, 1)", c.momentum));
-            }
-            if !(c.max_boost >= 1.0 && c.max_boost.is_finite()) {
-                return bad(format!(
-                    "max_boost = {}: the weight boost must be finite and at least 1",
-                    c.max_boost
-                ));
-            }
-        }
-        FlowMode::PathExtraction(c) => {
-            if c.top_k == 0 {
-                return bad("top_k (--top-k) = 0: at least one path must be extracted".into());
-            }
-            if c.extract_period == 0 {
-                return bad(
-                    "extract_period (--extract-period) = 0: the extraction period must be at least 1"
-                        .into(),
-                );
-            }
-            if !(c.path_decay > 0.0 && c.path_decay <= 1.0) {
-                return bad(format!(
-                    "path_decay (--path-decay) = {}: the per-rank decay must lie in (0, 1]",
-                    c.path_decay
-                ));
-            }
-            if !(c.pin_weight_cap >= 1.0 && c.pin_weight_cap.is_finite()) {
-                return bad(format!(
-                    "pin_weight_cap (--pin-weight-cap) = {}: the weight cap must be finite and at least 1",
-                    c.pin_weight_cap
-                ));
-            }
+    }
+    // γ divides every smoothed max; a growth ≤ 0 flips or zeroes the timing
+    // force from the first iteration on.
+    for (name, v) in [("gamma", c.gamma), ("growth", c.growth)] {
+        if !(v > 0.0 && v.is_finite()) {
+            return bad(format!("{name} = {v}: the value must be positive and finite"));
         }
     }
     Ok(())
@@ -903,15 +845,11 @@ fn run_flow_inner(
     // --- models -------------------------------------------------------------
     let mut core = GradientCore::new(&work, config);
     let timer_config = match mode {
-        FlowMode::Differentiable(d) => TimerConfig {
-            gamma: d.gamma,
-            wire_model: d.wire_model,
-            ..TimerConfig::default()
-        },
+        FlowMode::Differentiable(d) => TimerConfig { gamma: d.gamma, ..TimerConfig::default() },
         _ => TimerConfig::default(),
     };
     let timer = Timer::with_config(&work, lib, timer_config)?;
-    let mut timing = TimingMechanism::new(mode, &work.netlist, &core.wl_model);
+    let mut timing = TimingMechanism::new(mode, &core.wl_model);
     // The wirelength-only mode never activates timing.
     let timing_start = timing.as_ref().map_or(usize::MAX, |t| t.start_iter);
 
@@ -1002,8 +940,7 @@ fn run_flow_inner(
 
         if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
             // Congestion penalty gradient (evaluated with the map update
-            // above), normalized like the timing preconditioner: its ∞-norm
-            // is pinned to `route_weight` times the combined
+            // above), normalized: its ∞-norm is pinned to `route_weight` times the combined
             // wirelength+density gradient's, so the pressure tracks the
             // optimizer's scale instead of the raw demand units.
             let sp = obs.start(Phase::CongestionGrad);
@@ -1045,10 +982,9 @@ fn run_flow_inner(
             obs.stop(Phase::RudyUpdate, sp);
         }
 
-        // Timing mechanism, when active and due this iteration.
+        // Timing mechanism, on every iteration once active.
         let (mut traced_wns, mut traced_tns) = (f64::NAN, f64::NAN);
-        let due = timing.as_mut().filter(|t| timing_active && t.due(iter - timing_start));
-        if let (Some(t), Some(f)) = (due, forest) {
+        if let (Some(t), Some(f)) = (timing.as_mut().filter(|_| timing_active), forest) {
             (traced_wns, traced_tns) =
                 t.run(&work.netlist, &timer, f, &mut scratch, &mut core, obs);
         }
@@ -1094,7 +1030,7 @@ fn run_flow_inner(
             timing: timing_active,
         });
 
-        if iter > 30 && core.overflow < config.stop_overflow {
+        if iter > 30 && core.overflow < STOP_OVERFLOW {
             break;
         }
     }
@@ -1128,7 +1064,7 @@ fn run_flow_inner(
     leg.legalize(&work, &mut lx, &mut ly);
     obs.stop(Phase::Legalize, sp);
     let sp = obs.start(Phase::DetailPlace);
-    DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, config.detail_passes);
+    DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, DETAIL_PASSES);
     obs.stop(Phase::DetailPlace, sp);
     work.netlist.set_positions(&lx, &ly);
     let final_forest = fresh_forest(&work.netlist, obs);
@@ -1200,7 +1136,7 @@ fn run_flow_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{NetWeightConfig, PathExtractConfig};
+    use crate::config::DiffTimingConfig;
 
     /// The error `check_mode_knobs` returns for `mode`, `None` if it accepts it.
     fn rejection(mode: FlowMode) -> Option<String> {
@@ -1212,28 +1148,13 @@ mod tests {
         let accepted = [
             FlowMode::Wirelength,
             FlowMode::differentiable(),
-            FlowMode::net_weighting(),
-            FlowMode::path_extraction(),
+            FlowMode::NetWeighting,
             FlowMode::Differentiable(DiffTimingConfig {
                 t1: 0.0,
                 t2: 0.0,
-                grad_norm_target: 0.0,
+                gamma: f64::MIN_POSITIVE,
+                growth: 0.5,
                 ..DiffTimingConfig::default()
-            }),
-            FlowMode::NetWeighting(NetWeightConfig {
-                momentum: 0.0,
-                max_boost: 1.0,
-                sta_period: 1,
-                ..NetWeightConfig::default()
-            }),
-            // `path_decay = 1` and `extract_period = 1` are what `paths_golden`
-            // extracts with.
-            FlowMode::PathExtraction(PathExtractConfig {
-                top_k: 1,
-                extract_period: 1,
-                path_decay: 1.0,
-                pin_weight_cap: 1.0,
-                ..PathExtractConfig::default()
             }),
         ];
         for mode in accepted {
@@ -1241,28 +1162,24 @@ mod tests {
         }
     }
 
-    /// The knobs `dtp place` has no flag for (the CLI test covers the
-    /// path-extraction ones): reachable from library callers and from
-    /// `dtp trace replay` headers.
+    /// The knobs `dtp place` has no flag for: reachable from library callers
+    /// and from `dtp trace replay` headers.
     #[test]
     fn knobs_no_flow_can_use_are_rejected_by_name() {
-        let nw = NetWeightConfig::default();
         let diff = DiffTimingConfig::default();
         let cases = [
-            (FlowMode::NetWeighting(NetWeightConfig { sta_period: 0, ..nw }), "sta_period"),
-            (FlowMode::NetWeighting(NetWeightConfig { momentum: 1.0, ..nw }), "momentum"),
-            (FlowMode::NetWeighting(NetWeightConfig { momentum: -0.5, ..nw }), "momentum"),
-            (FlowMode::NetWeighting(NetWeightConfig { momentum: f64::NAN, ..nw }), "momentum"),
-            (FlowMode::NetWeighting(NetWeightConfig { max_boost: 0.5, ..nw }), "max_boost"),
-            (FlowMode::NetWeighting(NetWeightConfig { max_boost: f64::INFINITY, ..nw }), "max_boost"),
-            (FlowMode::Differentiable(DiffTimingConfig { t1: f64::NAN, ..diff }), "t1"),
-            (FlowMode::Differentiable(DiffTimingConfig { t2: -1.0, ..diff }), "t2"),
-            (
-                FlowMode::Differentiable(DiffTimingConfig { grad_norm_target: f64::INFINITY, ..diff }),
-                "grad_norm_target",
-            ),
+            (DiffTimingConfig { t1: f64::NAN, ..diff }, "t1"),
+            (DiffTimingConfig { t2: -1.0, ..diff }, "t2"),
+            (DiffTimingConfig { t2: f64::INFINITY, ..diff }, "t2"),
+            (DiffTimingConfig { gamma: 0.0, ..diff }, "gamma"),
+            (DiffTimingConfig { gamma: -100.0, ..diff }, "gamma"),
+            (DiffTimingConfig { gamma: f64::NAN, ..diff }, "gamma"),
+            (DiffTimingConfig { growth: -1.0, ..diff }, "growth"),
+            (DiffTimingConfig { growth: 0.0, ..diff }, "growth"),
+            (DiffTimingConfig { growth: f64::INFINITY, ..diff }, "growth"),
         ];
-        for (mode, field) in cases {
+        for (c, field) in cases {
+            let mode = FlowMode::Differentiable(c);
             let msg = rejection(mode).unwrap_or_else(|| panic!("{mode:?} accepted"));
             assert!(msg.starts_with(&format!("invalid flow configuration: {field} = ")), "{msg}");
         }

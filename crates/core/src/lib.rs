@@ -9,8 +9,8 @@
 //!
 //! where the TNS/WNS terms and their gradients come from the differentiable
 //! STA engine of `dtp-sta` (TNS/WNS are ≤ 0, so *maximizing* them is written
-//! as subtracting them from the minimized objective). Four flow modes are
-//! provided — the paper's Table 3 comparison plus a path-extraction mode:
+//! as subtracting them from the minimized objective). Three flow modes are
+//! provided — the paper's Table 3 comparison:
 //!
 //! - [`FlowMode::Wirelength`] — plain wirelength+density placement
 //!   (DREAMPlace \[16\]);
@@ -20,11 +20,7 @@
 //!   descent on smoothed TNS/WNS with t1/t2 grown 1 %/iteration from a warm
 //!   start (§4), on Steiner trees that move with their branches and are
 //!   rebuilt per net once the net has drifted past a budget (§3.6, Fig. 7;
-//!   [`FlowConfig::topo_dirty_frac`]);
-//! - [`FlowMode::PathExtraction`] — top-K critical-path extraction
-//!   (arXiv 2503.11674): a periodic forward-only exact STA traces the K
-//!   worst paths and concentrates net weights on their pins, approaching
-//!   the differentiable mode's quality at a fraction of its timing cost.
+//!   [`FlowConfig::topo_dirty_frac`]).
 //!
 //! # Example
 //!
@@ -50,9 +46,8 @@ mod flow;
 mod timing_detail;
 mod weighting;
 
-pub use config::{DiffTimingConfig, FlowConfig, FlowMode, NetWeightConfig, PathExtractConfig};
+pub use config::{DiffTimingConfig, FlowConfig, FlowMode};
 pub use dtp_obs::Observer;
 pub use dtp_route::CongestionSummary;
 pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, TracePoint};
 pub use timing_detail::{refine_timing, TimingDetailConfig, TimingDetailResult};
-pub use weighting::{NetWeighter, PathWeighter};

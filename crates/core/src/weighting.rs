@@ -1,58 +1,51 @@
 //! Timing-to-wirelength weight transfer: the momentum net-weighting baseline
-//! \[24\] and the top-K path-extraction weighter (arXiv 2503.11674).
+//! \[24\].
 //!
-//! **Net weighting** periodically runs an exact STA, derives a per-net
-//! *criticality* from the slack of the net's driver pin, and nudges the
-//! net's weight in the weighted-wirelength objective (Eq. 4) with momentum:
+//! Net weighting runs an exact STA, derives a per-net *criticality* from the
+//! slack of the net's driver pin, and nudges the net's weight in the
+//! weighted-wirelength objective (Eq. 4) with momentum:
 //!
 //! ```text
 //! crit_e = max(0, −slack_e / |WNS|)            (1 for the most critical net)
-//! ŵ_e    = 1 + max_boost · crit_e
-//! w_e    ← momentum · w_e + (1 − momentum) · ŵ_e
-//! ```
-//!
-//! **Path extraction** instead traces only the K worst paths
-//! ([`dtp_sta::Timer::extract_paths_into`]) and re-derives the weights from
-//! the per-pin criticalities they induce — every net not touched by an
-//! extracted path snaps back to weight 1, so the timing force concentrates
-//! on the paths that matter:
-//!
-//! ```text
-//! crit_p = decay^rank · clamp(−slack/|WNS|, 0, 1)     (per extracted pin)
-//! w_e    = max over pins p of net e: 1 + (pin_weight_cap − 1) · crit_p
+//! ŵ_e    = 1 + MAX_BOOST · crit_e
+//! w_e    ← MOMENTUM · w_e + (1 − MOMENTUM) · ŵ_e
 //! ```
 
-use crate::config::{NetWeightConfig, PathExtractConfig};
 use dtp_netlist::{NetId, Netlist};
 use dtp_place::WirelengthModel;
-use dtp_sta::{Analysis, PathScratch, PathSet, Timer};
+use dtp_sta::Analysis;
+
+/// Momentum coefficient of the weight update.
+const MOMENTUM: f64 = 0.5;
+
+/// Instantaneous weight boost of a fully critical net.
+const MAX_BOOST: f64 = 2.0;
 
 /// Evolving per-net weights for the weighted wirelength objective.
 #[derive(Clone, Debug)]
-pub struct NetWeighter {
-    config: NetWeightConfig,
+pub(crate) struct NetWeighter {
     /// One weight per *model* net (the wirelength model's net indexing).
     weights: Vec<f64>,
 }
 
 impl NetWeighter {
     /// Initializes unit weights for every net of the wirelength model.
-    pub fn new(model: &WirelengthModel, config: NetWeightConfig) -> NetWeighter {
-        NetWeighter { config, weights: vec![1.0; model.num_nets()] }
+    pub(crate) fn new(model: &WirelengthModel) -> NetWeighter {
+        NetWeighter { weights: vec![1.0; model.num_nets()] }
     }
 
     /// Current weights (aligned with the wirelength model's nets).
-    pub fn weights(&self) -> &[f64] {
+    pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
 
     /// Updates the weights from an exact analysis.
-    pub fn update(&mut self, nl: &Netlist, model: &WirelengthModel, analysis: &Analysis) {
+    pub(crate) fn update(&mut self, nl: &Netlist, model: &WirelengthModel, analysis: &Analysis) {
         let wns = analysis.wns();
         if !wns.is_finite() || wns >= 0.0 {
             // No violations: decay back toward 1.
             for w in &mut self.weights {
-                *w = self.config.momentum * *w + (1.0 - self.config.momentum);
+                *w = MOMENTUM * *w + (1.0 - MOMENTUM);
             }
             return;
         }
@@ -65,86 +58,8 @@ impl NetWeighter {
             } else {
                 0.0
             };
-            let target = 1.0 + self.config.max_boost * crit;
-            self.weights[e] =
-                self.config.momentum * self.weights[e] + (1.0 - self.config.momentum) * target;
-        }
-    }
-}
-
-/// Per-net weights derived from top-K critical-path extraction.
-///
-/// Unlike [`NetWeighter`], the weights carry no momentum: each extraction
-/// rebuilds them from scratch (`fill(1.0)` + max over the extracted pins),
-/// so a net that leaves the critical set relaxes immediately and the update
-/// is a deterministic function of the analysis alone.
-#[derive(Debug)]
-pub struct PathWeighter {
-    config: PathExtractConfig,
-    /// One weight per *model* net (the wirelength model's net indexing).
-    weights: Vec<f64>,
-    /// Netlist net index → model net index (`u32::MAX` = not modeled).
-    model_net_of: Vec<u32>,
-    scratch: PathScratch,
-    paths: PathSet,
-}
-
-impl PathWeighter {
-    /// Initializes unit weights and the netlist→model net map.
-    pub fn new(nl: &Netlist, model: &WirelengthModel, config: PathExtractConfig) -> PathWeighter {
-        let mut model_net_of = vec![u32::MAX; nl.num_nets()];
-        for e in 0..model.num_nets() {
-            model_net_of[model.net_index(e)] = e as u32;
-        }
-        let mut scratch = PathScratch::new();
-        scratch.presize(nl.num_pins(), nl.num_pins());
-        let mut paths = PathSet::new();
-        paths.presize(nl.num_pins());
-        PathWeighter {
-            config,
-            weights: vec![1.0; model.num_nets()],
-            model_net_of,
-            scratch,
-            paths,
-        }
-    }
-
-    /// Current weights (aligned with the wirelength model's nets).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The paths of the most recent extraction.
-    pub fn paths(&self) -> &PathSet {
-        &self.paths
-    }
-
-    /// Extracts the top-K paths of `analysis` and rebuilds the weights from
-    /// their pin criticalities. The analysis only needs forward quantities
-    /// ([`Timer::analyze_no_rat_into`] suffices). Steady-state calls are
-    /// allocation-free.
-    pub fn update(&mut self, nl: &Netlist, timer: &Timer, analysis: &Analysis) {
-        timer.extract_paths_into(
-            nl,
-            analysis,
-            self.config.top_k,
-            self.config.path_decay,
-            &mut self.scratch,
-            &mut self.paths,
-        );
-        self.weights.fill(1.0);
-        let boost = self.config.pin_weight_cap - 1.0;
-        for &p in self.paths.critical_pins() {
-            let Some(net) = nl.pin(p).net() else { continue };
-            let m = self.model_net_of[net.index()];
-            if m == u32::MAX {
-                continue;
-            }
-            let w = 1.0 + boost * self.paths.pin_criticality(p).min(1.0);
-            let slot = &mut self.weights[m as usize];
-            if w > *slot {
-                *slot = w;
-            }
+            let target = 1.0 + MAX_BOOST * crit;
+            self.weights[e] = MOMENTUM * self.weights[e] + (1.0 - MOMENTUM) * target;
         }
     }
 }
@@ -169,7 +84,7 @@ mod tests {
         assert!(analysis.wns() < 0.0, "test needs violations");
 
         let model = WirelengthModel::new(&d.netlist);
-        let mut weighter = NetWeighter::new(&model, NetWeightConfig::default());
+        let mut weighter = NetWeighter::new(&model);
         weighter.update(&d.netlist, &model, &analysis);
 
         // The weight of the most critical driver's net must exceed that of a
@@ -207,7 +122,7 @@ mod tests {
         let analysis = timer.analyze(&d.netlist, &forest);
         assert!(analysis.wns() > 0.0);
         let model = WirelengthModel::new(&d.netlist);
-        let mut weighter = NetWeighter::new(&model, NetWeightConfig::default());
+        let mut weighter = NetWeighter::new(&model);
         // Force a high weight, then verify decay toward 1.
         weighter.weights[0] = 5.0;
         weighter.update(&d.netlist, &model, &analysis);
@@ -216,63 +131,5 @@ mod tests {
             weighter.update(&d.netlist, &model, &analysis);
         }
         assert!((weighter.weights()[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn path_weights_concentrate_on_extracted_paths() {
-        let mut cfg = GeneratorConfig::named("pw", 250);
-        cfg.clock_period = 50.0; // aggressive: many violations
-        let d = generate(&cfg).unwrap();
-        let lib = synthetic_pdk();
-        let timer = Timer::new(&d, &lib).unwrap();
-        let forest = build_forest(&d.netlist);
-        let analysis = timer.analyze(&d.netlist, &forest);
-        assert!(analysis.wns() < 0.0, "test needs violations");
-
-        let model = WirelengthModel::new(&d.netlist);
-        let pcfg = PathExtractConfig { top_k: 8, ..PathExtractConfig::default() };
-        let mut weighter = PathWeighter::new(&d.netlist, &model, pcfg);
-        weighter.update(&d.netlist, &timer, &analysis);
-
-        assert_eq!(weighter.paths().num_paths(), 8.min(analysis.endpoints().len()));
-        // Every weight is in [1, cap]; the rank-0 path (criticality 1) pins
-        // push their nets to exactly the cap.
-        let cap = pcfg.pin_weight_cap;
-        for &w in weighter.weights() {
-            assert!((1.0..=cap + 1e-12).contains(&w), "weight {w} out of range");
-        }
-        let worst_endpoint = weighter.paths().endpoint(0);
-        let net = d.netlist.pin(worst_endpoint).net().unwrap();
-        let m = (0..model.num_nets())
-            .find(|&e| model.net_index(e) == net.index())
-            .expect("worst endpoint's net is modeled");
-        assert!((weighter.weights()[m] - cap).abs() < 1e-12);
-        // Boosted nets exist and are a strict minority (force concentrates).
-        let boosted = weighter.weights().iter().filter(|&&w| w > 1.0).count();
-        assert!(boosted > 0 && boosted < model.num_nets() / 2);
-
-        // The update is memoryless: a second update from the same analysis
-        // reproduces the weights bit-for-bit.
-        let snapshot = weighter.weights().to_vec();
-        weighter.update(&d.netlist, &timer, &analysis);
-        assert_eq!(snapshot, weighter.weights());
-    }
-
-    #[test]
-    fn path_weights_relax_without_violations() {
-        let mut cfg = GeneratorConfig::named("pw2", 100);
-        cfg.clock_period = 1e7; // everything met
-        let d = generate(&cfg).unwrap();
-        let lib = synthetic_pdk();
-        let timer = Timer::new(&d, &lib).unwrap();
-        let forest = build_forest(&d.netlist);
-        let analysis = timer.analyze(&d.netlist, &forest);
-        assert!(analysis.wns() > 0.0);
-        let model = WirelengthModel::new(&d.netlist);
-        let mut weighter =
-            PathWeighter::new(&d.netlist, &model, PathExtractConfig::default());
-        weighter.update(&d.netlist, &timer, &analysis);
-        // No negative slack → zero criticality everywhere → all weights 1.
-        assert!(weighter.weights().iter().all(|&w| w == 1.0));
     }
 }

@@ -3,7 +3,7 @@
 //! The other golden files compare the flow with itself (a knob off against
 //! the default, one pool width against another); `route_golden` records the
 //! two route-aware runs. This file records the rest of what the loop can do
-//! — the four modes at default knobs — as bit patterns
+//! — the three modes at default knobs — as bit patterns
 //! taken at commit 42d4a9c, before the loop body was folded into one copy,
 //! so a rewrite of `flow.rs` that moves a single bit of any trajectory or
 //! final placement fails here. They were recorded at the trace cadence the
@@ -25,19 +25,18 @@ fn flat() -> FlowConfig {
     FlowConfig { max_iters: 250, trace_timing_every: 10, ..FlowConfig::default() }
 }
 
-/// The four recorded runs, in the order of [`RECORDED`].
-fn cases() -> [(&'static str, FlowMode, FlowConfig); 4] {
+/// The three recorded runs, in the order of [`RECORDED`].
+fn cases() -> [(&'static str, FlowMode, FlowConfig); 3] {
     [
         ("wirelength", FlowMode::Wirelength, flat()),
-        ("net-weighting", FlowMode::net_weighting(), flat()),
+        ("net-weighting", FlowMode::NetWeighting, flat()),
         ("differentiable", FlowMode::differentiable(), flat()),
-        ("path-extraction", FlowMode::path_extraction(), flat()),
     ]
 }
 
 /// Iterations (as the one-entry per-level list they were recorded in) and
-/// `fingerprint` of the four runs, as recorded at commit 42d4a9c.
-const RECORDED: [(&[usize], [u64; 11]); 4] = [
+/// `fingerprint` of the three runs, as recorded at commit 42d4a9c.
+const RECORDED: [(&[usize], [u64; 11]); 3] = [
     (
         &[155],
         [
@@ -62,14 +61,6 @@ const RECORDED: [(&[usize], [u64; 11]); 4] = [
             0x402398cb27421dfb, 0x400f04bac92a84a8, 0x3feff80000000000,
         ],
     ),
-    (
-        &[182],
-        [
-            0x0000000000000013, 0x3b7e7613053621e8, 0x8855310e8e0d09ae, 0x3382595b6f02970c,
-            0x9d11e37961ee57fc, 0x905ae4a614e1703e, 0x9b48073234988016, 0x80d1546c58c18a27,
-            0x4026e83ffb33c498, 0x4011426eaf187307, 0x3feff80000000000,
-        ],
-    ),
 ];
 
 #[test]
@@ -91,11 +82,6 @@ fn every_mode_matches_the_recorded_parent_at_every_pool_width() {
             let count = |c| obs.registry().get(c);
             match mode {
                 FlowMode::Wirelength => assert_eq!(count(Counter::StaFull), 0, "{name}"),
-                FlowMode::PathExtraction(_) => {
-                    assert!(count(Counter::PathExtractions) >= 3, "{name}: too few extractions");
-                    // One in-loop forest and one reporting one.
-                    assert_eq!(count(Counter::ForestBuilds), 2, "{name}");
-                }
                 _ => assert!(count(Counter::StaFull) >= 30, "{name}: timing live too briefly"),
             }
         }

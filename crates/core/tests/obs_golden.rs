@@ -216,7 +216,7 @@ fn an_untraced_wirelength_flow_builds_no_loop_forest_and_runs_no_trace_sta() {
 /// analyses go.
 #[test]
 fn an_untraced_timing_flow_does_the_traced_flows_forest_and_sta_work() {
-    for mode in [FlowMode::net_weighting(), FlowMode::differentiable()] {
+    for mode in [FlowMode::NetWeighting, FlowMode::differentiable()] {
         let untraced = FlowConfig { max_iters: 200, ..FlowConfig::default() };
         let (at_0, _) = observed(mode, &untraced);
         let (at_10, _) = observed(mode, &base_config());
@@ -251,7 +251,7 @@ fn the_fft_backend_gauge_follows_the_grid_shape() {
 }
 
 #[test]
-fn counters_are_exactly_the_ten_survivors() {
+fn counters_are_exactly_the_nine_survivors() {
     let names: Vec<&str> = dtp_obs::Counter::ALL.iter().map(|c| c.name()).collect();
     assert_eq!(
         names,
@@ -265,7 +265,6 @@ fn counters_are_exactly_the_ten_survivors() {
             "rudy_builds",
             "rudy_inc_updates",
             "trace_analyses",
-            "path_extractions",
         ]
     );
 }
@@ -401,9 +400,7 @@ fn cli_rejects_a_density_grid_it_cannot_sample() {
 fn cli_rejects_route_knobs_no_flow_can_run_with() {
     // Each of these used to panic (`capacity must be positive` out of the
     // final summary map even without `--route`, `inflation_max must be >= 1`
-    // mid-run, `non-finite coordinates` out of the forest for an infinite
-    // path weight), abort on an 80 GB grid, be silently rewritten to 2 / 1,
-    // or place like a flow without any timing force.
+    // mid-run), abort on an 80 GB grid, or be silently rewritten to 2 / 1.
     let (dir, prefix) = write_cli_fixture("route-knobs");
     let cases: &[&[&str]] = &[
         &["--route-capacity", "0"],
@@ -420,15 +417,6 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
         // spawn thread`) after three seconds of `clone`.
         &["--threads", "257"],
         &["--threads", "200000"],
-        // The path-extraction knobs, which only this mode reads.
-        &["--mode", "path-extraction", "--pin-weight-cap", "inf"],
-        &["--mode", "path-extraction", "--pin-weight-cap", "nan"],
-        &["--mode", "path-extraction", "--pin-weight-cap", "0.5"],
-        &["--mode", "path-extraction", "--top-k", "0"],
-        &["--mode", "path-extraction", "--extract-period", "0"],
-        &["--mode", "path-extraction", "--path-decay", "-1"],
-        &["--mode", "path-extraction", "--path-decay", "0"],
-        &["--mode", "path-extraction", "--path-decay", "1.5"],
     ];
     for knobs in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
@@ -446,8 +434,9 @@ fn cli_rejects_route_knobs_no_flow_can_run_with() {
 }
 
 /// Every flag the usage string advertises is accepted, and nothing else is:
-/// the retired flags (the V-cycle's among them) are unknown options, and `--out` / `--svg` without a
-/// value are errors rather than silently writing nothing.
+/// the retired flags (the V-cycle's and path extraction's among them) are
+/// unknown options, and `--out` / `--svg` without a value are errors rather
+/// than silently writing nothing.
 #[test]
 fn cli_accepts_exactly_the_flags_its_usage_lists() {
     let dtp = |args: &[&str]| {
@@ -473,7 +462,7 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
             Some(choice) => args.push(choice.split('|').next().unwrap_or(choice).into()),
         }
     }
-    assert_eq!(flags, 20, "`dtp place` flags, counted off its usage:\n{usage}");
+    assert_eq!(flags, 16, "`dtp place` flags, counted off its usage:\n{usage}");
     let out = dtp(&args.iter().map(String::as_str).collect::<Vec<_>>());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{args:?}: {stderr}");
@@ -486,6 +475,10 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
         &["--multilevel"],
         &["--cluster-ratio", "4"],
         &["--levels", "2"],
+        &["--top-k", "32"],
+        &["--extract-period", "5"],
+        &["--path-decay", "0.9"],
+        &["--pin-weight-cap", "8"],
         &["--out"],
         &["--svg"],
     ];
@@ -501,7 +494,7 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
 #[test]
 fn cli_rejects_the_retired_mode_aliases_like_any_typo() {
     let (dir, prefix) = write_cli_fixture("aliases");
-    for mode in ["wl", "nw", "diff", "wirelenght"] {
+    for mode in ["wl", "nw", "diff", "wirelenght", "path-extraction"] {
         let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
             .args(["place", prefix.to_str().unwrap(), "--mode", mode, "--max-iters", "40"])
             .output()

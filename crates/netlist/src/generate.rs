@@ -473,8 +473,8 @@ pub fn superblue_proxies(scale: f64) -> Result<Vec<Design>, NetlistError> {
 
 /// Generates a flat synthetic design sized for scale studies.
 ///
-/// This is the preset behind `bench_paths`, `scale_golden` and the
-/// benchmark's `scale_wl_30k` workload: a shallow (depth 8), moderately
+/// This is the preset behind `scale_golden` and the benchmark's
+/// `scale_wl_30k` workload: a shallow (depth 8), moderately
 /// connected netlist whose generation cost stays roughly linear in
 /// `num_cells`, so 100k/500k/1M-cell instances build in seconds. The same
 /// `(num_cells, seed)` pair always produces an identical design, byte for

@@ -29,13 +29,11 @@ pub enum Counter {
     RudyIncUpdates,
     /// Exact STA runs performed only to feed the trace.
     TraceAnalyses,
-    /// Top-K critical-path extractions (path-extraction mode).
-    PathExtractions,
 }
 
 impl Counter {
     /// Number of counters (length of every per-counter array).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -48,7 +46,6 @@ impl Counter {
         Counter::RudyBuilds,
         Counter::RudyIncUpdates,
         Counter::TraceAnalyses,
-        Counter::PathExtractions,
     ];
 
     /// Dense slot index of this counter.
@@ -69,7 +66,6 @@ impl Counter {
             Counter::RudyBuilds => "rudy_builds",
             Counter::RudyIncUpdates => "rudy_inc_updates",
             Counter::TraceAnalyses => "trace_analyses",
-            Counter::PathExtractions => "path_extractions",
         }
     }
 

@@ -48,8 +48,6 @@ pub enum Phase {
     DetailPlace,
     /// The exact analysis of the final placement (reporting).
     FinalSta,
-    /// Top-K critical-path extraction + net-weight transfer (path mode).
-    PathExtract,
     /// Reading the design: the input files parsed, or a proxy synthesized
     /// (`dtp place`; once per run, outside every iteration).
     Parse,
@@ -62,7 +60,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (length of every per-phase array).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// Every phase, in slot order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -80,7 +78,6 @@ impl Phase {
         Phase::Legalize,
         Phase::DetailPlace,
         Phase::FinalSta,
-        Phase::PathExtract,
         Phase::Parse,
         Phase::Setup,
         Phase::Write,
@@ -109,7 +106,6 @@ impl Phase {
             Phase::Legalize => "legalize",
             Phase::DetailPlace => "detail_place",
             Phase::FinalSta => "final_sta",
-            Phase::PathExtract => "path_extract",
             Phase::Parse => "parse",
             Phase::Setup => "setup",
             Phase::Write => "write",
@@ -138,7 +134,6 @@ impl Phase {
                 | Phase::NetWeight
                 | Phase::TraceSta
                 | Phase::FinalSta
-                | Phase::PathExtract
         )
     }
 }
@@ -176,8 +171,7 @@ mod tests {
                 Phase::StaBackward,
                 Phase::NetWeight,
                 Phase::TraceSta,
-                Phase::FinalSta,
-                Phase::PathExtract
+                Phase::FinalSta
             ]
         );
     }

@@ -15,8 +15,8 @@
 //! them against finite differences in the test suite.
 //!
 //! Two implementations live here. [`ElmoreNet`] owns its per-node vectors and
-//! allocates them per call: it is the readable reference, used by tests,
-//! `figure4` and the wire-model experiments. The timing engine runs the
+//! allocates them per call: it is the readable reference, used by tests and
+//! `figure4`. The timing engine runs the
 //! slice kernels [`forward_into`] / [`backward_into`] over one persistent
 //! struct-of-arrays [`ElmoreArena`] shared by every net (each net owns a
 //! fixed node range), which perform the same arithmetic in the same order
@@ -56,9 +56,6 @@ pub struct ElmoreSeeds {
     pub grad_delay: Vec<f64>,
     /// ∂f/∂Impulse²(node), nonzero at sink pin nodes (from Eq. 10d).
     pub grad_impulse_sq: Vec<f64>,
-    /// ∂f/∂Beta(node) — direct second-moment sensitivity, used by delay
-    /// metrics beyond Elmore (e.g. [`ElmoreNet::delay_d2m_at`]).
-    pub grad_beta: Vec<f64>,
     /// ∂f/∂Load(root) — the driving-cell arcs' load sensitivity (Eq. 12e).
     pub grad_root_load: f64,
 }
@@ -69,7 +66,6 @@ impl ElmoreSeeds {
         ElmoreSeeds {
             grad_delay: vec![0.0; n],
             grad_impulse_sq: vec![0.0; n],
-            grad_beta: vec![0.0; n],
             grad_root_load: 0.0,
         }
     }
@@ -190,24 +186,6 @@ impl ElmoreNet {
         self.beta[node]
     }
 
-    /// D2M ("delay with two moments") wire delay at `node`:
-    /// `ln 2 · m1² / √m2` with `m1 = Delay`, `m2 = 2·Beta`. D2M corrects
-    /// Elmore's pessimism on far-from-driver sinks and is the kind of
-    /// "other, more complex interconnect delay model" §3.4.2 claims the
-    /// framework generalizes to. Falls back to Elmore when the second moment
-    /// degenerates (near-zero wire).
-    #[inline]
-    pub fn delay_d2m_at(&self, node: usize) -> f64 {
-        d2m_delay(self.delay[node], self.beta[node])
-    }
-
-    /// Partial derivatives of [`ElmoreNet::delay_d2m_at`] with respect to
-    /// `(Delay, Beta)` at `node`, for seeding the backward pass.
-    #[inline]
-    pub fn d2m_partials(&self, node: usize) -> (f64, f64) {
-        d2m_partials(self.delay[node], self.beta[node])
-    }
-
     /// Runs the backward passes (Eq. 8, lower half of Fig. 5) and the chain
     /// rule to node positions.
     ///
@@ -230,9 +208,8 @@ impl ElmoreNet {
             .map(|i| if self.impulse_sq_raw[i] > 0.0 { seeds.grad_impulse_sq[i] } else { 0.0 })
             .collect();
 
-        // Reverse pass 1 (bottom-up): ∇Beta (Eq. 8a), plus any direct Beta
-        // seeds from non-Elmore delay metrics.
-        let mut g_beta: Vec<f64> = (0..n).map(|i| 2.0 * g_imp[i] + seeds.grad_beta[i]).collect();
+        // Reverse pass 1 (bottom-up): ∇Beta (Eq. 8a).
+        let mut g_beta: Vec<f64> = (0..n).map(|i| 2.0 * g_imp[i]).collect();
         for &u in order.iter().rev() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -298,34 +275,6 @@ impl ElmoreNet {
             gy[p] -= sy * g_len;
         }
         (gx, gy)
-    }
-}
-
-/// D2M delay `ln 2 · m1² / √m2` from the Elmore moments `m1 = Delay`,
-/// `m2 = 2·Beta`; Elmore when the second moment degenerates.
-#[inline]
-pub(crate) fn d2m_delay(delay: f64, beta: f64) -> f64 {
-    let m1 = delay;
-    let m2 = 2.0 * beta;
-    if m2 > 1e-12 {
-        std::f64::consts::LN_2 * m1 * m1 / m2.sqrt()
-    } else {
-        m1
-    }
-}
-
-/// Partial derivatives of [`d2m_delay`] with respect to `(Delay, Beta)`.
-#[inline]
-pub(crate) fn d2m_partials(delay: f64, beta: f64) -> (f64, f64) {
-    let m1 = delay;
-    let m2 = 2.0 * beta;
-    if m2 > 1e-12 {
-        let d_dm1 = 2.0 * std::f64::consts::LN_2 * m1 / m2.sqrt();
-        // ∂/∂Beta = ∂/∂m2 · 2 = −ln2·m1²·m2^(−3/2)
-        let d_dbeta = -std::f64::consts::LN_2 * m1 * m1 * m2.powf(-1.5);
-        (d_dm1, d_dbeta)
-    } else {
-        (1.0, 0.0)
     }
 }
 
@@ -550,7 +499,7 @@ pub(crate) type NodeAdjoints = [f64; 6];
 /// ranges: same passes, same arithmetic, no allocation.
 ///
 /// `el` is the arena the forward pass filled and `lo` the net's first node
-/// in it; the three seed slices are indexed like the arena. `adj` is
+/// in it; the two seed slices are indexed like the arena. `adj` is
 /// scratch of at least `tree.num_nodes()` entries; the per-pin position
 /// gradient `(∂x, ∂y)` lands in `pin_grad` (`tree.num_pins()` long).
 #[allow(clippy::too_many_arguments)]
@@ -560,7 +509,6 @@ pub(crate) fn backward_into(
     lo: usize,
     seed_delay: &[f64],
     seed_impulse_sq: &[f64],
-    seed_beta: &[f64],
     seed_root_load: f64,
     r: f64,
     c: f64,
@@ -578,16 +526,15 @@ pub(crate) fn backward_into(
     let hi = lo + n;
     let (cap, res, load) = (&el.cap[lo..hi], &el.res[lo..hi], &el.load[lo..hi]);
     let (delay, ldelay, impulse_sq) = (&el.delay[lo..hi], &el.ldelay[lo..hi], &el.impulse_sq[lo..hi]);
-    let (seed_delay, seed_impulse_sq, seed_beta) =
-        (&seed_delay[lo..hi], &seed_impulse_sq[lo..hi], &seed_beta[lo..hi]);
+    let (seed_delay, seed_impulse_sq) = (&seed_delay[lo..hi], &seed_impulse_sq[lo..hi]);
     let adj = &mut adj[..n];
     // Impulse clamping: a node whose raw impulse² went negative has a dead
     // gradient through the impulse path.
     let g_imp = |i: usize| if impulse_sq[i] > 0.0 { seed_impulse_sq[i] } else { 0.0 };
 
-    // Reverse pass 1 (bottom-up): ∇Beta (Eq. 8a) plus direct Beta seeds.
-    for i in 0..n {
-        adj[i][G_BETA] = 2.0 * g_imp(i) + seed_beta[i];
+    // Reverse pass 1 (bottom-up): ∇Beta (Eq. 8a).
+    for (i, a) in adj.iter_mut().enumerate() {
+        a[G_BETA] = 2.0 * g_imp(i);
     }
     for &u in order.iter().rev() {
         let u = u as usize;
@@ -812,15 +759,13 @@ mod tests {
 
     proptest::proptest! {
         /// The arena kernels equal the allocating reference bit for bit:
-        /// forward state, and backward + scatter, with Elmore seeds only
-        /// (`beta_seed = 0`) and with the direct Beta seeds the D2M wire
-        /// model adds. The net sits in the middle of a NaN-filled arena, so
-        /// a read of anything the forward pass did not write would show.
+        /// forward state, and backward + scatter. The net sits in the middle
+        /// of a NaN-filled arena, so a read of anything the forward pass did
+        /// not write would show.
         #[test]
         fn arena_kernels_equal_reference(
             xy in proptest::collection::vec((-40.0..40.0f64, -40.0..40.0f64), 1..14),
             snap in 0usize..3,
-            beta_seed in 0.0..2.0f64,
             root_seed in -1.0..1.0f64,
         ) {
             // Snapping some runs to a coarse grid produces aligned and
@@ -862,7 +807,6 @@ mod tests {
             for i in 1..n_pins {
                 seeds.grad_delay[i] = 1.0 - 0.3 * i as f64;
                 seeds.grad_impulse_sq[i] = 0.01 * (i % 3) as f64;
-                seeds.grad_beta[i] = beta_seed * 0.001 * i as f64;
             }
             seeds.grad_root_load = root_seed;
             let (gx, gy) = reference.backward(&tree, &seeds);
@@ -881,7 +825,6 @@ mod tests {
                 lo,
                 &at(&seeds.grad_delay),
                 &at(&seeds.grad_impulse_sq),
-                &at(&seeds.grad_beta),
                 seeds.grad_root_load,
                 R,
                 C,

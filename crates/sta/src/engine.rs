@@ -48,10 +48,7 @@
 //! order, so results are bit-identical at any pool width.
 
 use crate::binding::Binding;
-use crate::elmore::{
-    backward_into, d2m_delay, d2m_partials, forward_into, ElmoreArena, NodeAdjoints, NodesMut,
-    NO_NODE,
-};
+use crate::elmore::{backward_into, forward_into, ElmoreArena, NodeAdjoints, NodesMut, NO_NODE};
 use crate::error::StaError;
 use crate::graph::{PinRole, TimingGraph};
 use crate::smoothing::{
@@ -63,25 +60,11 @@ use dtp_rsmt::{node_capacity, SteinerForest};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Wire delay metric computed from the Elmore moments (§3.4.2: the
-/// framework generalizes to "other more complex interconnect delay models,
-/// … as long as the model can be written in analytical form").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WireModel {
-    /// First-moment (Elmore) delay — Eq. 7b.
-    #[default]
-    Elmore,
-    /// D2M two-moment delay metric: `ln2 · m1²/√m2`.
-    D2m,
-}
-
 /// Tunable parameters of the timing engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimerConfig {
     /// LSE smoothing parameter γ, in ps (the paper uses ≈ 100).
     pub gamma: f64,
-    /// Which wire delay metric to derive from the Elmore moments.
-    pub wire_model: WireModel,
     /// Slew of the ideal clock at register clock pins (ps).
     pub clock_slew: f64,
     /// Slew assumed at primary inputs (ps).
@@ -95,7 +78,6 @@ impl Default for TimerConfig {
     fn default() -> Self {
         TimerConfig {
             gamma: 100.0,
-            wire_model: WireModel::default(),
             clock_slew: 20.0,
             input_slew: 10.0,
             clock_arrival: 0.0,
@@ -274,7 +256,7 @@ pub struct Analysis {
     /// Required arrival time per pin (late/setup view), propagated backward
     /// from the endpoints; `f64::INFINITY` on cones that reach no endpoint,
     /// and everywhere in analyses that skip the required-time sweep
-    /// (smoothed analyses and [`Timer::analyze_no_rat_into`]).
+    /// (smoothed analyses).
     pub rat: Vec<f64>,
     /// γ used for max-smoothing in this analysis; 0 means exact (hard max).
     pub gamma: f64,
@@ -422,11 +404,9 @@ pub struct AnalysisScratch {
     g_at: Vec<f64>,
     /// ∂f/∂slew per pin (gradient sweep).
     g_slew: Vec<f64>,
-    /// Elmore gradient seeds per arena node: ∂f/∂Delay, ∂f/∂Impulse²,
-    /// ∂f/∂Beta.
+    /// Elmore gradient seeds per arena node: ∂f/∂Delay, ∂f/∂Impulse².
     seed_delay: Vec<f64>,
     seed_impulse_sq: Vec<f64>,
-    seed_beta: Vec<f64>,
     /// ∂f/∂Load(root) per net.
     seed_root_load: Vec<f64>,
     /// Elmore backward adjoints: one `max_net_nodes` block per net chunk.
@@ -739,16 +719,6 @@ impl Timer {
         &self.net_pin_caps[lo..hi]
     }
 
-    /// Wire delay from the driver to arena node `node` under the configured
-    /// wire model.
-    #[inline]
-    fn wire_delay(&self, elmore: &ElmoreArena, node: usize) -> f64 {
-        match self.config.wire_model {
-            WireModel::Elmore => elmore.delay[node],
-            WireModel::D2m => d2m_delay(elmore.delay[node], elmore.beta[node]),
-        }
-    }
-
     /// Arc range of slot `s` in `arc_from` / `arc_idx` / the tape.
     #[inline]
     fn arcs(&self, s: usize) -> std::ops::Range<usize> {
@@ -802,9 +772,9 @@ impl Timer {
     /// [`Timer::analyze_smoothed`] drawing every buffer from `scratch`.
     ///
     /// The result feeds [`Timer::gradients_into`], which never reads
-    /// required times, so the backward RAT sweep is skipped: as with
-    /// [`Timer::analyze_no_rat_into`], every RAT is `f64::INFINITY` and
-    /// [`Analysis::pin_slack`] is only meaningful at endpoints.
+    /// required times, so the backward RAT sweep is skipped: every RAT is
+    /// `f64::INFINITY` and [`Analysis::pin_slack`] is only meaningful at
+    /// endpoints.
     pub fn analyze_smoothed_into(
         &self,
         nl: &Netlist,
@@ -812,22 +782,6 @@ impl Timer {
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
         self.run_forward_into(nl, forest, self.config.gamma, false, scratch)
-    }
-
-    /// Exact forward analysis that *skips* the backward RAT sweep — the
-    /// analysis half of the path-extraction timing mode. Endpoint slacks
-    /// (and therefore WNS/TNS and path extraction, which read only arrival
-    /// times and endpoint slacks) are identical to [`Timer::analyze_into`];
-    /// [`Analysis::pin_slack`] on non-endpoint pins returns `f64::INFINITY`
-    /// because no RATs were propagated. Skipping the sweep removes the one
-    /// remaining whole-graph backward pass from the periodic analysis.
-    pub fn analyze_no_rat_into(
-        &self,
-        nl: &Netlist,
-        forest: &SteinerForest,
-        scratch: &mut AnalysisScratch,
-    ) -> Analysis {
-        self.run_forward_into(nl, forest, 0.0, false, scratch)
     }
 
     /// Elmore forward of net `ni` into its arena range `s`; a net the forest
@@ -872,8 +826,8 @@ impl Timer {
     /// forest (pin positions were baked into the trees) and in the slot /
     /// arc tables built with the timer; the caller guarantees both match the
     /// netlist used at construction. `with_rat = false` leaves every RAT at
-    /// `f64::INFINITY` (consumers that never read per-pin slacks — gradients,
-    /// path extraction — skip the backward sweep entirely).
+    /// `f64::INFINITY` (the gradients never read per-pin slacks, so smoothed
+    /// analyses skip the backward sweep entirely).
     fn run_forward_into(
         &self,
         nl: &Netlist,
@@ -1076,7 +1030,7 @@ impl Timer {
                     return [0.0, 0.0, cfg.input_slew];
                 }
                 let (node, driver) = (sl.node as usize, sl.driver as usize);
-                let d = self.wire_delay(elmore, node);
+                let d = elmore.delay[node];
                 let s_in = slew[driver];
                 let s = (s_in * s_in + elmore.impulse_sq[node].max(0.0)).sqrt().max(1e-3);
                 [at[driver] + d, at_early[driver] + d, s]
@@ -1182,7 +1136,7 @@ impl Timer {
                         if sl.node == NO_NODE {
                             continue;
                         }
-                        let cand = rat[i] - self.wire_delay(elmore, sl.node as usize);
+                        let cand = rat[i] - elmore.delay[sl.node as usize];
                         let driver = sl.driver as usize;
                         if cand < rat[driver] {
                             rat[driver] = cand;
@@ -1419,7 +1373,6 @@ impl Timer {
             g_slew,
             seed_delay,
             seed_impulse_sq,
-            seed_beta,
             seed_root_load,
             adjoints,
             net_pin_grads,
@@ -1432,7 +1385,6 @@ impl Timer {
             (g_slew, n_pins),
             (seed_delay, n_nodes),
             (seed_impulse_sq, n_nodes),
-            (seed_beta, n_nodes),
             (seed_root_load, forest.len()),
         ] {
             buf.clear();
@@ -1494,14 +1446,7 @@ impl Timer {
                             // Degenerate slew merge: all gradient to the driver.
                             g_slew[driver] += g_slew[i];
                         }
-                        match self.config.wire_model {
-                            WireModel::Elmore => seed_delay[node] += g_at[i],
-                            WireModel::D2m => {
-                                let (d_dm1, d_dbeta) = d2m_partials(el.delay[node], el.beta[node]);
-                                seed_delay[node] += g_at[i] * d_dm1;
-                                seed_beta[node] += g_at[i] * d_dbeta;
-                            }
-                        }
+                        seed_delay[node] += g_at[i];
                         if s_v > 0.0 {
                             seed_impulse_sq[node] += g_slew[i] / (2.0 * s_v);
                         }
@@ -1553,7 +1498,7 @@ impl Timer {
             adjoints.clear();
             adjoints.resize(n_chunks * block, [0.0; 6]);
         }
-        let (seed_delay, seed_impulse_sq, seed_beta) = (&*seed_delay, &*seed_impulse_sq, &*seed_beta);
+        let (seed_delay, seed_impulse_sq) = (&*seed_delay, &*seed_impulse_sq);
         let seed_root_load = &*seed_root_load;
         let n_nets = forest.len();
         net_pin_grads
@@ -1570,7 +1515,6 @@ impl Timer {
                     assert!(hi <= self.node_off[ni + 1] as usize, "tree outgrew its arena range");
                     let seeded = root_seed != 0.0
                         || seed_delay[lo..hi].iter().any(|&g| g != 0.0)
-                        || seed_beta[lo..hi].iter().any(|&g| g != 0.0)
                         || seed_impulse_sq[lo..hi].iter().any(|&g| g != 0.0);
                     if !seeded {
                         continue;
@@ -1583,7 +1527,6 @@ impl Timer {
                         lo,
                         seed_delay,
                         seed_impulse_sq,
-                        seed_beta,
                         root_seed,
                         self.binding.wire_res_per_um,
                         self.binding.wire_cap_per_um,

@@ -41,13 +41,11 @@
 //!
 //! # Top-K critical-path extraction
 //!
-//! As a cheaper alternative to back-propagating through every timing arc,
 //! [`Timer::extract_paths_into`] traces the K worst endpoints back through
 //! worst-arrival predecessors into a [`PathSet`] — deduplicating shared
-//! prefixes and emitting per-pin criticality weights — using only a forward
-//! analysis (see [`Timer::analyze_no_rat_into`], which also skips the
-//! backward RAT sweep). Like the rest of the hot path, extraction into a
-//! caller-owned [`PathScratch`] is allocation-free at steady state.
+//! prefixes and emitting per-pin criticality weights — reading only arrival
+//! times and endpoint slacks. Like the rest of the hot path, extraction into
+//! a caller-owned [`PathScratch`] is allocation-free at steady state.
 //!
 //! The main entry point is [`Timer`]:
 //!
@@ -86,8 +84,7 @@ mod smoothing;
 pub use binding::Binding;
 pub use elmore::{ElmoreNet, ElmoreSeeds};
 pub use engine::{
-    Analysis, AnalysisScratch, ElmoreView, PositionGradients, Timer, TimerConfig, WireModel,
-    MAX_INLINE_ARCS,
+    Analysis, AnalysisScratch, ElmoreView, PositionGradients, Timer, TimerConfig, MAX_INLINE_ARCS,
 };
 pub use error::StaError;
 pub use graph::{PinRole, TimingGraph};

@@ -1,11 +1,8 @@
-//! Top-K critical-path extraction: the cheap, sharp timing signal.
-//!
-//! The full differentiable objective back-propagates through *every* arc of
-//! the timing graph each iteration. Critical-path extraction gets comparable
-//! placement quality for a fraction of that cost by tracing only the K worst
-//! endpoints back through their worst-arrival predecessors and concentrating
-//! timing force on the pins of those paths (the approach of "Timing-Driven
-//! Global Placement by Efficient Critical Path Extraction").
+//! Top-K critical-path extraction: the K worst endpoints traced back through
+//! their worst-arrival predecessors, with a per-pin criticality on the pins
+//! of those paths (the extraction of "Timing-Driven Global Placement by
+//! Efficient Critical Path Extraction"): an analysis primitive that no
+//! placement mode consumes.
 //!
 //! # Shape of the extraction
 //!
@@ -24,8 +21,7 @@
 //!    assignment equals max-aggregation over the un-deduplicated path set.
 //! 4. **Weight**: path rank `r` with endpoint slack `s` gets criticality
 //!    `decay^r · clamp(−s / |WNS|, 0, 1)`; every newly visited pin inherits
-//!    its path's criticality. Downstream consumers turn the per-pin values
-//!    into net weights for the wirelength objective.
+//!    its path's criticality.
 //!
 //! # Allocation discipline
 //!
@@ -33,7 +29,7 @@
 //! candidate endpoints, visited flags, the CSR path arrays and the per-pin
 //! criticality map (reset sparsely via the previous extraction's pin list).
 //! After warm-up, [`Timer::extract_paths_into`] performs zero heap
-//! allocations per call — the property `bench_paths` verifies with a
+//! allocations per call — the property `tests/zero_alloc.rs` verifies with a
 //! counting allocator.
 
 use crate::engine::{Analysis, Timer};
@@ -219,10 +215,8 @@ impl Timer {
     ///
     /// `analysis` should be exact (γ = 0); a smoothed analysis traces the
     /// smoothed-arrival worst fan-ins instead, which is well-defined but
-    /// blurs the path selection. RATs are never read, so analyses produced
-    /// with [`Timer::analyze_no_rat_into`] (or incremental analyses with
-    /// `recompute_rat = false`) are sufficient — that is what makes the
-    /// extraction's analysis half cheap.
+    /// blurs the path selection. RATs are never read, so incremental
+    /// analyses with `recompute_rat = false` are sufficient.
     ///
     /// With `WNS ≥ 0` (no violations) every criticality is 0; the paths are
     /// still traced for reporting. Steady-state calls perform no heap

@@ -8,7 +8,7 @@ use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::stdcells;
 use dtp_netlist::{Design, Netlist, NetlistBuilder, PinId, Rect, Sdc};
 use dtp_rsmt::build_forest;
-use dtp_sta::{AnalysisScratch, PathScratch, PathSet, Timer, TimingReport};
+use dtp_sta::{PathScratch, PathSet, Timer, TimingReport};
 
 fn inv_class(b: &mut NetlistBuilder) -> dtp_netlist::ClassId {
     b.add_class(stdcells::find("INV_X1").expect("INV_X1 in table").to_class())
@@ -230,8 +230,7 @@ fn diamond_reconvergent_fanin_follows_worst_arrival() {
 #[test]
 fn full_extraction_matches_endpoint_slack_formula() {
     // decay = 1, top_k = all endpoints: every endpoint's pin criticality is
-    // exactly clamp(-slack/|WNS|, 0, 1) — the golden the flow-level
-    // PathExtraction mode is checked against.
+    // exactly clamp(-slack/|WNS|, 0, 1).
     let mut design = generate(&GeneratorConfig::named("paths", 250)).unwrap();
     design.constraints = Sdc::with_period(40.0); // force violations
     let nl = &design.netlist;
@@ -265,22 +264,11 @@ fn full_extraction_matches_endpoint_slack_formula() {
 fn no_rat_analysis_is_sufficient_for_extraction() {
     let design = build_shared_prefix(10.0);
     let nl = &design.netlist;
-    let lib = synthetic_pdk();
-    let timer = Timer::new(&design, &lib).unwrap();
-    let forest = build_forest(&design.netlist);
-    let full = timer.analyze(nl, &forest);
-    let mut scratch = AnalysisScratch::new();
-    let norat = timer.analyze_no_rat_into(nl, &forest, &mut scratch);
-
-    // Forward quantities and endpoint slacks are identical; RATs are not
-    // propagated at all.
-    assert_eq!(full.at, norat.at);
-    assert_eq!(full.slew, norat.slew);
-    for &e in full.endpoints() {
-        assert_eq!(full.slack[e.index()], norat.slack[e.index()]);
-    }
-    assert!(norat.rat.iter().all(|r| r.is_infinite()));
-    assert!((full.wns() - norat.wns()).abs() < 1e-12);
+    let (timer, full) = analyze(&design);
+    // The same analysis without required times: extraction reads only
+    // arrival times, slews, loads and endpoint slacks.
+    let mut norat = full.clone();
+    norat.rat.fill(f64::INFINITY);
 
     // Extraction sees the same paths either way.
     let mut ps = PathScratch::new();

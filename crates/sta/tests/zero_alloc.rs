@@ -7,7 +7,7 @@ use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::{CellId, Point};
 use dtp_rsmt::{build_forest, ForestScratch};
-use dtp_sta::{AnalysisScratch, PositionGradients, Timer};
+use dtp_sta::{AnalysisScratch, PathScratch, PathSet, PositionGradients, Timer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,6 +64,7 @@ fn steady_state_timing_cycles_do_not_allocate() {
         let mut scratch = AnalysisScratch::new();
         scratch.presize(design.netlist.num_pins(), design.netlist.num_nets());
         let mut grads = PositionGradients::default();
+        let (mut pscratch, mut paths) = (PathScratch::new(), PathSet::new());
         let mut prev = timer.analyze_into(&design.netlist, &forest, &mut scratch);
         let mut dx = 1.5;
         let mut cycle = |design: &mut dtp_netlist::Design, prev: &mut dtp_sta::Analysis| {
@@ -79,6 +80,7 @@ fn steady_state_timing_cycles_do_not_allocate() {
             );
             scratch.recycle(smoothed);
             let exact = timer.analyze_into(&design.netlist, &forest, &mut scratch);
+            timer.extract_paths_into(&design.netlist, &exact, 32, 0.9, &mut pscratch, &mut paths);
             scratch.recycle(exact);
             for &c in &moved {
                 let pos = design.netlist.cell(c).pos();
@@ -107,5 +109,6 @@ fn steady_state_timing_cycles_do_not_allocate() {
         let allocs = ALLOCS.load(Ordering::Relaxed) - before;
         assert_eq!(allocs, 0, "steady-state timing cycles allocated {allocs} times");
         assert!(grads.objective.is_finite() && prev.wns().is_finite());
+        assert_eq!(paths.num_paths(), 32);
     });
 }

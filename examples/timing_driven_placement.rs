@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline: Option<(f64, f64, f64)> = None;
     for mode in [
         FlowMode::Wirelength,
-        FlowMode::net_weighting(),
+        FlowMode::NetWeighting,
         FlowMode::differentiable(),
     ] {
         let r = run_flow(&design, &lib, mode, &cfg)?;

@@ -18,7 +18,7 @@ fn run_all(bench: &str, scale_denom: f64) -> [FlowResult; 3] {
     let cfg = FlowConfig { max_iters: 350, trace_timing_every: 0, ..FlowConfig::default() };
     [
         run_flow(&design, &lib, FlowMode::Wirelength, &cfg).expect("flow runs"),
-        run_flow(&design, &lib, FlowMode::net_weighting(), &cfg).expect("flow runs"),
+        run_flow(&design, &lib, FlowMode::NetWeighting, &cfg).expect("flow runs"),
         run_flow(&design, &lib, FlowMode::differentiable(), &cfg).expect("flow runs"),
     ]
 }
