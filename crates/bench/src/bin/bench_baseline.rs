@@ -45,7 +45,6 @@ const CONTEXT_KEYS: &[&str] = &[
     "max_iters",
     "smoke",
     "moved_cells",
-    "moved_frac",
     "cells",
     "bins",
 ];

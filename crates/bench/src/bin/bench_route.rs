@@ -1,6 +1,6 @@
 //! Routability benchmark emitting `BENCH_route.json`.
 //!
-//! Two measurements, mirroring `bench_sta`'s hand-timed style:
+//! Two hand-timed measurements:
 //!
 //! 1. **Flow quality**: the same synthetic proxy placed with
 //!    `route_aware = false` and `true` under a tight routing capacity; the
@@ -136,7 +136,8 @@ fn main() {
             }
         }
     }
-    forest.update_nets(&work.netlist, &dirty);
+    let mut scratch = ForestScratch::new();
+    forest.update_nets_into(&work.netlist, &dirty, &mut scratch);
     let update_ns = time_ns(|| {
         map.update_nets(&forest, &dirty);
         map.sync_cells(&work.netlist);
@@ -153,7 +154,6 @@ fn main() {
     for &c in &movable {
         away_x[c.index()] += 0.75;
     }
-    let mut scratch = ForestScratch::new();
     let reps = if smoke { 20 } else { 200 };
     let stamps_before = map.stamps_written();
     let mut update_all_s = 0.0;

@@ -15,8 +15,8 @@
 //!    legacy construction (exact at 4, Prim at 5–9) over random nets — the
 //!    acceptance target is ≥ 1 % average reduction on degrees 5–9.
 //! 3. **Maintenance throughput**: dirty-net sweeps at 1 % moved cells on a
-//!    generated design, serial legacy rebuilds vs the parallel,
-//!    sequence-cached, allocation-free `*_nets_into` sweeps on 4 worker
+//!    generated design, serial legacy rebuilds (a 1-worker pool) vs the
+//!    parallel, allocation-free `*_nets_into` table sweeps on 4 worker
 //!    threads (acceptance: ≥ 4×), plus per-call heap-allocation counts
 //!    from a counting global allocator (`update_nets_into` must be zero in
 //!    steady state).
@@ -166,23 +166,20 @@ fn main() {
         for (&c, &p) in movable.iter().zip(&home) {
             nl.set_cell_pos(c, p);
         }
-        let (t, s) = (table_stats(), forest.stats());
+        let t = table_stats();
         let gen_ms = t.gen_ns as f64 / 1e6;
-        let hit_rate = s.seq_hits as f64 / (s.seq_hits + s.seq_rebuilds).max(1) as f64;
         let _ = writeln!(
             json,
             "  \"cold\": {{\"rounds\": {rounds}, \"nets\": {}, \"classes_generated\": {}, \
-             \"class_gen_ms\": {gen_ms:.2}, \"build_and_sweeps_ms\": {cold_ms:.2}, \
-             \"seq_cache_hit_rate\": {hit_rate:.4}}},",
+             \"class_gen_ms\": {gen_ms:.2}, \"build_and_sweeps_ms\": {cold_ms:.2}}},",
             nets.len(),
             t.classes_generated
         );
         println!(
             "cold start: build + {rounds} all-net rebuild rounds over {} nets in {cold_ms:.1} ms, \
-             of which {} classes generated in {gen_ms:.1} ms (seq-cache hit rate {:.1}%)",
+             of which {} classes generated in {gen_ms:.1} ms",
             nets.len(),
-            t.classes_generated,
-            hit_rate * 100.0
+            t.classes_generated
         );
     }
 
@@ -303,11 +300,14 @@ fn main() {
         }
     };
 
-    // Topology sweeps: serial legacy rebuilds (the pre-table behaviour) vs
-    // the parallel table sweeps, same drift pattern inside both closures.
+    // Topology sweeps: serial legacy rebuilds (the pre-table behaviour, on a
+    // 1-worker pool) vs the parallel table sweeps, same drift pattern inside
+    // both closures.
+    let one = rayon::Pool::new(1);
+    let mut serial_scratch = ForestScratch::new();
     let serial_rebuild_ns = time_ns(|| {
         drift(&mut nl);
-        legacy.rebuild_nets(&nl, &dirty);
+        rayon::with_pool(&one, || legacy.rebuild_nets_into(&nl, &dirty, &mut serial_scratch));
         black_box(legacy.tree(dirty[0]).map(TreeView::wirelength));
     });
     let mut scratch = ForestScratch::new();
@@ -322,7 +322,7 @@ fn main() {
     // every signal net (large: the parallel path engages).
     let serial_update_ns = time_ns(|| {
         drift(&mut nl);
-        legacy.update_nets(&nl, &dirty);
+        rayon::with_pool(&one, || legacy.update_nets_into(&nl, &dirty, &mut serial_scratch));
         black_box(legacy.tree(dirty[0]).map(TreeView::wirelength));
     });
     let parallel_update_ns = time_ns(|| {
@@ -337,7 +337,7 @@ fn main() {
         .collect();
     let serial_update_all_ns = time_ns(|| {
         drift(&mut nl);
-        legacy.update_nets(&nl, &all_nets);
+        rayon::with_pool(&one, || legacy.update_nets_into(&nl, &all_nets, &mut serial_scratch));
         black_box(legacy.tree(all_nets[0]).map(TreeView::wirelength));
     });
     let parallel_update_all_ns = time_ns(|| {
@@ -346,9 +346,6 @@ fn main() {
         black_box(tables.tree(all_nets[0]).map(TreeView::wirelength));
     });
     let update_all_speedup = serial_update_all_ns / parallel_update_all_ns;
-
-    let stats = tables.stats();
-    let hit_rate = stats.seq_hits as f64 / (stats.seq_hits + stats.seq_rebuilds).max(1) as f64;
 
     // Steady-state allocation counts. 16 warmup rounds visit every offset of
     // the drift cycle, so all table classes and scratch capacities exist
@@ -383,7 +380,6 @@ fn main() {
          \"serial_update_all_ns\": {serial_update_all_ns:.0}, \
          \"parallel_update_all_ns\": {parallel_update_all_ns:.0}, \
          \"update_all_speedup\": {update_all_speedup:.2}, \
-         \"seq_cache_hit_rate\": {hit_rate:.4}, \
          \"update_into_steady_state_allocs\": {update_allocs:.1}, \
          \"rebuild_into_steady_state_allocs\": {rebuild_allocs:.1}}},",
         moved.len(),
@@ -403,7 +399,7 @@ fn main() {
          {parallel_update_all_ns:>10.0} ns ({update_all_speedup:.1}x)",
         all_nets.len()
     );
-    println!("  seq-cache hit rate {:.1}% | allocs/sweep: update {update_allocs:.0}, rebuild {rebuild_allocs:.0}", hit_rate * 100.0);
+    println!("  allocs/sweep: update {update_allocs:.0}, rebuild {rebuild_allocs:.0}");
 
     // --- 4. Full-forest build ---------------------------------------------
     let legacy_build_ns = time_ns(|| {

@@ -43,7 +43,7 @@ use dtp_netlist::generate::{generate, superblue_proxy, GeneratorConfig};
 use dtp_netlist::{bookshelf, Design, NetlistStats, Sdc};
 use dtp_place::plot::{render_svg, PlotOptions};
 use dtp_rsmt::build_forest;
-use dtp_sta::{SlackHistogram, Timer, TimingReport};
+use dtp_sta::{AnalysisScratch, SlackHistogram, Timer, TimingReport};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -135,7 +135,7 @@ fn cmd_sta(args: &[String]) -> CliResult {
     };
     let timer = Timer::new(&design, &lib)?;
     let forest = build_forest(&design.netlist);
-    let analysis = timer.analyze(&design.netlist, &forest);
+    let analysis = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     println!("{}", TimingReport::new(&timer, &design.netlist, &analysis));
     let lo = analysis.wns().min(0.0) * 1.05 - 1.0;
     let hi = (-lo * 0.5).max(design.constraints.clock_period * 0.5);
@@ -365,7 +365,7 @@ fn cmd_place(args: &[String]) -> CliResult {
         design.netlist.set_positions(&r.xs, &r.ys);
         let timer = Timer::new(&design, &lib)?;
         let forest = build_forest(&design.netlist);
-        let analysis = timer.analyze(&design.netlist, &forest);
+        let analysis = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
         let wns = analysis.wns().min(-1.0);
         let heat: Vec<f64> = design
             .netlist

@@ -24,8 +24,7 @@
 //! wirelength-only mode at default knobs — never builds one. Each timing
 //! iteration then runs one full, scratch-backed analysis — in global
 //! placement every movable cell moves every iteration, so there is no sparse
-//! dirty set for an incremental analysis to exploit (that lives in
-//! `timing_detail`, where moves are sparse). The exact RUDY map is
+//! dirty set for an incremental analysis to exploit. The exact RUDY map is
 //! maintained incrementally from the same geometry/topology-dirty net lists.
 //!
 //! Every mode drives one [`GradientCore`] (WA wirelength + density +
@@ -99,6 +98,12 @@ pub enum FlowError {
     Netlist(NetlistError),
     /// The configuration asks for something no flow can run.
     Config(String),
+    /// The placement diverged: iteration `iter` is the first whose
+    /// wirelength or density overflow is not finite.
+    Diverged {
+        /// The first iteration with a non-finite wirelength or overflow.
+        iter: usize,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -107,6 +112,10 @@ impl fmt::Display for FlowError {
             FlowError::Sta(e) => write!(f, "timing engine error: {e}"),
             FlowError::Netlist(e) => write!(f, "netlist error: {e}"),
             FlowError::Config(what) => write!(f, "invalid flow configuration: {what}"),
+            FlowError::Diverged { iter } => write!(
+                f,
+                "placement diverged at iteration {iter}: non-finite wirelength or density overflow"
+            ),
         }
     }
 }
@@ -116,7 +125,7 @@ impl std::error::Error for FlowError {
         match self {
             FlowError::Sta(e) => Some(e),
             FlowError::Netlist(e) => Some(e),
-            FlowError::Config(_) => None,
+            FlowError::Config(_) | FlowError::Diverged { .. } => None,
         }
     }
 }
@@ -186,9 +195,9 @@ pub struct FlowResult {
     /// on the [`FlowConfig::route_grid`]/[`FlowConfig::route_capacity`]
     /// grid, whether or not the flow was route-aware).
     pub congestion: CongestionSummary,
-    /// In-loop Steiner-forest composition (exact / table / Prim backends)
-    /// and sequence-cache counters; all zeros when the flow never built a
-    /// forest (wirelength-only mode, not route-aware, no trace cadence).
+    /// In-loop Steiner-forest composition (exact / table / Prim backends);
+    /// all zeros when the flow never built a forest (wirelength-only mode,
+    /// not route-aware, no trace cadence).
     pub rsmt: ForestStats,
 }
 
@@ -673,8 +682,7 @@ impl RouteState {
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::Sta`] if the netlist cannot be bound to the library
-/// or contains combinational cycles.
+/// The errors of [`run_flow_observed`].
 pub fn run_flow(
     design: &Design,
     lib: &Library,
@@ -697,9 +705,10 @@ pub fn run_flow(
 /// # Errors
 ///
 /// Returns [`FlowError::Sta`] if the netlist cannot be bound to the library
-/// or contains combinational cycles, and [`FlowError::Config`] for a
+/// or contains combinational cycles, [`FlowError::Config`] for a
 /// configuration or mode knob no flow can run (the message names the field
-/// and, where `dtp place` has one, its flag).
+/// and, where `dtp place` has one, its flag), and [`FlowError::Diverged`]
+/// when an iteration's wirelength or density overflow is not finite.
 pub fn run_flow_observed(
     design: &Design,
     lib: &Library,
@@ -937,6 +946,9 @@ fn run_flow_inner(
             _ => timing_weights,
         };
         let wl_value = core.wl_density(weights, obs);
+        if !(wl_value.is_finite() && core.overflow.is_finite()) {
+            return Err(FlowError::Diverged { iter });
+        }
 
         if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
             // Congestion penalty gradient (evaluated with the map update
@@ -1097,8 +1109,6 @@ fn run_flow_inner(
     obs.gauge(Gauge::RsmtExact, rsmt.exact as f64);
     obs.gauge(Gauge::RsmtTable, rsmt.table as f64);
     obs.gauge(Gauge::RsmtPrim, rsmt.prim as f64);
-    obs.gauge(Gauge::RsmtSeqHits, rsmt.seq_hits as f64);
-    obs.gauge(Gauge::RsmtSeqRebuilds, rsmt.seq_rebuilds as f64);
     // Process-wide table registry counters, so read them even when this flow
     // kept no in-loop forest.
     let tables = dtp_rsmt::table_stats();

@@ -43,11 +43,9 @@
 
 mod config;
 mod flow;
-mod timing_detail;
 mod weighting;
 
 pub use config::{DiffTimingConfig, FlowConfig, FlowMode};
 pub use dtp_obs::Observer;
 pub use dtp_route::CongestionSummary;
 pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, TracePoint};
-pub use timing_detail::{refine_timing, TimingDetailConfig, TimingDetailResult};

@@ -70,7 +70,7 @@ mod tests {
     use dtp_liberty::synth::synthetic_pdk;
     use dtp_netlist::generate::{generate, GeneratorConfig};
     use dtp_rsmt::build_forest;
-    use dtp_sta::Timer;
+    use dtp_sta::{AnalysisScratch, Timer};
 
     #[test]
     fn critical_nets_get_heavier() {
@@ -80,7 +80,7 @@ mod tests {
         let lib = synthetic_pdk();
         let timer = Timer::new(&d, &lib).unwrap();
         let forest = build_forest(&d.netlist);
-        let analysis = timer.analyze(&d.netlist, &forest);
+        let analysis = timer.analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
         assert!(analysis.wns() < 0.0, "test needs violations");
 
         let model = WirelengthModel::new(&d.netlist);
@@ -119,7 +119,7 @@ mod tests {
         let lib = synthetic_pdk();
         let timer = Timer::new(&d, &lib).unwrap();
         let forest = build_forest(&d.netlist);
-        let analysis = timer.analyze(&d.netlist, &forest);
+        let analysis = timer.analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
         assert!(analysis.wns() > 0.0);
         let model = WirelengthModel::new(&d.netlist);
         let mut weighter = NetWeighter::new(&model);

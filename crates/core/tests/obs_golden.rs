@@ -270,7 +270,7 @@ fn counters_are_exactly_the_nine_survivors() {
 }
 
 #[test]
-fn gauges_are_exactly_these_nineteen_and_the_netlist_stays_under_160_bytes_a_cell() {
+fn gauges_are_exactly_these_seventeen_and_the_netlist_stays_under_160_bytes_a_cell() {
     let names: Vec<&str> = dtp_obs::Gauge::ALL.iter().map(|g| g.name()).collect();
     assert_eq!(
         names,
@@ -280,8 +280,6 @@ fn gauges_are_exactly_these_nineteen_and_the_netlist_stays_under_160_bytes_a_cel
             "rsmt_exact",
             "rsmt_table",
             "rsmt_prim",
-            "rsmt_seq_hits",
-            "rsmt_seq_rebuilds",
             "rsmt_classes_generated",
             "rsmt_class_gen_ms",
             "pool_dispatches",

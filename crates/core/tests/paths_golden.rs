@@ -7,7 +7,7 @@ use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::Design;
 use dtp_rsmt::build_forest;
-use dtp_sta::{Analysis, PathScratch, PathSet, Timer};
+use dtp_sta::{Analysis, AnalysisScratch, PathScratch, PathSet, Timer};
 
 /// An aggressive clock on a generated design: violations everywhere.
 fn violating(name: &str) -> Design {
@@ -21,7 +21,7 @@ fn analyze(design: &Design) -> (Timer, Analysis) {
     let lib = synthetic_pdk();
     let timer = Timer::new(design, &lib).expect("binds");
     let forest = build_forest(&design.netlist);
-    let analysis = timer.analyze(&design.netlist, &forest);
+    let analysis = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     (timer, analysis)
 }
 

@@ -60,8 +60,4 @@ fn tables_on_is_deterministic_and_used() {
     assert_identical(&a, &b);
     assert_eq!(a.rsmt, b.rsmt, "forest stats diverged between identical runs");
     assert!(a.rsmt.table > 0, "tables-on flow never used a table tree");
-    assert!(
-        a.rsmt.seq_hits > 0,
-        "placement drift produced no sequence-cache hits"
-    );
 }

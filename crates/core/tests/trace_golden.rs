@@ -8,7 +8,9 @@
 //! replay` refuses a header it cannot run — with exit 1 naming the field,
 //! never a panic.
 
-use dtp_core::{run_flow_observed, DiffTimingConfig, FlowConfig, FlowMode, Observer};
+use dtp_core::{
+    run_flow, run_flow_observed, DiffTimingConfig, FlowConfig, FlowError, FlowMode, Observer,
+};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::bookshelf;
 use dtp_netlist::generate::{generate, GeneratorConfig};
@@ -141,14 +143,25 @@ fn recorded_cli_trace(tag: &str, mode: &str) -> (PathBuf, PathBuf) {
     (dir, trace)
 }
 
-/// `dtp trace replay` of `trace` with `from` replaced by `to` in its header
-/// line: the exit code and stderr.
-fn replay_edited(trace: &Path, from: &str, to: &str) -> (Option<i32>, String) {
+/// Writes `trace` with every `(from, to)` edit applied to its header line
+/// next to it; returns the edited file.
+fn edit_header(trace: &Path, edits: &[(&str, &str)]) -> PathBuf {
     let text = std::fs::read_to_string(trace).expect("trace written");
     let (header, rest) = text.split_once('\n').expect("a header line");
-    assert!(header.contains(from), "`{from}` not in the header: {header}");
+    let mut header = header.to_owned();
+    for (from, to) in edits {
+        assert!(header.contains(from), "`{from}` not in the header: {header}");
+        header = header.replacen(from, to, 1);
+    }
     let edited = trace.with_extension("edited.jsonl");
-    std::fs::write(&edited, format!("{}\n{rest}", header.replacen(from, to, 1))).expect("written");
+    std::fs::write(&edited, format!("{header}\n{rest}")).expect("written");
+    edited
+}
+
+/// `dtp trace replay` of `trace` with `edits` applied to its header line:
+/// the exit code and stderr.
+fn replay_edits(trace: &Path, edits: &[(&str, &str)]) -> (Option<i32>, String) {
+    let edited = edit_header(trace, edits);
     let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
         .args(["trace", "replay", edited.to_str().unwrap(), "--log-level", "warn"])
         .output()
@@ -163,14 +176,14 @@ fn replay_edited(trace: &Path, from: &str, to: &str) -> (Option<i32>, String) {
 fn replay_rejects_mode_knobs_no_flow_can_run_with() {
     let (dir, trace) = recorded_cli_trace("knobs", "differentiable");
     // The unedited trace replays: what fails below is the edit.
-    assert_eq!(replay_edited(&trace, "\"gamma\":100", "\"gamma\":100").0, Some(0));
+    assert_eq!(replay_edits(&trace, &[("\"gamma\":100", "\"gamma\":100")]).0, Some(0));
     for (from, to, field) in [
         ("\"gamma\":100", "\"gamma\":0", "gamma"),
         ("\"gamma\":100", "\"gamma\":-100", "gamma"),
         ("\"growth\":1.01", "\"growth\":-1", "growth"),
         ("\"growth\":1.01", "\"growth\":0", "growth"),
     ] {
-        let (code, stderr) = replay_edited(&trace, from, to);
+        let (code, stderr) = replay_edits(&trace, &[(from, to)]);
         assert_eq!(code, Some(1), "{to}: {stderr}");
         assert!(stderr.contains(&format!("{field} = ")), "{to}: error does not name it: {stderr}");
         assert!(!stderr.contains("panicked"), "{to} panicked: {stderr}");
@@ -184,7 +197,7 @@ fn replay_rejects_mode_knobs_no_flow_can_run_with() {
 fn replay_refuses_a_net_weighting_header_carrying_momentum() {
     let (dir, trace) = recorded_cli_trace("momentum", "net-weighting");
     let (code, stderr) =
-        replay_edited(&trace, "\"mode_config\":{}", "\"mode_config\":{\"momentum\":0.5}");
+        replay_edits(&trace, &[("\"mode_config\":{}", "\"mode_config\":{\"momentum\":0.5}")]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown config field `momentum`"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -194,8 +207,36 @@ fn replay_refuses_a_net_weighting_header_carrying_momentum() {
 fn replay_refuses_a_flow_config_header_carrying_stop_overflow() {
     let (dir, trace) = recorded_cli_trace("stop-overflow", "wirelength");
     let (code, stderr) =
-        replay_edited(&trace, "\"config\":{", "\"config\":{\"stop_overflow\":0.1,");
+        replay_edits(&trace, &[("\"config\":{", "\"config\":{\"stop_overflow\":0.1,")]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown config field `stop_overflow`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run whose timing weights explode (`growth` 1e10 from iteration 10)
+/// fails with the first iteration whose wirelength or overflow is not
+/// finite — from `run_flow` on the edited header's knobs and from `dtp trace
+/// replay` of that header alike — instead of panicking in the legalizer.
+#[test]
+fn a_diverging_run_fails_naming_its_first_non_finite_iteration() {
+    let (dir, trace) = recorded_cli_trace("diverged", "differentiable");
+    let edits = [
+        ("\"max_iters\":3", "\"max_iters\":60"),
+        ("\"growth\":1.01,\"start_iter\":100", "\"growth\":1e10,\"start_iter\":10"),
+    ];
+    let edited = Trace::parse(&std::fs::read_to_string(edit_header(&trace, &edits)).unwrap())
+        .expect("edited trace parses");
+    let config = FlowConfig::from_trace_fields(&edited.header.config).expect("config");
+    let mode = FlowMode::from_trace(&edited.header.mode, &edited.header.mode_config).expect("mode");
+    let design = bookshelf::read_design(&dir.join("replay-diverged")).expect("design reads");
+    let iter = match run_flow(&design, &synthetic_pdk(), mode, &config) {
+        Err(FlowError::Diverged { iter }) => iter,
+        other => panic!("expected a divergence, got {other:?}"),
+    };
+    assert!((10..60).contains(&iter), "diverged at iteration {iter}");
+    let (code, stderr) = replay_edits(&trace, &edits);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("placement diverged at iteration {iter}:")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

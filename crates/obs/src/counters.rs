@@ -90,10 +90,6 @@ pub enum Gauge {
     RsmtTable,
     /// Steiner trees from the Prim fallback heuristic.
     RsmtPrim,
-    /// Sequence-cache hits (rebuilds skipped) in the in-loop forest.
-    RsmtSeqHits,
-    /// Sequence-cache misses (topology reconstructions).
-    RsmtSeqRebuilds,
     /// Topology-table classes the process generated (lazily, on first visit).
     RsmtClassesGenerated,
     /// Milliseconds spent generating them, summed over threads (wall-clock:
@@ -132,7 +128,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 17;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -141,8 +137,6 @@ impl Gauge {
         Gauge::RsmtExact,
         Gauge::RsmtTable,
         Gauge::RsmtPrim,
-        Gauge::RsmtSeqHits,
-        Gauge::RsmtSeqRebuilds,
         Gauge::RsmtClassesGenerated,
         Gauge::RsmtClassGenMs,
         Gauge::PoolDispatches,
@@ -171,8 +165,6 @@ impl Gauge {
             Gauge::RsmtExact => "rsmt_exact",
             Gauge::RsmtTable => "rsmt_table",
             Gauge::RsmtPrim => "rsmt_prim",
-            Gauge::RsmtSeqHits => "rsmt_seq_hits",
-            Gauge::RsmtSeqRebuilds => "rsmt_seq_rebuilds",
             Gauge::RsmtClassesGenerated => "rsmt_classes_generated",
             Gauge::RsmtClassGenMs => "rsmt_class_gen_ms",
             Gauge::PoolDispatches => "pool_dispatches",

@@ -8,7 +8,7 @@ use crate::reference::{RefPenalty, RefRudyMap};
 use crate::{inflation_factors, CongestionPenalty, RudyMap};
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::{CellId, Design, NetId, Point};
-use dtp_rsmt::{build_forest_with, SteinerForest, TableConfig};
+use dtp_rsmt::{build_forest_with, ForestScratch, SteinerForest, TableConfig};
 use proptest::prelude::*;
 
 /// SplitMix64: the sequences below need more structure than a strategy
@@ -161,6 +161,7 @@ proptest! {
         rayon::with_pool(&pool, || {
             let mut new = RudyMap::new(&d, m, n, 0.4).with_pin_weight(pin_weight);
             let mut old = RefRudyMap::new(&d, m, n, 0.4).with_pin_weight(pin_weight);
+            let mut scratch = ForestScratch::new();
             // Updates before any build start from an empty map.
             let built_first = rng.below(2) == 0;
             if built_first {
@@ -176,8 +177,8 @@ proptest! {
                     0 => (d.netlist.net_ids().collect(), Vec::new()),
                     _ => dirty_lists(&d, &moved, &mut rng),
                 };
-                forest.update_nets(&d.netlist, &geo);
-                forest.rebuild_nets(&d.netlist, &topo);
+                forest.update_nets_into(&d.netlist, &geo, &mut scratch);
+                forest.rebuild_nets_into(&d.netlist, &topo, &mut scratch);
                 old.update_nets(&forest, &geo);
                 old.update_nets(&forest, &topo);
                 old.sync_cells(&d.netlist);
@@ -214,6 +215,8 @@ proptest! {
             let mut old = RefPenalty::new(&d, m, n, capacity).with_pin_weight(pin_weight);
             let (mut gx, mut gy) = (Vec::new(), Vec::new());
             let (mut rx, mut ry) = (vec![7.0; 3], Vec::new());
+            let mut scratch = ForestScratch::new();
+            let all_nets: Vec<NetId> = d.netlist.net_ids().collect();
             for step in 0..4 {
                 let p = new.value_and_gradient(&d.netlist, &forest, &mut gx, &mut gy);
                 let r = old.value_and_gradient(&d.netlist, &forest, &mut rx, &mut ry);
@@ -231,9 +234,9 @@ proptest! {
                 assert_eq!(bits(&gy), bits(&ry), "step {step}: gradient-only gy");
                 let moved = scramble(&mut d, &mut rng);
                 let (geo, topo) = dirty_lists(&d, &moved, &mut rng);
-                forest.update_nets(&d.netlist, &geo);
-                forest.rebuild_nets(&d.netlist, &topo);
-                forest.update_positions(&d.netlist);
+                forest.update_nets_into(&d.netlist, &geo, &mut scratch);
+                forest.rebuild_nets_into(&d.netlist, &topo, &mut scratch);
+                forest.update_nets_into(&d.netlist, &all_nets, &mut scratch);
             }
         });
     }

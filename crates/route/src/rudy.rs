@@ -394,7 +394,7 @@ mod tests {
                 }
             }
         }
-        forest.update_nets(&d.netlist, &dirty);
+        forest.update_nets_into(&d.netlist, &dirty, &mut dtp_rsmt::ForestScratch::new());
         map.update_nets(&forest, &dirty);
         map.sync_cells(&d.netlist);
 

@@ -51,7 +51,8 @@ fn penalty_at(
     base_forest: &SteinerForest,
 ) -> f64 {
     let mut forest = base_forest.clone();
-    forest.update_positions(&design.netlist);
+    let nets: Vec<_> = design.netlist.net_ids().collect();
+    forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
     pen.value(&design.netlist, &forest)
 }
 
@@ -154,10 +155,12 @@ fn incremental_map_agrees_with_rebuild_after_many_rounds() {
                 }
             }
         }
-        // Alternate the serial and parallel maintenance forms: the RUDY map
-        // must see identical trees from either.
+        // Alternate a 1-worker pool (the serial schedule) and the ambient
+        // one: the RUDY map must see identical trees from either.
         if round % 2 == 0 {
-            forest.update_nets(&design.netlist, &dirty);
+            let one = rayon::Pool::new(1);
+            let nl = &design.netlist;
+            rayon::with_pool(&one, || forest.update_nets_into(nl, &dirty, &mut scratch));
         } else {
             forest.update_nets_into(&design.netlist, &dirty, &mut scratch);
         }

@@ -10,22 +10,21 @@
 use crate::hanan::build_hanan4;
 use crate::mst::PrimScratch;
 use crate::tables::{
-    canonicalize, class_entry, pack_seq, powv_cost, untransform_point, ClassEntry,
-    TableConfig, MAX_TABLE_DEGREE, MIN_TABLE_DEGREE,
+    canonicalize, class_entry, powv_cost, untransform_point, TableConfig, MAX_TABLE_DEGREE,
+    MIN_TABLE_DEGREE,
 };
 use crate::tree::{
     grow, node_capacity, AdjScratch, Nodes, NodesMut, SteinerTree, TreeMut, TreeView,
 };
 use dtp_netlist::{CellId, NetId, Netlist, Point};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Which construction produced a net's current tree.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Which construction produced a net's current tree (what [`ForestStats`]
+/// counts).
+#[derive(Clone, Copy, Debug)]
 enum Backend {
     /// No tree (clock net / degree 0).
-    #[default]
     None,
     /// Exact construction (degree ≤ 3 always; degree 4 when tables are off).
     Exact,
@@ -34,52 +33,6 @@ enum Backend {
     /// Prim heuristic (degree above the table cap, or a table-class candidate
     /// the Prim tree beat).
     Prim,
-}
-
-/// Per-net position-sequence cache: remembers the packed x/y pin orders, the
-/// canonical topology class and the selected candidate, so a geometry-only
-/// move that preserves the orders skips topology search and reconstruction
-/// entirely (the tree just re-embeds its L-shapes via `update_pins`).
-#[derive(Clone, Copy, Debug)]
-struct NetCache {
-    /// Packed raw position sequence (y-ranks in x-order); `u64::MAX` = stale.
-    seq_key: u64,
-    /// Packed x-order / y-order pin permutations. Both must match for a
-    /// cached topology to be reusable: the sequence alone is rank-relative,
-    /// while tree edges bind concrete pin indices.
-    xo_key: u64,
-    yo_key: u64,
-    /// Symmetry transform from the raw frame to the canonical class.
-    transform: u8,
-    /// Construction of the current tree.
-    backend: Backend,
-    /// Index of the selected POWV within `entry` (`u32::MAX` when the Prim
-    /// tree won).
-    powv_idx: u32,
-    /// The canonical class entry (registry-owned, lazily generated).
-    entry: Option<&'static ClassEntry>,
-}
-
-impl Default for NetCache {
-    fn default() -> Self {
-        NetCache {
-            seq_key: u64::MAX,
-            xo_key: u64::MAX,
-            yo_key: u64::MAX,
-            transform: 0,
-            backend: Backend::None,
-            powv_idx: u32::MAX,
-            entry: None,
-        }
-    }
-}
-
-impl NetCache {
-    /// The cache of a tree whose topology can never be reused (non-table
-    /// backends).
-    fn untabled(backend: Backend) -> NetCache {
-        NetCache { backend, ..NetCache::default() }
-    }
 }
 
 /// Per-worker scratch buffers for one maintenance lane.
@@ -148,7 +101,7 @@ impl ForestScratch {
     }
 }
 
-/// Forest composition and sequence-cache counters, for reporting.
+/// Forest composition, for reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ForestStats {
     /// Nets with a tree (signal nets).
@@ -159,20 +112,14 @@ pub struct ForestStats {
     pub table: usize,
     /// Trees from the Prim heuristic.
     pub prim: usize,
-    /// Rebuild requests satisfied by the sequence cache (coordinates
-    /// re-embedded, no topology search or reconstruction).
-    pub seq_hits: u64,
-    /// Rebuild requests that reconstructed the tree.
-    pub seq_rebuilds: u64,
 }
 
 impl std::fmt::Display for ForestStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let total = self.seq_hits + self.seq_rebuilds;
         write!(
             f,
-            "{} trees (exact {} / table {} / prim {}), seq-cache {}/{} rebuilds skipped",
-            self.trees, self.exact, self.table, self.prim, self.seq_hits, total
+            "{} trees (exact {} / table {} / prim {})",
+            self.trees, self.exact, self.table, self.prim
         )
     }
 }
@@ -191,11 +138,11 @@ const PAR_MIN_UPDATE_NETS: usize = 1024;
 const NET_CHUNK: usize = 256;
 
 /// What a sweep does to each requested net.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Sweep {
     /// Re-embed coordinates, topology unchanged.
     Geometry,
-    /// Rebuild the topology (sequence cache permitting).
+    /// Rebuild the topology.
     Topology,
 }
 
@@ -223,14 +170,13 @@ pub struct SteinerForest {
     pin_cell: Vec<u32>,
     pin_dx: Vec<f64>,
     pin_dy: Vec<f64>,
-    cache: Vec<NetCache>,
+    /// Construction of each net's current tree.
+    backend: Vec<Backend>,
     /// Nets requested by the sweep in flight (all `false` between sweeps).
     pending: Vec<bool>,
     /// Pin count of the largest tree (what the sweeps size their lanes for).
     max_degree: usize,
     cfg: TableConfig,
-    seq_hits: u64,
-    seq_rebuilds: u64,
 }
 
 /// The forest's arena as plain slices, for kernels that keep their own
@@ -279,7 +225,7 @@ struct Gather<'a> {
 struct NetsMut<'a> {
     nodes: NodesMut<'a>,
     n_nodes: &'a mut [u32],
-    cache: &'a mut [NetCache],
+    backend: &'a mut [Backend],
     pending: &'a mut [bool],
 }
 
@@ -293,50 +239,45 @@ impl Gather<'_> {
         )
     }
 
-    /// One net's maintenance step on the tree storage `tree`; returns whether
-    /// a topology sweep was served by the sequence cache.
+    /// One net's maintenance step on the tree storage `tree`.
     #[inline]
     fn visit(
         &self,
         sweep: Sweep,
         ni: usize,
         mut tree: TreeMut<'_>,
-        cache: &mut NetCache,
+        backend: &mut Backend,
         lane: &mut Lane,
-    ) -> bool {
+    ) {
         match sweep {
             Sweep::Geometry => {
                 for (i, p) in self.pins(ni).enumerate() {
                     tree.set_pin_pos(i, p);
                 }
                 tree.ride_branches((self.pin_off[ni + 1] - self.pin_off[ni]) as usize);
-                false
             }
             Sweep::Topology => {
                 lane.pins.clear();
                 lane.pins.extend(self.pins(ni));
-                rebuild_tree(&self.cfg, cache, lane, &mut tree)
+                *backend = rebuild_tree(&self.cfg, lane, &mut tree);
             }
         }
     }
 
     /// Visits the pending nets among `first..first + nets.pending.len()`
-    /// (`nets` holds exactly their state; flags are cleared on the way) and
-    /// returns the number of sequence-cache hits.
-    fn visit_pending(&self, sweep: Sweep, first: usize, nets: NetsMut<'_>, lane: &mut Lane) -> u64 {
-        let NetsMut { mut nodes, n_nodes, cache, pending } = nets;
+    /// (`nets` holds exactly their state; flags are cleared on the way).
+    fn visit_pending(&self, sweep: Sweep, first: usize, nets: NetsMut<'_>, lane: &mut Lane) {
+        let NetsMut { mut nodes, n_nodes, backend, pending } = nets;
         let base = self.node_off[first] as usize;
-        let mut hits = 0;
         for (k, flag) in pending.iter_mut().enumerate() {
             if std::mem::take(flag) {
                 let ni = first + k;
                 let lo = self.node_off[ni] as usize - base;
                 let hi = self.node_off[ni + 1] as usize - base;
                 let tree = nodes.tree(lo, hi, &mut n_nodes[k]);
-                hits += u64::from(self.visit(sweep, ni, tree, &mut cache[k], lane));
+                self.visit(sweep, ni, tree, &mut backend[k], lane);
             }
         }
-        hits
     }
 }
 
@@ -390,15 +331,11 @@ impl SteinerForest {
         self.cfg
     }
 
-    /// Current composition and sequence-cache counters.
+    /// Current composition.
     pub fn stats(&self) -> ForestStats {
-        let mut s = ForestStats {
-            seq_hits: self.seq_hits,
-            seq_rebuilds: self.seq_rebuilds,
-            ..ForestStats::default()
-        };
-        for c in &self.cache {
-            match c.backend {
+        let mut s = ForestStats::default();
+        for b in &self.backend {
+            match b {
                 Backend::None => {}
                 Backend::Exact => s.exact += 1,
                 Backend::Table => s.table += 1,
@@ -409,63 +346,24 @@ impl SteinerForest {
         s
     }
 
-    /// Updates a single net's tree from the netlist's current pin positions
-    /// (no topology rebuild). No-op for clock nets. Use after moving one
-    /// cell when a full [`SteinerForest::update_positions`] sweep would be
-    /// wasteful (e.g. trial moves in timing-driven detailed placement).
-    pub fn update_net(&mut self, nl: &Netlist, net: NetId) {
-        self.update_nets(nl, std::slice::from_ref(&net));
-    }
-
-    /// Updates the trees of `nets` from the netlist's current pin positions
-    /// (no topology rebuild), skipping every other net. Serial; the parallel
-    /// form is [`SteinerForest::update_nets_into`], which produces
-    /// bit-for-bit identical trees.
-    pub fn update_nets(&mut self, nl: &Netlist, nets: &[NetId]) {
-        self.sweep(nl, nets, &mut ForestScratch::new(), Sweep::Geometry, false);
-    }
-
-    /// Rebuilds a single net's tree (new topology) from the netlist's
-    /// current pin positions. No-op for clock nets (they have no tree).
-    pub fn rebuild_net(&mut self, nl: &Netlist, net: NetId) {
-        self.rebuild_nets(nl, std::slice::from_ref(&net));
-    }
-
-    /// Rebuilds the trees of `nets` from the netlist's current pin
-    /// positions. Serial, on a scratch of its own; the parallel form is
-    /// [`SteinerForest::rebuild_nets_into`], which produces bit-for-bit
-    /// identical trees.
-    pub fn rebuild_nets(&mut self, nl: &Netlist, nets: &[NetId]) {
-        self.sweep(nl, nets, &mut ForestScratch::new(), Sweep::Topology, false);
-    }
-
-    /// Parallel geometry sweep: updates the trees of `nets` from the
-    /// netlist's current pin positions (no topology rebuild) in place, over
-    /// the persistent worker pool. A tree is a function of its own pins
-    /// only, so the result is bit-for-bit identical to the serial
-    /// [`SteinerForest::update_nets`]. Allocates nothing.
+    /// Geometry sweep: updates the trees of `nets` from the netlist's current
+    /// pin positions in place, without rebuilding topology (the cheap
+    /// between-rebuild path of §3.6), skipping every other net and the nets
+    /// without a tree. Long lists run over the persistent worker pool; a tree
+    /// is a function of its own pins only, so the result is bit-for-bit
+    /// identical at any pool width. Allocates nothing.
     pub fn update_nets_into(&mut self, nl: &Netlist, nets: &[NetId], scratch: &mut ForestScratch) {
-        self.sweep(nl, nets, scratch, Sweep::Geometry, true);
+        self.sweep(nl, nets, scratch, Sweep::Geometry);
     }
 
-    /// Parallel topology sweep: rebuilds the trees of `nets` in place over
-    /// the persistent worker pool — the topology-dirty path of the
-    /// incremental timing pipeline. With tables enabled, a net whose pin x/y
-    /// orders are unchanged and whose cached candidate still wins skips
-    /// reconstruction entirely (sequence-cache hit: coordinates are
-    /// re-embedded). Bit-for-bit identical to the serial
-    /// [`SteinerForest::rebuild_nets`]; allocation-free once the lanes are
-    /// warm and the visited topology classes exist.
+    /// Topology sweep: rebuilds the trees of `nets` (new topology) from the
+    /// netlist's current pin positions in place — the topology-dirty path of
+    /// the incremental timing pipeline. Nets without a tree (clock nets) are
+    /// skipped. Long lists run over the persistent worker pool, bit-for-bit
+    /// identical at any pool width; allocation-free once the lanes are warm
+    /// and the visited topology classes exist.
     pub fn rebuild_nets_into(&mut self, nl: &Netlist, nets: &[NetId], scratch: &mut ForestScratch) {
-        self.sweep(nl, nets, scratch, Sweep::Topology, true);
-    }
-
-    /// Re-reads pin positions from the netlist and updates every tree without
-    /// rebuilding topology (the cheap between-rebuild path of §3.6): the
-    /// geometry sweep over all nets.
-    pub fn update_positions(&mut self, nl: &Netlist) {
-        self.flag_all_trees();
-        self.sweep_pending(nl, &ForestScratch::new(), Sweep::Geometry);
+        self.sweep(nl, nets, scratch, Sweep::Topology);
     }
 
     fn flag_all_trees(&mut self) {
@@ -475,19 +373,12 @@ impl SteinerForest {
     }
 
     /// The one sweep driver. Requested nets are flagged (a net listed twice
-    /// is visited once; nets without a tree are skipped); short lists and
-    /// `parallel = false` visit them in list order on the calling thread,
-    /// longer ones go through [`SteinerForest::sweep_pending`]. A visit
-    /// touches only its own net's arena range and cache, so both forms leave
-    /// identical forests.
-    fn sweep(
-        &mut self,
-        nl: &Netlist,
-        nets: &[NetId],
-        scratch: &mut ForestScratch,
-        sweep: Sweep,
-        parallel: bool,
-    ) {
+    /// is visited once; nets without a tree are skipped); short lists and a
+    /// 1-worker pool visit them in list order on the calling thread, longer
+    /// ones go through [`SteinerForest::sweep_pending`]. A visit touches only
+    /// its own net's arena range and backend, so both forms leave identical
+    /// forests.
+    fn sweep(&mut self, nl: &Netlist, nets: &[NetId], scratch: &mut ForestScratch, sweep: Sweep) {
         let mut requested = 0usize;
         for &net in nets {
             let ni = net.index();
@@ -501,9 +392,9 @@ impl SteinerForest {
             Sweep::Geometry => PAR_MIN_UPDATE_NETS,
         };
         let threads = rayon::current_num_threads();
-        let hits = if parallel && threads > 1 && requested >= min_par {
+        if threads > 1 && requested >= min_par {
             scratch.ensure_lanes(threads, self.max_degree);
-            self.sweep_pending(nl, scratch, sweep)
+            self.sweep_pending(nl, scratch, sweep);
         } else {
             // A geometry visit never touches its lane.
             let mut unused = Lane::default();
@@ -514,30 +405,23 @@ impl SteinerForest {
                     scratch.lanes[0].get_mut().expect("a sweep panicked holding this lane")
                 }
             };
-            let (gather, NetsMut { mut nodes, n_nodes, cache, pending }) = self.split(nl);
-            let mut hits = 0;
+            let (gather, NetsMut { mut nodes, n_nodes, backend, pending }) = self.split(nl);
             for &net in nets {
                 let ni = net.index();
                 if std::mem::take(&mut pending[ni]) {
                     let (lo, hi) = (gather.node_off[ni] as usize, gather.node_off[ni + 1] as usize);
                     let tree = nodes.tree(lo, hi, &mut n_nodes[ni]);
-                    hits += u64::from(gather.visit(sweep, ni, tree, &mut cache[ni], lane));
+                    gather.visit(sweep, ni, tree, &mut backend[ni], lane);
                 }
             }
-            hits
-        };
-        if sweep == Sweep::Topology {
-            self.seq_hits += hits;
-            self.seq_rebuilds += requested as u64 - hits;
         }
     }
 
     /// Visits every pending net: [`NET_CHUNK`]-net tasks over the pool, each
     /// owning its chunk's slice of every arena array and working on a lane
-    /// claimed from `scratch`. Returns the number of sequence-cache hits.
-    fn sweep_pending(&mut self, nl: &Netlist, scratch: &ForestScratch, sweep: Sweep) -> u64 {
-        let hits = AtomicU64::new(0);
-        let (gather, NetsMut { nodes, n_nodes, cache, pending }) = self.split(nl);
+    /// claimed from `scratch`.
+    fn sweep_pending(&mut self, nl: &Netlist, scratch: &ForestScratch, sweep: Sweep) {
+        let (gather, NetsMut { nodes, n_nodes, backend, pending }) = self.split(nl);
         let bounds = gather.chunk_node_bounds;
         (nodes.x.par_chunks_mut_at(bounds))
             .zip(nodes.y.par_chunks_mut_at(bounds))
@@ -546,23 +430,19 @@ impl SteinerForest {
             .zip(nodes.x_src.par_chunks_mut_at(bounds))
             .zip(nodes.y_src.par_chunks_mut_at(bounds))
             .zip(n_nodes.par_chunks_mut(NET_CHUNK))
-            .zip(cache.par_chunks_mut(NET_CHUNK))
+            .zip(backend.par_chunks_mut(NET_CHUNK))
             .zip(pending.par_chunks_mut(NET_CHUNK))
             .enumerate()
             .for_each(|(ci, chunk)| {
-                let (((arrays, n_nodes), cache), pending) = chunk;
+                let (((arrays, n_nodes), backend), pending) = chunk;
                 let (((((x, y), parent), order), x_src), y_src) = arrays;
                 if !pending.contains(&true) {
                     return;
                 }
                 let nodes = NodesMut { x, y, parent, order, x_src, y_src };
-                let nets = NetsMut { nodes, n_nodes, cache, pending };
-                let h = scratch
-                    .with_lane(|lane| gather.visit_pending(sweep, ci * NET_CHUNK, nets, lane));
-                // Per-chunk counts add up to the same total in any order.
-                hits.fetch_add(h, Ordering::Relaxed);
+                let nets = NetsMut { nodes, n_nodes, backend, pending };
+                scratch.with_lane(|lane| gather.visit_pending(sweep, ci * NET_CHUNK, nets, lane));
             });
-        hits.into_inner()
     }
 
     /// Splits the forest into the read-only gather side and the state a
@@ -582,41 +462,33 @@ impl SteinerForest {
         let nets = NetsMut {
             nodes: self.nodes.as_mut(),
             n_nodes: &mut self.n_nodes,
-            cache: &mut self.cache,
+            backend: &mut self.backend,
             pending: &mut self.pending,
         };
         (gather, nets)
     }
 }
 
-/// Rebuilds one tree from `lane.pins` under `cfg`, maintaining the net's
-/// sequence cache. Returns `true` when the sequence cache made the rebuild a
-/// coordinate-only re-embedding.
-fn rebuild_tree(
-    cfg: &TableConfig,
-    cache: &mut NetCache,
-    lane: &mut Lane,
-    tree: &mut TreeMut<'_>,
-) -> bool {
+/// Rebuilds one tree from `lane.pins` under `cfg`: canonicalize the pin
+/// sequence, select the cheapest candidate of its class, embed it. Returns
+/// the construction that produced the tree.
+fn rebuild_tree(cfg: &TableConfig, lane: &mut Lane, tree: &mut TreeMut<'_>) -> Backend {
     let n = lane.pins.len();
     if n < MIN_TABLE_DEGREE {
         // Exact closed forms, the same with tables on or off.
         tree.build_small(&lane.pins);
-        *cache = NetCache::untabled(Backend::Exact);
-        return false;
+        return Backend::Exact;
     }
     if !cfg.enabled && n == 4 {
         // Legacy exact Hanan enumeration: it allocates, so it builds an
         // owned tree that is copied in (tables-off forests are built a
         // couple of times per flow and never maintained in the loop).
         tree.copy_from(build_hanan4(&lane.pins).view());
-        *cache = NetCache::untabled(Backend::Exact);
-        return false;
+        return Backend::Exact;
     }
     if !cfg.enabled || n > MAX_TABLE_DEGREE {
         crate::mst::prim_steiner_into(&lane.pins, &mut lane.prim, &mut lane.adj, tree);
-        *cache = NetCache::untabled(Backend::Prim);
-        return false;
+        return Backend::Prim;
     }
 
     // --- table path ---------------------------------------------------------
@@ -651,19 +523,10 @@ fn rebuild_tree(
     for (a, &p) in xo[..n].iter().enumerate() {
         seq[a] = yrank[p as usize];
     }
-    let seq_key = pack_seq(&seq[..n]);
-    let xo_key = pack_seq(&xo[..n]);
-    let yo_key = pack_seq(&yo[..n]);
 
-    // Canonical class lookup, skipped when the raw sequence is unchanged.
-    if seq_key != cache.seq_key || cache.entry.is_none() {
-        let (canon_key, t) = canonicalize(&seq[..n]);
-        cache.entry = Some(class_entry(n, canon_key));
-        cache.transform = t;
-        cache.seq_key = seq_key;
-    }
-    let t = cache.transform;
-    let entry = cache.entry.expect("entry just ensured");
+    // Canonical class lookup.
+    let (canon_key, t) = canonicalize(&seq[..n]);
+    let entry = class_entry(n, canon_key);
     debug_assert_eq!(entry.n, n, "class entry degree matches the net");
 
     // Raw coordinate gaps along each axis, then mapped into the canonical
@@ -705,24 +568,7 @@ fn rebuild_tree(
     let use_prim = n >= 5 && crate::mst::prim_length(pins, &mut lane.prim) < best_c;
     if use_prim {
         crate::mst::prim_steiner_into(&lane.pins, &mut lane.prim, &mut lane.adj, tree);
-        cache.backend = Backend::Prim;
-        cache.powv_idx = u32::MAX;
-        cache.xo_key = xo_key;
-        cache.yo_key = yo_key;
-        return false;
-    }
-
-    // Sequence-cache hit: same pin orders and the same winning candidate —
-    // the cached topology is still the chosen one, only coordinates moved.
-    // (The Prim backend never short-circuits here: its topology depends on
-    // real distances, which can change without the orders changing.)
-    if cache.backend == Backend::Table
-        && cache.powv_idx == best_i as u32
-        && cache.xo_key == xo_key
-        && cache.yo_key == yo_key
-    {
-        tree.update_pins(&lane.pins);
-        return true;
+        return Backend::Prim;
     }
 
     // Embed the winning canonical topology in the raw frame: each canonical
@@ -753,11 +599,7 @@ fn rebuild_tree(
         lane.edges.push((map_node(u), map_node(v)));
     }
     tree.rebuild_from_parts(&lane.pins, &lane.steiner, &lane.edges, &mut lane.adj);
-    cache.backend = Backend::Table;
-    cache.powv_idx = best_i as u32;
-    cache.xo_key = xo_key;
-    cache.yo_key = yo_key;
-    false
+    Backend::Table
 }
 
 /// Builds a single Steiner tree under the given topology-table
@@ -770,7 +612,7 @@ pub fn build_tree_with(pins: &[Point], cfg: TableConfig) -> SteinerTree {
     SteinerTree::build_in(pins.len(), node_capacity(pins.len()), |mut tree| {
         let mut lane = Lane::default();
         lane.pins.extend_from_slice(pins);
-        rebuild_tree(&cfg, &mut NetCache::default(), &mut lane, &mut tree);
+        rebuild_tree(&cfg, &mut lane, &mut tree);
     })
 }
 
@@ -824,12 +666,10 @@ pub fn build_forest_with(nl: &Netlist, cfg: TableConfig) -> SteinerForest {
         pin_cell,
         pin_dx,
         pin_dy,
-        cache: vec![NetCache::default(); n_nets],
+        backend: vec![Backend::None; n_nets],
         pending: vec![false; n_nets],
         max_degree,
         cfg,
-        seq_hits: 0,
-        seq_rebuilds: 0,
     };
     let mut scratch = ForestScratch::new();
     scratch.ensure_lanes(rayon::current_num_threads(), max_degree);
@@ -900,7 +740,8 @@ mod tests {
             }
         }
         d.netlist.set_positions(&xs, &ys);
-        forest.update_positions(&d.netlist);
+        let nets: Vec<NetId> = d.netlist.net_ids().collect();
+        forest.update_nets_into(&d.netlist, &nets, &mut ForestScratch::new());
         let wl1 = forest.total_wirelength();
         // Ports are fixed, so wirelength changes, but trees must stay
         // consistent with the new pin positions: rebuildable invariant.
@@ -932,31 +773,5 @@ mod tests {
         let s = tables.stats();
         assert_eq!(s.trees, s.exact + s.table + s.prim);
         assert!(s.table > 0, "no table-backed trees in a 300-cell design");
-    }
-
-    #[test]
-    fn rebuild_sequence_cache_hits_on_pure_translation() {
-        // Translating all pins preserves both pin orders, so a rebuild of a
-        // table-backed net must be served by the sequence cache.
-        let mut d = generate(&GeneratorConfig::named("sc", 200)).unwrap();
-        let mut forest = build_forest_with(&d.netlist, TableConfig::default());
-        let nets: Vec<NetId> = d
-            .netlist
-            .net_ids()
-            .filter(|&n| forest.tree(n).is_some())
-            .collect();
-        let (mut xs, mut ys) = d.netlist.positions();
-        for i in 0..xs.len() {
-            xs[i] += 1.5;
-            ys[i] -= 0.5;
-        }
-        d.netlist.set_positions(&xs, &ys);
-        forest.rebuild_nets(&d.netlist, &nets);
-        let s = forest.stats();
-        assert_eq!(s.seq_hits + s.seq_rebuilds, nets.len() as u64);
-        assert!(s.seq_hits > 0, "translation produced no sequence-cache hits");
-        // Prim-backed and low-degree trees always reconstruct; every
-        // table-backed tree must have hit.
-        assert!(s.seq_hits >= s.table as u64, "hits {} < table trees {}", s.seq_hits, s.table);
     }
 }

@@ -14,9 +14,9 @@
 //!   de-duplicated under the 8 grid symmetries), embedded per net in O(n)
 //!   by a gap-vector dot product — see [`TableConfig`] and [`prewarm`],
 //! - a rectilinear Prim heuristic with corner steinerization for larger nets
-//!   (and as a quality clamp the table candidates must beat at degree 5–9),
-//! - a per-net **sequence cache**: a rebuild whose pin x/y orders are
-//!   unchanged re-embeds the cached topology instead of searching again,
+//!   (and as a quality clamp the table candidates must beat at degree 5–9);
+//!   every topology rebuild canonicalizes, selects and embeds afresh (no
+//!   per-net topology is remembered between rebuilds),
 //! - **branch tracking**: every Steiner point records which pin owns its x
 //!   and which owns its y coordinate, so (a) [`SteinerTree::update_pins`]
 //!   moves Steiner points along with their branches instead of rebuilding
@@ -27,8 +27,8 @@
 //!   FLUTE calls) into one flat arena — every consumer reads a net's tree
 //!   through the borrowed [`TreeView`] — plus allocation-free in-place
 //!   parallel maintenance sweeps ([`SteinerForest::update_nets_into`],
-//!   [`SteinerForest::rebuild_nets_into`]) backed by a caller-owned
-//!   [`ForestScratch`].
+//!   [`SteinerForest::rebuild_nets_into`], the only way to update a built
+//!   forest) backed by a caller-owned [`ForestScratch`].
 //!
 //! # Example
 //!

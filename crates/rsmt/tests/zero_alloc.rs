@@ -79,7 +79,6 @@ fn sweeps_do_not_allocate_and_builds_allocate_o1() {
             drift(&mut design, &movable, &home, state);
             forest.rebuild_nets_into(&design.netlist, &nets, &mut scratch);
         }
-        let before = forest.stats();
         let allocs = allocs_during(|| {
             for state in 0..8 {
                 drift(&mut design, &movable, &home, state % 4);
@@ -90,15 +89,6 @@ fn sweeps_do_not_allocate_and_builds_allocate_o1() {
         assert_eq!(
             allocs, 0,
             "steady-state sweeps over all nets allocated {allocs} times"
-        );
-        let after = forest.stats();
-        assert_eq!(
-            (after.seq_hits + after.seq_rebuilds) - (before.seq_hits + before.seq_rebuilds),
-            8 * nets.len() as u64
-        );
-        assert!(
-            after.seq_rebuilds > before.seq_rebuilds,
-            "the drift never changed a topology"
         );
 
         // Builds: the classes exist now, so what is left is the arena and

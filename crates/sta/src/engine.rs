@@ -2,24 +2,20 @@
 //!
 //! [`Timer`] is constructed once per design (binding + levelization +
 //! constraint resolution — stage 1 of Fig. 3, "only once"); each placement
-//! iteration then calls [`Timer::analyze`] / [`Timer::analyze_smoothed`] with
-//! the current Steiner forest (stages 2–4) and [`Timer::gradients`] for the
-//! backward sweep (stage 5).
+//! iteration then calls [`Timer::analyze_into`] /
+//! [`Timer::analyze_smoothed_into`] with the current Steiner forest (stages
+//! 2–4) and [`Timer::gradients_into`] for the backward sweep (stage 5).
 //!
 //! # The allocation-free hot path
 //!
-//! A timing-driven placement loop calls the timer thousands of times, so the
-//! per-call entry points come in two flavors:
-//!
-//! - the plain ones ([`Timer::analyze`], [`Timer::analyze_incremental`],
-//!   [`Timer::gradients`]) allocate their result vectors fresh — convenient
-//!   for one-shot analyses and tests;
-//! - the `*_into` ones ([`Timer::analyze_into`],
-//!   [`Timer::analyze_incremental_into`], [`Timer::gradients_into`]) draw
-//!   every buffer from a caller-owned [`AnalysisScratch`]. Retiring an
-//!   [`Analysis`] back into the scratch with [`AnalysisScratch::recycle`]
-//!   double-buffers its vectors: after warm-up the timing hot path performs
-//!   no heap allocation at all.
+//! A timing-driven placement loop calls the timer thousands of times, so
+//! every per-call entry point ([`Timer::analyze_into`],
+//! [`Timer::analyze_smoothed_into`], [`Timer::analyze_incremental_into`],
+//! [`Timer::gradients_into`]) draws every buffer from a caller-owned
+//! [`AnalysisScratch`]; a one-shot caller passes a fresh one. Retiring an
+//! [`Analysis`] back into the scratch with [`AnalysisScratch::recycle`]
+//! double-buffers its vectors: after warm-up the timing hot path performs no
+//! heap allocation at all.
 //!
 //! # Layout
 //!
@@ -745,21 +741,11 @@ impl Timer {
     }
 
     /// Exact analysis: true max/min aggregation; use for reporting WNS/TNS.
+    /// Every buffer is drawn from `scratch`; hand the result back through
+    /// [`AnalysisScratch::recycle`] and a loop of analyses allocates nothing.
     ///
     /// `nl` must be the same netlist (topology) the timer was built from;
     /// only its connectivity is read — pin positions are baked into `forest`.
-    pub fn analyze(&self, nl: &Netlist, forest: &SteinerForest) -> Analysis {
-        self.analyze_into(nl, forest, &mut AnalysisScratch::new())
-    }
-
-    /// Smoothed analysis: LSE aggregation at the configured γ; feed this to
-    /// [`Timer::gradients`].
-    pub fn analyze_smoothed(&self, nl: &Netlist, forest: &SteinerForest) -> Analysis {
-        self.analyze_smoothed_into(nl, forest, &mut AnalysisScratch::new())
-    }
-
-    /// [`Timer::analyze`] drawing every buffer from `scratch` — the
-    /// allocation-free full-analysis entry point of the placement loop.
     pub fn analyze_into(
         &self,
         nl: &Netlist,
@@ -769,7 +755,8 @@ impl Timer {
         self.run_forward_into(nl, forest, 0.0, true, scratch)
     }
 
-    /// [`Timer::analyze_smoothed`] drawing every buffer from `scratch`.
+    /// Smoothed analysis: LSE aggregation at the configured γ, every buffer
+    /// drawn from `scratch`.
     ///
     /// The result feeds [`Timer::gradients_into`], which never reads
     /// required times, so the backward RAT sweep is skipped: every RAT is
@@ -1161,18 +1148,18 @@ impl Timer {
 
     /// Incremental re-analysis after moving a set of cells (the workload of
     /// the ICCAD-2015 *incremental* timing-driven placement contest the
-    /// paper's benchmarks come from). Allocates its result vectors fresh;
-    /// prefer [`Timer::analyze_incremental_into`] in a loop.
+    /// paper's benchmarks come from), every buffer drawn from `scratch`.
     ///
     /// Only the Elmore state of nets incident to `moved` cells is recomputed,
     /// and only pins in the transitive fan-out of those nets are
     /// re-propagated; everything else is copied from `prev`. Slacks and the
     /// full RAT sweep are recomputed (they are cheap relative to the forward
     /// arc evaluations). The result is bit-identical to a fresh
-    /// [`Timer::analyze`] / [`Timer::analyze_smoothed`] at the same γ.
+    /// [`Timer::analyze_into`] / [`Timer::analyze_smoothed_into`] at the
+    /// same γ.
     ///
     /// `forest` must already reflect the new pin positions
-    /// (e.g. via [`SteinerForest::update_positions`]); `prev` must come from
+    /// (e.g. via [`SteinerForest::update_nets_into`]); `prev` must come from
     /// the same γ mode.
     ///
     /// `recompute_rat = false` skips the backward RAT sweep and carries
@@ -1181,24 +1168,6 @@ impl Timer {
     /// state — the right trade for trial-move loops that only compare
     /// WNS/TNS. A smoothed `prev` has no RATs and the result has none either,
     /// whatever `recompute_rat` says.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prev` was produced for a different netlist (length
-    /// mismatch).
-    pub fn analyze_incremental(
-        &self,
-        nl: &Netlist,
-        forest: &SteinerForest,
-        prev: &Analysis,
-        moved: &[CellId],
-        recompute_rat: bool,
-    ) -> Analysis {
-        let mut scratch = AnalysisScratch::new();
-        self.analyze_incremental_into(nl, forest, prev, moved, recompute_rat, &mut scratch)
-    }
-
-    /// [`Timer::analyze_incremental`] drawing every buffer from `scratch`.
     ///
     /// After consuming the result, hand the *previous* analysis back via
     /// [`AnalysisScratch::recycle`]; the two analyses then ping-pong through
@@ -1313,39 +1282,18 @@ impl Timer {
     }
 
     /// Backward sweep (stage 5 of Fig. 3): gradient of
-    /// `f = −t1·TNSγ − t2·WNSγ` with respect to all pin/cell positions.
-    /// Allocates the result fresh; prefer [`Timer::gradients_into`] in a
-    /// loop.
+    /// `f = −t1·TNSγ − t2·WNSγ` with respect to all pin/cell positions,
+    /// written into a caller-owned result, all intermediate buffers
+    /// (adjoints, Elmore seeds, softmax weights) drawn from `scratch`: reuse
+    /// one `scratch`/`out` pair across iterations and nothing is
+    /// reallocated.
     ///
-    /// `analysis` should come from [`Timer::analyze_smoothed`] (with an exact
-    /// analysis the LSE weights degenerate to hard argmax subgradients,
-    /// which is mathematically valid but reintroduces the oscillation the
-    /// paper's smoothing removes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the forest does not match the analysis (different net
-    /// count).
-    pub fn gradients(
-        &self,
-        nl: &Netlist,
-        analysis: &Analysis,
-        forest: &SteinerForest,
-        t1: f64,
-        t2: f64,
-    ) -> PositionGradients {
-        let mut scratch = AnalysisScratch::new();
-        let mut out = PositionGradients::default();
-        self.gradients_into(nl, analysis, forest, t1, t2, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`Timer::gradients`] writing into a caller-owned result and drawing
-    /// all intermediate buffers (adjoints, Elmore seeds, softmax weights)
-    /// from `scratch`: reuse one `scratch`/`out` pair across iterations and
-    /// nothing is reallocated. The arc sensitivities come from the tape the
-    /// smoothed forward sweep recorded; only an exact `analysis` (no tape)
-    /// has its arcs evaluated again.
+    /// `analysis` should come from [`Timer::analyze_smoothed_into`] (with an
+    /// exact analysis the LSE weights degenerate to hard argmax
+    /// subgradients, which is mathematically valid but reintroduces the
+    /// oscillation the paper's smoothing removes). The arc sensitivities
+    /// come from the tape the smoothed forward sweep recorded; only an exact
+    /// `analysis` (no tape) has its arcs evaluated again.
     ///
     /// # Panics
     ///
@@ -1663,7 +1611,8 @@ mod tests {
         let timer = Timer::new(&design, &synthetic_pdk()).unwrap();
         let forest = build_forest(&design.netlist);
         let nl = &design.netlist;
-        let taped = timer.analyze_smoothed(nl, &forest);
+        let mut scratch = AnalysisScratch::new();
+        let taped = timer.analyze_smoothed_into(nl, &forest, &mut scratch);
         assert_eq!(taped.tape.len(), timer.arc_idx.len());
         assert!(!taped.tape.is_empty());
         // The tape holds exactly what an evaluation at the analysis' own
@@ -1685,8 +1634,9 @@ mod tests {
         // changes nothing.
         let mut untaped = taped.clone();
         untaped.tape = Vec::new();
-        let a = timer.gradients(nl, &taped, &forest, 0.04, 0.0004);
-        let b = timer.gradients(nl, &untaped, &forest, 0.04, 0.0004);
+        let (mut a, mut b) = (PositionGradients::default(), PositionGradients::default());
+        timer.gradients_into(nl, &taped, &forest, 0.04, 0.0004, &mut scratch, &mut a);
+        timer.gradients_into(nl, &untaped, &forest, 0.04, 0.0004, &mut scratch, &mut b);
         assert_eq!(bits(&a.pin_grad_x), bits(&b.pin_grad_x));
         assert_eq!(bits(&a.pin_grad_y), bits(&b.pin_grad_y));
         assert_eq!(bits(&a.cell_grad_x), bits(&b.cell_grad_x));

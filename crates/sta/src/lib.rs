@@ -19,15 +19,15 @@
 //!
 //! # Incremental analysis and the allocation-free hot path
 //!
-//! Placement moves only a small fraction of cells per iteration, so the
-//! engine supports *incremental* re-analysis
-//! ([`Timer::analyze_incremental`]): nets incident to moved cells get their
-//! Elmore state recomputed, the affected fan-out cone is re-propagated
-//! level by level, and every untouched pin keeps its previous value — the
-//! result is bit-identical to a from-scratch analysis. For loop use, the
-//! `*_into` variants ([`Timer::analyze_into`],
-//! [`Timer::analyze_incremental_into`], [`Timer::gradients_into`]) draw all
-//! buffers from a caller-owned [`AnalysisScratch`]; recycling retired
+//! When only a small fraction of cells moves, the engine supports
+//! *incremental* re-analysis ([`Timer::analyze_incremental_into`]): nets
+//! incident to moved cells get their Elmore state recomputed, the affected
+//! fan-out cone is re-propagated level by level, and every untouched pin
+//! keeps its previous value — the result is bit-identical to a from-scratch
+//! analysis. Every entry point ([`Timer::analyze_into`],
+//! [`Timer::analyze_smoothed_into`], [`Timer::analyze_incremental_into`],
+//! [`Timer::gradients_into`]) draws all buffers from a caller-owned
+//! [`AnalysisScratch`]; recycling retired
 //! analyses ([`AnalysisScratch::recycle`]) makes the steady-state timing
 //! iteration allocation-free. Internally everything the sweeps touch is a
 //! flat array addressed by indices fixed when the [`Timer`] is built: the
@@ -53,17 +53,19 @@
 //! use dtp_netlist::generate::{generate, GeneratorConfig};
 //! use dtp_liberty::synth::synthetic_pdk;
 //! use dtp_rsmt::build_forest;
-//! use dtp_sta::Timer;
+//! use dtp_sta::{AnalysisScratch, PositionGradients, Timer};
 //!
 //! # fn main() -> Result<(), dtp_sta::StaError> {
 //! let design = generate(&GeneratorConfig::named("demo", 200)).expect("generator config is valid");
 //! let lib = synthetic_pdk();
 //! let timer = Timer::new(&design, &lib)?;
 //! let forest = build_forest(&design.netlist);
-//! let analysis = timer.analyze(&design.netlist, &forest);
+//! let mut scratch = AnalysisScratch::new();
+//! let analysis = timer.analyze_into(&design.netlist, &forest, &mut scratch);
 //! println!("WNS = {:.1} ps, TNS = {:.1} ps", analysis.wns(), analysis.tns());
-//! let smoothed = timer.analyze_smoothed(&design.netlist, &forest);
-//! let grads = timer.gradients(&design.netlist, &smoothed, &forest, 1.0, 1.0);
+//! let smoothed = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
+//! let mut grads = PositionGradients::default();
+//! timer.gradients_into(&design.netlist, &smoothed, &forest, 1.0, 1.0, &mut scratch, &mut grads);
 //! assert_eq!(grads.cell_grad_x.len(), design.netlist.num_cells());
 //! # Ok(())
 //! # }

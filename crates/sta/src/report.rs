@@ -204,6 +204,7 @@ fn trace_path(timer: &Timer, nl: &Netlist, analysis: &Analysis, endpoint: PinId)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AnalysisScratch;
     use dtp_liberty::synth::synthetic_pdk;
     use dtp_netlist::generate::{generate, GeneratorConfig};
     use dtp_rsmt::build_forest;
@@ -214,7 +215,7 @@ mod tests {
         let lib = synthetic_pdk();
         let timer = Timer::new(&d, &lib).unwrap();
         let forest = build_forest(&d.netlist);
-        let analysis = timer.analyze(&d.netlist, &forest);
+        let analysis = timer.analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
         let report = TimingReport::new(&timer, &d.netlist, &analysis);
         assert_eq!(report.endpoints, analysis.endpoints().len());
         assert!(report.endpoints > 0);
@@ -248,7 +249,7 @@ mod tests {
         let lib = synthetic_pdk();
         let timer = Timer::new(&d, &lib).unwrap();
         let forest = dtp_rsmt::build_forest(&d.netlist);
-        let a = timer.analyze(&d.netlist, &forest);
+        let a = timer.analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
         let h = SlackHistogram::new(&a, a.wns() - 1.0, a.wns().abs().max(100.0), 16);
         assert_eq!(h.total(), a.endpoints().len());
         // Lower-edge counting is conservative: every truly violating
@@ -297,7 +298,7 @@ mod tests {
         let lib = synthetic_pdk();
         let timer = Timer::new(&d, &lib).unwrap();
         let forest = dtp_rsmt::build_forest(&d.netlist);
-        let a = timer.analyze(&d.netlist, &forest);
+        let a = timer.analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
         let _ = SlackHistogram::new(&a, 10.0, -10.0, 4);
     }
 }

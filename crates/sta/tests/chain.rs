@@ -9,7 +9,7 @@ use dtp_liberty::synth::{
 use dtp_netlist::stdcells;
 use dtp_netlist::{CellClass, Design, NetlistBuilder, Rect, Sdc};
 use dtp_rsmt::build_forest;
-use dtp_sta::Timer;
+use dtp_sta::{AnalysisScratch, Timer};
 
 /// PI --(net0)--> INV_X1 u1 --(net1)--> INV_X1 u2 --(net2)--> PO
 fn build_chain() -> Design {
@@ -46,7 +46,7 @@ fn chain_arrival_times_match_hand_calculation() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let analysis = timer.analyze(&design.netlist, &forest);
+    let analysis = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
 
     let nl = &design.netlist;
     let spec = stdcells::find("INV_X1").unwrap();
@@ -124,8 +124,8 @@ fn smoothed_analysis_upper_bounds_exact() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let exact = timer.analyze(&design.netlist, &forest);
-    let smooth = timer.analyze_smoothed(&design.netlist, &forest);
+    let exact = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
+    let smooth = timer.analyze_smoothed_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     for (a_s, a_e) in smooth.at.iter().zip(exact.at.iter()) {
         assert!(a_s + 1e-9 >= *a_e, "smoothed AT below exact: {a_s} < {a_e}");
     }
@@ -138,7 +138,9 @@ fn moving_cells_apart_degrades_slack() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let base = timer.analyze(&design.netlist, &forest).wns();
+    let base = timer
+        .analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new())
+        .wns();
 
     let mut stretched = design.clone();
     let u2 = stretched.netlist.find_cell("u2").unwrap();
@@ -146,7 +148,7 @@ fn moving_cells_apart_degrades_slack() {
         .netlist
         .set_cell_pos(u2, dtp_netlist::Point::new(60.0, 400.0));
     let forest2 = build_forest(&stretched.netlist);
-    let wns2 = timer.analyze(&stretched.netlist, &forest2).wns();
+    let wns2 = timer.analyze_into(&stretched.netlist, &forest2, &mut AnalysisScratch::new()).wns();
     assert!(wns2 < base, "longer wires must reduce slack: {base} -> {wns2}");
 }
 
@@ -157,7 +159,7 @@ fn tighter_clock_creates_violations() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let a = timer.analyze(&design.netlist, &forest);
+    let a = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     assert!(a.wns() < 0.0);
     assert!(a.tns() < 0.0);
     assert!(a.tns() <= a.wns(), "TNS must be at least as negative as WNS");
@@ -204,7 +206,7 @@ fn setup_constraint_uses_register_table() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let a = timer.analyze(&design.netlist, &forest);
+    let a = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
 
     let d_pin = design.netlist.find_pin(design.netlist.find_cell("ff").unwrap(), "D").unwrap();
     let i = d_pin.index();
@@ -233,7 +235,7 @@ fn rat_propagation_is_consistent() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let a = timer.analyze(&design.netlist, &forest);
+    let a = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     let wns = a.wns();
     for cell in ["in", "u1", "u2", "out"] {
         let c = design.netlist.find_cell(cell).unwrap();

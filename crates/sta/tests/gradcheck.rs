@@ -9,8 +9,8 @@
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::{Design, Point};
-use dtp_rsmt::build_forest;
-use dtp_sta::{Timer, TimerConfig};
+use dtp_rsmt::{build_forest, ForestScratch};
+use dtp_sta::{AnalysisScratch, PositionGradients, Timer, TimerConfig};
 
 /// The smoothed objective f = −t1·TNSγ − t2·WNSγ evaluated from scratch at
 /// the current cell positions, with the *same tree topologies* (updated, not
@@ -25,8 +25,10 @@ fn objective(
     gamma: f64,
 ) -> f64 {
     let mut forest = base_forest.clone();
-    forest.update_positions(&design.netlist);
-    let analysis = timer.analyze_smoothed(&design.netlist, &forest);
+    let nets: Vec<_> = design.netlist.net_ids().collect();
+    forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
+    let analysis =
+        timer.analyze_smoothed_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     -t1 * analysis.tns_smooth(gamma) - t2 * analysis.wns_smooth(gamma)
 }
 
@@ -41,8 +43,18 @@ fn run_gradcheck(cells: usize, seed: u64, t1: f64, t2: f64) {
     let timer = Timer::with_config(&design, &lib, tc).expect("timer builds");
     let forest = build_forest(&design.netlist);
 
-    let analysis = timer.analyze_smoothed(&design.netlist, &forest);
-    let grads = timer.gradients(&design.netlist, &analysis, &forest, t1, t2);
+    let mut scratch = AnalysisScratch::new();
+    let analysis = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
+    let mut grads = PositionGradients::default();
+    timer.gradients_into(
+        &design.netlist,
+        &analysis,
+        &forest,
+        t1,
+        t2,
+        &mut scratch,
+        &mut grads,
+    );
 
     // Objective value consistency.
     let f0 = objective(&timer, &design, &forest, t1, t2, gamma);
@@ -115,8 +127,18 @@ fn gradient_descends_the_objective() {
     let timer = Timer::new(&design, &lib).expect("timer builds");
     let forest = build_forest(&design.netlist);
     let gamma = timer.config().gamma;
-    let analysis = timer.analyze_smoothed(&design.netlist, &forest);
-    let grads = timer.gradients(&design.netlist, &analysis, &forest, 1.0, 1.0);
+    let mut scratch = AnalysisScratch::new();
+    let analysis = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
+    let mut grads = PositionGradients::default();
+    timer.gradients_into(
+        &design.netlist,
+        &analysis,
+        &forest,
+        1.0,
+        1.0,
+        &mut scratch,
+        &mut grads,
+    );
     let f0 = -analysis.tns_smooth(gamma) - analysis.wns_smooth(gamma);
 
     // Normalized step.
@@ -134,8 +156,9 @@ fn gradient_descends_the_objective() {
     }
     design.netlist.set_positions(&xs, &ys);
     let mut forest2 = forest.clone();
-    forest2.update_positions(&design.netlist);
-    let analysis2 = timer.analyze_smoothed(&design.netlist, &forest2);
+    let nets: Vec<_> = design.netlist.net_ids().collect();
+    forest2.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
+    let analysis2 = timer.analyze_smoothed_into(&design.netlist, &forest2, &mut scratch);
     let f1 = -analysis2.tns_smooth(gamma) - analysis2.wns_smooth(gamma);
     assert!(
         f1 < f0,

@@ -1,11 +1,11 @@
 //! Equivalence tests for incremental timing analysis: after any set of cell
-//! moves, `analyze_incremental` must match a from-scratch analysis exactly.
+//! moves, `analyze_incremental_into` must match a from-scratch analysis exactly.
 
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::{CellId, Point};
 use dtp_rsmt::{build_forest, build_forest_with, ForestScratch, TableConfig};
-use dtp_sta::Timer;
+use dtp_sta::{AnalysisScratch, PositionGradients, Timer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,11 +32,13 @@ fn run_case(cells: usize, moves: usize, seed: u64, smoothed: bool) {
     let mut design = generate(&GeneratorConfig::named("inc", cells)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut scratch = AnalysisScratch::new();
     let mut forest = build_forest(&design.netlist);
+    let nets: Vec<_> = design.netlist.net_ids().collect();
     let prev = if smoothed {
-        timer.analyze_smoothed(&design.netlist, &forest)
+        timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch)
     } else {
-        timer.analyze(&design.netlist, &forest)
+        timer.analyze_into(&design.netlist, &forest, &mut scratch)
     };
 
     // Move a random subset of cells.
@@ -52,13 +54,14 @@ fn run_case(cells: usize, moves: usize, seed: u64, smoothed: bool) {
         );
         moved.push(c);
     }
-    forest.update_positions(&design.netlist);
+    forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
 
-    let incr = timer.analyze_incremental(&design.netlist, &forest, &prev, &moved, true);
+    let incr =
+        timer.analyze_incremental_into(&design.netlist, &forest, &prev, &moved, true, &mut scratch);
     let full = if smoothed {
-        timer.analyze_smoothed(&design.netlist, &forest)
+        timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch)
     } else {
-        timer.analyze(&design.netlist, &forest)
+        timer.analyze_into(&design.netlist, &forest, &mut scratch)
     };
     assert_analyses_equal(&incr, &full);
 }
@@ -88,9 +91,11 @@ fn no_moves_is_identity() {
     let design = generate(&GeneratorConfig::named("inc0", 150)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut scratch = AnalysisScratch::new();
     let forest = build_forest(&design.netlist);
-    let prev = timer.analyze(&design.netlist, &forest);
-    let incr = timer.analyze_incremental(&design.netlist, &forest, &prev, &[], true);
+    let prev = timer.analyze_into(&design.netlist, &forest, &mut scratch);
+    let incr =
+        timer.analyze_incremental_into(&design.netlist, &forest, &prev, &[], true, &mut scratch);
     assert_analyses_equal(&incr, &prev);
 }
 
@@ -101,8 +106,10 @@ fn repeated_incremental_stays_consistent() {
     let mut design = generate(&GeneratorConfig::named("inc_chain", 200)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut scratch = AnalysisScratch::new();
     let mut forest = build_forest(&design.netlist);
-    let mut analysis = timer.analyze(&design.netlist, &forest);
+    let nets: Vec<_> = design.netlist.net_ids().collect();
+    let mut analysis = timer.analyze_into(&design.netlist, &forest, &mut scratch);
     let mut rng = StdRng::seed_from_u64(99);
     let movable: Vec<CellId> = design.netlist.movable_cells().collect();
     for _ in 0..5 {
@@ -111,10 +118,17 @@ fn repeated_incremental_stays_consistent() {
         design
             .netlist
             .set_cell_pos(c, Point::new(pos.x + 1.5, pos.y - 0.5));
-        forest.update_positions(&design.netlist);
-        analysis = timer.analyze_incremental(&design.netlist, &forest, &analysis, &[c], true);
+        forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
+        analysis = timer.analyze_incremental_into(
+            &design.netlist,
+            &forest,
+            &analysis,
+            &[c],
+            true,
+            &mut scratch,
+        );
     }
-    let full = timer.analyze(&design.netlist, &forest);
+    let full = timer.analyze_into(&design.netlist, &forest, &mut scratch);
     assert_analyses_equal(&analysis, &full);
 }
 
@@ -122,13 +136,14 @@ fn repeated_incremental_stays_consistent() {
 fn tables_forest_incremental_matches_full() {
     // Incremental STA over a topology-table forest maintained with the
     // parallel scratch sweeps must still match a from-scratch analysis:
-    // the timer only sees trees, so the table backend and sequence cache
-    // must be invisible to it.
+    // the timer only sees trees, so the table backend must be invisible
+    // to it.
     let mut design = generate(&GeneratorConfig::named("inc_tab", 250)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut scratch = AnalysisScratch::new();
     let mut forest = build_forest_with(&design.netlist, TableConfig::default());
-    let prev = timer.analyze(&design.netlist, &forest);
+    let prev = timer.analyze_into(&design.netlist, &forest, &mut scratch);
 
     let mut rng = StdRng::seed_from_u64(7);
     let movable: Vec<CellId> = design.netlist.movable_cells().collect();
@@ -150,11 +165,11 @@ fn tables_forest_incremental_matches_full() {
             }
         }
     }
-    let mut scratch = ForestScratch::new();
-    forest.rebuild_nets_into(&design.netlist, &dirty, &mut scratch);
+    forest.rebuild_nets_into(&design.netlist, &dirty, &mut ForestScratch::new());
 
-    let incr = timer.analyze_incremental(&design.netlist, &forest, &prev, &moved, true);
-    let full = timer.analyze(&design.netlist, &forest);
+    let incr =
+        timer.analyze_incremental_into(&design.netlist, &forest, &prev, &moved, true, &mut scratch);
+    let full = timer.analyze_into(&design.netlist, &forest, &mut scratch);
     assert_analyses_equal(&incr, &full);
 }
 
@@ -168,9 +183,10 @@ fn topology_rebuild_that_changes_node_counts_matches_full() {
     let mut design = generate(&GeneratorConfig::named("inc_topo", 300)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut scratch = AnalysisScratch::new();
     let mut forest = build_forest(&design.netlist);
-    let mut exact = timer.analyze(&design.netlist, &forest);
-    let mut smoothed = timer.analyze_smoothed(&design.netlist, &forest);
+    let mut exact = timer.analyze_into(&design.netlist, &forest, &mut scratch);
+    let mut smoothed = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
 
     let mut rng = StdRng::seed_from_u64(11);
     let movable: Vec<CellId> = design.netlist.movable_cells().collect();
@@ -200,17 +216,31 @@ fn topology_rebuild_that_changes_node_counts_matches_full() {
         }
         let before: Vec<usize> =
             dirty.iter().map(|&n| forest.tree(n).unwrap().num_nodes()).collect();
-        forest.rebuild_nets(&design.netlist, &dirty);
+        forest.rebuild_nets_into(&design.netlist, &dirty, &mut ForestScratch::new());
         for (&n, &b) in dirty.iter().zip(&before) {
             let a = forest.tree(n).unwrap().num_nodes();
             grew += usize::from(a > b);
             shrank += usize::from(a < b);
         }
 
-        exact = timer.analyze_incremental(&design.netlist, &forest, &exact, &moved, true);
-        smoothed = timer.analyze_incremental(&design.netlist, &forest, &smoothed, &moved, false);
-        let full_exact = timer.analyze(&design.netlist, &forest);
-        let full_smoothed = timer.analyze_smoothed(&design.netlist, &forest);
+        exact = timer.analyze_incremental_into(
+            &design.netlist,
+            &forest,
+            &exact,
+            &moved,
+            true,
+            &mut scratch,
+        );
+        smoothed = timer.analyze_incremental_into(
+            &design.netlist,
+            &forest,
+            &smoothed,
+            &moved,
+            false,
+            &mut scratch,
+        );
+        let full_exact = timer.analyze_into(&design.netlist, &forest, &mut scratch);
+        let full_smoothed = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
         for (incr, full) in [(&exact, &full_exact), (&smoothed, &full_smoothed)] {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&incr.at), bits(&full.at), "round {round}");
@@ -228,8 +258,10 @@ fn topology_rebuild_that_changes_node_counts_matches_full() {
             }
         }
         // Gradients read the tape the incremental path patched in place.
-        let g_incr = timer.gradients(&design.netlist, &smoothed, &forest, 0.04, 0.0004);
-        let g_full = timer.gradients(&design.netlist, &full_smoothed, &forest, 0.04, 0.0004);
+        let (mut g_incr, mut g_full) = (PositionGradients::default(), PositionGradients::default());
+        let nl = &design.netlist;
+        timer.gradients_into(nl, &smoothed, &forest, 0.04, 0.0004, &mut scratch, &mut g_incr);
+        timer.gradients_into(nl, &full_smoothed, &forest, 0.04, 0.0004, &mut scratch, &mut g_full);
         assert_eq!(g_incr.pin_grad_x, g_full.pin_grad_x, "round {round}");
         assert_eq!(g_incr.pin_grad_y, g_full.pin_grad_y, "round {round}");
     }
@@ -238,7 +270,6 @@ fn topology_rebuild_that_changes_node_counts_matches_full() {
 
 mod drift_properties {
     use super::*;
-    use dtp_sta::AnalysisScratch;
     use proptest::prelude::*;
 
     proptest! {
@@ -261,11 +292,12 @@ mod drift_properties {
             let lib = synthetic_pdk();
             let timer = Timer::new(&design, &lib).expect("timer builds");
             let mut forest = build_forest(&design.netlist);
+            let nets: Vec<_> = design.netlist.net_ids().collect();
             let mut scratch = AnalysisScratch::new();
             let mut analysis = if smoothed {
-                timer.analyze_smoothed(&design.netlist, &forest)
+                timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch)
             } else {
-                timer.analyze(&design.netlist, &forest)
+                timer.analyze_into(&design.netlist, &forest, &mut scratch)
             };
             let mut rng = StdRng::seed_from_u64(seed);
             let movable: Vec<CellId> = design.netlist.movable_cells().collect();
@@ -283,7 +315,7 @@ mod drift_properties {
                     );
                     moved.push(c);
                 }
-                forest.update_positions(&design.netlist);
+                forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
                 let next = timer.analyze_incremental_into(
                     &design.netlist,
                     &forest,
@@ -296,9 +328,9 @@ mod drift_properties {
                 analysis = next;
             }
             let full = if smoothed {
-                timer.analyze_smoothed(&design.netlist, &forest)
+                timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch)
             } else {
-                timer.analyze(&design.netlist, &forest)
+                timer.analyze_into(&design.netlist, &forest, &mut scratch)
             };
             for i in 0..full.at.len() {
                 prop_assert!((analysis.at[i] - full.at[i]).abs() < 1e-9);
@@ -318,15 +350,18 @@ fn skipping_rat_keeps_metrics_exact() {
     let mut design = generate(&GeneratorConfig::named("inc_norat", 200)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
+    let mut scratch = AnalysisScratch::new();
     let mut forest = build_forest(&design.netlist);
-    let prev = timer.analyze(&design.netlist, &forest);
+    let nets: Vec<_> = design.netlist.net_ids().collect();
+    let prev = timer.analyze_into(&design.netlist, &forest, &mut scratch);
     let movable: Vec<CellId> = design.netlist.movable_cells().collect();
     let c = movable[3];
     let pos = design.netlist.cell(c).pos();
     design.netlist.set_cell_pos(c, Point::new(pos.x + 4.0, pos.y));
-    forest.update_positions(&design.netlist);
-    let fast = timer.analyze_incremental(&design.netlist, &forest, &prev, &[c], false);
-    let full = timer.analyze(&design.netlist, &forest);
+    forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
+    let fast =
+        timer.analyze_incremental_into(&design.netlist, &forest, &prev, &[c], false, &mut scratch);
+    let full = timer.analyze_into(&design.netlist, &forest, &mut scratch);
     // WNS/TNS/slacks exact even without the RAT sweep.
     assert!((fast.wns() - full.wns()).abs() < 1e-9);
     assert!((fast.tns() - full.tns()).abs() < 1e-9);

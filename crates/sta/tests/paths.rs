@@ -8,7 +8,7 @@ use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::stdcells;
 use dtp_netlist::{Design, Netlist, NetlistBuilder, PinId, Rect, Sdc};
 use dtp_rsmt::build_forest;
-use dtp_sta::{PathScratch, PathSet, Timer, TimingReport};
+use dtp_sta::{AnalysisScratch, PathScratch, PathSet, Timer, TimingReport};
 
 fn inv_class(b: &mut NetlistBuilder) -> dtp_netlist::ClassId {
     b.add_class(stdcells::find("INV_X1").expect("INV_X1 in table").to_class())
@@ -68,7 +68,7 @@ fn analyze(design: &Design) -> (Timer, dtp_sta::Analysis) {
     let lib = synthetic_pdk();
     let timer = Timer::new(design, &lib).unwrap();
     let forest = build_forest(&design.netlist);
-    let analysis = timer.analyze(&design.netlist, &forest);
+    let analysis = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
     (timer, analysis)
 }
 

@@ -10,8 +10,8 @@
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::Point;
-use dtp_rsmt::build_forest;
-use dtp_sta::Timer;
+use dtp_rsmt::{build_forest, ForestScratch};
+use dtp_sta::{AnalysisScratch, PositionGradients, Timer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = generate(&GeneratorConfig::named("explorer", 600))?;
@@ -20,13 +20,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut work = design.clone();
 
     let forest = build_forest(&work.netlist);
-    let analysis = timer.analyze_smoothed(&work.netlist, &forest);
-    let grads = timer.gradients(&work.netlist, &analysis, &forest, 1.0, 0.0);
+    let mut scratch = AnalysisScratch::new();
+    let analysis = timer.analyze_smoothed_into(&work.netlist, &forest, &mut scratch);
+    let mut grads = PositionGradients::default();
+    timer.gradients_into(
+        &work.netlist,
+        &analysis,
+        &forest,
+        1.0,
+        0.0,
+        &mut scratch,
+        &mut grads,
+    );
+    let exact = timer.analyze_into(&work.netlist, &forest, &mut scratch);
     println!(
         "smoothed TNS objective = {:.2} (exact TNS {:.2}, WNS {:.2})",
         grads.objective,
-        timer.analyze(&work.netlist, &forest).tns(),
-        timer.analyze(&work.netlist, &forest).wns()
+        exact.tns(),
+        exact.wns()
     );
 
     // The cells with the largest gradient magnitude are the levers on TNS.
@@ -51,10 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let top_id = dtp_netlist::CellId::new(top);
     let pos = work.netlist.cell(top_id).pos();
     let h = 1e-4;
+    let nets: Vec<_> = work.netlist.net_ids().collect();
     let eval = |w: &mut dtp_netlist::Design| {
         let mut f = forest.clone();
-        f.update_positions(&w.netlist);
-        let a = timer.analyze_smoothed(&w.netlist, &f);
+        f.update_nets_into(&w.netlist, &nets, &mut ForestScratch::new());
+        let a = timer.analyze_smoothed_into(&w.netlist, &f, &mut AnalysisScratch::new());
         -a.tns_smooth(timer.config().gamma)
     };
     work.netlist.set_cell_pos(top_id, Point::new(pos.x + h, pos.y));
@@ -72,11 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pure timing descent (no wirelength/density): TNS must improve.
     println!("\npure-TNS gradient descent:");
     for step in 0..6 {
-        let mut f = build_forest(&work.netlist);
-        f.update_positions(&work.netlist);
-        let a = timer.analyze_smoothed(&work.netlist, &f);
-        let g = timer.gradients(&work.netlist, &a, &f, 1.0, 0.0);
-        let exact = timer.analyze(&work.netlist, &f);
+        let f = build_forest(&work.netlist);
+        let a = timer.analyze_smoothed_into(&work.netlist, &f, &mut scratch);
+        let mut g = PositionGradients::default();
+        timer.gradients_into(&work.netlist, &a, &f, 1.0, 0.0, &mut scratch, &mut g);
+        let exact = timer.analyze_into(&work.netlist, &f, &mut scratch);
         println!(
             "  step {step}: TNS {:>12.1} ps, WNS {:>9.1} ps",
             exact.tns(),

@@ -6,7 +6,7 @@
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::{stdcells, Design, NetlistBuilder, Rect, Sdc};
 use dtp_rsmt::build_forest;
-use dtp_sta::{Timer, TimingReport};
+use dtp_sta::{AnalysisScratch, Timer, TimingReport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A tiny design: in -> NAND2 -> INV -> DFF -> out, with a clock.
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib)?;
     let forest = build_forest(&design.netlist);
-    let analysis = timer.analyze(&design.netlist, &forest);
+    let analysis = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
 
     println!("design: {} (clock period {} ps)", design.name, design.constraints.clock_period);
     println!("WNS = {:+.2} ps, TNS = {:+.2} ps", analysis.wns(), analysis.tns());
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g2_id = stretched.netlist.find_cell("g2").expect("g2 exists");
     stretched.netlist.set_cell_pos(g2_id, dtp_netlist::Point::new(20.0, 8.0));
     let forest2 = build_forest(&stretched.netlist);
-    let analysis2 = timer.analyze(&stretched.netlist, &forest2);
+    let analysis2 = timer.analyze_into(&stretched.netlist, &forest2, &mut AnalysisScratch::new());
     println!(
         "after moving g2 away: WNS {:+.2} -> {:+.2} ps",
         analysis.wns(),

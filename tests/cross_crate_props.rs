@@ -3,8 +3,8 @@
 
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
-use dtp_rsmt::build_forest;
-use dtp_sta::Timer;
+use dtp_rsmt::{build_forest, ForestScratch};
+use dtp_sta::{AnalysisScratch, PositionGradients, Timer};
 use proptest::prelude::*;
 
 fn cfg_strategy() -> impl Strategy<Value = GeneratorConfig> {
@@ -29,7 +29,8 @@ proptest! {
         let lib = synthetic_pdk();
         let timer = Timer::new(&design, &lib).expect("binds");
         let forest = build_forest(&design.netlist);
-        let exact = timer.analyze(&design.netlist, &forest);
+        let mut scratch = AnalysisScratch::new();
+        let exact = timer.analyze_into(&design.netlist, &forest, &mut scratch);
         // All finite, ordering invariants hold.
         prop_assert!(exact.wns().is_finite());
         prop_assert!(exact.tns() <= exact.wns().min(0.0) + 1e-9);
@@ -37,7 +38,7 @@ proptest! {
             prop_assert!(exact.slack[p.index()].is_finite());
         }
         // Smoothed slacks lower-bound exact slacks (LSE-max inflates ATs).
-        let smooth = timer.analyze_smoothed(&design.netlist, &forest);
+        let smooth = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
         prop_assert!(smooth.wns() <= exact.wns() + 1e-6);
     }
 
@@ -47,8 +48,10 @@ proptest! {
         let lib = synthetic_pdk();
         let timer = Timer::new(&design, &lib).expect("binds");
         let forest = build_forest(&design.netlist);
-        let analysis = timer.analyze_smoothed(&design.netlist, &forest);
-        let g1 = timer.gradients(&design.netlist, &analysis, &forest, 1.0, 1.0);
+        let mut scratch = AnalysisScratch::new();
+        let analysis = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
+        let mut g1 = PositionGradients::default();
+        timer.gradients_into(&design.netlist, &analysis, &forest, 1.0, 1.0, &mut scratch, &mut g1);
         for v in g1.cell_grad_x.iter().chain(&g1.cell_grad_y) {
             prop_assert!(v.is_finite());
         }
@@ -59,9 +62,12 @@ proptest! {
         for v in ys.iter_mut() { *v += -7.0; }
         design.netlist.set_positions(&xs, &ys);
         let mut forest2 = forest.clone();
-        forest2.update_positions(&design.netlist);
-        let analysis2 = timer.analyze_smoothed(&design.netlist, &forest2);
-        let g2 = timer.gradients(&design.netlist, &analysis2, &forest2, 1.0, 1.0);
+        let nets: Vec<_> = design.netlist.net_ids().collect();
+        forest2.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
+        let analysis2 = timer.analyze_smoothed_into(&design.netlist, &forest2, &mut scratch);
+        let mut g2 = PositionGradients::default();
+        let nl = &design.netlist;
+        timer.gradients_into(nl, &analysis2, &forest2, 1.0, 1.0, &mut scratch, &mut g2);
         prop_assert!((g1.objective - g2.objective).abs() < 1e-6 * (1.0 + g1.objective.abs()));
         for (a, b) in g1.cell_grad_x.iter().zip(&g2.cell_grad_x) {
             prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "{a} vs {b}");
@@ -87,10 +93,12 @@ proptest! {
                 ys[i] += scale * ((i % 5) as f64 / 5.0 - 0.5);
             }
             design.netlist.set_positions(&xs, &ys);
-            forest.update_positions(&design.netlist);
-            let reused = timer.analyze(&design.netlist, &forest);
+            let nets: Vec<_> = design.netlist.net_ids().collect();
+            forest.update_nets_into(&design.netlist, &nets, &mut ForestScratch::new());
+            let mut scratch = AnalysisScratch::new();
+            let reused = timer.analyze_into(&design.netlist, &forest, &mut scratch);
             let rebuilt_forest = build_forest(&design.netlist);
-            let rebuilt = timer.analyze(&design.netlist, &rebuilt_forest);
+            let rebuilt = timer.analyze_into(&design.netlist, &rebuilt_forest, &mut scratch);
             let err = (reused.wns() - rebuilt.wns()).abs();
             let bound = rel_tol * rebuilt.wns().abs().max(100.0) + abs_tol;
             prop_assert!(

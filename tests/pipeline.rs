@@ -8,7 +8,7 @@ use dtp_netlist::generate::{superblue_proxy, GeneratorConfig};
 use dtp_netlist::{generate::generate, NetlistStats, Rect};
 use dtp_place::{check_legal, WirelengthModel};
 use dtp_rsmt::build_forest;
-use dtp_sta::{Timer, TimingReport};
+use dtp_sta::{AnalysisScratch, Timer, TimingReport};
 
 #[test]
 fn generator_to_sta_invariants() {
@@ -38,8 +38,8 @@ fn generator_to_sta_invariants() {
         );
     }
 
-    let exact = timer.analyze(&design.netlist, &forest);
-    let smooth = timer.analyze_smoothed(&design.netlist, &forest);
+    let exact = timer.analyze_into(&design.netlist, &forest, &mut AnalysisScratch::new());
+    let smooth = timer.analyze_smoothed_into(&design.netlist, &forest, &mut AnalysisScratch::new());
 
     // Arrival times are finite and non-negative at every active pin.
     for lv in timer.graph().levels() {
@@ -94,7 +94,7 @@ fn sta_consistent_after_legalization() {
     placed.netlist.set_positions(&r.xs, &r.ys);
     let timer = Timer::new(&placed, &lib).expect("binding succeeds");
     let forest = build_forest(&placed.netlist);
-    let again = timer.analyze(&placed.netlist, &forest);
+    let again = timer.analyze_into(&placed.netlist, &forest, &mut AnalysisScratch::new());
     assert!((again.wns() - r.wns).abs() < 1e-6, "{} vs {}", again.wns(), r.wns);
     assert!((again.tns() - r.tns).abs() < 1e-6);
 }
