@@ -4,16 +4,22 @@
 //! 2. Steiner topology drift budget (`FlowConfig::topo_dirty_frac`; the
 //!    paper's blanket "rebuild every 10 iterations" became a per-net policy),
 //! 3. t1/t2 growth schedule (paper: +1 %/iteration starting ≈ iteration 100),
-//! 4. objective composition (TNS-only vs WNS-only vs both).
+//! 4. objective composition (TNS-only vs WNS-only vs both),
+//! 5. the routability term (`--route`) off vs on, judged by the overflow it
+//!    leaves at a capacity calibrated on the run without it.
 //!
 //! Usage: `cargo run -p dtp-bench --release --bin ablation [-- which]`
-//! where `which ∈ {gamma, steiner, schedule, objective, all}` (default all).
+//! where `which ∈ {gamma, steiner, schedule, objective, route, all}`
+//! (default all).
 //! Exits non-zero when some sweep printed identical rows throughout: a knob
 //! that changes nothing is not wired to the flow any more.
 
-use dtp_core::{run_flow, DiffTimingConfig, FlowConfig, FlowMode, FlowResult};
+use dtp_core::{run_flow, DiffTimingConfig, FlowConfig, FlowMode, FlowResult, ROUTE_GRID};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::superblue_proxy;
+use dtp_netlist::Design;
+use dtp_route::RudyMap;
+use dtp_rsmt::build_forest;
 use std::process::ExitCode;
 
 /// The figures a sweep compares its rows by.
@@ -30,6 +36,32 @@ fn knob_is_live(sweep: &str, rows: &[[f64; 3]]) -> bool {
         eprintln!("ablation {sweep}: all {n} rows are identical — the knob ablates nothing");
     }
     live
+}
+
+/// The exact RUDY map of `r`'s final placement on the flow's route grid, at
+/// `capacity` wire-µm per µm².
+fn final_map(design: &Design, r: &FlowResult, capacity: f64) -> RudyMap {
+    let mut placed = design.clone();
+    placed.netlist.set_positions(&r.xs, &r.ys);
+    let mut map = RudyMap::new(&placed, ROUTE_GRID, ROUTE_GRID, capacity);
+    map.build(&placed.netlist, &build_forest(&placed.netlist));
+    map
+}
+
+/// The capacity at which `r`'s placement overflows about a quarter of its
+/// bins: the 75th percentile of its per-bin worst-direction demand density.
+/// Real hot spots, not a uniformly saturated (or empty) grid.
+fn calibrated_capacity(design: &Design, r: &FlowResult) -> f64 {
+    let map = final_map(design, r, 1.0);
+    let bin_area = map.grid().bin_w() * map.grid().bin_h();
+    let mut density: Vec<f64> = map
+        .h_demand()
+        .iter()
+        .zip(map.v_demand())
+        .map(|(&h, &v)| h.max(v) / bin_area)
+        .collect();
+    density.sort_by(f64::total_cmp);
+    density[density.len() * 3 / 4].max(1e-9)
 }
 
 fn main() -> ExitCode {
@@ -94,6 +126,35 @@ fn main() -> ExitCode {
             rows.push(qor(&r));
         }
         all_live &= knob_is_live("objective", &rows);
+    }
+    if which == "route" || which == "all" {
+        // The run without the term calibrates the capacity (the route knobs
+        // are inert there); both placements are then judged at it, since the
+        // summary a flow reports is taken at the capacity it ran with.
+        println!("\n== ablation: routability term (--route), at a calibrated capacity ==");
+        let off = run(base);
+        let capacity = calibrated_capacity(&design, &off);
+        let on = run_with(base, &FlowConfig { route_aware: true, route_capacity: capacity, ..cfg });
+        println!("capacity {capacity:.3} wire-um/um^2: 75th percentile of the off run's bin demand");
+        println!(
+            "{:<10} {:>10} {:>8} {:>10} {:>12} {:>10}",
+            "route", "overflowed", "max_ovf", "WNS", "TNS", "HPWL"
+        );
+        let mut rows = Vec::new();
+        for (label, r) in [("off", &off), ("on", &on)] {
+            let s = final_map(&design, r, capacity).summary();
+            println!(
+                "{:<10} {:>9.1}% {:>8.3} {:>10.1} {:>12.1} {:>10.0}",
+                label,
+                100.0 * s.overflowed_frac,
+                s.max_overflow,
+                r.wns,
+                r.tns,
+                r.hpwl
+            );
+            rows.push(qor(r));
+        }
+        all_live &= knob_is_live("route", &rows);
     }
     if all_live {
         ExitCode::SUCCESS

@@ -8,15 +8,12 @@
 //!           [--mode wirelength|net-weighting|differentiable]
 //!           [--out dir] [--svg file]
 //!           [--bins N] [--max-iters N] [--threads N]
-//!           [--route] [--route-grid N] [--route-capacity C] [--route-weight W]
-//!           [--inflation-max F] [--route-period N]
+//!           [--route] [--route-capacity C]
 //!           [--profile] [--metrics-out file] [--trace-out file]
 //!           [--log-level error|warn|info|debug]
 //! dtp proxy <sbN> [scale_denom]             print statistics of a superblue proxy
 //! dtp trace validate <trace.jsonl>          schema-checked parse of a v3 trace
-//! dtp trace diff <a.jsonl> <b.jsonl>
-//!           [--abs F] [--rel F] [--field name:abs:rel]
-//!                                           tolerance-aware trace comparison
+//! dtp trace diff <a.jsonl> <b.jsonl>       exact comparison, first diverging field
 //! dtp trace replay <trace.jsonl> [--design spec] [--out file]
 //!                                           re-run the recorded flow, diff bit-for-bit
 //! dtp trace report <trace.jsonl>            phase/convergence forensics
@@ -35,12 +32,12 @@
 //! `--log-level warn` silences the informational summaries, leaving stdout
 //! machine-clean (the `FlowResult` line only).
 
-use dtp_core::{run_flow_observed, FlowConfig, FlowMode};
+use dtp_core::{run_flow_observed, FlowConfig, FlowMode, ROUTE_GRID};
 use dtp_obs::{self as obs, Gauge, Level, Observer, Phase, QorSummary};
-use dtp_trace::{Tolerances, Trace};
+use dtp_trace::Trace;
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, superblue_proxy, GeneratorConfig};
-use dtp_netlist::{bookshelf, Design, NetlistStats, Sdc};
+use dtp_netlist::{bookshelf, Design, NetlistError, NetlistStats, Sdc};
 use dtp_place::plot::{render_svg, PlotOptions};
 use dtp_rsmt::build_forest;
 use dtp_sta::{AnalysisScratch, SlackHistogram, Timer, TimingReport};
@@ -150,8 +147,7 @@ fn cmd_place(args: &[String]) -> CliResult {
              [--mode wirelength|net-weighting|differentiable] \
              [--out dir] [--svg file] \
              [--bins N] [--max-iters N] [--threads N] \
-             [--route] [--route-grid N] [--route-capacity C] [--route-weight W] \
-             [--inflation-max F] [--route-period N] \
+             [--route] [--route-capacity C] \
              [--profile] [--metrics-out file] [--trace-out file] \
              [--log-level error|warn|info|debug]"
                 .into(),
@@ -165,7 +161,7 @@ fn cmd_place(args: &[String]) -> CliResult {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut i = 1;
-    // Numeric option value parser (shared by the route knobs).
+    // Numeric option value parser.
     fn num<T: std::str::FromStr>(
         args: &[String],
         i: usize,
@@ -207,24 +203,8 @@ fn cmd_place(args: &[String]) -> CliResult {
                 config.route_aware = true;
                 i += 1;
             }
-            "--route-grid" => {
-                config.route_grid = num(args, i)?;
-                i += 2;
-            }
             "--route-capacity" => {
                 config.route_capacity = num(args, i)?;
-                i += 2;
-            }
-            "--route-weight" => {
-                config.route_weight = num(args, i)?;
-                i += 2;
-            }
-            "--inflation-max" => {
-                config.inflation_max = num(args, i)?;
-                i += 2;
-            }
-            "--route-period" => {
-                config.route_update_period = num(args, i)?;
                 i += 2;
             }
             "--max-iters" => {
@@ -321,8 +301,8 @@ fn cmd_place(args: &[String]) -> CliResult {
     let r = run_flow_observed(&design, &lib, mode, &config, &mut observer)?;
     println!("{r}");
     obs::info!(
-        "congestion ({}x{} grid, capacity {}): {}",
-        config.route_grid, config.route_grid, config.route_capacity, r.congestion
+        "congestion ({ROUTE_GRID}x{ROUTE_GRID} grid, capacity {}): {}",
+        config.route_capacity, r.congestion
     );
     if r.rsmt.trees > 0 {
         obs::info!(
@@ -396,8 +376,14 @@ fn cmd_proxy(args: &[String]) -> CliResult {
     let Some(name) = args.first() else {
         return Err("usage: dtp proxy <sbN> [scale_denom]".into());
     };
-    let denom: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(150.0);
-    let design = superblue_proxy(name, 1.0 / denom)?;
+    let denom: f64 = match args.get(1) {
+        Some(s) => s.parse().map_err(|_| format!("scale_denom `{s}` is not a number"))?,
+        None => 150.0,
+    };
+    let design = superblue_proxy(name, 1.0 / denom).map_err(|e| match e {
+        NetlistError::ProxyScale(_) => format!("scale_denom {denom}: {e}"),
+        e => e.to_string(),
+    })?;
     println!("{}: {}", design.name, NetlistStats::of(&design.netlist));
     println!(
         "region {} x {} um, {} rows, clock period {} ps, utilization {:.2}",
@@ -438,7 +424,7 @@ fn load_trace(path: &str) -> Result<Trace, Box<dyn std::error::Error>> {
 
 const TRACE_USAGE: &str = "usage: dtp trace <validate|diff|replay|report> ...\n\
     dtp trace validate <trace.jsonl>\n\
-    dtp trace diff <a.jsonl> <b.jsonl> [--abs F] [--rel F] [--field name:abs:rel]\n\
+    dtp trace diff <a.jsonl> <b.jsonl>\n\
     dtp trace replay <trace.jsonl> [--design spec] [--out file]\n\
     dtp trace report <trace.jsonl>";
 
@@ -472,50 +458,12 @@ fn cmd_trace_validate(args: &[String]) -> CliResult {
 }
 
 fn cmd_trace_diff(args: &[String]) -> CliResult {
-    let (Some(path_a), Some(path_b)) = (args.first(), args.get(1)) else {
-        return Err(
-            "usage: dtp trace diff <a.jsonl> <b.jsonl> [--abs F] [--rel F] \
-             [--field name:abs:rel]"
-                .into(),
-        );
+    let [path_a, path_b] = args else {
+        return Err("usage: dtp trace diff <a.jsonl> <b.jsonl>".into());
     };
-    let mut tol = Tolerances::zero();
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--abs" => {
-                tol.default_abs = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("option `--abs` needs a numeric value")?;
-                i += 2;
-            }
-            "--rel" => {
-                tol.default_rel = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("option `--rel` needs a numeric value")?;
-                i += 2;
-            }
-            "--field" => {
-                let spec = args.get(i + 1).ok_or("option `--field` needs name:abs:rel")?;
-                let parts: Vec<&str> = spec.split(':').collect();
-                let [name, abs, rel] = parts[..] else {
-                    return Err(format!("bad --field spec `{spec}` (want name:abs:rel)").into());
-                };
-                tol.per_field.push((
-                    name.to_string(),
-                    abs.parse().map_err(|_| format!("bad abs in `{spec}`"))?,
-                    rel.parse().map_err(|_| format!("bad rel in `{spec}`"))?,
-                ));
-                i += 2;
-            }
-            other => return Err(format!("unknown option `{other}`").into()),
-        }
-    }
     let a = load_trace(path_a)?;
     let b = load_trace(path_b)?;
-    let report = dtp_trace::diff(&a, &b, &tol);
+    let report = dtp_trace::diff(&a, &b);
     print!("{}", report.render());
     if report.is_clean() {
         Ok(())
@@ -622,7 +570,7 @@ fn cmd_trace_replay(args: &[String]) -> CliResult {
     }
     // Not bit-identical — run the structured diff to name the first
     // diverging iteration and field.
-    let report = dtp_trace::diff(&recorded, &fresh, &Tolerances::zero());
+    let report = dtp_trace::diff(&recorded, &fresh);
     print!("{}", report.render());
     Err(format!("replay diverges from {path}").into())
 }

@@ -230,27 +230,13 @@ config_table! {
         topo_dirty_frac: f64 = 0.10,
         /// Enable the routability subsystem: the differentiable congestion
         /// penalty joins the objective and the RUDY feedback loop (cell
-        /// inflation + congested-net weighting) runs every
-        /// [`route_update_period`](FlowConfig::route_update_period) iterations.
-        /// `false` leaves the flow trajectory bit-for-bit identical to a build
-        /// without the subsystem.
+        /// inflation + congested-net weighting) runs periodically, all on the
+        /// [`ROUTE_GRID`](crate::ROUTE_GRID) grid. `false` leaves the flow
+        /// trajectory bit-for-bit identical to a build without the subsystem.
         route_aware: bool = false,
-        /// Routing-congestion grid (bins × bins), for both the exact RUDY map
-        /// and the smoothed penalty.
-        route_grid: usize = 32,
         /// Per-direction routing supply in wire-µm per µm² of bin area (the
         /// per-bin capacity is this times the bin area).
         route_capacity: f64 = 0.5,
-        /// Strength of the congestion pressure: the congestion gradient is
-        /// rescaled so its ∞-norm equals this fraction of the combined
-        /// wirelength+density gradient's ∞-norm, and congested nets get their
-        /// wirelength weight boosted by up to `1 + route_weight`.
-        route_weight: f64 = 1.0,
-        /// Cap on the congestion-driven per-cell area inflation factor.
-        inflation_max: f64 = 2.5,
-        /// Run the RUDY feedback (inflation + net reweighting) every this many
-        /// iterations once congestion optimization is active.
-        route_update_period: usize = 20,
         /// Worker threads for the parallel phases (Nesterov update, gradient
         /// sweeps, legalization bands). 0 = the ambient pool (the process-global
         /// default, or whatever [`rayon::with_pool`] scope encloses the call);
@@ -341,8 +327,7 @@ mod tests {
             FlowConfig::KEYS,
             [
                 "max_iters", "bins", "trace_timing_every", "seed", "topo_dirty_frac",
-                "route_aware", "route_grid", "route_capacity", "route_weight", "inflation_max",
-                "route_update_period", "threads",
+                "route_aware", "route_capacity", "threads",
             ]
         );
     }

@@ -192,8 +192,8 @@ pub struct FlowResult {
     /// Final legalized y positions.
     pub ys: Vec<f64>,
     /// Routing-congestion summary of the final placement (always computed,
-    /// on the [`FlowConfig::route_grid`]/[`FlowConfig::route_capacity`]
-    /// grid, whether or not the flow was route-aware).
+    /// on the [`ROUTE_GRID`] grid at [`FlowConfig::route_capacity`], whether
+    /// or not the flow was route-aware).
     pub congestion: CongestionSummary,
     /// In-loop Steiner-forest composition (exact / table / Prim backends);
     /// all zeros when the flow never built a forest (wirelength-only mode,
@@ -621,6 +621,23 @@ const SAMPLE_PERIOD: usize = 10;
 /// the initial center cluster.
 const ROUTE_START_OVERFLOW: f64 = 0.5;
 
+/// Routing-congestion grid (bins × bins), for both the exact RUDY map and the
+/// smoothed penalty.
+pub const ROUTE_GRID: usize = 32;
+
+/// Strength of the congestion pressure: the congestion gradient is rescaled
+/// so its ∞-norm equals this fraction of the combined wirelength+density
+/// gradient's ∞-norm, and congested nets get their wirelength weight boosted
+/// by up to `1 + ROUTE_WEIGHT`.
+const ROUTE_WEIGHT: f64 = 1.0;
+
+/// Cap on the congestion-driven per-cell area inflation factor.
+const INFLATION_MAX: f64 = 2.5;
+
+/// Run the RUDY feedback (inflation + net reweighting) every this many
+/// iterations once congestion optimization is active.
+const ROUTE_UPDATE_PERIOD: usize = 20;
+
 /// Runtime state of the congestion-aware subsystem (`route_aware = true`).
 struct RouteState {
     /// Exact incremental RUDY map — reporting and feedback.
@@ -647,7 +664,7 @@ struct RouteState {
 
 impl RouteState {
     fn new(design: &Design, config: &FlowConfig) -> RouteState {
-        let g = config.route_grid;
+        let g = ROUTE_GRID;
         RouteState {
             map: RudyMap::new(design, g, g, config.route_capacity),
             penalty: CongestionPenalty::new(design, g, g, config.route_capacity),
@@ -741,43 +758,16 @@ pub fn run_flow_observed(
     }
 }
 
-/// Rejects route knobs no flow can run with. They are checked whether or not
-/// the flow is route-aware: the final congestion summary is always computed
-/// on the configured grid and capacity.
+/// Rejects a routing capacity no flow can run with. It is checked whether or
+/// not the flow is route-aware: the final congestion summary is always
+/// computed at it.
 fn check_route_knobs(config: &FlowConfig) -> Result<(), FlowError> {
-    let bad = |what: String| Err(FlowError::Config(what));
-    if !dtp_route::GRID_AXIS_BINS.contains(&config.route_grid) {
-        return bad(format!(
-            "route_grid (--route-grid) = {}: the route grid needs {}..={} bins per axis",
-            config.route_grid,
-            dtp_route::GRID_AXIS_BINS.start(),
-            dtp_route::GRID_AXIS_BINS.end()
-        ));
-    }
     // `!(x > 0)` rather than `x <= 0`: NaN must fail too.
     if !(config.route_capacity > 0.0 && config.route_capacity.is_finite()) {
-        return bad(format!(
+        return Err(FlowError::Config(format!(
             "route_capacity (--route-capacity) = {}: the routing supply must be positive and finite",
             config.route_capacity
-        ));
-    }
-    if !(config.route_weight >= 0.0 && config.route_weight.is_finite()) {
-        return bad(format!(
-            "route_weight (--route-weight) = {}: the congestion weight must be finite and not negative",
-            config.route_weight
-        ));
-    }
-    if !(config.inflation_max >= 1.0 && config.inflation_max.is_finite()) {
-        return bad(format!(
-            "inflation_max (--inflation-max) = {}: the inflation cap must be finite and at least 1",
-            config.inflation_max
-        ));
-    }
-    if config.route_update_period == 0 {
-        return bad(
-            "route_update_period (--route-period) = 0: the feedback period must be at least 1"
-                .into(),
-        );
+        )));
     }
     Ok(())
 }
@@ -952,38 +942,33 @@ fn run_flow_inner(
 
         if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
             // Congestion penalty gradient (evaluated with the map update
-            // above), normalized: its ∞-norm is pinned to `route_weight` times the combined
+            // above), normalized: its ∞-norm is pinned to `ROUTE_WEIGHT` times the combined
             // wirelength+density gradient's, so the pressure tracks the
             // optimizer's scale instead of the raw demand units.
             let sp = obs.start(Phase::CongestionGrad);
             let base_norm = norm_inf(&core.gx, &core.gy);
             let p_norm = norm_inf(&rs.pgx, &rs.pgy);
             if p_norm > 0.0 {
-                let scale = config.route_weight * base_norm / p_norm;
+                let scale = ROUTE_WEIGHT * base_norm / p_norm;
                 axpy_into(&mut core.gx, &rs.pgx, scale);
                 axpy_into(&mut core.gy, &rs.pgy, scale);
             }
             obs.stop(Phase::CongestionGrad, sp);
 
-            // RUDY feedback every `route_update_period` active iterations:
+            // RUDY feedback every `ROUTE_UPDATE_PERIOD` active iterations:
             // inflate cells in overflowed bins (density-model footprints) and
             // boost the wirelength weight of nets crossing them; both take
             // effect from the next iteration's gradients.
             let sp = obs.start(Phase::RudyUpdate);
-            if rs.iters_active % config.route_update_period == 0 {
-                inflation_factors(
-                    &rs.map,
-                    &work.netlist,
-                    config.inflation_max,
-                    &mut rs.inflation,
-                );
+            if rs.iters_active % ROUTE_UPDATE_PERIOD == 0 {
+                inflation_factors(&rs.map, &work.netlist, INFLATION_MAX, &mut rs.inflation);
                 core.density.set_inflation(&rs.inflation);
                 let wl_model = &core.wl_model;
                 rs.boost.resize(wl_model.num_nets(), 1.0);
                 rs.boosted = false;
                 for e in 0..wl_model.num_nets() {
                     let over = rs.map.net_overflow(NetId::new(wl_model.net_index(e)));
-                    let b = 1.0 + config.route_weight * over.min(1.0);
+                    let b = 1.0 + ROUTE_WEIGHT * over.min(1.0);
                     rs.boost[e] = b;
                     if b != 1.0 {
                         rs.boosted = true;
@@ -1090,7 +1075,7 @@ fn run_flow_inner(
     // The final map: the live one rebuilt on the final forest when the flow
     // was route-aware, a fresh one otherwise.
     let (congestion, rudy_stamps) = {
-        let g = config.route_grid;
+        let g = ROUTE_GRID;
         let mut map =
             live_map.unwrap_or_else(|| RudyMap::new(&work, g, g, config.route_capacity));
         let sp = obs.start(Phase::RudyUpdate);

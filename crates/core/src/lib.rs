@@ -48,4 +48,4 @@ mod weighting;
 pub use config::{DiffTimingConfig, FlowConfig, FlowMode};
 pub use dtp_obs::Observer;
 pub use dtp_route::CongestionSummary;
-pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, TracePoint};
+pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, TracePoint, ROUTE_GRID};

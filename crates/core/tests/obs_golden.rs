@@ -140,9 +140,8 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     );
     assert!(!text.contains("NaN"), "raw NaN token leaked into the stream");
     for line in text.lines().skip(1) {
-        // The header legitimately contains "inf" inside the key name
-        // `inflation_max`; the per-iteration records must never carry a raw
-        // non-finite token.
+        // The per-iteration records must never carry a raw non-finite token
+        // (a header's design source may legitimately spell "inf").
         assert!(!line.contains("inf"), "raw infinity token leaked: {line}");
     }
     for (i, line) in text.lines().enumerate() {
@@ -397,20 +396,13 @@ fn cli_rejects_a_density_grid_it_cannot_sample() {
 #[test]
 fn cli_rejects_route_knobs_no_flow_can_run_with() {
     // Each of these used to panic (`capacity must be positive` out of the
-    // final summary map even without `--route`, `inflation_max must be >= 1`
-    // mid-run), abort on an 80 GB grid, or be silently rewritten to 2 / 1.
+    // final summary map even without `--route`).
     let (dir, prefix) = write_cli_fixture("route-knobs");
     let cases: &[&[&str]] = &[
         &["--route-capacity", "0"],
         &["--route-capacity", "-1"],
         &["--route-capacity", "nan"],
-        &["--route-grid", "0"],
-        &["--route-grid", "1"],
-        &["--route-grid", "100000"],
-        &["--route", "--inflation-max", "0.5"],
-        &["--route", "--route-period", "0"],
-        &["--route", "--route-weight", "-1"],
-        &["--route", "--route-weight", "nan"],
+        &["--route", "--route-capacity", "0"],
         // Not a route knob, same contract: this one aborted (`failed to
         // spawn thread`) after three seconds of `clone`.
         &["--threads", "257"],
@@ -455,12 +447,12 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
         match words.next() {
             None => {}
             Some("N") => args.push("8".into()),
-            Some("F" | "C" | "W") => args.push("2".into()),
+            Some("C") => args.push("2".into()),
             Some("dir" | "file") => args.push(file(flag.trim_start_matches('-'))),
             Some(choice) => args.push(choice.split('|').next().unwrap_or(choice).into()),
         }
     }
-    assert_eq!(flags, 16, "`dtp place` flags, counted off its usage:\n{usage}");
+    assert_eq!(flags, 12, "`dtp place` flags, counted off its usage:\n{usage}");
     let out = dtp(&args.iter().map(String::as_str).collect::<Vec<_>>());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{args:?}: {stderr}");
@@ -477,6 +469,10 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
         &["--extract-period", "5"],
         &["--path-decay", "0.9"],
         &["--pin-weight-cap", "8"],
+        &["--route-grid", "32"],
+        &["--route-weight", "1"],
+        &["--inflation-max", "2.5"],
+        &["--route-period", "20"],
         &["--out"],
         &["--svg"],
     ];
@@ -487,6 +483,26 @@ fn cli_accepts_exactly_the_flags_its_usage_lists() {
         assert!(stderr.contains(tail[0]), "{tail:?}: error does not name the option: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dtp proxy sb1 0` asked for 16 GiB and aborted (exit 134), `0.0000001`
+/// for 7.3 TB; `abc` silently became 150, `-5` and `nan` the 64-cell floor.
+#[test]
+fn cli_proxy_refuses_a_scale_no_proxy_has() {
+    let proxy = |denom: &str| {
+        Command::new(env!("CARGO_BIN_EXE_dtp"))
+            .args(["proxy", "sb1", denom])
+            .output()
+            .expect("dtp runs")
+    };
+    for denom in ["0", "0.0000001", "abc", "-5", "nan"] {
+        let out = proxy(denom);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{denom}: {stderr}");
+        assert!(stderr.contains("scale_denom"), "{denom}: error does not name it: {stderr}");
+    }
+    let out = proxy("3000");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 #[test]

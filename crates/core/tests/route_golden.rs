@@ -2,7 +2,7 @@
 //!
 //! With `route_aware = false` the congestion machinery must be completely
 //! inert: the flow trajectory (traced HPWL/WNS/TNS and the final placement)
-//! must be bit-for-bit identical no matter what the other route knobs say,
+//! must be bit-for-bit identical no matter what the routing capacity says,
 //! and must match a run with the default (disabled) configuration. With
 //! `route_aware = true` the congestion gradient and feedback must actually
 //! change the trajectory.
@@ -61,16 +61,12 @@ fn route_disabled_is_bit_for_bit_inert() {
     let lib = synthetic_pdk();
     let plain = run_flow(&d, &lib, FlowMode::differentiable(), &base_config())
         .expect("flow runs");
-    // Exotic values on every route knob: with route_aware=false none of
-    // them may leak into the trajectory. (The final congestion summary
-    // legitimately differs — it is computed on the configured grid.)
+    // An exotic capacity: with route_aware=false it may not leak into the
+    // trajectory. (The final congestion summary legitimately differs — it
+    // is computed at the configured capacity.)
     let exotic = FlowConfig {
         route_aware: false,
-        route_grid: 7,
         route_capacity: 0.01,
-        route_weight: 9.0,
-        inflation_max: 4.0,
-        route_update_period: 1,
         ..base_config()
     };
     let off = run_flow(&d, &lib, FlowMode::differentiable(), &exotic).expect("flow runs");

@@ -14,7 +14,7 @@ use dtp_core::{
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::bookshelf;
 use dtp_netlist::generate::{generate, GeneratorConfig};
-use dtp_trace::{diff, Tolerances, Trace};
+use dtp_trace::{diff, Trace};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -76,11 +76,11 @@ fn canonical_bytes_are_bit_identical_across_reruns_and_pool_widths() {
         );
         // The structured diff agrees, and demotes the thread-count header
         // fields to informational notes.
-        let report = diff(&traces[0], t, &Tolerances::zero());
-        assert!(report.is_clean(), "zero-tolerance diff dirty:\n{}", report.render());
+        let report = diff(&traces[0], t);
+        assert!(report.is_clean(), "exact diff dirty:\n{}", report.render());
     }
     // Pool widths 2 and 4 genuinely differed in the header environment.
-    let report = diff(&traces[1], &traces[3], &Tolerances::zero());
+    let report = diff(&traces[1], &traces[3]);
     assert!(
         report.notes.iter().any(|n| n.contains("threads")),
         "expected an informational thread-count note, got: {:?}",
@@ -203,13 +203,18 @@ fn replay_refuses_a_net_weighting_header_carrying_momentum() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Likewise the `FlowConfig` fields that became constants later: the route
+/// grid, weight, inflation cap and feedback period.
 #[test]
 fn replay_refuses_a_flow_config_header_carrying_stop_overflow() {
     let (dir, trace) = recorded_cli_trace("stop-overflow", "wirelength");
-    let (code, stderr) =
-        replay_edits(&trace, &[("\"config\":{", "\"config\":{\"stop_overflow\":0.1,")]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("unknown config field `stop_overflow`"), "{stderr}");
+    for field in ["\"stop_overflow\":0.1", "\"route_grid\":32"] {
+        let (code, stderr) =
+            replay_edits(&trace, &[("\"config\":{", &format!("\"config\":{{{field},"))]);
+        assert_eq!(code, Some(1), "{field}: {stderr}");
+        let name = field.split('"').nth(1).expect("a quoted key");
+        assert!(stderr.contains(&format!("unknown config field `{name}`")), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -35,6 +35,9 @@ pub enum NetlistError {
         /// Description of the problem.
         message: String,
     },
+    /// A superblue proxy scale that is not finite or outside `(0, 1]`: a
+    /// proxy is at most the contest design.
+    ProxyScale(f64),
     /// An underlying I/O error.
     Io(std::io::Error),
 }
@@ -55,6 +58,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::Parse { kind, line, message } => {
                 write!(f, "{kind} parse error at line {line}: {message}")
+            }
+            NetlistError::ProxyScale(s) => {
+                write!(f, "proxy scale {s} is not in (0, 1]: a proxy is at most the contest design")
             }
             NetlistError::Io(e) => write!(f, "i/o error: {e}"),
         }

@@ -438,8 +438,14 @@ pub const DEFAULT_PROXY_SCALE: f64 = 1.0 / 150.0;
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::UnknownName`] for an unrecognized benchmark name.
+/// Returns [`NetlistError::UnknownName`] for an unrecognized benchmark name
+/// and [`NetlistError::ProxyScale`] for a `scale` that is not finite or
+/// outside `(0, 1]`.
 pub fn superblue_proxy(name: &str, scale: f64) -> Result<Design, NetlistError> {
+    // `!(0 < s <= 1)` rather than `s <= 0 || s > 1`: NaN must fail too.
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(NetlistError::ProxyScale(scale));
+    }
     let canon = if let Some(idx) = name.strip_prefix("sb") {
         format!("superblue{idx}")
     } else {
@@ -457,18 +463,6 @@ pub fn superblue_proxy(name: &str, scale: f64) -> Result<Design, NetlistError> {
     cfg.depth = 10 + (hash_name(&canon) % 7) as usize;
     cfg.seed ^= hash_name(&canon);
     generate(&cfg)
-}
-
-/// Generates all eight proxies at the given scale.
-///
-/// # Errors
-///
-/// Propagates generator errors (none occur for the built-in table).
-pub fn superblue_proxies(scale: f64) -> Result<Vec<Design>, NetlistError> {
-    SUPERBLUE_TABLE2
-        .iter()
-        .map(|(n, _, _, _)| superblue_proxy(n, scale))
-        .collect()
 }
 
 /// Generates a flat synthetic design sized for scale studies.
@@ -629,5 +623,19 @@ mod tests {
     fn proxy_accepts_long_names() {
         let d = superblue_proxy("superblue18", 1.0 / 800.0).unwrap();
         assert_eq!(d.name, "sb18");
+    }
+
+    /// `dtp proxy sb1 0` asked for a 16 GiB grid and aborted; a negative or
+    /// NaN scale silently gave the 64-cell floor.
+    #[test]
+    fn proxy_refuses_a_scale_outside_zero_to_one() {
+        for scale in [0.0, -0.2, 1e7, f64::INFINITY, f64::NAN] {
+            match superblue_proxy("sb1", scale) {
+                Err(NetlistError::ProxyScale(s)) => assert!(s.to_bits() == scale.to_bits()),
+                other => panic!("scale {scale}: {other:?}"),
+            }
+        }
+        // The smallest scales stay valid: they give the 64-cell floor.
+        assert!(superblue_proxy("sb18", 1e-9).is_ok());
     }
 }

@@ -31,12 +31,6 @@ impl Point {
     pub fn manhattan(self, other: Point) -> f64 {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
-
-    /// Euclidean distance to `other` (used only for diagnostics).
-    #[inline]
-    pub fn euclidean(self, other: Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
 }
 
 impl Add for Point {

@@ -498,11 +498,6 @@ impl Netlist {
         self.net(net).pins().get(1..).unwrap_or(&[])
     }
 
-    /// Whether a pin belongs to an I/O port pseudo-cell.
-    pub fn pin_is_port(&self, pin: PinId) -> bool {
-        self.cell_is_port(self.pin_cell[pin.index()])
-    }
-
     /// Whether a cell is an I/O port pseudo-cell.
     pub fn cell_is_port(&self, cell: CellId) -> bool {
         let name = self.class_of(cell).name();

@@ -9,7 +9,7 @@
 //!   untraced-iteration WNS/TNS are `NAN` in-memory and a naive `{}`-format
 //!   would emit the invalid token `NaN`.
 //! * **Everything emitted must parse back**: [`parse`] is a strict
-//!   recursive-descent parser used by the tests, `bench_obs`, and CI to
+//!   recursive-descent parser used by the tests and CI to
 //!   validate `metrics.json` and every JSONL line.
 
 use std::fmt::Write as FmtWrite;

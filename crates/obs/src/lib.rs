@@ -10,7 +10,7 @@
 //!    [`Phase`] enum accumulate into preallocated slots ([`SpanTable`]) and
 //!    a bounded ring of recent iterations ([`IterRing`]). Recording a span
 //!    is two `Instant` reads and an array add: the observed steady-state
-//!    loop stays zero-allocation (asserted by `bench_obs`).
+//!    loop stays zero-allocation (asserted by `tests/zero_alloc.rs`).
 //! 2. **Counters/gauges registry** ([`Counter`], [`Gauge`], [`Registry`]) —
 //!    the health signals of the incremental subsystems: dirty-net counts,
 //!    incremental-vs-full STA fallbacks, table-vs-Prim Steiner backends,

@@ -5,7 +5,7 @@
 //! recording a span is `Instant::now()` twice plus one add into a slot, and
 //! pushing an iteration sample copies a `Copy` struct into a preallocated
 //! ring. This is what keeps the observed steady-state loop at zero heap
-//! allocations (asserted by `bench_obs`).
+//! allocations (asserted by `tests/zero_alloc.rs`).
 
 use crate::counters::Counter;
 use crate::phase::Phase;

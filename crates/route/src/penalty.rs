@@ -32,7 +32,7 @@
 
 use crate::grid::RouteGrid;
 use crate::DEFAULT_PIN_WEIGHT;
-use dtp_netlist::{CellId, Design, Netlist, Point};
+use dtp_netlist::{CellId, Design, Netlist};
 use dtp_rsmt::{ForestArena, SteinerForest};
 
 /// Default softplus smoothing width, expressed as a routing supply
@@ -283,17 +283,6 @@ impl CongestionPenalty {
         self
     }
 
-    /// Overrides the softplus smoothing width (demand units).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma <= 0`.
-    pub fn with_gamma(mut self, gamma: f64) -> CongestionPenalty {
-        assert!(gamma > 0.0);
-        self.gamma = gamma;
-        self
-    }
-
     /// Rebuilds the smooth demand fields, and the sample tape they were
     /// stamped from: branches in net order, then cell centers.
     fn forward(&mut self, nl: &Netlist, a: &ForestArena<'_>) {
@@ -479,14 +468,6 @@ impl CongestionPenalty {
     /// Per-bin capacity (µm per direction).
     pub fn capacity(&self) -> f64 {
         self.cap
-    }
-
-    /// Worst-direction smooth demand/capacity ratio at a point (for
-    /// diagnostics; reporting should use [`crate::RudyMap`]).
-    pub fn smooth_ratio_at(&self, p: Point) -> f64 {
-        let (i, j) = self.sampler.grid.bin_of(p);
-        let b = self.sampler.grid.index(i, j);
-        (self.h[b] / self.cap).max(self.v[b] / self.cap)
     }
 }
 

@@ -16,11 +16,13 @@
 //! current geometry. Nothing is allocated, and a bin receives its additions
 //! in list order — the order that fixes every bit of the map.
 //!
-//! Two cost regimes (`BENCH_route.json`): a sparse move (1 % of the cells)
-//! re-stamps only the records of its dirty nets and costs 1/30 of a build;
-//! inside the global-placement loop every net is dirty in every iteration,
-//! and an update costs 1.6 builds (one pass to take the old demand back, one
-//! to derive and stamp the new).
+//! Two cost regimes (the last hand-timed figures are in EXPERIMENTS.md; the
+//! benchmark's `route.rudy_build_ns_pin` / `route.rudy_update1_ns_net`
+//! probes time both ends today): a sparse move (1 % of the cells) re-stamps
+//! only the records of its dirty nets and cost 1/30 of a build; inside the
+//! global-placement loop every net is dirty in every iteration, and an
+//! update cost 1.6 builds (one pass to take the old demand back, one to
+//! derive and stamp the new).
 
 use crate::grid::{CongestionSummary, RouteGrid, StampRec};
 use crate::DEFAULT_PIN_WEIGHT;
@@ -179,17 +181,6 @@ impl RudyMap {
         self.stamps
     }
 
-    /// Bytes of one stamp record — all the map keeps per forest branch and
-    /// per cell.
-    pub const RECORD_BYTES: usize = std::mem::size_of::<StampRec>();
-
-    /// Bytes of stamp records the map holds: one per forest node slot (a
-    /// net's range is sized for its largest possible tree, so there are
-    /// more slots than branches) and one per cell.
-    pub fn record_bytes(&self) -> usize {
-        (self.edge_rec.capacity() + self.cell_rec.capacity()) * Self::RECORD_BYTES
-    }
-
     /// Full (re)build: zeroes the grids and stamps every tree of the forest
     /// and every cell's pin density — an update in which every net is
     /// listed and nothing was stamped before.
@@ -335,6 +326,13 @@ mod tests {
         let d = generate(&GeneratorConfig::named(name, cells)).unwrap();
         let forest = build_forest(&d.netlist);
         (d, forest)
+    }
+
+    /// A stamp record is all the map keeps per forest branch and per cell:
+    /// one cache line.
+    #[test]
+    fn a_stamp_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<StampRec>(), 64);
     }
 
     #[test]

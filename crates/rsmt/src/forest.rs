@@ -326,11 +326,6 @@ impl SteinerForest {
             .sum()
     }
 
-    /// The topology-table configuration this forest was built with.
-    pub fn table_config(&self) -> TableConfig {
-        self.cfg
-    }
-
     /// Current composition.
     pub fn stats(&self) -> ForestStats {
         let mut s = ForestStats::default();

@@ -12,7 +12,7 @@
 //!   near-optimal (5–9) Steiner topologies precomputed per *position
 //!   sequence* class (the permutation of y-ranks in x-sorted order,
 //!   de-duplicated under the 8 grid symmetries), embedded per net in O(n)
-//!   by a gap-vector dot product — see [`TableConfig`] and [`prewarm`],
+//!   by a gap-vector dot product — see [`TableConfig`],
 //! - a rectilinear Prim heuristic with corner steinerization for larger nets
 //!   (and as a quality clamp the table candidates must beat at degree 5–9);
 //!   every topology rebuild canonicalizes, selects and embeds afresh (no
@@ -55,5 +55,5 @@ pub use forest::{
     build_forest, build_forest_with, build_tree_with, ForestArena, ForestScratch, ForestStats,
     SteinerForest,
 };
-pub use tables::{prewarm, table_stats, TableConfig, TableStats, MAX_TABLE_DEGREE};
+pub use tables::{table_stats, TableConfig, TableStats, MAX_TABLE_DEGREE};
 pub use tree::{node_capacity, SteinerTree, TreeView};

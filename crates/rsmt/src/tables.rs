@@ -24,8 +24,7 @@
 //!   tree is never worse than the degree ≥ 5 fallback heuristic;
 //! - classes are generated **lazily** on first lookup and memoized in a
 //!   process-global append-only registry, so flows only pay for the classes
-//!   their nets actually visit ([`prewarm`] exists for benchmarks that want
-//!   the full table up front). Generation runs outside the registry lock —
+//!   their nets actually visit. Generation runs outside the registry lock —
 //!   it is a pure function of the key, so two threads racing for one class
 //!   at worst discard a duplicate — and [`table_stats`] reports how many
 //!   classes a process generated and how long that took.
@@ -240,41 +239,6 @@ pub(crate) fn class_entry(n: usize, canon_key: u64) -> &'static ClassEntry {
     match lookup_class(n, canon_key) {
         Some(e) => e,
         None => insert_class(n, canon_key, generate_keyed(n, canon_key)),
-    }
-}
-
-/// Eagerly generates every canonical class up to `max_degree` (clamped to
-/// [`MAX_TABLE_DEGREE`]) and returns their `(classes, total POWVs)`.
-/// Intended for benchmarks; flows rely on lazy generation.
-pub fn prewarm(max_degree: usize) -> (usize, usize) {
-    let max_degree = max_degree.min(MAX_TABLE_DEGREE);
-    for n in MIN_TABLE_DEGREE..=max_degree {
-        let mut perm: Vec<u8> = (0..n as u8).collect();
-        permute(&mut perm, 0, &mut |seq| {
-            let (key, _) = canonicalize(seq);
-            let _ = class_entry(n, key);
-        });
-    }
-    let mut classes = 0;
-    let mut powvs = 0;
-    for map in registry().iter().take((max_degree + 1).saturating_sub(MIN_TABLE_DEGREE)) {
-        let m = map.read().expect("table registry poisoned");
-        classes += m.len();
-        powvs += m.values().map(|e| e.powvs.len()).sum::<usize>();
-    }
-    (classes, powvs)
-}
-
-/// Visits every permutation of `seq[k..]` (Heap-style recursion).
-fn permute(seq: &mut [u8], k: usize, f: &mut impl FnMut(&[u8])) {
-    if k + 1 >= seq.len() {
-        f(seq);
-        return;
-    }
-    for i in k..seq.len() {
-        seq.swap(k, i);
-        permute(seq, k + 1, f);
-        seq.swap(k, i);
     }
 }
 
@@ -641,6 +605,39 @@ fn mst_cost_with(pts: &[(i64, i64)], tree: &PrimTree, z: (i64, i64)) -> i64 {
 mod tests {
     use super::*;
 
+    /// Visits every permutation of `seq[k..]` (Heap-style recursion).
+    fn permute(seq: &mut [u8], k: usize, f: &mut impl FnMut(&[u8])) {
+        if k + 1 >= seq.len() {
+            f(seq);
+            return;
+        }
+        for i in k..seq.len() {
+            seq.swap(k, i);
+            permute(seq, k + 1, f);
+            seq.swap(k, i);
+        }
+    }
+
+    /// Eagerly generates every canonical class up to `max_degree` and
+    /// returns their `(classes, total POWVs)` (flows generate lazily).
+    fn prewarm(max_degree: usize) -> (usize, usize) {
+        for n in MIN_TABLE_DEGREE..=max_degree {
+            let mut perm: Vec<u8> = (0..n as u8).collect();
+            permute(&mut perm, 0, &mut |seq| {
+                let (key, _) = canonicalize(seq);
+                let _ = class_entry(n, key);
+            });
+        }
+        let mut classes = 0;
+        let mut powvs = 0;
+        for map in &registry()[..=max_degree - MIN_TABLE_DEGREE] {
+            let m = map.read().expect("table registry poisoned");
+            classes += m.len();
+            powvs += m.values().map(|e| e.powvs.len()).sum::<usize>();
+        }
+        (classes, powvs)
+    }
+
     #[test]
     fn canonical_roundtrip_points() {
         for n in 4..=9usize {
@@ -679,7 +676,7 @@ mod tests {
         // cheapest POWV must equal the exact Hanan construction. Unit gaps
         // are symmetry-invariant, so canonical-frame costs compare directly.
         let mut perm = [0u8, 1, 2, 3];
-        super::permute(&mut perm, 0, &mut |seq| {
+        permute(&mut perm, 0, &mut |seq| {
             let pins: Vec<Point> =
                 (0..4).map(|i| Point::new(i as f64, seq[i] as f64)).collect();
             let exact = crate::SteinerTree::build(&pins).wirelength();
@@ -698,13 +695,16 @@ mod tests {
 
     #[test]
     fn powv_sets_are_small_and_nonempty() {
-        let (c4, p4) = prewarm(4);
-        assert!(c4 >= 1 && p4 >= c4);
-        let (c5, p5) = prewarm(5);
-        assert!(c5 > c4 && p5 > p4);
+        // `(classes, POWVs)` up to each degree, cumulative: any change to
+        // table generation shows here. Degree 8 (6121 / 17710) takes ~3 s in
+        // a debug build, so the pins stop at 7.
+        let pinned = [(4, (7, 11)), (5, (30, 54)), (6, (145, 323)), (7, (839, 2155))];
+        for (degree, counts) in pinned {
+            assert_eq!(prewarm(degree), counts, "degree ≤ {degree}");
+        }
         // Dominance pruning keeps the sets tiny (FLUTE reports ~2–3 POWVs on
         // average per class).
-        for map in &registry()[..2] {
+        for map in &registry()[..4] {
             for e in map.read().unwrap().values() {
                 assert!(!e.powvs.is_empty());
                 assert!(e.powvs.len() <= 32, "POWV set exploded: {}", e.powvs.len());

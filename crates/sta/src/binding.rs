@@ -17,9 +17,6 @@ use dtp_netlist::{ClassId, Netlist, PinId};
 /// so one contiguous slice per class beats a `Vec` per pin.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ClassBinding {
-    /// Library cell index in the binding's arc arena, or `None` for port
-    /// pseudo-classes (which have no library view).
-    pub bound: bool,
     /// Input capacitance per class pin (0 for outputs/ports).
     pub pin_cap: Vec<f64>,
     /// Flat delay-arc array: `(index into Binding::arcs, class-pin index of
@@ -76,7 +73,6 @@ impl Binding {
             let n_pins = class.pins().len();
             if class.name().starts_with("__") {
                 classes.push(ClassBinding {
-                    bound: false,
                     pin_cap: vec![0.0; n_pins],
                     delay_arc_data: Vec::new(),
                     delay_arc_offsets: vec![0; n_pins + 1],
@@ -89,7 +85,6 @@ impl Binding {
                 .cell(class.name())
                 .ok_or_else(|| StaError::UnboundClass(class.name().to_owned()))?;
             let mut cb = ClassBinding {
-                bound: true,
                 pin_cap: Vec::with_capacity(n_pins),
                 delay_arc_data: Vec::new(),
                 delay_arc_offsets: Vec::new(),
@@ -150,11 +145,6 @@ impl Binding {
     /// The timing arc at `index` in the arc arena.
     pub(crate) fn arc(&self, index: usize) -> &TimingArc {
         &self.arcs[index]
-    }
-
-    /// Whether `class` has a library binding (false for port pseudo-classes).
-    pub fn class_is_bound(&self, class: ClassId) -> bool {
-        self.classes[class.index()].bound
     }
 }
 

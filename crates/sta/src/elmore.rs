@@ -38,10 +38,8 @@ pub struct ElmoreNet {
     delay: Vec<f64>,
     /// Load-weighted delay (Eq. 7c).
     ldelay: Vec<f64>,
-    /// Second moment accumulator (Eq. 7d).
-    beta: Vec<f64>,
     /// Raw `2·Beta − Delay²` before clamping (ps²); negative values are
-    /// clamped to 0 in [`ElmoreNet::impulse_at`] with a dead gradient.
+    /// clamped to 0 in [`ElmoreNet::impulse_sq_at`] with a dead gradient.
     impulse_sq_raw: Vec<f64>,
     /// Wire resistance per micron used by the forward pass.
     r_per_um: f64,
@@ -142,7 +140,6 @@ impl ElmoreNet {
             load,
             delay,
             ldelay,
-            beta,
             impulse_sq_raw,
             r_per_um: r,
             c_per_um: c,
@@ -153,12 +150,6 @@ impl ElmoreNet {
     #[inline]
     pub fn delay_at(&self, node: usize) -> f64 {
         self.delay[node]
-    }
-
-    /// Impulse (slew component) at `node`, ps (Eq. 7e), clamped at 0.
-    #[inline]
-    pub fn impulse_at(&self, node: usize) -> f64 {
-        self.impulse_sq_raw[node].max(0.0).sqrt()
     }
 
     /// Squared impulse at `node` (clamped at 0).
@@ -177,13 +168,6 @@ impl ElmoreNet {
     #[inline]
     pub fn load_at(&self, node: usize) -> f64 {
         self.load[node]
-    }
-
-    /// Second-moment accumulator at `node` (Eq. 7d) — exposed for tests and
-    /// diagnostics of the slew model.
-    #[inline]
-    pub fn beta_at(&self, node: usize) -> f64 {
-        self.beta[node]
     }
 
     /// Runs the backward passes (Eq. 8, lower half of Fig. 5) and the chain
@@ -793,7 +777,8 @@ mod tests {
                 (&arena.load, &reference.load),
                 (&arena.delay, &reference.delay),
                 (&arena.ldelay, &reference.ldelay),
-                (&arena.beta, &reference.beta),
+                // `2·Beta − Delay²`: the arena's Beta pass, through the one
+                // value the reference keeps of it.
                 (&arena.impulse_sq, &reference.impulse_sq_raw),
             ];
             for (got, want) in pairs {

@@ -315,15 +315,6 @@ impl Analysis {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Total negative hold slack over endpoints.
-    pub fn tns_hold(&self) -> f64 {
-        self.endpoints
-            .iter()
-            .map(|&p| self.hold_slack[p.index()].min(0.0))
-            .filter(|s| s.is_finite())
-            .sum()
-    }
-
     /// Smoothed TNS (`Σ smooth_min(0, slack)`) at smoothing `gamma`.
     pub fn tns_smooth(&self, gamma: f64) -> f64 {
         self.endpoints

@@ -1,69 +1,18 @@
-//! Tolerance-aware trace comparison: golden-diff forensics.
+//! Exact trace comparison: golden-diff forensics.
 //!
 //! [`diff`] walks two parsed traces record-by-record and reports every
 //! class of disagreement, most importantly the **first diverging iteration
 //! and field** — the forensic anchor for "when did run B stop tracking
-//! run A". Counters and structural fields are always compared exactly;
-//! the floating-point convergence metrics go through [`Tolerances`] so the
-//! same machinery serves both the zero-tolerance CI determinism gate and
-//! loose cross-version drift checks.
+//! run A". Every field is compared exactly: counters and structural fields
+//! by value, the floating-point convergence metrics bit for bit up to NaN ==
+//! NaN (a sample the iteration did not take is NaN in both traces).
 
 use crate::Trace;
 use dtp_obs::{Counter, TraceHeader, TraceIter};
 
-/// Per-metric absolute/relative tolerances for [`diff`].
-///
-/// A pair of values `a`, `b` for field `f` matches when both are NaN, or
-/// `|a - b| <= abs(f) + rel(f) * max(|a|, |b|)`. Fields without an entry in
-/// `per_field` fall back to `default_abs`/`default_rel`.
-#[derive(Clone, Debug)]
-pub struct Tolerances {
-    /// Fallback absolute tolerance for fields without a per-field entry.
-    pub default_abs: f64,
-    /// Fallback relative tolerance for fields without a per-field entry.
-    pub default_rel: f64,
-    /// `(field, abs, rel)` overrides; field names match the JSON keys of
-    /// the iter record (`wl`, `hpwl`, `overflow`, `lambda`, `step`, `wns`,
-    /// `tns`).
-    pub per_field: Vec<(String, f64, f64)>,
-}
-
-impl Tolerances {
-    /// Exact comparison: every metric must match bit-for-bit (NaN == NaN).
-    /// This is what the CI determinism gate and `dtp trace replay` use.
-    pub fn zero() -> Tolerances {
-        Tolerances { default_abs: 0.0, default_rel: 0.0, per_field: Vec::new() }
-    }
-
-    /// The `(abs, rel)` pair in effect for `field`.
-    pub fn for_field(&self, field: &str) -> (f64, f64) {
-        for (name, abs, rel) in &self.per_field {
-            if name == field {
-                return (*abs, *rel);
-            }
-        }
-        (self.default_abs, self.default_rel)
-    }
-
-    fn matches(&self, field: &str, a: f64, b: f64) -> bool {
-        if a.is_nan() && b.is_nan() {
-            return true;
-        }
-        if a.is_nan() || b.is_nan() {
-            return false;
-        }
-        if a == b {
-            return true; // covers ±inf == ±inf
-        }
-        let (abs, rel) = self.for_field(field);
-        (a - b).abs() <= abs + rel * a.abs().max(b.abs())
-    }
-}
-
-impl Default for Tolerances {
-    fn default() -> Tolerances {
-        Tolerances::zero()
-    }
+/// Whether two metric samples agree: equal, or both NaN.
+fn same(a: f64, b: f64) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
 }
 
 /// The first record-level disagreement [`diff`] found.
@@ -232,12 +181,11 @@ fn render(v: &dtp_obs::json::Value) -> String {
     s
 }
 
-struct IterCmp<'t> {
-    tol: &'t Tolerances,
+struct IterCmp {
     report: DiffReport,
 }
 
-impl IterCmp<'_> {
+impl IterCmp {
     fn record(&mut self, index: usize, a: &TraceIter, field: &str, va: String, vb: String) {
         self.report.mismatched_values += 1;
         if self.report.first_divergence.is_none() {
@@ -252,7 +200,7 @@ impl IterCmp<'_> {
     }
 
     fn metric(&mut self, index: usize, a: &TraceIter, field: &str, va: f64, vb: f64) {
-        if !self.tol.matches(field, va, vb) {
+        if !same(va, vb) {
             self.record(index, a, field, fmt_val(va), fmt_val(vb));
         }
     }
@@ -271,7 +219,7 @@ impl IterCmp<'_> {
         self.metric(index, a, "step", a.step, b.step);
         self.metric(index, a, "wns", a.wns, b.wns);
         self.metric(index, a, "tns", a.tns, b.tns);
-        // Counters are discrete event counts: always exact, no tolerance.
+        // Counters are discrete event counts.
         for c in Counter::ALL {
             let (ca, cb) = (a.counters[c.index()], b.counters[c.index()]);
             if ca != cb {
@@ -282,13 +230,13 @@ impl IterCmp<'_> {
     }
 }
 
-/// Compares two traces under `tol`. Headers are compared semantically
+/// Compares two traces exactly. Headers are compared semantically
 /// (environment fields demoted to notes), then iter records pairwise in
 /// stream order; span records carry wall-clock noise and are never
 /// compared. A length mismatch past the shared prefix is itself a
 /// divergence.
-pub fn diff(a: &Trace, b: &Trace, tol: &Tolerances) -> DiffReport {
-    let mut cmp = IterCmp { tol, report: DiffReport::default() };
+pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
+    let mut cmp = IterCmp { report: DiffReport::default() };
     header_diffs(&a.header, &b.header, &mut cmp.report);
     let shared = a.iters.len().min(b.iters.len());
     cmp.report.compared_iters = shared;
@@ -319,7 +267,7 @@ mod tests {
     #[test]
     fn self_diff_is_clean_at_zero_tolerance() {
         let t = sample_trace(6);
-        let r = diff(&t, &t, &Tolerances::zero());
+        let r = diff(&t, &t);
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.compared_iters, 6);
         assert!(r.render().contains("traces agree"));
@@ -334,7 +282,7 @@ mod tests {
         b.header.source = None;
         b.header.config[1].1 = dtp_obs::json::Value::Num(16.0);
         b.spans[0].phase_ns[0] = 42; // wall clock never compared
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.notes.len(), 4);
     }
@@ -345,20 +293,15 @@ mod tests {
         let mut b = a.clone();
         b.iters[3].overflow += 1e-9;
         b.iters[4].wl += 1.0;
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         let d = r.first_divergence.expect("divergence detected");
         assert_eq!((d.index, d.iter, d.field.as_str()), (3, 3, "overflow"));
         assert_eq!(r.mismatched_values, 2);
-        // A loose tolerance forgives the tiny overflow delta but not the
-        // 1.0 wirelength jump.
-        let loose = Tolerances {
-            default_abs: 1e-6,
-            default_rel: 0.0,
-            per_field: vec![("wl".to_string(), 0.5, 0.0)],
-        };
-        let r = diff(&a, &b, &loose);
-        let d = r.first_divergence.expect("wl still diverges");
-        assert_eq!((d.index, d.field.as_str()), (4, "wl"));
+        // A counter is a field like any other.
+        let mut c = a.clone();
+        c.iters[2].counters[dtp_obs::Counter::StaFull.index()] = 9;
+        let d = diff(&a, &c).first_divergence.expect("counter divergence detected");
+        assert_eq!((d.index, d.field.as_str()), (2, "counters.sta_full"));
     }
 
     #[test]
@@ -366,22 +309,11 @@ mod tests {
         let a = sample_trace(2);
         let mut b = a.clone();
         assert!(a.iters[1].hpwl.is_nan() && b.iters[1].hpwl.is_nan());
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         assert!(r.is_clean());
         b.iters[1].hpwl = 123.0;
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         assert_eq!(r.first_divergence.unwrap().field, "hpwl");
-    }
-
-    #[test]
-    fn counters_are_exact_even_under_loose_tolerance() {
-        let a = sample_trace(3);
-        let mut b = a.clone();
-        b.iters[2].counters[dtp_obs::Counter::StaFull.index()] = 9;
-        let loose =
-            Tolerances { default_abs: 1e9, default_rel: 1.0, per_field: Vec::new() };
-        let r = diff(&a, &b, &loose);
-        assert_eq!(r.first_divergence.unwrap().field, "counters.sta_full");
     }
 
     #[test]
@@ -389,7 +321,7 @@ mod tests {
         let a = sample_trace(4);
         let mut b = a.clone();
         b.iters.pop();
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         let d = r.first_divergence.unwrap();
         assert_eq!((d.index, d.field.as_str()), (3, "record count"));
         assert_eq!((d.a.as_str(), d.b.as_str()), ("4", "3"));
@@ -401,7 +333,7 @@ mod tests {
         let mut b = a.clone();
         b.header.seed = 8;
         b.header.mode_config[0].1 = dtp_obs::json::Value::Num(80.0);
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         assert!(!r.is_clean());
         assert_eq!(r.header_diffs.len(), 2);
         assert!(r.render().contains("header: seed"));

@@ -7,10 +7,9 @@
 //!
 //! * [`Trace::parse`] — strict, line-numbered parsing of a whole stream
 //!   into a typed [`Trace`] (the `dtp trace validate` backend).
-//! * [`diff`] — field-by-field comparison of two traces under per-metric
-//!   absolute/relative [`Tolerances`], reporting the **first diverging
-//!   iteration and field** (the `dtp trace diff` backend; its clean/dirty
-//!   verdict drives the CI determinism gate).
+//! * [`diff`] — exact field-by-field comparison of two traces (NaN == NaN),
+//!   reporting the **first diverging iteration and field** (the `dtp trace
+//!   diff` backend; its clean/dirty verdict drives the CI determinism gate).
 //! * [`Trace::canonical_bytes`] — the byte-exact determinism fingerprint:
 //!   the header (with execution-environment fields normalized away) plus
 //!   every deterministic `iter` record, excluding the wall-clock `span`
@@ -27,7 +26,7 @@
 mod diff;
 mod report;
 
-pub use diff::{diff, DiffReport, Divergence, Tolerances};
+pub use diff::{diff, DiffReport, Divergence};
 pub use report::report;
 
 use dtp_obs::json::Value;

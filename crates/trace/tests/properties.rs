@@ -1,11 +1,11 @@
 //! Property tests for the diff engine: for arbitrary traces — including
-//! NaN/±inf QoR samples — a zero-tolerance self-diff must be clean, the
+//! NaN/±inf QoR samples — an exact self-diff must be clean, the
 //! text round trip through `Trace::parse` must preserve the diff verdict,
 //! and canonical bytes must be invariant under environment perturbation.
 
 use dtp_obs::json::Value;
 use dtp_obs::{Counter, Phase, TraceHeader, TraceIter, TraceSpan, TRACE_SCHEMA};
-use dtp_trace::{diff, Tolerances, Trace};
+use dtp_trace::{diff, Trace};
 use proptest::prelude::*;
 
 /// Maps a raw u64 onto an "interesting" f64. Only NaN and finite values:
@@ -83,7 +83,7 @@ proptest! {
         let t = build_trace(seed, &iters);
         // Reflexive: a trace always matches itself exactly, even with
         // NaN/±inf telemetry.
-        let r = diff(&t, &t, &Tolerances::zero());
+        let r = diff(&t, &t);
         prop_assert!(r.is_clean(), "self-diff dirty: {}", r.render());
         prop_assert_eq!(r.compared_iters, iters.len());
         prop_assert_eq!(r.mismatched_values, 0);
@@ -94,7 +94,7 @@ proptest! {
             Ok(b) => b,
             Err(e) => return Err(TestCaseError::Fail(format!("parse failed: {e}"))),
         };
-        let r = diff(&t, &back, &Tolerances::zero());
+        let r = diff(&t, &back);
         prop_assert!(r.is_clean(), "round-trip diff dirty: {}", r.render());
         prop_assert_eq!(back.to_bytes(), t.to_bytes());
 
@@ -109,7 +109,7 @@ proptest! {
             sp.phase_ns[0] = sp.phase_ns[0].wrapping_add(seed | 1);
         }
         prop_assert_eq!(env.canonical_bytes(), t.canonical_bytes());
-        let r = diff(&t, &env, &Tolerances::zero());
+        let r = diff(&t, &env);
         prop_assert!(r.is_clean(), "environment perturbation dirty: {}", r.render());
     }
 
@@ -132,7 +132,7 @@ proptest! {
         let new = if old.is_finite() { old + bump as f64 } else { bump as f64 };
         b.iters[idx].wl = new;
         prop_assume!(old.to_bits() != new.to_bits());
-        let r = diff(&a, &b, &Tolerances::zero());
+        let r = diff(&a, &b);
         let d = r.first_divergence.expect("perturbation must be detected");
         prop_assert_eq!(d.index, idx);
         prop_assert_eq!(d.field.as_str(), "wl");
