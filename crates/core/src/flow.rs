@@ -24,8 +24,9 @@
 //! wirelength-only mode at default knobs — never builds one. Each timing
 //! iteration then runs one full, scratch-backed analysis — in global
 //! placement every movable cell moves every iteration, so there is no sparse
-//! dirty set for an incremental analysis to exploit. The exact RUDY map is
-//! maintained incrementally from the same geometry/topology-dirty net lists.
+//! dirty set for an incremental analysis to exploit. For the same reason the
+//! exact RUDY map is built from scratch, and only on the iterations whose
+//! feedback reads it.
 //!
 //! Every mode drives one [`GradientCore`] (WA wirelength + density +
 //! Nesterov step); the modes differ in what they add around it.
@@ -238,7 +239,7 @@ struct LoopForest {
     net_budget: Vec<f64>,
     /// This-iteration max displacement per net (sparse; reset via `touched`).
     net_disp: Vec<f64>,
-    /// The last sync's classification; the RUDY map consumes the same lists.
+    /// The last sync's classification.
     geo_nets: Vec<NetId>,
     topo_nets: Vec<NetId>,
     touched: Vec<usize>,
@@ -640,7 +641,9 @@ const ROUTE_UPDATE_PERIOD: usize = 20;
 
 /// Runtime state of the congestion-aware subsystem (`route_aware = true`).
 struct RouteState {
-    /// Exact incremental RUDY map — reporting and feedback.
+    /// Exact RUDY map, built from scratch on each feedback iteration (the
+    /// only in-loop reader) and once more, on the final forest, for the
+    /// congestion summary.
     map: RudyMap,
     /// Differentiable smoothed-overflow penalty — the gradient term.
     penalty: CongestionPenalty,
@@ -655,7 +658,8 @@ struct RouteState {
     inflation: Vec<f64>,
     /// Latched once density overflow first drops under
     /// [`ROUTE_START_OVERFLOW`]; counts active iterations for the feedback
-    /// cadence (the map is built on the first and updated on the others).
+    /// cadence (the map is built and read on the first and on every
+    /// [`ROUTE_UPDATE_PERIOD`]-th after it, and left alone on the others).
     iters_active: usize,
     active: bool,
     /// Whether any boost differs from 1 (skips the weight merge if not).
@@ -898,33 +902,29 @@ fn run_flow_inner(
             None
         };
 
-        // Route layer, one two-task region: the exact RUDY map (full build on
-        // activation, then incremental updates from the geometry/topology-
-        // dirty net lists of the forest sync, plus a cell-position scan for
-        // the pin-density term) and the smoothed penalty's gradient. Both
-        // only read the forest and the positions and write state of their
-        // own, so whichever thread runs which leaves the same bits; the
-        // gradient is merged into the objective further down, once there is
-        // a wirelength + density gradient to scale it against.
+        // Route layer. Every active iteration evaluates the smoothed
+        // penalty's gradient; the exact RUDY map is read only by the
+        // feedback below, once every `ROUTE_UPDATE_PERIOD` active iterations,
+        // so it is built from scratch on exactly those iterations, beside the
+        // gradient in one two-task region. Both only read the forest and the
+        // positions and write state of their own, so whichever thread runs
+        // which leaves the same bits; the gradient is merged into the
+        // objective further down, once there is a wirelength + density
+        // gradient to scale it against.
+        let feedback = route
+            .as_ref()
+            .is_some_and(|rs| rs.active && rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
         if let (Some(rs), Some(f)) = (route.as_mut().filter(|rs| rs.active), forest) {
-            let sp = obs.start(Phase::RudyUpdate);
-            let rebuild = rs.iters_active == 0;
             let RouteState { map, penalty, pgx, pgy, .. } = rs;
             let nl = &work.netlist;
-            rayon::join(
-                || {
-                    if rebuild {
-                        map.build(nl, f);
-                    } else {
-                        map.update_nets(f, &loop_forest.geo_nets);
-                        map.update_nets(f, &loop_forest.topo_nets);
-                        map.sync_cells(nl);
-                    }
-                },
-                || penalty.gradient(nl, f, pgx, pgy),
-            );
-            obs.add(if rebuild { Counter::RudyBuilds } else { Counter::RudyIncUpdates }, 1);
-            obs.stop(Phase::RudyUpdate, sp);
+            if feedback {
+                let sp = obs.start(Phase::RudyUpdate);
+                rayon::join(|| map.build(nl, f), || penalty.gradient(nl, f, pgx, pgy));
+                obs.add(Counter::RudyBuilds, 1);
+                obs.stop(Phase::RudyUpdate, sp);
+            } else {
+                obs.time(Phase::CongestionGrad, || penalty.gradient(nl, f, pgx, pgy));
+            }
         }
 
         // Wirelength + density gradient; congested nets carry their boosted
@@ -941,8 +941,8 @@ fn run_flow_inner(
         }
 
         if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
-            // Congestion penalty gradient (evaluated with the map update
-            // above), normalized: its ∞-norm is pinned to `ROUTE_WEIGHT` times the combined
+            // Congestion penalty gradient (evaluated above), normalized: its
+            // ∞-norm is pinned to `ROUTE_WEIGHT` times the combined
             // wirelength+density gradient's, so the pressure tracks the
             // optimizer's scale instead of the raw demand units.
             let sp = obs.start(Phase::CongestionGrad);
@@ -955,12 +955,12 @@ fn run_flow_inner(
             }
             obs.stop(Phase::CongestionGrad, sp);
 
-            // RUDY feedback every `ROUTE_UPDATE_PERIOD` active iterations:
-            // inflate cells in overflowed bins (density-model footprints) and
-            // boost the wirelength weight of nets crossing them; both take
-            // effect from the next iteration's gradients.
-            let sp = obs.start(Phase::RudyUpdate);
-            if rs.iters_active % ROUTE_UPDATE_PERIOD == 0 {
+            // RUDY feedback on the map built above: inflate cells in
+            // overflowed bins (density-model footprints) and boost the
+            // wirelength weight of nets crossing them; both take effect from
+            // the next iteration's gradients.
+            if feedback {
+                let sp = obs.start(Phase::RudyUpdate);
                 inflation_factors(&rs.map, &work.netlist, INFLATION_MAX, &mut rs.inflation);
                 core.density.set_inflation(&rs.inflation);
                 let wl_model = &core.wl_model;
@@ -974,9 +974,9 @@ fn run_flow_inner(
                         rs.boosted = true;
                     }
                 }
+                obs.stop(Phase::RudyUpdate, sp);
             }
             rs.iters_active += 1;
-            obs.stop(Phase::RudyUpdate, sp);
         }
 
         // Timing mechanism, on every iteration once active.

@@ -249,8 +249,26 @@ fn the_fft_backend_gauge_follows_the_grid_shape() {
     }
 }
 
+/// The route layer builds its exact map only where the feedback reads it:
+/// on the first active iteration and every `ROUTE_UPDATE_PERIOD` (20, a
+/// `flow.rs` constant) after it, plus once for the final summary. A map
+/// maintained on the iterations in between would show as many more builds.
 #[test]
-fn counters_are_exactly_the_nine_survivors() {
+fn a_route_aware_flow_builds_the_map_only_for_its_feedback() {
+    const ROUTE_UPDATE_PERIOD: u64 = 20;
+    let config = FlowConfig { route_aware: true, route_capacity: 3.0, ..base_config() };
+    let (obs, r) = observed(FlowMode::differentiable(), &config);
+    let builds = obs.registry().get(Counter::RudyBuilds);
+    let most = r.iterations as u64 / ROUTE_UPDATE_PERIOD + 2;
+    assert!(
+        (2..=most).contains(&builds),
+        "{builds} map builds in {} iterations: want 2..={most}",
+        r.iterations
+    );
+}
+
+#[test]
+fn counters_are_exactly_the_eight_survivors() {
     let names: Vec<&str> = dtp_obs::Counter::ALL.iter().map(|c| c.name()).collect();
     assert_eq!(
         names,
@@ -262,7 +280,6 @@ fn counters_are_exactly_the_nine_survivors() {
             "forest_builds",
             "forest_syncs",
             "rudy_builds",
-            "rudy_inc_updates",
             "trace_analyses",
         ]
     );

@@ -123,7 +123,7 @@ fn wirelength_mode_supports_route_awareness() {
 
 /// The two recorded runs: differentiable timing with the congestion term
 /// live, and the wirelength flow. The capacities leave the grid partly
-/// overflowed (31 % / 78 % of the bins at the end), so inflation factors and
+/// overflowed (28 % / 79 % of the bins at the end), so inflation factors and
 /// net boosts take the exact map's values instead of saturating at their
 /// caps and every bit of the map steers the trajectory.
 fn route_aware_runs(threads: usize) -> [FlowResult; 2] {
@@ -149,19 +149,24 @@ fn route_aware_runs(threads: usize) -> [FlowResult; 2] {
     ]
 }
 
-/// `fingerprint` of the two runs above as recorded at commit fb65459 — the
-/// last one whose route layer cached per-net stamp lists — before the arena
-/// rewrite touched any code.
+/// `fingerprint` of the two runs above, re-recorded on the change that
+/// follows commit 5dcb86c. Until that commit the flow kept the exact map up
+/// to date on every active iteration by incremental take-back-and-restamp
+/// passes; since, it builds the map from scratch on the feedback iterations
+/// only. The map a feedback reads is the same RUDY of the same forest, but
+/// its bin sums are added in build order instead of after k incremental
+/// add/subtract passes, so they differ in the last bits, and every bit of
+/// the map steers the trajectory through the inflation and the net boosts.
 const PARENT_ROUTE_AWARE: [[u64; 11]; 2] = [
     [
-        0x0000000000000012, 0x5237fc46bc64f5c0, 0x12d1c173c4e10c48, 0xd513366f9bc0a048,
-        0x283fe46c51e5e010, 0x99216d841203a8b0, 0x87b66fa357bebecf, 0x8250af1d975c232c,
-        0x3ff70eb45073078d, 0x3fa42ea66818ff63, 0x3fd3f00000000000,
+        0x0000000000000012, 0x5b283b571261b2e6, 0x6701fb5e38bd1a80, 0x74983ab345077aee,
+        0xb031f47a993449aa, 0x718dd1f772be32d0, 0xb9cf7a706cb1d718, 0x9df545a4776ded43,
+        0x3ffa33582f264731, 0x3fa77dae5a2e1b47, 0x3fd2300000000000,
     ],
     [
-        0x0000000000000006, 0x08a0eeb71f1aa1d4, 0x12d1d5d933ee3870, 0x7b36c6ed15a852e5,
-        0x863eaf387977be1f, 0x849d3a35ea8beb90, 0x1d821c0b773b281a, 0x9d6f145f1362d39d,
-        0x4003ef61494ab814, 0x3fd72e972a9716e8, 0x3fe8f80000000000,
+        0x0000000000000006, 0x08a0ec38e9d96b2c, 0x12d178e84bf47fd8, 0x7b336ca761b2c9b1,
+        0x86319aa921ae140f, 0x1c0dc69bf05eca39, 0x3c7079c483ebbbbd, 0x9da23fefed599a88,
+        0x400479e8bfb231e9, 0x3fd6dd3cd5a7399c, 0x3fe9500000000000,
     ],
 ];
 

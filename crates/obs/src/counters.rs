@@ -23,17 +23,16 @@ pub enum Counter {
     ForestBuilds,
     /// Incremental forest synchronizations (dirty-set sweeps).
     ForestSyncs,
-    /// Full RUDY congestion-map builds.
+    /// Full RUDY congestion-map builds: one per route feedback iteration,
+    /// plus the final summary map.
     RudyBuilds,
-    /// Incremental RUDY net updates (dirty-set batches applied).
-    RudyIncUpdates,
     /// Exact STA runs performed only to feed the trace.
     TraceAnalyses,
 }
 
 impl Counter {
     /// Number of counters (length of every per-counter array).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -44,7 +43,6 @@ impl Counter {
         Counter::ForestBuilds,
         Counter::ForestSyncs,
         Counter::RudyBuilds,
-        Counter::RudyIncUpdates,
         Counter::TraceAnalyses,
     ];
 
@@ -64,7 +62,6 @@ impl Counter {
             Counter::ForestBuilds => "forest_builds",
             Counter::ForestSyncs => "forest_syncs",
             Counter::RudyBuilds => "rudy_builds",
-            Counter::RudyIncUpdates => "rudy_inc_updates",
             Counter::TraceAnalyses => "trace_analyses",
         }
     }

@@ -19,13 +19,13 @@ pub enum Phase {
     WirelengthGrad = 0,
     /// Electrostatic density evaluation + gradient accumulation.
     DensityGrad,
-    /// Scaling and merging the smoothed congestion-penalty gradient into the
-    /// objective (route-aware flows; the gradient itself is evaluated under
-    /// [`Phase::RudyUpdate`]).
+    /// The smoothed congestion penalty (route-aware flows): its gradient on
+    /// every active iteration without a map build, and on every active
+    /// iteration its scaling and merge into the objective.
     CongestionGrad,
-    /// The route layer's per-iteration region — RUDY congestion-map builds
-    /// and incremental updates, and beside them the congestion penalty's
-    /// gradient — plus the map's feedback reads and final build.
+    /// The exact RUDY congestion map: the two-task region that builds it
+    /// beside the penalty gradient on a route feedback iteration, the
+    /// feedback's reads of it, and the final summary build.
     RudyUpdate,
     /// Full Steiner-forest builds.
     SteinerBuild,

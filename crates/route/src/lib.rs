@@ -14,7 +14,8 @@
 //!   is recomputed and taken back and its new geometry stamped in time
 //!   proportional to the bins it covers — the congestion analogue of the
 //!   dirty-set incremental timing pipeline: 1/30 of a build after a sparse
-//!   move, 1.6 builds when every net moved (the global-placement loop).
+//!   move, 1.6 builds when every net moved (a global-placement iteration,
+//!   which is why the flow rebuilds it instead, and only when it reads it).
 //!   Used for reporting and for the feedback loop (inflation, net
 //!   weighting).
 //! - [`CongestionPenalty`] — a *differentiable* smoothed-overflow penalty:

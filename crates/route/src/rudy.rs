@@ -19,10 +19,12 @@
 //! Two cost regimes (the last hand-timed figures are in EXPERIMENTS.md; the
 //! benchmark's `route.rudy_build_ns_pin` / `route.rudy_update1_ns_net`
 //! probes time both ends today): a sparse move (1 % of the cells) re-stamps
-//! only the records of its dirty nets and cost 1/30 of a build; inside the
-//! global-placement loop every net is dirty in every iteration, and an
-//! update cost 1.6 builds (one pass to take the old demand back, one to
-//! derive and stamp the new).
+//! only the records of its dirty nets and cost 1/30 of a build, while a
+//! move of every net — each global-placement iteration — costs 1.6 builds
+//! (one pass to take the old demand back, one to derive and stamp the new).
+//! The placement flow therefore only ever calls [`RudyMap::build`], on the
+//! iterations whose feedback reads the map; the incremental path serves
+//! sparse moves, the benchmark's update probe and the `cfg(test)` oracle.
 
 use crate::grid::{CongestionSummary, RouteGrid, StampRec};
 use crate::DEFAULT_PIN_WEIGHT;
@@ -412,6 +414,46 @@ mod tests {
                 fresh.v_demand()[b]
             );
         }
+    }
+
+    /// The flow keeps one map and rebuilds it on every feedback iteration,
+    /// so `build` must reset every record a previous build or update left:
+    /// a map built over forest A, updated, and built again over forest B
+    /// (moved cells, re-embedded and re-topologized nets) reads exactly what
+    /// a fresh map built over B reads.
+    #[test]
+    fn a_rebuilt_map_equals_a_fresh_one_bit_for_bit() {
+        let (mut d, mut forest) = setup(250, "rudy_rebuild");
+        let mut map = RudyMap::new(&d, 24, 24, 0.5);
+        map.build(&d.netlist, &forest);
+
+        let mut scratch = dtp_rsmt::ForestScratch::new();
+        for (k, c) in d.netlist.movable_cells().collect::<Vec<_>>().into_iter().enumerate() {
+            let p = d.netlist.cell(c).pos();
+            let dx = [4.0, -9.0, 0.0, 17.0][k % 4];
+            d.netlist.set_cell_pos(c, Point::new(p.x + dx, p.y - 0.5 * dx));
+        }
+        let nets: Vec<NetId> = d.netlist.net_ids().collect();
+        let (geo, topo): (Vec<NetId>, Vec<NetId>) =
+            nets.iter().partition(|n| n.index() % 3 != 0);
+        forest.update_nets_into(&d.netlist, &geo, &mut scratch);
+        map.update_nets(&forest, &geo);
+        forest.rebuild_nets_into(&d.netlist, &topo, &mut scratch);
+        map.build(&d.netlist, &forest);
+
+        let mut fresh = RudyMap::new(&d, 24, 24, 0.5);
+        fresh.build(&d.netlist, &forest);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(map.h_demand()), bits(fresh.h_demand()), "h demand");
+        assert_eq!(bits(map.v_demand()), bits(fresh.v_demand()), "v demand");
+        for n in nets {
+            assert_eq!(map.net_overflow(n).to_bits(), fresh.net_overflow(n).to_bits(), "{n:?}");
+        }
+        let (a, b) = (map.summary(), fresh.summary());
+        assert!(b.overflowed_frac > 0.0, "the overflow reads compare only zeros");
+        assert_eq!(a.max_overflow.to_bits(), b.max_overflow.to_bits());
+        assert_eq!(a.avg_overflow.to_bits(), b.avg_overflow.to_bits());
+        assert_eq!(a.overflowed_frac.to_bits(), b.overflowed_frac.to_bits());
     }
 
     #[test]
