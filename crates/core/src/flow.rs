@@ -30,12 +30,19 @@
 //!
 //! Every mode drives one [`GradientCore`] (WA wirelength + density +
 //! Nesterov step); the modes differ in what they add around it.
+//!
+//! The objective's terms all read the same positions, and only their sum is
+//! ordered (Eq. 6). So an iteration evaluates the wirelength gradient, then
+//! two independent tasks — the density term with the congestion penalty,
+//! and the timing analysis — and merges the terms afterwards in one fixed
+//! order. On a design of one density chunk the two tasks run side by side
+//! on the pool; every placement is the same whichever thread ran which.
 
 use crate::config::{FlowConfig, FlowMode, TIMING_START_ITER};
 use crate::weighting::NetWeighter;
 use dtp_liberty::Library;
 use dtp_netlist::{Design, NetId, Netlist, NetlistError};
-use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
+use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase, SpanStart};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
     AbacusLegalizer, DensityModel, DensityResult, DensityScratch, NesterovOptimizer,
@@ -43,7 +50,7 @@ use dtp_place::{
 };
 use dtp_route::{inflation_factors, CongestionPenalty, CongestionSummary, RudyMap};
 use dtp_rsmt::{build_forest, build_forest_with, ForestScratch, ForestStats, SteinerForest, TableConfig};
-use dtp_sta::{AnalysisScratch, PositionGradients, StaError, Timer, TimerConfig};
+use dtp_sta::{Analysis, AnalysisScratch, PositionGradients, StaError, Timer, TimerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -448,12 +455,11 @@ impl GradientCore {
     }
 
     /// Starts the iteration's gradient: the WA wirelength gradient (γ
-    /// annealed with overflow, nets optionally weighted) plus λ × the
-    /// density gradient, into `gx`/`gy`; updates `overflow`. Returns the
-    /// smoothed wirelength.
-    fn wl_density(&mut self, weights: Option<&[f64]>, obs: &mut Observer) -> f64 {
+    /// annealed with overflow, nets optionally weighted) into `gx`/`gy`.
+    /// Returns the smoothed wirelength.
+    fn wl_gradient(&mut self, weights: Option<&[f64]>, obs: &mut Observer) -> f64 {
         let wa_gamma = (self.bin_w * (0.1 + 8.0 * self.overflow)).max(1e-3);
-        let wl_value = obs.time(Phase::WirelengthGrad, || {
+        obs.time(Phase::WirelengthGrad, || {
             self.wl_model.wa_gradient_into(
                 &self.vx,
                 &self.vy,
@@ -463,10 +469,19 @@ impl GradientCore {
                 &mut self.gx,
                 &mut self.gy,
             )
-        });
+        })
+    }
 
-        let sp = obs.start(Phase::DensityGrad);
+    /// Evaluates the density term at the look-ahead positions into `dres`.
+    /// Reads nothing the other terms write, so it may run beside them.
+    fn evaluate_density(&mut self) {
         self.density.evaluate_into(&self.vx, &self.vy, &mut self.dscratch, &mut self.dres);
+    }
+
+    /// Merges λ × the evaluated density gradient into `gx`/`gy` (λ
+    /// auto-balanced against the wirelength gradient on iteration 0) and
+    /// updates `overflow`.
+    fn merge_density(&mut self) {
         self.overflow = self.dres.overflow;
         if self.lambda == 0.0 {
             // Auto-balance λ against the wirelength gradient on iteration 0.
@@ -477,8 +492,6 @@ impl GradientCore {
         }
         axpy_into(&mut self.gx, &self.dres.grad_x, self.lambda);
         axpy_into(&mut self.gy, &self.dres.grad_y, self.lambda);
-        obs.stop(Phase::DensityGrad, sp);
-        wl_value
     }
 
     /// Preconditioned Nesterov step along `gx`/`gy`, then λ growth. Returns
@@ -565,31 +578,48 @@ impl TimingMechanism {
         }
     }
 
-    /// One timing iteration: a full, scratch-backed analysis of the current
-    /// placement (`forest` is in sync with it) and the mode's use of it —
-    /// the TNS/WNS gradient merged into `core`'s gradient, or the net
-    /// weights refreshed for the next iterations. Returns the exact
-    /// (WNS, TNS) where the analysis was an exact one, NaNs otherwise.
-    fn run(
+    /// The evaluation half of one timing iteration: a full, scratch-backed
+    /// analysis of the current placement (`forest` is in sync with it) and,
+    /// in the differentiable mode, its TNS/WNS gradient into the
+    /// mechanism's own buffers. Reads nothing the density and congestion
+    /// terms write, so it may run beside them.
+    fn analyze(
         &mut self,
         nl: &Netlist,
         timer: &Timer,
         forest: &SteinerForest,
         scratch: &mut AnalysisScratch,
-        core: &mut GradientCore,
         obs: &mut Observer,
-    ) -> (f64, f64) {
+    ) -> Analysis {
         let analysis = obs.time(Phase::StaForward, || match self.kind {
             TimingKind::Differentiable { .. } => timer.analyze_smoothed_into(nl, forest, scratch),
             // The weighter reads per-pin slacks: forward + RAT sweep.
             TimingKind::NetWeighting(_) => timer.analyze_into(nl, forest, scratch),
         });
         obs.add(Counter::StaFull, 1);
+        if let TimingKind::Differentiable { t1, t2, grads, .. } = &mut self.kind {
+            obs.time(Phase::StaBackward, || {
+                timer.gradients_into(nl, &analysis, forest, *t1, *t2, scratch, grads)
+            });
+        }
+        analysis
+    }
+
+    /// The merge half: the mode's use of `analysis` — the TNS/WNS gradient
+    /// added to `core`'s gradient, or the net weights refreshed for the next
+    /// iterations — after which the analysis goes back to `scratch`. Returns
+    /// the exact (WNS, TNS) where the analysis was an exact one, NaNs
+    /// otherwise.
+    fn apply(
+        &mut self,
+        nl: &Netlist,
+        analysis: Analysis,
+        scratch: &mut AnalysisScratch,
+        core: &mut GradientCore,
+        obs: &mut Observer,
+    ) -> (f64, f64) {
         let traced = match &mut self.kind {
             TimingKind::Differentiable { t1, t2, growth, grads } => {
-                obs.time(Phase::StaBackward, || {
-                    timer.gradients_into(nl, &analysis, forest, *t1, *t2, scratch, grads)
-                });
                 axpy_into(&mut core.gx, &grads.cell_grad_x, 1.0);
                 axpy_into(&mut core.gy, &grads.cell_grad_y, 1.0);
                 *t1 *= *growth;
@@ -604,6 +634,14 @@ impl TimingMechanism {
         scratch.recycle(analysis);
         traced
     }
+}
+
+/// Runs `f`, timed when `on`: a task that runs while the observer is lent
+/// to the task beside it, whose span [`Observer::record`] books afterwards.
+fn busy<R>(on: bool, f: impl FnOnce() -> R) -> (R, Option<u64>) {
+    let sp = if on { SpanStart::now() } else { SpanStart::off() };
+    let r = f();
+    (r, sp.elapsed_ns())
 }
 
 /// Iterations between two forest syncs ahead of the first real consumer —
@@ -874,6 +912,9 @@ fn run_flow_inner(
     obs.stop(Phase::Setup, sp);
 
     let mut iterations = 0usize;
+    // Summed over the regions that ran two evaluation tasks side by side:
+    // the tasks' busy time minus the region's wall time.
+    let mut overlap_ns = 0u64;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         obs.iter_begin();
@@ -902,49 +943,85 @@ fn run_flow_inner(
             None
         };
 
-        // Route layer. Every active iteration evaluates the smoothed
-        // penalty's gradient; the exact RUDY map is read only by the
-        // feedback below, once every `ROUTE_UPDATE_PERIOD` active iterations,
-        // so it is built from scratch on exactly those iterations, beside the
-        // gradient in one two-task region. Both only read the forest and the
-        // positions and write state of their own, so whichever thread runs
-        // which leaves the same bits; the gradient is merged into the
-        // objective further down, once there is a wirelength + density
-        // gradient to scale it against.
-        let feedback = route
-            .as_ref()
-            .is_some_and(|rs| rs.active && rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
-        if let (Some(rs), Some(f)) = (route.as_mut().filter(|rs| rs.active), forest) {
-            let RouteState { map, penalty, pgx, pgy, .. } = rs;
-            let nl = &work.netlist;
-            if feedback {
-                let sp = obs.start(Phase::RudyUpdate);
-                rayon::join(|| map.build(nl, f), || penalty.gradient(nl, f, pgx, pgy));
-                obs.add(Counter::RudyBuilds, 1);
-                obs.stop(Phase::RudyUpdate, sp);
-            } else {
-                obs.time(Phase::CongestionGrad, || penalty.gradient(nl, f, pgx, pgy));
-            }
-        }
-
-        // Wirelength + density gradient; congested nets carry their boosted
-        // weight (merged with the timing mechanism's weights when both are
-        // on).
+        // Wirelength gradient; congested nets carry their boosted weight
+        // (merged with the timing mechanism's weights when both are on).
         let timing_weights = timing.as_ref().and_then(TimingMechanism::weights);
         let weights = match route.as_mut() {
             Some(rs) if rs.boosted => Some(rs.boosted_weights(timing_weights)),
             _ => timing_weights,
         };
-        let wl_value = core.wl_density(weights, obs);
+        let wl_value = core.wl_gradient(weights, obs);
+
+        // The objective's other terms read the same positions and the same
+        // forest and write state of their own, so they are evaluated as two
+        // independent tasks and merged afterwards, in a fixed order. Task A
+        // is the density evaluation and, once the route layer is active, the
+        // smoothed penalty's gradient; the exact RUDY map is read only by the
+        // feedback below, once every `ROUTE_UPDATE_PERIOD` active iterations,
+        // so it is built from scratch on exactly those iterations, beside
+        // the gradient in one two-task region. Task B is the timing analysis
+        // (and the differentiable mode's timing gradient). Task B holds the
+        // observer; task A times itself and is booked after.
+        let feedback = route
+            .as_ref()
+            .is_some_and(|rs| rs.active && rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
+        let nl = &work.netlist;
+        let timed = obs.is_enabled();
+        let live = timing.as_mut().filter(|_| timing_active).zip(forest);
+        // Run side by side only when each task would otherwise leave the
+        // second thread idle: a density model of one cell chunk (whose
+        // sweeps run inline) beside a timing analysis. Above one chunk each
+        // task has regions of its own to share the pool with, and running
+        // them side by side takes that second thread away from both.
+        let side_by_side = live.is_some() && core.density.single_chunk();
+        let congestion = route.as_mut().filter(|rs| rs.active).zip(forest);
+        let task_a = || {
+            let density_ns = busy(timed, || core.evaluate_density()).1;
+            let route_ns = congestion.and_then(|(rs, f)| {
+                let RouteState { map, penalty, pgx, pgy, .. } = rs;
+                busy(timed, || {
+                    if feedback {
+                        rayon::join(|| map.build(nl, f), || penalty.gradient(nl, f, pgx, pgy));
+                    } else {
+                        penalty.gradient(nl, f, pgx, pgy);
+                    }
+                })
+                .1
+            });
+            (density_ns, route_ns)
+        };
+        let task_b = || live.map(|(t, f)| t.analyze(nl, &timer, f, &mut scratch, obs));
+        let ((density_ns, route_ns), analysis) = if side_by_side {
+            let (((a, a_ns), (b, b_ns)), wall_ns) =
+                busy(timed, || rayon::join(|| busy(timed, task_a), || busy(timed, task_b)));
+            if let (Some(a_ns), Some(b_ns), Some(wall_ns)) = (a_ns, b_ns, wall_ns) {
+                overlap_ns += (a_ns + b_ns).saturating_sub(wall_ns);
+            }
+            (a, b)
+        } else {
+            (task_a(), task_b())
+        };
+
+        // The merges, in one fixed order — λ × density, the congestion term
+        // scaled against wirelength + density, then the timing term — so the
+        // sum does not depend on which thread evaluated which term.
+        obs.record(Phase::DensityGrad, density_ns);
+        obs.time(Phase::DensityGrad, || core.merge_density());
         if !(wl_value.is_finite() && core.overflow.is_finite()) {
             return Err(FlowError::Diverged { iter });
         }
 
         if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
-            // Congestion penalty gradient (evaluated above), normalized: its
-            // ∞-norm is pinned to `ROUTE_WEIGHT` times the combined
-            // wirelength+density gradient's, so the pressure tracks the
-            // optimizer's scale instead of the raw demand units.
+            if feedback {
+                obs.record(Phase::RudyUpdate, route_ns);
+                obs.add(Counter::RudyBuilds, 1);
+            } else {
+                obs.record(Phase::CongestionGrad, route_ns);
+            }
+            // Congestion penalty gradient, normalized: its ∞-norm is pinned
+            // to `ROUTE_WEIGHT` times the combined wirelength+density
+            // gradient's, so the pressure tracks the optimizer's scale
+            // instead of the raw demand units.
             let sp = obs.start(Phase::CongestionGrad);
             let base_norm = norm_inf(&core.gx, &core.gy);
             let p_norm = norm_inf(&rs.pgx, &rs.pgy);
@@ -961,7 +1038,7 @@ fn run_flow_inner(
             // the next iteration's gradients.
             if feedback {
                 let sp = obs.start(Phase::RudyUpdate);
-                inflation_factors(&rs.map, &work.netlist, INFLATION_MAX, &mut rs.inflation);
+                inflation_factors(&rs.map, nl, INFLATION_MAX, &mut rs.inflation);
                 core.density.set_inflation(&rs.inflation);
                 let wl_model = &core.wl_model;
                 rs.boost.resize(wl_model.num_nets(), 1.0);
@@ -981,15 +1058,13 @@ fn run_flow_inner(
 
         // Timing mechanism, on every iteration once active.
         let (mut traced_wns, mut traced_tns) = (f64::NAN, f64::NAN);
-        if let (Some(t), Some(f)) = (timing.as_mut().filter(|_| timing_active), forest) {
-            (traced_wns, traced_tns) =
-                t.run(&work.netlist, &timer, f, &mut scratch, &mut core, obs);
+        if let (Some(t), Some(analysis)) = (timing.as_mut(), analysis) {
+            (traced_wns, traced_tns) = t.apply(nl, analysis, &mut scratch, &mut core, obs);
         }
 
         // Trace (exact timing only at the cadence the caller set).
         if let Some(f) = forest.filter(|_| trace_timing && traced_wns.is_nan()) {
-            let analysis =
-                obs.time(Phase::TraceSta, || timer.analyze_into(&work.netlist, f, &mut scratch));
+            let analysis = obs.time(Phase::TraceSta, || timer.analyze_into(nl, f, &mut scratch));
             obs.add(Counter::TraceAnalyses, 1);
             traced_wns = analysis.wns();
             traced_tns = analysis.tns();
@@ -1106,6 +1181,7 @@ fn run_flow_inner(
     obs.gauge(Gauge::PoolWakes, pool.wakes as f64);
     obs.gauge(Gauge::PoolSpinMs, pool.spin_ns as f64 / 1e6);
     obs.gauge(Gauge::PoolThreads, rayon::current_num_threads() as f64);
+    obs.gauge(Gauge::OverlapMs, overlap_ns as f64 / 1e6);
     obs.flush();
     let timing_runtime = obs.sta_seconds() - sta_seconds_at_entry;
 

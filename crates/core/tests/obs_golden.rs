@@ -286,7 +286,7 @@ fn counters_are_exactly_the_eight_survivors() {
 }
 
 #[test]
-fn gauges_are_exactly_these_seventeen_and_the_netlist_stays_under_160_bytes_a_cell() {
+fn gauges_are_exactly_these_eighteen_and_the_netlist_stays_under_160_bytes_a_cell() {
     let names: Vec<&str> = dtp_obs::Gauge::ALL.iter().map(|g| g.name()).collect();
     assert_eq!(
         names,
@@ -304,6 +304,7 @@ fn gauges_are_exactly_these_seventeen_and_the_netlist_stays_under_160_bytes_a_ce
             "pool_wakes",
             "pool_spin_ms",
             "pool_threads",
+            "overlap_ms",
             "legalize_bands",
             "rudy_stamps",
             "netlist_bytes",
@@ -320,6 +321,28 @@ fn gauges_are_exactly_these_seventeen_and_the_netlist_stays_under_160_bytes_a_ce
     assert!(per_cell > 0.0 && per_cell <= 160.0, "{per_cell} netlist bytes per cell");
     // `parse_mb_s` belongs to the CLI's parse phase; an in-memory design has none.
     assert_eq!(obs.registry().gauge(dtp_obs::Gauge::ParseMbS), 0.0);
+}
+
+/// On a design of one density chunk, a timing flow evaluates density beside
+/// its timing analysis: on a two-thread pool the two overlap, on a
+/// one-thread pool they run one after the other and nothing overlaps. A
+/// wirelength flow has no analysis to overlap with.
+#[test]
+fn timing_flows_overlap_their_terms_on_two_threads_and_not_on_one() {
+    use dtp_obs::Gauge;
+    let d = generate(&GeneratorConfig::named("obs-overlap", 800)).expect("generator succeeds");
+    let lib = synthetic_pdk();
+    let overlap_ms = |mode: FlowMode, threads: usize| {
+        let config = FlowConfig { max_iters: 250, threads, ..FlowConfig::default() };
+        let mut obs = Observer::new(true);
+        run_flow_observed(&d, &lib, mode, &config, &mut obs).expect("flow runs");
+        obs.registry().gauge(Gauge::OverlapMs)
+    };
+    for mode in [FlowMode::differentiable(), FlowMode::NetWeighting] {
+        assert!(overlap_ms(mode, 2) > 0.0, "{}: nothing overlapped on two threads", mode.name());
+        assert_eq!(overlap_ms(mode, 1), 0.0, "{}: overlap on one thread", mode.name());
+    }
+    assert_eq!(overlap_ms(FlowMode::Wirelength, 2), 0.0);
 }
 
 /// The pool gauges are this run's traffic, not the pool's lifetime totals:

@@ -109,6 +109,13 @@ pub enum Gauge {
     PoolSpinMs,
     /// Worker-pool width (threads participating in a parallel region).
     PoolThreads,
+    /// Milliseconds two tasks of one iteration ran side by side: for every
+    /// region that ran the density/congestion evaluation beside the timing
+    /// analysis, the two tasks' busy time minus the region's wall time,
+    /// summed over the run. Their phases record busy time, so the phase
+    /// seconds sum to the instrumented wall time plus this. Wall-clock
+    /// dependent, hence a gauge and never in the trace.
+    OverlapMs,
     /// Row bands the legalizer partitioned the core into (1 = serial scan).
     LegalizeBands,
     /// Bins written by the exact RUDY map, taking demand back and stamping
@@ -125,7 +132,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 18;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -142,6 +149,7 @@ impl Gauge {
         Gauge::PoolWakes,
         Gauge::PoolSpinMs,
         Gauge::PoolThreads,
+        Gauge::OverlapMs,
         Gauge::LegalizeBands,
         Gauge::RudyStamps,
         Gauge::NetlistBytes,
@@ -170,6 +178,7 @@ impl Gauge {
             Gauge::PoolWakes => "pool_wakes",
             Gauge::PoolSpinMs => "pool_spin_ms",
             Gauge::PoolThreads => "pool_threads",
+            Gauge::OverlapMs => "overlap_ms",
             Gauge::LegalizeBands => "legalize_bands",
             Gauge::RudyStamps => "rudy_stamps",
             Gauge::NetlistBytes => "netlist_bytes",

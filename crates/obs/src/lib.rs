@@ -168,6 +168,17 @@ impl Observer {
         }
     }
 
+    /// Records one completed span of `phase` that was timed elsewhere — by
+    /// a task that ran on another thread while this observer was lent to
+    /// the task beside it — from its [`SpanStart::elapsed_ns`]; `None` (an
+    /// untimed span) records nothing.
+    #[inline]
+    pub fn record(&mut self, phase: Phase, ns: Option<u64>) {
+        if let Some(ns) = ns {
+            self.spans.add(phase, ns);
+        }
+    }
+
     /// Times `f` as one span of `phase`.
     #[inline]
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {

@@ -17,23 +17,32 @@
 pub enum Phase {
     /// Weighted-average wirelength gradient (incl. the weight merge).
     WirelengthGrad = 0,
-    /// Electrostatic density evaluation + gradient accumulation.
+    /// Electrostatic density evaluation + gradient accumulation. The
+    /// evaluation's span is busy time and may overlap the STA phases' (see
+    /// [`Phase::StaForward`]).
     DensityGrad,
     /// The smoothed congestion penalty (route-aware flows): its gradient on
     /// every active iteration without a map build, and on every active
-    /// iteration its scaling and merge into the objective.
+    /// iteration its scaling and merge into the objective. The gradient's
+    /// span is busy time and may overlap the STA phases'.
     CongestionGrad,
     /// The exact RUDY congestion map: the two-task region that builds it
     /// beside the penalty gradient on a route feedback iteration, the
-    /// feedback's reads of it, and the final summary build.
+    /// feedback's reads of it, and the final summary build. The region's
+    /// span is busy time and may overlap the STA phases'.
     RudyUpdate,
     /// Full Steiner-forest builds.
     SteinerBuild,
     /// Incremental forest maintenance: branch updates + per-net rebuilds.
     SteinerUpdate,
-    /// STA forward sweeps in the loop (smoothed or exact analyses).
+    /// STA forward sweeps in the loop (smoothed or exact analyses). On a
+    /// design whose density cells fit one chunk, the loop's analysis runs
+    /// beside the density and congestion evaluations: its span, like
+    /// theirs, is busy time, the spans may overlap, and the `overlap_ms`
+    /// gauge says by how much.
     StaForward,
-    /// Timing-gradient backward accumulation.
+    /// Timing-gradient backward accumulation: busy time that may overlap the
+    /// density and congestion phases', like [`Phase::StaForward`].
     StaBackward,
     /// Net-weighting updates driven by the exact STA (baseline mode).
     NetWeight,

@@ -229,6 +229,14 @@ impl Report {
             );
         }
         let _ = writeln!(out, "  {:<16} {:>10.4}", "sta (timing)", self.sta_seconds);
+        // Phases that ran side by side both count their busy time: the
+        // overlap is the part of the total that is not wall time.
+        let overlap_ms = self.gauges[Gauge::OverlapMs.index()].1;
+        if overlap_ms > 0.0 && self.total_seconds > 0.0 {
+            let overlap = overlap_ms * 1e-3;
+            let share = 100.0 * overlap / self.total_seconds;
+            let _ = writeln!(out, "  {:<16} {:>10.4} {:>9} {:>6.1}%", "overlapped", overlap, "", share);
+        }
         let mut nonzero: Vec<&(&str, u64)> =
             self.counters.iter().filter(|(_, n)| *n > 0).collect();
         if !nonzero.is_empty() {
@@ -426,5 +434,16 @@ mod tests {
         assert!(table.contains("sta_full"));
         assert!(table.contains("fft_backend"), "nonzero gauge missing:\n{table}");
         assert!(!table.contains("rsmt_class_gen_ms"), "zero gauge listed:\n{table}");
+        assert!(!table.contains("overlapped"), "no overlap to report:\n{table}");
+    }
+
+    #[test]
+    fn phase_table_says_how_much_of_its_total_overlapped() {
+        let mut r = sample_report();
+        // 0.75 ms of the 3 ms of phase time ran beside other phases.
+        r.gauges[Gauge::OverlapMs.index()].1 = 0.75;
+        let table = r.table();
+        let line = table.lines().find(|l| l.contains("overlapped")).expect("footer line");
+        assert!(line.contains("0.0008") && line.contains("25.0%"), "{line}");
     }
 }

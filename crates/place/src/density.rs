@@ -266,6 +266,14 @@ impl DensityModel {
         (self.m, self.n)
     }
 
+    /// True when every cell fits one cell chunk (4 096): the stamp and sampling
+    /// sweeps of an evaluation are then single-task regions that run inline,
+    /// and on a grid of up to 64 × 64 bins so are its transforms — the
+    /// whole evaluation leaves a second pool thread idle.
+    pub fn single_chunk(&self) -> bool {
+        self.cells.len() <= CELL_CHUNK
+    }
+
     /// True when the spectral solve runs on the radix-2 FFT backend.
     pub fn uses_fft(&self) -> bool {
         self.spectral.uses_fft()
@@ -651,6 +659,17 @@ mod tests {
 
     fn energy(model: &DensityModel, xs: &[f64], ys: &[f64]) -> f64 {
         model.energy_into(xs, ys, &mut DensityScratch::new())
+    }
+
+    #[test]
+    fn single_chunk_is_true_up_to_one_cell_chunk() {
+        let (_, mut model) = setup();
+        assert!(model.single_chunk());
+        let cell = model.cells[0];
+        model.cells.resize(CELL_CHUNK, cell);
+        assert!(model.single_chunk());
+        model.cells.push(cell);
+        assert!(!model.single_chunk());
     }
 
     #[test]

@@ -156,10 +156,10 @@ thread_local! {
 /// all route to `pool` instead of the [`global`] pool for the duration.
 ///
 /// Overrides nest (the innermost wins) and are restored on exit, including
-/// when `f` panics. The override is per-thread: jobs running *on* the
-/// override pool's workers see no override, but nested parallel calls from
-/// those workers run inline anyway (the worker flag), so composition with
-/// the kernels' nested regions is unchanged.
+/// when `f` panics. The override is per-thread; a worker runs each job with
+/// the pool it serves as its override, so a parallel call nested inside a
+/// job resolves to that pool (its width, its counters) and runs inline there
+/// (the worker flag) — it never reaches, or starts, the global pool.
 ///
 /// This is what lets the pool-width goldens sweep thread counts in-process
 /// and what `FlowConfig::threads` hangs off: width-invariant kernels produce
@@ -205,6 +205,9 @@ unsafe impl Sync for ErasedFn {}
 /// One parallel region, allocated on the submitting thread's stack.
 struct JobRecord {
     func: ErasedFn,
+    /// The pool the region runs on: a worker executes the job with it as
+    /// its override, so a region nested inside the job resolves to it.
+    pool: *const Pool,
     total: usize,
     /// Next unclaimed index.
     next: AtomicUsize,
@@ -456,6 +459,7 @@ impl Pool {
         });
         let record = JobRecord {
             func,
+            pool: self,
             total,
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
@@ -532,8 +536,12 @@ fn worker_loop(shared: &Shared) {
         let job = shared.job.load(SeqCst);
         if !job.is_null() {
             // SAFETY: non-null and loaded while registered ⇒ its submitter
-            // is still inside `run_dyn`, waiting for `active == 0`.
-            unsafe { &*job }.execute();
+            // is still inside `run_dyn`, waiting for `active == 0`, and holds
+            // the pool it runs on borrowed until then.
+            let (job, pool) = unsafe { (&*job, &*(*job).pool) };
+            // A region the job nests runs inline (the worker flag), on the
+            // counters of the pool this worker serves, not the global one's.
+            with_pool(pool, || job.execute());
         }
         shared.active.fetch_sub(1, SeqCst);
         if shared.submitter_parked.load(SeqCst) {
