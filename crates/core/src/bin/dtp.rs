@@ -246,10 +246,12 @@ fn cmd_place(args: &[String]) -> CliResult {
         }
     }
     // The density field is interpolated between bin centers: an axis needs
-    // at least two of them.
-    if config.bins < 2 {
+    // at least two of them. A value is rounded up to a power of two below,
+    // so it may not exceed the largest one the grid accepts.
+    let max_bins = 1 << dtp_place::GRID_AXIS_BINS.end().ilog2();
+    if !(2..=max_bins).contains(&config.bins) {
         return Err(
-            format!("option `--bins` needs a value of at least 2, got {}", config.bins).into()
+            format!("option `--bins` needs a value in 2..={max_bins}, got {}", config.bins).into()
         );
     }
     // The FFT Poisson backend needs a power-of-two grid; round a custom

@@ -1159,6 +1159,7 @@ fn run_flow_inner(
         obs.add(Counter::RudyBuilds, 1);
         (map.summary(), map.stamps_written())
     };
+    let hpwl = wl_model.hpwl(&lx, &ly);
 
     // End-of-run gauges: backend selections and pool state. Cheap enough to
     // record unconditionally (the registry writes are gated inside `gauge`).
@@ -1188,7 +1189,7 @@ fn run_flow_inner(
     Ok(FlowResult {
         mode: mode.label(),
         design: design.name.clone(),
-        hpwl: wl_model.hpwl(&lx, &ly),
+        hpwl,
         wns,
         tns,
         wns_hold,

@@ -11,7 +11,7 @@ use dtp_core::{run_flow, run_flow_observed, FlowConfig, FlowMode, FlowResult, Ob
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::bookshelf;
-use dtp_obs::{json, Counter, Phase};
+use dtp_obs::{json, trace, Counter, Phase, TraceIter, TraceRecord};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
@@ -72,6 +72,24 @@ impl Write for SharedBuf {
     }
 }
 
+/// Attaches an in-memory JSONL sink to `obs` and returns its buffer.
+fn attach_sink(obs: &mut Observer) -> Arc<Mutex<Vec<u8>>> {
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+    buf
+}
+
+/// The `iter` records streamed into `buf`, in order.
+fn iter_records(buf: &Mutex<Vec<u8>>) -> Vec<TraceIter> {
+    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
+    text.lines()
+        .filter_map(|line| match trace::parse_record(line).expect("JSONL line parses") {
+            TraceRecord::Iter(it) => Some(it),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn observe_off_is_bit_for_bit_identical_to_observe_on() {
     let d = design();
@@ -79,6 +97,7 @@ fn observe_off_is_bit_for_bit_identical_to_observe_on() {
     let off = run_flow(&d, &lib, FlowMode::differentiable(), &base_config())
         .expect("unobserved flow runs");
     let mut obs = Observer::new(true);
+    let buf = attach_sink(&mut obs);
     let on = run_flow_observed(&d, &lib, FlowMode::differentiable(), &base_config(), &mut obs)
         .expect("observed flow runs");
     assert_identical(&off, &on);
@@ -89,11 +108,9 @@ fn observe_off_is_bit_for_bit_identical_to_observe_on() {
         on.iterations,
         "iteration counter disagrees with the flow"
     );
-    assert_eq!(
-        obs.ring().total_pushed() as usize,
-        on.iterations,
-        "ring samples disagree with the flow"
-    );
+    let iters = iter_records(&buf);
+    assert_eq!(iters.len(), on.iterations, "one iter record per iteration");
+    assert!(iters.iter().enumerate().all(|(i, it)| it.iter == i as u64));
 }
 
 #[test]
@@ -125,9 +142,8 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     let d = design();
     let lib = synthetic_pdk();
     let cfg = base_config();
-    let buf = Arc::new(Mutex::new(Vec::new()));
     let mut obs = Observer::new(true);
-    obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+    let buf = attach_sink(&mut obs);
     let r = run_flow_observed(&d, &lib, FlowMode::differentiable(), &cfg, &mut obs)
         .expect("flow runs");
     let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
@@ -191,7 +207,10 @@ fn observed(mode: FlowMode, config: &FlowConfig) -> (Observer, FlowResult) {
 fn an_untraced_wirelength_flow_builds_no_loop_forest_and_runs_no_trace_sta() {
     let config = FlowConfig { max_iters: 200, ..FlowConfig::default() };
     assert_eq!(config.trace_timing_every, 0, "the default asks for no exact-timing trace");
-    let (obs, r) = observed(FlowMode::Wirelength, &config);
+    let mut obs = Observer::new(true);
+    let buf = attach_sink(&mut obs);
+    let r = run_flow_observed(&design(), &synthetic_pdk(), FlowMode::Wirelength, &config, &mut obs)
+        .expect("flow runs");
     assert!(r.trace.is_empty());
     assert_eq!(r.rsmt.trees, 0, "no in-loop forest to report on");
     let count = |c| obs.registry().get(c);
@@ -206,7 +225,7 @@ fn an_untraced_wirelength_flow_builds_no_loop_forest_and_runs_no_trace_sta() {
     assert_eq!(calls(Phase::Setup), 1);
     // The observer still gets its convergence forensics: exact HPWL on the
     // loop's sampling period, every tenth iteration.
-    let sampled = obs.ring().iter().filter(|s| s.hpwl.is_finite()).count();
+    let sampled = iter_records(&buf).iter().filter(|it| it.hpwl.is_finite()).count();
     assert_eq!(sampled, r.iterations.div_ceil(10));
 }
 
@@ -418,9 +437,11 @@ fn cli_log_level_warn_leaves_stdout_machine_clean() {
 #[test]
 fn cli_rejects_a_density_grid_it_cannot_sample() {
     // `--bins 0` and `--bins 1` used to abort mid-loop with a `f64::clamp`
-    // panic out of the field sampler; they are malformed flags.
+    // panic out of the field sampler; they are malformed flags. The two
+    // large values were rounded up first, to 65536 (which the grid then
+    // refused) and past `usize::MAX` (a debug-build panic).
     let (dir, prefix) = write_cli_fixture("bins");
-    for bins in ["0", "1"] {
+    for bins in ["0", "1", "40000", "18446744073709551615"] {
         let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
             .args(["place", prefix.to_str().unwrap(), "--mode", "wirelength", "--bins", bins])
             .output()
@@ -428,6 +449,8 @@ fn cli_rejects_a_density_grid_it_cannot_sample() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "--bins {bins}: {stderr}");
         assert!(stderr.contains("--bins"), "--bins {bins}: error does not name the flag: {stderr}");
+        assert!(stderr.contains(bins), "--bins {bins}: error does not name the value: {stderr}");
+        assert!(!stderr.contains("rounding up"), "--bins {bins} was rounded: {stderr}");
         assert!(!stderr.contains("panicked"), "--bins {bins} panicked: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,10 +7,10 @@
 //! the four pieces, all behind one [`Observer`] handle:
 //!
 //! 1. **Span-based phase profiler** — scoped timers over the closed
-//!    [`Phase`] enum accumulate into preallocated slots ([`SpanTable`]) and
-//!    a bounded ring of recent iterations ([`IterRing`]). Recording a span
-//!    is two `Instant` reads and an array add: the observed steady-state
-//!    loop stays zero-allocation (asserted by `tests/zero_alloc.rs`).
+//!    [`Phase`] enum accumulate into preallocated slots ([`SpanTable`]).
+//!    Recording a span is two `Instant` reads and an array add: the observed
+//!    steady-state loop stays zero-allocation (asserted by
+//!    `tests/zero_alloc.rs`).
 //! 2. **Counters/gauges registry** ([`Counter`], [`Gauge`], [`Registry`]) —
 //!    the health signals of the incremental subsystems: dirty-net counts,
 //!    incremental-vs-full STA fallbacks, table-vs-Prim Steiner backends,
@@ -30,7 +30,7 @@
 //! # Inertness contract
 //!
 //! With observability off ([`Observer::disabled`]) every call is a branch on
-//! a `bool` — no ring, no counters, no sinks — **except** the STA phases
+//! a `bool` — no counters, no sinks — **except** the STA phases
 //! ([`Phase::is_sta`]), which keep their `Instant` reads so the flow's
 //! `timing_runtime` stays value-compatible with the legacy hand-timed
 //! accounting (the same handful of clock reads the old code did). Nothing
@@ -56,22 +56,17 @@ pub use sink::{
     write_iter_record, write_span_record, IterEvent, PhaseReport, QorSummary, Report,
     METRICS_SCHEMA, TRACE_SCHEMA,
 };
-pub use span::{IterRing, IterSample, PhaseSlot, SpanStart, SpanTable};
+pub use span::{PhaseSlot, SpanStart, SpanTable};
 pub use trace::{TraceHeader, TraceIter, TraceRecord, TraceSpan};
 
 use std::io::Write;
 
-/// Ring capacity when observability is enabled: enough to hold the recent
-/// window of any realistic run without unbounded growth.
-const RING_CAPACITY: usize = 256;
-
-/// The per-run observability handle: spans + registry + ring + optional
-/// JSONL sink. Create one per flow run.
+/// The per-run observability handle: spans + registry + optional JSONL
+/// sink. Create one per flow run.
 pub struct Observer {
     enabled: bool,
     spans: SpanTable,
     registry: Registry,
-    ring: IterRing,
     /// Span/counter snapshots at `iter_begin`, for per-iteration deltas.
     mark_ns: [u64; Phase::COUNT],
     mark_counters: [u64; Counter::COUNT],
@@ -90,7 +85,6 @@ impl Observer {
             enabled,
             spans: SpanTable::default(),
             registry: Registry::default(),
-            ring: IterRing::new(if enabled { RING_CAPACITY } else { 0 }),
             mark_ns: [0; Phase::COUNT],
             mark_counters: [0; Counter::COUNT],
             in_iter: false,
@@ -100,7 +94,7 @@ impl Observer {
         }
     }
 
-    /// The inert observer: no ring, no counters, no sinks; only the STA
+    /// The inert observer: no counters, no sinks; only the STA
     /// phases keep their clock reads (see the crate docs).
     pub fn disabled() -> Observer {
         Observer::new(false)
@@ -215,8 +209,8 @@ impl Observer {
         self.in_iter = true;
     }
 
-    /// Completes one loop iteration: pushes the sample into the ring and
-    /// streams a JSONL event if a sink is attached. No allocation.
+    /// Completes one loop iteration: streams this iteration's phase and
+    /// counter deltas as JSONL events if a sink is attached. No allocation.
     pub fn iter_end(&mut self, ev: IterEvent) {
         if !self.enabled || !self.in_iter {
             return;
@@ -224,29 +218,15 @@ impl Observer {
         self.in_iter = false;
         let now_ns = self.spans.nanos();
         let now_counters = self.registry.counters();
-        let mut sample = IterSample {
-            iter: ev.iter,
-            wl: ev.wl,
-            hpwl: ev.hpwl,
-            overflow: ev.overflow,
-            wns: ev.wns,
-            tns: ev.tns,
-            ..IterSample::default()
-        };
-        for (i, ns) in now_ns.iter().enumerate() {
-            sample.phase_ns[i] = ns - self.mark_ns[i];
-        }
-        for (i, n) in now_counters.iter().enumerate() {
-            sample.counter_delta[i] = n - self.mark_counters[i];
-        }
-        self.ring.push(sample);
+        let phase_ns: [u64; Phase::COUNT] = std::array::from_fn(|i| now_ns[i] - self.mark_ns[i]);
+        let counter_delta: [u64; Counter::COUNT] =
+            std::array::from_fn(|i| now_counters[i] - self.mark_counters[i]);
         if let Some(w) = self.trace.as_mut() {
             if !self.trace_failed {
                 // Deterministic convergence record first, then the
                 // wall-clock span record (diff/replay skip the latter).
-                let res = write_iter_record(w.as_mut(), &ev, &sample.counter_delta).and_then(
-                    |()| write_span_record(w.as_mut(), ev.iter, &sample.phase_ns),
-                );
+                let res = write_iter_record(w.as_mut(), &ev, &counter_delta)
+                    .and_then(|()| write_span_record(w.as_mut(), ev.iter, &phase_ns));
                 if let Err(e) = res {
                     self.trace_failed = true;
                     crate::warn!("trace sink failed, disabling stream: {e}");
@@ -269,11 +249,6 @@ impl Observer {
     /// The counter/gauge registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The ring of recent iteration samples.
-    pub fn ring(&self) -> &IterRing {
-        &self.ring
     }
 
     /// Snapshots spans/counters/gauges into an end-of-run [`Report`].
@@ -304,7 +279,6 @@ impl std::fmt::Debug for Observer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observer")
             .field("enabled", &self.enabled)
-            .field("ring_len", &self.ring.len())
             .field("has_trace_sink", &self.trace.is_some())
             .finish()
     }
@@ -354,14 +328,13 @@ mod tests {
         });
         assert_eq!(obs.registry().get(Counter::Iterations), 0);
         assert_eq!(obs.registry().gauge(Gauge::FftBackend), 0.0);
-        assert!(obs.ring().is_empty());
         assert_eq!(obs.spans().slot(Phase::WirelengthGrad).calls, 0);
         assert_eq!(obs.spans().slot(Phase::StaForward).calls, 1);
         assert!(obs.sta_seconds() >= 0.0);
     }
 
     #[test]
-    fn iteration_deltas_land_in_ring_and_sink() {
+    fn iteration_deltas_land_in_sink() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let mut obs = Observer::new(true);
         obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
@@ -382,11 +355,6 @@ mod tests {
             });
         }
         obs.flush();
-        assert_eq!(obs.ring().len(), 3);
-        for s in obs.ring().iter() {
-            assert_eq!(s.counter_delta[Counter::GeoDirtyNets.index()], 4);
-            assert!(s.phase_ns[Phase::DensityGrad.index()] > 0);
-        }
         // Totals accumulate across iterations.
         assert_eq!(obs.registry().get(Counter::GeoDirtyNets), 12);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();

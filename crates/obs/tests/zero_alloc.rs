@@ -1,6 +1,6 @@
-//! An observed iteration allocates nothing: spans, counters, the ring sample
-//! and the two JSONL records `iter_end` writes all go to storage sized when
-//! the observer was built.
+//! An observed iteration allocates nothing: spans, counters and the two
+//! JSONL records `iter_end` writes all go to storage sized when the observer
+//! was built.
 //!
 //! One test only: the counter is process-wide, and the harness runs the
 //! tests of a file on parallel threads.

@@ -28,11 +28,7 @@
 //! All transforms are strictly in-place over a caller-provided scratch strip
 //! of `N + 2` floats ([`DctPlan::scratch_len`]) — no allocation per call,
 //! which is what lets `Spectral2D::solve_into` run allocation-free inside
-//! the placement loop. Plans (bit-reversal table + twiddles + phase tables)
-//! are cached per length in a global weak registry, so every solver instance
-//! on a 256-bin axis shares one plan.
-
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+//! the placement loop.
 
 /// True if `k` is a power of two (and at least 1).
 pub fn is_pow2(k: usize) -> bool {
@@ -136,7 +132,13 @@ pub struct DctPlan {
 }
 
 impl DctPlan {
-    fn build(n: usize) -> DctPlan {
+    /// Builds the plan (bit-reversal table, twiddles, phase tables) for
+    /// length `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two.
+    pub fn new(n: usize) -> DctPlan {
         assert!(is_pow2(n), "DctPlan requires a power-of-two length");
         let half = (n >= 2).then(|| FftPlan::new(n / 2));
         let mut ph = Vec::with_capacity(n + 2);
@@ -150,27 +152,6 @@ impl DctPlan {
             unt.push(b.sin());
         }
         DctPlan { n, half, ph, unt }
-    }
-
-    /// Returns the (globally cached) plan for length `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two.
-    pub fn get(n: usize) -> Arc<DctPlan> {
-        type PlanCache = Mutex<Vec<(usize, Weak<DctPlan>)>>;
-        static CACHE: OnceLock<PlanCache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        let mut reg = cache.lock().unwrap();
-        reg.retain(|(_, w)| w.strong_count() > 0);
-        if let Some((_, w)) = reg.iter().find(|(k, _)| *k == n) {
-            if let Some(plan) = w.upgrade() {
-                return plan;
-            }
-        }
-        let plan = Arc::new(DctPlan::build(n));
-        reg.push((n, Arc::downgrade(&plan)));
-        plan
     }
 
     /// Transform length (always ≥ 1; a plan is never empty).
@@ -383,7 +364,7 @@ mod tests {
     #[test]
     fn dct2_matches_naive_all_pow2_lengths() {
         for n in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-            let plan = DctPlan::get(n);
+            let plan = DctPlan::new(n);
             let x = pseudo(n as u64, n);
             let mut out = vec![0.0; n];
             let mut work = vec![0.0; plan.scratch_len()];
@@ -398,7 +379,7 @@ mod tests {
     #[test]
     fn cosine_and_sine_synthesis_match_naive() {
         for n in [1usize, 2, 4, 8, 32, 64] {
-            let plan = DctPlan::get(n);
+            let plan = DctPlan::new(n);
             let t = pseudo(97 + n as u64, n);
             let mut out = vec![0.0; n];
             let mut work = vec![0.0; plan.scratch_len()];
@@ -415,7 +396,7 @@ mod tests {
     #[test]
     fn analysis_synthesis_roundtrip() {
         let n = 256;
-        let plan = DctPlan::get(n);
+        let plan = DctPlan::new(n);
         let x = pseudo(7, n);
         let mut s = vec![0.0; n];
         let mut back = vec![0.0; n];
@@ -434,7 +415,7 @@ mod tests {
     #[test]
     fn strided_input_equals_contiguous_input_bit_for_bit() {
         for n in [1usize, 2, 8, 64] {
-            let plan = DctPlan::get(n);
+            let plan = DctPlan::new(n);
             let x = pseudo(11 + n as u64, n);
             for stride in [2usize, 5] {
                 // Column 1 of an `n × stride` row-major grid.
@@ -454,14 +435,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn plans_are_cached_per_length() {
-        let a = DctPlan::get(64);
-        let b = DctPlan::get(64);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = DctPlan::get(128);
-        assert!(!Arc::ptr_eq(&a, &c));
     }
 }

@@ -47,13 +47,11 @@
 //! wake-up), a 512 × 512 grid is 16 tasks of 32 rows. Rows are transformed
 //! independently, so the chunking cannot change a bit of the result.
 //!
-//! Per-axis resources are shared across solver instances: dense cosine/sine
-//! tables depend only on the axis *bin count* (the physical extent enters
-//! solely through the frequencies `w_u`, stored per instance), so they live
-//! in a global weak cache keyed by length — rebuilding a `DensityModel`
-//! after `set_inflation`, or building several models on the same grid, costs
-//! no basis recomputation. FFT plans are cached the same way in
-//! [`crate::fft::DctPlan::get`].
+//! Per-axis resources (dense cosine/sine tables, FFT plans) depend only on
+//! the axis *bin count* — the physical extent enters solely through the
+//! frequencies `w_u` — so a square grid builds them once and shares them
+//! between x and y. A solver builds them when it is constructed;
+//! `DensityModel::set_inflation` changes charges, never the solver.
 //!
 //! [`Spectral2D::solve_into`] is the allocation-free entry point: all
 //! intermediates live in a caller-owned [`PoissonScratch`] and the outputs
@@ -62,7 +60,7 @@
 
 use crate::fft::{is_pow2, DctPlan};
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 
 /// Work per pool task, in element-operations: a row of an FFT sweep counts
 /// its length, a row of a dense product its length times the axis it sums
@@ -77,7 +75,8 @@ fn rows_per_task(row_work: usize) -> usize {
 }
 
 /// Dense cosine/sine basis tables for one axis length `k`: `cos/sin(πu(i+½)/k)`
-/// at `[i*k + u]`. Extent-independent, hence cacheable by `k` alone.
+/// at `[i*k + u]`. Extent-independent, hence shareable between axes of
+/// equal length.
 #[derive(Debug)]
 struct AxisBases {
     cos: Vec<f64>,
@@ -85,18 +84,8 @@ struct AxisBases {
 }
 
 impl AxisBases {
-    /// Returns the (globally cached) dense tables for axis length `k`.
-    fn get(k: usize) -> Arc<AxisBases> {
-        type BasisCache = Mutex<Vec<(usize, Weak<AxisBases>)>>;
-        static CACHE: OnceLock<BasisCache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        let mut reg = cache.lock().unwrap();
-        reg.retain(|(_, w)| w.strong_count() > 0);
-        if let Some((_, w)) = reg.iter().find(|(len, _)| *len == k) {
-            if let Some(b) = w.upgrade() {
-                return b;
-            }
-        }
+    /// The dense tables for axis length `k`.
+    fn new(k: usize) -> AxisBases {
         let mut cos = vec![0.0; k * k];
         let mut sin = vec![0.0; k * k];
         for i in 0..k {
@@ -107,13 +96,19 @@ impl AxisBases {
                 sin[i * k + u] = ang.sin();
             }
         }
-        let bases = Arc::new(AxisBases { cos, sin });
-        reg.push((k, Arc::downgrade(&bases)));
-        bases
+        AxisBases { cos, sin }
     }
 }
 
-/// Transform backend: shared-cache handles per axis.
+/// The per-axis resources of an `m × n` grid, built by `build`: one shared
+/// instance when the axes are equally long.
+fn per_axis<T>(m: usize, n: usize, build: fn(usize) -> T) -> (Arc<T>, Arc<T>) {
+    let x = Arc::new(build(m));
+    let y = if n == m { Arc::clone(&x) } else { Arc::new(build(n)) };
+    (x, y)
+}
+
+/// Transform backend: per-axis resources.
 #[derive(Clone, Debug)]
 enum Backend {
     /// Dense basis-product reference path.
@@ -222,9 +217,11 @@ impl Spectral2D {
             (0..k).map(|u| std::f64::consts::PI * u as f64 / extent).collect()
         };
         let backend = if allow_fft && m >= 2 && n >= 2 && is_pow2(m) && is_pow2(n) {
-            Backend::Fft { x: DctPlan::get(m), y: DctPlan::get(n) }
+            let (x, y) = per_axis(m, n, DctPlan::new);
+            Backend::Fft { x, y }
         } else {
-            Backend::Dense { x: AxisBases::get(m), y: AxisBases::get(n) }
+            let (x, y) = per_axis(m, n, AxisBases::new);
+            Backend::Dense { x, y }
         };
         Spectral2D { m, n, wu: freqs(m, width), wv: freqs(n, height), backend }
     }
@@ -237,17 +234,6 @@ impl Spectral2D {
     /// True when the radix-2 FFT backend is active.
     pub fn uses_fft(&self) -> bool {
         matches!(self.backend, Backend::Fft { .. })
-    }
-
-    /// Stable identity of the shared per-axis transform resources: equal
-    /// tokens mean the bases/plans are physically shared (used to assert the
-    /// geometry cache prevents basis rebuilds).
-    #[doc(hidden)]
-    pub fn basis_token(&self) -> (usize, usize) {
-        match &self.backend {
-            Backend::Dense { x, y } => (Arc::as_ptr(x) as usize, Arc::as_ptr(y) as usize),
-            Backend::Fft { x, y } => (Arc::as_ptr(x) as usize, Arc::as_ptr(y) as usize),
-        }
     }
 
     /// Strides `(per u, per v)` of the backend's coefficient layout.
@@ -688,16 +674,6 @@ mod tests {
         let mut fresh_psi = Vec::new();
         s.potential_into(&mut fresh_scratch, &mut fresh_psi);
         assert_eq!(psi, fresh_psi);
-    }
-
-    #[test]
-    fn axis_bases_are_shared_across_instances() {
-        let a = Spectral2D::with_fft(12, 12, 1.0, 1.0, false);
-        let b = Spectral2D::with_fft(12, 12, 7.0, 3.0, false);
-        assert_eq!(a.basis_token(), b.basis_token());
-        let c = Spectral2D::new(16, 16, 1.0, 1.0);
-        let d = Spectral2D::new(16, 16, 9.0, 2.0);
-        assert_eq!(c.basis_token(), d.basis_token());
     }
 
     #[test]

@@ -200,30 +200,28 @@ impl WirelengthModel {
     /// so the value is independent of the pool width.
     pub fn hpwl(&self, xs: &[f64], ys: &[f64]) -> f64 {
         let nets = self.num_nets();
-        let partials: Vec<f64> = (0..chunk_count(nets, NET_CHUNK))
-            .into_par_iter()
-            .map(|ci| {
-                let lo = ci * NET_CHUNK;
-                let hi = (lo + NET_CHUNK).min(nets);
-                let mut acc = 0.0;
-                for e in lo..hi {
-                    let mut xmin = f64::INFINITY;
-                    let mut xmax = f64::NEG_INFINITY;
-                    let mut ymin = f64::INFINITY;
-                    let mut ymax = f64::NEG_INFINITY;
-                    for s in self.net_start[e] as usize..self.net_start[e + 1] as usize {
-                        let x = xs[self.pin_cell[s] as usize] + self.pin_dx[s];
-                        let y = ys[self.pin_cell[s] as usize] + self.pin_dy[s];
-                        xmin = xmin.min(x);
-                        xmax = xmax.max(x);
-                        ymin = ymin.min(y);
-                        ymax = ymax.max(y);
-                    }
-                    acc += (xmax - xmin) + (ymax - ymin);
+        let mut partials = vec![0.0; chunk_count(nets, NET_CHUNK)];
+        partials.par_chunks_mut(1).enumerate().for_each(|(ci, p)| {
+            let lo = ci * NET_CHUNK;
+            let hi = (lo + NET_CHUNK).min(nets);
+            let mut acc = 0.0;
+            for e in lo..hi {
+                let mut xmin = f64::INFINITY;
+                let mut xmax = f64::NEG_INFINITY;
+                let mut ymin = f64::INFINITY;
+                let mut ymax = f64::NEG_INFINITY;
+                for s in self.net_start[e] as usize..self.net_start[e + 1] as usize {
+                    let x = xs[self.pin_cell[s] as usize] + self.pin_dx[s];
+                    let y = ys[self.pin_cell[s] as usize] + self.pin_dy[s];
+                    xmin = xmin.min(x);
+                    xmax = xmax.max(x);
+                    ymin = ymin.min(y);
+                    ymax = ymax.max(y);
                 }
-                acc
-            })
-            .collect();
+                acc += (xmax - xmin) + (ymax - ymin);
+            }
+            p[0] = acc;
+        });
         partials.iter().sum()
     }
 

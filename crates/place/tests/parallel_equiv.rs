@@ -5,8 +5,9 @@
 //! worker pool runs the exact serial schedule, which makes "parallel equals
 //! serial" the same statement as "invariant across pool widths". These
 //! properties pin that down over random designs and pools of 1/2/4/8
-//! threads, for the Nesterov + gradient pipeline and for the legalizer
-//! (including multi-band partitions much finer than the auto policy).
+//! threads, for the Nesterov + gradient pipeline, for the exact HPWL and for
+//! the legalizer (including multi-band partitions much finer than the auto
+//! policy).
 
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::Design;
@@ -88,6 +89,25 @@ proptest! {
             prop_assert_eq!(&bx, &tx, "x differs at {} threads", threads);
             prop_assert_eq!(&by, &ty, "y differs at {} threads", threads);
         }
+    }
+}
+
+/// The exact HPWL folds one partial per 1 024-net chunk in chunk order, so a
+/// design of several chunks gets the same bits at every width, and a pool
+/// wider than one runs it as one dispatched region.
+#[test]
+fn hpwl_is_pool_width_invariant() {
+    let d = random_design(4000, 7);
+    let wl = WirelengthModel::new(&d.netlist);
+    assert!(wl.num_nets() > 2 * 1024, "{} nets: fewer than three chunks", wl.num_nets());
+    let (xs, ys) = d.netlist.positions();
+    let base = with_pool(&Pool::new(1), || wl.hpwl(&xs, &ys));
+    assert!(base.is_finite() && base > 0.0);
+    for threads in [2usize, 4, 8] {
+        let pool = Pool::new(threads);
+        let got = with_pool(&pool, || wl.hpwl(&xs, &ys));
+        assert_eq!(base.to_bits(), got.to_bits(), "hpwl differs at {threads} threads");
+        assert_eq!(pool.stats().dispatches, 1, "hpwl ran serially at {threads} threads");
     }
 }
 

@@ -7,7 +7,6 @@ use crate::grid::{CongestionSummary, RouteGrid};
 use crate::DEFAULT_PIN_WEIGHT;
 use dtp_netlist::{Design, NetId, Netlist, Point, Rect};
 use dtp_rsmt::{SteinerForest, TreeView};
-use rayon::prelude::*;
 
 /// One cached demand contribution: `(flat bin, horizontal, vertical)`.
 type Stamp = (u32, f64, f64);
@@ -146,7 +145,7 @@ impl RefRudyMap {
         self.v.fill(0.0);
         let nets: Vec<NetId> = nl.net_ids().collect();
         let built: Vec<(usize, Vec<Stamp>)> = nets
-            .par_iter()
+            .iter()
             .filter_map(|&net| {
                 let tree = forest.tree(net)?;
                 let mut out = Vec::new();

@@ -2,10 +2,9 @@
 //! plus the `enumerate` / `zip` combinators the hot kernels compose them
 //! with.
 //!
-//! Unlike the eager `ParIter` adapters (which materialize a `Vec` of
-//! references per call), these hand each pool thread a borrowed sub-slice
-//! directly — zero allocation per parallel region, which is what the
-//! steady-state-allocation-free density/wirelength kernels require.
+//! Each pool thread gets a borrowed sub-slice directly — zero allocation per
+//! parallel region, which is what the steady-state-allocation-free
+//! density/wirelength kernels require.
 
 #![allow(unsafe_code)]
 

@@ -152,8 +152,8 @@ thread_local! {
 }
 
 /// Runs `f` with `pool` as the dispatch target for every parallel adapter
-/// invoked on this thread: `par_chunks_mut`, `into_par_iter`, and friends
-/// all route to `pool` instead of the [`global`] pool for the duration.
+/// invoked on this thread: `par_chunks_mut`, `join`, and friends all route
+/// to `pool` instead of the [`global`] pool for the duration.
 ///
 /// Overrides nest (the innermost wins) and are restored on exit, including
 /// when `f` panics. The override is per-thread; a worker runs each job with
