@@ -26,9 +26,10 @@
 //! Bookshelf carries no library binding, so `sta`/`place` on Bookshelf input
 //! require the cells to use the synthetic PDK class names.
 //!
-//! Observability: `--profile` prints the end-of-run phase table,
-//! `--metrics-out` writes `metrics.json`, `--trace-out` streams one JSON
-//! object per placement iteration; any of the three enables the observer.
+//! Observability: every run records its phase spans, counters and gauges;
+//! `--profile` prints the end-of-run phase table, `--metrics-out` writes
+//! `metrics.json`, `--trace-out` streams one JSON object per placement
+//! iteration.
 //! `--log-level warn` silences the informational summaries, leaving stdout
 //! machine-clean (the `FlowResult` line only).
 
@@ -78,6 +79,27 @@ fn load_design(spec: &str) -> Result<Design, Box<dyn std::error::Error>> {
     } else {
         Ok(bookshelf::read_design(prefix)?)
     }
+}
+
+/// [`load_design`] with the constraints `place` runs under: a Bookshelf
+/// design without an SDC gets a clock period that creates timing pressure.
+/// `dtp trace replay` loads through here too, so a replay sees the
+/// constraints the recorded run saw.
+fn load_placeable_design(spec: &str) -> Result<Design, Box<dyn std::error::Error>> {
+    let mut design = load_design(spec)?;
+    if design.constraints.clock_port.is_none() && design.constraints.clock_period >= 1000.0 {
+        design.constraints = Sdc::with_period(500.0);
+    }
+    Ok(design)
+}
+
+/// Applies the value of a `--log-level` option (`place` and `replay`).
+fn set_log_level(name: Option<&String>) -> Result<(), String> {
+    let name = name.ok_or("option `--log-level` needs a level")?;
+    let level = Level::parse(name)
+        .ok_or_else(|| format!("unknown log level `{name}` (error|warn|info|debug)"))?;
+    obs::log::set_level(level);
+    Ok(())
 }
 
 /// ICCAD-2015 bundle (.v + .def) takes precedence; fall back to Bookshelf.
@@ -236,10 +258,7 @@ fn cmd_place(args: &[String]) -> CliResult {
                 i += 2;
             }
             "--log-level" => {
-                let name = args.get(i + 1).ok_or("option `--log-level` needs a level")?;
-                let level = Level::parse(name)
-                    .ok_or_else(|| format!("unknown log level `{name}` (error|warn|info|debug)"))?;
-                obs::log::set_level(level);
+                set_log_level(args.get(i + 1))?;
                 i += 2;
             }
             other => return Err(format!("unknown option `{other}`").into()),
@@ -281,16 +300,11 @@ fn cmd_place(args: &[String]) -> CliResult {
         ),
     }
     // Created before the design is read, so parsing is a span of the run.
-    let mut observer =
-        Observer::new(profile || metrics_out.is_some() || trace_out.is_some());
+    let mut observer = Observer::new();
     let parse_start = std::time::Instant::now();
-    let mut design = observer.time(Phase::Parse, || load_design(spec))?;
+    let mut design = observer.time(Phase::Parse, || load_placeable_design(spec))?;
     let parse_mb_s = input_bytes(spec) as f64 / 1e6 / parse_start.elapsed().as_secs_f64();
     observer.gauge(Gauge::ParseMbS, parse_mb_s);
-    if design.constraints.clock_port.is_none() && design.constraints.clock_period >= 1000.0 {
-        // Bookshelf input with no SDC: pick a period that creates pressure.
-        design.constraints = Sdc::with_period(500.0);
-    }
     let lib = synthetic_pdk();
     // Recorded in the trace header so `dtp trace replay` can reload the
     // same design without being told where it came from.
@@ -494,10 +508,7 @@ fn cmd_trace_replay(args: &[String]) -> CliResult {
                 i += 2;
             }
             "--log-level" => {
-                let name = args.get(i + 1).ok_or("option `--log-level` needs a level")?;
-                let level = Level::parse(name)
-                    .ok_or_else(|| format!("unknown log level `{name}` (error|warn|info|debug)"))?;
-                obs::log::set_level(level);
+                set_log_level(args.get(i + 1))?;
                 i += 2;
             }
             other => return Err(format!("unknown option `{other}`").into()),
@@ -520,12 +531,7 @@ fn cmd_trace_replay(args: &[String]) -> CliResult {
             .into())
         }
     };
-    let mut design = load_design(&spec)?;
-    if design.constraints.clock_port.is_none() && design.constraints.clock_period >= 1000.0 {
-        // Mirror cmd_place's Bookshelf fallback so replays of `dtp place`
-        // runs see the same constraints.
-        design.constraints = Sdc::with_period(500.0);
-    }
+    let design = load_placeable_design(&spec)?;
     // Design fingerprint gate: replaying against the wrong netlist would
     // produce a wall of metric diffs; fail with the real cause instead.
     let (cells, nets, pins) = (
@@ -551,7 +557,7 @@ fn cmd_trace_replay(args: &[String]) -> CliResult {
     );
     let lib = synthetic_pdk();
     let buf = SharedBuf::default();
-    let mut observer = Observer::new(true);
+    let mut observer = Observer::new();
     observer.set_design_source(&spec);
     observer.set_trace_writer(Box::new(buf.clone()));
     let r = run_flow_observed(&design, &lib, mode, &config, &mut observer)?;

@@ -188,8 +188,7 @@ pub struct FlowResult {
     pub runtime: f64,
     /// Wall-clock spent inside timing analysis/gradients, seconds: the sum
     /// of the STA-phase spans ([`dtp_obs::Phase::is_sta`]) recorded during
-    /// this run. Value-compatible with the legacy hand-timed accounting and
-    /// populated whether or not observability is on.
+    /// this run.
     pub timing_runtime: f64,
     /// Optimization trajectory samples, one every
     /// [`FlowConfig::trace_timing_every`] iterations; empty at the default
@@ -498,7 +497,7 @@ impl GradientCore {
     /// the step length and the λ this iteration's gradient actually used
     /// (post auto-balance, pre growth) — what the trace records.
     fn step(&mut self, obs: &mut Observer) -> (f64, f64) {
-        let sp = obs.start(Phase::NesterovStep);
+        let sp = SpanStart::now();
         let lambda = self.lambda;
         self.precond.resize(self.areas.len(), 0.0);
         self.precond
@@ -636,16 +635,16 @@ impl TimingMechanism {
     }
 }
 
-/// Runs `f`, timed when `on`: a task that runs while the observer is lent
-/// to the task beside it, whose span [`Observer::record`] books afterwards.
-fn busy<R>(on: bool, f: impl FnOnce() -> R) -> (R, Option<u64>) {
-    let sp = if on { SpanStart::now() } else { SpanStart::off() };
+/// Runs `f` and times it: a task that runs while the observer is lent to
+/// the task beside it, whose span [`Observer::record`] books afterwards.
+fn busy<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let sp = SpanStart::now();
     let r = f();
     (r, sp.elapsed_ns())
 }
 
 /// Iterations between two forest syncs ahead of the first real consumer —
-/// and between two exact-HPWL samples of an observed run — when the caller
+/// and between two exact-HPWL samples of a traced run — when the caller
 /// set no [`FlowConfig::trace_timing_every`]. A flow whose timing mechanism
 /// or route layer will read the loop forest builds it on iteration 0 and
 /// re-syncs it on this period until the consumer takes over, so the drift
@@ -734,7 +733,7 @@ impl RouteState {
 }
 
 /// Runs one placement flow on `design` and returns metrics, trace and the
-/// final legalized placement.
+/// final legalized placement, on an observer of its own that no one reads.
 ///
 /// The input design's positions are not modified; the flow works on a copy
 /// and returns the result positions in [`FlowResult::xs`]/[`FlowResult::ys`].
@@ -748,7 +747,7 @@ pub fn run_flow(
     mode: FlowMode,
     config: &FlowConfig,
 ) -> Result<FlowResult, FlowError> {
-    let mut obs = Observer::disabled();
+    let mut obs = Observer::new();
     run_flow_observed(design, lib, mode, config, &mut obs)
 }
 
@@ -756,10 +755,11 @@ pub fn run_flow(
 /// JSONL trace sink beforehand and read the phase/counter report afterwards
 /// (the `dtp` CLI's `--profile` / `--metrics-out` / `--trace-out` path).
 ///
-/// The observer should be freshly constructed per run. Observability only
-/// ever reads clocks and counts events, so an enabled observer leaves the
-/// placement trajectory bit-for-bit identical to the disabled one
-/// [`run_flow`] runs with — the `obs_golden` tests assert this.
+/// The observer should be freshly constructed per run. It only ever reads
+/// clocks and counts events, and a trace sink only adds the work that feeds
+/// it (the header, exact HPWL on the sampling points), so a traced run
+/// places bit-for-bit like an untraced one — the `obs_golden` tests assert
+/// this.
 ///
 /// # Errors
 ///
@@ -840,7 +840,7 @@ fn check_mode_knobs(mode: FlowMode) -> Result<(), FlowError> {
 /// the JSONL stream. Runs inside the flow's pool scope, so `pool_threads`
 /// reports the width the iterations will actually execute with.
 fn emit_trace_header(design: &Design, mode: FlowMode, config: &FlowConfig, obs: &mut Observer) {
-    if !obs.is_enabled() {
+    if !obs.is_tracing() {
         return;
     }
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -879,7 +879,7 @@ fn run_flow_inner(
     // Likewise the pool gauges: a pool outlives a flow (the ambient one lives
     // as long as the process), so this run's traffic is a delta.
     let pool_at_entry = rayon::pool_stats();
-    let sp = obs.start(Phase::Setup);
+    let sp = SpanStart::now();
     let mut work = design.clone();
     seed_positions(&mut work, config.seed);
 
@@ -904,11 +904,11 @@ fn run_flow_inner(
     let mut trace = Vec::new();
     // Exact timing is traced only at the cadence the caller set; without one
     // the same sampling points only keep the forest of a flow that has a
-    // consumer for it warm, and give an observed run its exact HPWL.
+    // consumer for it warm, and give a traced run its exact HPWL.
     let trace_cadence = config.trace_timing_every > 0;
     let sample_period = if trace_cadence { config.trace_timing_every } else { SAMPLE_PERIOD };
     let forest_consumer = timing.is_some() || route.is_some();
-    let sample_hpwl = trace_cadence || obs.is_enabled();
+    let sample_hpwl = trace_cadence || obs.is_tracing();
     obs.stop(Phase::Setup, sp);
 
     let mut iterations = 0usize;
@@ -966,7 +966,6 @@ fn run_flow_inner(
             .as_ref()
             .is_some_and(|rs| rs.active && rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
         let nl = &work.netlist;
-        let timed = obs.is_enabled();
         let live = timing.as_mut().filter(|_| timing_active).zip(forest);
         // Run side by side only when each task would otherwise leave the
         // second thread idle: a density model of one cell chunk (whose
@@ -976,10 +975,10 @@ fn run_flow_inner(
         let side_by_side = live.is_some() && core.density.single_chunk();
         let congestion = route.as_mut().filter(|rs| rs.active).zip(forest);
         let task_a = || {
-            let density_ns = busy(timed, || core.evaluate_density()).1;
-            let route_ns = congestion.and_then(|(rs, f)| {
+            let density_ns = busy(|| core.evaluate_density()).1;
+            let route_ns = congestion.map(|(rs, f)| {
                 let RouteState { map, penalty, pgx, pgy, .. } = rs;
-                busy(timed, || {
+                busy(|| {
                     if feedback {
                         rayon::join(|| map.build(nl, f), || penalty.gradient(nl, f, pgx, pgy));
                     } else {
@@ -993,10 +992,8 @@ fn run_flow_inner(
         let task_b = || live.map(|(t, f)| t.analyze(nl, &timer, f, &mut scratch, obs));
         let ((density_ns, route_ns), analysis) = if side_by_side {
             let (((a, a_ns), (b, b_ns)), wall_ns) =
-                busy(timed, || rayon::join(|| busy(timed, task_a), || busy(timed, task_b)));
-            if let (Some(a_ns), Some(b_ns), Some(wall_ns)) = (a_ns, b_ns, wall_ns) {
-                overlap_ns += (a_ns + b_ns).saturating_sub(wall_ns);
-            }
+                busy(|| rayon::join(|| busy(task_a), || busy(task_b)));
+            overlap_ns += (a_ns + b_ns).saturating_sub(wall_ns);
             (a, b)
         } else {
             (task_a(), task_b())
@@ -1012,17 +1009,17 @@ fn run_flow_inner(
         }
 
         if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
+            if let Some(ns) = route_ns {
+                obs.record(if feedback { Phase::RudyUpdate } else { Phase::CongestionGrad }, ns);
+            }
             if feedback {
-                obs.record(Phase::RudyUpdate, route_ns);
                 obs.add(Counter::RudyBuilds, 1);
-            } else {
-                obs.record(Phase::CongestionGrad, route_ns);
             }
             // Congestion penalty gradient, normalized: its ∞-norm is pinned
             // to `ROUTE_WEIGHT` times the combined wirelength+density
             // gradient's, so the pressure tracks the optimizer's scale
             // instead of the raw demand units.
-            let sp = obs.start(Phase::CongestionGrad);
+            let sp = SpanStart::now();
             let base_norm = norm_inf(&core.gx, &core.gy);
             let p_norm = norm_inf(&rs.pgx, &rs.pgy);
             if p_norm > 0.0 {
@@ -1037,7 +1034,7 @@ fn run_flow_inner(
             // wirelength weight of nets crossing them; both take effect from
             // the next iteration's gradients.
             if feedback {
-                let sp = obs.start(Phase::RudyUpdate);
+                let sp = SpanStart::now();
                 inflation_factors(&rs.map, nl, INFLATION_MAX, &mut rs.inflation);
                 core.density.set_inflation(&rs.inflation);
                 let wl_model = &core.wl_model;
@@ -1130,12 +1127,12 @@ fn run_flow_inner(
     // --- legalization + detailed placement -------------------------------------
     let mut lx = sx;
     let mut ly = sy;
-    let sp = obs.start(Phase::Legalize);
+    let sp = SpanStart::now();
     let leg = AbacusLegalizer::new(&work);
     obs.gauge(Gauge::LegalizeBands, leg.bands() as f64);
     leg.legalize(&work, &mut lx, &mut ly);
     obs.stop(Phase::Legalize, sp);
-    let sp = obs.start(Phase::DetailPlace);
+    let sp = SpanStart::now();
     DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, DETAIL_PASSES);
     obs.stop(Phase::DetailPlace, sp);
     work.netlist.set_positions(&lx, &ly);
@@ -1153,7 +1150,7 @@ fn run_flow_inner(
         let g = ROUTE_GRID;
         let mut map =
             live_map.unwrap_or_else(|| RudyMap::new(&work, g, g, config.route_capacity));
-        let sp = obs.start(Phase::RudyUpdate);
+        let sp = SpanStart::now();
         map.build(&work.netlist, &final_forest);
         obs.stop(Phase::RudyUpdate, sp);
         obs.add(Counter::RudyBuilds, 1);
@@ -1161,8 +1158,7 @@ fn run_flow_inner(
     };
     let hpwl = wl_model.hpwl(&lx, &ly);
 
-    // End-of-run gauges: backend selections and pool state. Cheap enough to
-    // record unconditionally (the registry writes are gated inside `gauge`).
+    // End-of-run gauges: backend selections and pool state.
     obs.gauge(Gauge::FftBackend, if uses_fft { 1.0 } else { 0.0 });
     obs.gauge(Gauge::OverflowedFrac, congestion.overflowed_frac);
     obs.gauge(Gauge::RudyStamps, rudy_stamps as f64);

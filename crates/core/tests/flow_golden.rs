@@ -70,7 +70,7 @@ fn every_mode_matches_the_recorded_parent_at_every_pool_width() {
     for threads in [1usize, 2, 4] {
         for ((name, mode, config), (want_iters, want)) in cases().into_iter().zip(&RECORDED) {
             let config = FlowConfig { threads, ..config };
-            let mut obs = Observer::new(true);
+            let mut obs = Observer::new();
             let r = run_flow_observed(&d, &lib, mode, &config, &mut obs).expect("flow runs");
             let got = fingerprint(&r);
             assert_eq!(&got, want, "{name} at threads={threads}: got {got:#018x?}");

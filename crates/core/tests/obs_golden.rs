@@ -1,13 +1,14 @@
 //! Golden tests for the observability subsystem (`dtp-obs`).
 //!
-//! The contract under test: observability is *pure telemetry*. An
-//! unobserved flow must be bit-for-bit identical to an observed run;
-//! `FlowResult::timing_runtime` must equal the sum of the STA-phase spans
-//! either way; the v3 JSONL stream must emit a header record followed
-//! by one `iter` + `span` record pair per iteration; and at `--log-level
-//! warn` the CLI's stdout must contain nothing but the result line.
+//! The contract under test: observability is *pure telemetry*. A flow with
+//! a trace sink must place bit-for-bit like one without, and record the
+//! same counters and span counts; `FlowResult::timing_runtime` must equal
+//! the sum of the STA-phase spans; the v3 JSONL stream must emit a header
+//! record followed by one `iter` + `span` record pair per iteration; and at
+//! `--log-level warn` the CLI's stdout must contain nothing but the result
+//! line.
 
-use dtp_core::{run_flow, run_flow_observed, FlowConfig, FlowMode, FlowResult, Observer};
+use dtp_core::{run_flow_observed, FlowConfig, FlowMode, FlowResult, Observer};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::bookshelf;
@@ -91,18 +92,25 @@ fn iter_records(buf: &Mutex<Vec<u8>>) -> Vec<TraceIter> {
 }
 
 #[test]
-fn observe_off_is_bit_for_bit_identical_to_observe_on() {
+fn a_trace_sink_changes_no_placement_counter_or_span_count() {
     let d = design();
     let lib = synthetic_pdk();
-    let off = run_flow(&d, &lib, FlowMode::differentiable(), &base_config())
-        .expect("unobserved flow runs");
-    let mut obs = Observer::new(true);
+    let mut bare = Observer::new();
+    let off = run_flow_observed(&d, &lib, FlowMode::differentiable(), &base_config(), &mut bare)
+        .expect("sinkless flow runs");
+    let mut obs = Observer::new();
     let buf = attach_sink(&mut obs);
     let on = run_flow_observed(&d, &lib, FlowMode::differentiable(), &base_config(), &mut obs)
-        .expect("observed flow runs");
+        .expect("traced flow runs");
     assert_identical(&off, &on);
-    // The observed run actually recorded something.
-    assert!(obs.spans().total_seconds() > 0.0, "no spans recorded");
+    // Both runs record everything, and the same things: the sink only
+    // streams what the observer records anyway.
+    assert!(bare.spans().total_seconds() > 0.0, "no spans recorded");
+    assert_eq!(bare.registry().counters(), obs.registry().counters());
+    for phase in Phase::ALL {
+        let calls = |o: &Observer| o.spans().slot(phase).calls;
+        assert_eq!(calls(&bare), calls(&obs), "{}: span count differs", phase.name());
+    }
     assert_eq!(
         obs.registry().get(dtp_obs::Counter::Iterations) as usize,
         on.iterations,
@@ -117,10 +125,9 @@ fn observe_off_is_bit_for_bit_identical_to_observe_on() {
 fn timing_runtime_equals_sta_span_sum() {
     let d = design();
     let lib = synthetic_pdk();
-    // Observability off: the STA spans still accumulate, and the reported
-    // timing_runtime is exactly their sum (fresh observer, so no delta
-    // correction applies).
-    let mut obs = Observer::disabled();
+    // No sink: the reported timing_runtime is exactly the STA spans' sum
+    // (fresh observer, so no delta correction applies).
+    let mut obs = Observer::new();
     let r = run_flow_observed(&d, &lib, FlowMode::differentiable(), &base_config(), &mut obs)
         .expect("flow runs");
     assert_eq!(
@@ -142,7 +149,7 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     let d = design();
     let lib = synthetic_pdk();
     let cfg = base_config();
-    let mut obs = Observer::new(true);
+    let mut obs = Observer::new();
     let buf = attach_sink(&mut obs);
     let r = run_flow_observed(&d, &lib, FlowMode::differentiable(), &cfg, &mut obs)
         .expect("flow runs");
@@ -194,7 +201,7 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
 
 /// One observed run of `mode` on the golden design.
 fn observed(mode: FlowMode, config: &FlowConfig) -> (Observer, FlowResult) {
-    let mut obs = Observer::new(true);
+    let mut obs = Observer::new();
     let r = run_flow_observed(&design(), &synthetic_pdk(), mode, config, &mut obs)
         .expect("flow runs");
     (obs, r)
@@ -207,7 +214,7 @@ fn observed(mode: FlowMode, config: &FlowConfig) -> (Observer, FlowResult) {
 fn an_untraced_wirelength_flow_builds_no_loop_forest_and_runs_no_trace_sta() {
     let config = FlowConfig { max_iters: 200, ..FlowConfig::default() };
     assert_eq!(config.trace_timing_every, 0, "the default asks for no exact-timing trace");
-    let mut obs = Observer::new(true);
+    let mut obs = Observer::new();
     let buf = attach_sink(&mut obs);
     let r = run_flow_observed(&design(), &synthetic_pdk(), FlowMode::Wirelength, &config, &mut obs)
         .expect("flow runs");
@@ -331,7 +338,7 @@ fn gauges_are_exactly_these_eighteen_and_the_netlist_stays_under_160_bytes_a_cel
         ]
     );
     let d = design();
-    let mut obs = Observer::new(true);
+    let mut obs = Observer::new();
     let config = FlowConfig { max_iters: 40, ..FlowConfig::default() };
     run_flow_observed(&d, &synthetic_pdk(), FlowMode::Wirelength, &config, &mut obs).expect("flow runs");
     let bytes = obs.registry().gauge(dtp_obs::Gauge::NetlistBytes);
@@ -353,7 +360,7 @@ fn timing_flows_overlap_their_terms_on_two_threads_and_not_on_one() {
     let lib = synthetic_pdk();
     let overlap_ms = |mode: FlowMode, threads: usize| {
         let config = FlowConfig { max_iters: 250, threads, ..FlowConfig::default() };
-        let mut obs = Observer::new(true);
+        let mut obs = Observer::new();
         run_flow_observed(&d, &lib, mode, &config, &mut obs).expect("flow runs");
         obs.registry().gauge(Gauge::OverlapMs)
     };
@@ -376,7 +383,7 @@ fn pool_gauges_are_per_run_deltas_not_pool_totals() {
     let config = FlowConfig { max_iters: 30, ..FlowConfig::default() };
     let pool = rayon::Pool::new(2);
     let run = || {
-        let mut obs = Observer::new(true);
+        let mut obs = Observer::new();
         run_flow_observed(&d, &lib, FlowMode::Wirelength, &config, &mut obs).expect("flow runs");
         let g = |gauge| obs.registry().gauge(gauge);
         assert_eq!(g(Gauge::PoolHotHandoffs) + g(Gauge::PoolWakes), g(Gauge::PoolDispatches));

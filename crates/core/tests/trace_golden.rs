@@ -49,7 +49,7 @@ impl Write for SharedBuf {
 fn run_traced(d: &dtp_netlist::Design, mode: FlowMode, config: &FlowConfig) -> Trace {
     let lib = synthetic_pdk();
     let buf = Arc::new(Mutex::new(Vec::new()));
-    let mut obs = Observer::new(true);
+    let mut obs = Observer::new();
     obs.set_design_source("trace-golden");
     obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
     run_flow_observed(d, &lib, mode, config, &mut obs).expect("flow runs");

@@ -24,19 +24,19 @@
 //!    human-readable phase table ([`Report::table`], `--profile`).
 //!    Non-finite floats serialize as `null`; every emitted line parses
 //!    back through [`trace::parse_record`] / [`json::parse`].
-//! 4. **Leveled logging facade** — [`error!`]/[`warn!`]/[`info!`]/
-//!    [`debug!`] gated by a process-global [`Level`].
+//! 4. **Leveled logging facade** — [`warn!`]/[`info!`] gated by a
+//!    process-global [`Level`].
 //!
-//! # Inertness contract
+//! # One mode
 //!
-//! With observability off ([`Observer::disabled`]) every call is a branch on
-//! a `bool` — no counters, no sinks — **except** the STA phases
-//! ([`Phase::is_sta`]), which keep their `Instant` reads so the flow's
-//! `timing_runtime` stays value-compatible with the legacy hand-timed
-//! accounting (the same handful of clock reads the old code did). Nothing
-//! here touches the optimization state, so observability on vs. off is
-//! bit-for-bit identical on placement trajectories; the flow's golden tests
-//! assert it.
+//! An [`Observer`] always records: every span, counter and gauge lands in
+//! its tables, whether or not a sink is attached. A span costs two
+//! `Instant` reads, far below the noise of the work it brackets. Only the
+//! sinks are optional: the JSONL stream flows when a writer is attached
+//! ([`Observer::set_trace_writer`], [`Observer::is_tracing`]), and the
+//! report is read when the caller asks for it. Nothing here touches the
+//! optimization state, so a flow places bit-for-bit the same with or
+//! without a sink; the flow's golden tests assert it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,8 +63,8 @@ use std::io::Write;
 
 /// The per-run observability handle: spans + registry + optional JSONL
 /// sink. Create one per flow run.
+#[derive(Default)]
 pub struct Observer {
-    enabled: bool,
     spans: SpanTable,
     registry: Registry,
     /// Span/counter snapshots at `iter_begin`, for per-iteration deltas.
@@ -79,36 +79,20 @@ pub struct Observer {
 }
 
 impl Observer {
-    /// A new observer; `enabled = false` yields the inert instance.
-    pub fn new(enabled: bool) -> Observer {
-        Observer {
-            enabled,
-            spans: SpanTable::default(),
-            registry: Registry::default(),
-            mark_ns: [0; Phase::COUNT],
-            mark_counters: [0; Counter::COUNT],
-            in_iter: false,
-            trace: None,
-            trace_failed: false,
-            design_source: None,
-        }
+    /// A new observer with no sink attached.
+    pub fn new() -> Observer {
+        Observer::default()
     }
 
-    /// The inert observer: no counters, no sinks; only the STA
-    /// phases keep their clock reads (see the crate docs).
-    pub fn disabled() -> Observer {
-        Observer::new(false)
-    }
-
-    /// Whether full observability is on.
+    /// Whether a JSONL sink is attached: the work that only feeds the
+    /// stream (its header, the sampled exact HPWL) asks this.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    pub fn is_tracing(&self) -> bool {
+        self.trace.is_some()
     }
 
     /// Attaches a JSONL sink for per-iteration events (e.g. a buffered
-    /// file). Implies nothing about `enabled`; events flow only when the
-    /// observer is enabled.
+    /// file).
     pub fn set_trace_writer(&mut self, w: Box<dyn Write + Send>) {
         self.trace = Some(w);
         self.trace_failed = false;
@@ -129,81 +113,53 @@ impl Observer {
     /// Writes the v3 trace header record to the attached sink, if any.
     /// Call once, before the first iteration. Allocates (once per run).
     pub fn emit_header(&mut self, header: &TraceHeader) {
-        if !self.enabled {
+        let Some(w) = self.trace.as_mut().filter(|_| !self.trace_failed) else {
             return;
-        }
-        if let Some(w) = self.trace.as_mut() {
-            if !self.trace_failed {
-                if let Err(e) = header.write_jsonl(w.as_mut()) {
-                    self.trace_failed = true;
-                    crate::warn!("trace sink failed, disabling stream: {e}");
-                }
-            }
+        };
+        if let Err(e) = header.write_jsonl(w.as_mut()) {
+            self.trace_failed = true;
+            crate::warn!("trace sink failed, disabling stream: {e}");
         }
     }
 
-    /// Starts a span. When observability is off, only [`Phase::is_sta`]
-    /// phases are timed (the legacy `timing_runtime` accounting); all other
-    /// phases return a free no-op start.
-    #[inline]
-    pub fn start(&self, phase: Phase) -> SpanStart {
-        if self.enabled || phase.is_sta() {
-            SpanStart::now()
-        } else {
-            SpanStart::off()
-        }
-    }
-
-    /// Completes a span started with [`Observer::start`].
+    /// Completes a span of `phase` started with [`SpanStart::now`].
     #[inline]
     pub fn stop(&mut self, phase: Phase, start: SpanStart) {
-        if let Some(ns) = start.elapsed_ns() {
-            self.spans.add(phase, ns);
-        }
+        self.spans.add(phase, start.elapsed_ns());
     }
 
     /// Records one completed span of `phase` that was timed elsewhere — by
     /// a task that ran on another thread while this observer was lent to
-    /// the task beside it — from its [`SpanStart::elapsed_ns`]; `None` (an
-    /// untimed span) records nothing.
+    /// the task beside it — from its [`SpanStart::elapsed_ns`].
     #[inline]
-    pub fn record(&mut self, phase: Phase, ns: Option<u64>) {
-        if let Some(ns) = ns {
-            self.spans.add(phase, ns);
-        }
+    pub fn record(&mut self, phase: Phase, ns: u64) {
+        self.spans.add(phase, ns);
     }
 
     /// Times `f` as one span of `phase`.
     #[inline]
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let s = self.start(phase);
+        let s = SpanStart::now();
         let r = f();
         self.stop(phase, s);
         r
     }
 
-    /// Adds `n` to `counter` (no-op when disabled).
+    /// Adds `n` to `counter`.
     #[inline]
     pub fn add(&mut self, counter: Counter, n: u64) {
-        if self.enabled {
-            self.registry.add(counter, n);
-        }
+        self.registry.add(counter, n);
     }
 
-    /// Sets `gauge` to `v` (no-op when disabled).
+    /// Sets `gauge` to `v`.
     #[inline]
     pub fn gauge(&mut self, gauge: Gauge, v: f64) {
-        if self.enabled {
-            self.registry.set(gauge, v);
-        }
+        self.registry.set(gauge, v);
     }
 
     /// Marks the start of one loop iteration: snapshots span and counter
     /// totals so `iter_end` can emit this iteration's deltas. No allocation.
     pub fn iter_begin(&mut self) {
-        if !self.enabled {
-            return;
-        }
         self.mark_ns = self.spans.nanos();
         self.mark_counters = self.registry.counters();
         self.in_iter = true;
@@ -212,31 +168,29 @@ impl Observer {
     /// Completes one loop iteration: streams this iteration's phase and
     /// counter deltas as JSONL events if a sink is attached. No allocation.
     pub fn iter_end(&mut self, ev: IterEvent) {
-        if !self.enabled || !self.in_iter {
+        if !std::mem::take(&mut self.in_iter) {
             return;
         }
-        self.in_iter = false;
+        let Some(w) = self.trace.as_mut().filter(|_| !self.trace_failed) else {
+            return;
+        };
         let now_ns = self.spans.nanos();
         let now_counters = self.registry.counters();
         let phase_ns: [u64; Phase::COUNT] = std::array::from_fn(|i| now_ns[i] - self.mark_ns[i]);
         let counter_delta: [u64; Counter::COUNT] =
             std::array::from_fn(|i| now_counters[i] - self.mark_counters[i]);
-        if let Some(w) = self.trace.as_mut() {
-            if !self.trace_failed {
-                // Deterministic convergence record first, then the
-                // wall-clock span record (diff/replay skip the latter).
-                let res = write_iter_record(w.as_mut(), &ev, &counter_delta)
-                    .and_then(|()| write_span_record(w.as_mut(), ev.iter, &phase_ns));
-                if let Err(e) = res {
-                    self.trace_failed = true;
-                    crate::warn!("trace sink failed, disabling stream: {e}");
-                }
-            }
+        // Deterministic convergence record first, then the wall-clock span
+        // record (diff/replay skip the latter).
+        let res = write_iter_record(w.as_mut(), &ev, &counter_delta)
+            .and_then(|()| write_span_record(w.as_mut(), ev.iter, &phase_ns));
+        if let Err(e) = res {
+            self.trace_failed = true;
+            crate::warn!("trace sink failed, disabling stream: {e}");
         }
     }
 
     /// Seconds accumulated across the STA phases — the span-table view of
-    /// the flow's `timing_runtime`. Works with observability off.
+    /// the flow's `timing_runtime`.
     pub fn sta_seconds(&self) -> f64 {
         self.spans.sta_seconds()
     }
@@ -278,7 +232,6 @@ impl Observer {
 impl std::fmt::Debug for Observer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observer")
-            .field("enabled", &self.enabled)
             .field("has_trace_sink", &self.trace.is_some())
             .finish()
     }
@@ -303,20 +256,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn disabled_observer_is_inert_except_sta_spans() {
-        let mut obs = Observer::disabled();
-        let s = obs.start(Phase::WirelengthGrad);
-        assert!(s.elapsed_ns().is_none(), "non-STA phase timed while disabled");
-        obs.stop(Phase::WirelengthGrad, s);
-        let s = obs.start(Phase::StaForward);
-        assert!(s.elapsed_ns().is_some(), "STA phase must stay timed");
-        obs.stop(Phase::StaForward, s);
-        obs.add(Counter::Iterations, 5);
-        obs.gauge(Gauge::FftBackend, 1.0);
-        obs.iter_begin();
-        obs.iter_end(IterEvent {
-            iter: 0,
+    fn event(iter: u64) -> IterEvent {
+        IterEvent {
+            iter,
             wl: 1.0,
             hpwl: 1.0,
             overflow: 1.0,
@@ -325,18 +267,43 @@ mod tests {
             wns: f64::NAN,
             tns: f64::NAN,
             timing: false,
-        });
-        assert_eq!(obs.registry().get(Counter::Iterations), 0);
-        assert_eq!(obs.registry().gauge(Gauge::FftBackend), 0.0);
-        assert_eq!(obs.spans().slot(Phase::WirelengthGrad).calls, 0);
+        }
+    }
+
+    #[test]
+    fn an_observer_without_a_sink_records_everything_and_writes_nothing() {
+        let mut obs = Observer::new();
+        assert!(!obs.is_tracing());
+        obs.iter_begin();
+        obs.time(Phase::WirelengthGrad, || std::hint::black_box(3 * 7));
+        obs.time(Phase::StaForward, || std::hint::black_box(5 * 11));
+        obs.add(Counter::Iterations, 5);
+        obs.gauge(Gauge::FftBackend, 1.0);
+        obs.iter_end(event(0));
+        assert_eq!(obs.registry().get(Counter::Iterations), 5);
+        assert_eq!(obs.registry().gauge(Gauge::FftBackend), 1.0);
+        assert_eq!(obs.spans().slot(Phase::WirelengthGrad).calls, 1);
         assert_eq!(obs.spans().slot(Phase::StaForward).calls, 1);
-        assert!(obs.sta_seconds() >= 0.0);
+        assert!(obs.sta_seconds() > 0.0);
+
+        // The sinkless iteration left nothing behind for a later sink; one
+        // attached now streams only what follows.
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+        assert!(obs.is_tracing());
+        obs.iter_end(event(0));
+        obs.flush();
+        assert!(buf.lock().unwrap().is_empty(), "an unmatched iter_end wrote");
+        obs.iter_begin();
+        obs.iter_end(event(1));
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert_eq!(text.lines().count(), 2, "{text}");
     }
 
     #[test]
     fn iteration_deltas_land_in_sink() {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut obs = Observer::new(true);
+        let mut obs = Observer::new();
         obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
         for iter in 0..3u64 {
             obs.iter_begin();
@@ -382,7 +349,7 @@ mod tests {
     #[test]
     fn header_record_streams_before_iterations() {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut obs = Observer::new(true);
+        let mut obs = Observer::new();
         obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
         obs.set_design_source("sb1");
         let header = TraceHeader {
@@ -404,17 +371,7 @@ mod tests {
         };
         obs.emit_header(&header);
         obs.iter_begin();
-        obs.iter_end(IterEvent {
-            iter: 0,
-            wl: 1.0,
-            hpwl: 1.0,
-            overflow: 0.5,
-            lambda: 1e-4,
-            step: 3.0,
-            wns: f64::NAN,
-            tns: f64::NAN,
-            timing: false,
-        });
+        obs.iter_end(event(0));
         obs.flush();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -428,7 +385,7 @@ mod tests {
 
     #[test]
     fn report_snapshot_reflects_state() {
-        let mut obs = Observer::new(true);
+        let mut obs = Observer::new();
         obs.time(Phase::StaForward, || std::hint::black_box(1 + 1));
         obs.add(Counter::StaFull, 1);
         obs.gauge(Gauge::PoolThreads, 8.0);

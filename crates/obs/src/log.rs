@@ -1,15 +1,14 @@
-//! Leveled logging facade: `obs::error!` / `warn!` / `info!` / `debug!`.
+//! Leveled logging facade: `obs::warn!` / `info!`.
 //!
 //! A single process-global level ([`set_level`]) gates emission; disabled
 //! levels cost one relaxed atomic load and no formatting (the macros check
-//! the level *before* building `format_args!`). `info`/`debug` go to stdout,
-//! `error`/`warn` to stderr, so `--log-level warn` yields a machine-clean
-//! stdout (nothing but result lines). Tests can redirect everything into an
-//! in-memory capture buffer with [`capture_begin`]/[`capture_end`].
+//! the level *before* building `format_args!`). `info` goes to stdout and
+//! `warn` to stderr, so `--log-level warn` yields a machine-clean stdout
+//! (nothing but result lines). `error` and `debug` are levels a caller can
+//! set, not macros: nothing logs at them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
 /// Log severity, most severe first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -36,37 +35,14 @@ impl Level {
             _ => None,
         }
     }
-
-    /// The level's lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Error => "error",
-            Level::Warn => "warn",
-            Level::Info => "info",
-            Level::Debug => "debug",
-        }
-    }
 }
 
 /// Current maximum emitted level, as a `u8` (default [`Level::Info`]).
 static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
 
-/// In-memory capture sink for tests (`None` = real stdout/stderr).
-static CAPTURE: Mutex<Option<String>> = Mutex::new(None);
-
 /// Sets the process-global log level.
 pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// The process-global log level.
-pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
 }
 
 /// Whether messages at `l` are currently emitted.
@@ -77,35 +53,11 @@ pub fn enabled(l: Level) -> bool {
 
 /// Emits one pre-gated message (the macros call this after the level check).
 pub fn emit(l: Level, args: fmt::Arguments<'_>) {
-    let mut cap = CAPTURE.lock().unwrap();
-    if let Some(buf) = cap.as_mut() {
-        use fmt::Write as _;
-        let _ = writeln!(buf, "[{}] {}", l.name(), args);
-    } else if l <= Level::Warn {
+    if l <= Level::Warn {
         eprintln!("{args}");
     } else {
         println!("{args}");
     }
-}
-
-/// Starts capturing all log output into an in-memory buffer (tests only).
-pub fn capture_begin() {
-    *CAPTURE.lock().unwrap() = Some(String::new());
-}
-
-/// Stops capturing and returns everything captured since [`capture_begin`].
-pub fn capture_end() -> String {
-    CAPTURE.lock().unwrap().take().unwrap_or_default()
-}
-
-/// Logs at [`Level::Error`] (stderr).
-#[macro_export]
-macro_rules! error {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled($crate::Level::Error) {
-            $crate::log::emit($crate::Level::Error, format_args!($($arg)*));
-        }
-    };
 }
 
 /// Logs at [`Level::Warn`] (stderr).
@@ -128,46 +80,22 @@ macro_rules! info {
     };
 }
 
-/// Logs at [`Level::Debug`] (stdout).
-#[macro_export]
-macro_rules! debug {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled($crate::Level::Debug) {
-            $crate::log::emit($crate::Level::Debug, format_args!($($arg)*));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // One test exercises the whole facade: the level and capture buffer are
-    // process-global, so splitting into several #[test]s would race under
-    // the parallel test runner.
+    /// The names `--log-level` accepts, and the order the gate compares.
+    /// (The level is process-global, so setting it here would race the
+    /// other tests; the CLI's gating is covered end to end.)
     #[test]
-    fn levels_gate_and_capture_collects() {
+    fn levels_parse_by_name_and_order_by_severity() {
+        assert_eq!(Level::parse("error"), Some(Level::Error));
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
+        assert_eq!(Level::parse("warning"), Some(Level::Warn));
+        assert_eq!(Level::parse("info"), Some(Level::Info));
         assert_eq!(Level::parse("debug"), Some(Level::Debug));
         assert_eq!(Level::parse("bogus"), None);
-
-        capture_begin();
-        set_level(Level::Warn);
-        crate::info!("suppressed {}", 1);
-        crate::warn!("kept {}", 2);
-        crate::error!("kept too");
-        let at_warn = capture_end();
-        assert!(!at_warn.contains("suppressed"));
-        assert!(at_warn.contains("[warn] kept 2"));
-        assert!(at_warn.contains("[error] kept too"));
-
-        capture_begin();
-        set_level(Level::Debug);
-        crate::debug!("visible now");
-        let at_debug = capture_end();
-        assert!(at_debug.contains("[debug] visible now"));
-
-        set_level(Level::Info);
-        assert!(enabled(Level::Info) && !enabled(Level::Debug));
+        assert!(Level::Error < Level::Warn && Level::Warn < Level::Info);
+        assert!(Level::Info < Level::Debug);
     }
 }

@@ -128,12 +128,8 @@ impl Phase {
     }
 
     /// Whether this phase counts toward the flow's `timing_runtime`
-    /// (the legacy hand-timed "wall-clock inside timing analysis" metric).
-    ///
-    /// These phases are timed even when observability is off, so
-    /// `FlowResult::timing_runtime` stays value-compatible with the
-    /// pre-observability accounting at the same (negligible) cost: the same
-    /// handful of `Instant` reads per iteration the old code did.
+    /// (the "wall-clock inside timing analysis" metric): the set
+    /// [`SpanTable::sta_seconds`](crate::SpanTable::sta_seconds) sums.
     #[inline]
     pub fn is_sta(self) -> bool {
         matches!(

@@ -1,36 +1,28 @@
 //! Span accumulation: preallocated per-phase slots.
 //!
 //! Everything here is fixed-size and allocation-free: recording a span is
-//! `Instant::now()` twice plus one add into a slot. This is what keeps the
-//! observed steady-state loop at zero heap allocations (asserted by
-//! `tests/zero_alloc.rs`).
+//! `Instant::now()` twice plus one add into a slot, and every span is
+//! recorded. This is what keeps the steady-state loop at zero heap
+//! allocations (asserted by `tests/zero_alloc.rs`).
 
 use crate::phase::Phase;
 use std::time::Instant;
 
-/// An in-flight span: the capture of `Instant::now()` at phase entry, or
-/// nothing when the phase is not being timed (observability off and the
-/// phase is not part of the always-on STA accounting).
+/// An in-flight span: the capture of `Instant::now()` at phase entry.
 #[derive(Clone, Copy, Debug)]
-pub struct SpanStart(Option<Instant>);
+pub struct SpanStart(Instant);
 
 impl SpanStart {
-    /// A span that is being timed.
+    /// Starts timing a span.
     #[inline]
     pub fn now() -> SpanStart {
-        SpanStart(Some(Instant::now()))
+        SpanStart(Instant::now())
     }
 
-    /// A span that is not being timed (zero-cost stop).
+    /// Elapsed nanoseconds since the start.
     #[inline]
-    pub fn off() -> SpanStart {
-        SpanStart(None)
-    }
-
-    /// Elapsed nanoseconds since the start, `None` if not timing.
-    #[inline]
-    pub fn elapsed_ns(self) -> Option<u64> {
-        self.0.map(|t| t.elapsed().as_nanos() as u64)
+    pub fn elapsed_ns(self) -> u64 {
+        self.0.elapsed().as_nanos() as u64
     }
 }
 
@@ -110,11 +102,5 @@ mod tests {
         assert_eq!(t.slot(Phase::DensityGrad), PhaseSlot { nanos: 7, calls: 1 });
         assert!((t.sta_seconds() - 150e-9).abs() < 1e-18);
         assert!((t.total_seconds() - 157e-9).abs() < 1e-18);
-    }
-
-    #[test]
-    fn span_start_off_is_free() {
-        assert!(SpanStart::off().elapsed_ns().is_none());
-        assert!(SpanStart::now().elapsed_ns().is_some());
     }
 }

@@ -116,46 +116,33 @@ impl TraceHeader {
     /// Serializes the header as its one-line JSON record (plus newline).
     /// Allocates (headers are written once per run, not per iteration).
     pub fn to_json_line(&self) -> String {
+        let field = |k: &str, v: Value| (k.to_string(), v);
+        let text = |s: &str| Value::Str(s.to_string());
+        // Counts stay exact through `f64` far beyond any design's size.
+        let count = |n: u64| Value::Num(n as f64);
+        let record = Value::Obj(vec![
+            field("t", text("header")),
+            field("schema", text(&self.schema)),
+            field("mode", text(&self.mode)),
+            // Seed as a string: u64 seeds above 2^53 would lose bits through
+            // the f64 number pipeline.
+            field("seed", Value::Str(self.seed.to_string())),
+            field("threads", count(self.threads)),
+            field("pool_threads", count(self.pool_threads)),
+            field("host_threads", count(self.host_threads)),
+            field("design", text(&self.design)),
+            field("cells", count(self.cells)),
+            field("nets", count(self.nets)),
+            field("pins", count(self.pins)),
+            field("region", Value::Arr(self.region.iter().map(|&v| Value::Num(v)).collect())),
+            field("clock_period", Value::Num(self.clock_period)),
+            field("source", self.source.as_deref().map_or(Value::Null, text)),
+            field("config", Value::Obj(self.config.clone())),
+            field("mode_config", Value::Obj(self.mode_config.clone())),
+        ]);
         let mut s = String::with_capacity(512);
-        s.push_str("{\"t\":\"header\",\"schema\":");
-        json::push_str_escaped(&mut s, &self.schema);
-        s.push_str(",\"mode\":");
-        json::push_str_escaped(&mut s, &self.mode);
-        // Seed as a string: u64 seeds above 2^53 would lose bits through
-        // the f64 number pipeline.
-        s.push_str(",\"seed\":");
-        json::push_str_escaped(&mut s, &self.seed.to_string());
-        use std::fmt::Write as _;
-        let _ = write!(
-            s,
-            ",\"threads\":{},\"pool_threads\":{},\"host_threads\":{}",
-            self.threads, self.pool_threads, self.host_threads
-        );
-        s.push_str(",\"design\":");
-        json::push_str_escaped(&mut s, &self.design);
-        let _ = write!(
-            s,
-            ",\"cells\":{},\"nets\":{},\"pins\":{},\"region\":[",
-            self.cells, self.nets, self.pins
-        );
-        for (i, v) in self.region.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json::push_f64(&mut s, *v);
-        }
-        s.push_str("],\"clock_period\":");
-        json::push_f64(&mut s, self.clock_period);
-        s.push_str(",\"source\":");
-        match &self.source {
-            Some(src) => json::push_str_escaped(&mut s, src),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"config\":");
-        Value::Obj(self.config.clone()).push_json(&mut s);
-        s.push_str(",\"mode_config\":");
-        Value::Obj(self.mode_config.clone()).push_json(&mut s);
-        s.push_str("}\n");
+        record.push_json(&mut s);
+        s.push('\n');
         s
     }
 
@@ -398,6 +385,20 @@ mod tests {
     fn header_round_trips_bytewise() {
         let h = sample_header();
         let line = h.to_json_line();
+        // The bytes every recorded trace starts with: field order, integer
+        // counts, the seed as a string, an escaped design name.
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"t":"header","schema":"dtp-trace-v3","mode":"differentiable","#,
+                r#""seed":"18446744073709551608","threads":0,"pool_threads":4,"#,
+                r#""host_threads":16,"design":"sb\"1","cells":1200,"nets":1100,"#,
+                r#""pins":4000,"region":[0,0,512.5,512.5],"clock_period":5000,"#,
+                r#""source":"sb1","config":{"max_iters":300,"lambda_init":0.00008,"#,
+                r#""legalizer":"abacus","route_aware":false},"mode_config":{"gamma":4}}"#,
+                "\n"
+            )
+        );
         let rec = parse_record(line.trim_end()).expect("header parses");
         let TraceRecord::Header(parsed) = rec else {
             panic!("not a header record");

@@ -5,7 +5,7 @@
 //! One test only: the counter is process-wide, and the harness runs the
 //! tests of a file on parallel threads.
 
-use dtp_obs::{Counter, IterEvent, Observer, Phase};
+use dtp_obs::{Counter, IterEvent, Observer, Phase, SpanStart};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +46,7 @@ fn observed_iteration(obs: &mut Observer, iter: u64) {
         Phase::StaBackward,
         Phase::NesterovStep,
     ] {
-        let s = obs.start(phase);
+        let s = SpanStart::now();
         black_box(phase);
         obs.stop(phase, s);
     }
@@ -67,7 +67,7 @@ fn observed_iteration(obs: &mut Observer, iter: u64) {
 
 #[test]
 fn an_observed_iteration_with_a_trace_writer_does_not_allocate() {
-    let mut obs = Observer::new(true);
+    let mut obs = Observer::new();
     obs.set_trace_writer(Box::new(std::io::sink()));
     for iter in 0..3 {
         observed_iteration(&mut obs, iter);
