@@ -8,7 +8,7 @@
 //! Writes `results/figure8_<mode>.csv` with one row per iteration and prints
 //! a coarse textual rendering of the four subplots.
 
-use dtp_core::{run_flow, FlowConfig, FlowMode, TracePoint};
+use dtp_core::{run_flow, FlowConfig, FlowMode, TraceIter};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::superblue_proxy;
 use std::fmt::Write as _;
@@ -39,7 +39,7 @@ fn main() {
 
     // Textual sparkline rendering of the four subplots.
     for (title, f) in [
-        ("HPWL", get_hpwl as fn(&TracePoint) -> f64),
+        ("HPWL", get_hpwl as fn(&TraceIter) -> f64),
         ("Overflow", get_overflow),
         ("WNS", get_wns),
         ("TNS", get_tns),
@@ -55,16 +55,16 @@ fn main() {
     }
 }
 
-fn get_hpwl(p: &TracePoint) -> f64 {
+fn get_hpwl(p: &TraceIter) -> f64 {
     p.hpwl
 }
-fn get_overflow(p: &TracePoint) -> f64 {
+fn get_overflow(p: &TraceIter) -> f64 {
     p.overflow
 }
-fn get_wns(p: &TracePoint) -> f64 {
+fn get_wns(p: &TraceIter) -> f64 {
     p.wns
 }
-fn get_tns(p: &TracePoint) -> f64 {
+fn get_tns(p: &TraceIter) -> f64 {
     p.tns
 }
 

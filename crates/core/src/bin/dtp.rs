@@ -33,8 +33,8 @@
 //! `--log-level warn` silences the informational summaries, leaving stdout
 //! machine-clean (the `FlowResult` line only).
 
-use dtp_core::{run_flow_observed, FlowConfig, FlowMode, ROUTE_GRID};
-use dtp_obs::{self as obs, Gauge, Level, Observer, Phase, QorSummary};
+use dtp_core::{run_flow_observed, FlowConfig, FlowMode, MAX_BINS, ROUTE_GRID};
+use dtp_obs::{self as obs, Gauge, Level, MemorySink, Observer, Phase, QorSummary};
 use dtp_trace::Trace;
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, superblue_proxy, GeneratorConfig};
@@ -266,8 +266,8 @@ fn cmd_place(args: &[String]) -> CliResult {
     }
     // The density field is interpolated between bin centers: an axis needs
     // at least two of them. A value is rounded up to a power of two below,
-    // so it may not exceed the largest one the grid accepts.
-    let max_bins = 1 << dtp_place::GRID_AXIS_BINS.end().ilog2();
+    // so it may not exceed the largest one the flow accepts.
+    let max_bins = 1 << MAX_BINS.ilog2();
     if !(2..=max_bins).contains(&config.bins) {
         return Err(
             format!("option `--bins` needs a value in 2..={max_bins}, got {}", config.bins).into()
@@ -412,27 +412,6 @@ fn cmd_proxy(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// An in-memory trace sink shared between the observer (which owns a boxed
-/// writer) and the replay driver (which reads the bytes back afterwards).
-#[derive(Clone, Default)]
-struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("trace buffer poisoned").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SharedBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut *self.0.lock().expect("trace buffer poisoned"))
-    }
-}
-
 fn load_trace(path: &str) -> Result<Trace, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Trace::parse(&text).map_err(|e| format!("{path}: {e}").into())
@@ -556,7 +535,7 @@ fn cmd_trace_replay(args: &[String]) -> CliResult {
         recorded.iters.len()
     );
     let lib = synthetic_pdk();
-    let buf = SharedBuf::default();
+    let buf = MemorySink::default();
     let mut observer = Observer::new();
     observer.set_design_source(&spec);
     observer.set_trace_writer(Box::new(buf.clone()));

@@ -212,8 +212,9 @@ config_table! {
         /// O(N log N) FFT backend when this is a power of two and on the dense
         /// reference transforms otherwise.
         bins: usize = 64,
-        /// How often (iterations) the flow records a
-        /// [`TracePoint`](crate::TracePoint) with exact HPWL / WNS / TNS —
+        /// How often (iterations) the flow computes exact HPWL / WNS / TNS
+        /// into its `iter` record and returns that record in
+        /// [`FlowResult::trace`](crate::FlowResult::trace) —
         /// each one costs a forest sync and, unless the timing mechanism ran
         /// an exact analysis of its own that iteration, a full STA. 0 (the
         /// default) = never: the optimiser reads none of it, so a flow pays

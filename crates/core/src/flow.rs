@@ -42,7 +42,7 @@ use crate::config::{FlowConfig, FlowMode, TIMING_START_ITER};
 use crate::weighting::NetWeighter;
 use dtp_liberty::Library;
 use dtp_netlist::{Design, NetId, Netlist, NetlistError};
-use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase, SpanStart};
+use dtp_obs::{Counter, Gauge, Observer, Phase, SpanStart, TraceIter};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
     AbacusLegalizer, DensityModel, DensityResult, DensityScratch, NesterovOptimizer,
@@ -150,21 +150,6 @@ impl From<NetlistError> for FlowError {
     }
 }
 
-/// One sample of the optimization trajectory (the series of Figure 8).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TracePoint {
-    /// Iteration index.
-    pub iter: usize,
-    /// Exact HPWL (µm).
-    pub hpwl: f64,
-    /// Density overflow.
-    pub overflow: f64,
-    /// Exact WNS (ps); `NAN` on iterations where timing was not traced.
-    pub wns: f64,
-    /// Exact TNS (ps); `NAN` when not traced.
-    pub tns: f64,
-}
-
 /// The outcome of one placement flow run.
 #[derive(Clone, Debug)]
 pub struct FlowResult {
@@ -190,10 +175,11 @@ pub struct FlowResult {
     /// of the STA-phase spans ([`dtp_obs::Phase::is_sta`]) recorded during
     /// this run.
     pub timing_runtime: f64,
-    /// Optimization trajectory samples, one every
-    /// [`FlowConfig::trace_timing_every`] iterations; empty at the default
-    /// cadence 0.
-    pub trace: Vec<TracePoint>,
+    /// The optimization trajectory (the series of Figure 8): the `iter`
+    /// record of every [`FlowConfig::trace_timing_every`]-th iteration, with
+    /// exact HPWL / WNS / TNS and the iteration's counter deltas, byte for
+    /// byte what a trace sink receives; empty at the default cadence 0.
+    pub trace: Vec<TraceIter>,
     /// Final legalized positions (lower-left), indexed by cell.
     pub xs: Vec<f64>,
     /// Final legalized y positions.
@@ -659,6 +645,19 @@ const SAMPLE_PERIOD: usize = 10;
 /// the initial center cluster.
 const ROUTE_START_OVERFLOW: f64 = 0.5;
 
+/// Memory the density grid may ask for: 1 GiB.
+const GRID_MEMORY_BUDGET: usize = 1 << 30;
+
+/// What one density bin costs a flow, every per-bin buffer of the density
+/// model, its Poisson solver and scratch together (measured peak memory of
+/// `sb1` at 1024² and 2048² bins over the one at 64²).
+const BYTES_PER_BIN: usize = 56;
+
+/// The most bins per axis a flow accepts ([`FlowConfig::bins`]): the side of
+/// the largest square grid within the 1 GiB budget (4 378; `dtp place` rounds
+/// up to powers of two and so accepts up to 4 096).
+pub const MAX_BINS: usize = (GRID_MEMORY_BUDGET / BYTES_PER_BIN).isqrt();
+
 /// Routing-congestion grid (bins × bins), for both the exact RUDY map and the
 /// smoothed penalty.
 pub const ROUTE_GRID: usize = 32;
@@ -781,10 +780,13 @@ pub fn run_flow_observed(
             config.threads
         )));
     }
-    if !dtp_place::GRID_AXIS_BINS.contains(&config.bins) {
+    let min_bins = *dtp_place::GRID_AXIS_BINS.start();
+    if !(min_bins..=MAX_BINS).contains(&config.bins) {
         return Err(FlowError::Config(format!(
-            "bins = {}: the density grid needs 2..=65535 bins per axis",
-            config.bins
+            "bins (--bins) = {}: the density grid takes {min_bins}..={MAX_BINS} bins per axis \
+             (at most {} MiB)",
+            config.bins,
+            GRID_MEMORY_BUDGET >> 20
         )));
     }
     check_route_knobs(config)?;
@@ -1067,27 +1069,17 @@ fn run_flow_inner(
             traced_tns = analysis.tns();
             scratch.recycle(analysis);
         }
-        // Exact HPWL is only computed on the sampling points, for the trace
-        // rows and the observer's `iter` records; it reads `null` elsewhere
+        // Exact HPWL is only computed on the sampling points, for the `iter`
+        // records the caller or the trace sink reads; it reads `null` elsewhere
         // (the smoothed WA wirelength is free every iteration).
         let iter_hpwl = if sampled && sample_hpwl {
             core.wl_model.hpwl(&core.vx, &core.vy)
         } else {
             f64::NAN
         };
-        if trace_timing {
-            trace.push(TracePoint {
-                iter,
-                hpwl: iter_hpwl,
-                overflow: core.overflow,
-                wns: traced_wns,
-                tns: traced_tns,
-            });
-        }
-
         let (step, lambda) = core.step(obs);
 
-        obs.iter_end(IterEvent {
+        let mut rec = TraceIter {
             iter: iter as u64,
             wl: wl_value,
             hpwl: iter_hpwl,
@@ -1097,7 +1089,12 @@ fn run_flow_inner(
             wns: traced_wns,
             tns: traced_tns,
             timing: timing_active,
-        });
+            counters: [0; Counter::COUNT],
+        };
+        obs.iter_end(&mut rec);
+        if trace_timing {
+            trace.push(rec);
+        }
 
         if iter > 30 && core.overflow < STOP_OVERFLOW {
             break;

@@ -46,6 +46,6 @@ mod flow;
 mod weighting;
 
 pub use config::{DiffTimingConfig, FlowConfig, FlowMode};
-pub use dtp_obs::Observer;
+pub use dtp_obs::{Observer, TraceIter};
 pub use dtp_route::CongestionSummary;
-pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, TracePoint, ROUTE_GRID};
+pub use flow::{run_flow, run_flow_observed, FlowError, FlowResult, MAX_BINS, ROUTE_GRID};

@@ -8,15 +8,14 @@
 //! `--log-level warn` the CLI's stdout must contain nothing but the result
 //! line.
 
-use dtp_core::{run_flow_observed, FlowConfig, FlowMode, FlowResult, Observer};
+use dtp_core::{run_flow_observed, FlowConfig, FlowError, FlowMode, FlowResult, Observer};
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::bookshelf;
-use dtp_obs::{json, trace, Counter, Phase, TraceIter, TraceRecord};
-use std::io::Write;
+use dtp_obs::{json, trace, Counter, MemorySink, Phase, TraceIter, TraceRecord};
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn design() -> dtp_netlist::Design {
     generate(&GeneratorConfig::named("obs-golden", 700)).expect("generator succeeds")
@@ -59,30 +58,16 @@ fn assert_identical(a: &FlowResult, b: &FlowResult) {
     assert_eq!(a.tns, b.tns);
 }
 
-/// A `Write` that appends into a shared buffer (in-memory JSONL sink).
-#[derive(Clone)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Attaches an in-memory JSONL sink to `obs` and returns its buffer.
-fn attach_sink(obs: &mut Observer) -> Arc<Mutex<Vec<u8>>> {
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+/// Attaches an in-memory JSONL sink to `obs` and returns it.
+fn attach_sink(obs: &mut Observer) -> MemorySink {
+    let buf = MemorySink::default();
+    obs.set_trace_writer(Box::new(buf.clone()));
     buf
 }
 
 /// The `iter` records streamed into `buf`, in order.
-fn iter_records(buf: &Mutex<Vec<u8>>) -> Vec<TraceIter> {
-    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
+fn iter_records(buf: &MemorySink) -> Vec<TraceIter> {
+    let text = String::from_utf8(buf.take()).expect("JSONL is UTF-8");
     text.lines()
         .filter_map(|line| match trace::parse_record(line).expect("JSONL line parses") {
             TraceRecord::Iter(it) => Some(it),
@@ -121,6 +106,34 @@ fn a_trace_sink_changes_no_placement_counter_or_span_count() {
     assert!(iters.iter().enumerate().all(|(i, it)| it.iter == i as u64));
 }
 
+/// `FlowResult::trace` is the recorded trajectory itself: each returned
+/// record writes the very `iter` line the sink received for its iteration,
+/// counters included.
+#[test]
+fn the_returned_trajectory_is_the_recorded_one() {
+    let mut obs = Observer::new();
+    let buf = attach_sink(&mut obs);
+    let r = run_flow_observed(
+        &design(),
+        &synthetic_pdk(),
+        FlowMode::differentiable(),
+        &base_config(),
+        &mut obs,
+    )
+    .expect("flow runs");
+    let text = String::from_utf8(buf.take()).expect("JSONL is UTF-8");
+    let recorded: Vec<&str> = text.lines().filter(|l| l.starts_with(r#"{"t":"iter","#)).collect();
+    assert_eq!(recorded.len(), r.iterations);
+    assert_eq!(r.trace.len(), r.iterations.div_ceil(10), "one record every 10 iterations");
+    for rec in &r.trace {
+        let mut line = Vec::new();
+        rec.write_jsonl(&mut line).expect("Vec<u8> writes are infallible");
+        let line = String::from_utf8(line).expect("records write UTF-8");
+        assert_eq!(line.trim_end(), recorded[rec.iter as usize], "iter {}", rec.iter);
+        assert_eq!(rec.counters[Counter::Iterations.index()], 1, "iter {}", rec.iter);
+    }
+}
+
 #[test]
 fn timing_runtime_equals_sta_span_sum() {
     let d = design();
@@ -153,7 +166,7 @@ fn jsonl_stream_emits_header_then_two_records_per_iteration() {
     let buf = attach_sink(&mut obs);
     let r = run_flow_observed(&d, &lib, FlowMode::differentiable(), &cfg, &mut obs)
         .expect("flow runs");
-    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
+    let text = String::from_utf8(buf.take()).expect("JSONL is UTF-8");
     // Schema v3: one header record, then an iter + span record pair per
     // placement iteration.
     assert_eq!(
@@ -446,21 +459,36 @@ fn cli_rejects_a_density_grid_it_cannot_sample() {
     // `--bins 0` and `--bins 1` used to abort mid-loop with a `f64::clamp`
     // panic out of the field sampler; they are malformed flags. The two
     // large values were rounded up first, to 65536 (which the grid then
-    // refused) and past `usize::MAX` (a debug-build panic).
+    // refused) and past `usize::MAX` (a debug-build panic). 16384 and
+    // 32768 were accepted and asked for 15 and 60 GB of density grid: a
+    // grid past the flow's memory budget is refused before anything is read.
     let (dir, prefix) = write_cli_fixture("bins");
-    for bins in ["0", "1", "40000", "18446744073709551615"] {
+    for bins in ["0", "1", "16384", "32768", "40000", "18446744073709551615"] {
+        let start = Instant::now();
         let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
             .args(["place", prefix.to_str().unwrap(), "--mode", "wirelength", "--bins", bins])
             .output()
             .expect("dtp runs");
+        let elapsed = start.elapsed();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "--bins {bins}: {stderr}");
+        assert!(elapsed < Duration::from_secs(1), "--bins {bins} took {elapsed:?}");
         assert!(stderr.contains("--bins"), "--bins {bins}: error does not name the flag: {stderr}");
         assert!(stderr.contains(bins), "--bins {bins}: error does not name the value: {stderr}");
         assert!(!stderr.contains("rounding up"), "--bins {bins} was rounded: {stderr}");
         assert!(!stderr.contains("panicked"), "--bins {bins} panicked: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+    // The library holds the same bound, which the CLI rounds within.
+    let bins = dtp_core::MAX_BINS + 1;
+    let config = FlowConfig { bins, ..FlowConfig::default() };
+    let mut obs = Observer::new();
+    match run_flow_observed(&design(), &synthetic_pdk(), FlowMode::Wirelength, &config, &mut obs) {
+        Err(FlowError::Config(msg)) => {
+            assert!(msg.contains("bins (--bins)") && msg.contains(&bins.to_string()), "{msg}");
+        }
+        other => panic!("bins = {bins} was not refused: {other:?}"),
+    }
 }
 
 #[test]

@@ -14,11 +14,10 @@ use dtp_core::{
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::bookshelf;
 use dtp_netlist::generate::{generate, GeneratorConfig};
+use dtp_obs::MemorySink;
 use dtp_trace::{diff, Trace};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{Arc, Mutex};
 
 fn design() -> dtp_netlist::Design {
     generate(&GeneratorConfig::named("trace-golden", 500)).expect("generator succeeds")
@@ -32,28 +31,14 @@ fn base_config() -> FlowConfig {
     }
 }
 
-/// A `Write` that appends into a shared buffer (in-memory JSONL sink).
-#[derive(Clone)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 fn run_traced(d: &dtp_netlist::Design, mode: FlowMode, config: &FlowConfig) -> Trace {
     let lib = synthetic_pdk();
-    let buf = Arc::new(Mutex::new(Vec::new()));
+    let buf = MemorySink::default();
     let mut obs = Observer::new();
     obs.set_design_source("trace-golden");
-    obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+    obs.set_trace_writer(Box::new(buf.clone()));
     run_flow_observed(d, &lib, mode, config, &mut obs).expect("flow runs");
-    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("JSONL is UTF-8");
+    let text = String::from_utf8(buf.take()).expect("JSONL is UTF-8");
     Trace::parse(&text).expect("v3 stream parses")
 }
 

@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn non_finite_floats_serialize_as_null() {
-        // The TracePoint-NAN fix: untraced WNS/TNS are NAN in memory and
+        // Untraced WNS/TNS are NAN in memory and
         // must become `null` on the wire, not the invalid token `NaN`.
         let mut s = String::new();
         push_f64(&mut s, f64::NAN);

@@ -18,9 +18,11 @@
 //! 3. **Structured sinks** — the schema-v3 JSONL flight recorder
 //!    (`--trace-out`): one [`TraceHeader`] record carrying config, seed,
 //!    pool width, and design fingerprint, then per-iteration pairs of a
-//!    deterministic `iter` record ([`write_iter_record`]) and a wall-clock
-//!    `span` record ([`write_span_record`]); plus an end-of-run
-//!    `metrics.json` ([`Report::to_json`], `--metrics-out`) and a
+//!    deterministic `iter` record ([`TraceIter`], the one per-iteration
+//!    record type: the flow fills it, [`Observer::iter_end`] writes it) and
+//!    a wall-clock `span` record ([`TraceSpan`]); an in-memory sink
+//!    ([`MemorySink`]) for callers that read the stream back; plus an
+//!    end-of-run `metrics.json` ([`Report::to_json`], `--metrics-out`) and a
 //!    human-readable phase table ([`Report::table`], `--profile`).
 //!    Non-finite floats serialize as `null`; every emitted line parses
 //!    back through [`trace::parse_record`] / [`json::parse`].
@@ -52,10 +54,7 @@ pub mod trace;
 pub use counters::{Counter, Gauge, Registry};
 pub use log::Level;
 pub use phase::Phase;
-pub use sink::{
-    write_iter_record, write_span_record, IterEvent, PhaseReport, QorSummary, Report,
-    METRICS_SCHEMA, TRACE_SCHEMA,
-};
+pub use sink::{MemorySink, PhaseReport, QorSummary, Report, METRICS_SCHEMA, TRACE_SCHEMA};
 pub use span::{PhaseSlot, SpanStart, SpanTable};
 pub use trace::{TraceHeader, TraceIter, TraceRecord, TraceSpan};
 
@@ -165,24 +164,27 @@ impl Observer {
         self.in_iter = true;
     }
 
-    /// Completes one loop iteration: streams this iteration's phase and
-    /// counter deltas as JSONL events if a sink is attached. No allocation.
-    pub fn iter_end(&mut self, ev: IterEvent) {
+    /// Completes one loop iteration: fills `rec.counters` with this
+    /// iteration's counter deltas and, if a sink is attached, streams `rec`
+    /// and the iteration's phase deltas as its `iter` and `span` lines. No
+    /// allocation.
+    pub fn iter_end(&mut self, rec: &mut TraceIter) {
         if !std::mem::take(&mut self.in_iter) {
             return;
         }
+        let now_counters = self.registry.counters();
+        rec.counters = std::array::from_fn(|i| now_counters[i] - self.mark_counters[i]);
         let Some(w) = self.trace.as_mut().filter(|_| !self.trace_failed) else {
             return;
         };
         let now_ns = self.spans.nanos();
-        let now_counters = self.registry.counters();
-        let phase_ns: [u64; Phase::COUNT] = std::array::from_fn(|i| now_ns[i] - self.mark_ns[i]);
-        let counter_delta: [u64; Counter::COUNT] =
-            std::array::from_fn(|i| now_counters[i] - self.mark_counters[i]);
+        let span = TraceSpan {
+            iter: rec.iter,
+            phase_ns: std::array::from_fn(|i| now_ns[i] - self.mark_ns[i]),
+        };
         // Deterministic convergence record first, then the wall-clock span
         // record (diff/replay skip the latter).
-        let res = write_iter_record(w.as_mut(), &ev, &counter_delta)
-            .and_then(|()| write_span_record(w.as_mut(), ev.iter, &phase_ns));
+        let res = rec.write_jsonl(w.as_mut()).and_then(|()| span.write_jsonl(w.as_mut()));
         if let Err(e) = res {
             self.trace_failed = true;
             crate::warn!("trace sink failed, disabling stream: {e}");
@@ -240,24 +242,9 @@ impl std::fmt::Debug for Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
-    /// A `Write` that appends into a shared buffer (test sink).
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn event(iter: u64) -> IterEvent {
-        IterEvent {
+    fn record(iter: u64) -> TraceIter {
+        TraceIter {
             iter,
             wl: 1.0,
             hpwl: 1.0,
@@ -267,6 +254,7 @@ mod tests {
             wns: f64::NAN,
             tns: f64::NAN,
             timing: false,
+            counters: [0; Counter::COUNT],
         }
     }
 
@@ -279,7 +267,9 @@ mod tests {
         obs.time(Phase::StaForward, || std::hint::black_box(5 * 11));
         obs.add(Counter::Iterations, 5);
         obs.gauge(Gauge::FftBackend, 1.0);
-        obs.iter_end(event(0));
+        let mut rec = record(0);
+        obs.iter_end(&mut rec);
+        assert_eq!(rec.counters[Counter::Iterations.index()], 5, "deltas filled without a sink");
         assert_eq!(obs.registry().get(Counter::Iterations), 5);
         assert_eq!(obs.registry().gauge(Gauge::FftBackend), 1.0);
         assert_eq!(obs.spans().slot(Phase::WirelengthGrad).calls, 1);
@@ -288,43 +278,34 @@ mod tests {
 
         // The sinkless iteration left nothing behind for a later sink; one
         // attached now streams only what follows.
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+        let buf = MemorySink::default();
+        obs.set_trace_writer(Box::new(buf.clone()));
         assert!(obs.is_tracing());
-        obs.iter_end(event(0));
+        obs.iter_end(&mut record(0));
         obs.flush();
-        assert!(buf.lock().unwrap().is_empty(), "an unmatched iter_end wrote");
+        assert!(buf.take().is_empty(), "an unmatched iter_end wrote");
         obs.iter_begin();
-        obs.iter_end(event(1));
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        obs.iter_end(&mut record(1));
+        let text = String::from_utf8(buf.take()).unwrap();
         assert_eq!(text.lines().count(), 2, "{text}");
     }
 
     #[test]
     fn iteration_deltas_land_in_sink() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
+        let buf = MemorySink::default();
         let mut obs = Observer::new();
-        obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+        obs.set_trace_writer(Box::new(buf.clone()));
         for iter in 0..3u64 {
             obs.iter_begin();
             obs.time(Phase::DensityGrad, || std::hint::black_box(17 * 13));
             obs.add(Counter::GeoDirtyNets, 4);
-            obs.iter_end(IterEvent {
-                iter,
-                    wl: 100.0 + iter as f64,
-                hpwl: f64::NAN,
-                overflow: 0.9,
-                lambda: 2e-4,
-                step: 10.0,
-                wns: f64::NAN,
-                tns: f64::NAN,
-                timing: false,
-            });
+            let mut rec = TraceIter { wl: 100.0 + iter as f64, hpwl: f64::NAN, ..record(iter) };
+            obs.iter_end(&mut rec);
         }
         obs.flush();
         // Totals accumulate across iterations.
         assert_eq!(obs.registry().get(Counter::GeoDirtyNets), 12);
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(buf.take()).unwrap();
         // One `iter` + one `span` record per iteration.
         assert_eq!(text.lines().count(), 6);
         for (i, line) in text.lines().enumerate() {
@@ -348,9 +329,9 @@ mod tests {
 
     #[test]
     fn header_record_streams_before_iterations() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
+        let buf = MemorySink::default();
         let mut obs = Observer::new();
-        obs.set_trace_writer(Box::new(SharedBuf(Arc::clone(&buf))));
+        obs.set_trace_writer(Box::new(buf.clone()));
         obs.set_design_source("sb1");
         let header = TraceHeader {
             schema: TRACE_SCHEMA.to_string(),
@@ -371,9 +352,9 @@ mod tests {
         };
         obs.emit_header(&header);
         obs.iter_begin();
-        obs.iter_end(event(0));
+        obs.iter_end(&mut record(0));
         obs.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(buf.take()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         let TraceRecord::Header(h) = trace::parse_record(lines[0]).unwrap() else {

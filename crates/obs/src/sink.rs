@@ -1,10 +1,9 @@
-//! Structured sinks: the per-iteration JSONL event stream, the end-of-run
+//! Structured sinks: the in-memory JSONL sink, the end-of-run
 //! `metrics.json` report, and the human-readable phase table.
 //!
-//! The JSONL writer is allocation-free per event (integers and floats format
-//! on the stack, straight into the caller's `Write`), so streaming a trace
-//! does not perturb the zero-allocation steady-state loop. The report
-//! builders run once at end-of-run and allocate freely.
+//! The JSONL records themselves are written by the record types of
+//! [`crate::trace`], allocation-free per iteration. The report builders run
+//! once at end-of-run and allocate freely.
 
 use crate::counters::{Counter, Gauge};
 use crate::json;
@@ -12,6 +11,7 @@ use crate::phase::Phase;
 use crate::span::PhaseSlot;
 use std::fmt::Write as FmtWrite;
 use std::io::{self, Write};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifies the `metrics.json` layout; bump on breaking shape changes.
 pub const METRICS_SCHEMA: &str = "dtp-metrics-v1";
@@ -20,111 +20,28 @@ pub const METRICS_SCHEMA: &str = "dtp-metrics-v1";
 /// `iter`/`span` record pairs).
 pub const TRACE_SCHEMA: &str = "dtp-trace-v3";
 
-/// The QoR samples of one iteration, as handed to the JSONL sink.
-///
-/// A superset of the flow's `TracePoint`: `hpwl`/`wns`/`tns`/`step` are
-/// `NAN` on iterations where they were not computed and serialize as `null`.
-#[derive(Clone, Copy, Debug)]
-pub struct IterEvent {
-    /// Iteration index.
-    pub iter: u64,
-    /// Smoothed (weighted-average) wirelength from the gradient evaluation.
-    pub wl: f64,
-    /// Exact HPWL; `NAN` when not computed this iteration.
-    pub hpwl: f64,
-    /// Density overflow.
-    pub overflow: f64,
-    /// Density-penalty multiplier λ used by this iteration's gradient.
-    pub lambda: f64,
-    /// Nesterov step length chosen this iteration; `NAN` when no step ran.
-    pub step: f64,
-    /// Exact WNS (ps); `NAN` when untraced.
-    pub wns: f64,
-    /// Exact TNS (ps); `NAN` when untraced.
-    pub tns: f64,
-    /// Whether timing-driven forces were active this iteration.
-    pub timing: bool,
+/// An in-memory trace sink: clones share one buffer, so a caller keeps a
+/// clone, hands the observer another ([`crate::Observer::set_trace_writer`])
+/// and reads the stream back with [`MemorySink::take`].
+#[derive(Clone, Debug, Default)]
+pub struct MemorySink(Arc<Mutex<Vec<u8>>>);
+
+impl MemorySink {
+    /// Takes every byte written so far, leaving the buffer empty.
+    pub fn take(&self) -> Vec<u8> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
 }
 
-/// Writes one v3 `iter` record: the iteration's deterministic convergence
-/// fields plus its per-counter increments. One valid JSON object per line,
-/// `NAN`/infinities as `null`, no heap allocation.
-///
-/// Everything on an `iter` line is bit-for-bit reproducible for a fixed
-/// config/seed (at any pool width); wall-clock goes on the companion `span`
-/// line ([`write_span_record`]) so determinism checks can compare `iter`
-/// records byte-wise.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_iter_record(
-    w: &mut dyn Write,
-    ev: &IterEvent,
-    counter_delta: &[u64; Counter::COUNT],
-) -> io::Result<()> {
-    write!(w, "{{\"t\":\"iter\",\"iter\":{},\"wl\":", ev.iter)?;
-    json::write_f64(w, ev.wl)?;
-    w.write_all(b",\"hpwl\":")?;
-    json::write_f64(w, ev.hpwl)?;
-    w.write_all(b",\"overflow\":")?;
-    json::write_f64(w, ev.overflow)?;
-    w.write_all(b",\"lambda\":")?;
-    json::write_f64(w, ev.lambda)?;
-    w.write_all(b",\"step\":")?;
-    json::write_f64(w, ev.step)?;
-    w.write_all(b",\"wns\":")?;
-    json::write_f64(w, ev.wns)?;
-    w.write_all(b",\"tns\":")?;
-    json::write_f64(w, ev.tns)?;
-    write!(
-        w,
-        ",\"timing\":{},\"counters\":{{",
-        if ev.timing { "true" } else { "false" }
-    )?;
-    let mut first = true;
-    for c in Counter::ALL {
-        let n = counter_delta[c.index()];
-        if n == 0 {
-            continue; // keep lines compact: counters that did not move are omitted
-        }
-        if !first {
-            w.write_all(b",")?;
-        }
-        first = false;
-        write!(w, "\"{}\":{}", c.name(), n)?;
+impl Write for MemorySink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).extend_from_slice(buf);
+        Ok(buf.len())
     }
-    w.write_all(b"}}\n")
-}
 
-/// Writes one v3 `span` record: the iteration's per-phase nanoseconds.
-/// One valid JSON object per line, no heap allocation.
-///
-/// Span records carry the only nondeterministic trace content (wall-clock),
-/// which is why they are separate lines: diff/replay skip them by default.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_span_record(
-    w: &mut dyn Write,
-    iter: u64,
-    phase_ns: &[u64; Phase::COUNT],
-) -> io::Result<()> {
-    write!(w, "{{\"t\":\"span\",\"iter\":{iter},\"phase_ns\":{{")?;
-    let mut first = true;
-    for p in Phase::ALL {
-        let ns = phase_ns[p.index()];
-        if ns == 0 {
-            continue; // keep lines compact: phases that did not run are omitted
-        }
-        if !first {
-            w.write_all(b",")?;
-        }
-        first = false;
-        write!(w, "\"{}\":{}", p.name(), ns)?;
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
-    w.write_all(b"}}\n")
 }
 
 /// One phase's line in the end-of-run report.
@@ -339,59 +256,6 @@ mod tests {
         let slots: [PhaseSlot; Phase::COUNT] =
             std::array::from_fn(|i| t.slot(Phase::ALL[i]));
         Report::build(&slots, &counters, &gauges)
-    }
-
-    #[test]
-    fn iter_record_is_one_valid_object_per_line() {
-        let mut buf: Vec<u8> = Vec::new();
-        let ev = IterEvent {
-            iter: 3,
-            wl: 123.5,
-            hpwl: f64::NAN,
-            overflow: 0.7,
-            lambda: 1.5e-4,
-            step: f64::NAN,
-            wns: f64::NAN,
-            tns: f64::NEG_INFINITY,
-            timing: true,
-        };
-        let mut cd = [0u64; Counter::COUNT];
-        cd[Counter::Iterations.index()] = 1;
-        write_iter_record(&mut buf, &ev, &cd).unwrap();
-        write_iter_record(&mut buf, &ev, &cd).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            let v = crate::json::parse(line).expect("line parses");
-            assert_eq!(v.get("t").unwrap().as_str(), Some("iter"));
-            assert_eq!(v.get("iter").unwrap().as_f64(), Some(3.0));
-            assert!(v.get("hpwl").unwrap().is_null());
-            assert_eq!(v.get("lambda").unwrap().as_f64(), Some(1.5e-4));
-            assert!(v.get("step").unwrap().is_null());
-            assert!(v.get("wns").unwrap().is_null());
-            assert!(v.get("tns").unwrap().is_null(), "-inf must serialize as null");
-            assert_eq!(v.get("timing").unwrap().as_bool(), Some(true));
-            assert_eq!(
-                v.get("counters").unwrap().get("iterations").unwrap().as_f64(),
-                Some(1.0)
-            );
-        }
-        assert!(!text.contains("NaN"), "raw NaN token leaked into JSONL");
-    }
-
-    #[test]
-    fn span_record_carries_only_nonzero_phases() {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut ns = [0u64; Phase::COUNT];
-        ns[Phase::DensityGrad.index()] = 55;
-        write_span_record(&mut buf, 7, &ns).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let v = crate::json::parse(text.trim()).expect("line parses");
-        assert_eq!(v.get("t").unwrap().as_str(), Some("span"));
-        assert_eq!(v.get("iter").unwrap().as_f64(), Some(7.0));
-        let phase_ns = v.get("phase_ns").unwrap();
-        assert_eq!(phase_ns.get("density_grad").unwrap().as_f64(), Some(55.0));
-        assert!(phase_ns.get("legalize").is_none(), "zero phase serialized");
     }
 
     #[test]

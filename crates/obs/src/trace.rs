@@ -28,7 +28,7 @@
 use crate::counters::Counter;
 use crate::json::{self, Value};
 use crate::phase::Phase;
-use crate::sink::{write_iter_record, write_span_record, IterEvent, TRACE_SCHEMA};
+use crate::sink::TRACE_SCHEMA;
 use std::io::{self, Write};
 
 /// The run-identity record: first line of every v3 trace.
@@ -67,7 +67,10 @@ pub struct TraceHeader {
     pub mode_config: Vec<(String, Value)>,
 }
 
-/// One deterministic per-iteration convergence record.
+/// One deterministic per-iteration convergence record: the flow fills one
+/// per iteration, [`crate::Observer::iter_end`] adds its counter deltas and
+/// streams it, and the flow returns the ones at its exact-timing cadence as
+/// the Figure-8 trajectory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceIter {
     /// Iteration index.
@@ -113,14 +116,13 @@ pub enum TraceRecord {
 }
 
 impl TraceHeader {
-    /// Serializes the header as its one-line JSON record (plus newline).
-    /// Allocates (headers are written once per run, not per iteration).
-    pub fn to_json_line(&self) -> String {
+    /// The header as the JSON object its line holds.
+    pub fn to_value(&self) -> Value {
         let field = |k: &str, v: Value| (k.to_string(), v);
         let text = |s: &str| Value::Str(s.to_string());
         // Counts stay exact through `f64` far beyond any design's size.
         let count = |n: u64| Value::Num(n as f64);
-        let record = Value::Obj(vec![
+        Value::Obj(vec![
             field("t", text("header")),
             field("schema", text(&self.schema)),
             field("mode", text(&self.mode)),
@@ -139,9 +141,14 @@ impl TraceHeader {
             field("source", self.source.as_deref().map_or(Value::Null, text)),
             field("config", Value::Obj(self.config.clone())),
             field("mode_config", Value::Obj(self.mode_config.clone())),
-        ]);
+        ])
+    }
+
+    /// Serializes the header as its one-line JSON record (plus newline).
+    /// Allocates (headers are written once per run, not per iteration).
+    pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(512);
-        record.push_json(&mut s);
+        self.to_value().push_json(&mut s);
         s.push('\n');
         s
     }
@@ -157,36 +164,77 @@ impl TraceHeader {
 }
 
 impl TraceIter {
-    /// Re-serializes this record through [`write_iter_record`] (the byte
-    /// representation the flow itself emits).
+    /// Writes this record as its `iter` line: the iteration's deterministic
+    /// convergence fields plus its nonzero counter deltas. One valid JSON
+    /// object per line, `NAN`/infinities as `null`, no heap allocation.
+    ///
+    /// Everything on an `iter` line is bit-for-bit reproducible for a fixed
+    /// config/seed (at any pool width); wall-clock goes on the companion
+    /// `span` line ([`TraceSpan::write_jsonl`]) so determinism checks can
+    /// compare `iter` records byte-wise.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        let ev = IterEvent {
-            iter: self.iter,
-            wl: self.wl,
-            hpwl: self.hpwl,
-            overflow: self.overflow,
-            lambda: self.lambda,
-            step: self.step,
-            wns: self.wns,
-            tns: self.tns,
-            timing: self.timing,
-        };
-        write_iter_record(w, &ev, &self.counters)
+        write!(w, "{{\"t\":\"iter\",\"iter\":{},\"wl\":", self.iter)?;
+        json::write_f64(w, self.wl)?;
+        w.write_all(b",\"hpwl\":")?;
+        json::write_f64(w, self.hpwl)?;
+        w.write_all(b",\"overflow\":")?;
+        json::write_f64(w, self.overflow)?;
+        w.write_all(b",\"lambda\":")?;
+        json::write_f64(w, self.lambda)?;
+        w.write_all(b",\"step\":")?;
+        json::write_f64(w, self.step)?;
+        w.write_all(b",\"wns\":")?;
+        json::write_f64(w, self.wns)?;
+        w.write_all(b",\"tns\":")?;
+        json::write_f64(w, self.tns)?;
+        write!(w, ",\"timing\":{},\"counters\":{{", self.timing)?;
+        let mut first = true;
+        for c in Counter::ALL {
+            let n = self.counters[c.index()];
+            if n == 0 {
+                continue; // keep lines compact: counters that did not move are omitted
+            }
+            if !first {
+                w.write_all(b",")?;
+            }
+            first = false;
+            write!(w, "\"{}\":{}", c.name(), n)?;
+        }
+        w.write_all(b"}}\n")
     }
 }
 
 impl TraceSpan {
-    /// Re-serializes this record through [`write_span_record`].
+    /// Writes this record as its `span` line: the iteration's nonzero
+    /// per-phase nanoseconds. One valid JSON object per line, no heap
+    /// allocation.
+    ///
+    /// Span records carry the only nondeterministic trace content
+    /// (wall-clock), which is why they are separate lines: diff/replay skip
+    /// them.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_span_record(w, self.iter, &self.phase_ns)
+        write!(w, "{{\"t\":\"span\",\"iter\":{},\"phase_ns\":{{", self.iter)?;
+        let mut first = true;
+        for p in Phase::ALL {
+            let ns = self.phase_ns[p.index()];
+            if ns == 0 {
+                continue; // keep lines compact: phases that did not run are omitted
+            }
+            if !first {
+                w.write_all(b",")?;
+            }
+            first = false;
+            write!(w, "\"{}\":{}", p.name(), ns)?;
+        }
+        w.write_all(b"}}\n")
     }
 }
 
@@ -477,6 +525,60 @@ mod tests {
         let mut buf2 = Vec::new();
         parsed.write_jsonl(&mut buf2).unwrap();
         assert_eq!(String::from_utf8(buf2).unwrap(), line);
+    }
+
+    #[test]
+    fn iter_record_is_one_valid_object_per_line() {
+        let mut buf: Vec<u8> = Vec::new();
+        let mut counters = [0u64; Counter::COUNT];
+        counters[Counter::Iterations.index()] = 1;
+        let rec = TraceIter {
+            iter: 3,
+            wl: 123.5,
+            hpwl: f64::NAN,
+            overflow: 0.7,
+            lambda: 1.5e-4,
+            step: f64::NAN,
+            wns: f64::NAN,
+            tns: f64::NEG_INFINITY,
+            timing: true,
+            counters,
+        };
+        rec.write_jsonl(&mut buf).unwrap();
+        rec.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        for line in text.lines() {
+            let v = json::parse(line).expect("line parses");
+            assert_eq!(v.get("t").unwrap().as_str(), Some("iter"));
+            assert_eq!(v.get("iter").unwrap().as_f64(), Some(3.0));
+            assert!(v.get("hpwl").unwrap().is_null());
+            assert_eq!(v.get("lambda").unwrap().as_f64(), Some(1.5e-4));
+            assert!(v.get("step").unwrap().is_null());
+            assert!(v.get("wns").unwrap().is_null());
+            assert!(v.get("tns").unwrap().is_null(), "-inf must serialize as null");
+            assert_eq!(v.get("timing").unwrap().as_bool(), Some(true));
+            assert_eq!(
+                v.get("counters").unwrap().get("iterations").unwrap().as_f64(),
+                Some(1.0)
+            );
+        }
+        assert!(!text.contains("NaN"), "raw NaN token leaked into JSONL");
+    }
+
+    #[test]
+    fn span_record_carries_only_nonzero_phases() {
+        let mut buf: Vec<u8> = Vec::new();
+        let mut phase_ns = [0u64; Phase::COUNT];
+        phase_ns[Phase::DensityGrad.index()] = 55;
+        TraceSpan { iter: 7, phase_ns }.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let v = json::parse(text.trim()).expect("line parses");
+        assert_eq!(v.get("t").unwrap().as_str(), Some("span"));
+        assert_eq!(v.get("iter").unwrap().as_f64(), Some(7.0));
+        let phase_ns = v.get("phase_ns").unwrap();
+        assert_eq!(phase_ns.get("density_grad").unwrap().as_f64(), Some(55.0));
+        assert!(phase_ns.get("legalize").is_none(), "zero phase serialized");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! line must round-trip through the strict trace reader, and re-serializing
 //! the parsed record must reproduce the input bytes.
 
-use dtp_obs::{trace, Counter, IterEvent, Phase, TraceRecord};
+use dtp_obs::{trace, Counter, Phase, TraceIter, TraceRecord, TraceSpan};
 use proptest::prelude::*;
 
 /// Maps a raw u64 onto an "interesting" f64: finite values plus the
@@ -46,7 +46,7 @@ proptest! {
                 let v = cd_seed.wrapping_add((iter + 1).wrapping_mul(i as u64 + 1));
                 *slot = if v % 4 == 0 { 0 } else { v % 100_000 };
             }
-            let ev = IterEvent {
+            let rec = TraceIter {
                 iter,
                 wl: telemetry_f64(qa, 1.0),
                 hpwl: telemetry_f64(qa.rotate_left(13), 1e3),
@@ -56,9 +56,10 @@ proptest! {
                 wns: telemetry_f64(qb.rotate_left(27), -1.0),
                 tns: telemetry_f64(qa ^ qb, -1e2),
                 timing: qa % 2 == 0,
+                counters: counter_delta,
             };
-            dtp_obs::write_iter_record(&mut buf, &ev, &counter_delta).unwrap();
-            dtp_obs::write_span_record(&mut buf, iter, &phase_ns).unwrap();
+            rec.write_jsonl(&mut buf).unwrap();
+            TraceSpan { iter, phase_ns }.write_jsonl(&mut buf).unwrap();
         }
         let text = String::from_utf8(buf).expect("sink output is UTF-8");
         // Exactly two lines per iteration (iter + span)...

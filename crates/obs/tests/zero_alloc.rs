@@ -5,7 +5,7 @@
 //! One test only: the counter is process-wide, and the harness runs the
 //! tests of a file on parallel threads.
 
-use dtp_obs::{Counter, IterEvent, Observer, Phase, SpanStart};
+use dtp_obs::{Counter, Observer, Phase, SpanStart, TraceIter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +52,7 @@ fn observed_iteration(obs: &mut Observer, iter: u64) {
     }
     obs.add(Counter::GeoDirtyNets, 37);
     obs.add(Counter::StaFull, 1);
-    obs.iter_end(IterEvent {
+    obs.iter_end(&mut TraceIter {
         iter,
         wl: 1234.5,
         hpwl: f64::NAN,
@@ -62,6 +62,7 @@ fn observed_iteration(obs: &mut Observer, iter: u64) {
         wns: f64::NAN,
         tns: f64::NAN,
         timing: false,
+        counters: [0; Counter::COUNT],
     });
 }
 

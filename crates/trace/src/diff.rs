@@ -3,17 +3,21 @@
 //! [`diff`] walks two parsed traces record-by-record and reports every
 //! class of disagreement, most importantly the **first diverging iteration
 //! and field** — the forensic anchor for "when did run B stop tracking
-//! run A". Every field is compared exactly: counters and structural fields
-//! by value, the floating-point convergence metrics bit for bit up to NaN ==
-//! NaN (a sample the iteration did not take is NaN in both traces).
+//! run A". Records are compared as the JSON objects their lines hold, leaf
+//! by leaf and by their written text, so every field a record writes is
+//! compared without this module naming it: a sample the iteration did not
+//! take is `null` in both traces, and a counter only one side moved is
+//! `missing` on the other.
 
 use crate::Trace;
-use dtp_obs::{Counter, TraceHeader, TraceIter};
+use dtp_obs::json::{self, Value};
+use dtp_obs::TraceIter;
 
-/// Whether two metric samples agree: equal, or both NaN.
-fn same(a: f64, b: f64) -> bool {
-    a == b || (a.is_nan() && b.is_nan())
-}
+/// The header fields that say where a run executed rather than what it
+/// computed. A difference in one is a note, never a divergence: the
+/// determinism contract spans pool widths and design paths.
+const ENVIRONMENT: [&str; 5] =
+    ["threads", "pool_threads", "host_threads", "source", "config.threads"];
 
 /// The first record-level disagreement [`diff`] found.
 #[derive(Clone, Debug, PartialEq)]
@@ -96,158 +100,88 @@ impl DiffReport {
     }
 }
 
-fn fmt_val(v: f64) -> String {
-    format!("{v}")
+/// The JSON text of a leaf, or `missing` when one side lacks the member.
+fn text(v: Option<&Value>) -> String {
+    v.map_or_else(|| "missing".to_string(), |v| {
+        let mut s = String::new();
+        v.push_json(&mut s);
+        s
+    })
 }
 
-fn header_diffs(a: &TraceHeader, b: &TraceHeader, report: &mut DiffReport) {
-    let mut semantic = |field: &str, va: String, vb: String| {
-        if va != vb {
+/// Pushes `(dotted path, a, b)` for every leaf whose JSON text differs
+/// between `a` and `b`: objects are walked member by member (`a`'s members
+/// in order, then those only `b` has), anything else is a leaf.
+fn leaf_diffs(
+    path: &str,
+    a: Option<&Value>,
+    b: Option<&Value>,
+    out: &mut Vec<(String, String, String)>,
+) {
+    if let (Some(oa @ Value::Obj(ma)), Some(ob @ Value::Obj(mb))) = (a, b) {
+        let child =
+            |key: &str| if path.is_empty() { key.to_string() } else { format!("{path}.{key}") };
+        for (key, va) in ma {
+            leaf_diffs(&child(key), Some(va), ob.get(key), out);
+        }
+        for (key, vb) in mb.iter().filter(|(k, _)| oa.get(k).is_none()) {
+            leaf_diffs(&child(key), None, Some(vb), out);
+        }
+        return;
+    }
+    let (ta, tb) = (text(a), text(b));
+    if ta != tb {
+        out.push((path.to_string(), ta, tb));
+    }
+}
+
+/// `rec`'s `iter` line, as the flow writes it.
+fn line(rec: &TraceIter) -> String {
+    let mut buf = Vec::new();
+    rec.write_jsonl(&mut buf).expect("Vec<u8> writes are infallible");
+    String::from_utf8(buf).expect("records write UTF-8")
+}
+
+/// Compares two traces exactly. Headers are compared as JSON objects (the
+/// execution-environment fields — thread counts, design source — demoted to
+/// notes), then iter records pairwise in stream order: by their written
+/// bytes, and leaf by leaf where those differ. Span records carry wall-clock
+/// noise and are never compared. A length mismatch past the shared prefix is
+/// itself a divergence.
+pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
+    let mut report = DiffReport::default();
+    let mut leaves = Vec::new();
+    leaf_diffs("", Some(&a.header.to_value()), Some(&b.header.to_value()), &mut leaves);
+    for (field, va, vb) in leaves {
+        if ENVIRONMENT.contains(&field.as_str()) {
+            report.notes.push(format!("{field} differs (a={va} b={vb}) — environment, ignored"));
+        } else {
             report.header_diffs.push(format!("{field}: a={va} b={vb}"));
         }
-    };
-    semantic("schema", a.schema.clone(), b.schema.clone());
-    semantic("mode", a.mode.clone(), b.mode.clone());
-    semantic("seed", a.seed.to_string(), b.seed.to_string());
-    semantic("design", a.design.clone(), b.design.clone());
-    semantic("cells", a.cells.to_string(), b.cells.to_string());
-    semantic("nets", a.nets.to_string(), b.nets.to_string());
-    semantic("pins", a.pins.to_string(), b.pins.to_string());
-    semantic("region", format!("{:?}", a.region), format!("{:?}", b.region));
-    semantic("clock_period", fmt_val(a.clock_period), fmt_val(b.clock_period));
-    // Config knobs: keyed comparison so reordering (which the writers never
-    // produce, but a hand-edited golden might) is still caught explicitly.
-    for (key, va) in &a.config {
-        if key == "threads" {
+    }
+    let shared = a.iters.len().min(b.iters.len());
+    report.compared_iters = shared;
+    for (index, (ra, rb)) in a.iters.iter().zip(&b.iters).enumerate() {
+        let (la, lb) = (line(ra), line(rb));
+        if la == lb {
             continue;
         }
-        match b.config.iter().find(|(k, _)| k == key) {
-            Some((_, vb)) => {
-                let (sa, sb) = (render(va), render(vb));
-                if sa != sb {
-                    report.header_diffs.push(format!("config.{key}: a={sa} b={sb}"));
-                }
-            }
-            None => report.header_diffs.push(format!("config.{key}: missing in b")),
+        let parse = |l: &str| json::parse(l).expect("records write valid JSON");
+        let mut leaves = Vec::new();
+        leaf_diffs("", Some(&parse(&la)), Some(&parse(&lb)), &mut leaves);
+        report.mismatched_values += leaves.len();
+        if report.first_divergence.is_none() {
+            report.first_divergence = leaves
+                .into_iter()
+                .next()
+                .map(|(field, a, b)| Divergence { index, iter: ra.iter, field, a, b });
         }
-    }
-    for (key, _) in &b.config {
-        if key != "threads" && !a.config.iter().any(|(k, _)| k == key) {
-            report.header_diffs.push(format!("config.{key}: missing in a"));
-        }
-    }
-    for (key, va) in &a.mode_config {
-        match b.mode_config.iter().find(|(k, _)| k == key) {
-            Some((_, vb)) => {
-                let (sa, sb) = (render(va), render(vb));
-                if sa != sb {
-                    report.header_diffs.push(format!("mode_config.{key}: a={sa} b={sb}"));
-                }
-            }
-            None => report.header_diffs.push(format!("mode_config.{key}: missing in b")),
-        }
-    }
-    for (key, _) in &b.mode_config {
-        if !a.mode_config.iter().any(|(k, _)| k == key) {
-            report.header_diffs.push(format!("mode_config.{key}: missing in a"));
-        }
-    }
-    // Environment identity: informational, never dirty.
-    let mut note = |field: &str, va: String, vb: String| {
-        if va != vb {
-            report.notes.push(format!("{field} differs (a={va} b={vb}) — environment, ignored"));
-        }
-    };
-    note("threads", a.threads.to_string(), b.threads.to_string());
-    note("pool_threads", a.pool_threads.to_string(), b.pool_threads.to_string());
-    note("host_threads", a.host_threads.to_string(), b.host_threads.to_string());
-    note(
-        "source",
-        a.source.clone().unwrap_or_else(|| "null".to_string()),
-        b.source.clone().unwrap_or_else(|| "null".to_string()),
-    );
-    let ta = a.config.iter().find(|(k, _)| k == "threads").map(|(_, v)| render(v));
-    let tb = b.config.iter().find(|(k, _)| k == "threads").map(|(_, v)| render(v));
-    note(
-        "config.threads",
-        ta.unwrap_or_else(|| "missing".to_string()),
-        tb.unwrap_or_else(|| "missing".to_string()),
-    );
-}
-
-fn render(v: &dtp_obs::json::Value) -> String {
-    let mut s = String::new();
-    v.push_json(&mut s);
-    s
-}
-
-struct IterCmp {
-    report: DiffReport,
-}
-
-impl IterCmp {
-    fn record(&mut self, index: usize, a: &TraceIter, field: &str, va: String, vb: String) {
-        self.report.mismatched_values += 1;
-        if self.report.first_divergence.is_none() {
-            self.report.first_divergence = Some(Divergence {
-                index,
-                iter: a.iter,
-                field: field.to_string(),
-                a: va,
-                b: vb,
-            });
-        }
-    }
-
-    fn metric(&mut self, index: usize, a: &TraceIter, field: &str, va: f64, vb: f64) {
-        if !same(va, vb) {
-            self.record(index, a, field, fmt_val(va), fmt_val(vb));
-        }
-    }
-
-    fn compare(&mut self, index: usize, a: &TraceIter, b: &TraceIter) {
-        if a.iter != b.iter {
-            self.record(index, a, "iter", a.iter.to_string(), b.iter.to_string());
-        }
-        if a.timing != b.timing {
-            self.record(index, a, "timing", a.timing.to_string(), b.timing.to_string());
-        }
-        self.metric(index, a, "wl", a.wl, b.wl);
-        self.metric(index, a, "hpwl", a.hpwl, b.hpwl);
-        self.metric(index, a, "overflow", a.overflow, b.overflow);
-        self.metric(index, a, "lambda", a.lambda, b.lambda);
-        self.metric(index, a, "step", a.step, b.step);
-        self.metric(index, a, "wns", a.wns, b.wns);
-        self.metric(index, a, "tns", a.tns, b.tns);
-        // Counters are discrete event counts.
-        for c in Counter::ALL {
-            let (ca, cb) = (a.counters[c.index()], b.counters[c.index()]);
-            if ca != cb {
-                let field = format!("counters.{}", c.name());
-                self.record(index, a, &field, ca.to_string(), cb.to_string());
-            }
-        }
-    }
-}
-
-/// Compares two traces exactly. Headers are compared semantically
-/// (environment fields demoted to notes), then iter records pairwise in
-/// stream order; span records carry wall-clock noise and are never
-/// compared. A length mismatch past the shared prefix is itself a
-/// divergence.
-pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
-    let mut cmp = IterCmp { report: DiffReport::default() };
-    header_diffs(&a.header, &b.header, &mut cmp.report);
-    let shared = a.iters.len().min(b.iters.len());
-    cmp.report.compared_iters = shared;
-    for i in 0..shared {
-        cmp.compare(i, &a.iters[i], &b.iters[i]);
     }
     if a.iters.len() != b.iters.len() {
         let iter = if a.iters.len() > shared { a.iters[shared].iter } else { b.iters[shared].iter };
-        cmp.report.mismatched_values += 1;
-        if cmp.report.first_divergence.is_none() {
-            cmp.report.first_divergence = Some(Divergence {
+        report.mismatched_values += 1;
+        if report.first_divergence.is_none() {
+            report.first_divergence = Some(Divergence {
                 index: shared,
                 iter,
                 field: "record count".to_string(),
@@ -256,13 +190,14 @@ pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
             });
         }
     }
-    cmp.report
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sample_trace;
+    use dtp_obs::{trace, TraceHeader, TraceRecord};
 
     #[test]
     fn self_diff_is_clean_at_zero_tolerance() {
@@ -338,5 +273,115 @@ mod tests {
         assert_eq!(r.header_diffs.len(), 2);
         assert!(r.render().contains("header: seed"));
         assert!(r.render().contains("header: mode_config.gamma"));
+    }
+
+    /// Every leaf an `iter` line holds, perturbed one at a time through the
+    /// line itself, is exactly one divergence naming that leaf: the diff
+    /// has no blind field, including one added to the record later.
+    #[test]
+    fn every_perturbed_iter_field_is_one_divergence() {
+        let a = sample_trace(4);
+        let Value::Obj(members) = json::parse(&line(&a.iters[2])).unwrap() else {
+            panic!("an iter line holds an object");
+        };
+        let bump = |v: &Value| match v {
+            Value::Null => Value::Num(1.0),
+            Value::Num(x) => Value::Num(x + 1.0),
+            Value::Bool(b) => Value::Bool(!b),
+            other => panic!("no iter leaf is written as {other:?}"),
+        };
+        // (dotted path, the record with that one leaf perturbed); `t` is the
+        // record kind, not a field.
+        let mut cases = Vec::new();
+        for (i, (key, v)) in members.iter().enumerate().skip(1) {
+            let Value::Obj(inner) = v else {
+                let mut m = members.clone();
+                m[i].1 = bump(v);
+                cases.push((key.clone(), m));
+                continue;
+            };
+            for (j, (name, n)) in inner.iter().enumerate() {
+                let mut m = members.clone();
+                let mut counters = inner.clone();
+                counters[j].1 = bump(n);
+                m[i].1 = Value::Obj(counters);
+                cases.push((format!("{key}.{name}"), m));
+            }
+        }
+        assert!(cases.len() >= 10, "every field and the one counter: {}", cases.len());
+        for (path, m) in cases {
+            let mut edited = String::new();
+            Value::Obj(m).push_json(&mut edited);
+            let TraceRecord::Iter(rec) = trace::parse_record(&edited).unwrap() else {
+                panic!("{path}: not an iter record");
+            };
+            let mut b = a.clone();
+            b.iters[2] = rec;
+            let r = diff(&a, &b);
+            assert_eq!(r.mismatched_values, 1, "{path}: {}", r.render());
+            let d = r.first_divergence.unwrap_or_else(|| panic!("{path}: no divergence"));
+            assert_eq!((d.index, d.field.as_str()), (2, path.as_str()));
+            assert!(r.header_diffs.is_empty() && r.notes.is_empty(), "{path}");
+        }
+        // A counter only one side moved reads `missing` on the other.
+        let mut b = a.clone();
+        b.iters[2].counters[dtp_obs::Counter::StaFull.index()] = 1;
+        let d = diff(&a, &b).first_divergence.unwrap();
+        let shown = (d.field.as_str(), d.a.as_str(), d.b.as_str());
+        assert_eq!(shown, ("counters.sta_full", "missing", "1"));
+    }
+
+    /// Every header field, perturbed one at a time, is exactly one header
+    /// diff naming it — or, for an [`ENVIRONMENT`] field, exactly one note
+    /// and a clean diff.
+    #[test]
+    fn every_perturbed_header_field_is_one_header_diff_or_note() {
+        type Edit = fn(&mut TraceHeader);
+        let semantic: [(&str, Edit); 11] = [
+            ("schema", |h| h.schema.push('x')),
+            ("mode", |h| h.mode.push('x')),
+            ("seed", |h| h.seed += 1),
+            ("design", |h| h.design.push('x')),
+            ("cells", |h| h.cells += 1),
+            ("nets", |h| h.nets += 1),
+            ("pins", |h| h.pins += 1),
+            ("region", |h| h.region[2] += 1.0),
+            ("clock_period", |h| h.clock_period += 1.0),
+            ("config.max_iters", |h| h.config[0].1 = Value::Num(99.0)),
+            ("mode_config.gamma", |h| h.mode_config[0].1 = Value::Num(99.0)),
+        ];
+        let environment: [(&str, Edit); 5] = [
+            ("threads", |h| h.threads += 1),
+            ("pool_threads", |h| h.pool_threads += 1),
+            ("host_threads", |h| h.host_threads += 1),
+            ("source", |h| h.source = None),
+            ("config.threads", |h| h.config[1].1 = Value::Num(16.0)),
+        ];
+        let a = sample_trace(2);
+        // The two lists cover every member the header line holds.
+        let Value::Obj(members) = a.header.to_value() else { panic!("a header is an object") };
+        for (key, _) in members.iter().skip(1) {
+            let named = |list: &[(&str, Edit)]| {
+                list.iter().any(|(p, _)| p == key || p.starts_with(&format!("{key}.")))
+            };
+            assert!(named(&semantic) || named(&environment), "header field `{key}` untested");
+        }
+        assert_eq!(environment.map(|(p, _)| p), ENVIRONMENT);
+        for (path, edit) in semantic {
+            let mut b = a.clone();
+            edit(&mut b.header);
+            let r = diff(&a, &b);
+            assert_eq!(r.header_diffs.len(), 1, "{path}: {}", r.render());
+            assert!(r.header_diffs[0].starts_with(&format!("{path}: a=")), "{}", r.render());
+            assert!(r.notes.is_empty() && r.first_divergence.is_none(), "{path}");
+        }
+        for (path, edit) in environment {
+            let mut b = a.clone();
+            edit(&mut b.header);
+            let r = diff(&a, &b);
+            assert!(r.is_clean(), "{path}: {}", r.render());
+            assert_eq!(r.notes.len(), 1, "{path}: {}", r.render());
+            assert!(r.notes[0].starts_with(&format!("{path} differs")), "{}", r.render());
+        }
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! * [`Trace::parse`] — strict, line-numbered parsing of a whole stream
 //!   into a typed [`Trace`] (the `dtp trace validate` backend).
-//! * [`diff`] — exact field-by-field comparison of two traces (NaN == NaN),
-//!   reporting the **first diverging iteration and field** (the `dtp trace
-//!   diff` backend; its clean/dirty verdict drives the CI determinism gate).
+//! * [`diff`] — exact comparison of two traces, leaf by leaf over the JSON
+//!   their records hold (`null` == `null`), reporting the **first diverging
+//!   iteration and field** (the `dtp trace diff` backend; its clean/dirty
+//!   verdict drives the CI determinism gate).
 //! * [`Trace::canonical_bytes`] — the byte-exact determinism fingerprint:
 //!   the header (with execution-environment fields normalized away) plus
 //!   every deterministic `iter` record, excluding the wall-clock `span`
