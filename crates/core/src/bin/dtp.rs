@@ -10,7 +10,7 @@
 //!           [--bins N] [--max-iters N] [--threads N]
 //!           [--route] [--route-capacity C]
 //!           [--profile] [--metrics-out file] [--trace-out file]
-//!           [--log-level error|warn|info|debug]
+//!           [--log-level error|warn|info]
 //! dtp proxy <sbN> [scale_denom]             print statistics of a superblue proxy
 //! dtp trace validate <trace.jsonl>          schema-checked parse of a v3 trace
 //! dtp trace diff <a.jsonl> <b.jsonl>       exact comparison, first diverging field
@@ -97,7 +97,7 @@ fn load_placeable_design(spec: &str) -> Result<Design, Box<dyn std::error::Error
 fn set_log_level(name: Option<&String>) -> Result<(), String> {
     let name = name.ok_or("option `--log-level` needs a level")?;
     let level = Level::parse(name)
-        .ok_or_else(|| format!("unknown log level `{name}` (error|warn|info|debug)"))?;
+        .ok_or_else(|| format!("unknown log level `{name}` (error|warn|info)"))?;
     obs::log::set_level(level);
     Ok(())
 }
@@ -171,7 +171,7 @@ fn cmd_place(args: &[String]) -> CliResult {
              [--bins N] [--max-iters N] [--threads N] \
              [--route] [--route-capacity C] \
              [--profile] [--metrics-out file] [--trace-out file] \
-             [--log-level error|warn|info|debug]"
+             [--log-level error|warn|info]"
                 .into(),
         );
     };

@@ -117,7 +117,7 @@ config_table! {
     /// Configuration of the differentiable timing objective (the paper's method).
     pub struct DiffTimingConfig (round trip: pub(crate)) {
         /// LSE smoothing γ (ps); the paper sets "around 100".
-        gamma: f64 = 100.0,
+        gamma: f64 = dtp_sta::DEFAULT_GAMMA,
         /// Initial TNS weight t1. The paper reports "around 0.01" on the
         /// ICCAD-2015 superblue suite; on the scaled synthetic proxies the same
         /// gradient balance is reached at 0.04 (the paper itself tunes t1/t2 per

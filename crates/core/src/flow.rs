@@ -50,7 +50,7 @@ use dtp_place::{
 };
 use dtp_route::{inflation_factors, CongestionPenalty, CongestionSummary, RudyMap};
 use dtp_rsmt::{build_forest, build_forest_with, ForestScratch, ForestStats, SteinerForest, TableConfig};
-use dtp_sta::{Analysis, AnalysisScratch, PositionGradients, StaError, Timer, TimerConfig};
+use dtp_sta::{Analysis, AnalysisScratch, PositionGradients, StaError, Timer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -163,8 +163,6 @@ pub struct FlowResult {
     pub wns: f64,
     /// Final exact TNS (ps).
     pub tns: f64,
-    /// Final exact hold WNS (ps).
-    pub wns_hold: f64,
     /// HPWL at the end of global placement, before legalization.
     pub gp_hpwl: f64,
     /// Global-placement iterations executed.
@@ -887,11 +885,10 @@ fn run_flow_inner(
 
     // --- models -------------------------------------------------------------
     let mut core = GradientCore::new(&work, config);
-    let timer_config = match mode {
-        FlowMode::Differentiable(d) => TimerConfig { gamma: d.gamma, ..TimerConfig::default() },
-        _ => TimerConfig::default(),
+    let timer = match mode {
+        FlowMode::Differentiable(d) => Timer::with_gamma(&work, lib, d.gamma)?,
+        _ => Timer::new(&work, lib)?,
     };
-    let timer = Timer::with_config(&work, lib, timer_config)?;
     let mut timing = TimingMechanism::new(mode, &core.wl_model);
     // The wirelength-only mode never activates timing.
     let timing_start = timing.as_ref().map_or(usize::MAX, |t| t.start_iter);
@@ -1136,8 +1133,7 @@ fn run_flow_inner(
     let final_forest = fresh_forest(&work.netlist, obs);
     let final_analysis = obs
         .time(Phase::FinalSta, || timer.analyze_into(&work.netlist, &final_forest, &mut scratch));
-    let (wns, tns, wns_hold) =
-        (final_analysis.wns(), final_analysis.tns(), final_analysis.wns_hold());
+    let (wns, tns) = (final_analysis.wns(), final_analysis.tns());
     // Timing is done: like the loop state above, the timer and the analysis
     // buffers go now, so the summary map below allocates from what they free.
     drop((final_analysis, scratch, timer));
@@ -1185,7 +1181,6 @@ fn run_flow_inner(
         hpwl,
         wns,
         tns,
-        wns_hold,
         gp_hpwl,
         iterations,
         runtime: t_start.elapsed().as_secs_f64(),

@@ -455,6 +455,18 @@ fn cli_log_level_warn_leaves_stdout_machine_clean() {
 }
 
 #[test]
+fn cli_refuses_the_retired_debug_level() {
+    // Nothing logs below `info`, so there is no `debug` level to select.
+    let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
+        .args(["place", "sb1", "--max-iters", "1", "--log-level", "debug"])
+        .output()
+        .expect("dtp runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error|warn|info"), "error does not name the levels: {stderr}");
+}
+
+#[test]
 fn cli_rejects_a_density_grid_it_cannot_sample() {
     // `--bins 0` and `--bins 1` used to abort mid-loop with a `f64::clamp`
     // panic out of the field sampler; they are malformed flags. The two

@@ -76,14 +76,16 @@ impl LibCell {
     }
 
     /// Delay arcs ending at output pin `to`.
-    pub fn delay_arcs_to<'a>(&'a self, to: &'a str) -> impl Iterator<Item = &'a TimingArc> + 'a {
+    #[cfg(test)]
+    pub(crate) fn delay_arcs_to<'a>(&'a self, to: &'a str) -> impl Iterator<Item = &'a TimingArc> + 'a {
         self.arcs
             .iter()
             .filter(move |a| a.is_delay_arc() && a.to == to)
     }
 
     /// Constraint (setup/hold) arcs ending at data pin `to`.
-    pub fn constraint_arcs_to<'a>(
+    #[cfg(test)]
+    pub(crate) fn constraint_arcs_to<'a>(
         &'a self,
         to: &'a str,
     ) -> impl Iterator<Item = &'a TimingArc> + 'a {

@@ -16,22 +16,22 @@ use dtp_netlist::stdcells::{self, StdCellSpec, CLOCK_PIN};
 use dtp_netlist::PinDir;
 
 /// Slew axis (ps) of the synthetic tables.
-pub const SLEW_AXIS: [f64; 5] = [0.5, 2.0, 8.0, 32.0, 128.0];
+const SLEW_AXIS: [f64; 5] = [0.5, 2.0, 8.0, 32.0, 128.0];
 /// Load axis (fF) of the synthetic tables.
-pub const LOAD_AXIS: [f64; 5] = [0.5, 2.0, 8.0, 32.0, 128.0];
+const LOAD_AXIS: [f64; 5] = [0.5, 2.0, 8.0, 32.0, 128.0];
 
 /// Base output resistance (kΩ) of a drive-1 cell; kΩ·fF = ps.
-pub const BASE_DRIVE_RES: f64 = 2.0;
+const BASE_DRIVE_RES: f64 = 2.0;
 /// Delay sensitivity to input slew (dimensionless).
-pub const SLEW_TO_DELAY: f64 = 0.15;
+const SLEW_TO_DELAY: f64 = 0.15;
 /// Output-slew sensitivity to load relative to delay sensitivity.
-pub const TRANS_LOAD_FACTOR: f64 = 1.2;
+const TRANS_LOAD_FACTOR: f64 = 1.2;
 /// Output-slew sensitivity to input slew.
-pub const SLEW_TO_SLEW: f64 = 0.10;
+const SLEW_TO_SLEW: f64 = 0.10;
 /// Intrinsic output slew (ps).
-pub const TRANS_INTRINSIC: f64 = 3.0;
+const TRANS_INTRINSIC: f64 = 3.0;
 /// Base input-pin capacitance (fF).
-pub const BASE_PIN_CAP: f64 = 1.0;
+const BASE_PIN_CAP: f64 = 1.0;
 
 /// Analytic arc delay of a cell described by `spec` (the truth the synthetic
 /// LUTs tabulate).
@@ -71,7 +71,7 @@ fn trans_lut(spec: &StdCellSpec) -> Lut2 {
 }
 
 /// Builds the [`LibCell`] for one standard-cell descriptor.
-pub fn synth_cell(spec: &StdCellSpec) -> LibCell {
+fn synth_cell(spec: &StdCellSpec) -> LibCell {
     let cap = analytic_pin_cap(spec);
     let mut cell = LibCell::new(spec.name, spec.width * stdcells::ROW_HEIGHT);
     for input in spec.inputs {

@@ -48,7 +48,7 @@ fn declared(cur: &Cursor<'_>, line: &str, min_bytes: usize) -> usize {
 
 /// A `.nodes` record; the name borrows from the parsed text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NodeRecord<'a> {
+pub(crate) struct NodeRecord<'a> {
     /// Node name.
     pub name: &'a str,
     /// Width in microns.
@@ -64,7 +64,7 @@ pub struct NodeRecord<'a> {
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] on malformed records and non-finite sizes.
-pub fn parse_nodes(text: &str) -> Result<Vec<NodeRecord<'_>>, NetlistError> {
+pub(crate) fn parse_nodes(text: &str) -> Result<Vec<NodeRecord<'_>>, NetlistError> {
     let mut cur = Cursor::new("nodes", text);
     let mut out = Vec::new();
     while let Some(line) = cur.record_line() {
@@ -84,7 +84,7 @@ pub fn parse_nodes(text: &str) -> Result<Vec<NodeRecord<'_>>, NetlistError> {
 
 /// One pin of a `.nets` record: node name, direction, center-relative offset.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NetPinRecord<'a> {
+pub(crate) struct NetPinRecord<'a> {
     /// Node name.
     pub node: &'a str,
     /// Direction (`I` or `O`; `B` is treated as input).
@@ -96,7 +96,7 @@ pub struct NetPinRecord<'a> {
 /// The records of a `.nets` file: the net names and one flat pin table cut
 /// into per-net rows.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct NetRecords<'a> {
+pub(crate) struct NetRecords<'a> {
     names: Vec<Cow<'a, str>>,
     pin_end: Vec<u32>,
     pins: Vec<NetPinRecord<'a>>,
@@ -106,11 +106,6 @@ impl<'a> NetRecords<'a> {
     /// Number of nets.
     pub fn len(&self) -> usize {
         self.names.len()
-    }
-
-    /// Whether the file listed no net.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Total number of pin records.
@@ -132,7 +127,7 @@ impl<'a> NetRecords<'a> {
 ///
 /// Returns [`NetlistError::Parse`] on malformed records, degree mismatches,
 /// a degree that the rest of the file cannot hold and non-finite offsets.
-pub fn parse_nets(text: &str) -> Result<NetRecords<'_>, NetlistError> {
+pub(crate) fn parse_nets(text: &str) -> Result<NetRecords<'_>, NetlistError> {
     let mut cur = Cursor::new("nets", text);
     let mut out = NetRecords::default();
     let mut expect: usize = 0;
@@ -181,7 +176,7 @@ pub fn parse_nets(text: &str) -> Result<NetRecords<'_>, NetlistError> {
 
 /// A `.pl` record: lower-left position plus fixed flag.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PlRecord<'a> {
+pub(crate) struct PlRecord<'a> {
     /// Node name.
     pub name: &'a str,
     /// Lower-left x.
@@ -198,7 +193,7 @@ pub struct PlRecord<'a> {
 ///
 /// Returns [`NetlistError::Parse`] on malformed records and non-finite
 /// coordinates.
-pub fn parse_pl(text: &str) -> Result<Vec<PlRecord<'_>>, NetlistError> {
+pub(crate) fn parse_pl(text: &str) -> Result<Vec<PlRecord<'_>>, NetlistError> {
     let mut cur = Cursor::new("pl", text);
     let mut out = Vec::with_capacity(cur.clamp_count(usize::MAX, 24));
     while let Some(line) = cur.record_line() {
@@ -216,7 +211,7 @@ pub fn parse_pl(text: &str) -> Result<Vec<PlRecord<'_>>, NetlistError> {
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] on malformed row records.
-pub fn parse_scl(text: &str) -> Result<Vec<Row>, NetlistError> {
+pub(crate) fn parse_scl(text: &str) -> Result<Vec<Row>, NetlistError> {
     let mut cur = Cursor::new("scl", text);
     let mut rows = Vec::new();
     let mut open: Option<(Row, usize)> = None; // the row being read, its NumSites
@@ -257,7 +252,8 @@ pub fn parse_scl(text: &str) -> Result<Vec<Row>, NetlistError> {
 /// # Errors
 ///
 /// Returns builder errors (duplicate names, multi-driver nets, …).
-pub fn build_netlist(
+#[cfg(test)]
+pub(crate) fn build_netlist(
     nodes: &[NodeRecord<'_>],
     nets: &NetRecords<'_>,
     pl: &[PlRecord<'_>],
@@ -319,7 +315,7 @@ pub(crate) fn parse_classes(text: &str) -> Result<HashMap<&str, &str>, NetlistEr
 ///
 /// Returns [`NetlistError`] when a mapped pin cannot be matched to any class
 /// pin template, or on builder-level inconsistencies.
-pub fn build_netlist_with_classes(
+pub(crate) fn build_netlist_with_classes(
     nodes: &[NodeRecord<'_>],
     nets: &NetRecords<'_>,
     pl: &[PlRecord<'_>],

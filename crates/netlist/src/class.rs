@@ -235,7 +235,8 @@ impl CellClass {
     }
 
     /// The clock pin id, if the class has one.
-    pub fn clock_pin(&self) -> Option<ClassPinId> {
+    #[cfg(test)]
+    pub(crate) fn clock_pin(&self) -> Option<ClassPinId> {
         self.pin_ids()
             .find(|(_, p)| p.kind == PinKind::Clock)
             .map(|(id, _)| id)

@@ -32,7 +32,7 @@ use std::io::{self, Write};
 /// One placed object from a DEF file (component or pin); the name borrows
 /// from the parsed text.
 #[derive(Clone, Debug, PartialEq)]
-pub struct DefPlacement<'a> {
+pub(crate) struct DefPlacement<'a> {
     /// Component / pin name.
     pub name: &'a str,
     /// Lower-left x in microns.
@@ -45,7 +45,7 @@ pub struct DefPlacement<'a> {
 
 /// Parsed DEF content; names borrow from the parsed text.
 #[derive(Clone, Debug, Default)]
-pub struct DefData<'a> {
+pub(crate) struct DefData<'a> {
     /// DESIGN name.
     pub design: &'a str,
     /// Database units per micron (UNITS DISTANCE MICRONS).
@@ -68,7 +68,7 @@ pub struct DefData<'a> {
 /// non-positive `UNITS`, non-finite coordinates, an empty `DIEAREA` and
 /// `COMPONENTS`/`PINS` sections that never end. Unsupported DEF sections
 /// (NETS, SPECIALNETS, …) are skipped statement-wise.
-pub fn parse_def(text: &str) -> Result<DefData<'_>, NetlistError> {
+pub(crate) fn parse_def(text: &str) -> Result<DefData<'_>, NetlistError> {
     #[derive(PartialEq)]
     enum Section {
         Top,
@@ -183,7 +183,7 @@ pub fn parse_def(text: &str) -> Result<DefData<'_>, NetlistError> {
 ///
 /// Returns [`NetlistError::UnknownName`] for a DEF object with no netlist
 /// counterpart.
-pub fn apply_def(nl: &mut Netlist, def: &DefData<'_>) -> Result<usize, NetlistError> {
+pub(crate) fn apply_def(nl: &mut Netlist, def: &DefData<'_>) -> Result<usize, NetlistError> {
     for rec in def.components.iter().chain(def.pins.iter()) {
         let cell = nl
             .find_cell(rec.name)
@@ -197,7 +197,8 @@ pub fn apply_def(nl: &mut Netlist, def: &DefData<'_>) -> Result<usize, NetlistEr
 }
 
 /// Serializes a placed netlist + floorplan to the DEF subset.
-pub fn write_def(design: &Design) -> String {
+#[cfg(test)]
+pub(crate) fn write_def(design: &Design) -> String {
     let mut out = Vec::new();
     emit_def(design, &mut out).expect("writing to memory cannot fail");
     String::from_utf8(out).expect("names are UTF-8")

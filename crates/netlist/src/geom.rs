@@ -22,9 +22,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point = Point { x: 0.0, y: 0.0 };
-
     /// Manhattan (rectilinear) distance to `other` — the metric of
     /// rectilinear routing and hence of the Elmore wire model.
     #[inline]
@@ -146,7 +143,7 @@ impl Rect {
 
     /// Grows the rectangle to include `p`.
     #[inline]
-    pub fn expand_to(&mut self, p: Point) {
+    fn expand_to(&mut self, p: Point) {
         self.xl = self.xl.min(p.x);
         self.yl = self.yl.min(p.y);
         self.xh = self.xh.max(p.x);
@@ -164,14 +161,6 @@ impl Rect {
             r.expand_to(p);
         }
         Some(r)
-    }
-
-    /// Overlap area between two rectangles (zero if disjoint).
-    #[inline]
-    pub fn overlap_area(&self, other: &Rect) -> f64 {
-        let w = (self.xh.min(other.xh) - self.xl.max(other.xl)).max(0.0);
-        let h = (self.yh.min(other.yh) - self.yl.max(other.yl)).max(0.0);
-        w * h
     }
 
     /// Clamps a point into the rectangle.
@@ -227,15 +216,6 @@ mod tests {
         let r = Rect::bounding(pts).unwrap();
         assert_eq!(r, Rect::new(-2.0, 3.0, 1.0, 7.0));
         assert_eq!(Rect::bounding(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn overlap() {
-        let a = Rect::new(0.0, 0.0, 2.0, 2.0);
-        let b = Rect::new(1.0, 1.0, 3.0, 3.0);
-        assert_eq!(a.overlap_area(&b), 1.0);
-        let c = Rect::new(5.0, 5.0, 6.0, 6.0);
-        assert_eq!(a.overlap_area(&c), 0.0);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   scaled "superblue proxy" designs used to regenerate the paper's Table 2
 //!   and Table 3 (the real ICCAD-2015 superblue suite is proprietary contest
 //!   data; see `DESIGN.md` for the substitution rationale).
-//! - [`bookshelf`], [`verilog`], [`def`], [`iccad`]: readers/writers for the
+//! - [`bookshelf`], [`verilog`], [`iccad`]: readers/writers for the
 //!   Bookshelf subset (`.nodes`, `.nets`, `.pl`, `.scl`) and for the
-//!   ICCAD-2015 bundle (`.v` + `.def` + `.sdc`), so real benchmark data can be
+//!   ICCAD-2015 bundle (`.v` + `.def` + `.sdc`; [`iccad`] reads and writes
+//!   the DEF half through an in-crate module), so real benchmark data can be
 //!   dropped in when available. The readers share one zero-copy cursor and
 //!   answer malformed input with [`NetlistError::Parse`], never a panic.
 //! - [`sdc`]: a parser for the SDC subset used by timing-driven placement
@@ -64,7 +65,7 @@ mod reference;
 mod stats;
 
 pub mod bookshelf;
-pub mod def;
+mod def;
 pub mod generate;
 pub mod iccad;
 pub mod sdc;

@@ -356,7 +356,7 @@ pub(crate) mod builder {
             self.nl.cells.push(Cell {
                 name,
                 class,
-                pos: Point::ORIGIN,
+                pos: Point::new(0.0, 0.0),
                 fixed,
                 pins,
             });

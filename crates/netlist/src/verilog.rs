@@ -18,8 +18,7 @@
 //!
 //! Instances use named port connections only (the contest style). Cell types
 //! resolve against the canonical standard-cell table ([`crate::stdcells`]);
-//! unknown types are an error — supply a full class set via
-//! [`parse_verilog_with`] for other libraries.
+//! unknown types are an error.
 
 use crate::builder::NetlistBuilder;
 use crate::class::{CellClass, ClassId};
@@ -109,7 +108,7 @@ impl<'a> Reader<'a> {
 /// # Errors
 ///
 /// See [`parse_verilog`].
-pub fn parse_verilog_with(
+pub(crate) fn parse_verilog_with(
     text: &str,
     resolve: impl Fn(&str) -> Option<CellClass>,
 ) -> Result<Netlist, NetlistError> {

@@ -4,8 +4,8 @@
 //! levels cost one relaxed atomic load and no formatting (the macros check
 //! the level *before* building `format_args!`). `info` goes to stdout and
 //! `warn` to stderr, so `--log-level warn` yields a machine-clean stdout
-//! (nothing but result lines). `error` and `debug` are levels a caller can
-//! set, not macros: nothing logs at them.
+//! (nothing but result lines). `error` is a level a caller can set, not a
+//! macro: nothing logs at it, so setting it silences the warnings.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -20,18 +20,15 @@ pub enum Level {
     Warn = 1,
     /// Per-run summaries (default).
     Info = 2,
-    /// Per-phase diagnostics.
-    Debug = 3,
 }
 
 impl Level {
-    /// Parses a level name (`error|warn|info|debug`), case-insensitive.
+    /// Parses a level name (`error|warn|info`), case-insensitive.
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
             "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
             _ => None,
         }
     }
@@ -93,9 +90,8 @@ mod tests {
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
         assert_eq!(Level::parse("warning"), Some(Level::Warn));
         assert_eq!(Level::parse("info"), Some(Level::Info));
-        assert_eq!(Level::parse("debug"), Some(Level::Debug));
+        assert_eq!(Level::parse("debug"), None);
         assert_eq!(Level::parse("bogus"), None);
         assert!(Level::Error < Level::Warn && Level::Warn < Level::Info);
-        assert!(Level::Info < Level::Debug);
     }
 }

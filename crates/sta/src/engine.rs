@@ -56,34 +56,23 @@ use dtp_rsmt::{node_capacity, SteinerForest};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Tunable parameters of the timing engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TimerConfig {
-    /// LSE smoothing parameter γ, in ps (the paper uses ≈ 100).
-    pub gamma: f64,
-    /// Slew of the ideal clock at register clock pins (ps).
-    pub clock_slew: f64,
-    /// Slew assumed at primary inputs (ps).
-    pub input_slew: f64,
-    /// Arrival time of the clock edge at registers (ps); 0 for an ideal
-    /// zero-insertion-delay clock network.
-    pub clock_arrival: f64,
-}
+/// The LSE smoothing parameter γ (ps) of [`Timer::new`]; the paper uses
+/// "around 100" (§3.2).
+pub const DEFAULT_GAMMA: f64 = 100.0;
 
-impl Default for TimerConfig {
-    fn default() -> Self {
-        TimerConfig {
-            gamma: 100.0,
-            clock_slew: 20.0,
-            input_slew: 10.0,
-            clock_arrival: 0.0,
-        }
-    }
-}
+/// Slew assumed at primary inputs (ps).
+pub const INPUT_SLEW: f64 = 10.0;
+
+/// Slew of the ideal clock at register clock pins (ps).
+const CLOCK_SLEW: f64 = 20.0;
+
+/// Arrival time of the clock edge at registers (ps): an ideal
+/// zero-insertion-delay clock network.
+const CLOCK_ARRIVAL: f64 = 0.0;
 
 /// Maximum number of fan-in arcs aggregated on the stack per pin; pins with
 /// more arcs fall back to a heap buffer (no common library cell comes close).
-pub const MAX_INLINE_ARCS: usize = 16;
+const MAX_INLINE_ARCS: usize = 16;
 
 /// Pins per level-sweep task. A level of at most this many pins is one task
 /// and runs inline, writing arrival times in place: handing ≈ 10 µs tasks to
@@ -185,7 +174,8 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 20);
 pub struct Timer {
     binding: Binding,
     graph: TimingGraph,
-    config: TimerConfig,
+    /// LSE smoothing γ (ps), positive and finite.
+    gamma: f64,
     clock_period: f64,
     /// CSR data: pin capacitances in net pin order, grouped by net (clock
     /// nets contribute an empty range).
@@ -494,19 +484,23 @@ impl Timer {
     ///
     /// Returns [`StaError`] for unbound classes/pins or combinational cycles.
     pub fn new(design: &Design, lib: &dtp_liberty::Library) -> Result<Timer, StaError> {
-        Timer::with_config(design, lib, TimerConfig::default())
+        Timer::with_gamma(design, lib, DEFAULT_GAMMA)
     }
 
-    /// [`Timer::new`] with explicit configuration.
+    /// [`Timer::new`] with LSE smoothing γ (ps) instead of [`DEFAULT_GAMMA`].
     ///
     /// # Errors
     ///
-    /// Same as [`Timer::new`].
-    pub fn with_config(
+    /// [`StaError::Gamma`] unless `gamma` is positive and finite; otherwise
+    /// the same as [`Timer::new`].
+    pub fn with_gamma(
         design: &Design,
         lib: &dtp_liberty::Library,
-        config: TimerConfig,
+        gamma: f64,
     ) -> Result<Timer, StaError> {
+        if !(gamma > 0.0 && gamma.is_finite()) {
+            return Err(StaError::Gamma(gamma));
+        }
         let nl = &design.netlist;
         let binding = Binding::resolve(nl, lib)?;
         let graph = TimingGraph::build(nl, &binding)?;
@@ -652,7 +646,7 @@ impl Timer {
         Ok(Timer {
             binding,
             graph,
-            config,
+            gamma,
             clock_period: design.constraints.clock_period,
             net_pin_caps,
             net_cap_pins,
@@ -688,9 +682,10 @@ impl Timer {
         &self.binding
     }
 
-    /// Engine configuration.
-    pub fn config(&self) -> TimerConfig {
-        self.config
+    /// The LSE smoothing γ (ps) of [`Timer::analyze_smoothed_into`] and
+    /// [`Timer::gradients_into`].
+    pub fn gamma(&self) -> f64 {
+        self.gamma
     }
 
     /// Clock period the analysis checks against, ps.
@@ -746,7 +741,7 @@ impl Timer {
         self.run_forward_into(nl, forest, 0.0, true, scratch)
     }
 
-    /// Smoothed analysis: LSE aggregation at the configured γ, every buffer
+    /// Smoothed analysis: LSE aggregation at the timer's γ, every buffer
     /// drawn from `scratch`.
     ///
     /// The result feeds [`Timer::gradients_into`], which never reads
@@ -759,7 +754,7 @@ impl Timer {
         forest: &SteinerForest,
         scratch: &mut AnalysisScratch,
     ) -> Analysis {
-        self.run_forward_into(nl, forest, self.config.gamma, false, scratch)
+        self.run_forward_into(nl, forest, self.gamma, false, scratch)
     }
 
     /// Elmore forward of net `ni` into its arena range `s`; a net the forest
@@ -833,7 +828,7 @@ impl Timer {
 
         let mut at = scratch.take_filled(nl_pins, 0.0);
         let mut at_early = scratch.take_filled(nl_pins, 0.0);
-        let mut slew = scratch.take_filled(nl_pins, self.config.input_slew);
+        let mut slew = scratch.take_filled(nl_pins, INPUT_SLEW);
         self.sweep_levels(
             &elmore,
             &mut at,
@@ -996,16 +991,15 @@ impl Timer {
         tape: &mut [ArcEval],
     ) -> [f64; 3] {
         let sl = &self.slots[s];
-        let cfg = &self.config;
         match sl.role {
             PinRole::PrimaryInput => {
                 let d = self.input_delay[sl.pin as usize];
-                [d, d, cfg.input_slew]
+                [d, d, INPUT_SLEW]
             }
             PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
                 // Net arc from the driver (Eq. 9).
                 if sl.node == NO_NODE {
-                    return [0.0, 0.0, cfg.input_slew];
+                    return [0.0, 0.0, INPUT_SLEW];
                 }
                 let (node, driver) = (sl.node as usize, sl.driver as usize);
                 let d = elmore.delay[node];
@@ -1020,9 +1014,9 @@ impl Timer {
                 let arcs = self.arcs(s);
                 if arcs.is_empty() {
                     return if launch {
-                        [cfg.clock_arrival, cfg.clock_arrival, cfg.input_slew]
+                        [CLOCK_ARRIVAL, CLOCK_ARRIVAL, INPUT_SLEW]
                     } else {
-                        [0.0, 0.0, cfg.input_slew]
+                        [0.0, 0.0, INPUT_SLEW]
                     };
                 }
                 let load = elmore.load_at(sl.node);
@@ -1031,7 +1025,7 @@ impl Timer {
                 let mut ae = f64::INFINITY;
                 for (j, k) in arcs.enumerate() {
                     let (slew_in, at_in, at_early_in) = if launch {
-                        (cfg.clock_slew, cfg.clock_arrival, cfg.clock_arrival)
+                        (CLOCK_SLEW, CLOCK_ARRIVAL, CLOCK_ARRIVAL)
                     } else {
                         let from = self.arc_from[k] as usize;
                         (slew[from], at[from], at_early[from])
@@ -1047,7 +1041,7 @@ impl Timer {
                 let (a, sw) = aggregate(a_vals.as_slice(), s_vals.as_slice(), gamma);
                 [a, ae, sw]
             }
-            PinRole::Clock | PinRole::Unconnected => [0.0, 0.0, cfg.input_slew],
+            PinRole::Clock | PinRole::Unconnected => [0.0, 0.0, INPUT_SLEW],
         }
     }
 
@@ -1074,9 +1068,9 @@ impl Timer {
                 PinRole::RegisterData => {
                     let setup = constraint(self.endpoint_setup[k], slew[i]);
                     let hold = constraint(self.endpoint_hold[k], slew[i]);
-                    let rat = self.config.clock_arrival + self.clock_period - setup;
+                    let rat = CLOCK_ARRIVAL + self.clock_period - setup;
                     slack[i] = rat - at[i];
-                    hold_slack[i] = at_early[i] - (self.config.clock_arrival + hold);
+                    hold_slack[i] = at_early[i] - (CLOCK_ARRIVAL + hold);
                 }
                 PinRole::PrimaryOutput => {
                     let rat = self.clock_period - self.output_margin[i];
@@ -1279,10 +1273,10 @@ impl Timer {
     /// one `scratch`/`out` pair across iterations and nothing is
     /// reallocated.
     ///
-    /// `analysis` should come from [`Timer::analyze_smoothed_into`] (with an
-    /// exact analysis the LSE weights degenerate to hard argmax
-    /// subgradients, which is mathematically valid but reintroduces the
-    /// oscillation the paper's smoothing removes). The arc sensitivities
+    /// `analysis` should come from [`Timer::analyze_smoothed_into`]. An
+    /// exact analysis is differentiated with the timer's γ applied to its
+    /// exact arrivals and slacks, so the weights are those of a smoothed
+    /// objective evaluated at the hard-max arrivals. The arc sensitivities
     /// come from the tape the smoothed forward sweep recorded; only an exact
     /// `analysis` (no tape) has its arcs evaluated again.
     ///
@@ -1305,7 +1299,7 @@ impl Timer {
         let n_nodes = analysis.elmore.len();
         assert_eq!(n_pins, self.pin_slot.len(), "analysis from a different netlist");
         assert_eq!(forest.len(), analysis.node_off.len() - 1, "forest/analysis mismatch");
-        let gamma = if analysis.gamma > 0.0 { analysis.gamma } else { self.config.gamma };
+        let gamma = if analysis.gamma > 0.0 { analysis.gamma } else { self.gamma };
 
         let AnalysisScratch {
             g_at,
@@ -1411,8 +1405,8 @@ impl Timer {
             let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
             let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
             for k in arcs.clone() {
-                let ev = self.arc_eval(analysis, k, self.config.clock_slew, load);
-                a_vals.push(self.config.clock_arrival + ev.delay);
+                let ev = self.arc_eval(analysis, k, CLOCK_SLEW, load);
+                a_vals.push(CLOCK_ARRIVAL + ev.delay);
                 s_vals.push(ev.slew);
             }
             let mut wa = F64Buf::<MAX_INLINE_ARCS>::new();
@@ -1421,7 +1415,7 @@ impl Timer {
             weights_into(s_vals.as_slice(), gamma, &mut ws);
             let mut g_load = 0.0;
             for (j, k) in arcs.enumerate() {
-                let ev = self.arc_eval(analysis, k, self.config.clock_slew, load);
+                let ev = self.arc_eval(analysis, k, CLOCK_SLEW, load);
                 g_load += ev.d_delay_d_load * wa.as_slice()[j] * g_at[i];
                 g_load += ev.d_slew_d_load * ws.as_slice()[j] * g_slew[i];
             }
@@ -1555,21 +1549,10 @@ impl Timer {
     }
 }
 
-/// LSE softmax weights, or hard one-hot argmax weights when `gamma == 0`
-/// (the exact-mode subgradient), written into `out` without allocating.
+/// LSE softmax weights (`gamma > 0`), written into `out` without allocating.
 fn weights_into(vals: &[f64], gamma: f64, out: &mut F64Buf<MAX_INLINE_ARCS>) {
     out.resize_zeroed(vals.len());
-    if gamma > 0.0 {
-        lse_max_weights_into(vals, gamma, out.as_mut_slice());
-    } else {
-        let mut best = 0usize;
-        for (i, &v) in vals.iter().enumerate() {
-            if v > vals[best] {
-                best = i;
-            }
-        }
-        out.as_mut_slice()[best] = 1.0;
-    }
+    lse_max_weights_into(vals, gamma, out.as_mut_slice());
 }
 
 /// Aggregates arrival candidates and slews with smoothed or hard max.
@@ -1613,7 +1596,7 @@ mod tests {
             let load = taped.load_at(sl.node);
             for k in timer.arcs(s) {
                 let slew_in = if sl.role == PinRole::RegisterOutput {
-                    timer.config.clock_slew
+                    CLOCK_SLEW
                 } else {
                     taped.slew[timer.arc_from[k] as usize]
                 };

@@ -22,6 +22,9 @@ pub enum StaError {
         /// A pin on the cycle (diagnostic).
         pin: String,
     },
+    /// The LSE smoothing γ is not positive and finite, so no smoothed
+    /// analysis or gradient can use it.
+    Gamma(f64),
 }
 
 impl fmt::Display for StaError {
@@ -35,6 +38,9 @@ impl fmt::Display for StaError {
             }
             StaError::CombinationalCycle { pin } => {
                 write!(f, "combinational cycle through pin `{pin}`")
+            }
+            StaError::Gamma(g) => {
+                write!(f, "LSE smoothing gamma must be positive and finite, got {g}")
             }
         }
     }

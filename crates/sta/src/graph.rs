@@ -35,12 +35,13 @@ pub enum PinRole {
 
 impl PinRole {
     /// Whether arrival times originate here.
-    pub fn is_launch(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_launch(self) -> bool {
         matches!(self, PinRole::PrimaryInput | PinRole::RegisterOutput)
     }
 
     /// Whether slacks are checked here.
-    pub fn is_endpoint(self) -> bool {
+    pub(crate) fn is_endpoint(self) -> bool {
         matches!(self, PinRole::PrimaryOutput | PinRole::RegisterData)
     }
 }
@@ -216,18 +217,6 @@ impl TimingGraph {
     #[inline]
     pub fn level(&self, pin: PinId) -> u32 {
         self.level[pin.index()]
-    }
-
-    /// Pins of level `l` as a contiguous slice of the CSR pin array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= depth()`.
-    #[inline]
-    pub fn level_pins(&self, l: usize) -> &[PinId] {
-        let lo = self.level_offsets[l] as usize;
-        let hi = self.level_offsets[l + 1] as usize;
-        &self.level_pins[lo..hi]
     }
 
     /// Pins grouped by ascending level: an iterator of per-level slices into

@@ -47,7 +47,11 @@
 //! times and endpoint slacks. Like the rest of the hot path, extraction into
 //! a caller-owned [`PathScratch`] is allocation-free at steady state.
 //!
-//! The main entry point is [`Timer`]:
+//! The main entry point is [`Timer`]. Its one setting is the LSE smoothing
+//! γ of the smoothed analysis and the gradients: [`Timer::new`] uses
+//! [`DEFAULT_GAMMA`], [`Timer::with_gamma`] takes another and refuses one
+//! that is not positive and finite with [`StaError::Gamma`].
+//!
 //!
 //! ```
 //! use dtp_netlist::generate::{generate, GeneratorConfig};
@@ -86,13 +90,12 @@ mod smoothing;
 pub use binding::Binding;
 pub use elmore::{ElmoreNet, ElmoreSeeds};
 pub use engine::{
-    Analysis, AnalysisScratch, ElmoreView, PositionGradients, Timer, TimerConfig, MAX_INLINE_ARCS,
+    Analysis, AnalysisScratch, ElmoreView, PositionGradients, Timer, DEFAULT_GAMMA, INPUT_SLEW,
 };
 pub use error::StaError;
 pub use graph::{PinRole, TimingGraph};
 pub use paths::{PathScratch, PathSet};
 pub use report::{PathPoint, SlackHistogram, TimingReport};
 pub use smoothing::{
-    lse_max, lse_max_weights, lse_max_weights_into, lse_min, lse_min_weights,
-    lse_min_weights_into, smooth_neg, smooth_neg_grad,
+    lse_max, lse_max_weights_into, lse_min, lse_min_weights_into, smooth_neg, smooth_neg_grad,
 };

@@ -27,20 +27,8 @@ pub fn lse_max(xs: &[f64], gamma: f64) -> f64 {
     m + gamma * s.ln()
 }
 
-/// Smoothed maximum together with its softmax gradient weights
-/// (`∂LSE/∂xᵢ`, which sum to 1).
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or `gamma <= 0`.
-pub fn lse_max_weights(xs: &[f64], gamma: f64) -> (f64, Vec<f64>) {
-    let mut w = vec![0.0; xs.len()];
-    let v = lse_max_weights_into(xs, gamma, &mut w);
-    (v, w)
-}
-
-/// [`lse_max_weights`] writing the weights into a caller-provided buffer —
-/// the allocation-free form used by the per-iteration gradient sweep.
+/// Smoothed maximum, writing its softmax gradient weights (`∂LSE/∂xᵢ`,
+/// which sum to 1) into a caller-provided buffer.
 ///
 /// # Panics
 ///
@@ -74,18 +62,8 @@ pub fn lse_min(xs: &[f64], gamma: f64) -> f64 {
     m - gamma * s.ln()
 }
 
-/// Smoothed minimum with gradient weights (non-negative, sum to 1).
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or `gamma <= 0`.
-pub fn lse_min_weights(xs: &[f64], gamma: f64) -> (f64, Vec<f64>) {
-    let mut w = vec![0.0; xs.len()];
-    let v = lse_min_weights_into(xs, gamma, &mut w);
-    (v, w)
-}
-
-/// [`lse_min_weights`] writing the weights into a caller-provided buffer.
+/// Smoothed minimum, writing its gradient weights (non-negative, sum to 1)
+/// into a caller-provided buffer.
 ///
 /// # Panics
 ///
@@ -159,10 +137,12 @@ mod tests {
 
     #[test]
     fn weights_sum_to_one_and_favor_max() {
-        let (_, w) = lse_max_weights(&[1.0, 5.0, 3.0], 1.0);
+        let mut w = [0.0; 3];
+        lse_max_weights_into(&[1.0, 5.0, 3.0], 1.0, &mut w);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(w[1] > w[2] && w[2] > w[0]);
-        let (_, wm) = lse_min_weights(&[1.0, 5.0, 3.0], 1.0);
+        let mut wm = [0.0; 3];
+        lse_min_weights_into(&[1.0, 5.0, 3.0], 1.0, &mut wm);
         assert!((wm.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(wm[0] > wm[2] && wm[2] > wm[1]);
     }
@@ -205,7 +185,8 @@ mod tests {
             xs in proptest::collection::vec(-50.0..50.0f64, 2..6),
             g in 0.5..20.0f64,
         ) {
-            let (_, w) = lse_max_weights(&xs, g);
+            let mut w = vec![0.0; xs.len()];
+            lse_max_weights_into(&xs, g, &mut w);
             for i in 0..xs.len() {
                 let h = 1e-6 * g;
                 let mut hi = xs.clone();

@@ -9,7 +9,7 @@ use dtp_liberty::synth::{
 use dtp_netlist::stdcells;
 use dtp_netlist::{CellClass, Design, NetlistBuilder, Rect, Sdc};
 use dtp_rsmt::build_forest;
-use dtp_sta::{AnalysisScratch, Timer};
+use dtp_sta::{AnalysisScratch, Timer, INPUT_SLEW};
 
 /// PI --(net0)--> INV_X1 u1 --(net1)--> INV_X1 u2 --(net2)--> PO
 fn build_chain() -> Design {
@@ -53,7 +53,6 @@ fn chain_arrival_times_match_hand_calculation() {
     let r = lib.wire_res_per_um;
     let c = lib.wire_cap_per_um;
     let cap_a = analytic_pin_cap(spec);
-    let input_slew = timer.config().input_slew;
 
     let u1 = nl.find_cell("u1").unwrap();
     let u2 = nl.find_cell("u2").unwrap();
@@ -68,11 +67,11 @@ fn chain_arrival_times_match_hand_calculation() {
     let at_u1a = d0; // input delay is 0 by default
     let i = nl.find_pin(u1, "A").unwrap().index();
     assert!((analysis.at[i] - at_u1a).abs() < 1e-9, "{} vs {at_u1a}", analysis.at[i]);
-    // Slew at u1/A: sqrt(input_slew² + impulse²) with
+    // Slew at u1/A: sqrt(INPUT_SLEW² + impulse²) with
     // impulse² = 2·Res·LDelay − d0²; LDelay(sink) = load·d0 (single sink)...
     let load0 = 0.5 * c * l0 + cap_a;
     let imp0_sq = 2.0 * (r * l0) * (load0 * d0) - d0 * d0;
-    let slew_u1a = (input_slew * input_slew + imp0_sq.max(0.0)).sqrt();
+    let slew_u1a = (INPUT_SLEW * INPUT_SLEW + imp0_sq.max(0.0)).sqrt();
     assert!((analysis.slew[i] - slew_u1a).abs() < 1e-9);
 
     // --- u1 cell arc + net1: u1/Y -> u2/A -----------------------------------

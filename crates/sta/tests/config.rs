@@ -1,76 +1,29 @@
-//! Sensitivity tests of the timer configuration: every knob must move the
-//! analysis in the physically expected direction.
+//! The timer's setting and constraints: γ must be usable by every analysis,
+//! and every SDC constraint must move the analysis in the physically
+//! expected direction.
 
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_rsmt::build_forest;
-use dtp_sta::{AnalysisScratch, Timer, TimerConfig};
+use dtp_sta::{AnalysisScratch, StaError, Timer, DEFAULT_GAMMA};
 
 fn design() -> dtp_netlist::Design {
     generate(&GeneratorConfig::named("cfg", 200)).expect("generator succeeds")
 }
 
 #[test]
-fn clock_arrival_shifts_launch_and_capture_together() {
-    // An ideal clock delayed by t shifts register launches *and* captures by
-    // t, so register→register slacks are invariant; only PI→register and
-    // register→PO paths shift.
+fn gamma_that_no_analysis_can_use_is_refused() {
     let d = design();
     let lib = synthetic_pdk();
-    let forest = build_forest(&d.netlist);
-    let base = Timer::with_config(&d, &lib, TimerConfig::default())
-        .expect("binds")
-        .analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
-    let shifted_timer = Timer::with_config(
-        &d,
-        &lib,
-        TimerConfig { clock_arrival: 50.0, ..TimerConfig::default() },
-    )
-    .expect("binds");
-    let shifted = shifted_timer.analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
-    // Register-data endpoints fed exclusively from registers keep their slack.
-    let graph = shifted_timer.graph();
-    let mut checked = 0;
-    for &p in base.endpoints() {
-        if graph.role(p) == dtp_sta::PinRole::RegisterData {
-            // AT at the D pin shifts by exactly the launch shift only when the
-            // whole fan-in cone is register-launched; in general AT shifts by
-            // at most 50. Slack changes accordingly but never by more than 50.
-            let ds = (shifted.slack[p.index()] - base.slack[p.index()]).abs();
-            assert!(ds <= 50.0 + 1e-6, "slack moved by {ds}");
-            checked += 1;
+    for gamma in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        match Timer::with_gamma(&d, &lib, gamma) {
+            Err(StaError::Gamma(g)) => assert_eq!(g.to_bits(), gamma.to_bits()),
+            other => panic!("gamma {gamma}: {:?}", other.map(|t| t.gamma())),
         }
     }
-    assert!(checked > 0);
-}
-
-#[test]
-fn larger_input_slew_slows_the_design() {
-    let d = design();
-    let lib = synthetic_pdk();
-    let forest = build_forest(&d.netlist);
-    let fast = Timer::with_config(&d, &lib, TimerConfig { input_slew: 2.0, ..TimerConfig::default() })
-        .expect("binds")
-        .analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
-    let slow = Timer::with_config(&d, &lib, TimerConfig { input_slew: 80.0, ..TimerConfig::default() })
-        .expect("binds")
-        .analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
-    assert!(slow.wns() <= fast.wns() + 1e-9, "{} vs {}", slow.wns(), fast.wns());
-    assert!(slow.tns() <= fast.tns() + 1e-9);
-}
-
-#[test]
-fn slower_clock_slew_slows_register_launch() {
-    let d = design();
-    let lib = synthetic_pdk();
-    let forest = build_forest(&d.netlist);
-    let crisp = Timer::with_config(&d, &lib, TimerConfig { clock_slew: 5.0, ..TimerConfig::default() })
-        .expect("binds")
-        .analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
-    let sloppy = Timer::with_config(&d, &lib, TimerConfig { clock_slew: 100.0, ..TimerConfig::default() })
-        .expect("binds")
-        .analyze_into(&d.netlist, &forest, &mut AnalysisScratch::new());
-    assert!(sloppy.wns() <= crisp.wns() + 1e-9);
+    let timer = Timer::with_gamma(&d, &lib, 50.0).expect("binds");
+    assert_eq!(timer.gamma(), 50.0);
+    assert_eq!(Timer::new(&d, &lib).expect("binds").gamma(), DEFAULT_GAMMA);
 }
 
 #[test]

@@ -10,7 +10,7 @@ use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_netlist::{Design, Point};
 use dtp_rsmt::{build_forest, ForestScratch};
-use dtp_sta::{AnalysisScratch, PositionGradients, Timer, TimerConfig};
+use dtp_sta::{AnalysisScratch, PositionGradients, Timer};
 
 /// The smoothed objective f = −t1·TNSγ − t2·WNSγ evaluated from scratch at
 /// the current cell positions, with the *same tree topologies* (updated, not
@@ -38,9 +38,8 @@ fn run_gradcheck(cells: usize, seed: u64, t1: f64, t2: f64) {
     cfg.depth = 6;
     let mut design = generate(&cfg).expect("generator succeeds");
     let lib = synthetic_pdk();
-    let tc = TimerConfig { gamma: 50.0, ..TimerConfig::default() };
-    let gamma = tc.gamma;
-    let timer = Timer::with_config(&design, &lib, tc).expect("timer builds");
+    let gamma = 50.0;
+    let timer = Timer::with_gamma(&design, &lib, gamma).expect("timer builds");
     let forest = build_forest(&design.netlist);
 
     let mut scratch = AnalysisScratch::new();
@@ -126,7 +125,7 @@ fn gradient_descends_the_objective() {
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
     let forest = build_forest(&design.netlist);
-    let gamma = timer.config().gamma;
+    let gamma = timer.gamma();
     let mut scratch = AnalysisScratch::new();
     let analysis = timer.analyze_smoothed_into(&design.netlist, &forest, &mut scratch);
     let mut grads = PositionGradients::default();

@@ -15,7 +15,7 @@ const WINDOW: usize = 20;
 /// First index (of the window *end*) where the trailing `window` values
 /// span a relative range below `rel_eps` — the trajectory has flatlined
 /// while the flow kept iterating.
-pub fn detect_plateau(values: &[f64], window: usize, rel_eps: f64) -> Option<usize> {
+fn detect_plateau(values: &[f64], window: usize, rel_eps: f64) -> Option<usize> {
     if window < 2 {
         return None;
     }
@@ -39,7 +39,7 @@ pub fn detect_plateau(values: &[f64], window: usize, rel_eps: f64) -> Option<usi
 
 /// First index where at least `min_flips` successive-delta sign changes
 /// occur inside a trailing window — the metric is bouncing, not settling.
-pub fn detect_oscillation(values: &[f64], window: usize, min_flips: usize) -> Option<usize> {
+fn detect_oscillation(values: &[f64], window: usize, min_flips: usize) -> Option<usize> {
     if window < 3 {
         return None;
     }
@@ -68,7 +68,7 @@ pub fn detect_oscillation(values: &[f64], window: usize, min_flips: usize) -> Op
 
 /// First index where the metric grew by more than `growth` (relative) over
 /// a trailing window — the flow is moving away from its objective.
-pub fn detect_divergence(values: &[f64], window: usize, growth: f64) -> Option<usize> {
+fn detect_divergence(values: &[f64], window: usize, growth: f64) -> Option<usize> {
     if window < 2 {
         return None;
     }

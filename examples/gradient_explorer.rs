@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut f = forest.clone();
         f.update_nets_into(&w.netlist, &nets, &mut ForestScratch::new());
         let a = timer.analyze_smoothed_into(&w.netlist, &f, &mut AnalysisScratch::new());
-        -a.tns_smooth(timer.config().gamma)
+        -a.tns_smooth(timer.gamma())
     };
     work.netlist.set_cell_pos(top_id, Point::new(pos.x + h, pos.y));
     let fp = eval(&mut work);
