@@ -32,11 +32,12 @@
 //! Nesterov step); the modes differ in what they add around it.
 //!
 //! The objective's terms all read the same positions, and only their sum is
-//! ordered (Eq. 6). So an iteration evaluates the wirelength gradient, then
-//! two independent tasks — the density term with the congestion penalty,
-//! and the timing analysis — and merges the terms afterwards in one fixed
-//! order. On a design of one density chunk the two tasks run side by side
-//! on the pool; every placement is the same whichever thread ran which.
+//! ordered (Eq. 6). So an iteration evaluates the terms as independent
+//! tasks — the wirelength gradient, the density term with the congestion
+//! penalty, and the timing analysis — and merges them afterwards in one
+//! fixed order. On a design whose density evaluation is one task, every
+//! iteration runs them as two tasks side by side on the pool; every
+//! placement is the same whichever thread ran which.
 
 use crate::config::{FlowConfig, FlowMode, TIMING_START_ITER};
 use crate::weighting::NetWeighter;
@@ -437,28 +438,23 @@ impl GradientCore {
         self.vy.extend_from_slice(b);
     }
 
-    /// Starts the iteration's gradient: the WA wirelength gradient (γ
-    /// annealed with overflow, nets optionally weighted) into `gx`/`gy`.
-    /// Returns the smoothed wirelength.
-    fn wl_gradient(&mut self, weights: Option<&[f64]>, obs: &mut Observer) -> f64 {
+    /// The iteration's two evaluations at the look-ahead positions, as tasks
+    /// over disjoint fields, so they may run beside each other and beside
+    /// the other terms: the WA wirelength gradient (γ annealed with
+    /// overflow, nets optionally weighted), which starts the iteration's
+    /// gradient in `gx`/`gy` and returns the smoothed wirelength, and the
+    /// density term into `dres`.
+    fn evaluations<'a>(
+        &'a mut self,
+        weights: Option<&'a [f64]>,
+    ) -> (impl FnOnce() -> f64 + Send + 'a, impl FnOnce() + Send + 'a) {
         let wa_gamma = (self.bin_w * (0.1 + 8.0 * self.overflow)).max(1e-3);
-        obs.time(Phase::WirelengthGrad, || {
-            self.wl_model.wa_gradient_into(
-                &self.vx,
-                &self.vy,
-                wa_gamma,
-                weights,
-                &mut self.wl_scratch,
-                &mut self.gx,
-                &mut self.gy,
-            )
-        })
-    }
-
-    /// Evaluates the density term at the look-ahead positions into `dres`.
-    /// Reads nothing the other terms write, so it may run beside them.
-    fn evaluate_density(&mut self) {
-        self.density.evaluate_into(&self.vx, &self.vy, &mut self.dscratch, &mut self.dres);
+        let GradientCore { wl_model, density, vx, vy, gx, gy, wl_scratch, dscratch, dres, .. } =
+            self;
+        let (vx, vy) = (&*vx, &*vy);
+        let wl = move || wl_model.wa_gradient_into(vx, vy, wa_gamma, weights, wl_scratch, gx, gy);
+        let density = move || density.evaluate_into(vx, vy, dscratch, dres);
+        (wl, density)
     }
 
     /// Merges λ × the evaluated density gradient into `gx`/`gy` (λ
@@ -553,39 +549,17 @@ impl TimingMechanism {
         Some(TimingMechanism { start_iter, kind })
     }
 
-    /// Net weights the mechanism carries in the WA wirelength, if any.
-    fn weights(&self) -> Option<&[f64]> {
-        match &self.kind {
-            TimingKind::Differentiable { .. } => None,
-            TimingKind::NetWeighting(weighter) => Some(weighter.weights()),
+    /// Splits the mechanism into the net weights it carries in the WA
+    /// wirelength, if any, and the evaluation half of its timing iteration,
+    /// so the wirelength gradient can read the one while the analysis
+    /// writes through the other.
+    fn split(&mut self) -> (Option<&[f64]>, TimingEval<'_>) {
+        match &mut self.kind {
+            TimingKind::Differentiable { t1, t2, grads, .. } => {
+                (None, TimingEval::Smoothed { t1: *t1, t2: *t2, grads })
+            }
+            TimingKind::NetWeighting(weighter) => (Some(weighter.weights()), TimingEval::Exact),
         }
-    }
-
-    /// The evaluation half of one timing iteration: a full, scratch-backed
-    /// analysis of the current placement (`forest` is in sync with it) and,
-    /// in the differentiable mode, its TNS/WNS gradient into the
-    /// mechanism's own buffers. Reads nothing the density and congestion
-    /// terms write, so it may run beside them.
-    fn analyze(
-        &mut self,
-        nl: &Netlist,
-        timer: &Timer,
-        forest: &SteinerForest,
-        scratch: &mut AnalysisScratch,
-        obs: &mut Observer,
-    ) -> Analysis {
-        let analysis = obs.time(Phase::StaForward, || match self.kind {
-            TimingKind::Differentiable { .. } => timer.analyze_smoothed_into(nl, forest, scratch),
-            // The weighter reads per-pin slacks: forward + RAT sweep.
-            TimingKind::NetWeighting(_) => timer.analyze_into(nl, forest, scratch),
-        });
-        obs.add(Counter::StaFull, 1);
-        if let TimingKind::Differentiable { t1, t2, grads, .. } = &mut self.kind {
-            obs.time(Phase::StaBackward, || {
-                timer.gradients_into(nl, &analysis, forest, *t1, *t2, scratch, grads)
-            });
-        }
-        analysis
     }
 
     /// The merge half: the mode's use of `analysis` — the TNS/WNS gradient
@@ -619,12 +593,64 @@ impl TimingMechanism {
     }
 }
 
-/// Runs `f` and times it: a task that runs while the observer is lent to
-/// the task beside it, whose span [`Observer::record`] books afterwards.
+/// The evaluation half of one timing iteration, borrowed from its
+/// [`TimingMechanism`] apart from the net weights.
+enum TimingEval<'a> {
+    /// Smoothed analysis, then its TNS/WNS gradient at `t1`/`t2` into the
+    /// mechanism's `grads`.
+    Smoothed { t1: f64, t2: f64, grads: &'a mut PositionGradients },
+    /// Exact analysis: the weighter reads per-pin slacks (forward + RAT
+    /// sweep).
+    Exact,
+}
+
+impl TimingEval<'_> {
+    /// A full, scratch-backed analysis of the current placement (`forest`
+    /// is in sync with it) and, when smoothed, its TNS/WNS gradient. Reads
+    /// nothing the wirelength, density and congestion terms write, so it
+    /// may run beside them.
+    fn analyze(
+        self,
+        nl: &Netlist,
+        timer: &Timer,
+        forest: &SteinerForest,
+        scratch: &mut AnalysisScratch,
+        obs: &mut Observer,
+    ) -> Analysis {
+        let analysis = obs.time(Phase::StaForward, || match self {
+            TimingEval::Smoothed { .. } => timer.analyze_smoothed_into(nl, forest, scratch),
+            TimingEval::Exact => timer.analyze_into(nl, forest, scratch),
+        });
+        obs.add(Counter::StaFull, 1);
+        if let TimingEval::Smoothed { t1, t2, grads } = self {
+            obs.time(Phase::StaBackward, || {
+                timer.gradients_into(nl, &analysis, forest, t1, t2, scratch, grads)
+            });
+        }
+        analysis
+    }
+}
+
+/// Runs `f` and times it: an evaluation that does not hold the observer
+/// (the timing analysis beside it may), whose span [`Observer::record`]
+/// books afterwards.
 fn busy<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let sp = SpanStart::now();
     let r = f();
     (r, sp.elapsed_ns())
+}
+
+/// Runs `a` and `b` side by side as one two-task region and adds how long
+/// they overlapped — their busy time minus the region's wall time — to
+/// `overlap_ns`.
+fn side_by_side<RA: Send, RB: Send>(
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB + Send,
+    overlap_ns: &mut u64,
+) -> (RA, RB) {
+    let (((ra, a_ns), (rb, b_ns)), wall_ns) = busy(|| rayon::join(|| busy(a), || busy(b)));
+    *overlap_ns += (a_ns + b_ns).saturating_sub(wall_ns);
+    (ra, rb)
 }
 
 /// Iterations between two forest syncs ahead of the first real consumer —
@@ -717,15 +743,50 @@ impl RouteState {
         }
     }
 
-    /// The congestion boosts as WA net weights, multiplied into the timing
-    /// mechanism's weights when it carries any.
-    fn boosted_weights(&mut self, timing: Option<&[f64]>) -> &[f64] {
-        self.combined.clear();
-        match timing {
-            Some(w) => self.combined.extend(w.iter().zip(&self.boost).map(|(a, b)| a * b)),
-            None => self.combined.extend_from_slice(&self.boost),
+    /// Splits the state into the WA net weights — the congestion boosts,
+    /// multiplied into the timing mechanism's `timing` weights when it
+    /// carries any, or `timing` itself while no boost differs from 1 — and,
+    /// once active, the congestion term's evaluation, so the wirelength
+    /// gradient can read the one while the other writes.
+    fn split<'a>(
+        &'a mut self,
+        timing: Option<&'a [f64]>,
+    ) -> (Option<&'a [f64]>, Option<CongestionEval<'a>>) {
+        let RouteState { map, penalty, pgx, pgy, boost, combined, active, boosted, .. } = self;
+        let weights = match timing {
+            _ if !*boosted => timing,
+            Some(w) => {
+                combined.clear();
+                combined.extend(w.iter().zip(&*boost).map(|(a, b)| a * b));
+                Some(&combined[..])
+            }
+            None => Some(&boost[..]),
+        };
+        (weights, active.then_some(CongestionEval { map, penalty, pgx, pgy }))
+    }
+}
+
+/// The congestion term's evaluation, borrowed from an active [`RouteState`]
+/// apart from the net weights.
+struct CongestionEval<'a> {
+    map: &'a mut RudyMap,
+    penalty: &'a mut CongestionPenalty,
+    pgx: &'a mut Vec<f64>,
+    pgy: &'a mut Vec<f64>,
+}
+
+impl CongestionEval<'_> {
+    /// The smoothed penalty's gradient and, on a `feedback` iteration, the
+    /// exact RUDY map — the feedback is its only in-loop reader, so it is
+    /// built from scratch on exactly those iterations, beside the gradient
+    /// in one two-task region.
+    fn evaluate(self, nl: &Netlist, forest: &SteinerForest, feedback: bool) {
+        let CongestionEval { map, penalty, pgx, pgy } = self;
+        if feedback {
+            rayon::join(|| map.build(nl, forest), || penalty.gradient(nl, forest, pgx, pgy));
+        } else {
+            penalty.gradient(nl, forest, pgx, pgy);
         }
-        &self.combined
     }
 }
 
@@ -911,6 +972,11 @@ fn run_flow_inner(
     obs.stop(Phase::Setup, sp);
 
     let mut iterations = 0usize;
+    // Run the terms side by side only when the density evaluation would
+    // otherwise leave the second thread idle (its regions run inline). Above
+    // that each term has regions of its own to share the pool with, and
+    // running them side by side takes the second thread away from both.
+    let side_by_side_terms = core.density.single_chunk();
     // Summed over the regions that ran two evaluation tasks side by side:
     // the tasks' busy time minus the region's wall time.
     let mut overlap_ns = 0u64;
@@ -942,65 +1008,56 @@ fn run_flow_inner(
             None
         };
 
-        // Wirelength gradient; congested nets carry their boosted weight
-        // (merged with the timing mechanism's weights when both are on).
-        let timing_weights = timing.as_ref().and_then(TimingMechanism::weights);
-        let weights = match route.as_mut() {
-            Some(rs) if rs.boosted => Some(rs.boosted_weights(timing_weights)),
-            _ => timing_weights,
-        };
-        let wl_value = core.wl_gradient(weights, obs);
-
-        // The objective's other terms read the same positions and the same
-        // forest and write state of their own, so they are evaluated as two
-        // independent tasks and merged afterwards, in a fixed order. Task A
-        // is the density evaluation and, once the route layer is active, the
-        // smoothed penalty's gradient; the exact RUDY map is read only by the
-        // feedback below, once every `ROUTE_UPDATE_PERIOD` active iterations,
-        // so it is built from scratch on exactly those iterations, beside
-        // the gradient in one two-task region. Task B is the timing analysis
-        // (and the differentiable mode's timing gradient). Task B holds the
-        // observer; task A times itself and is booked after.
+        // The objective's terms read the same positions and the same forest
+        // and write state of their own, so each mode's state splits into
+        // what the wirelength gradient reads — the net weights: congested
+        // nets carry their boost, merged with the timing mechanism's weights
+        // when both are on — and what the other terms write. The terms are
+        // evaluated as tasks and merged afterwards in a fixed order.
         let feedback = route
             .as_ref()
             .is_some_and(|rs| rs.active && rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
         let nl = &work.netlist;
-        let live = timing.as_mut().filter(|_| timing_active).zip(forest);
-        // Run side by side only when each task would otherwise leave the
-        // second thread idle: a density model of one cell chunk (whose
-        // sweeps run inline) beside a timing analysis. Above one chunk each
-        // task has regions of its own to share the pool with, and running
-        // them side by side takes that second thread away from both.
-        let side_by_side = live.is_some() && core.density.single_chunk();
-        let congestion = route.as_mut().filter(|rs| rs.active).zip(forest);
-        let task_a = || {
-            let density_ns = busy(|| core.evaluate_density()).1;
-            let route_ns = congestion.map(|(rs, f)| {
-                let RouteState { map, penalty, pgx, pgy, .. } = rs;
-                busy(|| {
-                    if feedback {
-                        rayon::join(|| map.build(nl, f), || penalty.gradient(nl, f, pgx, pgy));
-                    } else {
-                        penalty.gradient(nl, f, pgx, pgy);
-                    }
-                })
-                .1
-            });
+        let (timing_weights, timing_eval) = timing.as_mut().map(TimingMechanism::split).unzip();
+        let (weights, congestion) = match route.as_mut() {
+            Some(rs) => rs.split(timing_weights.flatten()),
+            None => (timing_weights.flatten(), None),
+        };
+        let live = timing_eval.filter(|_| timing_active).zip(forest);
+        let timed = live.is_some();
+        let congestion = congestion.zip(forest);
+        let (wl_eval, density_eval) = core.evaluations(weights);
+        // Every task times itself; the timing analysis holds the observer.
+        let wl_task = || busy(wl_eval);
+        let density_task = || {
+            let density_ns = busy(density_eval).1;
+            let route_ns = congestion.map(|(c, f)| busy(|| c.evaluate(nl, f, feedback)).1);
             (density_ns, route_ns)
         };
-        let task_b = || live.map(|(t, f)| t.analyze(nl, &timer, f, &mut scratch, obs));
-        let ((density_ns, route_ns), analysis) = if side_by_side {
-            let (((a, a_ns), (b, b_ns)), wall_ns) =
-                busy(|| rayon::join(|| busy(task_a), || busy(task_b)));
-            overlap_ns += (a_ns + b_ns).saturating_sub(wall_ns);
-            (a, b)
+        let timing_task = || live.map(|(e, f)| e.analyze(nl, &timer, f, &mut scratch, obs));
+        // On a design whose density evaluation leaves the second thread idle
+        // every iteration is one two-task region: task A is the density and
+        // congestion evaluation, plus the wirelength gradient when a timing
+        // analysis is live; task B is that analysis, else the wirelength
+        // gradient. Larger designs run the terms one after the other, each
+        // on the whole pool.
+        let ((wl_value, wl_ns), (density_ns, route_ns), analysis) = if !side_by_side_terms {
+            (wl_task(), density_task(), timing_task())
+        } else if timed {
+            let ((wl, dens), analysis) =
+                side_by_side(|| (wl_task(), density_task()), timing_task, &mut overlap_ns);
+            (wl, dens, analysis)
         } else {
-            (task_a(), task_b())
+            let (dens, wl) = side_by_side(density_task, wl_task, &mut overlap_ns);
+            (wl, dens, None)
         };
 
-        // The merges, in one fixed order — λ × density, the congestion term
-        // scaled against wirelength + density, then the timing term — so the
-        // sum does not depend on which thread evaluated which term.
+        // The merges, in one fixed order — the wirelength gradient starts
+        // `gx`/`gy`, then λ × density (iteration 0's auto-balance reads the
+        // wirelength gradient), the congestion term scaled against
+        // wirelength + density, then the timing term — so the sum does not
+        // depend on which thread evaluated which term.
+        obs.record(Phase::WirelengthGrad, wl_ns);
         obs.record(Phase::DensityGrad, density_ns);
         obs.time(Phase::DensityGrad, || core.merge_density());
         if !(wl_value.is_finite() && core.overflow.is_finite()) {

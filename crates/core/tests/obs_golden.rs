@@ -362,26 +362,34 @@ fn gauges_are_exactly_these_eighteen_and_the_netlist_stays_under_160_bytes_a_cel
     assert_eq!(obs.registry().gauge(dtp_obs::Gauge::ParseMbS), 0.0);
 }
 
-/// On a design of one density chunk, a timing flow evaluates density beside
-/// its timing analysis: on a two-thread pool the two overlap, on a
-/// one-thread pool they run one after the other and nothing overlaps. A
-/// wirelength flow has no analysis to overlap with.
+/// On a design whose density evaluation is one task, every iteration
+/// evaluates the objective's terms side by side, in every mode: on a
+/// two-thread pool they overlap, on a one-thread pool they run one after the
+/// other and nothing overlaps. A grid whose transforms take more than one
+/// task, or a design above one cell chunk, keeps the terms one after the
+/// other.
 #[test]
-fn timing_flows_overlap_their_terms_on_two_threads_and_not_on_one() {
+fn every_flow_of_a_one_task_design_overlaps_its_terms_on_two_threads_and_not_on_one() {
     use dtp_obs::Gauge;
     let d = generate(&GeneratorConfig::named("obs-overlap", 800)).expect("generator succeeds");
     let lib = synthetic_pdk();
-    let overlap_ms = |mode: FlowMode, threads: usize| {
-        let config = FlowConfig { max_iters: 250, threads, ..FlowConfig::default() };
+    let overlap_ms = |d: &dtp_netlist::Design, mode: FlowMode, config: FlowConfig| {
         let mut obs = Observer::new();
-        run_flow_observed(&d, &lib, mode, &config, &mut obs).expect("flow runs");
+        run_flow_observed(d, &lib, mode, &config, &mut obs).expect("flow runs");
         obs.registry().gauge(Gauge::OverlapMs)
     };
-    for mode in [FlowMode::differentiable(), FlowMode::NetWeighting] {
-        assert!(overlap_ms(mode, 2) > 0.0, "{}: nothing overlapped on two threads", mode.name());
-        assert_eq!(overlap_ms(mode, 1), 0.0, "{}: overlap on one thread", mode.name());
+    let run = |threads| FlowConfig { max_iters: 250, threads, ..FlowConfig::default() };
+    for mode in [FlowMode::Wirelength, FlowMode::differentiable(), FlowMode::NetWeighting] {
+        assert!(overlap_ms(&d, mode, run(2)) > 0.0, "{}: nothing overlapped", mode.name());
+        assert_eq!(overlap_ms(&d, mode, run(1)), 0.0, "{}: overlap on one thread", mode.name());
     }
-    assert_eq!(overlap_ms(FlowMode::Wirelength, 2), 0.0);
+    let short = FlowConfig { max_iters: 20, threads: 2, ..FlowConfig::default() };
+    let fine_grid = FlowConfig { bins: 256, ..short };
+    assert_eq!(overlap_ms(&d, FlowMode::Wirelength, fine_grid), 0.0, "256 x 256 bins");
+    let big =
+        generate(&GeneratorConfig::named("obs-overlap-big", 4096)).expect("generator succeeds");
+    assert!(big.netlist.num_cells() > 4096);
+    assert_eq!(overlap_ms(&big, FlowMode::Wirelength, short), 0.0, "above one cell chunk");
 }
 
 /// The pool gauges are this run's traffic, not the pool's lifetime totals:

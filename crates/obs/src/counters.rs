@@ -111,10 +111,10 @@ pub enum Gauge {
     PoolThreads,
     /// Milliseconds two tasks of one iteration ran side by side: for every
     /// region that ran the density/congestion evaluation beside the timing
-    /// analysis, the two tasks' busy time minus the region's wall time,
-    /// summed over the run. Their phases record busy time, so the phase
-    /// seconds sum to the instrumented wall time plus this. Wall-clock
-    /// dependent, hence a gauge and never in the trace.
+    /// analysis or the wirelength gradient, the two tasks' busy time minus
+    /// the region's wall time, summed over the run. Their phases record busy
+    /// time, so the phase seconds sum to the instrumented wall time plus
+    /// this. Wall-clock dependent, hence a gauge and never in the trace.
     OverlapMs,
     /// Row bands the legalizer partitioned the core into (1 = serial scan).
     LegalizeBands,

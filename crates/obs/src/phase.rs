@@ -15,34 +15,39 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
-    /// Weighted-average wirelength gradient (incl. the weight merge).
+    /// Weighted-average wirelength gradient. Its span is busy time and may
+    /// overlap the density, congestion and STA phases' (see
+    /// [`Phase::StaForward`]).
     WirelengthGrad = 0,
     /// Electrostatic density evaluation + gradient accumulation. The
-    /// evaluation's span is busy time and may overlap the STA phases' (see
-    /// [`Phase::StaForward`]).
+    /// evaluation's span is busy time and may overlap the wirelength and
+    /// STA phases' (see [`Phase::StaForward`]).
     DensityGrad,
     /// The smoothed congestion penalty (route-aware flows): its gradient on
     /// every active iteration without a map build, and on every active
     /// iteration its scaling and merge into the objective. The gradient's
-    /// span is busy time and may overlap the STA phases'.
+    /// span is busy time and may overlap the wirelength and STA phases'.
     CongestionGrad,
     /// The exact RUDY congestion map: the two-task region that builds it
     /// beside the penalty gradient on a route feedback iteration, the
     /// feedback's reads of it, and the final summary build. The region's
-    /// span is busy time and may overlap the STA phases'.
+    /// span is busy time and may overlap the wirelength and STA phases'.
     RudyUpdate,
     /// Full Steiner-forest builds.
     SteinerBuild,
     /// Incremental forest maintenance: branch updates + per-net rebuilds.
     SteinerUpdate,
     /// STA forward sweeps in the loop (smoothed or exact analyses). On a
-    /// design whose density cells fit one chunk, the loop's analysis runs
-    /// beside the density and congestion evaluations: its span, like
-    /// theirs, is busy time, the spans may overlap, and the `overlap_ms`
-    /// gauge says by how much.
+    /// design whose density evaluation is one task, every iteration
+    /// evaluates the objective's terms side by side: the density and
+    /// congestion evaluations beside the timing analysis once it is live
+    /// (the wirelength gradient on their side), beside the wirelength
+    /// gradient before. Their spans, like this one, are busy time, the
+    /// spans may overlap, and the `overlap_ms` gauge says by how much.
     StaForward,
     /// Timing-gradient backward accumulation: busy time that may overlap the
-    /// density and congestion phases', like [`Phase::StaForward`].
+    /// wirelength, density and congestion phases', like
+    /// [`Phase::StaForward`].
     StaBackward,
     /// Net-weighting updates driven by the exact STA (baseline mode).
     NetWeight,

@@ -266,12 +266,15 @@ impl DensityModel {
         (self.m, self.n)
     }
 
-    /// True when every cell fits one cell chunk (4 096): the stamp and sampling
-    /// sweeps of an evaluation are then single-task regions that run inline,
-    /// and on a grid of up to 64 × 64 bins so are its transforms — the
-    /// whole evaluation leaves a second pool thread idle.
+    /// True when an evaluation's regions other than the stamp's block pass
+    /// are single-task, i.e. run inline and leave a second pool thread idle:
+    /// every cell fits one cell chunk (4 096), so the stamp's sort and the
+    /// field sampling are one task each; and the grid is on the FFT backend
+    /// with at most `TASK_WORK` bins (up to 128 × 128), so the mean removal
+    /// and every transform sweep are one task too. The block pass splits
+    /// the grid into `BLOCK_COLS`-column blocks and is not.
     pub fn single_chunk(&self) -> bool {
-        self.cells.len() <= CELL_CHUNK
+        self.cells.len() <= CELL_CHUNK && self.uses_fft() && self.m * self.n <= TASK_WORK
     }
 
     /// True when the spectral solve runs on the radix-2 FFT backend.
@@ -662,6 +665,12 @@ mod tests {
         assert!(model.single_chunk());
         model.cells.push(cell);
         assert!(!model.single_chunk());
+        // The grid counts too: up to `TASK_WORK` bins on the FFT backend.
+        let d = generate(&GeneratorConfig::named("dm-grid", 1000)).unwrap();
+        assert!(DensityModel::new(&d, 128, 128, 1.0).single_chunk());
+        assert!(!DensityModel::new(&d, 256, 256, 1.0).single_chunk());
+        // The dense backend splits its products by row work: many tasks.
+        assert!(!DensityModel::new(&d, 48, 48, 1.0).single_chunk());
     }
 
     #[test]
