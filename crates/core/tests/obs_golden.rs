@@ -325,7 +325,7 @@ fn counters_are_exactly_the_eight_survivors() {
 }
 
 #[test]
-fn gauges_are_exactly_these_eighteen_and_the_netlist_stays_under_160_bytes_a_cell() {
+fn gauges_are_exactly_these_twenty_and_the_netlist_stays_under_160_bytes_a_cell() {
     let names: Vec<&str> = dtp_obs::Gauge::ALL.iter().map(|g| g.name()).collect();
     assert_eq!(
         names,
@@ -348,6 +348,8 @@ fn gauges_are_exactly_these_eighteen_and_the_netlist_stays_under_160_bytes_a_cel
             "rudy_stamps",
             "netlist_bytes",
             "parse_mb_s",
+            "pool_helped_regions",
+            "pool_stolen_chunks",
         ]
     );
     let d = design();
@@ -362,14 +364,13 @@ fn gauges_are_exactly_these_eighteen_and_the_netlist_stays_under_160_bytes_a_cel
     assert_eq!(obs.registry().gauge(dtp_obs::Gauge::ParseMbS), 0.0);
 }
 
-/// On a design whose density evaluation is one task, every iteration
-/// evaluates the objective's terms side by side, in every mode: on a
-/// two-thread pool they overlap, on a one-thread pool they run one after the
-/// other and nothing overlaps. A grid whose transforms take more than one
-/// task, or a design above one cell chunk, keeps the terms one after the
-/// other.
+/// Every iteration evaluates the objective's terms side by side, in every
+/// mode and whatever the design size or grid: on a two-thread pool they
+/// overlap, on a one-thread pool they run one after the other and nothing
+/// overlaps. A grid whose transforms take more than one task, and a design
+/// above one cell chunk, are no exception.
 #[test]
-fn every_flow_of_a_one_task_design_overlaps_its_terms_on_two_threads_and_not_on_one() {
+fn every_flow_overlaps_its_terms_on_two_threads_and_not_on_one() {
     use dtp_obs::Gauge;
     let d = generate(&GeneratorConfig::named("obs-overlap", 800)).expect("generator succeeds");
     let lib = synthetic_pdk();
@@ -383,13 +384,14 @@ fn every_flow_of_a_one_task_design_overlaps_its_terms_on_two_threads_and_not_on_
         assert!(overlap_ms(&d, mode, run(2)) > 0.0, "{}: nothing overlapped", mode.name());
         assert_eq!(overlap_ms(&d, mode, run(1)), 0.0, "{}: overlap on one thread", mode.name());
     }
-    let short = FlowConfig { max_iters: 20, threads: 2, ..FlowConfig::default() };
-    let fine_grid = FlowConfig { bins: 256, ..short };
-    assert_eq!(overlap_ms(&d, FlowMode::Wirelength, fine_grid), 0.0, "256 x 256 bins");
+    let fine_grid = |threads| FlowConfig { bins: 256, ..run(threads) };
+    assert!(overlap_ms(&d, FlowMode::Wirelength, fine_grid(2)) > 0.0, "256 x 256 bins");
+    assert_eq!(overlap_ms(&d, FlowMode::Wirelength, fine_grid(1)), 0.0, "256 x 256 bins, 1 thread");
     let big =
         generate(&GeneratorConfig::named("obs-overlap-big", 4096)).expect("generator succeeds");
     assert!(big.netlist.num_cells() > 4096);
-    assert_eq!(overlap_ms(&big, FlowMode::Wirelength, short), 0.0, "above one cell chunk");
+    assert!(overlap_ms(&big, FlowMode::Wirelength, run(2)) > 0.0, "above one cell chunk");
+    assert_eq!(overlap_ms(&big, FlowMode::Wirelength, run(1)), 0.0, "above one chunk, 1 thread");
 }
 
 /// The pool gauges are this run's traffic, not the pool's lifetime totals:

@@ -95,7 +95,9 @@ pub enum Gauge {
     /// Parallel regions this run dispatched to the worker pool.
     PoolDispatches,
     /// Parallel regions of this run that ran inline on the calling thread
-    /// instead: single-task regions, nested regions, 1-thread pools.
+    /// instead: single-task regions, regions nested in a chunk (a helped
+    /// one included), a join side's on a pool that may not spin, 1-thread
+    /// pools.
     PoolInlineRegions,
     /// Dispatched regions published without a mutex or system call (every
     /// worker was running or polling).
@@ -103,9 +105,11 @@ pub enum Gauge {
     /// Dispatched regions that had to wake a parked worker
     /// (`pool_hot_handoffs + pool_wakes = pool_dispatches`).
     PoolWakes,
-    /// Milliseconds the pool's threads spent polling for work or for
-    /// completion: what the hot hand-offs cost in CPU time. Wall-clock
-    /// dependent like the two before it, hence gauges and never in the trace.
+    /// Milliseconds the pool's threads spent polling for work, for
+    /// completion or, done with a join side, for the other side's regions
+    /// to help with: what the hot hand-offs and the help cost in CPU time.
+    /// Wall-clock dependent like the two before it, hence gauges and never
+    /// in the trace.
     PoolSpinMs,
     /// Worker-pool width (threads participating in a parallel region).
     PoolThreads,
@@ -128,11 +132,17 @@ pub enum Gauge {
     NetlistBytes,
     /// Input megabytes per second of the `parse` phase (file-backed designs).
     ParseMbS,
+    /// Parallel regions a join side of this run published for the join's
+    /// other threads to help with (the idle side's thread takes its chunks).
+    PoolHelpedRegions,
+    /// Chunks of those regions a helping thread ran. Like the pool gauges
+    /// above, schedule dependent, hence a gauge and never in the trace.
+    PoolStolenChunks,
 }
 
 impl Gauge {
     /// Number of gauges (length of every per-gauge array).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 20;
 
     /// Every gauge, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -154,6 +164,8 @@ impl Gauge {
         Gauge::RudyStamps,
         Gauge::NetlistBytes,
         Gauge::ParseMbS,
+        Gauge::PoolHelpedRegions,
+        Gauge::PoolStolenChunks,
     ];
 
     /// Dense slot index of this gauge.
@@ -183,6 +195,8 @@ impl Gauge {
             Gauge::RudyStamps => "rudy_stamps",
             Gauge::NetlistBytes => "netlist_bytes",
             Gauge::ParseMbS => "parse_mb_s",
+            Gauge::PoolHelpedRegions => "pool_helped_regions",
+            Gauge::PoolStolenChunks => "pool_stolen_chunks",
         }
     }
 }

@@ -37,11 +37,10 @@ pub enum Phase {
     SteinerBuild,
     /// Incremental forest maintenance: branch updates + per-net rebuilds.
     SteinerUpdate,
-    /// STA forward sweeps in the loop (smoothed or exact analyses). On a
-    /// design whose density evaluation is one task, every iteration
-    /// evaluates the objective's terms side by side: the density and
-    /// congestion evaluations beside the timing analysis once it is live
-    /// (the wirelength gradient on their side), beside the wirelength
+    /// STA forward sweeps in the loop (smoothed or exact analyses). Every
+    /// iteration evaluates the objective's terms side by side: the density
+    /// and congestion evaluations beside the timing analysis once it is
+    /// live (the wirelength gradient on their side), beside the wirelength
     /// gradient before. Their spans, like this one, are busy time, the
     /// spans may overlap, and the `overlap_ms` gauge says by how much.
     StaForward,

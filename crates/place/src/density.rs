@@ -266,17 +266,6 @@ impl DensityModel {
         (self.m, self.n)
     }
 
-    /// True when an evaluation's regions other than the stamp's block pass
-    /// are single-task, i.e. run inline and leave a second pool thread idle:
-    /// every cell fits one cell chunk (4 096), so the stamp's sort and the
-    /// field sampling are one task each; and the grid is on the FFT backend
-    /// with at most `TASK_WORK` bins (up to 128 × 128), so the mean removal
-    /// and every transform sweep are one task too. The block pass splits
-    /// the grid into `BLOCK_COLS`-column blocks and is not.
-    pub fn single_chunk(&self) -> bool {
-        self.cells.len() <= CELL_CHUNK && self.uses_fft() && self.m * self.n <= TASK_WORK
-    }
-
     /// True when the spectral solve runs on the radix-2 FFT backend.
     pub fn uses_fft(&self) -> bool {
         self.spectral.uses_fft()
@@ -654,23 +643,6 @@ mod tests {
 
     fn energy(model: &DensityModel, xs: &[f64], ys: &[f64]) -> f64 {
         model.energy_into(xs, ys, &mut DensityScratch::new())
-    }
-
-    #[test]
-    fn single_chunk_is_true_up_to_one_cell_chunk() {
-        let (_, mut model) = setup();
-        assert!(model.single_chunk());
-        let cell = model.cells[0];
-        model.cells.resize(CELL_CHUNK, cell);
-        assert!(model.single_chunk());
-        model.cells.push(cell);
-        assert!(!model.single_chunk());
-        // The grid counts too: up to `TASK_WORK` bins on the FFT backend.
-        let d = generate(&GeneratorConfig::named("dm-grid", 1000)).unwrap();
-        assert!(DensityModel::new(&d, 128, 128, 1.0).single_chunk());
-        assert!(!DensityModel::new(&d, 256, 256, 1.0).single_chunk());
-        // The dense backend splits its products by row work: many tasks.
-        assert!(!DensityModel::new(&d, 48, 48, 1.0).single_chunk());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! one partial per chunk and folds the partials in chunk order gets the same
 //! bits at every width.
 //!
-//! Work stealing is not implemented; indices are claimed dynamically from an
-//! atomic counter, which balances the near-uniform per-item costs of the
-//! placement and STA kernels within noise of rayon.
+//! Indices are claimed dynamically from an atomic counter, which balances
+//! the near-uniform per-item costs of the placement and STA kernels within
+//! noise of rayon. The one form of stealing is a [`join`]'s: a thread done
+//! with its side takes chunks of the regions the other side starts.
 //!
 //! [`with_pool`] installs a scoped per-thread pool override: every region
 //! started inside the closure dispatches to the given pool instead of the
@@ -44,11 +45,11 @@ pub use pool::{current_num_threads, pool_stats, with_pool, Pool, PoolStats};
 use std::sync::Mutex;
 
 /// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
-/// results (rayon's `join`): a two-index region on the current pool, so one
-/// closure runs on the caller and the other on whichever thread gets to it
-/// first. Inside a pool job (or on a one-thread pool) both run on the
-/// caller, `oper_a` first. A panic in either closure is resumed on the
-/// caller once both have finished.
+/// results (rayon's `join`): `oper_a` on the caller, `oper_b` on another
+/// thread of the current pool if one comes, and the one done first helps
+/// with the other's regions (see [`pool`]). Inside a pool job, or on a
+/// one-thread pool, both run on the caller, `oper_a` first. A panic in
+/// either closure is resumed on the caller once both have finished.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -68,7 +69,7 @@ where
         side.into_inner().expect(HELD).1.expect("the region returned, so both indices ran")
     }
     let (a, b) = (Mutex::new((Some(oper_a), None)), Mutex::new((Some(oper_b), None)));
-    pool::with_current(|p| p.run(2, |i| if i == 0 { run_side(&a) } else { run_side(&b) }));
+    pool::with_current(|p| p.join_dyn([&|| run_side(&a), &|| run_side(&b)]));
     (result(a), result(b))
 }
 
