@@ -228,19 +228,15 @@ struct LoopForest {
     /// Topology-rebuild budget per net:
     /// `topo_dirty_frac × pin bounding-box half-perimeter` at build time.
     net_budget: Vec<f64>,
-    /// This-iteration max displacement per net (sparse; reset via `touched`).
+    /// This-iteration max displacement of each net's pins' cells.
     net_disp: Vec<f64>,
-    /// The last sync's classification.
+    /// The last sync's classification, in net order.
     geo_nets: Vec<NetId>,
     topo_nets: Vec<NetId>,
-    touched: Vec<usize>,
-    /// Movable cells, and per movable cell (CSR) the nets with a tree its
-    /// pins sit on, in pin order — what the per-iteration classification
-    /// walks instead of the netlist. Laid out at the forest build.
-    movable: Vec<u32>,
-    cell_net_off: Vec<u32>,
-    cell_nets: Vec<u32>,
 }
+
+/// Nets per task of the displacement pull.
+const PULL_CHUNK: usize = 4096;
 
 impl LoopForest {
     fn new(nl: &Netlist, config: &FlowConfig) -> LoopForest {
@@ -270,7 +266,7 @@ impl LoopForest {
             None => {
                 self.forest = Some(obs.time(Phase::SteinerBuild, || {
                     let f = build_forest_with(nl, TableConfig::default());
-                    self.seed_bookkeeping(nl, &f, xs, ys);
+                    self.seed_bookkeeping(&f, xs, ys);
                     f
                 }));
                 obs.add(Counter::ForestBuilds, 1);
@@ -279,19 +275,9 @@ impl LoopForest {
     }
 
     /// Seeds the bookkeeping after the forest build: budgets from the fresh
-    /// trees, zero drift, reference positions = current positions, and the
-    /// movable-cell → tree-net table.
-    fn seed_bookkeeping(&mut self, nl: &Netlist, forest: &SteinerForest, xs: &[f64], ys: &[f64]) {
+    /// trees, zero drift, reference positions = current positions.
+    fn seed_bookkeeping(&mut self, forest: &SteinerForest, xs: &[f64], ys: &[f64]) {
         let n = forest.len();
-        self.cell_net_off.push(0);
-        for c in nl.movable_cells() {
-            self.movable.push(c.index() as u32);
-            // Clock nets have no tree: never built, never timed.
-            let nets = nl.cell(c).pins().iter().filter_map(|&p| nl.pin(p).net());
-            let tree_nets = nets.filter(|&net| forest.tree(net).is_some());
-            self.cell_nets.extend(tree_nets.map(|net| net.index() as u32));
-            self.cell_net_off.push(self.cell_nets.len() as u32);
-        }
         self.net_drift.resize(n, 0.0);
         self.net_disp.resize(n, 0.0);
         for ni in 0..n {
@@ -301,38 +287,59 @@ impl LoopForest {
         self.last_y.extend_from_slice(ys);
     }
 
-    /// Per-iteration forest maintenance: classify the nets of moved cells as
-    /// geometry-dirty or topology-dirty and apply both.
+    /// Per-iteration forest maintenance: classify the nets whose pins moved
+    /// as geometry-dirty or topology-dirty and apply both.
+    ///
+    /// Each net pulls the largest displacement `|Δx| + |Δy|` of its tree
+    /// pins' cells, in parallel chunks of nets; then, in net order, a net
+    /// that moved adds it to its drift and is classified. This is exactly
+    /// what pushing each moved cell's displacement to its nets gives: `max`
+    /// is the same in any order, a fixed cell's displacement is 0, and a
+    /// tree depends only on its own pins, so the order of the lists does
+    /// not change a tree.
     fn maintain(&mut self, nl: &Netlist, forest: &mut SteinerForest, xs: &[f64], ys: &[f64]) {
-        self.touched.clear();
-        for (&c, nets) in self.movable.iter().zip(self.cell_net_off.windows(2)) {
-            let i = c as usize;
-            let d = (xs[i] - self.last_x[i]).abs() + (ys[i] - self.last_y[i]).abs();
-            // Any nonzero movement dirties the cell's nets.
-            if d <= 0.0 {
-                continue;
-            }
-            for &net in &self.cell_nets[nets[0] as usize..nets[1] as usize] {
-                let ni = net as usize;
-                if self.net_disp[ni] == 0.0 {
-                    self.touched.push(ni);
+        let arena = forest.arena();
+        let (last_x, last_y) = (&self.last_x, &self.last_y);
+        self.net_disp.par_chunks_mut(PULL_CHUNK).enumerate().for_each(|(ci, disp)| {
+            for (ni, d) in (ci * PULL_CHUNK..).zip(disp.iter_mut()) {
+                let pins = arena.pin_off[ni] as usize..arena.pin_off[ni + 1] as usize;
+                let mut max = 0.0;
+                for &c in &arena.pin_cell[pins] {
+                    let i = c as usize;
+                    let moved = (xs[i] - last_x[i]).abs() + (ys[i] - last_y[i]).abs();
+                    if moved > max {
+                        max = moved;
+                    }
                 }
-                if d > self.net_disp[ni] {
-                    self.net_disp[ni] = d;
-                }
+                *d = max;
             }
-        }
+        });
         self.geo_nets.clear();
         self.topo_nets.clear();
-        for &ni in &self.touched {
-            self.net_drift[ni] += self.net_disp[ni];
-            self.net_disp[ni] = 0.0;
-            if self.net_drift[ni] > self.net_budget[ni] {
-                self.topo_nets.push(NetId::new(ni));
-            } else {
-                self.geo_nets.push(NetId::new(ni));
+        for ni in 0..self.net_disp.len() {
+            let d = self.net_disp[ni];
+            if d > 0.0 {
+                self.classify(ni, d);
             }
         }
+        self.apply(nl, forest, xs, ys);
+    }
+
+    /// Adds this sync's displacement `d` of net `ni` to its drift and lists
+    /// the net as topology-dirty once the drift exceeds its budget, else as
+    /// geometry-dirty.
+    fn classify(&mut self, ni: usize, d: f64) {
+        self.net_drift[ni] += d;
+        if self.net_drift[ni] > self.net_budget[ni] {
+            self.topo_nets.push(NetId::new(ni));
+        } else {
+            self.geo_nets.push(NetId::new(ni));
+        }
+    }
+
+    /// Re-embeds the geometry-dirty nets, rebuilds the topology-dirty ones
+    /// (fresh drift and budget), and takes `xs`/`ys` as the new reference.
+    fn apply(&mut self, nl: &Netlist, forest: &mut SteinerForest, xs: &[f64], ys: &[f64]) {
         forest.update_nets_into(nl, &self.geo_nets, &mut self.scratch);
         forest.rebuild_nets_into(nl, &self.topo_nets, &mut self.scratch);
         for &net in &self.topo_nets {
@@ -342,6 +349,35 @@ impl LoopForest {
         }
         self.last_x.copy_from_slice(xs);
         self.last_y.copy_from_slice(ys);
+    }
+}
+
+/// The per-cell push form of [`LoopForest::maintain`], the oracle of its
+/// pull: each moved movable cell raises the displacement of the tree nets
+/// its pins sit on, and the nets are listed in the order they were first
+/// touched.
+#[cfg(test)]
+impl LoopForest {
+    fn maintain_push(&mut self, nl: &Netlist, forest: &mut SteinerForest, xs: &[f64], ys: &[f64]) {
+        let mut touched = Vec::new();
+        self.net_disp.fill(0.0);
+        for c in nl.movable_cells() {
+            let i = c.index();
+            let d = (xs[i] - self.last_x[i]).abs() + (ys[i] - self.last_y[i]).abs();
+            let nets = nl.cell(c).pins().iter().filter_map(|&p| nl.pin(p).net());
+            for net in nets.filter(|&net| d > 0.0 && forest.tree(net).is_some()) {
+                if self.net_disp[net.index()] == 0.0 {
+                    touched.push(net.index());
+                }
+                self.net_disp[net.index()] = self.net_disp[net.index()].max(d);
+            }
+        }
+        self.geo_nets.clear();
+        self.topo_nets.clear();
+        for ni in touched {
+            self.classify(ni, self.net_disp[ni]);
+        }
+        self.apply(nl, forest, xs, ys);
     }
 }
 
@@ -1279,6 +1315,72 @@ mod tests {
         for mode in accepted {
             assert_eq!(rejection(mode), None, "{mode:?}");
         }
+    }
+
+    /// The pull classification of the loop forest against the per-cell push
+    /// it replaced, over random displacement sets — nothing moved, a few
+    /// cells, a fifth, every cell, some moved by zero — on a design with
+    /// fixed cells on tree nets and cells with two pins on one net: the same
+    /// geometry and topology sets, and bit-equal drift and budgets.
+    #[test]
+    fn pull_classification_equals_the_per_cell_push() {
+        use dtp_netlist::generate::{generate, GeneratorConfig};
+        let mut design = generate(&GeneratorConfig::named("pull", 1500)).expect("generator");
+        let nl = &design.netlist;
+        let forest = build_forest(nl);
+        let tree_nets = |c: dtp_netlist::CellId| {
+            let nets = nl.cell(c).pins().iter().filter_map(|&p| nl.pin(p).net());
+            nets.filter(|&n| forest.tree(n).is_some()).collect::<Vec<_>>()
+        };
+        assert!(nl.cell_ids().any(|c| nl.cell(c).is_fixed() && !tree_nets(c).is_empty()));
+        assert!(nl.movable_cells().any(|c| {
+            let nets = tree_nets(c);
+            (1..nets.len()).any(|k| nets[..k].contains(&nets[k]))
+        }));
+
+        let config = FlowConfig::default();
+        let (mut xs, mut ys) = design.netlist.positions();
+        let mut obs = Observer::new();
+        let (mut pull, mut push) =
+            (LoopForest::new(&design.netlist, &config), LoopForest::new(&design.netlist, &config));
+        pull.sync(&design.netlist, &xs, &ys, &mut obs);
+        push.sync(&design.netlist, &xs, &ys, &mut obs);
+        let movable: Vec<usize> = design.netlist.movable_cells().map(|c| c.index()).collect();
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut geo, mut topo) = (0, 0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let sorted = |v: &[NetId]| {
+            let mut v: Vec<usize> = v.iter().map(|n| n.index()).collect();
+            v.sort_unstable();
+            v
+        };
+        for step in 0..16 {
+            let share = [0.0, 0.01, 0.2, 1.0][step % 4];
+            let reach = if step % 3 == 2 { 0.0 } else { [0.5, 4.0][step % 2] };
+            for &c in &movable {
+                if rng.gen_bool(share) {
+                    xs[c] += reach * rng.gen_range(-1.0..1.0);
+                    ys[c] += reach * rng.gen_range(-1.0..1.0);
+                }
+            }
+            design.netlist.set_positions(&xs, &ys);
+            for (lf, push_form) in [(&mut pull, false), (&mut push, true)] {
+                let mut f = lf.forest.take().expect("built on the first sync");
+                if push_form {
+                    lf.maintain_push(&design.netlist, &mut f, &xs, &ys);
+                } else {
+                    lf.maintain(&design.netlist, &mut f, &xs, &ys);
+                }
+                lf.forest = Some(f);
+            }
+            assert_eq!(sorted(&pull.geo_nets), sorted(&push.geo_nets), "step {step}");
+            assert_eq!(sorted(&pull.topo_nets), sorted(&push.topo_nets), "step {step}");
+            assert_eq!(bits(&pull.net_drift), bits(&push.net_drift), "step {step}");
+            assert_eq!(bits(&pull.net_budget), bits(&push.net_budget), "step {step}");
+            geo += pull.geo_nets.len();
+            topo += pull.topo_nets.len();
+        }
+        assert!(geo > 0 && topo > 0, "the steps exercise both lists: {geo} / {topo}");
     }
 
     /// The knobs `dtp place` has no flag for: reachable from library callers

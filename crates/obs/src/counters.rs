@@ -87,10 +87,12 @@ pub enum Gauge {
     RsmtTable,
     /// Steiner trees from the Prim fallback heuristic.
     RsmtPrim,
-    /// Topology-table classes the process generated (lazily, on first visit).
+    /// Degree-9 topology-table classes the process generated (lazily, on
+    /// first visit). Degrees 4–8 ship as data and are never generated.
     RsmtClassesGenerated,
-    /// Milliseconds spent generating them, summed over threads (wall-clock:
-    /// not deterministic, which is why it is a gauge and never in the trace).
+    /// Milliseconds spent generating them (degree 9 only), summed over
+    /// threads (wall-clock: not deterministic, which is why it is a gauge and
+    /// never in the trace).
     RsmtClassGenMs,
     /// Parallel regions this run dispatched to the worker pool.
     PoolDispatches,

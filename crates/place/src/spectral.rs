@@ -11,9 +11,14 @@
 //!   real-FFT DCT per 2-D transform, y then x. The first sweep of the
 //!   forward transform reads contiguous rows; every other sweep reads the
 //!   columns of the previous sweep's output *in place* (strided reads,
-//!   contiguous writes), so no transposed copy is ever made. Selected
-//!   automatically when *both* grid dimensions are powers of two ≥ 2 — the
-//!   only shapes the radix-2 kernels handle.
+//!   contiguous writes), so no transposed copy is ever made. A sweep
+//!   transforms [`LANES`] = 4 rows per pass on a strip of `[f64; 4]` lanes
+//!   held in [`PoissonScratch`], so a column read loads four adjacent
+//!   elements; every lane does what a one-row transform does, in its order,
+//!   so the result is bit-identical, and a last group of fewer rows repeats
+//!   its last row in the spare lanes (the 2-bin axes run the same code).
+//!   Selected automatically when *both* grid dimensions are powers of two
+//!   ≥ 2 — the only shapes the radix-2 kernels handle.
 //! * **Dense** (`O(m³)` separable basis-matrix products): the reference
 //!   implementation, kept as the fallback for odd sizes and as the parity
 //!   oracle for the FFT path in tests.
@@ -41,7 +46,8 @@
 //! # Chunking
 //!
 //! Every sweep hands the pool tasks of a fixed amount of work
-//! ([`TASK_WORK`] element-operations, whole rows), never a share derived
+//! ([`TASK_WORK`] element-operations, whole rows — whole groups of four
+//! rows in an FFT sweep), never a share derived
 //! from the pool width: a 64 × 64 grid is one task per sweep and runs inline
 //! on the calling thread (the pool's single-index path — no dispatch, no
 //! wake-up), a 512 × 512 grid is 16 tasks of 32 rows. Rows are transformed
@@ -58,7 +64,7 @@
 //! in a reused [`PoissonSolution`], mirroring the `AnalysisScratch` pattern
 //! of the STA hot path.
 
-use crate::fft::{is_pow2, DctPlan};
+use crate::fft::{is_pow2, DctPlan, Lane, LANES};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -152,8 +158,9 @@ pub struct PoissonScratch {
     t1: Vec<f64>,
     /// x-major staging of the dense backend's output (empty under FFT).
     t2: Vec<f64>,
-    /// Per-task complex FFT strips (`tasks × (len + 2)`).
-    cplx: Vec<f64>,
+    /// Per-task lane strips of the FFT sweeps (`tasks × (2·len + 2)`
+    /// lanes): a transform's work strip, then its output.
+    lanes: Vec<Lane>,
     /// 2-D transforms run through this scratch since it was created.
     transforms: u64,
 }
@@ -251,8 +258,10 @@ impl Spectral2D {
     /// One sweep of a 2-D transform: applies the 1-D transform `kind` to
     /// `rows` vectors of `plan.len()` elements read from `src` as `read`
     /// says, writing them as the contiguous rows of `dst`; `finish(r, row)`
-    /// post-processes row `r` in the same task. One complex strip of `cplx`
-    /// per task.
+    /// post-processes row `r` in the same task. Vectors go through the
+    /// transform [`LANES`] at a time, on one lane strip of `lanes` per task;
+    /// a last group with fewer vectors repeats its last one in the spare
+    /// lanes and discards their results.
     #[allow(clippy::too_many_arguments)]
     fn fft_sweep(
         plan: &DctPlan,
@@ -261,31 +270,47 @@ impl Spectral2D {
         read: Read,
         dst: &mut [f64],
         rows: usize,
-        cplx: &mut Vec<f64>,
+        lanes: &mut Vec<Lane>,
         finish: impl Fn(usize, &mut [f64]) + Sync,
     ) {
         let len = plan.len();
-        let rpt = rows_per_task(len);
-        let strip = plan.scratch_len();
+        // Whole groups per task, so no group straddles two tasks.
+        let rpt = rows_per_task(len).next_multiple_of(LANES);
+        let work_len = plan.scratch_len();
+        let strip = work_len + len;
         // Every transform writes its strip before reading it.
-        cplx.resize(rows.div_ceil(rpt) * strip, 0.0);
+        lanes.resize(rows.div_ceil(rpt) * strip, [0.0; LANES]);
+        // Element `i` of vector `r` sits at `src[i·step + r·at]`.
+        let (step, at) = match read {
+            Read::Rows => (1, len),
+            Read::Columns => (rows, 1),
+        };
         dst[..rows * len]
             .par_chunks_mut(rpt * len)
-            .zip(cplx.par_chunks_mut(strip))
+            .zip(lanes.par_chunks_mut(strip))
             .enumerate()
-            .for_each(|(ti, (dchunk, work))| {
-                for (local, drow) in dchunk.chunks_mut(len).enumerate() {
-                    let r = ti * rpt + local;
-                    let (vector, stride) = match read {
-                        Read::Rows => (&src[r * len..(r + 1) * len], 1),
-                        Read::Columns => (&src[r..], rows),
+            .for_each(|(ti, (dchunk, strip))| {
+                let (work, out) = strip.split_at_mut(work_len);
+                for (g, group) in dchunk.chunks_mut(LANES * len).enumerate() {
+                    let r0 = ti * rpt + g * LANES;
+                    let count = group.len() / len;
+                    let base: [usize; LANES] =
+                        std::array::from_fn(|q| (r0 + q.min(count - 1)) * at);
+                    let load = |i: usize| -> Lane {
+                        let i = i * step;
+                        std::array::from_fn(|q| src[i + base[q]])
                     };
                     match kind {
-                        FftKind::Dct2 => plan.dct2(vector, stride, drow, work),
-                        FftKind::Idct => plan.idct(vector, stride, drow, work),
-                        FftKind::Idxst => plan.idxst(vector, stride, drow, work),
+                        FftKind::Dct2 => plan.dct2_lanes(load, out, work),
+                        FftKind::Idct => plan.idct_lanes(load, out, work),
+                        FftKind::Idxst => plan.idxst_lanes(load, out, work),
                     }
-                    finish(r, drow);
+                    for (q, drow) in group.chunks_mut(len).enumerate() {
+                        for (d, v) in drow.iter_mut().zip(out.iter()) {
+                            *d = v[q];
+                        }
+                        finish(r0 + q, drow);
+                    }
                 }
             });
     }
@@ -312,11 +337,11 @@ impl Spectral2D {
                 a.resize(m * n, 0.0);
                 scratch.t1.resize(m * n, 0.0);
                 // Along y: S_y[i][v], rows of the input.
-                let (t1, cplx) = (&mut scratch.t1, &mut scratch.cplx);
-                Self::fft_sweep(y, FftKind::Dct2, grid, Read::Rows, t1, m, cplx, |_, _| {});
+                let (t1, lanes) = (&mut scratch.t1, &mut scratch.lanes);
+                Self::fft_sweep(y, FftKind::Dct2, grid, Read::Rows, t1, m, lanes, |_, _| {});
                 // Along x: S_xy[v][u], columns of S_y, with the c_u c_v
                 // normalization applied as each row lands.
-                Self::fft_sweep(x, FftKind::Dct2, t1, Read::Columns, &mut a, n, cplx, |v, row| {
+                Self::fft_sweep(x, FftKind::Dct2, t1, Read::Columns, &mut a, n, lanes, |v, row| {
                     let cv = if v == 0 { 1.0 } else { 2.0 } / n as f64;
                     for (u, r) in row.iter_mut().enumerate() {
                         let cu = if u == 0 { 1.0 } else { 2.0 } / m as f64;
@@ -423,14 +448,14 @@ impl Spectral2D {
             }
             Backend::Fft { x, y } => {
                 scratch.t1.resize(m * n, 0.0);
-                let (t1, cplx) = (&mut scratch.t1, &mut scratch.cplx);
+                let (t1, lanes) = (&mut scratch.t1, &mut scratch.lanes);
                 // Along y: G[u][j], from the columns of the y-major
                 // coefficients.
                 let ykind = if sin_in_y { FftKind::Idxst } else { FftKind::Idct };
-                Self::fft_sweep(y, ykind, coef, Read::Columns, t1, m, cplx, |_, _| {});
+                Self::fft_sweep(y, ykind, coef, Read::Columns, t1, m, lanes, |_, _| {});
                 // Along x: out[j][i], from the columns of G.
                 let xkind = if sin_in_x { FftKind::Idxst } else { FftKind::Idct };
-                Self::fft_sweep(x, xkind, t1, Read::Columns, out, n, cplx, |_, _| {});
+                Self::fft_sweep(x, xkind, t1, Read::Columns, out, n, lanes, |_, _| {});
             }
         }
     }
@@ -794,7 +819,9 @@ mod tests {
     /// inline and on grids that fan out over 1, 2 and 4 threads.
     #[test]
     fn strided_transforms_equal_transposed_transforms_bit_for_bit() {
-        for (m, n) in [(8, 4), (4, 8), (2, 2), (16, 16), (64, 32), (128, 64), (256, 128)] {
+        for (m, n) in
+            [(8, 4), (4, 8), (2, 2), (2, 64), (64, 2), (16, 16), (64, 32), (128, 64), (256, 128)]
+        {
             let s = Spectral2D::new(m, n, 3.0, 2.0);
             let Backend::Fft { x, y } = &s.backend else { panic!("pow2 grid") };
             let grid: Vec<f64> =

@@ -10,7 +10,7 @@
 use crate::hanan::build_hanan4;
 use crate::mst::PrimScratch;
 use crate::tables::{
-    canonicalize, class_entry, powv_cost, untransform_point, TableConfig, MAX_TABLE_DEGREE,
+    canonicalize, class_entry, untransform_point, TableConfig, MAX_TABLE_DEGREE,
     MIN_TABLE_DEGREE,
 };
 use crate::tree::{
@@ -522,7 +522,6 @@ fn rebuild_tree(cfg: &TableConfig, lane: &mut Lane, tree: &mut TreeMut<'_>) -> B
     // Canonical class lookup.
     let (canon_key, t) = canonicalize(&seq[..n]);
     let entry = class_entry(n, canon_key);
-    debug_assert_eq!(entry.n, n, "class entry degree matches the net");
 
     // Raw coordinate gaps along each axis, then mapped into the canonical
     // frame (a flipped axis reverses gap order; a swap exchanges the axes).
@@ -553,8 +552,8 @@ fn rebuild_tree(cfg: &TableConfig, lane: &mut Lane, tree: &mut TreeMut<'_>) -> B
     // never worse than the fallback heuristic (degree 4 tables are exact).
     let mut best_i = 0usize;
     let mut best_c = f64::INFINITY;
-    for (i, p) in entry.powvs.iter().enumerate() {
-        let c = powv_cost(p, &gx, &gy, n);
+    for (i, p) in entry.powvs().enumerate() {
+        let c = p.cost(&gx, &gy);
         if c < best_c {
             best_c = c;
             best_i = i;
@@ -570,10 +569,10 @@ fn rebuild_tree(cfg: &TableConfig, lane: &mut Lane, tree: &mut TreeMut<'_>) -> B
     // grid point maps back through the symmetry transform, x coordinates
     // ride the pin at the raw x-rank and y coordinates the pin at the raw
     // y-rank (the Fig.-4 branch bookkeeping falls out naturally).
-    let powv = &entry.powvs[best_i];
+    let powv = entry.powvs().nth(best_i).expect("the winner is one of the class's POWVs");
     lane.steiner.clear();
     lane.edges.clear();
-    for &(a, b) in &powv.steiner {
+    for (a, b) in powv.steiner() {
         let (ra, rb) = untransform_point(a as usize, b as usize, n, t);
         let px = xo[ra] as u32;
         let py = yo[rb] as u32;
@@ -583,14 +582,14 @@ fn rebuild_tree(cfg: &TableConfig, lane: &mut Lane, tree: &mut TreeMut<'_>) -> B
     let map_node = |w: u8| -> usize {
         let w = w as usize;
         if w < n {
-            let (ra, rb) = untransform_point(w, entry.seq[w] as usize, n, t);
+            let (ra, rb) = untransform_point(w, entry.seq(w), n, t);
             debug_assert_eq!(seq[ra], rb as u8, "canonical pin maps back onto the sequence");
             xo[ra] as usize
         } else {
             n + (w - n)
         }
     };
-    for &(u, v) in &powv.edges {
+    for (u, v) in powv.edges() {
         lane.edges.push((map_node(u), map_node(v)));
     }
     tree.rebuild_from_parts(&lane.pins, &lane.steiner, &lane.edges, &mut lane.adj);

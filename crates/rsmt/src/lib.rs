@@ -49,6 +49,7 @@ mod forest;
 mod hanan;
 mod mst;
 mod tables;
+mod tables_data;
 mod tree;
 
 pub use forest::{

@@ -22,17 +22,28 @@
 //!   non-dominated cost vectors — near-optimal in practice, and the forest
 //!   additionally clamps the result against a plain Prim tree so the emitted
 //!   tree is never worse than the degree ≥ 5 fallback heuristic;
-//! - classes are generated **lazily** on first lookup and memoized in a
-//!   process-global append-only registry, so flows only pay for the classes
-//!   their nets actually visit. Generation runs outside the registry lock —
-//!   it is a pure function of the key, so two threads racing for one class
-//!   at worst discard a duplicate — and [`table_stats`] reports how many
-//!   classes a process generated and how long that took.
+//! - classes of degree 4–8 ship as generated data
+//!   ([`tables_data`](super::tables_data): 6 121 classes, 17 710 POWVs),
+//!   looked up by binary search over sorted keys with no lock;
+//!   `tables::tests::tables_data_is_the_generators_output` regenerates that
+//!   file and fails on any difference;
+//! - degree-9 classes are generated **lazily** on first lookup and memoized
+//!   in a process-global append-only registry, so flows only pay for the
+//!   degree-9 classes their nets actually visit. Generation runs outside the
+//!   registry lock — it is a pure function of the key, so two threads racing
+//!   for one class at worst discard a duplicate — and [`table_stats`]
+//!   reports how many classes a process generated and how long that took.
+//!
+//! Both sources hand the forest the same [`ClassView`]: the class's POWVs as
+//! a stream of 4-bit values packed into `u64` words (see [`ClassView`] for
+//! the layout) — in the data file, one hex digit per value.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 use std::time::Instant;
+
+use crate::tables_data;
 
 /// Largest net degree served by the topology tables; larger nets always use
 /// the Prim heuristic.
@@ -81,13 +92,149 @@ pub(crate) struct Powv {
     pub edges: Vec<(u8, u8)>,
 }
 
-/// The POWV set of one canonical position-sequence class.
+/// Largest degree whose classes ship as data; degree
+/// [`MAX_TABLE_DEGREE`] is generated on first use.
+pub(crate) const MAX_DATA_DEGREE: usize = 8;
+
+/// Offset of the Steiner points in a POWV record of a degree-`n` class
+/// (after `n − 1` x counts, `n − 1` y counts and the Steiner count).
+const fn steiner_at(n: usize) -> usize {
+    2 * n - 1
+}
+
+/// Length, in 4-bit values, of a POWV record of a degree-`n` class with `s`
+/// Steiner points: the counts, `s` points and `n + s − 1` edges of two
+/// values each.
+const fn record_len(n: usize, s: usize) -> usize {
+    steiner_at(n) + 2 * s + 2 * (n + s - 1)
+}
+
+/// Value `j` of a record stream: the `j % 16`-th hex digit, from the most
+/// significant, of word `j / 16`.
+#[inline]
+fn nibble(words: &[u64], j: usize) -> u8 {
+    ((words[j / 16] >> (60 - 4 * (j % 16))) & 0xf) as u8
+}
+
+/// The classes of one degree as shipped data (`tables_data.rs`).
 #[derive(Debug)]
-pub(crate) struct ClassEntry {
-    pub n: usize,
-    /// The canonical sequence itself (first `n` entries valid).
-    pub seq: [u8; MAX_TABLE_DEGREE],
-    pub powvs: Vec<Powv>,
+pub(crate) struct DegreeData {
+    /// Canonical keys ([`pack_seq`]), ascending.
+    pub keys: &'static [u32],
+    /// Class `i`'s records are `words[starts[i]..starts[i + 1]]`.
+    pub starts: &'static [u32],
+    /// Every class's record stream (see [`ClassView`]), one after the other.
+    pub words: &'static [u64],
+}
+
+/// The POWV set of one canonical position-sequence class, whichever source
+/// it came from.
+///
+/// `words` is a stream of 4-bit values, read hex digit by hex digit from
+/// each word's most significant one: one record per POWV, back to back in
+/// the generator's order, then zero digits to the end of the last word. A
+/// record is `cx[0..n−1] cy[0..n−1] s`, then `s` Steiner points `x_rank
+/// y_rank`, then the `n + s − 1` edges `u v` ([`record_len`] values). Every
+/// record starts with `cx[0] ≥ 1` — the tree connects the leftmost pin to
+/// the rest — so a zero digit where a record would start ends the class.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ClassView {
+    n: usize,
+    /// The canonical sequence, packed ([`pack_seq`]).
+    key: u64,
+    words: &'static [u64],
+}
+
+impl ClassView {
+    /// Entry `i` of the canonical sequence.
+    #[inline]
+    pub fn seq(&self, i: usize) -> usize {
+        ((self.key >> (4 * i)) & 0xf) as usize
+    }
+
+    /// The class's POWVs, in the generator's order.
+    #[inline]
+    pub fn powvs(&self) -> impl Iterator<Item = PowvRecord<'static>> {
+        let (n, words) = (self.n, self.words);
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            if at == 16 * words.len() || nibble(words, at) == 0 {
+                return None;
+            }
+            let rec = PowvRecord { n, words, at };
+            at += record_len(n, rec.steiner_count());
+            Some(rec)
+        })
+    }
+}
+
+/// One POWV record of a [`ClassView`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PowvRecord<'a> {
+    n: usize,
+    words: &'a [u64],
+    /// Position of the record's first value in the stream.
+    at: usize,
+}
+
+impl<'a> PowvRecord<'a> {
+    #[inline]
+    fn value(&self, k: usize) -> u8 {
+        nibble(self.words, self.at + k)
+    }
+
+    /// The topology's wirelength against canonical-frame gap arrays:
+    /// `Σ cx[g]·gx[g] + cy[g]·gy[g]`.
+    #[inline]
+    pub fn cost(&self, gx: &[f64], gy: &[f64]) -> f64 {
+        let n = self.n;
+        let mut c = 0.0;
+        for g in 0..n - 1 {
+            c += self.value(g) as f64 * gx[g] + self.value(n - 1 + g) as f64 * gy[g];
+        }
+        c
+    }
+
+    fn pairs(self, at: usize, count: usize) -> impl Iterator<Item = (u8, u8)> + 'a {
+        (at..at + 2 * count).step_by(2).map(move |k| (self.value(k), self.value(k + 1)))
+    }
+
+    fn steiner_count(&self) -> usize {
+        self.value(steiner_at(self.n) - 1) as usize
+    }
+
+    /// Steiner points as canonical Hanan-grid coordinates `(x_rank, y_rank)`.
+    pub fn steiner(&self) -> impl Iterator<Item = (u8, u8)> + 'a {
+        self.pairs(steiner_at(self.n), self.steiner_count())
+    }
+
+    /// Edges over nodes numbered pins first (`0..n`, canonical x-order), then
+    /// Steiner points.
+    pub fn edges(&self) -> impl Iterator<Item = (u8, u8)> + 'a {
+        let (n, s) = (self.n, self.steiner_count());
+        self.pairs(steiner_at(n) + 2 * s, n + s - 1)
+    }
+}
+
+/// The record stream of `powvs`, a degree-`n` class (see [`ClassView`]).
+fn encode_class(n: usize, powvs: &[Powv]) -> Vec<u64> {
+    let mut values: Vec<u8> = Vec::new();
+    for p in powvs {
+        assert_eq!(p.edges.len(), n + p.steiner.len() - 1, "a POWV is a spanning tree");
+        assert!(p.cx[0] >= 1, "a record starts with a nonzero digit");
+        values.extend(&p.cx[..n - 1]);
+        values.extend(&p.cy[..n - 1]);
+        values.push(p.steiner.len() as u8);
+        values.extend(p.steiner.iter().chain(&p.edges).flat_map(|&(a, b)| [a, b]));
+    }
+    let word = |digits: &[u8]| {
+        (0..16).fold(0u64, |w, k| {
+            let v = digits.get(k).copied().unwrap_or(0);
+            assert!(v < 16, "record value {v} out of range");
+            (w << 4) | u64::from(v)
+        })
+    };
+    values.chunks(16).map(word).collect()
 }
 
 /// Packs a position sequence into a `u64` key (4 bits per rank; degree ≤ 9
@@ -143,37 +290,25 @@ pub(crate) fn canonicalize(seq: &[u8]) -> (u64, u8) {
     (best_key, best_t)
 }
 
-/// Evaluates a POWV against canonical-frame gap arrays.
-#[inline]
-pub(crate) fn powv_cost(p: &Powv, gx: &[f64], gy: &[f64], n: usize) -> f64 {
-    let mut c = 0.0;
-    for g in 0..n - 1 {
-        c += p.cx[g] as f64 * gx[g] + p.cy[g] as f64 * gy[g];
-    }
-    c
+/// The memoized degree-[`MAX_TABLE_DEGREE`] classes: record streams by
+/// canonical key, leaked into `'static` storage on insertion and never
+/// removed, so lookups hand out plain references.
+fn registry() -> &'static RwLock<HashMap<u64, &'static [u64]>> {
+    static REG: OnceLock<RwLock<HashMap<u64, &'static [u64]>>> = OnceLock::new();
+    REG.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-type ClassMap = HashMap<u64, &'static ClassEntry>;
-
-/// Per-degree class registries (index = degree − [`MIN_TABLE_DEGREE`]).
-/// Append-only: entries are leaked into `'static` storage on insertion and
-/// never removed, so lookups hand out plain references.
-fn registry() -> &'static [RwLock<ClassMap>; MAX_TABLE_DEGREE - MIN_TABLE_DEGREE + 1] {
-    static REG: OnceLock<[RwLock<ClassMap>; MAX_TABLE_DEGREE - MIN_TABLE_DEGREE + 1]> =
-        OnceLock::new();
-    REG.get_or_init(|| std::array::from_fn(|_| RwLock::new(HashMap::new())))
-}
-
-/// Classes inserted into the registry / nanoseconds spent generating classes
-/// (discarded race duplicates included), process-wide. Pure statistics: they
-/// publish no other data, hence `Relaxed`.
+/// Degree-9 classes inserted into the registry / nanoseconds spent
+/// generating them (discarded race duplicates included), process-wide. Pure
+/// statistics: they publish no other data, hence `Relaxed`.
 static CLASSES_GENERATED: AtomicU64 = AtomicU64::new(0);
 static CLASS_GEN_NS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide topology-table generation counters.
+/// Process-wide topology-table generation counters. Classes of degree ≤ 8
+/// ship as data and are never generated, so these count degree 9 only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
-    /// Classes generated and memoized so far (deterministic for a
+    /// Degree-9 classes generated and memoized so far (deterministic for a
     /// deterministic sequence of lookups).
     pub classes_generated: u64,
     /// Wall-clock nanoseconds spent generating them, summed over threads.
@@ -199,56 +334,69 @@ pub fn table_stats() -> TableStats {
     }
 }
 
-/// The memoized entry of `canon_key`, if some thread already generated it.
-fn lookup_class(n: usize, canon_key: u64) -> Option<&'static ClassEntry> {
-    registry()[n - MIN_TABLE_DEGREE]
-        .read()
-        .expect("table registry poisoned")
-        .get(&canon_key)
-        .copied()
+/// The memoized degree-9 class of `canon_key`, if some thread already
+/// generated it.
+fn lookup_class(canon_key: u64) -> Option<&'static [u64]> {
+    registry().read().expect("table registry poisoned").get(&canon_key).copied()
 }
 
-/// Generates the class of `canon_key` (no lock held; timed into
-/// [`table_stats`]).
-fn generate_keyed(n: usize, canon_key: u64) -> Box<ClassEntry> {
-    let t0 = Instant::now();
+/// The canonical sequence packed in `canon_key`.
+fn unpack_seq(n: usize, canon_key: u64) -> [u8; MAX_TABLE_DEGREE] {
     let mut seq = [0u8; MAX_TABLE_DEGREE];
     for (i, s) in seq.iter_mut().enumerate().take(n) {
         *s = ((canon_key >> (4 * i)) & 0xf) as u8;
     }
-    let entry = Box::new(generate_class(n, &seq[..n]));
-    CLASS_GEN_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    entry
+    seq
 }
 
-/// Memoizes `entry` unless another thread got there first, in which case the
-/// duplicate is dropped and the registered entry returned.
-fn insert_class(n: usize, canon_key: u64, entry: Box<ClassEntry>) -> &'static ClassEntry {
-    let mut w = registry()[n - MIN_TABLE_DEGREE].write().expect("table registry poisoned");
+/// Generates the record stream of degree-9 class `canon_key` (no lock held;
+/// timed into [`table_stats`]).
+fn generate_keyed(canon_key: u64) -> Vec<u64> {
+    let t0 = Instant::now();
+    let n = MAX_TABLE_DEGREE;
+    let records = encode_class(n, &generate_class(n, &unpack_seq(n, canon_key)[..n]));
+    CLASS_GEN_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    records
+}
+
+/// Memoizes `records` unless another thread got there first, in which case
+/// the duplicate is dropped and the registered records returned.
+fn insert_class(canon_key: u64, records: Vec<u64>) -> &'static [u64] {
+    let mut w = registry().write().expect("table registry poisoned");
     w.entry(canon_key).or_insert_with(|| {
         CLASSES_GENERATED.fetch_add(1, Ordering::Relaxed);
-        Box::leak(entry)
+        records.leak()
     })
 }
 
-/// Fetches (generating and memoizing on first use) the class entry of the
-/// **canonical** sequence with packed key `canon_key`. The write lock is
-/// taken only to insert: generation itself runs unlocked, so concurrent
-/// lookups of other classes of the same degree never wait for it.
-pub(crate) fn class_entry(n: usize, canon_key: u64) -> &'static ClassEntry {
-    match lookup_class(n, canon_key) {
-        Some(e) => e,
-        None => insert_class(n, canon_key, generate_keyed(n, canon_key)),
-    }
+/// The class of the **canonical** degree-`n` sequence with packed key
+/// `canon_key`: a binary search of the shipped data for `n ≤ 8`; for
+/// degree 9 the registry, generating and memoizing on first use. The write
+/// lock is taken only to insert: generation itself runs unlocked, so
+/// concurrent lookups of other classes never wait for it.
+pub(crate) fn class_entry(n: usize, canon_key: u64) -> ClassView {
+    let words = if n <= MAX_DATA_DEGREE {
+        let data = tables_data::CLASSES[n - MIN_TABLE_DEGREE];
+        let i = u32::try_from(canon_key)
+            .ok()
+            .and_then(|key| data.keys.binary_search(&key).ok())
+            .expect("every canonical class of degree 4-8 ships as data");
+        &data.words[data.starts[i] as usize..data.starts[i + 1] as usize]
+    } else {
+        match lookup_class(canon_key) {
+            Some(records) => records,
+            None => insert_class(canon_key, generate_keyed(canon_key)),
+        }
+    };
+    ClassView { n, key: canon_key, words }
 }
 
 // --- class generation ------------------------------------------------------
 
-fn generate_class(n: usize, seq: &[u8]) -> ClassEntry {
-    let powvs = if n == 4 { generate_exact4(seq) } else { generate_greedy(n, seq) };
-    let mut s = [0u8; MAX_TABLE_DEGREE];
-    s[..n].copy_from_slice(seq);
-    ClassEntry { n, seq: s, powvs }
+/// The POWV set of the canonical degree-`n` sequence `seq`: the data file's
+/// generator, and degree 9's.
+fn generate_class(n: usize, seq: &[u8]) -> Vec<Powv> {
+    if n == 4 { generate_exact4(seq) } else { generate_greedy(n, seq) }
 }
 
 /// Computes the gap-crossing counts of a topology over grid nodes.
@@ -618,24 +766,129 @@ mod tests {
         }
     }
 
-    /// Eagerly generates every canonical class up to `max_degree` and
-    /// returns their `(classes, total POWVs)` (flows generate lazily).
-    fn prewarm(max_degree: usize) -> (usize, usize) {
+    /// The canonical keys of every degree-`n` sequence, ascending.
+    fn canonical_keys(n: usize) -> std::collections::BTreeSet<u64> {
+        let mut keys = std::collections::BTreeSet::new();
+        let mut perm: Vec<u8> = (0..n as u8).collect();
+        permute(&mut perm, 0, &mut |seq| {
+            keys.insert(canonicalize(seq).0);
+        });
+        keys
+    }
+
+    /// `(classes, POWVs)` of the shipped data of degree ≤ `max_degree`.
+    fn shipped_counts(max_degree: usize) -> (usize, usize) {
+        let (mut classes, mut powvs) = (0, 0);
         for n in MIN_TABLE_DEGREE..=max_degree {
-            let mut perm: Vec<u8> = (0..n as u8).collect();
-            permute(&mut perm, 0, &mut |seq| {
-                let (key, _) = canonicalize(seq);
-                let _ = class_entry(n, key);
-            });
-        }
-        let mut classes = 0;
-        let mut powvs = 0;
-        for map in &registry()[..=max_degree - MIN_TABLE_DEGREE] {
-            let m = map.read().expect("table registry poisoned");
-            classes += m.len();
-            powvs += m.values().map(|e| e.powvs.len()).sum::<usize>();
+            let keys = tables_data::CLASSES[n - MIN_TABLE_DEGREE].keys;
+            classes += keys.len();
+            let count = |key: u32| class_entry(n, key.into()).powvs().count();
+            powvs += keys.iter().map(|&key| count(key)).sum::<usize>();
         }
         (classes, powvs)
+    }
+
+    /// `tables_data.rs` as the generator writes it.
+    fn render_tables_data() -> String {
+        use std::fmt::Write;
+        // `items`, `per_line` to a line, as the body of an array literal.
+        let list = |items: Vec<String>, per_line: usize| {
+            let lines: Vec<String> = items.chunks(per_line).map(|l| l.join(" ")).collect();
+            lines.join("\n        ")
+        };
+        let mut out = String::from(TABLES_DATA_HEADER);
+        for n in MIN_TABLE_DEGREE..=MAX_DATA_DEGREE {
+            let (mut keys, mut words) = (Vec::new(), Vec::new());
+            let mut starts = vec!["0,".to_string()];
+            let mut len = 0;
+            for key in canonical_keys(n) {
+                let stream = encode_class(n, &generate_class(n, &unpack_seq(n, key)[..n]));
+                len += stream.len();
+                let key = u32::try_from(key).expect("a degree-8 key fits 32 bits");
+                keys.push(format!("{key:#x},"));
+                starts.push(format!("{len},"));
+                let line: Vec<String> = stream.iter().map(|w| format!("{w:#018x},")).collect();
+                words.push(line.join(" "));
+            }
+            writeln!(out, "\nstatic DEGREE_{n}: DegreeData = DegreeData {{").unwrap();
+            writeln!(out, "    keys: &[\n        {}\n    ],", list(keys, 8)).unwrap();
+            writeln!(out, "    starts: &[\n        {}\n    ],", list(starts, 12)).unwrap();
+            writeln!(out, "    words: &[\n        {}\n    ],\n}};", list(words, 1)).unwrap();
+        }
+        out
+    }
+
+    const TABLES_DATA_HEADER: &str = "\
+//! The topology classes of degree 4–8 as data: every canonical
+//! position-sequence class with its POWV records, generated by
+//! `tables::generate_class`. `words` holds one class per line, one hex
+//! digit per record value (`tables::ClassView` has the record layout).
+//!
+//! Generated — do not edit. `tables::tests::tables_data_is_the_generators_output`
+//! (`cargo test -p dtp-rsmt --lib tables_data`) fails when this file differs
+//! from the generator's output and writes that output to
+//! `$TMPDIR/tables_data.rs`; review the difference and copy it over.
+#![cfg_attr(rustfmt, rustfmt::skip)]
+
+use crate::tables::DegreeData;
+
+/// Per degree (index = degree − 4).
+pub(crate) static CLASSES: [&DegreeData; 5] =
+    [&DEGREE_4, &DEGREE_5, &DEGREE_6, &DEGREE_7, &DEGREE_8];
+";
+
+    /// The shipped data is exactly the generator's output: every canonical
+    /// class of degree 4–8, in key order, with the POWV records
+    /// `generate_class` produces for it.
+    ///
+    /// What the generator's own tests catch that this one does not:
+    /// regenerating the file blesses whatever the generator produces, so this
+    /// test catches a hand edit of the data and any generator change that
+    /// moves a class, but not a generator that is wrong.
+    /// - `insertion_pricing_reproduces_every_class_of_degree_5_to_8` checks
+    ///   the O(k) insertion pricing (`mst_cost_with`) against a from-scratch
+    ///   Prim per candidate: a pricing fault regenerated into the data passes
+    ///   here and fails there.
+    /// - `insertion_pricing_reproduces_sampled_classes_of_degree_9` does the
+    ///   same for degree 9, which ships no data and is generated at run
+    ///   time: it is the only check of the classes a flow generates.
+    /// - `exact4_matches_hanan_on_unit_grid` and the counts of
+    ///   `powv_sets_are_small_and_nonempty` pin what the data must contain
+    ///   independently of how it was produced.
+    #[test]
+    fn tables_data_is_the_generators_output() {
+        let want = render_tables_data();
+        if include_str!("tables_data.rs") != want {
+            let path = std::env::temp_dir().join("tables_data.rs");
+            std::fs::write(&path, &want).expect("writable temp dir");
+            panic!(
+                "crates/rsmt/src/tables_data.rs differs from the generator's output, \
+                 which is in {}: review the difference and copy it over",
+                path.display()
+            );
+        }
+    }
+
+    #[test]
+    fn every_canonical_class_is_found_and_decodes_to_its_powvs() {
+        for n in MIN_TABLE_DEGREE..=MAX_DATA_DEGREE {
+            for key in canonical_keys(n).into_iter().step_by(7) {
+                let view = class_entry(n, key);
+                let seq = unpack_seq(n, key);
+                assert!((0..n).all(|i| view.seq(i) == seq[i] as usize));
+                let powvs = generate_class(n, &seq[..n]);
+                assert_eq!(view.powvs().count(), powvs.len());
+                for (r, p) in view.powvs().zip(&powvs) {
+                    let (gx, gy) = ([1.5, 2.0, 0.25, 3.0, 1.0, 0.5, 2.5, 4.0], [0.5; 8]);
+                    let cost: f64 = (0..n - 1)
+                        .map(|g| p.cx[g] as f64 * gx[g] + p.cy[g] as f64 * gy[g])
+                        .sum();
+                    assert_eq!(r.cost(&gx, &gy), cost);
+                    assert!(r.steiner().eq(p.steiner.iter().copied()));
+                    assert!(r.edges().eq(p.edges.iter().copied()));
+                }
+            }
+        }
     }
 
     #[test]
@@ -684,11 +937,7 @@ mod tests {
             let e = class_entry(4, key);
             let gx = [1.0; MAX_TABLE_DEGREE - 1];
             let gy = [1.0; MAX_TABLE_DEGREE - 1];
-            let best = e
-                .powvs
-                .iter()
-                .map(|p| powv_cost(p, &gx, &gy, 4))
-                .fold(f64::INFINITY, f64::min);
+            let best = e.powvs().map(|p| p.cost(&gx, &gy)).fold(f64::INFINITY, f64::min);
             assert!((best - exact).abs() < 1e-9, "seq {seq:?}: table {best} vs exact {exact}");
         });
     }
@@ -696,18 +945,24 @@ mod tests {
     #[test]
     fn powv_sets_are_small_and_nonempty() {
         // `(classes, POWVs)` up to each degree, cumulative: any change to
-        // table generation shows here. Degree 8 (6121 / 17710) takes ~3 s in
-        // a debug build, so the pins stop at 7.
-        let pinned = [(4, (7, 11)), (5, (30, 54)), (6, (145, 323)), (7, (839, 2155))];
+        // table generation shows here once the data is regenerated.
+        let pinned = [
+            (4, (7, 11)),
+            (5, (30, 54)),
+            (6, (145, 323)),
+            (7, (839, 2155)),
+            (8, (6121, 17710)),
+        ];
         for (degree, counts) in pinned {
-            assert_eq!(prewarm(degree), counts, "degree ≤ {degree}");
+            assert_eq!(shipped_counts(degree), counts, "degree ≤ {degree}");
         }
         // Dominance pruning keeps the sets tiny (FLUTE reports ~2–3 POWVs on
         // average per class).
-        for map in &registry()[..4] {
-            for e in map.read().unwrap().values() {
-                assert!(!e.powvs.is_empty());
-                assert!(e.powvs.len() <= 32, "POWV set exploded: {}", e.powvs.len());
+        for n in MIN_TABLE_DEGREE..=MAX_DATA_DEGREE {
+            for &key in tables_data::CLASSES[n - MIN_TABLE_DEGREE].keys {
+                let powvs = class_entry(n, u64::from(key)).powvs().count();
+                assert!(powvs > 0);
+                assert!(powvs <= 32, "POWV set exploded: {powvs}");
             }
         }
     }
@@ -738,12 +993,7 @@ mod tests {
     #[test]
     fn insertion_pricing_reproduces_every_class_of_degree_5_to_8() {
         for n in 5..=8usize {
-            let mut keys = std::collections::BTreeSet::new();
-            let mut perm: Vec<u8> = (0..n as u8).collect();
-            permute(&mut perm, 0, &mut |seq| {
-                keys.insert(canonicalize(seq).0);
-            });
-            for &key in &keys {
+            for key in canonical_keys(n) {
                 let seq: Vec<u8> = (0..n).map(|i| ((key >> (4 * i)) & 0xf) as u8).collect();
                 assert_same_powvs(n, &seq);
             }
@@ -774,11 +1024,11 @@ mod tests {
         let (key, _) = canonicalize(&seq);
         let barrier = std::sync::Barrier::new(2);
         let run = || {
-            let miss = lookup_class(9, key);
+            let miss = lookup_class(key);
             barrier.wait();
-            let boxed = generate_keyed(9, key);
+            let records = generate_keyed(key);
             barrier.wait();
-            (miss.is_none(), insert_class(9, key, boxed))
+            (miss.is_none(), insert_class(key, records))
         };
         let ((miss_a, a), (miss_b, b)) = std::thread::scope(|s| {
             let h = s.spawn(run);
@@ -787,9 +1037,10 @@ mod tests {
         });
         assert_eq!(miss_a, miss_b);
         assert!(std::ptr::eq(a, b), "the race registered two entries");
-        assert!(std::ptr::eq(a, class_entry(9, key)));
-        assert_eq!(pack_seq(&a.seq[..9]), key);
-        assert!(!a.powvs.is_empty());
+        let view = class_entry(9, key);
+        assert!(std::ptr::eq(a, view.words));
+        assert!((0..9).all(|i| view.seq(i) == ((key >> (4 * i)) & 0xf) as usize));
+        assert!(view.powvs().count() > 0);
     }
 
     #[test]

@@ -33,9 +33,12 @@
 //!   owns a node range sized for the largest tree its degree can produce, so
 //!   topology rebuilds never re-index and the incremental path is a `memcpy`
 //!   plus in-place recomputation of the dirty nets.
-//! - **Arc tape.** A smoothed (γ > 0) forward sweep records each arc's
-//!   [`ArcEval`] at its CSR position; the backward sweep reads the tape
-//!   instead of evaluating the LUTs again. Exact analyses carry no tape.
+//! - **Arc tape.** A smoothed (γ > 0) forward sweep records, at each arc's
+//!   CSR position, the four sensitivities of its [`ArcEval`] and its LSE
+//!   weights (Eq. 5) in the arrival merge and in the slew merge of its
+//!   output pin; the backward sweep reads the tape instead of evaluating
+//!   the LUTs and the weights again, so it calls no `exp` or `ln`. Exact
+//!   analyses carry no tape.
 //!
 //! Levels and net chunks shorter than [`LEVEL_GRAIN`] / [`NET_GRAIN`] run
 //! inline on the calling thread; longer ones are split into fixed-size
@@ -48,7 +51,7 @@ use crate::elmore::{backward_into, forward_into, ElmoreArena, NodeAdjoints, Node
 use crate::error::StaError;
 use crate::graph::{PinRole, TimingGraph};
 use crate::smoothing::{
-    lse_max, lse_max_weights_into, lse_min_weights_into, smooth_neg, smooth_neg_grad,
+    lse_max_weights_into, lse_min_weights_into, smooth_neg, smooth_neg_grad,
 };
 use dtp_liberty::ArcEval;
 use dtp_netlist::{CellId, Design, NetId, Netlist, PinId};
@@ -87,14 +90,34 @@ const NET_GRAIN: usize = 256;
 /// "No constraint arc" in the per-endpoint setup/hold arc lists.
 const NO_ARC: u32 = u32::MAX;
 
-const ZERO_EVAL: ArcEval = ArcEval {
-    delay: 0.0,
-    d_delay_d_slew: 0.0,
-    d_delay_d_load: 0.0,
-    slew: 0.0,
-    d_slew_d_slew: 0.0,
-    d_slew_d_load: 0.0,
-};
+/// One arc of a smoothed analysis' tape: what the backward sweep reads of
+/// it — the sensitivities of its forward [`ArcEval`] and its softmax weights
+/// in the two merges of its output pin, as [`lse_max_weights_into`]
+/// computes them.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct TapedArc {
+    d_delay_d_slew: f64,
+    d_delay_d_load: f64,
+    d_slew_d_slew: f64,
+    d_slew_d_load: f64,
+    /// `∂ at(out) / ∂ (at(in) + delay)`.
+    w_at: f64,
+    /// `∂ slew(out) / ∂ slew_arc`.
+    w_slew: f64,
+}
+
+impl TapedArc {
+    fn new(e: &ArcEval, w_at: f64, w_slew: f64) -> TapedArc {
+        TapedArc {
+            d_delay_d_slew: e.d_delay_d_slew,
+            d_delay_d_load: e.d_delay_d_load,
+            d_slew_d_slew: e.d_slew_d_slew,
+            d_slew_d_load: e.d_slew_d_load,
+            w_at,
+            w_slew,
+        }
+    }
+}
 
 /// Fixed-capacity stack buffer for per-pin arc aggregation in the level
 /// sweeps. Spills to the heap only past `N` elements, so the common case
@@ -248,8 +271,9 @@ pub struct Analysis {
     pub gamma: f64,
     /// Elmore state of all nets.
     elmore: ElmoreArena,
-    /// Forward arc evaluations in arc-CSR order (smoothed analyses only).
-    tape: Vec<ArcEval>,
+    /// What the backward sweep reads of each arc, in arc-CSR order
+    /// (smoothed analyses only).
+    tape: Vec<TapedArc>,
     node_off: Arc<[u32]>,
     endpoints: Arc<[PinId]>,
 }
@@ -368,7 +392,7 @@ pub struct AnalysisScratch {
     /// Pool of retired Elmore arenas.
     pool_elmore: Vec<ElmoreArena>,
     /// Pool of retired arc tapes.
-    pool_tape: Vec<Vec<ArcEval>>,
+    pool_tape: Vec<Vec<TapedArc>>,
     /// `(at, at_early, slew)` of one dispatched level, in slot order.
     level_stage: Vec<[f64; 3]>,
     /// Per-net dirty flags for the incremental path.
@@ -822,7 +846,7 @@ impl Timer {
             tape = scratch.pool_tape.pop().unwrap_or_default();
             if tape.len() != self.arc_idx.len() {
                 tape.clear();
-                tape.resize(self.arc_idx.len(), ZERO_EVAL);
+                tape.resize(self.arc_idx.len(), TapedArc::default());
             }
         }
 
@@ -881,7 +905,7 @@ impl Timer {
         at_early: &mut [f64],
         slew: &mut [f64],
         gamma: f64,
-        tape: &mut [ArcEval],
+        tape: &mut [TapedArc],
         mut dirty: Option<&mut [bool]>,
         stage: &mut Vec<[f64; 3]>,
     ) {
@@ -913,7 +937,7 @@ impl Timer {
             stage.clear();
             stage.resize(hi - lo, [0.0; 3]);
             let (at_r, at_early_r, slew_r) = (&*at, &*at_early, &*slew);
-            let eval_chunk = |ci: usize, out: &mut [[f64; 3]], arcs: &mut [ArcEval]| {
+            let eval_chunk = |ci: usize, out: &mut [[f64; 3]], arcs: &mut [TapedArc]| {
                 let s0 = lo + ci * LEVEL_GRAIN;
                 let arc0 = self.arc_off[s0] as usize;
                 for (k, o) in out.iter_mut().enumerate() {
@@ -976,8 +1000,8 @@ impl Timer {
     }
 
     /// Forward evaluation of slot `s` given completed lower levels:
-    /// `[at, at_early, slew]`. Records the slot's arc evaluations into
-    /// `tape` (the slot's own arc range) unless it is empty.
+    /// `[at, at_early, slew]`. Records the slot's arc evaluations and merge
+    /// weights into `tape` (the slot's own arc range) unless it is empty.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn eval_slot(
@@ -988,7 +1012,7 @@ impl Timer {
         at_early: &[f64],
         slew: &[f64],
         gamma: f64,
-        tape: &mut [ArcEval],
+        tape: &mut [TapedArc],
     ) -> [f64; 3] {
         let sl = &self.slots[s];
         match sl.role {
@@ -1032,14 +1056,28 @@ impl Timer {
                     };
                     let e = self.binding.tables.eval(self.arc_idx[k] as usize, slew_in, load);
                     if let Some(t) = tape.get_mut(j) {
-                        *t = e;
+                        *t = TapedArc::new(&e, 0.0, 0.0);
                     }
                     a_vals.push(at_in + e.delay);
                     ae = ae.min(at_early_in + e.delay);
                     s_vals.push(e.slew);
                 }
-                let (a, sw) = aggregate(a_vals.as_slice(), s_vals.as_slice(), gamma);
-                [a, ae, sw]
+                let (a_vals, s_vals) = (a_vals.as_slice(), s_vals.as_slice());
+                if gamma > 0.0 {
+                    // The merges' values are `lse_max`'s bit for bit; their
+                    // weights go on the tape for the backward sweep.
+                    let (mut wa, mut ws) = (F64Buf::new(), F64Buf::new());
+                    let a = weights_into(a_vals, gamma, &mut wa);
+                    let sw = weights_into(s_vals, gamma, &mut ws);
+                    let weights = wa.as_slice().iter().zip(ws.as_slice());
+                    for (t, (&w_at, &w_slew)) in tape.iter_mut().zip(weights) {
+                        t.w_at = w_at;
+                        t.w_slew = w_slew;
+                    }
+                    return [a, ae, sw];
+                }
+                let max = |v: &[f64]| v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                [max(a_vals), ae, max(s_vals)]
             }
             PinRole::Clock | PinRole::Unconnected => [0.0, 0.0, INPUT_SLEW],
         }
@@ -1402,23 +1440,12 @@ impl Timer {
             }
             let load = el.load[sl.node as usize];
             // Weights over the (usually single) CK→Q arcs.
-            let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-            let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-            for k in arcs.clone() {
-                let ev = self.arc_eval(analysis, k, CLOCK_SLEW, load);
-                a_vals.push(CLOCK_ARRIVAL + ev.delay);
-                s_vals.push(ev.slew);
-            }
-            let mut wa = F64Buf::<MAX_INLINE_ARCS>::new();
-            let mut ws = F64Buf::<MAX_INLINE_ARCS>::new();
-            weights_into(a_vals.as_slice(), gamma, &mut wa);
-            weights_into(s_vals.as_slice(), gamma, &mut ws);
+            let launch = |_| (CLOCK_SLEW, CLOCK_ARRIVAL);
             let mut g_load = 0.0;
-            for (j, k) in arcs.enumerate() {
-                let ev = self.arc_eval(analysis, k, CLOCK_SLEW, load);
-                g_load += ev.d_delay_d_load * wa.as_slice()[j] * g_at[i];
-                g_load += ev.d_slew_d_load * ws.as_slice()[j] * g_slew[i];
-            }
+            self.visit_merged_arcs(analysis, arcs, gamma, launch, load, |_, t| {
+                g_load += t.d_delay_d_load * t.w_at * g_at[i];
+                g_load += t.d_slew_d_load * t.w_slew * g_slew[i];
+            });
             seed_root_load[sl.net as usize] += g_load;
         }
 
@@ -1490,14 +1517,41 @@ impl Timer {
         out.objective = objective;
     }
 
-    /// The forward evaluation of arc `k` (arc-CSR position): read off the
-    /// tape of a smoothed analysis, evaluated at `(slew_in, load)` for an
-    /// exact one.
-    #[inline]
-    fn arc_eval(&self, analysis: &Analysis, k: usize, slew_in: f64, load: f64) -> ArcEval {
-        match analysis.tape.get(k) {
-            Some(&ev) => ev,
-            None => self.binding.tables.eval(self.arc_idx[k] as usize, slew_in, load),
+    /// Visits the arcs `arcs` of one output pin as `f(k, taped arc)`: read
+    /// off the tape of a smoothed analysis; for an exact one, the arcs
+    /// evaluated again at `input(k) = (slew_in, at_in)` and `load` and
+    /// weighted with `gamma`.
+    fn visit_merged_arcs(
+        &self,
+        analysis: &Analysis,
+        arcs: std::ops::Range<usize>,
+        gamma: f64,
+        input: impl Fn(usize) -> (f64, f64),
+        load: f64,
+        mut f: impl FnMut(usize, TapedArc),
+    ) {
+        if !analysis.tape.is_empty() {
+            for (k, &t) in arcs.clone().zip(&analysis.tape[arcs]) {
+                f(k, t);
+            }
+            return;
+        }
+        let eval = |k: usize| {
+            let (slew_in, at_in) = input(k);
+            (self.binding.tables.eval(self.arc_idx[k] as usize, slew_in, load), at_in)
+        };
+        let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
+        let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
+        for k in arcs.clone() {
+            let (ev, at_in) = eval(k);
+            a_vals.push(at_in + ev.delay);
+            s_vals.push(ev.slew);
+        }
+        let (mut wa, mut ws) = (F64Buf::new(), F64Buf::new());
+        weights_into(a_vals.as_slice(), gamma, &mut wa);
+        weights_into(s_vals.as_slice(), gamma, &mut ws);
+        for (j, k) in arcs.enumerate() {
+            f(k, TapedArc::new(&eval(k).0, wa.as_slice()[j], ws.as_slice()[j]));
         }
     }
 
@@ -1519,52 +1573,33 @@ impl Timer {
             return;
         }
         let load = analysis.load_at(sl.node);
-        let eval = |k: usize| {
-            self.arc_eval(analysis, k, analysis.slew[self.arc_from[k] as usize], load)
-        };
-        let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-        let mut s_vals = F64Buf::<MAX_INLINE_ARCS>::new();
-        for k in arcs.clone() {
-            let ev = eval(k);
-            a_vals.push(analysis.at[self.arc_from[k] as usize] + ev.delay);
-            s_vals.push(ev.slew);
-        }
-        let mut wa = F64Buf::<MAX_INLINE_ARCS>::new();
-        let mut ws = F64Buf::<MAX_INLINE_ARCS>::new();
-        weights_into(a_vals.as_slice(), gamma, &mut wa);
-        weights_into(s_vals.as_slice(), gamma, &mut ws);
-        let mut g_load = 0.0;
-        for (j, k) in arcs.enumerate() {
-            let ev = eval(k);
+        let input = |k: usize| {
             let from = self.arc_from[k] as usize;
-            let g_delay_k = wa.as_slice()[j] * g_at[i]; // Eq. 12b
-            let g_slew_k = ws.as_slice()[j] * g_slew[i]; // Eq. 12c
-            g_at[from] += wa.as_slice()[j] * g_at[i]; // Eq. 12a
-            g_slew[from] += ev.d_delay_d_slew * g_delay_k + ev.d_slew_d_slew * g_slew_k; // Eq. 12d
-            g_load += ev.d_delay_d_load * g_delay_k + ev.d_slew_d_load * g_slew_k; // Eq. 12e
-        }
+            (analysis.slew[from], analysis.at[from])
+        };
+        // A fan-in is never the pin itself, so its gradients stay put.
+        let (g_at_i, g_slew_i) = (g_at[i], g_slew[i]);
+        let mut g_load = 0.0;
+        self.visit_merged_arcs(analysis, arcs, gamma, input, load, |k, t| {
+            let from = self.arc_from[k] as usize;
+            let g_delay_k = t.w_at * g_at_i; // Eq. 12b
+            let g_slew_k = t.w_slew * g_slew_i; // Eq. 12c
+            g_at[from] += t.w_at * g_at_i; // Eq. 12a
+            g_slew[from] += t.d_delay_d_slew * g_delay_k + t.d_slew_d_slew * g_slew_k; // Eq. 12d
+            g_load += t.d_delay_d_load * g_delay_k + t.d_slew_d_load * g_slew_k; // Eq. 12e
+        });
         if sl.node != NO_NODE {
             seed_root_load[sl.net as usize] += g_load;
         }
     }
 }
 
-/// LSE softmax weights (`gamma > 0`), written into `out` without allocating.
-fn weights_into(vals: &[f64], gamma: f64, out: &mut F64Buf<MAX_INLINE_ARCS>) {
+/// LSE softmax weights (`gamma > 0`), written into `out` without allocating;
+/// returns the smoothed maximum, which equals `lse_max(vals, gamma)` bit for
+/// bit.
+fn weights_into(vals: &[f64], gamma: f64, out: &mut F64Buf<MAX_INLINE_ARCS>) -> f64 {
     out.resize_zeroed(vals.len());
-    lse_max_weights_into(vals, gamma, out.as_mut_slice());
-}
-
-/// Aggregates arrival candidates and slews with smoothed or hard max.
-fn aggregate(a_vals: &[f64], s_vals: &[f64], gamma: f64) -> (f64, f64) {
-    if gamma > 0.0 {
-        (lse_max(a_vals, gamma), lse_max(s_vals, gamma))
-    } else {
-        (
-            a_vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-            s_vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        )
-    }
+    lse_max_weights_into(vals, gamma, out.as_mut_slice())
 }
 
 #[cfg(test)]
@@ -1601,7 +1636,8 @@ mod tests {
                     taped.slew[timer.arc_from[k] as usize]
                 };
                 let want = timer.binding.arc(timer.arc_idx[k] as usize).eval(slew_in, load);
-                assert_eq!(taped.tape[k], want, "arc {k}");
+                let t = taped.tape[k];
+                assert_eq!(t, TapedArc::new(&want, t.w_at, t.w_slew), "arc {k}");
             }
         }
         // … so dropping it (the exact-analysis path: arcs evaluated again)
