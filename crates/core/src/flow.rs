@@ -164,8 +164,6 @@ pub struct FlowResult {
     pub wns: f64,
     /// Final exact TNS (ps).
     pub tns: f64,
-    /// HPWL at the end of global placement, before legalization.
-    pub gp_hpwl: f64,
     /// Global-placement iterations executed.
     pub iterations: usize,
     /// Wall-clock runtime of the whole flow, seconds.
@@ -536,12 +534,6 @@ impl GradientCore {
         obs.stop(Phase::NesterovStep, sp);
         (step, lambda)
     }
-
-    /// Ends the loop: releases the optimizer, the density model and every
-    /// buffer, keeping only what the reporting phase reads.
-    fn into_wl_model(self) -> WirelengthModel {
-        self.wl_model
-    }
 }
 
 /// A from-scratch forest on the legacy constructions: what the reporting
@@ -558,16 +550,10 @@ fn norm_inf(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// The timing mechanism of a flow with its run-time state, built once from
-/// the mode (`None` for the wirelength-only mode): when it starts (it runs
-/// on every iteration from then on), which net weights it contributes to
-/// the WA wirelength, and what a run does.
-struct TimingMechanism {
-    /// Iteration at which the mechanism activates.
-    start_iter: usize,
-    kind: TimingKind,
-}
-
-enum TimingKind {
+/// the mode (`None` for the wirelength-only mode): which net weights it
+/// contributes to the WA wirelength, and what a run does. When it runs is
+/// [`Activation`]'s decision.
+enum TimingMechanism {
     /// Smoothed analysis → TNS/WNS gradient added to the objective gradient;
     /// t1/t2 grow by `growth` after every run.
     Differentiable { t1: f64, t2: f64, growth: f64, grads: PositionGradients },
@@ -577,18 +563,17 @@ enum TimingKind {
 
 impl TimingMechanism {
     fn new(mode: FlowMode, wl_model: &WirelengthModel) -> Option<TimingMechanism> {
-        let (start_iter, kind) = match mode {
-            FlowMode::Wirelength => return None,
+        match mode {
+            FlowMode::Wirelength => None,
             FlowMode::Differentiable(c) => {
                 let (t1, t2, growth) = (c.t1, c.t2, c.growth);
                 let grads = PositionGradients::default();
-                (c.start_iter, TimingKind::Differentiable { t1, t2, growth, grads })
+                Some(TimingMechanism::Differentiable { t1, t2, growth, grads })
             }
             FlowMode::NetWeighting => {
-                (TIMING_START_ITER, TimingKind::NetWeighting(NetWeighter::new(wl_model)))
+                Some(TimingMechanism::NetWeighting(NetWeighter::new(wl_model)))
             }
-        };
-        Some(TimingMechanism { start_iter, kind })
+        }
     }
 
     /// Splits the mechanism into the net weights it carries in the WA
@@ -596,11 +581,13 @@ impl TimingMechanism {
     /// so the wirelength gradient can read the one while the analysis
     /// writes through the other.
     fn split(&mut self) -> (Option<&[f64]>, TimingEval<'_>) {
-        match &mut self.kind {
-            TimingKind::Differentiable { t1, t2, grads, .. } => {
+        match self {
+            TimingMechanism::Differentiable { t1, t2, grads, .. } => {
                 (None, TimingEval::Smoothed { t1: *t1, t2: *t2, grads })
             }
-            TimingKind::NetWeighting(weighter) => (Some(weighter.weights()), TimingEval::Exact),
+            TimingMechanism::NetWeighting(weighter) => {
+                (Some(weighter.weights()), TimingEval::Exact)
+            }
         }
     }
 
@@ -617,15 +604,15 @@ impl TimingMechanism {
         core: &mut GradientCore,
         obs: &mut Observer,
     ) -> (f64, f64) {
-        let traced = match &mut self.kind {
-            TimingKind::Differentiable { t1, t2, growth, grads } => {
+        let traced = match self {
+            TimingMechanism::Differentiable { t1, t2, growth, grads } => {
                 axpy_into(&mut core.gx, &grads.cell_grad_x, 1.0);
                 axpy_into(&mut core.gy, &grads.cell_grad_y, 1.0);
                 *t1 *= *growth;
                 *t2 *= *growth;
                 (f64::NAN, f64::NAN)
             }
-            TimingKind::NetWeighting(weighter) => {
+            TimingMechanism::NetWeighting(weighter) => {
                 obs.time(Phase::NetWeight, || weighter.update(nl, &core.wl_model, &analysis));
                 (analysis.wns(), analysis.tns())
             }
@@ -758,12 +745,10 @@ struct RouteState {
     combined: Vec<f64>,
     /// Per-cell inflation factors for the density model.
     inflation: Vec<f64>,
-    /// Latched once density overflow first drops under
-    /// [`ROUTE_START_OVERFLOW`]; counts active iterations for the feedback
-    /// cadence (the map is built and read on the first and on every
-    /// [`ROUTE_UPDATE_PERIOD`]-th after it, and left alone on the others).
+    /// Iterations the congestion term has run on: non-zero once the route
+    /// latch ([`Activation::decide`]) is set, and the feedback cadence
+    /// counts them.
     iters_active: usize,
-    active: bool,
     /// Whether any boost differs from 1 (skips the weight merge if not).
     boosted: bool,
 }
@@ -780,7 +765,6 @@ impl RouteState {
             combined: Vec::new(),
             inflation: Vec::new(),
             iters_active: 0,
-            active: false,
             boosted: false,
         }
     }
@@ -788,13 +772,14 @@ impl RouteState {
     /// Splits the state into the WA net weights — the congestion boosts,
     /// multiplied into the timing mechanism's `timing` weights when it
     /// carries any, or `timing` itself while no boost differs from 1 — and,
-    /// once active, the congestion term's evaluation, so the wirelength
+    /// when `active`, the congestion term's evaluation, so the wirelength
     /// gradient can read the one while the other writes.
     fn split<'a>(
         &'a mut self,
         timing: Option<&'a [f64]>,
+        active: bool,
     ) -> (Option<&'a [f64]>, Option<CongestionEval<'a>>) {
-        let RouteState { map, penalty, pgx, pgy, boost, combined, active, boosted, .. } = self;
+        let RouteState { map, penalty, pgx, pgy, boost, combined, boosted, .. } = self;
         let weights = match timing {
             _ if !*boosted => timing,
             Some(w) => {
@@ -805,6 +790,48 @@ impl RouteState {
             None => Some(&boost[..]),
         };
         (weights, active.then_some(CongestionEval { map, penalty, pgx, pgy }))
+    }
+
+    /// The merges of an active iteration's congestion term: the penalty
+    /// gradient, scaled, into `core`'s gradient and, on a `feedback`
+    /// iteration, the RUDY feedback on the map the evaluation built.
+    fn apply(&mut self, nl: &Netlist, core: &mut GradientCore, feedback: bool, obs: &mut Observer) {
+        // Congestion penalty gradient, normalized: its ∞-norm is pinned
+        // to `ROUTE_WEIGHT` times the combined wirelength+density
+        // gradient's, so the pressure tracks the optimizer's scale
+        // instead of the raw demand units.
+        let sp = SpanStart::now();
+        let base_norm = norm_inf(&core.gx, &core.gy);
+        let p_norm = norm_inf(&self.pgx, &self.pgy);
+        if p_norm > 0.0 {
+            let scale = ROUTE_WEIGHT * base_norm / p_norm;
+            axpy_into(&mut core.gx, &self.pgx, scale);
+            axpy_into(&mut core.gy, &self.pgy, scale);
+        }
+        obs.stop(Phase::CongestionGrad, sp);
+
+        // RUDY feedback on the map built above: inflate cells in
+        // overflowed bins (density-model footprints) and boost the
+        // wirelength weight of nets crossing them; both take effect from
+        // the next iteration's gradients.
+        if feedback {
+            let sp = SpanStart::now();
+            inflation_factors(&self.map, nl, INFLATION_MAX, &mut self.inflation);
+            core.density.set_inflation(&self.inflation);
+            let wl_model = &core.wl_model;
+            self.boost.resize(wl_model.num_nets(), 1.0);
+            self.boosted = false;
+            for e in 0..wl_model.num_nets() {
+                let over = self.map.net_overflow(NetId::new(wl_model.net_index(e)));
+                let b = 1.0 + ROUTE_WEIGHT * over.min(1.0);
+                self.boost[e] = b;
+                if b != 1.0 {
+                    self.boosted = true;
+                }
+            }
+            obs.stop(Phase::RudyUpdate, sp);
+        }
+        self.iters_active += 1;
     }
 }
 
@@ -828,6 +855,79 @@ impl CongestionEval<'_> {
             rayon::join(|| map.build(nl, forest), || penalty.gradient(nl, forest, pgx, pgy));
         } else {
             penalty.gradient(nl, forest, pgx, pgy);
+        }
+    }
+}
+
+/// Every per-iteration activation decision of the loop, in one place: when
+/// the timing mechanism runs, when the route layer switches on and runs its
+/// feedback, when the loop forest is synced, and which iterations the trace
+/// samples. [`Activation::decide`] holds every rule and reads the iteration
+/// index, the previous iteration's density overflow and the route state; it
+/// is the one slot the overflow-milestone `Schedule` (ROADMAP item 1)
+/// replaces.
+struct Activation {
+    /// The flow's mode: whether a timing mechanism runs, and from when.
+    mode: FlowMode,
+    /// [`FlowConfig::trace_timing_every`].
+    trace_every: usize,
+    /// A trace sink is attached: the sampling points get exact HPWL.
+    tracing: bool,
+}
+
+/// One iteration's decisions ([`Activation::decide`]).
+struct Decisions {
+    /// The timing mechanism runs.
+    timing: bool,
+    /// The congestion term runs.
+    route: bool,
+    /// The exact RUDY map is built, and the feedback runs on it.
+    feedback: bool,
+    /// The loop forest is synced to the iteration's positions.
+    sync_forest: bool,
+    /// The record gets exact timing and joins [`FlowResult::trace`].
+    trace_timing: bool,
+    /// The record gets exact HPWL.
+    exact_hpwl: bool,
+}
+
+impl Activation {
+    /// Iteration `iter`'s decisions; `overflow` is the previous iteration's
+    /// density overflow (1 before the first) and `route` the route layer's
+    /// state, `None` when the flow is not route-aware.
+    fn decide(&self, iter: usize, overflow: f64, route: Option<&RouteState>) -> Decisions {
+        // The timing mechanism runs on every iteration from its start on.
+        let timing = match self.mode {
+            FlowMode::Wirelength => false,
+            FlowMode::Differentiable(c) => iter >= c.start_iter,
+            FlowMode::NetWeighting => iter >= TIMING_START_ITER,
+        };
+        // Exact timing is traced only at the cadence the caller set; without
+        // one the same sampling points only keep the forest of a flow that
+        // has a consumer for it warm, and give a traced run its exact HPWL.
+        let trace_cadence = self.trace_every > 0;
+        let period = if trace_cadence { self.trace_every } else { SAMPLE_PERIOD };
+        let sampled = iter.is_multiple_of(period);
+        let forest_consumer = self.mode != FlowMode::Wirelength || route.is_some();
+        // Congestion optimization latches on once the cells have spread out.
+        let route_on = route.is_some_and(|rs| {
+            rs.iters_active > 0 || (iter > 0 && overflow < ROUTE_START_OVERFLOW)
+        });
+        let feedback =
+            route_on && route.is_some_and(|rs| rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
+        Decisions {
+            timing,
+            route: route_on,
+            feedback,
+            // Steiner forest maintenance, only when some consumer needs it,
+            // now or — on the sampling points — later in the run.
+            sync_forest: timing || route_on || (sampled && (trace_cadence || forest_consumer)),
+            trace_timing: sampled && trace_cadence,
+            // Exact HPWL is only computed on the sampling points, for the
+            // `iter` records the caller or the trace sink reads; it reads
+            // `null` elsewhere (the smoothed WA wirelength is free every
+            // iteration).
+            exact_hpwl: sampled && (trace_cadence || self.tracing),
         }
     }
 }
@@ -967,6 +1067,8 @@ fn emit_trace_header(design: &Design, mode: FlowMode, config: &FlowConfig, obs: 
     obs.emit_header(&header);
 }
 
+/// One flow inside its pool scope: the trace header, the set-up, the
+/// iterations up to the cap or the stop rule, and the reporting phase.
 fn run_flow_inner(
     design: &Design,
     lib: &Library,
@@ -975,70 +1077,145 @@ fn run_flow_inner(
     obs: &mut Observer,
 ) -> Result<FlowResult, FlowError> {
     emit_trace_header(design, mode, config, obs);
-    let t_start = Instant::now();
-    // `timing_runtime` is reported as the STA-span delta across this run,
-    // so a reused observer does not double-count an earlier run's time.
-    let sta_seconds_at_entry = obs.sta_seconds();
-    // Likewise the pool gauges: a pool outlives a flow (the ambient one lives
-    // as long as the process), so this run's traffic is a delta.
-    let pool_at_entry = rayon::pool_stats();
-    let sp = SpanStart::now();
-    let mut work = design.clone();
-    seed_positions(&mut work, config.seed);
+    let mut gp = GlobalPlace::new(design, lib, mode, config, obs)?;
+    for _ in 0..config.max_iters {
+        if let Step::Converged = gp.step(obs)? {
+            break;
+        }
+    }
+    Ok(gp.finish(obs))
+}
 
-    // --- models -------------------------------------------------------------
-    let mut core = GradientCore::new(&work, config);
-    let timer = match mode {
-        FlowMode::Differentiable(d) => Timer::with_gamma(&work, lib, d.gamma)?,
-        _ => Timer::new(&work, lib)?,
-    };
-    let mut timing = TimingMechanism::new(mode, &core.wl_model);
-    // The wirelength-only mode never activates timing.
-    let timing_start = timing.as_ref().map_or(usize::MAX, |t| t.start_iter);
+/// What the loop does after one [`GlobalPlace::step`].
+enum Step {
+    /// Run the next iteration, if the iteration cap allows one.
+    Continue,
+    /// The stop rule held: global placement is done.
+    Converged,
+}
 
-    let mut route = config.route_aware.then(|| RouteState::new(&work, config));
-    let mut loop_forest = LoopForest::new(&work.netlist, config);
-    // Sized by the first analysis that draws from it, for what that analysis
-    // reads: a flow whose first analysis is the final one reserves nothing
-    // through the loop, and the buffers of one analysis come out of the heap
-    // as one touched block, which the summary map at the end moves into.
-    let mut scratch = AnalysisScratch::new();
-    let mut trace = Vec::new();
-    // Exact timing is traced only at the cadence the caller set; without one
-    // the same sampling points only keep the forest of a flow that has a
-    // consumer for it warm, and give a traced run its exact HPWL.
-    let trace_cadence = config.trace_timing_every > 0;
-    let sample_period = if trace_cadence { config.trace_timing_every } else { SAMPLE_PERIOD };
-    let forest_consumer = timing.is_some() || route.is_some();
-    let sample_hpwl = trace_cadence || obs.is_tracing();
-    obs.stop(Phase::Setup, sp);
+/// Global placement as a value: the state one iteration hands the next,
+/// set up by [`GlobalPlace::new`], advanced by [`GlobalPlace::step`] and
+/// turned into the run's result by [`GlobalPlace::finish`].
+struct GlobalPlace {
+    /// The flow's copy of the design, at the iteration's positions.
+    work: Design,
+    core: GradientCore,
+    timer: Timer,
+    timing: Option<TimingMechanism>,
+    route: Option<RouteState>,
+    loop_forest: LoopForest,
+    /// Sized by the first analysis that draws from it, for what that analysis
+    /// reads: a flow whose first analysis is the final one reserves nothing
+    /// through the loop, and the buffers of one analysis come out of the heap
+    /// as one touched block, which the summary map at the end moves into.
+    scratch: AnalysisScratch,
+    activation: Activation,
+    /// The records of [`FlowResult::trace`] so far.
+    trace: Vec<TraceIter>,
+    /// Iterations run so far: the index of the next one.
+    iterations: usize,
+    /// Summed over the regions that ran two evaluation tasks side by side:
+    /// the tasks' busy time minus the region's wall time.
+    overlap_ns: u64,
+    /// [`FlowResult::mode`].
+    label: &'static str,
+    /// [`FlowConfig::route_capacity`], for the final map of a flow that kept
+    /// no live one.
+    route_capacity: f64,
+    /// When the flow started, for [`FlowResult::runtime`].
+    t_start: Instant,
+    /// `timing_runtime` is reported as the STA-span delta across this run,
+    /// so a reused observer does not double-count an earlier run's time.
+    sta_seconds_at_entry: f64,
+    /// Likewise the pool gauges: a pool outlives a flow (the ambient one
+    /// lives as long as the process), so this run's traffic is a delta.
+    pool_at_entry: rayon::PoolStats,
+}
 
-    let mut iterations = 0usize;
-    // Summed over the regions that ran two evaluation tasks side by side:
-    // the tasks' busy time minus the region's wall time.
-    let mut overlap_ns = 0u64;
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
+impl GlobalPlace {
+    /// The loop's models, mechanisms and buffers for `design`, its movable
+    /// cells seeded at the core center, inside one [`Phase::Setup`] span.
+    fn new(
+        design: &Design,
+        lib: &Library,
+        mode: FlowMode,
+        config: &FlowConfig,
+        obs: &mut Observer,
+    ) -> Result<GlobalPlace, FlowError> {
+        let t_start = Instant::now();
+        let sta_seconds_at_entry = obs.sta_seconds();
+        let pool_at_entry = rayon::pool_stats();
+        obs.gauge(Gauge::NetlistBytes, design.netlist.heap_bytes() as f64);
+        let sp = SpanStart::now();
+        let mut work = design.clone();
+        seed_positions(&mut work, config.seed);
+        let core = GradientCore::new(&work, config);
+        let timer = match mode {
+            FlowMode::Differentiable(d) => Timer::with_gamma(&work, lib, d.gamma)?,
+            _ => Timer::new(&work, lib)?,
+        };
+        let timing = TimingMechanism::new(mode, &core.wl_model);
+        let route = config.route_aware.then(|| RouteState::new(&work, config));
+        let loop_forest = LoopForest::new(&work.netlist, config);
+        let gp = GlobalPlace {
+            core,
+            timer,
+            timing,
+            route,
+            loop_forest,
+            scratch: AnalysisScratch::new(),
+            activation: Activation {
+                mode,
+                trace_every: config.trace_timing_every,
+                tracing: obs.is_tracing(),
+            },
+            trace: Vec::new(),
+            iterations: 0,
+            overlap_ns: 0,
+            label: mode.label(),
+            route_capacity: config.route_capacity,
+            work,
+            t_start,
+            sta_seconds_at_entry,
+            pool_at_entry,
+        };
+        obs.stop(Phase::Setup, sp);
+        Ok(gp)
+    }
+
+    /// One iteration: the activation decisions, the forest sync, the
+    /// objective's terms evaluated side by side and merged in one fixed
+    /// order, the Nesterov step and the iteration's record; then the stop
+    /// rule.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Diverged`] when the iteration's wirelength or density
+    /// overflow is not finite.
+    fn step(&mut self, obs: &mut Observer) -> Result<Step, FlowError> {
+        let GlobalPlace {
+            work,
+            core,
+            timer,
+            timing,
+            route,
+            loop_forest,
+            scratch,
+            activation,
+            trace,
+            iterations,
+            overlap_ns,
+            ..
+        } = self;
+        let iter = *iterations;
+        *iterations += 1;
         obs.iter_begin();
         obs.add(Counter::Iterations, 1);
         core.load_positions();
         work.netlist.set_positions(&core.vx, &core.vy);
-        let timing_active = iter >= timing_start;
-        let sampled = iter % sample_period == 0;
-        let trace_timing = sampled && trace_cadence;
-        // Congestion optimization latches on once the cells have spread out.
-        if let Some(rs) = route.as_mut() {
-            if !rs.active && iter > 0 && core.overflow < ROUTE_START_OVERFLOW {
-                rs.active = true;
-            }
-        }
-        let route_active = route.as_ref().is_some_and(|rs| rs.active);
-        // Steiner forest maintenance (only when some consumer needs it, now
-        // or — on the sampling points — later in the run).
-        let forest = if timing_active
-            || route_active
-            || (sampled && (trace_cadence || forest_consumer))
-        {
+        let act = activation.decide(iter, core.overflow, route.as_ref());
+        let forest = if act.sync_forest {
             loop_forest.sync(&work.netlist, &core.vx, &core.vy, obs);
             loop_forest.forest.as_ref()
         } else {
@@ -1051,16 +1228,13 @@ fn run_flow_inner(
         // nets carry their boost, merged with the timing mechanism's weights
         // when both are on — and what the other terms write. The terms are
         // evaluated as tasks and merged afterwards in a fixed order.
-        let feedback = route
-            .as_ref()
-            .is_some_and(|rs| rs.active && rs.iters_active % ROUTE_UPDATE_PERIOD == 0);
         let nl = &work.netlist;
         let (timing_weights, timing_eval) = timing.as_mut().map(TimingMechanism::split).unzip();
         let (weights, congestion) = match route.as_mut() {
-            Some(rs) => rs.split(timing_weights.flatten()),
+            Some(rs) => rs.split(timing_weights.flatten(), act.route),
             None => (timing_weights.flatten(), None),
         };
-        let live = timing_eval.filter(|_| timing_active).zip(forest);
+        let live = timing_eval.filter(|_| act.timing).zip(forest);
         let timed = live.is_some();
         let congestion = congestion.zip(forest);
         let (wl_eval, density_eval) = core.evaluations(weights);
@@ -1068,10 +1242,10 @@ fn run_flow_inner(
         let wl_task = || busy(wl_eval);
         let density_task = || {
             let density_ns = busy(density_eval).1;
-            let route_ns = congestion.map(|(c, f)| busy(|| c.evaluate(nl, f, feedback)).1);
+            let route_ns = congestion.map(|(c, f)| busy(|| c.evaluate(nl, f, act.feedback)).1);
             (density_ns, route_ns)
         };
-        let timing_task = || live.map(|(e, f)| e.analyze(nl, &timer, f, &mut scratch, obs));
+        let timing_task = || live.map(|(e, f)| e.analyze(nl, timer, f, scratch, obs));
         // Every iteration is one two-task region: task A is the density and
         // congestion evaluation, plus the wirelength gradient when a timing
         // analysis is live; task B is that analysis, else the wirelength
@@ -1081,10 +1255,10 @@ fn run_flow_inner(
         // raised the peak RSS of `nw_20k` by 9 %, of `scale_wl_30k` by 4 %.
         let ((wl_value, wl_ns), (density_ns, route_ns), analysis) = if timed {
             let (analysis, (wl, dens)) =
-                side_by_side(timing_task, || (wl_task(), density_task()), &mut overlap_ns);
+                side_by_side(timing_task, || (wl_task(), density_task()), overlap_ns);
             (wl, dens, analysis)
         } else {
-            let (wl, dens) = side_by_side(wl_task, density_task, &mut overlap_ns);
+            let (wl, dens) = side_by_side(wl_task, density_task, overlap_ns);
             (wl, dens, None)
         };
 
@@ -1099,193 +1273,169 @@ fn run_flow_inner(
         if !(wl_value.is_finite() && core.overflow.is_finite()) {
             return Err(FlowError::Diverged { iter });
         }
-
-        if let Some(rs) = route.as_mut().filter(|rs| rs.active) {
+        if let Some(rs) = route.as_mut().filter(|_| act.route) {
             if let Some(ns) = route_ns {
-                obs.record(if feedback { Phase::RudyUpdate } else { Phase::CongestionGrad }, ns);
+                let phase = if act.feedback { Phase::RudyUpdate } else { Phase::CongestionGrad };
+                obs.record(phase, ns);
             }
-            if feedback {
+            if act.feedback {
                 obs.add(Counter::RudyBuilds, 1);
             }
-            // Congestion penalty gradient, normalized: its ∞-norm is pinned
-            // to `ROUTE_WEIGHT` times the combined wirelength+density
-            // gradient's, so the pressure tracks the optimizer's scale
-            // instead of the raw demand units.
-            let sp = SpanStart::now();
-            let base_norm = norm_inf(&core.gx, &core.gy);
-            let p_norm = norm_inf(&rs.pgx, &rs.pgy);
-            if p_norm > 0.0 {
-                let scale = ROUTE_WEIGHT * base_norm / p_norm;
-                axpy_into(&mut core.gx, &rs.pgx, scale);
-                axpy_into(&mut core.gy, &rs.pgy, scale);
-            }
-            obs.stop(Phase::CongestionGrad, sp);
-
-            // RUDY feedback on the map built above: inflate cells in
-            // overflowed bins (density-model footprints) and boost the
-            // wirelength weight of nets crossing them; both take effect from
-            // the next iteration's gradients.
-            if feedback {
-                let sp = SpanStart::now();
-                inflation_factors(&rs.map, nl, INFLATION_MAX, &mut rs.inflation);
-                core.density.set_inflation(&rs.inflation);
-                let wl_model = &core.wl_model;
-                rs.boost.resize(wl_model.num_nets(), 1.0);
-                rs.boosted = false;
-                for e in 0..wl_model.num_nets() {
-                    let over = rs.map.net_overflow(NetId::new(wl_model.net_index(e)));
-                    let b = 1.0 + ROUTE_WEIGHT * over.min(1.0);
-                    rs.boost[e] = b;
-                    if b != 1.0 {
-                        rs.boosted = true;
-                    }
-                }
-                obs.stop(Phase::RudyUpdate, sp);
-            }
-            rs.iters_active += 1;
+            rs.apply(nl, core, act.feedback, obs);
         }
-
         // Timing mechanism, on every iteration once active.
         let (mut traced_wns, mut traced_tns) = (f64::NAN, f64::NAN);
         if let (Some(t), Some(analysis)) = (timing.as_mut(), analysis) {
-            (traced_wns, traced_tns) = t.apply(nl, analysis, &mut scratch, &mut core, obs);
+            (traced_wns, traced_tns) = t.apply(nl, analysis, scratch, core, obs);
         }
 
         // Trace (exact timing only at the cadence the caller set).
-        if let Some(f) = forest.filter(|_| trace_timing && traced_wns.is_nan()) {
-            let analysis = obs.time(Phase::TraceSta, || timer.analyze_into(nl, f, &mut scratch));
+        if let Some(f) = forest.filter(|_| act.trace_timing && traced_wns.is_nan()) {
+            let analysis = obs.time(Phase::TraceSta, || timer.analyze_into(nl, f, scratch));
             obs.add(Counter::TraceAnalyses, 1);
             traced_wns = analysis.wns();
             traced_tns = analysis.tns();
             scratch.recycle(analysis);
         }
-        // Exact HPWL is only computed on the sampling points, for the `iter`
-        // records the caller or the trace sink reads; it reads `null` elsewhere
-        // (the smoothed WA wirelength is free every iteration).
-        let iter_hpwl = if sampled && sample_hpwl {
-            core.wl_model.hpwl(&core.vx, &core.vy)
-        } else {
-            f64::NAN
-        };
+        let hpwl = if act.exact_hpwl { core.wl_model.hpwl(&core.vx, &core.vy) } else { f64::NAN };
         let (step, lambda) = core.step(obs);
-
         let mut rec = TraceIter {
             iter: iter as u64,
             wl: wl_value,
-            hpwl: iter_hpwl,
+            hpwl,
             overflow: core.overflow,
             lambda,
             step,
             wns: traced_wns,
             tns: traced_tns,
-            timing: timing_active,
+            timing: act.timing,
             counters: [0; Counter::COUNT],
         };
         obs.iter_end(&mut rec);
-        if trace_timing {
+        if act.trace_timing {
             trace.push(rec);
         }
 
-        if iter > 30 && core.overflow < STOP_OVERFLOW {
-            break;
-        }
+        let converged = iter > 30 && core.overflow < STOP_OVERFLOW;
+        Ok(if converged { Step::Converged } else { Step::Continue })
     }
 
-    // --- post-GP metrics ------------------------------------------------------
-    let (sx, sy) = {
-        let (a, b) = core.opt.solution();
-        (a.to_vec(), b.to_vec())
-    };
-    work.netlist.set_positions(&sx, &sy);
-    // The loop's working set is dead from here on. Released now rather than
-    // at return, it is what the reporting phase below (the legalizer, the
-    // final forest, analysis and map) allocates from, so the process's peak
-    // memory is the loop's, reached long before exit, and not a spike
-    // stacked on top of it in the last milliseconds of the run. (A flow
-    // that kept no loop forest peaks on the final one, the only forest of
-    // the run.)
-    let rsmt = loop_forest.forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
-    let uses_fft = core.density.uses_fft();
-    let live_map = route.map(|rs| rs.map);
-    let wl_model = core.into_wl_model();
-    drop((timing, loop_forest));
-    let gp_hpwl = wl_model.hpwl(&sx, &sy);
+    /// The reporting phase: legalization and detailed placement of the
+    /// global placement's solution, then the final forest, analysis and
+    /// congestion map, and the run's gauges.
+    fn finish(self, obs: &mut Observer) -> FlowResult {
+        let GlobalPlace {
+            mut work,
+            core,
+            timer,
+            timing,
+            route,
+            loop_forest,
+            mut scratch,
+            trace,
+            iterations,
+            overlap_ns,
+            label,
+            route_capacity,
+            t_start,
+            sta_seconds_at_entry,
+            pool_at_entry,
+            ..
+        } = self;
+        let (sx, sy) = {
+            let (a, b) = core.opt.solution();
+            (a.to_vec(), b.to_vec())
+        };
+        work.netlist.set_positions(&sx, &sy);
+        // The loop's working set is dead from here on. Released now rather
+        // than at return, it is what the reporting phase below (the
+        // legalizer, the final forest, analysis and map) allocates from, so
+        // the process's peak memory is the loop's, reached long before exit,
+        // and not a spike stacked on top of it in the last milliseconds of
+        // the run. (A flow that kept no loop forest peaks on the final one,
+        // the only forest of the run.)
+        let rsmt = loop_forest.forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
+        let uses_fft = core.density.uses_fft();
+        let live_map = route.map(|rs| rs.map);
+        // Moved into a temporary, the core drops every field but the
+        // wirelength model at the end of this statement.
+        let GradientCore { wl_model, .. } = { core };
+        drop((timing, loop_forest));
 
-    // --- legalization + detailed placement -------------------------------------
-    let mut lx = sx;
-    let mut ly = sy;
-    let sp = SpanStart::now();
-    let leg = AbacusLegalizer::new(&work);
-    obs.gauge(Gauge::LegalizeBands, leg.bands() as f64);
-    leg.legalize(&work, &mut lx, &mut ly);
-    obs.stop(Phase::Legalize, sp);
-    let sp = SpanStart::now();
-    DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, DETAIL_PASSES);
-    obs.stop(Phase::DetailPlace, sp);
-    work.netlist.set_positions(&lx, &ly);
-    let final_forest = fresh_forest(&work.netlist, obs);
-    let final_analysis = obs
-        .time(Phase::FinalSta, || timer.analyze_into(&work.netlist, &final_forest, &mut scratch));
-    let (wns, tns) = (final_analysis.wns(), final_analysis.tns());
-    // Timing is done: like the loop state above, the timer and the analysis
-    // buffers go now, so the summary map below allocates from what they free.
-    drop((final_analysis, scratch, timer));
-    // The final map: the live one rebuilt on the final forest when the flow
-    // was route-aware, a fresh one otherwise.
-    let (congestion, rudy_stamps) = {
-        let g = ROUTE_GRID;
-        let mut map =
-            live_map.unwrap_or_else(|| RudyMap::new(&work, g, g, config.route_capacity));
+        // --- legalization + detailed placement -------------------------------------
+        let mut lx = sx;
+        let mut ly = sy;
         let sp = SpanStart::now();
-        map.build(&work.netlist, &final_forest);
-        obs.stop(Phase::RudyUpdate, sp);
-        obs.add(Counter::RudyBuilds, 1);
-        (map.summary(), map.stamps_written())
-    };
-    let hpwl = wl_model.hpwl(&lx, &ly);
+        let leg = AbacusLegalizer::new(&work);
+        obs.gauge(Gauge::LegalizeBands, leg.bands() as f64);
+        leg.legalize(&work, &mut lx, &mut ly);
+        obs.stop(Phase::Legalize, sp);
+        let sp = SpanStart::now();
+        DetailPlacer::new(&work).refine(&work, &mut lx, &mut ly, DETAIL_PASSES);
+        obs.stop(Phase::DetailPlace, sp);
+        work.netlist.set_positions(&lx, &ly);
+        let final_forest = fresh_forest(&work.netlist, obs);
+        let final_analysis = obs.time(Phase::FinalSta, || {
+            timer.analyze_into(&work.netlist, &final_forest, &mut scratch)
+        });
+        let (wns, tns) = (final_analysis.wns(), final_analysis.tns());
+        // Timing is done: like the loop state above, the timer and the analysis
+        // buffers go now, so the summary map below allocates from what they free.
+        drop((final_analysis, scratch, timer));
+        // The final map: the live one rebuilt on the final forest when the flow
+        // was route-aware, a fresh one otherwise.
+        let (congestion, rudy_stamps) = {
+            let g = ROUTE_GRID;
+            let mut map = live_map.unwrap_or_else(|| RudyMap::new(&work, g, g, route_capacity));
+            let sp = SpanStart::now();
+            map.build(&work.netlist, &final_forest);
+            obs.stop(Phase::RudyUpdate, sp);
+            obs.add(Counter::RudyBuilds, 1);
+            (map.summary(), map.stamps_written())
+        };
+        let hpwl = wl_model.hpwl(&lx, &ly);
 
-    // End-of-run gauges: backend selections and pool state.
-    obs.gauge(Gauge::FftBackend, if uses_fft { 1.0 } else { 0.0 });
-    obs.gauge(Gauge::OverflowedFrac, congestion.overflowed_frac);
-    obs.gauge(Gauge::RudyStamps, rudy_stamps as f64);
-    obs.gauge(Gauge::NetlistBytes, design.netlist.heap_bytes() as f64);
-    obs.gauge(Gauge::RsmtExact, rsmt.exact as f64);
-    obs.gauge(Gauge::RsmtTable, rsmt.table as f64);
-    obs.gauge(Gauge::RsmtPrim, rsmt.prim as f64);
-    // Process-wide table registry counters, so read them even when this flow
-    // kept no in-loop forest.
-    let tables = dtp_rsmt::table_stats();
-    obs.gauge(Gauge::RsmtClassesGenerated, tables.classes_generated as f64);
-    obs.gauge(Gauge::RsmtClassGenMs, tables.gen_ns as f64 / 1e6);
-    let pool = rayon::pool_stats().since(pool_at_entry);
-    obs.gauge(Gauge::PoolDispatches, pool.dispatches as f64);
-    obs.gauge(Gauge::PoolInlineRegions, pool.inline_regions as f64);
-    obs.gauge(Gauge::PoolHotHandoffs, pool.hot_handoffs() as f64);
-    obs.gauge(Gauge::PoolWakes, pool.wakes as f64);
-    obs.gauge(Gauge::PoolSpinMs, pool.spin_ns as f64 / 1e6);
-    obs.gauge(Gauge::PoolThreads, rayon::current_num_threads() as f64);
-    obs.gauge(Gauge::OverlapMs, overlap_ns as f64 / 1e6);
-    obs.gauge(Gauge::PoolHelpedRegions, pool.helped_regions as f64);
-    obs.gauge(Gauge::PoolStolenChunks, pool.stolen_chunks as f64);
-    obs.flush();
-    let timing_runtime = obs.sta_seconds() - sta_seconds_at_entry;
+        // End-of-run gauges: backend selections and pool state.
+        obs.gauge(Gauge::FftBackend, if uses_fft { 1.0 } else { 0.0 });
+        obs.gauge(Gauge::OverflowedFrac, congestion.overflowed_frac);
+        obs.gauge(Gauge::RudyStamps, rudy_stamps as f64);
+        obs.gauge(Gauge::RsmtExact, rsmt.exact as f64);
+        obs.gauge(Gauge::RsmtTable, rsmt.table as f64);
+        obs.gauge(Gauge::RsmtPrim, rsmt.prim as f64);
+        // Process-wide table registry counters, so read them even when this flow
+        // kept no in-loop forest.
+        let tables = dtp_rsmt::table_stats();
+        obs.gauge(Gauge::RsmtClassesGenerated, tables.classes_generated as f64);
+        obs.gauge(Gauge::RsmtClassGenMs, tables.gen_ns as f64 / 1e6);
+        let pool = rayon::pool_stats().since(pool_at_entry);
+        obs.gauge(Gauge::PoolDispatches, pool.dispatches as f64);
+        obs.gauge(Gauge::PoolInlineRegions, pool.inline_regions as f64);
+        obs.gauge(Gauge::PoolHotHandoffs, pool.hot_handoffs() as f64);
+        obs.gauge(Gauge::PoolWakes, pool.wakes as f64);
+        obs.gauge(Gauge::PoolSpinMs, pool.spin_ns as f64 / 1e6);
+        obs.gauge(Gauge::PoolThreads, rayon::current_num_threads() as f64);
+        obs.gauge(Gauge::OverlapMs, overlap_ns as f64 / 1e6);
+        obs.gauge(Gauge::PoolHelpedRegions, pool.helped_regions as f64);
+        obs.gauge(Gauge::PoolStolenChunks, pool.stolen_chunks as f64);
+        obs.flush();
+        let timing_runtime = obs.sta_seconds() - sta_seconds_at_entry;
 
-    Ok(FlowResult {
-        mode: mode.label(),
-        design: design.name.clone(),
-        hpwl,
-        wns,
-        tns,
-        gp_hpwl,
-        iterations,
-        runtime: t_start.elapsed().as_secs_f64(),
-        timing_runtime,
-        trace,
-        xs: lx,
-        ys: ly,
-        congestion,
-        rsmt,
-    })
+        FlowResult {
+            mode: label,
+            design: work.name.clone(),
+            hpwl,
+            wns,
+            tns,
+            iterations,
+            runtime: t_start.elapsed().as_secs_f64(),
+            timing_runtime,
+            trace,
+            xs: lx,
+            ys: ly,
+            congestion,
+            rsmt,
+        }
+    }
 }
 
 #[cfg(test)]

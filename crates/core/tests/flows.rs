@@ -148,6 +148,32 @@ fn seed_changes_result() {
     assert_ne!(a.xs, b.xs);
 }
 
+/// A run capped at zero iterations is the reporting phase alone: it
+/// legalizes the seeded cluster and reports on it, in every mode and
+/// route-aware, with no iteration recorded and no loop forest built.
+#[test]
+fn zero_iterations_legalize_the_seed_and_report() {
+    let d = design();
+    let lib = synthetic_pdk();
+    let cfg = FlowConfig { max_iters: 0, ..fast_config() };
+    let runs = [
+        (FlowMode::Wirelength, cfg),
+        (FlowMode::NetWeighting, cfg),
+        (FlowMode::differentiable(), cfg),
+        (FlowMode::differentiable(), FlowConfig { route_aware: true, ..cfg }),
+    ];
+    for (mode, cfg) in runs {
+        let what = format!("{} (route-aware: {})", mode.label(), cfg.route_aware);
+        let r = run_flow(&d, &lib, mode, &cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(r.iterations, 0, "{what}");
+        assert!(r.trace.is_empty(), "{what}: {} records", r.trace.len());
+        assert_eq!(r.rsmt.trees, 0, "{what}: a loop forest was built");
+        let violations = check_legal(&d, &r.xs, &r.ys);
+        assert!(violations.is_empty(), "{what}: {violations:?}");
+        assert!(r.hpwl > 0.0 && r.wns.is_finite() && r.tns.is_finite(), "{what}");
+    }
+}
+
 /// `d` rebuilt with the movable cell `macro_name` declared fixed at `(x, y)`.
 fn with_fixed_macro(d: &dtp_netlist::Design, macro_name: &str, x: f64, y: f64) -> dtp_netlist::Design {
     let nl = &d.netlist;

@@ -58,6 +58,7 @@ pub struct ElmoreSeeds {
     pub grad_root_load: f64,
 }
 
+#[cfg(test)]
 impl ElmoreSeeds {
     /// Zero seeds for a tree with `n` nodes.
     pub fn zeros(n: usize) -> Self {
@@ -67,7 +68,6 @@ impl ElmoreSeeds {
             grad_root_load: 0.0,
         }
     }
-
 }
 
 impl ElmoreNet {
