@@ -481,8 +481,9 @@ mod tests {
     #[test]
     fn iter_round_trips_bytewise_with_nans() {
         let mut counters = [0u64; Counter::COUNT];
-        counters[Counter::Iterations.index()] = 1;
+        counters[Counter::TraceAnalyses.index()] = 3;
         counters[Counter::GeoDirtyNets.index()] = 250;
+        counters[Counter::Iterations.index()] = 1;
         let rec = TraceIter {
             iter: 42,
             wl: 1.25e6,
@@ -491,13 +492,25 @@ mod tests {
             lambda: 0.000325,
             step: 14.5,
             wns: -120.25,
-            tns: f64::NAN,
+            tns: f64::NEG_INFINITY,
             timing: false,
             counters,
         };
         let mut buf = Vec::new();
         rec.write_jsonl(&mut buf).unwrap();
         let line = String::from_utf8(buf).unwrap();
+        // The bytes every recorded `iter` line has: field order, NaN and -inf
+        // as `null`, the counters that did not move left out and the others
+        // in slot order, whatever order they were set in.
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"t":"iter","iter":42,"wl":1250000,"hpwl":null,"overflow":0.41,"#,
+                r#""lambda":0.000325,"step":14.5,"wns":-120.25,"tns":null,"timing":false,"#,
+                r#""counters":{"iterations":1,"geo_dirty_nets":250,"trace_analyses":3}}"#,
+                "\n"
+            )
+        );
         let TraceRecord::Iter(parsed) = parse_record(line.trim_end()).unwrap() else {
             panic!("not an iter record");
         };
@@ -512,12 +525,22 @@ mod tests {
     #[test]
     fn span_round_trips_bytewise() {
         let mut phase_ns = [0u64; Phase::COUNT];
-        phase_ns[Phase::WirelengthGrad.index()] = 123_456;
+        phase_ns[Phase::Write.index()] = 40;
         phase_ns[Phase::Legalize.index()] = 9;
+        phase_ns[Phase::WirelengthGrad.index()] = 123_456;
         let rec = TraceSpan { iter: 7, phase_ns };
         let mut buf = Vec::new();
         rec.write_jsonl(&mut buf).unwrap();
         let line = String::from_utf8(buf).unwrap();
+        // Phases that did not run are left out; the others are in slot order.
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"t":"span","iter":7,"phase_ns":{"wirelength_grad":123456,"legalize":9,"#,
+                r#""write":40}}"#,
+                "\n"
+            )
+        );
         let TraceRecord::Span(parsed) = parse_record(line.trim_end()).unwrap() else {
             panic!("not a span record");
         };
