@@ -4,56 +4,16 @@
 //! missing keys are errors), which is what makes `dtp trace replay` work
 //! from nothing but a recorded trace.
 //!
-//! Each config is written once, as a field table (`name: kind = default`
-//! under its doc comment); [`config_table!`] generates the struct, its
-//! `Default`, the ordered header keys and both directions of the round trip
-//! from it, so a knob cannot be in one of them and missing from another.
+//! Each config is written once, as a field table (`name: type as Kind =
+//! default` under its doc comment); `config_table!` generates the struct,
+//! its `Default`, the ordered header keys and both directions of the round
+//! trip from it, so a knob cannot be in one of them and missing from
+//! another. The kind is one of the trace records' field codecs
+//! ([`dtp_obs::schema::Kind`]): a knob is written and read back exactly as
+//! a trace field of its kind is, and its errors say what a field's do.
 
 use dtp_obs::json::Value;
-
-/// How one kind of knob travels through the trace header's generic values.
-trait Knob: Sized {
-    /// What a well-formed value is called in an error message.
-    const WHAT: &'static str;
-    fn to_value(self) -> Value;
-    fn from_value(v: &Value) -> Option<Self>;
-}
-
-/// The kinds of knob, one per row: `type: what a well-formed value is
-/// called, to a header value, from a header value`.
-macro_rules! knob_kinds {
-    ($( $kind:ty: $what:literal, $to:expr, $from:expr; )*) => {$(
-        impl Knob for $kind {
-            const WHAT: &'static str = $what;
-            fn to_value(self) -> Value {
-                ($to)(self)
-            }
-            fn from_value(v: &Value) -> Option<Self> {
-                ($from)(v)
-            }
-        }
-    )*};
-}
-
-knob_kinds! {
-    f64: "a number", Value::Num, Value::as_f64;
-    usize: "a non-negative integer", |x| Value::Num(x as f64), |v: &Value| {
-        let x = v.as_f64()?;
-        (x >= 0.0 && x.fract() == 0.0 && x <= usize::MAX as f64).then_some(x as usize)
-    };
-    bool: "a boolean", Value::Bool, Value::as_bool;
-    // A string, so the full `u64` range survives the f64 number pipeline.
-    u64: "a u64 string", |x: u64| Value::Str(x.to_string()), |v: &Value| v.as_str()?.parse().ok();
-}
-
-/// Reads knob `key` out of trace-header fields.
-fn knob<T: Knob>(fields: &[(String, Value)], key: &str) -> Result<T, String> {
-    let (_, v) = fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .ok_or_else(|| format!("missing config field `{key}`"))?;
-    T::from_value(v).ok_or_else(|| format!("config field `{key}` is not {}", T::WHAT))
-}
+use dtp_obs::schema::{read_member, to_value, Count, Digits, Flag, Number};
 
 /// Declares a config struct from its field table and generates everything
 /// that has to agree with the field list: `Default`, the header keys in
@@ -63,13 +23,13 @@ macro_rules! config_table {
     (
         $(#[$meta:meta])*
         pub struct $name:ident (round trip: $vis:vis) {
-            $( $(#[$doc:meta])* $field:ident: $kind:ty = $default:expr, )*
+            $( $(#[$doc:meta])* $field:ident: $ty:ty as $kind:ty = $default:expr, )*
         }
     ) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, PartialEq)]
         pub struct $name {
-            $( $(#[$doc])* pub $field: $kind, )*
+            $( $(#[$doc])* pub $field: $ty, )*
         }
 
         impl Default for $name {
@@ -82,11 +42,12 @@ macro_rules! config_table {
             /// The keys of [`Self::trace_fields`], in emission order.
             const KEYS: &'static [&'static str] = &[ $( stringify!($field), )* ];
 
-            /// Serializes every knob into ordered trace-header fields. A
-            /// `u64` is a string so its full range survives the f64 number
-            /// pipeline.
+            /// Serializes every knob into ordered trace-header fields, each
+            /// the way its kind writes it.
             $vis fn trace_fields(&self) -> Vec<(String, Value)> {
-                vec![ $( (stringify!($field).to_string(), self.$field.to_value()), )* ]
+                vec![ $(
+                    (stringify!($field).to_string(), to_value::<$ty, $kind>(&self.$field)),
+                )* ]
             }
 
             /// Reconstructs the config from trace-header fields, strictly:
@@ -102,7 +63,9 @@ macro_rules! config_table {
                 if let Some((k, _)) = fields.iter().find(|(k, _)| !known(k)) {
                     return Err(format!("unknown config field `{k}`"));
                 }
-                Ok($name { $( $field: knob(fields, stringify!($field))?, )* })
+                Ok($name { $(
+                    $field: read_member::<$ty, $kind>(fields, stringify!($field), "config field")?,
+                )* })
             }
         }
     };
@@ -117,19 +80,19 @@ config_table! {
     /// Configuration of the differentiable timing objective (the paper's method).
     pub struct DiffTimingConfig (round trip: pub(crate)) {
         /// LSE smoothing γ (ps); the paper sets "around 100".
-        gamma: f64 = dtp_sta::DEFAULT_GAMMA,
+        gamma: f64 as Number = dtp_sta::DEFAULT_GAMMA,
         /// Initial TNS weight t1. The paper reports "around 0.01" on the
         /// ICCAD-2015 superblue suite; on the scaled synthetic proxies the same
         /// gradient balance is reached at 0.04 (the paper itself tunes t1/t2 per
         /// benchmark, §4).
-        t1: f64 = 0.04,
+        t1: f64 as Number = 0.04,
         /// Initial WNS weight t2 (paper: "around 0.0001"; recalibrated like t1).
-        t2: f64 = 0.0004,
+        t2: f64 as Number = 0.0004,
         /// Multiplicative growth of t1/t2 per iteration; the paper increases
         /// them "by 1 % after each iteration".
-        growth: f64 = 1.01,
+        growth: f64 as Number = 1.01,
         /// Iteration at which timing optimization starts.
-        start_iter: usize = TIMING_START_ITER,
+        start_iter: usize as Count = TIMING_START_ITER,
     }
 }
 
@@ -207,11 +170,11 @@ config_table! {
     /// Global placement engine configuration (mode-independent knobs).
     pub struct FlowConfig (round trip: pub) {
         /// Maximum global-placement iterations.
-        max_iters: usize = 500,
+        max_iters: usize as Count = 500,
         /// Density bin grid (bins × bins). The Poisson solve runs on the
         /// O(N log N) FFT backend when this is a power of two and on the dense
         /// reference transforms otherwise.
-        bins: usize = 64,
+        bins: usize as Count = 64,
         /// How often (iterations) the flow computes exact HPWL / WNS / TNS
         /// into its `iter` record and returns that record in
         /// [`FlowResult::trace`](crate::FlowResult::trace) —
@@ -221,23 +184,25 @@ config_table! {
         /// for it only when the caller will read the trace; 1 = every
         /// iteration (Figure-8 mode). 0 and 10 place identically in every
         /// mode.
-        trace_timing_every: usize = 0,
-        /// Random seed for the initial center-cluster placement.
-        seed: u64 = 1,
+        trace_timing_every: usize as Count = 0,
+        /// Random seed for the initial center-cluster placement (a string in
+        /// the trace header, so its full range survives the f64 number
+        /// pipeline).
+        seed: u64 as Digits = 1,
         /// A net's Steiner topology is rebuilt when the accumulated worst cell
         /// drift since its last build exceeds this fraction of the net's pin
         /// bounding-box half-perimeter; until then only node coordinates are
         /// updated.
-        topo_dirty_frac: f64 = 0.10,
+        topo_dirty_frac: f64 as Number = 0.10,
         /// Enable the routability subsystem: the differentiable congestion
         /// penalty joins the objective and the RUDY feedback loop (cell
         /// inflation + congested-net weighting) runs periodically, all on the
         /// [`ROUTE_GRID`](crate::ROUTE_GRID) grid. `false` leaves the flow
         /// trajectory bit-for-bit identical to a build without the subsystem.
-        route_aware: bool = false,
+        route_aware: bool as Flag = false,
         /// Per-direction routing supply in wire-µm per µm² of bin area (the
         /// per-bin capacity is this times the bin area).
-        route_capacity: f64 = 0.5,
+        route_capacity: f64 as Number = 0.5,
         /// Worker threads for the parallel phases (Nesterov update, gradient
         /// sweeps, legalization bands). 0 = the ambient pool (the process-global
         /// default, or whatever [`rayon::with_pool`] scope encloses the call);
@@ -245,7 +210,7 @@ config_table! {
         /// width (above that the flow returns `FlowError::Config`).
         /// Every parallel kernel reduces in fixed chunk order, so the placement
         /// trajectory is bit-for-bit identical for every value of this knob.
-        threads: usize = 0,
+        threads: usize as Count = 0,
     }
 }
 

@@ -305,7 +305,7 @@ pub(crate) fn parse_classes(text: &str) -> Result<HashMap<&str, &str>, NetlistEr
     Ok(map)
 }
 
-/// Like [`build_netlist`], but binds nodes to real classes via a
+/// Like the test-only `build_netlist`, but binds nodes to real classes via a
 /// `node → class name` map: standard-cell names resolve through
 /// [`stdcells`] (once per class), the port pseudo-class names recreate I/O
 /// ports, and unmapped nodes fall back to private Bookshelf classes. Net pins

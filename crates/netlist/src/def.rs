@@ -204,7 +204,8 @@ pub(crate) fn write_def(design: &Design) -> String {
     String::from_utf8(out).expect("names are UTF-8")
 }
 
-/// [`write_def`] into any writer (the bundle writer streams to a file).
+/// The test-only `write_def` into any writer (the bundle writer streams to
+/// a file).
 pub(crate) fn emit_def(design: &Design, out: &mut impl Write) -> io::Result<()> {
     let nl = &design.netlist;
     let dbu = 1000.0;

@@ -138,20 +138,23 @@ impl Value {
                 }
                 out.push(']');
             }
-            Value::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_str_escaped(out, k);
-                    out.push(':');
-                    v.push_json(out);
-                }
-                out.push('}');
-            }
+            Value::Obj(members) => push_object(out, members),
         }
     }
+}
+
+/// Appends `members` as a compact JSON object, in member order.
+pub fn push_object(out: &mut String, members: &[(String, Value)]) {
+    out.push('{');
+    for (i, (k, v)) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_str_escaped(out, k);
+        out.push(':');
+        v.push_json(out);
+    }
+    out.push('}');
 }
 
 /// Parses exactly one JSON value from `s` (surrounding whitespace allowed;

@@ -25,7 +25,9 @@
 //!    end-of-run `metrics.json` ([`Report::to_json`], `--metrics-out`) and a
 //!    human-readable phase table ([`Report::table`], `--profile`).
 //!    Non-finite floats serialize as `null`; every emitted line parses
-//!    back through [`trace::parse_record`] / [`json::parse`].
+//!    back through [`trace::parse_record`] / [`json::parse`]. The names
+//!    and the record fields are each written once, as a table ([`schema`]),
+//!    and the writers and the strict reader are generated from it.
 //! 4. **Leveled logging facade** — [`warn!`]/[`info!`] gated by a
 //!    process-global [`Level`].
 //!
@@ -47,6 +49,7 @@ mod counters;
 pub mod json;
 pub mod log;
 mod phase;
+pub mod schema;
 mod sink;
 mod span;
 pub mod trace;

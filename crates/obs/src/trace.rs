@@ -18,6 +18,12 @@
 //!   wall-clock nanoseconds. Spans are the only nondeterministic content,
 //!   which is why they are separate records: determinism diffs skip them.
 //!
+//! Each record is one field table (`name: type as Kind` under its doc
+//! comment, in line order); the struct, its line writer and its strict
+//! reader are generated from the table ([`crate::schema`]), so a new field
+//! is one row and the writer and the reader cannot disagree. The header's
+//! execution-environment fields are named once, in [`ENVIRONMENT_PATHS`].
+//!
 //! Serialization notes: non-finite floats are `null` (read back as `NAN`);
 //! `seed` is a JSON *string* so the full `u64` range survives the `f64`
 //! number pipeline; counters/phase durations are JSON numbers and exact up
@@ -28,80 +34,106 @@
 use crate::counters::Counter;
 use crate::json::{self, Value};
 use crate::phase::Phase;
+use crate::schema::{record, Count, Digits, Flag, Members, Number, Tally, Text};
 use crate::sink::TRACE_SCHEMA;
-use std::io::{self, Write};
 
-/// The run-identity record: first line of every v3 trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceHeader {
-    /// Schema tag ([`TRACE_SCHEMA`]).
-    pub schema: String,
-    /// Canonical flow-mode name (e.g. `"differentiable"`).
-    pub mode: String,
-    /// RNG seed of the run.
-    pub seed: u64,
-    /// Configured thread count (0 = inherit the host default).
-    pub threads: u64,
-    /// Actual worker-pool width the run executed with.
-    pub pool_threads: u64,
-    /// Hardware threads of the recording host.
-    pub host_threads: u64,
-    /// Design name.
-    pub design: String,
-    /// Movable + fixed cell count.
-    pub cells: u64,
-    /// Net count.
-    pub nets: u64,
-    /// Pin count.
-    pub pins: u64,
-    /// Placement region `[xl, yl, xh, yh]`.
-    pub region: [f64; 4],
-    /// Clock period (ps).
-    pub clock_period: f64,
-    /// The design-source spec (CLI argument) when known; lets `replay`
-    /// reload the design without a user-provided override.
-    pub source: Option<String>,
-    /// The full `FlowConfig`, as ordered generic key/value fields.
-    pub config: Vec<(String, Value)>,
-    /// Mode-specific configuration fields (empty for wirelength mode).
-    pub mode_config: Vec<(String, Value)>,
+record! {
+    /// The run-identity record: first line of every v3 trace.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct TraceHeader = "header" {
+        /// Schema tag ([`TRACE_SCHEMA`]).
+        schema: String as Text,
+        /// Canonical flow-mode name (e.g. `"differentiable"`).
+        mode: String as Text,
+        /// RNG seed of the run. A string on the line: u64 seeds above 2^53
+        /// would lose bits through the f64 number pipeline.
+        seed: u64 as Digits,
+        /// Configured thread count (0 = inherit the host default).
+        threads: u64 as Count,
+        /// Actual worker-pool width the run executed with.
+        pool_threads: u64 as Count,
+        /// Hardware threads of the recording host.
+        host_threads: u64 as Count,
+        /// Design name.
+        design: String as Text,
+        /// Movable + fixed cell count.
+        cells: u64 as Count,
+        /// Net count.
+        nets: u64 as Count,
+        /// Pin count.
+        pins: u64 as Count,
+        /// Placement region `[xl, yl, xh, yh]`.
+        region: [f64; 4] as Number,
+        /// Clock period (ps).
+        clock_period: f64 as Number,
+        /// The design-source spec (CLI argument) when known; lets `replay`
+        /// reload the design without a user-provided override.
+        source: Option<String> as Text,
+        /// The full `FlowConfig`, as ordered generic key/value fields.
+        config: Vec<(String, Value)> as Members,
+        /// Mode-specific configuration fields (empty for wirelength mode).
+        mode_config: Vec<(String, Value)> as Members,
+    }
 }
 
-/// One deterministic per-iteration convergence record: the flow fills one
-/// per iteration, [`crate::Observer::iter_end`] adds its counter deltas and
-/// streams it, and the flow returns the ones at its exact-timing cadence as
-/// the Figure-8 trajectory.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TraceIter {
-    /// Iteration index.
-    pub iter: u64,
-    /// Smoothed (weighted-average) wirelength.
-    pub wl: f64,
-    /// Exact HPWL; `NAN` when not sampled this iteration.
-    pub hpwl: f64,
-    /// Density overflow.
-    pub overflow: f64,
-    /// Density-penalty multiplier λ used this iteration.
-    pub lambda: f64,
-    /// Nesterov step length; `NAN` when no step ran.
-    pub step: f64,
-    /// Exact WNS (ps); `NAN` when untraced.
-    pub wns: f64,
-    /// Exact TNS (ps); `NAN` when untraced.
-    pub tns: f64,
-    /// Whether timing-driven forces were active.
-    pub timing: bool,
-    /// Per-counter deltas for this iteration, in [`Counter::ALL`] order.
-    pub counters: [u64; Counter::COUNT],
+/// The header fields that say where a run executed rather than what it
+/// computed, as dotted paths into the header's object (`config.threads` is
+/// the config's `threads` knob). The determinism contract spans pool widths
+/// and design paths, so `dtp trace diff` reports a difference in one as a
+/// note, never a divergence, and the canonical bytes of a trace erase them.
+pub const ENVIRONMENT_PATHS: [&str; 5] =
+    ["threads", "pool_threads", "host_threads", "source", "config.threads"];
+
+record! {
+    /// One deterministic per-iteration convergence record: the flow fills one
+    /// per iteration, [`crate::Observer::iter_end`] adds its counter deltas and
+    /// streams it, and the flow returns the ones at its exact-timing cadence as
+    /// the Figure-8 trajectory.
+    ///
+    /// Everything on an `iter` line is bit-for-bit reproducible for a fixed
+    /// config/seed (at any pool width); wall-clock goes on the companion
+    /// `span` line ([`TraceSpan`]) so determinism checks can compare `iter`
+    /// records byte-wise.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct TraceIter = "iter" {
+        /// Iteration index.
+        iter: u64 as Count,
+        /// Smoothed (weighted-average) wirelength.
+        wl: f64 as Number,
+        /// Exact HPWL; `NAN` when not sampled this iteration.
+        hpwl: f64 as Number,
+        /// Density overflow.
+        overflow: f64 as Number,
+        /// Density-penalty multiplier λ used this iteration.
+        lambda: f64 as Number,
+        /// Nesterov step length; `NAN` when no step ran.
+        step: f64 as Number,
+        /// Exact WNS (ps); `NAN` when untraced.
+        wns: f64 as Number,
+        /// Exact TNS (ps); `NAN` when untraced.
+        tns: f64 as Number,
+        /// Whether timing-driven forces were active.
+        timing: bool as Flag,
+        /// Per-counter deltas for this iteration, in [`Counter::ALL`] order
+        /// (the line holds the nonzero ones).
+        counters: [u64; Counter::COUNT] as Tally<Counter>,
+    }
 }
 
-/// One per-iteration wall-clock record (nondeterministic content).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TraceSpan {
-    /// Iteration index the span belongs to.
-    pub iter: u64,
-    /// Per-phase nanoseconds, in [`Phase::ALL`] order.
-    pub phase_ns: [u64; Phase::COUNT],
+record! {
+    /// One per-iteration wall-clock record (nondeterministic content).
+    ///
+    /// Span records carry the only nondeterministic trace content
+    /// (wall-clock), which is why they are separate lines: diff/replay skip
+    /// them.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct TraceSpan = "span" {
+        /// Iteration index the span belongs to.
+        iter: u64 as Count,
+        /// Per-phase nanoseconds, in [`Phase::ALL`] order (the line holds
+        /// the phases that ran).
+        phase_ns: [u64; Phase::COUNT] as Tally<Phase>,
+    }
 }
 
 /// One parsed line of a v3 trace.
@@ -115,261 +147,6 @@ pub enum TraceRecord {
     Span(TraceSpan),
 }
 
-impl TraceHeader {
-    /// The header as the JSON object its line holds.
-    pub fn to_value(&self) -> Value {
-        let field = |k: &str, v: Value| (k.to_string(), v);
-        let text = |s: &str| Value::Str(s.to_string());
-        // Counts stay exact through `f64` far beyond any design's size.
-        let count = |n: u64| Value::Num(n as f64);
-        Value::Obj(vec![
-            field("t", text("header")),
-            field("schema", text(&self.schema)),
-            field("mode", text(&self.mode)),
-            // Seed as a string: u64 seeds above 2^53 would lose bits through
-            // the f64 number pipeline.
-            field("seed", Value::Str(self.seed.to_string())),
-            field("threads", count(self.threads)),
-            field("pool_threads", count(self.pool_threads)),
-            field("host_threads", count(self.host_threads)),
-            field("design", text(&self.design)),
-            field("cells", count(self.cells)),
-            field("nets", count(self.nets)),
-            field("pins", count(self.pins)),
-            field("region", Value::Arr(self.region.iter().map(|&v| Value::Num(v)).collect())),
-            field("clock_period", Value::Num(self.clock_period)),
-            field("source", self.source.as_deref().map_or(Value::Null, text)),
-            field("config", Value::Obj(self.config.clone())),
-            field("mode_config", Value::Obj(self.mode_config.clone())),
-        ])
-    }
-
-    /// Serializes the header as its one-line JSON record (plus newline).
-    /// Allocates (headers are written once per run, not per iteration).
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(512);
-        self.to_value().push_json(&mut s);
-        s.push('\n');
-        s
-    }
-
-    /// Writes the header record to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        w.write_all(self.to_json_line().as_bytes())
-    }
-}
-
-impl TraceIter {
-    /// Writes this record as its `iter` line: the iteration's deterministic
-    /// convergence fields plus its nonzero counter deltas. One valid JSON
-    /// object per line, `NAN`/infinities as `null`, no heap allocation.
-    ///
-    /// Everything on an `iter` line is bit-for-bit reproducible for a fixed
-    /// config/seed (at any pool width); wall-clock goes on the companion
-    /// `span` line ([`TraceSpan::write_jsonl`]) so determinism checks can
-    /// compare `iter` records byte-wise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        write!(w, "{{\"t\":\"iter\",\"iter\":{},\"wl\":", self.iter)?;
-        json::write_f64(w, self.wl)?;
-        w.write_all(b",\"hpwl\":")?;
-        json::write_f64(w, self.hpwl)?;
-        w.write_all(b",\"overflow\":")?;
-        json::write_f64(w, self.overflow)?;
-        w.write_all(b",\"lambda\":")?;
-        json::write_f64(w, self.lambda)?;
-        w.write_all(b",\"step\":")?;
-        json::write_f64(w, self.step)?;
-        w.write_all(b",\"wns\":")?;
-        json::write_f64(w, self.wns)?;
-        w.write_all(b",\"tns\":")?;
-        json::write_f64(w, self.tns)?;
-        write!(w, ",\"timing\":{},\"counters\":{{", self.timing)?;
-        let mut first = true;
-        for c in Counter::ALL {
-            let n = self.counters[c.index()];
-            if n == 0 {
-                continue; // keep lines compact: counters that did not move are omitted
-            }
-            if !first {
-                w.write_all(b",")?;
-            }
-            first = false;
-            write!(w, "\"{}\":{}", c.name(), n)?;
-        }
-        w.write_all(b"}}\n")
-    }
-}
-
-impl TraceSpan {
-    /// Writes this record as its `span` line: the iteration's nonzero
-    /// per-phase nanoseconds. One valid JSON object per line, no heap
-    /// allocation.
-    ///
-    /// Span records carry the only nondeterministic trace content
-    /// (wall-clock), which is why they are separate lines: diff/replay skip
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_jsonl(&self, w: &mut dyn Write) -> io::Result<()> {
-        write!(w, "{{\"t\":\"span\",\"iter\":{},\"phase_ns\":{{", self.iter)?;
-        let mut first = true;
-        for p in Phase::ALL {
-            let ns = self.phase_ns[p.index()];
-            if ns == 0 {
-                continue; // keep lines compact: phases that did not run are omitted
-            }
-            if !first {
-                w.write_all(b",")?;
-            }
-            first = false;
-            write!(w, "\"{}\":{}", p.name(), ns)?;
-        }
-        w.write_all(b"}}\n")
-    }
-}
-
-fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    let n = req(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!("field `{key}` is not a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-/// Number-or-null: `null` reads back as the in-memory `NAN` sentinel.
-fn req_f64_or_null(v: &Value, key: &str) -> Result<f64, String> {
-    let field = req(v, key)?;
-    if field.is_null() {
-        return Ok(f64::NAN);
-    }
-    field
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number or null"))
-}
-
-fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    req(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a boolean"))
-}
-
-fn obj_fields<'a>(v: &'a Value, key: &str) -> Result<&'a [(String, Value)], String> {
-    match req(v, key)? {
-        Value::Obj(members) => Ok(members),
-        _ => Err(format!("field `{key}` is not an object")),
-    }
-}
-
-fn parse_header(v: &Value) -> Result<TraceHeader, String> {
-    let schema = req_str(v, "schema")?;
-    if schema != TRACE_SCHEMA {
-        return Err(format!(
-            "unsupported trace schema `{schema}` (expected `{TRACE_SCHEMA}`)"
-        ));
-    }
-    let seed: u64 = req_str(v, "seed")?
-        .parse()
-        .map_err(|_| "field `seed` is not a u64 string".to_string())?;
-    let region_v = req(v, "region")?
-        .as_array()
-        .ok_or_else(|| "field `region` is not an array".to_string())?;
-    if region_v.len() != 4 {
-        return Err("field `region` must have 4 elements".into());
-    }
-    let mut region = [0.0; 4];
-    for (slot, item) in region.iter_mut().zip(region_v) {
-        *slot = item
-            .as_f64()
-            .ok_or_else(|| "field `region` has a non-number element".to_string())?;
-    }
-    let source = match req(v, "source")? {
-        Value::Null => None,
-        Value::Str(s) => Some(s.clone()),
-        _ => return Err("field `source` is not a string or null".into()),
-    };
-    Ok(TraceHeader {
-        schema: schema.to_string(),
-        mode: req_str(v, "mode")?.to_string(),
-        seed,
-        threads: req_u64(v, "threads")?,
-        pool_threads: req_u64(v, "pool_threads")?,
-        host_threads: req_u64(v, "host_threads")?,
-        design: req_str(v, "design")?.to_string(),
-        cells: req_u64(v, "cells")?,
-        nets: req_u64(v, "nets")?,
-        pins: req_u64(v, "pins")?,
-        region,
-        clock_period: req_f64_or_null(v, "clock_period")?,
-        source,
-        config: obj_fields(v, "config")?.to_vec(),
-        mode_config: obj_fields(v, "mode_config")?.to_vec(),
-    })
-}
-
-fn parse_iter(v: &Value) -> Result<TraceIter, String> {
-    let mut counters = [0u64; Counter::COUNT];
-    for (name, n) in obj_fields(v, "counters")? {
-        let c = Counter::from_name(name)
-            .ok_or_else(|| format!("unknown counter `{name}`"))?;
-        let n = n
-            .as_f64()
-            .ok_or_else(|| format!("counter `{name}` is not a number"))?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!("counter `{name}` is not a non-negative integer"));
-        }
-        counters[c.index()] = n as u64;
-    }
-    Ok(TraceIter {
-        iter: req_u64(v, "iter")?,
-        wl: req_f64_or_null(v, "wl")?,
-        hpwl: req_f64_or_null(v, "hpwl")?,
-        overflow: req_f64_or_null(v, "overflow")?,
-        lambda: req_f64_or_null(v, "lambda")?,
-        step: req_f64_or_null(v, "step")?,
-        wns: req_f64_or_null(v, "wns")?,
-        tns: req_f64_or_null(v, "tns")?,
-        timing: req_bool(v, "timing")?,
-        counters,
-    })
-}
-
-fn parse_span(v: &Value) -> Result<TraceSpan, String> {
-    let mut phase_ns = [0u64; Phase::COUNT];
-    for (name, n) in obj_fields(v, "phase_ns")? {
-        let p = Phase::from_name(name).ok_or_else(|| format!("unknown phase `{name}`"))?;
-        let n = n
-            .as_f64()
-            .ok_or_else(|| format!("phase `{name}` is not a number"))?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!("phase `{name}` is not a non-negative integer"));
-        }
-        phase_ns[p.index()] = n as u64;
-    }
-    Ok(TraceSpan { iter: req_u64(v, "iter")?, phase_ns })
-}
-
 /// Parses one JSONL line into a typed [`TraceRecord`], strictly: required
 /// fields must be present with the right types, counter/phase names must be
 /// known, and the header schema tag must match [`TRACE_SCHEMA`].
@@ -380,22 +157,29 @@ fn parse_span(v: &Value) -> Result<TraceSpan, String> {
 /// discriminator (the pre-v2 layout) get a version-specific hint.
 pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
     let v = json::parse(line)?;
-    let t = match v.get("t") {
-        Some(t) => t
-            .as_str()
-            .ok_or_else(|| "field `t` is not a string".to_string())?,
-        None => {
-            return Err(
-                "no `t` record discriminator (dtp-trace-v1 line? v1 traces are \
-                 not readable; re-record with this binary)"
-                    .into(),
-            )
-        }
+    let (Value::Obj(members), Some(t)) = (&v, v.get("t")) else {
+        return Err(
+            "no `t` record discriminator (dtp-trace-v1 line? v1 traces are \
+             not readable; re-record with this binary)"
+                .into(),
+        );
     };
+    let t = t
+        .as_str()
+        .ok_or_else(|| "field `t` is not a string".to_string())?;
     match t {
-        "header" => parse_header(&v).map(|h| TraceRecord::Header(Box::new(h))),
-        "iter" => parse_iter(&v).map(TraceRecord::Iter),
-        "span" => parse_span(&v).map(TraceRecord::Span),
+        TraceHeader::TAG => {
+            let header = TraceHeader::from_members(members)?;
+            if header.schema != TRACE_SCHEMA {
+                return Err(format!(
+                    "unsupported trace schema `{}` (expected `{TRACE_SCHEMA}`)",
+                    header.schema
+                ));
+            }
+            Ok(TraceRecord::Header(Box::new(header)))
+        }
+        TraceIter::TAG => TraceIter::from_members(members).map(TraceRecord::Iter),
+        TraceSpan::TAG => TraceSpan::from_members(members).map(TraceRecord::Span),
         other => Err(format!("unknown record type `{other}`")),
     }
 }

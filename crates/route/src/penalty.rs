@@ -278,6 +278,7 @@ impl CongestionPenalty {
     }
 
     /// Overrides the pin-density weight (µm per connected pin; 0 disables).
+    #[cfg(test)]
     pub fn with_pin_weight(mut self, w: f64) -> CongestionPenalty {
         self.pin_weight = w;
         self

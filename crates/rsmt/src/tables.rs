@@ -23,7 +23,7 @@
 //!   additionally clamps the result against a plain Prim tree so the emitted
 //!   tree is never worse than the degree ≥ 5 fallback heuristic;
 //! - classes of degree 4–8 ship as generated data
-//!   ([`tables_data`](super::tables_data): 6 121 classes, 17 710 POWVs),
+//!   ([`tables_data`]: 6 121 classes, 17 710 POWVs),
 //!   looked up by binary search over sorted keys with no lock;
 //!   `tables::tests::tables_data_is_the_generators_output` regenerates that
 //!   file and fails on any difference;

@@ -10,14 +10,8 @@
 //! `missing` on the other.
 
 use crate::Trace;
-use dtp_obs::json::{self, Value};
-use dtp_obs::TraceIter;
-
-/// The header fields that say where a run executed rather than what it
-/// computed. A difference in one is a note, never a divergence: the
-/// determinism contract spans pool widths and design paths.
-const ENVIRONMENT: [&str; 5] =
-    ["threads", "pool_threads", "host_threads", "source", "config.threads"];
+use dtp_obs::json::Value;
+use dtp_obs::trace::ENVIRONMENT_PATHS;
 
 /// The first record-level disagreement [`diff`] found.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,17 +129,10 @@ fn leaf_diffs(
     }
 }
 
-/// `rec`'s `iter` line, as the flow writes it.
-fn line(rec: &TraceIter) -> String {
-    let mut buf = Vec::new();
-    rec.write_jsonl(&mut buf).expect("Vec<u8> writes are infallible");
-    String::from_utf8(buf).expect("records write UTF-8")
-}
-
 /// Compares two traces exactly. Headers are compared as JSON objects (the
-/// execution-environment fields — thread counts, design source — demoted to
-/// notes), then iter records pairwise in stream order: by their written
-/// bytes, and leaf by leaf where those differ. Span records carry wall-clock
+/// execution-environment fields, [`ENVIRONMENT_PATHS`], demoted to notes),
+/// then iter records pairwise in stream order: by their written bytes, and
+/// leaf by leaf where those differ. Span records carry wall-clock
 /// noise and are never compared. A length mismatch past the shared prefix is
 /// itself a divergence.
 pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
@@ -153,7 +140,7 @@ pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
     let mut leaves = Vec::new();
     leaf_diffs("", Some(&a.header.to_value()), Some(&b.header.to_value()), &mut leaves);
     for (field, va, vb) in leaves {
-        if ENVIRONMENT.contains(&field.as_str()) {
+        if ENVIRONMENT_PATHS.contains(&field.as_str()) {
             report.notes.push(format!("{field} differs (a={va} b={vb}) — environment, ignored"));
         } else {
             report.header_diffs.push(format!("{field}: a={va} b={vb}"));
@@ -162,13 +149,11 @@ pub fn diff(a: &Trace, b: &Trace) -> DiffReport {
     let shared = a.iters.len().min(b.iters.len());
     report.compared_iters = shared;
     for (index, (ra, rb)) in a.iters.iter().zip(&b.iters).enumerate() {
-        let (la, lb) = (line(ra), line(rb));
-        if la == lb {
+        if ra.to_json_line() == rb.to_json_line() {
             continue;
         }
-        let parse = |l: &str| json::parse(l).expect("records write valid JSON");
         let mut leaves = Vec::new();
-        leaf_diffs("", Some(&parse(&la)), Some(&parse(&lb)), &mut leaves);
+        leaf_diffs("", Some(&ra.to_value()), Some(&rb.to_value()), &mut leaves);
         report.mismatched_values += leaves.len();
         if report.first_divergence.is_none() {
             report.first_divergence = leaves
@@ -281,7 +266,7 @@ mod tests {
     #[test]
     fn every_perturbed_iter_field_is_one_divergence() {
         let a = sample_trace(4);
-        let Value::Obj(members) = json::parse(&line(&a.iters[2])).unwrap() else {
+        let Value::Obj(members) = a.iters[2].to_value() else {
             panic!("an iter line holds an object");
         };
         let bump = |v: &Value| match v {
@@ -332,8 +317,9 @@ mod tests {
     }
 
     /// Every header field, perturbed one at a time, is exactly one header
-    /// diff naming it — or, for an [`ENVIRONMENT`] field, exactly one note
-    /// and a clean diff.
+    /// diff naming it and changes the canonical bytes — or, for an
+    /// [`ENVIRONMENT_PATHS`] field, is exactly one note, a clean diff and the
+    /// same canonical bytes: the one list holds both of its uses.
     #[test]
     fn every_perturbed_header_field_is_one_header_diff_or_note() {
         type Edit = fn(&mut TraceHeader);
@@ -366,10 +352,12 @@ mod tests {
             };
             assert!(named(&semantic) || named(&environment), "header field `{key}` untested");
         }
-        assert_eq!(environment.map(|(p, _)| p), ENVIRONMENT);
+        assert_eq!(environment.map(|(p, _)| p), ENVIRONMENT_PATHS);
+        let canonical = a.canonical_bytes();
         for (path, edit) in semantic {
             let mut b = a.clone();
             edit(&mut b.header);
+            assert_ne!(b.canonical_bytes(), canonical, "{path}: not in the canonical bytes");
             let r = diff(&a, &b);
             assert_eq!(r.header_diffs.len(), 1, "{path}: {}", r.render());
             assert!(r.header_diffs[0].starts_with(&format!("{path}: a=")), "{}", r.render());
@@ -378,6 +366,8 @@ mod tests {
         for (path, edit) in environment {
             let mut b = a.clone();
             edit(&mut b.header);
+            let erased = b.canonical_bytes() == canonical;
+            assert!(erased, "{path}: not erased from the canonical bytes");
             let r = diff(&a, &b);
             assert!(r.is_clean(), "{path}: {}", r.render());
             assert_eq!(r.notes.len(), 1, "{path}: {}", r.render());

@@ -7,7 +7,7 @@
 //!
 //! * [`Trace::parse`] — strict, line-numbered parsing of a whole stream
 //!   into a typed [`Trace`] (the `dtp trace validate` backend).
-//! * [`diff`] — exact comparison of two traces, leaf by leaf over the JSON
+//! * [`diff`](fn@diff) — exact comparison of two traces, leaf by leaf over the JSON
 //!   their records hold (`null` == `null`), reporting the **first diverging
 //!   iteration and field** (the `dtp trace diff` backend; its clean/dirty
 //!   verdict drives the CI determinism gate).
@@ -17,7 +17,7 @@
 //!   records. Two runs of the same config+seed must produce identical
 //!   canonical bytes at any pool width; `dtp trace replay` asserts exactly
 //!   this.
-//! * [`report`] — a human-readable convergence summary: per-phase time
+//! * [`report`](fn@report) — a human-readable convergence summary: per-phase time
 //!   table and windowed plateau/oscillation/divergence detection over the
 //!   HPWL and overflow trajectories.
 
@@ -31,7 +31,8 @@ pub use diff::{diff, DiffReport, Divergence};
 pub use report::report;
 
 use dtp_obs::json::Value;
-use dtp_obs::{trace, TraceHeader, TraceIter, TraceRecord, TraceSpan};
+use dtp_obs::trace::{self, ENVIRONMENT_PATHS};
+use dtp_obs::{TraceHeader, TraceIter, TraceRecord, TraceSpan};
 
 /// A fully parsed v3 trace: the header plus all iteration records.
 #[derive(Clone, Debug)]
@@ -94,27 +95,25 @@ impl Trace {
     }
 
     /// The determinism fingerprint: the header re-serialized with the
-    /// execution-environment identity erased — `threads`, `pool_threads`,
-    /// `host_threads` zeroed (in the top-level fields *and* the config's
-    /// `threads` knob) and `source` dropped — followed by every `iter`
-    /// record, byte-exact. `span` records (wall-clock) are excluded.
+    /// execution-environment identity erased — every member
+    /// [`ENVIRONMENT_PATHS`] names (the thread counts, in the top-level
+    /// fields *and* the config's `threads` knob, and the design source) set
+    /// to `null` — followed by every `iter` record, byte-exact. `span`
+    /// records (wall-clock) are excluded.
     ///
     /// The flow's determinism contract promises bit-identical placement
     /// trajectories across pool widths, so two runs of the same config and
     /// seed must produce identical canonical bytes at *any* thread count —
     /// the golden tests and `dtp trace replay` compare exactly this.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut header = self.header.clone();
-        header.threads = 0;
-        header.pool_threads = 0;
-        header.host_threads = 0;
-        header.source = None;
-        for (k, v) in header.config.iter_mut() {
-            if k == "threads" {
-                *v = Value::Num(0.0);
-            }
+        let mut header = self.header.to_value();
+        for path in ENVIRONMENT_PATHS {
+            erase(&mut header, path);
         }
-        let mut out = header.to_json_line().into_bytes();
+        let mut line = String::new();
+        header.push_json(&mut line);
+        line.push('\n');
+        let mut out = line.into_bytes();
         for it in &self.iters {
             it.write_jsonl(&mut out).expect("Vec<u8> writes are infallible");
         }
@@ -148,6 +147,19 @@ impl Trace {
             sp.write_jsonl(&mut out).expect("Vec<u8> writes are infallible");
         }
         out
+    }
+}
+
+/// Sets the member of `v` at the dotted `path` to `null`, if there is one.
+fn erase(v: &mut Value, path: &str) {
+    let (key, rest) = path.split_once('.').map_or((path, None), |(k, r)| (k, Some(r)));
+    if let Value::Obj(members) = v {
+        for (_, member) in members.iter_mut().filter(|(k, _)| k == key) {
+            match rest {
+                Some(rest) => erase(member, rest),
+                None => *member = Value::Null,
+            }
+        }
     }
 }
 
